@@ -6,9 +6,8 @@ Library layout:
 - quant: 4-bit group weight quantization and the 8-bit KV cache codec
 - layout: packed weight stream words, scale-zero FIFO, memory map, containers
 - ops: streaming operators (rope, rmsnorm, softmax, silu-gate)
-- pipeline: fused head-wise decoder, reference decoder, cycle trace
+- pipeline: fused head-wise decoder, reference decoder, stage schedule
 - perf: roofline peaks, utilization, transaction-level bus simulation
-- report / cli: text tables, CSV, figures, command-line front end
 """
 
 __version__ = "0.1.0"

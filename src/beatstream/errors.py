@@ -1,7 +1,6 @@
 """Error taxonomy shared across the package.
 
-Each class maps to a distinct CLI exit code (see EXIT_CODES); library code
-raises these directly and never calls sys.exit itself.
+Library code raises these directly and never calls sys.exit itself.
 """
 
 from __future__ import annotations
@@ -35,21 +34,6 @@ class DomainError(BeatstreamError):
     """A numeric input is outside the operator's domain."""
 
 
-# CLI exit codes. 1 is reserved for uncategorized failures.
-EXIT_CODES: dict[type[BaseException], int] = {
-    ShapeError: 2,
-    AlignmentError: 3,
-    ConfigError: 4,
-    FormatError: 5,
-    CapacityError: 6,
-    DomainError: 7,
-    LookupError: 8,      # unknown stream id / token id (IndexError, KeyError)
-    FileNotFoundError: 9,
-}
+class DivergenceError(BeatstreamError):
+    """Fused and reference decoding produced different logits."""
 
-
-def exit_code_for(exc: BaseException) -> int:
-    for cls, code in EXIT_CODES.items():
-        if isinstance(exc, cls):
-            return code
-    return 1

@@ -48,7 +48,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, FormatError, ShapeError
 from .numerics import half_bits, half_from_bits
-from .quant import KvQuantParams, QuantGroup, dequant_codes, quantize_rows
+from .quant import KvQuantParams, dequant_codes, quantize_rows
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
@@ -176,20 +176,6 @@ class GroupedTensor:
             padded.reshape(rows * gpr, group_size), group_size)
         return cls(rows=rows, cols=cols, group_size=group_size,
                    codes=codes, scales=scales, zeros=zeros)
-
-    @classmethod
-    def from_groups(cls, groups: list[list[QuantGroup]], cols: int) -> "GroupedTensor":
-        """Adopt pre-quantized groups (codes preserved, no re-quantization)."""
-        if not groups or not groups[0]:
-            raise ShapeError("empty group matrix")
-        g = groups[0][0].group_size
-        flat = [grp for row in groups for grp in row]
-        if any(grp.group_size != g for grp in flat):
-            raise ShapeError("all groups must share one group_size")
-        return cls(rows=len(groups), cols=cols, group_size=g,
-                   codes=np.stack([grp.codes for grp in flat]),
-                   scales=np.array([grp.scale for grp in flat], dtype=np.float16),
-                   zeros=np.array([grp.zero for grp in flat], dtype=np.uint8))
 
     def dequantized(self) -> np.ndarray:
         """(rows, padded_cols) binary16 values."""

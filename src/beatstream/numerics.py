@@ -220,8 +220,3 @@ class TrigTable:
     def sin_cos(self, phase_turns) -> tuple[np.ndarray, np.ndarray]:
         """(sin, cos) as binary16 for a phase given in turns."""
         return self.sin_cos_at(self.phase_to_index(phase_turns))
-
-
-def lut_sin_cos(phase_turns, table: TrigTable) -> tuple[np.ndarray, np.ndarray]:
-    """Functional form of TrigTable.sin_cos."""
-    return table.sin_cos(phase_turns)

@@ -3,9 +3,7 @@
 Every operator here follows the same discipline as the dot engine: wide
 intermediate arithmetic with explicitly placed binary16 roundings, so a
 fused evaluation and a layer-at-a-time reference evaluation produce
-bit-identical outputs. Multi-pass operators record their passes (name,
-elements read) into an OpStats when given one; the schedule model charges
-stages from those pass structures.
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,13 +14,11 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import TrigTable
-from .quant import OpStats
 
 _TWO_PI = 2.0 * math.pi
 
 
-def rope_rotate(v: np.ndarray, pos: int, table: TrigTable,
-                stats: OpStats | None = None) -> np.ndarray:
+def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
     """Rotate adjacent pairs (v[2j], v[2j+1]) by pos * inv_freq[j].
 
     Angles are formed in float64, snapped to the table's phase grid, and
@@ -49,8 +45,6 @@ def rope_rotate(v: np.ndarray, pos: int, table: TrigTable,
     out = np.empty_like(v)
     out[0::2] = (a * cos32 - b * sin32).astype(np.float16)
     out[1::2] = (a * sin32 + b * cos32).astype(np.float16)
-    if stats is not None:
-        stats.record("rotate", v.size)
     return out
 
 
@@ -68,7 +62,6 @@ def rms_sumsq(x: np.ndarray) -> np.float32:
 
 
 def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5,
-            stats: OpStats | None = None,
             precomputed_sq: np.float32 | None = None) -> np.ndarray:
     """out_i = gain_i * x_i / sqrt(mean(x^2) + eps), binary16 in and out.
 
@@ -80,23 +73,15 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5,
     gain = np.asarray(gain, dtype=np.float16)
     if x.shape != gain.shape or x.ndim != 1 or x.size == 0:
         raise ShapeError(f"x {x.shape} and gain {gain.shape} must be matching vectors")
-    if precomputed_sq is None:
-        sq = rms_sumsq(x)
-        if stats is not None:
-            stats.record("sumsq", x.size)
-    else:
-        sq = np.float32(precomputed_sq)
+    sq = rms_sumsq(x) if precomputed_sq is None else np.float32(precomputed_sq)
     mean = float(sq) / x.size + eps
     if not (mean > 0.0 and math.isfinite(mean)):
         raise DomainError(f"mean square + eps = {mean}, norm undefined")
     inv = np.float32(1.0 / math.sqrt(mean))
-    out = (gain.astype(np.float32) * (x.astype(np.float32) * inv)).astype(np.float16)
-    if stats is not None:
-        stats.record("scale", x.size)
-    return out
+    return (gain.astype(np.float32) * (x.astype(np.float32) * inv)).astype(np.float16)
 
 
-def softmax(x: np.ndarray, stats: OpStats | None = None) -> np.ndarray:
+def softmax(x: np.ndarray) -> np.ndarray:
     """Three-pass safe softmax over a binary16 vector.
 
     Pass 1 finds the max, pass 2 stores t_i = half(exp(x_i - max)) with
@@ -116,16 +101,10 @@ def softmax(x: np.ndarray, stats: OpStats | None = None) -> np.ndarray:
     d = np.cumsum(t.astype(np.float32), dtype=np.float32)[-1]
     if not float(d) > 0.0:
         raise DomainError("softmax denominator vanished")
-    out = (t.astype(np.float32) / d).astype(np.float16)
-    if stats is not None:
-        stats.record("max", x.size)
-        stats.record("exp", x.size)
-        stats.record("normalize", x.size)
-    return out
+    return (t.astype(np.float32) / d).astype(np.float16)
 
 
-def silu_gate(gate: np.ndarray, up: np.ndarray,
-              stats: OpStats | None = None) -> np.ndarray:
+def silu_gate(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
     """out = half(silu(gate) * up), fused in float64 with one rounding.
 
     silu(g) = g / (1 + exp(-g)). At gate = 20 the sigmoid saturates to
@@ -136,7 +115,4 @@ def silu_gate(gate: np.ndarray, up: np.ndarray,
     if gate.shape != up.shape or gate.ndim != 1:
         raise ShapeError(f"gate {gate.shape} and up {up.shape} must match")
     g = gate.astype(np.float64)
-    out = (g / (1.0 + np.exp(-g)) * up.astype(np.float64)).astype(np.float16)
-    if stats is not None:
-        stats.record("silu_gate", gate.size)
-    return out
+    return (g / (1.0 + np.exp(-g)) * up.astype(np.float64)).astype(np.float16)

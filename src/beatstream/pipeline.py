@@ -1,42 +1,34 @@
-"""Fused head-wise decode pipeline with a per-token stage trace.
+"""Fused head-wise decode pipeline and its per-token stage schedule.
 
 Two decode paths share every arithmetic primitive:
 
   Decoder           streams weights head by head in container order,
                     carries the residual's sum of squares into the next
-                    norm, applies rotary position on the fly, and logs a
-                    cycle trace of every stage.
+                    norm, and applies rotary position on the fly.
   ReferenceDecoder  layer-at-a-time evaluation, each operator standalone.
 
 Both quantize the KV cache identically, so their logits must agree bit
 for bit at every step; that equivalence is the core regression test.
 
-Trace cost model
-----------------
-Weight-fed stages cost one cycle per 128-code bus beat of their tensor
-slice. Cache-fed stages (the attention dot and the value mix) cost
-max(1, head_dim/64) cycles per token row. Scalar-unit passes run at
-spu_rate elements per cycle and are forwarded, so they overlap the
-stream that produces or consumes them; the one ordering that can stall
-the vector unit is softmax: the exponent pass cannot start until the
-attention dot finishes (it needs the final max), and the value mix
-consumes normalized weights two cycles behind it. Everything else is
-charged but never gates.
+The cycle trace of a step depends only on the model config and the
+position, so schedule_token computes it without touching any numerics.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CapacityError, FormatError, ShapeError
+from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import BusGeometry, ScaleZeroPack, SzFifo
 from .model_io import Checkpoint
-from .numerics import DotEngineConfig, TrigTable, dot_rows, pad_to_lanes
+from .numerics import DotEngineConfig, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize, KvQuantParams
 
@@ -84,11 +76,8 @@ class StageSpan:
 @dataclass
 class TokenTrace:
     position: int
-    spans: list[StageSpan] = field(default_factory=list)
-    makespan: int = 0
-
-    def add(self, name, kind, start, end, weight_beats=0) -> None:
-        self.spans.append(StageSpan(name, kind, int(start), int(end), weight_beats))
+    spans: list[StageSpan]
+    makespan: int
 
     @property
     def vpu_cycles(self) -> int:
@@ -108,6 +97,13 @@ class TokenTrace:
         return not spu or max(spu) <= self.makespan
 
 
+def row_code_beats(cols: int, group_size: int, lanes: int = 128) -> int:
+    """Bus beats of 4-bit codes in one weight row: the row pads to whole
+    groups, then to whole lanes, and each beat feeds every lane once."""
+    groups = -(-cols // group_size)
+    return -(-groups * group_size // lanes)
+
+
 def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0,
                              lanes: int = 128) -> int:
     """Longest context the value-projection stream can hide softmax under.
@@ -116,10 +112,84 @@ def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0,
     plus the forwarding lead; it stalls nothing while that fits inside the
     value projection's beats.
     """
-    gpr = -(-cfg.d_model // cfg.group_size)
-    beats_per_row = -(-gpr * cfg.group_size // lanes)
-    v_beats = cfg.head_dim * beats_per_row
+    v_beats = cfg.head_dim * row_code_beats(cfg.d_model, cfg.group_size, lanes)
     return int((v_beats - SOFTMAX_FORWARD_LEAD) * spu_rate) - 1
+
+
+def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
+                   lanes: int = 128) -> TokenTrace:
+    """Cycle trace of the fused decode step at `position`.
+
+    Weight-fed stages cost one cycle per 128-code bus beat of their tensor
+    slice. Cache-fed stages (the attention dot and the value mix) cost
+    max(1, head_dim/64) cycles per token row. Scalar-unit passes run at
+    spu_rate elements per cycle and are forwarded, so they overlap the
+    stream that produces or consumes them; the one ordering that can stall
+    the vector unit is softmax: the exponent pass cannot start until the
+    attention dot finishes (it needs the final max), and the value mix
+    consumes normalized weights two cycles behind it. Everything else is
+    charged but never gates.
+    """
+    if position < 0:
+        raise ConfigError(f"position {position} is negative")
+
+    def spu(n: int) -> int:
+        return max(1, math.ceil(n / spu_rate))
+
+    hd, d = cfg.head_dim, cfg.d_model
+    d_row = row_code_beats(d, cfg.group_size, lanes)  # a row over the model width
+    hb = hd * d_row                                   # one head's q, k or v slice
+    ob, gb, lb = d * d_row, 2 * cfg.d_ffn * d_row, cfg.vocab_size * d_row
+    db = d * row_code_beats(cfg.d_ffn, cfg.group_size, lanes)
+    rows_cycles = (position + 1) * max(1, -(-hd // 64))
+    spu_d, spu_hd, spu_kv, spu_rows = spu(d), spu(hd), spu(2 * hd), spu(position + 1)
+
+    spans = [StageSpan("embed", "spu", 0, spu_d)]
+    add = spans.append
+    c = 0  # vector-unit cycle cursor
+    for layer in range(cfg.n_layers):
+        lp = f"L{layer}."
+        add(StageSpan(lp + "attn_norm", "spu", c, c + spu_d))
+        for head in range(cfg.n_heads):
+            hp = f"{lp}h{head}."
+            add(StageSpan(hp + "q", "vpu", c, c + hb, hb))
+            add(StageSpan(hp + "rope_q", "spu", c + hb, c + hb + spu_hd))
+            c += hb
+            add(StageSpan(hp + "k", "vpu", c, c + hb, hb))
+            add(StageSpan(hp + "rope_k", "spu", c + hb, c + hb + spu_hd))
+            c += hb
+            dot_end = c + rows_cycles
+            add(StageSpan(hp + "kv_dot", "vpu", c, dot_end))
+            add(StageSpan(hp + "softmax_max", "spu", c, dot_end))
+            add(StageSpan(hp + "k_quant", "spu", c, c + spu_kv))
+            c = dot_end
+            exp_end = dot_end + spu_rows
+            add(StageSpan(hp + "softmax_exp", "spu", dot_end, exp_end))
+            add(StageSpan(hp + "softmax_norm", "spu", exp_end, exp_end + spu_rows))
+            add(StageSpan(hp + "v", "vpu", c, c + hb, hb))
+            add(StageSpan(hp + "v_quant", "spu", c, c + spu_kv))
+            c += hb
+            mix_start = exp_end + SOFTMAX_FORWARD_LEAD
+            if mix_start > c:
+                add(StageSpan(hp + "softmax_wait", "stall", c, mix_start))
+                c = mix_start
+            add(StageSpan(hp + "value_mix", "vpu", c, c + rows_cycles))
+            c += rows_cycles
+        add(StageSpan(lp + "o", "vpu", c, c + ob, ob))
+        add(StageSpan(lp + "attn_residual", "spu", c, c + spu_d))
+        c += ob
+        add(StageSpan(lp + "mlp_norm", "spu", c, c + spu_d))
+        # gate and up rows interleave on the stream: one merged stage
+        add(StageSpan(lp + "gate_up", "vpu", c, c + gb, gb))
+        add(StageSpan(lp + "silu", "spu", c, c + spu(cfg.d_ffn)))
+        c += gb
+        add(StageSpan(lp + "down", "vpu", c, c + db, db))
+        add(StageSpan(lp + "mlp_residual", "spu", c, c + spu_d))
+        c += db
+    add(StageSpan("final_norm", "spu", c, c + spu_d))
+    add(StageSpan("lm_head", "vpu", c, c + lb, lb))
+    add(StageSpan("argmax", "spu", c, c + spu(cfg.vocab_size)))
+    return TokenTrace(position, spans, c + lb)
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +238,28 @@ class KVCacheStore:
 
     @classmethod
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
-        with np.load(Path(path)) as z:
-            if int(z["version"]) != STATE_VERSION:
-                raise FormatError(f"unsupported state version {int(z['version'])}")
-            stored = ModelConfig.from_json_str(str(z["config"]), origin="state file")
-            if stored != cfg:
-                raise FormatError("state was captured under a different model config")
-            store = cls(cfg)
-            if z["codes"].shape != store.codes.shape:
-                raise FormatError(f"state array shape {z['codes'].shape} is wrong")
-            store.codes[...] = z["codes"]
-            store.scales[...] = z["scales"]
-            store.zeros[...] = z["zeros"]
-            store.length = int(z["length"])
-            if not 0 <= store.length <= cfg.max_context:
-                raise FormatError(f"state length {store.length} out of range")
+        """Read a snapshot written by save; any damage raises FormatError."""
+        data = Path(path).read_bytes()
+        try:
+            with np.load(io.BytesIO(data)) as z:
+                if int(z["version"]) != STATE_VERSION:
+                    raise FormatError(f"unsupported state version {int(z['version'])}")
+                stored = ModelConfig.from_json_str(str(z["config"]), origin="state file")
+                if stored != cfg:
+                    raise FormatError("state was captured under a different model config")
+                store = cls(cfg)
+                for name in ("codes", "scales", "zeros"):
+                    arr, want = z[name], getattr(store, name)
+                    if arr.shape != want.shape or arr.dtype != want.dtype:
+                        raise FormatError(f"state array {name} is {arr.dtype}{arr.shape}, "
+                                          f"expected {want.dtype}{want.shape}")
+                    want[...] = arr
+                store.length = int(z["length"])
+        except (zipfile.BadZipFile, ConfigError, EOFError, KeyError, NotImplementedError,
+                OSError, RuntimeError, TypeError, ValueError) as e:
+            raise FormatError(f"unreadable state file {path}: {e}") from e
+        if not 0 <= store.length <= cfg.max_context:
+            raise FormatError(f"state length {store.length} out of range")
         return store
 
 
@@ -198,28 +275,25 @@ class _WeightCache:
         self.beats_per_row: dict[str, int] = {}
         for name, t in ckpt.tensors.items():
             deq = t.dequantized()
-            padded_cols = -(-deq.shape[1] // lanes) * lanes
-            mat = np.zeros((deq.shape[0], padded_cols), dtype=np.float16)
+            beats = row_code_beats(t.cols, t.group_size, lanes)
+            mat = np.zeros((deq.shape[0], beats * lanes), dtype=np.float16)
             mat[:, :deq.shape[1]] = deq
             self.mats[name] = mat
-            self.beats_per_row[name] = padded_cols // lanes
+            self.beats_per_row[name] = beats
 
     def stage_beats(self, name: str, rows: int) -> int:
         return rows * self.beats_per_row[name]
 
 
 class Decoder:
-    """Fused streaming decode with trace, FIFO, and carried norm state."""
+    """Fused streaming decode with the scale-zero FIFO and carried norm state."""
 
-    def __init__(self, ckpt: Checkpoint, collect_trace: bool = True,
-                 spu_rate: float = 1.0, geom: BusGeometry | None = None,
+    def __init__(self, ckpt: Checkpoint, geom: BusGeometry | None = None,
                  engine: DotEngineConfig | None = None) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
         self.engine = engine or DotEngineConfig()
-        self.collect_trace = collect_trace
-        self.spu_rate = float(spu_rate)
         self.table = TrigTable.for_head_dim(
             self.cfg.head_dim, base=self.cfg.rope_base,
             freq_divisor=self.cfg.rope_freq_divisor)
@@ -227,10 +301,10 @@ class Decoder:
         self.kv = KVCacheStore(self.cfg)
         self.fifo = SzFifo(self.cfg.n_layers, self.cfg.n_heads,
                            geom or BusGeometry())
-        self.flushed_sz_beats = 0
 
-    def _spu(self, n: int) -> int:
-        return max(1, math.ceil(n / self.spu_rate))
+    @property
+    def flushed_sz_beats(self) -> int:
+        return self.fifo.flushed_beats
 
     def _dot(self, name: str, vec: np.ndarray, row_lo: int = 0,
              row_hi: int | None = None) -> np.ndarray:
@@ -239,47 +313,32 @@ class Decoder:
         return dot_rows(rows, vec, self.engine)
 
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
+        """Decode one token: its logits and the schedule of the step.
+
+        The KV rows and scale-zero packs of the token are published only
+        after every layer has run, so a step that raises leaves the
+        decoder as it was.
+        """
         cfg = self.cfg
         if not 0 <= token < cfg.vocab_size:
             raise ShapeError(f"token {token} outside vocabulary 0..{cfg.vocab_size - 1}")
         t = self.kv.begin_token()
-        hd, heads = cfg.head_dim, cfg.n_heads
-        cache_unit = max(1, -(-hd // 64))
-        trace = TokenTrace(position=t)
-        c = 0  # vector-unit cycle cursor
+        hd = cfg.head_dim
+        packs: list[tuple[tuple[int, int, int], ScaleZeroPack]] = []
 
         x = self.ckpt.embedding[token].copy()
         carry = rms_sumsq(x)
-        if self.collect_trace:
-            trace.add("embed", "spu", 0, self._spu(cfg.d_model))
-
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps,
                              precomputed_sq=carry)
             h_pad = pad_to_lanes(h_norm, self.engine.lanes)
-            if self.collect_trace:
-                trace.add(f"L{layer}.attn_norm", "spu", c, c + self._spu(cfg.d_model))
 
             head_out = np.empty(cfg.d_model, dtype=np.float16)
-            for head in range(heads):
+            for head in range(cfg.n_heads):
                 lo, hi = head * hd, (head + 1) * hd
                 q = self._dot(pre + "attn.q", h_pad, lo, hi)
-                qb = self.weights.stage_beats(pre + "attn.q", hd)
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.q", "vpu", c, c + qb, weight_beats=qb)
-                    trace.add(f"L{layer}.h{head}.rope_q", "spu", c + qb,
-                              c + qb + self._spu(hd))
-                c += qb
-
                 k = self._dot(pre + "attn.k", h_pad, lo, hi)
-                kb = self.weights.stage_beats(pre + "attn.k", hd)
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.k", "vpu", c, c + kb, weight_beats=kb)
-                    trace.add(f"L{layer}.h{head}.rope_k", "spu", c + kb,
-                              c + kb + self._spu(hd))
-                c += kb
-
                 q = rope_rotate(q, t, self.table)
                 k = rope_rotate(k, t, self.table)
                 q_pad = pad_to_lanes(q, self.engine.lanes)
@@ -294,102 +353,40 @@ class Decoder:
                 hist_pad[:, :hd] = hist_k
                 logits_h = np.concatenate([dot_rows(hist_pad, q_pad, self.engine),
                                            curr])
-                dot_cycles = (t + 1) * cache_unit
-                dot_end = c + dot_cycles
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.kv_dot", "vpu", c, dot_end)
-                    trace.add(f"L{layer}.h{head}.softmax_max", "spu", c, dot_end)
-                    kq = self._spu(2 * hd)
-                    trace.add(f"L{layer}.h{head}.k_quant", "spu", dot_end - dot_cycles,
-                              dot_end - dot_cycles + kq)
-                c = dot_end
-
                 probs = softmax(scale_logits(logits_h, hd))
-                exp_end = dot_end + self._spu(t + 1)
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.softmax_exp", "spu", dot_end, exp_end)
-                    trace.add(f"L{layer}.h{head}.softmax_norm", "spu", exp_end,
-                              exp_end + self._spu(t + 1))
 
                 v = self._dot(pre + "attn.v", h_pad, lo, hi)
-                vb = self.weights.stage_beats(pre + "attn.v", hd)
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.v", "vpu", c, c + vb, weight_beats=vb)
-                    trace.add(f"L{layer}.h{head}.v_quant", "spu", c,
-                              c + self._spu(2 * hd))
-                c += vb
-
-                mix_start = max(c, exp_end + SOFTMAX_FORWARD_LEAD)
-                if self.collect_trace and mix_start > c:
-                    trace.add(f"L{layer}.h{head}.softmax_wait", "stall", c, mix_start)
-                c = mix_start
-
                 vcodes, vscales, vzeros = self.kv.history(layer, head, 1)
                 hist_v = kv_dequantize_rows(vcodes, vscales, vzeros)
                 rows = np.concatenate([hist_v, v[None]], axis=0)
                 head_out[lo:hi] = mix_rows(probs, rows)
-                if self.collect_trace:
-                    trace.add(f"L{layer}.h{head}.value_mix", "vpu", c, c + dot_cycles)
-                c += dot_cycles
 
-                k_codes, k_params = kv_quantize(k)
-                v_codes, v_params = kv_quantize(v)
-                self.kv.write(layer, head, 0, k_codes, k_params)
-                self.kv.write(layer, head, 1, v_codes, v_params)
-                for which, params in ((0, k_params), (1, v_params)):
-                    beat = self.fifo.push((layer, head, which),
-                                          ScaleZeroPack.from_params(params))
-                    if beat is not None:
-                        self.flushed_sz_beats += 1
+                for which, vec in ((0, k), (1, v)):
+                    kv_codes, params = kv_quantize(vec)
+                    self.kv.write(layer, head, which, kv_codes, params)
+                    packs.append(((layer, head, which), ScaleZeroPack.from_params(params)))
 
             o = self._dot(pre + "attn.o", pad_to_lanes(head_out, self.engine.lanes))
-            ob = self.weights.stage_beats(pre + "attn.o", cfg.d_model)
-            if self.collect_trace:
-                trace.add(f"L{layer}.o", "vpu", c, c + ob, weight_beats=ob)
-                trace.add(f"L{layer}.attn_residual", "spu", c, c + self._spu(cfg.d_model))
-            c += ob
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps,
                          precomputed_sq=carry)
             h2_pad = pad_to_lanes(h2, self.engine.lanes)
-            if self.collect_trace:
-                trace.add(f"L{layer}.mlp_norm", "spu", c, c + self._spu(cfg.d_model))
-
-            # gate and up rows interleave on the stream: one merged stage
             gate = self._dot(pre + "mlp.gate", h2_pad)
             up = self._dot(pre + "mlp.up", h2_pad)
-            gb = self.weights.stage_beats(pre + "mlp.gate", cfg.d_ffn) \
-                + self.weights.stage_beats(pre + "mlp.up", cfg.d_ffn)
             act = silu_gate(gate, up)
-            if self.collect_trace:
-                trace.add(f"L{layer}.gate_up", "vpu", c, c + gb, weight_beats=gb)
-                trace.add(f"L{layer}.silu", "spu", c, c + self._spu(cfg.d_ffn))
-            c += gb
-
             down = self._dot(pre + "mlp.down", pad_to_lanes(act, self.engine.lanes))
-            db = self.weights.stage_beats(pre + "mlp.down", cfg.d_model)
-            if self.collect_trace:
-                trace.add(f"L{layer}.down", "vpu", c, c + db, weight_beats=db)
-                trace.add(f"L{layer}.mlp_residual", "spu", c, c + self._spu(cfg.d_model))
-            c += db
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
         h_final = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps,
                           precomputed_sq=carry)
         logits = self._dot("lm_head", pad_to_lanes(h_final, self.engine.lanes))
-        lb = self.weights.stage_beats("lm_head", cfg.vocab_size)
-        if self.collect_trace:
-            trace.add("final_norm", "spu", c, c + self._spu(cfg.d_model))
-            trace.add("lm_head", "vpu", c, c + lb, weight_beats=lb)
-            trace.add("argmax", "spu", c, c + self._spu(cfg.vocab_size))
-        c += lb
-        trace.makespan = c
-
+        for stream, pack in packs:
+            self.fifo.push(stream, pack)
         self.kv.commit()
-        return logits, trace
+        return logits, schedule_token(cfg, t, lanes=self.engine.lanes)
 
 
 class ReferenceDecoder:
@@ -470,7 +467,6 @@ class DecodeResult:
     logits: np.ndarray
     traces: list[TokenTrace]
     steps: int
-    verified_steps: int | None = None
 
     @property
     def stall_cycles(self) -> int:
@@ -481,24 +477,32 @@ class DecodeResult:
         return sum(tr.makespan for tr in self.traces)
 
 
+def _check_agreement(step: int, fused: np.ndarray, ref: np.ndarray) -> None:
+    """Raise DivergenceError unless the two logit vectors match bit for bit."""
+    differ = fused.view(np.uint16) != ref.view(np.uint16)
+    if differ.any():
+        gap = np.abs(fused.astype(np.float64) - ref.astype(np.float64)) / ulp16(ref)
+        raise DivergenceError(
+            f"step {step}: {int(differ.sum())} of {differ.size} logits differ from "
+            f"the reference, the largest by {float(gap[differ].max()):g} ulps")
+
+
 def run_decode(ckpt: Checkpoint, prompt: list[int], n_new: int,
-               collect_trace: bool = True, verify: bool = False,
-               spu_rate: float = 1.0) -> DecodeResult:
+               verify: bool = False) -> DecodeResult:
     """Greedy decode: feed the prompt, then generate n_new tokens.
 
     With verify on, a reference evaluation runs beside the fused one and
-    each step's logits are compared bit for bit.
+    the first step whose logits differ in any bit raises DivergenceError.
     """
     if not prompt:
         raise ShapeError("prompt must hold at least one token")
     if n_new < 1:
         raise ShapeError("n_new must be at least 1")
-    dec = Decoder(ckpt, collect_trace=collect_trace, spu_rate=spu_rate)
+    dec = Decoder(ckpt)
     ref = ReferenceDecoder(ckpt) if verify else None
 
     traces: list[TokenTrace] = []
     tokens: list[int] = []
-    verified = 0
     feed = list(prompt)
     steps = len(prompt) + n_new - 1
     logits = None
@@ -507,11 +511,8 @@ def run_decode(ckpt: Checkpoint, prompt: list[int], n_new: int,
         logits, trace = dec.step(tok)
         traces.append(trace)
         if ref is not None:
-            ref_logits = ref.step(tok)
-            if np.array_equal(logits, ref_logits):
-                verified += 1
+            _check_agreement(i, logits, ref.step(tok))
         if i >= len(prompt) - 1:
             tokens.append(greedy_pick(logits))
     return DecodeResult(prompt=list(prompt), tokens=tokens, logits=logits,
-                        traces=traces, steps=steps,
-                        verified_steps=verified if verify else None)
+                        traces=traces, steps=steps)

@@ -16,14 +16,12 @@ binary16) and z = ceil(min/s) (z <= 0):
     code[i] = clamp(round(x[i]/s) - z, 0, 255)
     x_hat[i] = (code[i] + z) * s
 
-Rounding is round-half-even everywhere. Both codecs are pure; an optional
-OpStats records the observable pass structure (one read of the input per
-pass) for the streaming-shape tests.
+Rounding is round-half-even everywhere. Both codecs are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +30,6 @@ from .numerics import HALF_SMALLEST_NORMAL, to_half
 
 WEIGHT_LEVELS = 15      # 4-bit codes 0..15
 KV_LEVELS = 255         # 8-bit codes 0..255
-
-
-@dataclass
-class OpStats:
-    """Pass/read accounting for streaming-structure assertions."""
-
-    passes: list[tuple[str, int]] = field(default_factory=list)
-
-    def record(self, name: str, reads: int) -> None:
-        self.passes.append((name, reads))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +140,7 @@ class KvQuantParams:
         object.__setattr__(self, "zero_point", int(self.zero_point))
 
 
-def kv_quantize(x: np.ndarray, stats: OpStats | None = None) -> tuple[np.ndarray, KvQuantParams]:
+def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, KvQuantParams]:
     """Two-pass 8-bit encoding of a binary16 vector.
 
     Pass 1 reads the vector once for min/max; pass 2 reads it again to emit
@@ -165,8 +153,6 @@ def kv_quantize(x: np.ndarray, stats: OpStats | None = None) -> tuple[np.ndarray
 
     lo = min(float(wide.min()), 0.0)
     hi = max(float(wide.max()), 0.0)
-    if stats is not None:
-        stats.record("minmax", x.size)
 
     scale = to_half((hi - lo) / KV_LEVELS)
     if float(scale) == 0.0:
@@ -174,8 +160,6 @@ def kv_quantize(x: np.ndarray, stats: OpStats | None = None) -> tuple[np.ndarray
     s64 = float(scale)
     z = int(np.ceil(lo / s64))
     codes = np.clip(np.rint(wide / s64) - z, 0, KV_LEVELS).astype(np.uint8)
-    if stats is not None:
-        stats.record("encode", x.size)
     return codes, KvQuantParams(scale=scale, zero_point=z)
 
 

@@ -16,7 +16,6 @@ from beatstream.numerics import (
     half_bits,
     half_from_bits,
     inverse_frequency_table,
-    lut_sin_cos,
     pad_to_lanes,
     to_half,
     ulp16,
@@ -159,13 +158,13 @@ def test_table_entries_invariants(table):
 
 
 def test_lut_axes(table):
-    s, c = lut_sin_cos(0.0, table)
+    s, c = table.sin_cos(0.0)
     assert float(s) == 0.0 and float(c) == 1.0
-    s, c = lut_sin_cos(0.25, table)
+    s, c = table.sin_cos(0.25)
     assert float(s) == 1.0 and float(c) == 0.0
-    s, c = lut_sin_cos(0.5, table)
+    s, c = table.sin_cos(0.5)
     assert float(s) == 0.0 and float(c) == -1.0
-    s, c = lut_sin_cos(0.75, table)
+    s, c = table.sin_cos(0.75)
     assert float(s) == -1.0 and float(c) == 0.0
 
 

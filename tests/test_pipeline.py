@@ -1,12 +1,21 @@
 """Decode pipeline tests: fused/reference equivalence, cache causality,
-trace accounting, and sequence-level behavior."""
+the stage schedule, and sequence-level behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from beatstream import pipeline
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
-from beatstream.errors import CapacityError, FormatError, ShapeError
-from beatstream.model_io import build_demo_checkpoint
+from beatstream.errors import (
+    CapacityError,
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    FormatError,
+    ShapeError,
+)
+from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
 from beatstream.numerics import to_half
 from beatstream.pipeline import (
     Decoder,
@@ -15,6 +24,7 @@ from beatstream.pipeline import (
     greedy_pick,
     mix_rows,
     run_decode,
+    schedule_token,
     stall_free_context_bound,
 )
 from beatstream.quant import KvQuantParams, kv_quantize
@@ -53,6 +63,24 @@ class TestMixRows:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             mix_rows(np.ones(3, dtype=np.float16), np.ones((2, 4), dtype=np.float16))
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    """A small saved KV store: its config, the store, and the file."""
+    cfg = tiny_demo_config(max_context=2)
+    store = KVCacheStore(cfg)
+    rng = np.random.default_rng(5)
+    store.begin_token()
+    for layer in range(cfg.n_layers):
+        for head in range(cfg.n_heads):
+            for which in (0, 1):
+                codes, params = kv_quantize(to_half(rng.normal(size=cfg.head_dim)))
+                store.write(layer, head, which, codes, params)
+    store.commit()
+    path = tmp_path_factory.mktemp("snapshot") / "state.npz"
+    store.save(path)
+    return cfg, store, path
 
 
 class TestKVCacheStore:
@@ -117,10 +145,44 @@ class TestKVCacheStore:
         with pytest.raises(FormatError):
             KVCacheStore.load(path, cfg)
 
+    @pytest.mark.parametrize("name", ["codes", "scales", "zeros"])
+    def test_snapshot_array_shapes_checked(self, tmp_path, name):
+        cfg = tiny_demo_config(max_context=4)
+        path = tmp_path / "state.npz"
+        KVCacheStore(cfg).save(path)
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        payload[name] = payload[name][..., :1]
+        np.savez(path, **payload)
+        with pytest.raises(FormatError):
+            KVCacheStore.load(path, cfg)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_damaged_snapshot_raises_format_error(self, snapshot, data):
+        cfg, original, path = snapshot
+        blob = path.read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[:data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="at")
+            flip = data.draw(st.integers(1, 255), label="xor")
+            damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
+        damaged_path = path.with_name("damaged.npz")
+        damaged_path.write_bytes(damaged)
+        try:
+            back = KVCacheStore.load(damaged_path, cfg)
+        except FormatError:
+            return
+        assert back.length == original.length
+        for name in ("codes", "scales", "zeros"):
+            assert np.array_equal(getattr(back, name).view(np.uint8),
+                                  getattr(original, name).view(np.uint8))
+
 
 class TestFusedMatchesReference:
     def test_demo_model_bitwise(self, demo_ckpt):
-        dec = Decoder(demo_ckpt, collect_trace=False)
+        dec = Decoder(demo_ckpt)
         ref = ReferenceDecoder(demo_ckpt)
         tok = 5
         for _ in range(10):
@@ -134,7 +196,7 @@ class TestFusedMatchesReference:
         for trial in range(5):
             cfg = random_config(rng)
             ckpt = build_demo_checkpoint(seed=trial, cfg=cfg)
-            dec = Decoder(ckpt, collect_trace=False)
+            dec = Decoder(ckpt)
             ref = ReferenceDecoder(ckpt)
             tok = int(rng.integers(0, cfg.vocab_size))
             for _ in range(8):
@@ -146,8 +208,8 @@ class TestFusedMatchesReference:
 
 class TestCausality:
     def test_future_rows_are_dead(self, demo_ckpt):
-        a = Decoder(demo_ckpt, collect_trace=False)
-        b = Decoder(demo_ckpt, collect_trace=False)
+        a = Decoder(demo_ckpt)
+        b = Decoder(demo_ckpt)
         rng = np.random.default_rng(14)
         tok = 9
         for _ in range(6):
@@ -172,44 +234,125 @@ def expected_weight_beats(cfg, lanes=128):
     return cfg.n_layers * per_layer + beats(cfg.vocab_size, cfg.d_model)
 
 
+# (spu_rate, position) -> makespan, stall cycles, weight beats, span count of
+# the demo config, as the trace read when it was still built inside the
+# decode loop
+GOLDEN_DEMO = {
+    (1.0, 0): (1728, 0, 1712, 116),
+    (1.0, 13): (1936, 0, 1712, 116),
+    (1.0, 14): (1960, 8, 1712, 124),
+    (1.0, 19): (2080, 48, 1712, 124),
+    (0.5, 0): (1728, 0, 1712, 116),
+    (0.5, 13): (2048, 112, 1712, 124),
+    (0.5, 14): (2080, 128, 1712, 124),
+    (0.5, 19): (2240, 208, 1712, 124),
+}
+
+
+@st.composite
+def schedule_configs(draw):
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    head_dim = draw(st.sampled_from([8, 16, 32, 64, 128]))
+    return ModelConfig(
+        n_layers=draw(st.integers(1, 3)),
+        d_model=heads * head_dim,
+        n_heads=heads,
+        d_ffn=draw(st.integers(8, 512)),
+        vocab_size=draw(st.integers(32, 1000)),
+        group_size=draw(st.sampled_from([32, 64, 128])),
+    )
+
+
 class TestTrace:
     def test_weight_beats_match_layout(self, demo_ckpt):
-        dec = Decoder(demo_ckpt)
-        logits, trace = dec.step(3)
-        assert trace.weight_beats == expected_weight_beats(demo_ckpt.config)
+        cfg = demo_ckpt.config
+        trace = schedule_token(cfg, 3)
+        assert trace.weight_beats == expected_weight_beats(cfg)
+        cache = Decoder(demo_ckpt).weights
+        assert trace.weight_beats == sum(cache.stage_beats(n, tensor_shape(cfg, n)[0])
+                                         for n in tensor_names(cfg))
 
-    def test_makespan_is_vpu_plus_stalls(self, demo_ckpt):
-        dec = Decoder(demo_ckpt)
-        for tok in (1, 2, 3):
-            _, trace = dec.step(tok)
+    @pytest.mark.parametrize("rate, position", sorted(GOLDEN_DEMO))
+    def test_golden_demo_schedule(self, rate, position):
+        tr = schedule_token(tiny_demo_config(), position, spu_rate=rate)
+        got = (tr.makespan, tr.stall_cycles, tr.weight_beats, len(tr.spans))
+        assert got == GOLDEN_DEMO[rate, position]
+
+    def test_makespan_is_vpu_plus_stalls(self):
+        cfg = tiny_demo_config()
+        for position in range(20):
+            trace = schedule_token(cfg, position)
             assert trace.makespan == trace.vpu_cycles + trace.stall_cycles
 
-    def test_stall_free_inside_bound(self, demo_ckpt):
-        bound = stall_free_context_bound(demo_ckpt.config)
+    def test_stall_free_inside_bound(self):
+        cfg = tiny_demo_config()
+        bound = stall_free_context_bound(cfg)
         assert bound == 13
-        res = run_decode(demo_ckpt, [1], 12)
-        assert res.steps == 12
-        assert all(tr.stall_cycles == 0 for tr in res.traces)
-        assert all(tr.spu_contained for tr in res.traces)
+        for position in range(bound + 1):
+            trace = schedule_token(cfg, position)
+            assert trace.stall_cycles == 0
+            assert trace.spu_contained
 
-    def test_stalls_grow_past_bound(self, demo_ckpt):
-        cfg = demo_ckpt.config
-        res = run_decode(demo_ckpt, [1], 20)
+    def test_stalls_grow_past_bound(self):
+        cfg = tiny_demo_config()
         bound = stall_free_context_bound(cfg)
         per_head = cfg.n_layers * cfg.n_heads
-        for tr in res.traces:
-            want = per_head * max(0, tr.position - bound)
-            assert tr.stall_cycles == want
+        for position in range(21):
+            want = per_head * max(0, position - bound)
+            assert schedule_token(cfg, position).stall_cycles == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=schedule_configs(), rate=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+           position=st.integers(0, 4096))
+    def test_schedule_laws_on_random_configs(self, cfg, rate, position):
+        trace = schedule_token(cfg, position, spu_rate=rate)
+        assert trace.makespan == trace.vpu_cycles + trace.stall_cycles
+        inside = position <= stall_free_context_bound(cfg, rate)
+        assert (trace.stall_cycles == 0) == inside
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(ConfigError):
+            schedule_token(tiny_demo_config(), -1)
+
+    def test_step_returns_the_schedule(self, demo_ckpt):
+        dec = Decoder(demo_ckpt)
+        for position, tok in enumerate((4, 8, 15)):
+            _, trace = dec.step(tok)
+            assert trace == schedule_token(demo_ckpt.config, position)
 
     def test_7b_bound_covers_published_context(self):
         assert stall_free_context_bound(llama2_7b_config()) >= 1024
 
+    def test_7b_schedule_without_a_checkpoint(self):
+        cfg = llama2_7b_config()
+        trace = schedule_token(cfg, 1023)
+        assert trace.stall_cycles == 0
+        assert trace.spu_contained
+        assert trace.weight_beats == expected_weight_beats(cfg)
+
 
 class TestRunDecode:
-    def test_verify_counts_every_step(self, demo_ckpt):
+    def test_verify_counts_every_step(self, demo_ckpt, monkeypatch):
+        calls = []
+        step = ReferenceDecoder.step
+        monkeypatch.setattr(ReferenceDecoder, "step",
+                            lambda self, tok: calls.append(tok) or step(self, tok))
         res = run_decode(demo_ckpt, [1], 8, verify=True)
-        assert res.verified_steps == res.steps == 8
+        assert len(calls) == res.steps == 8
         assert len(res.tokens) == 8
+
+    def test_verify_raises_at_first_divergence(self, demo_ckpt, monkeypatch):
+        step = ReferenceDecoder.step
+
+        def nudged(self, tok):
+            logits = step(self, tok)
+            if self.kv.length == 4:  # the step at position 3 just committed
+                logits[7] = np.nextafter(logits[7], np.float16(np.inf))
+            return logits
+
+        monkeypatch.setattr(ReferenceDecoder, "step", nudged)
+        with pytest.raises(DivergenceError, match=r"^step 3: 1 of 256 logits .* by 1 ulps"):
+            run_decode(demo_ckpt, [1], 8, verify=True)
 
     def test_deterministic(self, demo_ckpt):
         a = run_decode(demo_ckpt, [2], 10)
@@ -233,7 +376,7 @@ class TestRunDecode:
 
     def test_fifo_accounting(self, demo_ckpt):
         cfg = demo_ckpt.config
-        dec = Decoder(demo_ckpt, collect_trace=False)
+        dec = Decoder(demo_ckpt)
         for i in range(20):
             dec.step(i % cfg.vocab_size)
         streams = cfg.n_layers * cfg.n_heads * 2
@@ -243,13 +386,46 @@ class TestRunDecode:
         assert dec.flushed_sz_beats == streams
 
     def test_snapshot_resume(self, demo_ckpt, tmp_path):
-        a = Decoder(demo_ckpt, collect_trace=False)
+        a = Decoder(demo_ckpt)
         for tok in (1, 2, 3, 4, 5, 6):
             a.step(tok)
         path = tmp_path / "kv.npz"
         a.kv.save(path)
-        b = Decoder(demo_ckpt, collect_trace=False)
+        b = Decoder(demo_ckpt)
         b.kv = KVCacheStore.load(path, demo_ckpt.config)
         la, _ = a.step(7)
         lb, _ = b.step(7)
         assert np.array_equal(la, lb)
+
+    def test_failed_step_leaves_no_trace(self, demo_ckpt, monkeypatch):
+        cfg = demo_ckpt.config
+        streams = [(l, h, w) for l in range(cfg.n_layers) for h in range(cfg.n_heads)
+                   for w in (0, 1)]
+        a = Decoder(demo_ckpt)
+        for tok in (1, 2, 3):
+            a.step(tok)
+        pushed, length = a.fifo.pushed, a.kv.length
+        fills = [a.fifo.fill_count(s) for s in streams]
+
+        silu = pipeline.silu_gate
+        calls = []
+
+        def fail_once(gate, up):
+            calls.append(gate.size)
+            if len(calls) == 1:
+                raise DomainError("injected")
+            return silu(gate, up)
+
+        monkeypatch.setattr(pipeline, "silu_gate", fail_once)
+        with pytest.raises(DomainError):
+            a.step(4)
+        assert a.fifo.pushed == pushed
+        assert [a.fifo.fill_count(s) for s in streams] == fills
+        assert a.kv.length == length
+
+        la, _ = a.step(4)
+        b = Decoder(demo_ckpt)
+        for tok in (1, 2, 3, 4):
+            lb, _ = b.step(tok)
+        assert np.array_equal(la, lb)
+        assert vars(a.fifo) == vars(b.fifo)

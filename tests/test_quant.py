@@ -14,7 +14,6 @@ from beatstream.errors import DomainError, ShapeError
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
     KvQuantParams,
-    OpStats,
     QuantGroup,
     dequant_codes,
     dequant_group,
@@ -199,12 +198,6 @@ class TestKvQuant:
         for i in range(8):
             one = kv_dequantize(rows_codes[i], KvQuantParams(scales[i], int(zps[i])))
             assert np.array_equal(batch[i], one)
-
-    def test_pass_observability(self):
-        stats = OpStats()
-        x = to_half(np.linspace(-2, 2, 48))
-        kv_quantize(x, stats=stats)
-        assert stats.passes == [("minmax", 48), ("encode", 48)]
 
     def test_params_validation(self):
         with pytest.raises(DomainError):
