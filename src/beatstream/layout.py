@@ -198,7 +198,7 @@ def beat_kind_pattern(n_groups: int, group_size: int) -> np.ndarray:
     if group_size % 4 != 0:
         raise ConfigError(f"group_size {group_size} does not map 16 groups to whole words")
     w_per_section = group_size // 4
-    kinds: list[int] = []
+    kinds = bytearray()   # one byte a word: a 7B tensor's list of ints would take 8
     done = 0
     while done < n_groups:
         block = min(GROUPS_PER_ZP_WORD, n_groups - done)
@@ -211,10 +211,10 @@ def beat_kind_pattern(n_groups: int, group_size: int) -> np.ndarray:
                 n_w = w_per_section
             else:
                 n_w = -(-sect * group_size // WEIGHTS_PER_WORD)
-            kinds.extend([KIND_WEIGHT] * n_w)
+            kinds += bytes((KIND_WEIGHT,)) * n_w
             sect_done += sect
         done += block
-    return np.array(kinds, dtype=np.uint8)
+    return np.frombuffer(kinds, dtype=np.uint8)
 
 
 def stream_word_count(n_groups: int, group_size: int) -> int:

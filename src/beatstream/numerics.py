@@ -86,9 +86,23 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
+def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
+    """Columns up to the last one where either operand holds a nonzero
+    value; past it both operands are zeros of either sign."""
+    vbits = vec.view(np.uint16)
+    if vbits.ndim == 2:
+        vbits = np.bitwise_or.reduce(vbits, axis=0)
+    nonzero = np.flatnonzero(vbits & 0x7FFF)
+    live = int(nonzero[-1]) + 1 if nonzero.size else 0
+    if live < rows.shape[1] and (rows.view(np.uint16)[:, live:] & 0x7FFF).any():
+        return rows.shape[1]
+    return live
+
+
 def dot_rows(rows: np.ndarray, vec: np.ndarray,
              cfg: DotEngineConfig = DotEngineConfig()) -> np.ndarray:
-    """Row-wise dot of a binary16 matrix against a binary16 vector.
+    """Row-wise dot of a binary16 matrix against a binary16 vector (L,),
+    or against one vector per row (n, L).
 
     Each row follows the exact single-vector `dot` arithmetic; vectorizing
     over rows changes nothing because lanes are reduced independently per
@@ -96,23 +110,34 @@ def dot_rows(rows: np.ndarray, vec: np.ndarray,
     """
     rows = np.asarray(rows, dtype=np.float16)
     vec = np.asarray(vec, dtype=np.float16)
-    if rows.ndim != 2 or vec.ndim != 1:
-        raise ShapeError(f"expected (n, L) rows and (L,) vec, got {rows.shape} / {vec.shape}")
+    if rows.ndim != 2 or vec.ndim not in (1, 2) or vec.shape[:-1] not in ((), rows.shape[:1]):
+        raise ShapeError(f"expected (n, L) rows and an (L,) or (n, L) vec, "
+                         f"got {rows.shape} / {vec.shape}")
     n, length = rows.shape
-    if vec.shape[0] != length:
-        raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[0]}")
+    if vec.shape[-1] != length:
+        raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[-1]}")
     if length == 0 or length % cfg.lanes != 0:
         raise AlignmentError(
             f"length {length} is not a positive multiple of {cfg.lanes} lanes; "
             "the caller pads per the stream layout rules")
 
-    p = rows.astype(np.float32) * vec.astype(np.float32)   # exact
     if cfg.accumulation_order == "sequential":
         # Strict left-to-right fold in binary32: every prefix is materialized.
+        p = rows.astype(np.float32) * vec.astype(np.float32)   # exact
         total = np.cumsum(p, axis=1, dtype=np.float32)[:, -1]
         return total.astype(np.float16)
 
-    blocks = p.reshape(n, length // cfg.lanes, cfg.lanes)
+    lanes = cfg.lanes
+    live = _live_columns(rows, vec) if length == lanes else length
+    if live < lanes:
+        # Lanes past `live` multiply zeros into zeros. The block's tree over
+        # the leading power-of-two lanes holds every nonzero product, and the
+        # rest of the tree only adds zeros to it: x + (+-0) == x for x != 0,
+        # and the +0.0 accumulator turns a zero sum of either sign into +0.0.
+        lanes = length = 1 << max(live - 1, 0).bit_length()
+        rows, vec = rows[:, :lanes], vec[..., :lanes]
+    p = rows.astype(np.float32) * vec.astype(np.float32)   # exact
+    blocks = p.reshape(n, length // lanes, lanes)
     sums = _tree_reduce_f32(blocks)                        # (n, n_blocks)
     acc = np.zeros(n, dtype=np.float32)
     for b in range(sums.shape[1]):                         # sequential across blocks
@@ -141,8 +166,9 @@ def pad_to_lanes(v: np.ndarray, lanes: int) -> np.ndarray:
     rem = (-length) % lanes
     if rem == 0:
         return v
-    pad = [(0, 0)] * (v.ndim - 1) + [(0, rem)]
-    return np.pad(v, pad)
+    out = np.zeros(v.shape[:-1] + (length + rem,), dtype=np.float16)
+    out[..., :length] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

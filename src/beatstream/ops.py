@@ -19,7 +19,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
-    """Rotate adjacent pairs (v[2j], v[2j+1]) by pos * inv_freq[j].
+    """Rotate adjacent pairs (v[2j], v[2j+1]) by pos * inv_freq[j], in a
+    vector or in each row of a matrix.
 
     Angles are formed in float64, snapped to the table's phase grid, and
     the rotation runs in float32 with one binary16 rounding per output.
@@ -27,9 +28,9 @@ def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
     bit for bit.
     """
     v = np.asarray(v, dtype=np.float16)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ShapeError(f"rotation needs an even-length vector, got shape {v.shape}")
-    n_pairs = v.size // 2
+    if v.ndim not in (1, 2) or v.shape[-1] % 2 != 0:
+        raise ShapeError(f"rotation needs even-length rows, got shape {v.shape}")
+    n_pairs = v.shape[-1] // 2
     if n_pairs != table.inv_freq.size:
         raise ShapeError(
             f"{n_pairs} pairs but the table holds {table.inv_freq.size} frequencies")
@@ -38,13 +39,13 @@ def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
 
     turns = (pos * table.inv_freq) / _TWO_PI
     sin, cos = table.sin_cos(turns)
-    a = v[0::2].astype(np.float32)
-    b = v[1::2].astype(np.float32)
+    a = v[..., 0::2].astype(np.float32)
+    b = v[..., 1::2].astype(np.float32)
     sin32 = sin.astype(np.float32)
     cos32 = cos.astype(np.float32)
     out = np.empty_like(v)
-    out[0::2] = (a * cos32 - b * sin32).astype(np.float16)
-    out[1::2] = (a * sin32 + b * cos32).astype(np.float16)
+    out[..., 0::2] = (a * cos32 - b * sin32).astype(np.float16)
+    out[..., 1::2] = (a * sin32 + b * cos32).astype(np.float16)
     return out
 
 
@@ -82,7 +83,8 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5,
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    """Three-pass safe softmax over a binary16 vector.
+    """Three-pass safe softmax over a binary16 vector, or over each row of
+    a matrix.
 
     Pass 1 finds the max, pass 2 stores t_i = half(exp(x_i - max)) with
     the exponential taken in float64, pass 3 divides by the sequential
@@ -90,16 +92,16 @@ def softmax(x: np.ndarray) -> np.ndarray:
     input length a float32 can count is safe from overflow.
     """
     x = np.asarray(x, dtype=np.float16)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise ShapeError(f"expected non-empty rows, got shape {x.shape}")
     if np.isnan(x).any():
         raise DomainError("softmax input contains NaN")
-    m = x.max()
-    if np.isneginf(m):
+    m = x.max(axis=-1, keepdims=True)
+    if np.isneginf(m).any():
         raise DomainError("softmax denominator vanished")
-    t = np.exp(x.astype(np.float64) - np.float64(m)).astype(np.float16)
-    d = np.cumsum(t.astype(np.float32), dtype=np.float32)[-1]
-    if not float(d) > 0.0:
+    t = np.exp(x.astype(np.float64) - m.astype(np.float64)).astype(np.float16)
+    d = np.cumsum(t.astype(np.float32), axis=-1, dtype=np.float32)[..., -1:]
+    if not (d > 0.0).all():
         raise DomainError("softmax denominator vanished")
     return (t.astype(np.float32) / d).astype(np.float16)
 

@@ -1,17 +1,20 @@
-"""Fused head-wise decode pipeline and its per-token stage schedule.
+"""Fused decode pipeline and its per-token stage schedule.
 
 Two decode paths share every arithmetic primitive:
 
-  Decoder           streams weights head by head in container order,
-                    carries the residual's sum of squares into the next
-                    norm, and applies rotary position on the fly.
-  ReferenceDecoder  layer-at-a-time evaluation, each operator standalone.
+  Decoder           evaluates all heads of a layer together: one dot per
+                    projection, one rotary pass, one attention dot over
+                    every head's cached rows, one softmax, one value mix
+                    and one cache quantize per layer; it carries the
+                    residual's sum of squares into the next norm.
+  ReferenceDecoder  operator-at-a-time evaluation, head by head.
 
 Both quantize the KV cache identically, so their logits must agree bit
 for bit at every step; that equivalence is the core regression test.
 
-The cycle trace of a step depends only on the model config and the
-position, so schedule_token computes it without touching any numerics.
+The hardware streams one head at a time. That order lives only in
+schedule_token, which computes the cycle trace of a step from the model
+config and the position without touching any numerics.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .layout import BusGeometry, ScaleZeroPack, SzFifo
 from .model_io import Checkpoint
 from .numerics import DotEngineConfig, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import kv_dequantize_rows, kv_quantize, KvQuantParams
+from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
 
 STATE_VERSION = 1
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
@@ -43,12 +46,17 @@ def greedy_pick(logits: np.ndarray) -> int:
 
 def mix_rows(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Probability-weighted row sum: sequential float32 accumulation over
-    tokens, one binary16 rounding at the end."""
-    if probs.shape[0] != rows.shape[0]:
-        raise ShapeError(f"{probs.shape[0]} weights for {rows.shape[0]} rows")
-    p32 = probs.astype(np.float32)[:, None]
+    tokens, one binary16 rounding at the end.
+
+    probs (T,) weighs rows (T, L); a batch probs (H, T) weighs rows
+    (H, T, L) head by head and returns (H, L).
+    """
+    probs, rows = np.asarray(probs), np.asarray(rows)
+    if rows.ndim != probs.ndim + 1 or probs.shape != rows.shape[:-1]:
+        raise ShapeError(f"weights {probs.shape} do not match rows {rows.shape}")
+    p32 = probs.astype(np.float32)[..., None]
     r32 = rows.astype(np.float32)
-    return np.cumsum(p32 * r32, axis=0, dtype=np.float32)[-1].astype(np.float16)
+    return np.cumsum(p32 * r32, axis=-2, dtype=np.float32)[..., -1, :].astype(np.float16)
 
 
 def scale_logits(logits: np.ndarray, head_dim: int) -> np.ndarray:
@@ -77,7 +85,8 @@ class StageSpan:
 class TokenTrace:
     position: int
     spans: list[StageSpan]
-    makespan: int
+    stream_end: int   # the vector unit's last cycle, stalls included
+    makespan: int     # the later of stream_end and the last scalar-unit end
 
     @property
     def vpu_cycles(self) -> int:
@@ -93,8 +102,8 @@ class TokenTrace:
 
     @property
     def spu_contained(self) -> bool:
-        spu = [s.end for s in self.spans if s.kind == "spu"]
-        return not spu or max(spu) <= self.makespan
+        """Every scalar-unit pass ends inside the vector stream."""
+        return self.makespan == self.stream_end
 
 
 def row_code_beats(cols: int, group_size: int, lanes: int = 128) -> int:
@@ -189,7 +198,9 @@ def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
     add(StageSpan("final_norm", "spu", c, c + spu_d))
     add(StageSpan("lm_head", "vpu", c, c + lb, lb))
     add(StageSpan("argmax", "spu", c, c + spu(cfg.vocab_size)))
-    return TokenTrace(position, spans, c + lb)
+    stream_end = c + lb
+    spu_end = max(s.end for s in spans if s.kind == "spu")
+    return TokenTrace(position, spans, stream_end, max(stream_end, spu_end))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +233,40 @@ class KVCacheStore:
         self.scales[which, layer, head, t] = params.scale
         self.zeros[which, layer, head, t] = params.zero_point
 
+    def write_layer(self, layer: int, codes: np.ndarray, scales: np.ndarray,
+                    zero_points: np.ndarray) -> None:
+        """Row t of every head's key (which 0) and value (which 1) in one
+        layer: codes (2, n_heads, head_dim), scales and zero points
+        (2, n_heads)."""
+        t = self.length
+        self.codes[:, layer, :, t] = codes
+        self.scales[:, layer, :, t] = scales
+        self.zeros[:, layer, :, t] = zero_points
+
     def history(self, layer: int, head: int, which: int):
         t = self.length
         return (self.codes[which, layer, head, :t],
                 self.scales[which, layer, head, :t],
                 self.zeros[which, layer, head, :t])
 
+    def layer_history(self, layer: int, which: int):
+        """Every head's history in one layer, head after head: codes
+        (n_heads * t, head_dim), scales and zero points (n_heads * t,)."""
+        t = self.length
+        return (self.codes[which, layer, :, :t].reshape(-1, self.cfg.head_dim),
+                self.scales[which, layer, :, :t].reshape(-1),
+                self.zeros[which, layer, :, :t].reshape(-1))
+
     def commit(self) -> None:
         self.length += 1
 
     def save(self, path: str | Path) -> None:
-        np.savez(path, version=STATE_VERSION, length=self.length,
-                 codes=self.codes, scales=self.scales, zeros=self.zeros,
-                 config=self.cfg.to_json_str())
+        """Write a snapshot to exactly `path` (np.savez given a name would
+        append .npz to it)."""
+        with open(path, "wb") as f:
+            np.savez(f, version=STATE_VERSION, length=self.length,
+                     codes=self.codes, scales=self.scales, zeros=self.zeros,
+                     config=self.cfg.to_json_str())
 
     @classmethod
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
@@ -306,11 +338,8 @@ class Decoder:
     def flushed_sz_beats(self) -> int:
         return self.fifo.flushed_beats
 
-    def _dot(self, name: str, vec: np.ndarray, row_lo: int = 0,
-             row_hi: int | None = None) -> np.ndarray:
-        mat = self.weights.mats[name]
-        rows = mat if row_hi is None else mat[row_lo:row_hi]
-        return dot_rows(rows, vec, self.engine)
+    def _dot(self, name: str, vec: np.ndarray) -> np.ndarray:
+        return dot_rows(self.weights.mats[name], vec, self.engine)
 
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
         """Decode one token: its logits and the schedule of the step.
@@ -323,7 +352,7 @@ class Decoder:
         if not 0 <= token < cfg.vocab_size:
             raise ShapeError(f"token {token} outside vocabulary 0..{cfg.vocab_size - 1}")
         t = self.kv.begin_token()
-        hd = cfg.head_dim
+        heads, hd, lanes = cfg.n_heads, cfg.head_dim, self.engine.lanes
         packs: list[tuple[tuple[int, int, int], ScaleZeroPack]] = []
 
         x = self.ckpt.embedding[token].copy()
@@ -332,57 +361,55 @@ class Decoder:
             pre = f"layers.{layer}."
             h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps,
                              precomputed_sq=carry)
-            h_pad = pad_to_lanes(h_norm, self.engine.lanes)
+            h_pad = pad_to_lanes(h_norm, lanes)
+            qk = np.concatenate([self._dot(pre + "attn.q", h_pad),
+                                 self._dot(pre + "attn.k", h_pad)])
+            qk = rope_rotate(qk.reshape(2 * heads, hd), t, self.table)
+            q, k = qk[:heads], qk[heads:]
+            v = self._dot(pre + "attn.v", h_pad).reshape(heads, hd)
 
-            head_out = np.empty(cfg.d_model, dtype=np.float16)
-            for head in range(cfg.n_heads):
-                lo, hi = head * hd, (head + 1) * hd
-                q = self._dot(pre + "attn.q", h_pad, lo, hi)
-                k = self._dot(pre + "attn.k", h_pad, lo, hi)
-                q = rope_rotate(q, t, self.table)
-                k = rope_rotate(k, t, self.table)
-                q_pad = pad_to_lanes(q, self.engine.lanes)
-
-                # current-position logit first, history rows behind it,
-                # all through the same tree reduction
-                curr = dot_rows(pad_to_lanes(k, self.engine.lanes)[None], q_pad,
+            # each head's history rows, then its current key, all through
+            # the same tree reduction against that head's query
+            q_pad = pad_to_lanes(q, lanes)
+            width = q_pad.shape[1]
+            keys = np.zeros((heads, t + 1, width), dtype=np.float16)
+            keys[:, :t, :hd] = kv_dequantize_rows(
+                *self.kv.layer_history(layer, 0)).reshape(heads, t, hd)
+            keys[:, t, :hd] = k
+            logits_h = dot_rows(keys.reshape(-1, width), np.repeat(q_pad, t + 1, axis=0),
                                 self.engine)
-                codes, scales, zeros = self.kv.history(layer, head, 0)
-                hist_k = kv_dequantize_rows(codes, scales, zeros)
-                hist_pad = np.zeros((t, q_pad.size), dtype=np.float16)
-                hist_pad[:, :hd] = hist_k
-                logits_h = np.concatenate([dot_rows(hist_pad, q_pad, self.engine),
-                                           curr])
-                probs = softmax(scale_logits(logits_h, hd))
+            probs = softmax(scale_logits(logits_h.reshape(heads, t + 1), hd))
 
-                v = self._dot(pre + "attn.v", h_pad, lo, hi)
-                vcodes, vscales, vzeros = self.kv.history(layer, head, 1)
-                hist_v = kv_dequantize_rows(vcodes, vscales, vzeros)
-                rows = np.concatenate([hist_v, v[None]], axis=0)
-                head_out[lo:hi] = mix_rows(probs, rows)
+            values = np.empty((heads, t + 1, hd), dtype=np.float16)
+            values[:, :t] = kv_dequantize_rows(
+                *self.kv.layer_history(layer, 1)).reshape(heads, t, hd)
+            values[:, t] = v
+            head_out = mix_rows(probs, values).reshape(cfg.d_model)
 
-                for which, vec in ((0, k), (1, v)):
-                    kv_codes, params = kv_quantize(vec)
-                    self.kv.write(layer, head, which, kv_codes, params)
-                    packs.append(((layer, head, which), ScaleZeroPack.from_params(params)))
+            codes, scales, zero_points = kv_quantize_rows(np.concatenate([k, v]))
+            scales, zero_points = scales.reshape(2, heads), zero_points.reshape(2, heads)
+            self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales, zero_points)
+            packs += [((layer, head, which), ScaleZeroPack(scale=scales[which, head],
+                                                           zero=-int(zero_points[which, head])))
+                      for which, head in np.ndindex(2, heads)]
 
-            o = self._dot(pre + "attn.o", pad_to_lanes(head_out, self.engine.lanes))
+            o = self._dot(pre + "attn.o", pad_to_lanes(head_out, lanes))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps,
                          precomputed_sq=carry)
-            h2_pad = pad_to_lanes(h2, self.engine.lanes)
+            h2_pad = pad_to_lanes(h2, lanes)
             gate = self._dot(pre + "mlp.gate", h2_pad)
             up = self._dot(pre + "mlp.up", h2_pad)
             act = silu_gate(gate, up)
-            down = self._dot(pre + "mlp.down", pad_to_lanes(act, self.engine.lanes))
+            down = self._dot(pre + "mlp.down", pad_to_lanes(act, lanes))
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
         h_final = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps,
                           precomputed_sq=carry)
-        logits = self._dot("lm_head", pad_to_lanes(h_final, self.engine.lanes))
+        logits = self._dot("lm_head", pad_to_lanes(h_final, lanes))
         for stream, pack in packs:
             self.fifo.push(stream, pack)
         self.kv.commit()

@@ -140,27 +140,38 @@ class KvQuantParams:
         object.__setattr__(self, "zero_point", int(self.zero_point))
 
 
-def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, KvQuantParams]:
-    """Two-pass 8-bit encoding of a binary16 vector.
+def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-pass 8-bit encoding of each row of a binary16 matrix.
 
-    Pass 1 reads the vector once for min/max; pass 2 reads it again to emit
-    codes. Returns (codes uint8, params).
+    Pass 1 reads a row once for min/max; pass 2 reads it again to emit
+    codes. Returns (codes uint8, scales float16, zero_points int16), one
+    scale and zero point per row.
     """
     x = np.asarray(x, dtype=np.float16)
-    if x.ndim != 1 or x.size == 0:
-        raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"expected rows of at least one value, got shape {x.shape}")
     wide = x.astype(np.float64)
+    if not np.isfinite(wide).all():
+        raise DomainError("cache rows must be finite")
 
-    lo = min(float(wide.min()), 0.0)
-    hi = max(float(wide.max()), 0.0)
+    lo = np.minimum(wide.min(axis=1), 0.0)
+    hi = np.maximum(wide.max(axis=1), 0.0)
 
-    scale = to_half((hi - lo) / KV_LEVELS)
-    if float(scale) == 0.0:
-        scale = HALF_SMALLEST_NORMAL
-    s64 = float(scale)
-    z = int(np.ceil(lo / s64))
+    scales = to_half((hi - lo) / KV_LEVELS)
+    scales[scales == 0] = HALF_SMALLEST_NORMAL
+    s64 = scales.astype(np.float64)[:, None]
+    z = np.ceil(lo[:, None] / s64)
     codes = np.clip(np.rint(wide / s64) - z, 0, KV_LEVELS).astype(np.uint8)
-    return codes, KvQuantParams(scale=scale, zero_point=z)
+    return codes, scales, z[:, 0].astype(np.int16)
+
+
+def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, KvQuantParams]:
+    """kv_quantize_rows of one non-empty vector: (codes uint8, params)."""
+    x = np.asarray(x, dtype=np.float16)
+    if x.ndim != 1:
+        raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
+    codes, scales, zero_points = kv_quantize_rows(x[None])
+    return codes[0], KvQuantParams(scale=scales[0], zero_point=int(zero_points[0]))
 
 
 def kv_dequantize(codes: np.ndarray, params: KvQuantParams) -> np.ndarray:

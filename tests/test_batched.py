@@ -1,0 +1,116 @@
+"""Row-batched primitives equal their per-vector calls bit for bit.
+
+The fused decoder evaluates every head of a layer in one call to each of
+these; the reference decoder calls them head by head. Inputs mix signed
+zeros, subnormals and the largest finite binary16 magnitude into ordinary
+values.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from beatstream.numerics import DotEngineConfig, TrigTable, dot_rows, pad_to_lanes
+from beatstream.ops import rope_rotate, softmax
+from beatstream.pipeline import mix_rows
+from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half
+from beatstream.quant import KV_LEVELS, kv_quantize, kv_quantize_rows
+
+# the largest magnitudes overflow binary16 in products and sums, alike on both sides
+pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+EDGES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24, 65504.0, -65504.0]
+HALVES = st.one_of(st.sampled_from(EDGES),
+                   st.floats(width=16, allow_nan=False, allow_infinity=False))
+
+
+def halves(shape):
+    return arrays(np.float16, shape, elements=HALVES)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float16).view(np.uint16)
+
+
+@st.composite
+def row_batches(draw, even=False):
+    """An (n, L) binary16 matrix with n in 1..4 and L in 1..12."""
+    n = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 6)) * 2 if even else draw(st.integers(1, 12))
+    return draw(halves((n, length)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lanes=st.sampled_from([2, 8, 32]), blocks=st.integers(1, 3),
+       n=st.integers(1, 4), order=st.sampled_from(["tree", "sequential"]))
+def test_dot_rows_with_a_vector_per_row(data, lanes, blocks, n, order):
+    cfg = DotEngineConfig(lanes=lanes, accumulation_order=order)
+    rows = data.draw(halves((n, lanes * blocks)), label="rows")
+    vecs = data.draw(halves((n, lanes * blocks)), label="vecs")
+    batched = dot_rows(rows, vecs, cfg)
+    for i in range(n):
+        assert bits(batched[i]) == bits(dot_rows(rows[i:i + 1], vecs[i], cfg)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=row_batches(even=True), pos=st.integers(0, 1 << 20))
+def test_rope_rotate_rows(v, pos):
+    table = TrigTable.for_head_dim(v.shape[1])
+    batched = rope_rotate(v, pos, table)
+    for i in range(v.shape[0]):
+        assert np.array_equal(bits(batched[i]), bits(rope_rotate(v[i], pos, table)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=row_batches())
+def test_softmax_rows(x):
+    batched = softmax(x)
+    for i in range(x.shape[0]):
+        assert np.array_equal(bits(batched[i]), bits(softmax(x[i])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), heads=st.integers(1, 4), tokens=st.integers(1, 6),
+       width=st.integers(1, 8))
+def test_mix_rows_per_head(data, heads, tokens, width):
+    probs = data.draw(halves((heads, tokens)), label="probs")
+    rows = data.draw(halves((heads, tokens, width)), label="rows")
+    batched = mix_rows(probs, rows)
+    for h in range(heads):
+        assert np.array_equal(bits(batched[h]), bits(mix_rows(probs[h], rows[h])))
+
+
+def kv_quantize_one(x):
+    """The per-vector cache encoder in scalar float64 steps."""
+    wide = x.astype(np.float64)
+    lo = min(float(wide.min()), 0.0)
+    hi = max(float(wide.max()), 0.0)
+    scale = to_half((hi - lo) / KV_LEVELS)
+    if float(scale) == 0.0:
+        scale = HALF_SMALLEST_NORMAL
+    z = int(np.ceil(lo / float(scale)))
+    codes = np.clip(np.rint(wide / float(scale)) - z, 0, KV_LEVELS).astype(np.uint8)
+    return codes, scale, z
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=row_batches())
+def test_kv_quantize_rows(x):
+    codes, scales, zero_points = kv_quantize_rows(x)
+    for i in range(x.shape[0]):
+        one_codes, params = kv_quantize(x[i])
+        want_codes, want_scale, want_zero = kv_quantize_one(x[i])
+        assert np.array_equal(codes[i], one_codes)
+        assert np.array_equal(codes[i], want_codes)
+        assert bits(scales[i]) == bits(params.scale) == bits(want_scale)
+        assert int(zero_points[i]) == params.zero_point == want_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.one_of(halves(st.integers(0, 20)), row_batches()), lanes=st.sampled_from([1, 4, 8]))
+def test_pad_to_lanes_matches_constant_pad(v, lanes):
+    width = [(0, 0)] * (v.ndim - 1) + [(0, (-v.shape[-1]) % lanes)]
+    got = pad_to_lanes(v, lanes)
+    assert got.dtype == np.float16
+    assert np.array_equal(bits(got), bits(np.pad(v, width)))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beatstream.errors import AlignmentError, ConfigError, ShapeError
 from beatstream.numerics import (
@@ -30,6 +31,18 @@ def oracle_dot(a, b):
     """Exact-rational dot of two binary16 vectors, rounded once to binary16."""
     total = math.fsum(float(x) * float(y) for x, y in zip(a, b))
     return np.float16(total)
+
+
+def oracle_tree_rows(rows, vec, lanes):
+    """The tree-order dot over every lane, zero lanes included."""
+    p = rows.astype(np.float32) * vec.astype(np.float32)
+    level = p.reshape(p.shape[0], -1, lanes)
+    while level.shape[-1] > 1:
+        level = level[..., 0::2] + level[..., 1::2]
+    acc = np.zeros(p.shape[0], dtype=np.float32)
+    for b in range(level.shape[1]):
+        acc = acc + level[:, b, 0]
+    return acc.astype(np.float16)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +127,31 @@ def test_dot_rows_matches_scalar_dot():
     batched = dot_rows(rows, vec)
     for i in range(rows.shape[0]):
         assert half_bits(batched[i]) == half_bits(dot(rows[i], vec))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lanes=st.sampled_from([8, 32]),
+       blocks=st.integers(1, 2), n=st.integers(1, 4), per_row=st.booleans(),
+       live_frac=st.floats(0, 1), stray=st.sampled_from([None, 1.0, -2.0 ** -24, np.inf, np.nan]))
+def test_dot_rows_zero_lane_tail_is_exact(seed, lanes, blocks, n, per_row, live_frac, stray):
+    """Lanes holding zeros of either sign (or one stray value, inf or NaN)
+    past the data give the bits of the tree over every lane."""
+    rng = np.random.default_rng(seed)
+    length = lanes * blocks
+    live = int(live_frac * length)
+
+    def operand(shape):
+        x = half_from_bits(rng.integers(0, 1 << 16, shape, dtype=np.uint16)).copy()
+        x[..., live:] = np.where(rng.random(x[..., live:].shape) < 0.5, -0.0, 0.0)
+        return x
+
+    rows = operand((n, length))
+    vec = operand((n, length) if per_row else (length,))
+    if stray is not None and live < length:
+        (rows, vec)[rng.integers(2)][..., rng.integers(live, length)] = stray
+    got = dot_rows(rows, vec, DotEngineConfig(lanes=lanes))
+    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec, lanes)))
 
 
 def test_dot_shape_and_alignment_errors():

@@ -178,7 +178,9 @@ class TestSoftmax:
         with pytest.raises(DomainError):
             softmax(np.array([-np.inf, -np.inf], dtype=np.float16))
         with pytest.raises(ShapeError):
-            softmax(np.zeros((2, 2), dtype=np.float16))
+            softmax(np.zeros((2, 2, 2), dtype=np.float16))
+        with pytest.raises(ShapeError):
+            softmax(np.zeros((2, 0), dtype=np.float16))
 
 
 class TestSiluGate:
