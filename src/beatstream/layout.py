@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CapacityError, ConfigError, FormatError, ShapeError
+from .errors import CapacityError, ConfigError, DomainError, FormatError, ShapeError
 from .numerics import half_bits, half_from_bits
-from .quant import KvQuantParams, dequant_codes, quantize_rows
+from .quant import WEIGHT_LEVELS, KvQuantParams, dequant_codes, quantize_rows
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
@@ -127,6 +127,17 @@ def unpack_nibbles(data: np.ndarray) -> np.ndarray:
 # grouped tensors
 # ---------------------------------------------------------------------------
 
+# Values per piece when a tensor is quantized or dequantized piecewise,
+# which bounds the wide temporaries whatever the size of the tensor.
+CHUNK_VALUES = 1 << 18
+
+
+def _row_chunks(rows: int, cols: int):
+    """Consecutive (lo, hi) row ranges of about CHUNK_VALUES values each."""
+    step = max(1, CHUNK_VALUES // cols)
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
 @dataclass(frozen=True)
 class GroupedTensor:
     """A (rows x cols) tensor as row-major quantization groups.
@@ -149,6 +160,8 @@ class GroupedTensor:
             raise ShapeError(f"codes shape {self.codes.shape} != ({n}, {self.group_size})")
         if self.scales.shape != (n,) or self.zeros.shape != (n,):
             raise ShapeError("scales/zeros must have one entry per group")
+        if self.codes.max(initial=0) > WEIGHT_LEVELS:
+            raise DomainError("codes exceed the 4-bit range")
 
     @property
     def groups_per_row(self) -> int:
@@ -170,10 +183,16 @@ class GroupedTensor:
             raise ShapeError(f"expected a matrix, got shape {w.shape}")
         rows, cols = w.shape
         gpr = -(-cols // group_size)
-        padded = np.zeros((rows, gpr * group_size), dtype=np.float16)
-        padded[:, :cols] = w
-        codes, scales, zeros = quantize_rows(
-            padded.reshape(rows * gpr, group_size), group_size)
+        codes = np.empty((rows * gpr, group_size), dtype=np.uint8)
+        scales = np.empty(rows * gpr, dtype=np.float16)
+        zeros = np.empty(rows * gpr, dtype=np.uint8)
+        # groups are independent, so quantizing a row range at a time is exact
+        for lo, hi in _row_chunks(rows, gpr * group_size):
+            padded = np.zeros((hi - lo, gpr * group_size), dtype=np.float16)
+            padded[:, :cols] = w[lo:hi]
+            g = slice(lo * gpr, hi * gpr)
+            codes[g], scales[g], zeros[g] = quantize_rows(
+                padded.reshape(-1, group_size), group_size)
         return cls(rows=rows, cols=cols, group_size=group_size,
                    codes=codes, scales=scales, zeros=zeros)
 
@@ -181,6 +200,25 @@ class GroupedTensor:
         """(rows, padded_cols) binary16 values."""
         vals = dequant_codes(self.codes, self.scales, self.zeros.astype(np.int16))
         return vals.reshape(self.rows, self.padded_cols)
+
+    def widened_chunks(self):
+        """dequantized() widened to binary32 (exact), a row range at a time:
+        (first row, values) pairs whose value blocks stack to the whole
+        matrix.
+
+        Each group's 16 levels are dequantized and rounded once, then every
+        code (0..15, checked on construction) looks its level up, so the
+        binary16 rounding runs per level rather than per weight.
+        """
+        gpr = self.groups_per_row
+        codes = np.arange(WEIGHT_LEVELS + 1, dtype=np.uint8)
+        for lo, hi in _row_chunks(self.rows, self.padded_cols):
+            g = slice(lo * gpr, hi * gpr)
+            n = (hi - lo) * gpr
+            levels = dequant_codes(np.broadcast_to(codes, (n, codes.size)), self.scales[g],
+                                   self.zeros[g].astype(np.int16)).astype(np.float32)
+            index = self.codes[g] + np.arange(0, levels.size, codes.size)[:, None]
+            yield lo, np.take(levels, index).reshape(hi - lo, self.padded_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,12 @@ def norm_names(cfg: ModelConfig) -> list[str]:
     return names
 
 
-@dataclass
+@dataclass(eq=False)
 class Checkpoint:
+    """A model's quantized tensors, embedding and norm gains. Compared by
+    identity: decoders cache their prepared weights per checkpoint, so its
+    tensors must not change once a Decoder has been built on it."""
+
     config: ModelConfig
     tensors: dict[str, GroupedTensor]
     embedding: np.ndarray            # (vocab, d_model) float16

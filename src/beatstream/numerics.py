@@ -14,10 +14,20 @@ blocks, each block is reduced by a fixed binary tree (adjacent pairs,
 log2(lanes) levels), and block sums enter a single sequential accumulator.
 The reduction order is part of the contract; results are reproducible bit
 for bit.
+
+A weight matrix that is read on every token can be prepared once as a
+TreeOrderRows operand: widened to binary32 and stored (blocks, lanes, rows)
+with each block's lanes in bit-reversed order. In that order lanes 2j and
+2j+1 of the adjacent-pair tree sit at positions i and i + lanes/2 for the
+same i, and the pair sums land in bit-reversed order again, one bit
+shorter. Every tree level is then the sum of two contiguous halves, taken
+in place over all rows at once, and it adds the same pairs in the same
+operand order as the plain path, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,6 +96,81 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
+@functools.lru_cache(maxsize=None)
+def bit_reversed_lanes(lanes: int) -> np.ndarray:
+    """Lane indices 0..lanes-1 in bit-reversed order (lanes a power of two),
+    read-only because every caller shares it.
+
+    Built level by level: if `order` lists the lanes/2 nodes of tree level
+    one, the lanes feeding node j are 2j and 2j+1, so the first half of
+    the result holds the even lane of each node and the second half the odd
+    one at the same position.
+    """
+    order = np.zeros(1, dtype=np.intp)
+    while order.size < lanes:
+        order = np.concatenate([2 * order, 2 * order + 1])
+    order.flags.writeable = False
+    return order
+
+
+class TreeOrderRows:
+    """An (n, L) binary16 matrix prepared for the tree dot engine.
+
+    Values are widened once to binary32 (exact) and stored as `blocks`,
+    (L/lanes, lanes, n), with the lanes of each block in bit-reversed
+    order (see the module docstring). Columns the caller does not assign
+    hold +0.0, as lane padding does. dot_rows takes an operand in place of
+    its plain matrix and returns the same bits.
+    """
+
+    def __init__(self, n_rows: int, length: int, lanes: int) -> None:
+        if length == 0 or length % lanes != 0:
+            raise AlignmentError(f"length {length} is not a positive multiple of {lanes} lanes")
+        self.lanes = lanes
+        self.shape = (n_rows, length)
+        self.order = bit_reversed_lanes(lanes)
+        self.blocks = np.zeros((length // lanes, lanes, n_rows), dtype=np.float32)
+
+    def assign(self, lo: int, rows: np.ndarray) -> None:
+        """Store rows of binary16 values, as float16 or already widened to
+        float32, as matrix rows lo.. (rows may be narrower than the matrix;
+        the columns past them keep their +0.0)."""
+        rows = np.asarray(rows)
+        if rows.dtype != np.float32:
+            rows = rows.astype(np.float16)
+        k, width = rows.shape
+        n_blocks, lanes = self.blocks.shape[:2]
+        if width != n_blocks * lanes:
+            rows = np.concatenate(
+                [rows, np.zeros((k, n_blocks * lanes - width), dtype=rows.dtype)], axis=1)
+        lane_major = rows.reshape(k, n_blocks, lanes)[:, :, self.order]
+        self.blocks[:, :, lo:lo + k] = lane_major.transpose(1, 2, 0)   # widens exactly
+
+    def halves(self) -> np.ndarray:
+        """The plain (n, L) binary16 matrix; exact, and bit reversal is its
+        own inverse."""
+        plain = self.blocks[:, self.order].transpose(2, 0, 1).reshape(self.shape)
+        return plain.astype(np.float16)
+
+
+def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
+    """dot_rows in tree order over a prepared operand: per block, one
+    product buffer (lanes, n) and log2(lanes) in-place half additions."""
+    n_blocks, lanes, n = rows.blocks.shape
+    v = vec.reshape(vec.shape[:-1] + (n_blocks, lanes))[..., rows.order].astype(np.float32)
+    v = v[..., None] if vec.ndim == 1 else v.transpose(1, 2, 0)   # (blocks, lanes, 1 or n)
+    buf = np.empty((lanes, n), dtype=np.float32)
+    acc = np.zeros(n, dtype=np.float32)
+    for b in range(n_blocks):                              # sequential across blocks
+        np.multiply(rows.blocks[b], v[b], out=buf)         # exact
+        h = lanes
+        while h > 1:
+            h //= 2
+            np.add(buf[:h], buf[h:2 * h], out=buf[:h])
+        np.add(acc, buf[0], out=acc)
+    return acc.astype(np.float16)
+
+
 def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
     """Columns up to the last one where either operand holds a nonzero
     value; past it both operands are zeros of either sign."""
@@ -99,27 +184,36 @@ def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
     return live
 
 
-def dot_rows(rows: np.ndarray, vec: np.ndarray,
+def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
              cfg: DotEngineConfig = DotEngineConfig()) -> np.ndarray:
     """Row-wise dot of a binary16 matrix against a binary16 vector (L,),
     or against one vector per row (n, L).
 
     Each row follows the exact single-vector `dot` arithmetic; vectorizing
     over rows changes nothing because lanes are reduced independently per
-    row. Returns one binary16 value per row.
+    row. Returns one binary16 value per row. `rows` may be a TreeOrderRows
+    operand; in tree order at its own lane count it skips the widening and
+    the strided tree, in any other engine it is read back as binary16.
     """
-    rows = np.asarray(rows, dtype=np.float16)
+    prepared = isinstance(rows, TreeOrderRows)
+    if not prepared:
+        rows = np.asarray(rows, dtype=np.float16)
     vec = np.asarray(vec, dtype=np.float16)
-    if rows.ndim != 2 or vec.ndim not in (1, 2) or vec.shape[:-1] not in ((), rows.shape[:1]):
+    shape = rows.shape
+    if len(shape) != 2 or vec.ndim not in (1, 2) or vec.shape[:-1] not in ((), shape[:1]):
         raise ShapeError(f"expected (n, L) rows and an (L,) or (n, L) vec, "
-                         f"got {rows.shape} / {vec.shape}")
-    n, length = rows.shape
+                         f"got {shape} / {vec.shape}")
+    n, length = shape
     if vec.shape[-1] != length:
         raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[-1]}")
     if length == 0 or length % cfg.lanes != 0:
         raise AlignmentError(
             f"length {length} is not a positive multiple of {cfg.lanes} lanes; "
             "the caller pads per the stream layout rules")
+    if prepared:
+        if cfg.accumulation_order == "tree" and rows.lanes == cfg.lanes:
+            return _tree_order_dot(rows, vec)
+        rows = rows.halves()
 
     if cfg.accumulation_order == "sequential":
         # Strict left-to-right fold in binary32: every prefix is materialized.

@@ -12,6 +12,12 @@ Two decode paths share every arithmetic primitive:
 Both quantize the KV cache identically, so their logits must agree bit
 for bit at every step; that equivalence is the core regression test.
 
+The fused decoder reads its weights as TreeOrderRows operands: each
+projection is dequantized, widened to binary32 and laid out in the dot
+engine's bit-reversed lane order once per checkpoint, and every Decoder on
+that checkpoint shares them. The reference decoder keeps its own plain
+binary16 matrices, so it checks the prepared operands on every step.
+
 The hardware streams one head at a time. That order lives only in
 schedule_token, which computes the cycle trace of a step from the model
 config and the position without touching any numerics.
@@ -19,8 +25,10 @@ config and the position without touching any numerics.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
+import weakref
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +39,7 @@ from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import BusGeometry, ScaleZeroPack, SzFifo
 from .model_io import Checkpoint
-from .numerics import DotEngineConfig, TrigTable, dot_rows, pad_to_lanes, ulp16
+from .numerics import DotEngineConfig, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
 
@@ -68,7 +76,7 @@ def scale_logits(logits: np.ndarray, head_dim: int) -> np.ndarray:
 # trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageSpan:
     name: str
     kind: str        # "vpu", "spu", or "stall"
@@ -125,6 +133,22 @@ def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0,
     return int((v_beats - SOFTMAX_FORWARD_LEAD) * spu_rate) - 1
 
 
+_LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
+                 "down", "mlp_residual")
+_HEAD_STAGES = ("q", "rope_q", "k", "rope_k", "kv_dot", "softmax_max", "k_quant",
+                "softmax_exp", "softmax_norm", "v", "v_quant", "softmax_wait", "value_mix")
+
+
+@functools.lru_cache(maxsize=16)
+def _span_names(n_layers: int, n_heads: int) -> tuple:
+    """Per layer: its stage names and each head's, built once per shape so
+    that the traces of every position share the strings."""
+    return tuple((tuple(f"L{layer}.{s}" for s in _LAYER_STAGES),
+                  tuple(tuple(f"L{layer}.h{head}.{s}" for s in _HEAD_STAGES)
+                        for head in range(n_heads)))
+                 for layer in range(n_layers))
+
+
 def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
                    lanes: int = 128) -> TokenTrace:
     """Cycle trace of the fused decode step at `position`.
@@ -156,44 +180,44 @@ def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
     spans = [StageSpan("embed", "spu", 0, spu_d)]
     add = spans.append
     c = 0  # vector-unit cycle cursor
-    for layer in range(cfg.n_layers):
-        lp = f"L{layer}."
-        add(StageSpan(lp + "attn_norm", "spu", c, c + spu_d))
-        for head in range(cfg.n_heads):
-            hp = f"{lp}h{head}."
-            add(StageSpan(hp + "q", "vpu", c, c + hb, hb))
-            add(StageSpan(hp + "rope_q", "spu", c + hb, c + hb + spu_hd))
+    for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
+        attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
+        add(StageSpan(attn_norm, "spu", c, c + spu_d))
+        for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
+             v, v_quant, softmax_wait, value_mix) in head_names:
+            add(StageSpan(q, "vpu", c, c + hb, hb))
+            add(StageSpan(rope_q, "spu", c + hb, c + hb + spu_hd))
             c += hb
-            add(StageSpan(hp + "k", "vpu", c, c + hb, hb))
-            add(StageSpan(hp + "rope_k", "spu", c + hb, c + hb + spu_hd))
+            add(StageSpan(k, "vpu", c, c + hb, hb))
+            add(StageSpan(rope_k, "spu", c + hb, c + hb + spu_hd))
             c += hb
             dot_end = c + rows_cycles
-            add(StageSpan(hp + "kv_dot", "vpu", c, dot_end))
-            add(StageSpan(hp + "softmax_max", "spu", c, dot_end))
-            add(StageSpan(hp + "k_quant", "spu", c, c + spu_kv))
+            add(StageSpan(kv_dot, "vpu", c, dot_end))
+            add(StageSpan(softmax_max, "spu", c, dot_end))
+            add(StageSpan(k_quant, "spu", c, c + spu_kv))
             c = dot_end
             exp_end = dot_end + spu_rows
-            add(StageSpan(hp + "softmax_exp", "spu", dot_end, exp_end))
-            add(StageSpan(hp + "softmax_norm", "spu", exp_end, exp_end + spu_rows))
-            add(StageSpan(hp + "v", "vpu", c, c + hb, hb))
-            add(StageSpan(hp + "v_quant", "spu", c, c + spu_kv))
+            add(StageSpan(softmax_exp, "spu", dot_end, exp_end))
+            add(StageSpan(softmax_norm, "spu", exp_end, exp_end + spu_rows))
+            add(StageSpan(v, "vpu", c, c + hb, hb))
+            add(StageSpan(v_quant, "spu", c, c + spu_kv))
             c += hb
             mix_start = exp_end + SOFTMAX_FORWARD_LEAD
             if mix_start > c:
-                add(StageSpan(hp + "softmax_wait", "stall", c, mix_start))
+                add(StageSpan(softmax_wait, "stall", c, mix_start))
                 c = mix_start
-            add(StageSpan(hp + "value_mix", "vpu", c, c + rows_cycles))
+            add(StageSpan(value_mix, "vpu", c, c + rows_cycles))
             c += rows_cycles
-        add(StageSpan(lp + "o", "vpu", c, c + ob, ob))
-        add(StageSpan(lp + "attn_residual", "spu", c, c + spu_d))
+        add(StageSpan(o, "vpu", c, c + ob, ob))
+        add(StageSpan(attn_residual, "spu", c, c + spu_d))
         c += ob
-        add(StageSpan(lp + "mlp_norm", "spu", c, c + spu_d))
+        add(StageSpan(mlp_norm, "spu", c, c + spu_d))
         # gate and up rows interleave on the stream: one merged stage
-        add(StageSpan(lp + "gate_up", "vpu", c, c + gb, gb))
-        add(StageSpan(lp + "silu", "spu", c, c + spu(cfg.d_ffn)))
+        add(StageSpan(gate_up, "vpu", c, c + gb, gb))
+        add(StageSpan(silu, "spu", c, c + spu(cfg.d_ffn)))
         c += gb
-        add(StageSpan(lp + "down", "vpu", c, c + db, db))
-        add(StageSpan(lp + "mlp_residual", "spu", c, c + spu_d))
+        add(StageSpan(down, "vpu", c, c + db, db))
+        add(StageSpan(mlp_residual, "spu", c, c + spu_d))
         c += db
     add(StageSpan("final_norm", "spu", c, c + spu_d))
     add(StageSpan("lm_head", "vpu", c, c + lb, lb))
@@ -300,21 +324,50 @@ class KVCacheStore:
 # ---------------------------------------------------------------------------
 
 class _WeightCache:
-    """Dequantized, lane-padded weight matrices plus their beat costs."""
+    """Dequantized, lane-padded weight matrices prepared for the tree dot
+    (TreeOrderRows), plus their beat costs.
+
+    Built from the codes a row range at a time, so no whole-tensor
+    temporary exists, and once per (checkpoint, lanes): `of` hands every
+    Decoder on a checkpoint the same cache, which lives as long as the
+    checkpoint does.
+    """
+
+    _shared: "weakref.WeakKeyDictionary[Checkpoint, dict[int, _WeightCache]]" = \
+        weakref.WeakKeyDictionary()
 
     def __init__(self, ckpt: Checkpoint, lanes: int) -> None:
-        self.mats: dict[str, np.ndarray] = {}
+        self.mats: dict[str, TreeOrderRows] = {}
         self.beats_per_row: dict[str, int] = {}
         for name, t in ckpt.tensors.items():
-            deq = t.dequantized()
             beats = row_code_beats(t.cols, t.group_size, lanes)
-            mat = np.zeros((deq.shape[0], beats * lanes), dtype=np.float16)
-            mat[:, :deq.shape[1]] = deq
+            mat = TreeOrderRows(t.rows, beats * lanes, lanes)
+            for lo, vals in t.widened_chunks():
+                mat.assign(lo, vals)
             self.mats[name] = mat
             self.beats_per_row[name] = beats
 
+    @classmethod
+    def of(cls, ckpt: Checkpoint, lanes: int) -> "_WeightCache":
+        by_lanes = cls._shared.setdefault(ckpt, {})
+        if lanes not in by_lanes:
+            by_lanes[lanes] = cls(ckpt, lanes)
+        return by_lanes[lanes]
+
     def stage_beats(self, name: str, rows: int) -> int:
         return rows * self.beats_per_row[name]
+
+
+def _plain_weights(ckpt: Checkpoint, lanes: int) -> dict[str, np.ndarray]:
+    """Dequantized weight matrices as lane-padded binary16 (n, L) arrays."""
+    mats = {}
+    for name, t in ckpt.tensors.items():
+        deq = t.dequantized()
+        mat = np.zeros((t.rows, row_code_beats(t.cols, t.group_size, lanes) * lanes),
+                       dtype=np.float16)
+        mat[:, :deq.shape[1]] = deq
+        mats[name] = mat
+    return mats
 
 
 class Decoder:
@@ -329,7 +382,7 @@ class Decoder:
         self.table = TrigTable.for_head_dim(
             self.cfg.head_dim, base=self.cfg.rope_base,
             freq_divisor=self.cfg.rope_freq_divisor)
-        self.weights = _WeightCache(ckpt, self.engine.lanes)
+        self.weights = _WeightCache.of(ckpt, self.engine.lanes)
         self.kv = KVCacheStore(self.cfg)
         self.fifo = SzFifo(self.cfg.n_layers, self.cfg.n_heads,
                            geom or BusGeometry())
@@ -417,7 +470,8 @@ class Decoder:
 
 
 class ReferenceDecoder:
-    """Whole-projection, operator-at-a-time evaluation of the same model."""
+    """Whole-projection, operator-at-a-time evaluation of the same model,
+    on its own plain binary16 weight matrices."""
 
     def __init__(self, ckpt: Checkpoint, engine: DotEngineConfig | None = None) -> None:
         ckpt.validate()
@@ -427,7 +481,7 @@ class ReferenceDecoder:
         self.table = TrigTable.for_head_dim(
             self.cfg.head_dim, base=self.cfg.rope_base,
             freq_divisor=self.cfg.rope_freq_divisor)
-        self.weights = _WeightCache(ckpt, self.engine.lanes)
+        self.mats = _plain_weights(ckpt, self.engine.lanes)
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:
@@ -439,9 +493,9 @@ class ReferenceDecoder:
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps)
             h_pad = pad_to_lanes(h, self.engine.lanes)
-            q_all = dot_rows(self.weights.mats[pre + "attn.q"], h_pad, self.engine)
-            k_all = dot_rows(self.weights.mats[pre + "attn.k"], h_pad, self.engine)
-            v_all = dot_rows(self.weights.mats[pre + "attn.v"], h_pad, self.engine)
+            q_all = dot_rows(self.mats[pre + "attn.q"], h_pad, self.engine)
+            k_all = dot_rows(self.mats[pre + "attn.k"], h_pad, self.engine)
+            v_all = dot_rows(self.mats[pre + "attn.v"], h_pad, self.engine)
             out = np.empty(cfg.d_model, dtype=np.float16)
             for head in range(cfg.n_heads):
                 lo, hi = head * hd, (head + 1) * hd
@@ -465,19 +519,19 @@ class ReferenceDecoder:
                 vcod, vp = kv_quantize(v)
                 self.kv.write(layer, head, 0, kc, kp)
                 self.kv.write(layer, head, 1, vcod, vp)
-            o = dot_rows(self.weights.mats[pre + "attn.o"],
+            o = dot_rows(self.mats[pre + "attn.o"],
                          pad_to_lanes(out, self.engine.lanes), self.engine)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps)
             h2_pad = pad_to_lanes(h2, self.engine.lanes)
-            gate = dot_rows(self.weights.mats[pre + "mlp.gate"], h2_pad, self.engine)
-            up = dot_rows(self.weights.mats[pre + "mlp.up"], h2_pad, self.engine)
+            gate = dot_rows(self.mats[pre + "mlp.gate"], h2_pad, self.engine)
+            up = dot_rows(self.mats[pre + "mlp.up"], h2_pad, self.engine)
             act = silu_gate(gate, up)
-            down = dot_rows(self.weights.mats[pre + "mlp.down"],
+            down = dot_rows(self.mats[pre + "mlp.down"],
                             pad_to_lanes(act, self.engine.lanes), self.engine)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
         h = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps)
-        logits = dot_rows(self.weights.mats["lm_head"],
+        logits = dot_rows(self.mats["lm_head"],
                           pad_to_lanes(h, self.engine.lanes), self.engine)
         self.kv.commit()
         return logits

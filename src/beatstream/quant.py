@@ -157,8 +157,7 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     lo = np.minimum(wide.min(axis=1), 0.0)
     hi = np.maximum(wide.max(axis=1), 0.0)
 
-    scales = to_half((hi - lo) / KV_LEVELS)
-    scales[scales == 0] = HALF_SMALLEST_NORMAL
+    scales = np.maximum(to_half((hi - lo) / KV_LEVELS), HALF_SMALLEST_NORMAL)
     s64 = scales.astype(np.float64)[:, None]
     z = np.ceil(lo[:, None] / s64)
     codes = np.clip(np.rint(wide / s64) - z, 0, KV_LEVELS).astype(np.uint8)

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from beatstream import layout
 from beatstream.config import llama2_7b_config, tiny_demo_config
-from beatstream.errors import CapacityError, ConfigError, FormatError
+from beatstream.errors import CapacityError, ConfigError, DomainError, FormatError
 from beatstream.layout import (
     KIND_SCALE,
     KIND_WEIGHT,
@@ -32,7 +33,7 @@ from beatstream.layout import (
     write_container,
 )
 from beatstream.numerics import to_half
-from beatstream.quant import KvQuantParams
+from beatstream.quant import KvQuantParams, quantize_rows
 
 
 def oracle_word_count(n_groups, group_size):
@@ -119,6 +120,29 @@ class TestPackUnpack:
             assert np.array_equal(back.scales, t.scales)
             assert np.array_equal(back.zeros, t.zeros)
             assert (back.rows, back.cols) == (rows, cols)
+
+    def test_quantize_in_chunks_matches_one_shot(self):
+        # 1100 rows of 320 padded columns span two chunks, the second short
+        w = to_half(np.random.default_rng(12).normal(size=(1100, 300)))
+        assert w.size > layout.CHUNK_VALUES
+        t = GroupedTensor.quantize(w, 32)
+        padded = np.zeros((1100, 320), dtype=np.float16)
+        padded[:, :300] = w
+        codes, scales, zeros = quantize_rows(padded.reshape(-1, 32), 32)
+        assert np.array_equal(t.codes, codes)
+        assert np.array_equal(t.scales.view(np.uint16), scales.view(np.uint16))
+        assert np.array_equal(t.zeros, zeros)
+        chunks = list(t.widened_chunks())
+        assert [lo for lo, _ in chunks] == [0, layout.CHUNK_VALUES // 320]
+        assert np.array_equal(np.concatenate([v for _, v in chunks]).view(np.uint32),
+                              t.dequantized().astype(np.float32).view(np.uint32))
+
+    def test_codes_past_four_bits_rejected(self):
+        codes = np.zeros((2, 4), dtype=np.uint8)
+        codes[1, 3] = 16
+        with pytest.raises(DomainError):
+            GroupedTensor(rows=1, cols=8, group_size=4, codes=codes,
+                          scales=np.ones(2, dtype=np.float16), zeros=np.zeros(2, dtype=np.uint8))
 
     def test_padded_groups_dequantize_to_zero(self):
         t = GroupedTensor.quantize(np.ones((3, 100), dtype=np.float16), 64)

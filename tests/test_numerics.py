@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beatstream.errors import AlignmentError, ConfigError, ShapeError
 from beatstream.numerics import (
     QUARTER_ENTRIES,
     PHASE_STEPS,
     DotEngineConfig,
+    TreeOrderRows,
     TrigTable,
+    bit_reversed_lanes,
     dot,
     dot_rows,
     half_bits,
@@ -152,6 +155,69 @@ def test_dot_rows_zero_lane_tail_is_exact(seed, lanes, blocks, n, per_row, live_
         (rows, vec)[rng.integers(2)][..., rng.integers(live, length)] = stray
     got = dot_rows(rows, vec, DotEngineConfig(lanes=lanes))
     assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec, lanes)))
+
+
+EDGE_HALVES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24,
+               65504.0, -65504.0, np.inf, -np.inf]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), lanes=st.sampled_from([1, 2, 8, 128]), blocks=st.integers(1, 4),
+       n=st.integers(1, 5), per_row=st.booleans(),
+       order=st.sampled_from(["tree", "sequential"]))
+def test_tree_order_rows_match_plain_rows(data, lanes, blocks, n, per_row, order):
+    halves = st.one_of(st.sampled_from(EDGE_HALVES), st.floats(width=16, allow_nan=False))
+    length = lanes * blocks
+    rows = data.draw(arrays(np.float16, (n, length), elements=halves), label="rows")
+    vec = data.draw(arrays(np.float16, (n, length) if per_row else (length,),
+                           elements=halves), label="vec")
+    prepared = TreeOrderRows(n, length, lanes)
+    split = data.draw(st.integers(0, n), label="split")   # assigned in two row ranges
+    prepared.assign(0, rows[:split])
+    prepared.assign(split, rows[split:])
+    cfg = DotEngineConfig(lanes=lanes, accumulation_order=order)
+    assert prepared.shape == rows.shape
+    assert np.array_equal(half_bits(prepared.halves()), half_bits(rows))
+    assert np.array_equal(half_bits(dot_rows(prepared, vec, cfg)),
+                          half_bits(dot_rows(rows, vec, cfg)))
+
+
+@pytest.mark.parametrize("lanes", [4, 8, 128])
+def test_tree_order_rows_add_the_tree_pairs(lanes):
+    """Each block holds one pair of products, +2**30 and -2**30, that cancel.
+    Small products absorbed into them before they meet are lost, so a tree
+    that pairs other lanes than the adjacent-pair tree loses other ones."""
+    rng = np.random.default_rng(lanes)
+    blocks = 3
+    rows = to_half(rng.normal(size=(64, lanes * blocks)))
+    vec = to_half(rng.normal(size=lanes * blocks))
+    for b in range(blocks):
+        i, j = rng.choice(lanes, 2, replace=False) + b * lanes
+        vec[[i, j]] = 2.0 ** 15
+        rows[:, i], rows[:, j] = 2.0 ** 15, -(2.0 ** 15)
+    prepared = TreeOrderRows(*rows.shape, lanes)
+    prepared.assign(0, rows)
+    got = dot_rows(prepared, vec, DotEngineConfig(lanes=lanes))
+    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec, lanes)))
+
+
+def test_tree_order_rows_pad_narrow_rows_with_positive_zeros():
+    rows = to_half(np.random.default_rng(5).normal(size=(3, 40)))
+    prepared = TreeOrderRows(3, 128, 64)
+    prepared.assign(0, rows)
+    want = np.zeros((3, 128), dtype=np.float16)
+    want[:, :40] = rows
+    assert np.array_equal(half_bits(prepared.halves()), half_bits(want))
+    with pytest.raises(AlignmentError):
+        TreeOrderRows(3, 100, 64)
+
+
+def test_bit_reversed_lanes():
+    assert bit_reversed_lanes(1).tolist() == [0]
+    assert bit_reversed_lanes(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    order = bit_reversed_lanes(128)
+    assert all(order[i] == int(f"{i:07b}"[::-1], 2) for i in range(128))
 
 
 def test_dot_shape_and_alignment_errors():

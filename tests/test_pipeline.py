@@ -1,11 +1,14 @@
 """Decode pipeline tests: fused/reference equivalence, cache causality,
 the stage schedule, and sequence-level behavior."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beatstream import pipeline
+from beatstream import layout, pipeline
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import (
     CapacityError,
@@ -16,7 +19,7 @@ from beatstream.errors import (
     ShapeError,
 )
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
-from beatstream.numerics import to_half
+from beatstream.numerics import DotEngineConfig, TreeOrderRows, to_half
 from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
@@ -215,6 +218,52 @@ class TestFusedMatchesReference:
                 assert np.array_equal(fused, plain)
                 tok = greedy_pick(fused)
 
+    def test_sequential_engine_bitwise(self, demo_ckpt):
+        engine = DotEngineConfig(accumulation_order="sequential")
+        dec = Decoder(demo_ckpt, engine=engine)
+        ref = ReferenceDecoder(demo_ckpt, engine=engine)
+        tok = 3
+        for _ in range(4):
+            fused, _ = dec.step(tok)
+            assert np.array_equal(fused, ref.step(tok))
+            tok = greedy_pick(fused)
+
+    def test_weights_built_in_many_chunks(self, monkeypatch):
+        # a few rows per piece, the last piece short
+        monkeypatch.setattr(layout, "CHUNK_VALUES", 700)
+        ckpt = build_demo_checkpoint(seed=4)
+        dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
+        for name, mat in dec.weights.mats.items():
+            assert np.array_equal(mat.halves().view(np.uint16), ref.mats[name].view(np.uint16))
+        for tok in (2, 9, 4):
+            fused, _ = dec.step(tok)
+            assert np.array_equal(fused, ref.step(tok))
+
+
+class TestWeightCache:
+    def test_shared_per_checkpoint(self):
+        a = build_demo_checkpoint(seed=1)
+        b = build_demo_checkpoint(seed=1)
+        cache = Decoder(a).weights
+        assert Decoder(a).weights is cache
+        assert all(isinstance(m, TreeOrderRows) for m in cache.mats.values())
+        assert Decoder(b).weights is not cache
+        assert Decoder(a, engine=DotEngineConfig(lanes=64)).weights is not cache
+
+    def test_entry_goes_with_its_checkpoint(self):
+        ckpt = build_demo_checkpoint(seed=2)
+        cache = weakref.ref(Decoder(ckpt).weights)
+        assert cache() is not None
+        del ckpt
+        gc.collect()
+        assert cache() is None
+
+    def test_reference_keeps_plain_half_matrices(self, demo_ckpt):
+        ref, other = ReferenceDecoder(demo_ckpt), ReferenceDecoder(demo_ckpt)
+        for name, mat in ref.mats.items():
+            assert type(mat) is np.ndarray and mat.dtype == np.float16
+            assert mat is not other.mats[name]
+
 
 class TestCausality:
     def test_future_rows_are_dead(self, demo_ckpt):
@@ -324,6 +373,11 @@ class TestTrace:
                                           for s in trace.spans if s.kind == "spu")
         inside = position <= stall_free_context_bound(cfg, rate)
         assert (trace.stall_cycles == 0) == inside
+
+    def test_positions_share_span_names(self):
+        a, b = schedule_token(tiny_demo_config(), 3), schedule_token(tiny_demo_config(), 5)
+        assert all(x.name is y.name for x, y in zip(a.spans, b.spans))
+        assert not hasattr(a.spans[0], "__dict__")
 
     def test_negative_position_rejected(self):
         with pytest.raises(ConfigError):
