@@ -6,7 +6,7 @@ Library layout:
 - quant: 4-bit group weight quantization and the 8-bit KV cache codec
 - layout: packed weight stream words, scale-zero FIFO, memory map, containers
 - ops: streaming operators (rope, rmsnorm, softmax, silu-gate)
-- pipeline: fused head-wise decoder, reference decoder, stage schedule
+- pipeline: fused decoder (a layer's heads at once), reference decoder, stage schedule
 - perf: roofline peaks, utilization, transaction-level bus simulation
 """
 

@@ -103,7 +103,11 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ModelConfig":
-        return cls.from_json_str(Path(path).read_text(), origin=str(path))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {path} is not UTF-8: {e}") from e
+        return cls.from_json_str(text, origin=str(path))
 
 
 def llama2_7b_config(max_context: int = 1024) -> ModelConfig:

@@ -27,19 +27,25 @@ The bus moves 512 bits per beat (four 128-bit ports), i.e. two consecutive
 format words per cycle, which is what feeds the 128-lane dot engine its
 128 codes per cycle.
 
+Because partial sections come only at the end, the ZP, SCALE and WEIGHT
+words each hold their values in plain group order, padded only in the
+tensor's last word of that kind; packing and unpacking are one masked
+assignment per kind.
+
 Container file
 --------------
     magic   4s   "EPWS"
-    u16          version (1)
+    u16          version (2)
     u32 x 5      group_size, word_bits (256), rows, cols, n_words
     payload      n_words * 32 bytes
-    u64          checksum: sum of payload bytes mod 2**64
-All integers little-endian.
+    u32          checksum: zlib.crc32 of the header and the payload
+All integers little-endian. Version 1 (a byte-sum checksum) is refused.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +54,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DomainError, FormatError, ShapeError
 from .numerics import half_bits, half_from_bits
-from .quant import WEIGHT_LEVELS, KvQuantParams, dequant_codes, quantize_rows
+from .quant import WEIGHT_LEVELS, dequant_codes, quantize_rows
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
@@ -62,8 +68,9 @@ KIND_ZP, KIND_SCALE, KIND_WEIGHT = 0, 1, 2
 KIND_NAMES = {KIND_ZP: "ZP", KIND_SCALE: "SCALE", KIND_WEIGHT: "WEIGHT"}
 
 CONTAINER_MAGIC = b"EPWS"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 _HEADER = struct.Struct("<4sH5I")
+_CHECKSUM = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -104,19 +111,20 @@ class BusGeometry:
 # ---------------------------------------------------------------------------
 
 def pack_nibbles(vals: np.ndarray) -> np.ndarray:
-    """4-bit values to bytes, low nibble first. Length must be even."""
+    """4-bit values to bytes along the last axis, low nibble first. Its
+    length must be even."""
     vals = np.asarray(vals, dtype=np.uint8)
-    if vals.size % 2 != 0:
+    if vals.shape[-1] % 2 != 0:
         raise ShapeError("nibble count must be even")
     if vals.size and vals.max() > 0xF:
         raise FormatError("nibble value exceeds 4 bits")
-    pairs = vals.reshape(-1, 2)
-    return (pairs[:, 0] | (pairs[:, 1] << 4)).astype(np.uint8)
+    pairs = vals.reshape(vals.shape[:-1] + (-1, 2))
+    return pairs[..., 0] | (pairs[..., 1] << 4)
 
 
 def unpack_nibbles(data: np.ndarray) -> np.ndarray:
     """Bytes to 4-bit values, low nibble first."""
-    data = np.asarray(data, dtype=np.uint8)
+    data = np.asarray(data, dtype=np.uint8).ravel()
     out = np.empty(data.size * 2, dtype=np.uint8)
     out[0::2] = data & 0xF
     out[1::2] = data >> 4
@@ -290,60 +298,32 @@ class PackedWeightStream:
     def kind_counts(self) -> dict[str, int]:
         return {KIND_NAMES[k]: int(np.sum(self.kinds == k)) for k in KIND_NAMES}
 
-    def payload_bytes(self) -> int:
-        return self.n_words * WORD_BYTES
+
+def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:
+    """values, zero-padded to fill whole words of per_word values: one row
+    of per_word values a word."""
+    out = np.zeros((-(-values.size // per_word), per_word), dtype=values.dtype)
+    out.reshape(-1)[:values.size] = values.ravel()
+    return out
 
 
-def pack_tensor(tensor: GroupedTensor, geom: BusGeometry | None = None) -> PackedWeightStream:
-    """Interleave a grouped tensor into its word stream.
-
-    geom, when given, only validates that whole words map onto bus beats;
-    the word format itself is fixed.
-    """
-    g = tensor.group_size
-    if g % 4 != 0:
-        raise ConfigError(f"group_size {g} does not map 16 groups to whole words")
-    if geom is not None and geom.beat_bits % FORMAT_WORD_BITS != 0:
-        raise ConfigError("bus beat does not hold whole format words")
-
-    kinds = beat_kind_pattern(tensor.n_groups, g)
+def pack_tensor(tensor: GroupedTensor) -> PackedWeightStream:
+    """Interleave a grouped tensor into its word stream, one masked
+    assignment per word kind (see the module docstring)."""
+    kinds = beat_kind_pattern(tensor.n_groups, tensor.group_size)
     words = np.zeros((kinds.size, WORD_BYTES), dtype=np.uint8)
-    w = 0
-    done = 0
-    n_groups = tensor.n_groups
-    while done < n_groups:
-        block = min(GROUPS_PER_ZP_WORD, n_groups - done)
-        zps = np.zeros(ZPS_PER_WORD, dtype=np.uint8)
-        zps[:block] = tensor.zeros[done:done + block]
-        words[w] = pack_nibbles(zps)
-        w += 1
-        sect_done = 0
-        while sect_done < block:
-            lo = done + sect_done
-            sect = min(GROUPS_PER_SCALE_WORD, block - sect_done)
-            scales = np.zeros(SCALES_PER_WORD, dtype=np.float16)
-            scales[:sect] = tensor.scales[lo:lo + sect]
-            words[w] = np.frombuffer(half_bits(scales).astype("<u2").tobytes(),
-                                     dtype=np.uint8)
-            w += 1
-            codes = tensor.codes[lo:lo + sect].ravel()
-            n_w = (g // 4) if sect == GROUPS_PER_SCALE_WORD \
-                else -(-sect * g // WEIGHTS_PER_WORD)
-            buf = np.zeros(n_w * WEIGHTS_PER_WORD, dtype=np.uint8)
-            buf[:codes.size] = codes
-            words[w:w + n_w] = pack_nibbles(buf).reshape(n_w, WORD_BYTES)
-            w += n_w
-            sect_done += sect
-        done += block
-    assert w == kinds.size
-    return PackedWeightStream(rows=tensor.rows, cols=tensor.cols, group_size=g,
+    scale_bits = half_bits(tensor.scales).astype("<u2")
+    words[kinds == KIND_ZP] = pack_nibbles(_whole_words(tensor.zeros, ZPS_PER_WORD))
+    words[kinds == KIND_SCALE] = _whole_words(scale_bits, SCALES_PER_WORD).view(np.uint8)
+    words[kinds == KIND_WEIGHT] = pack_nibbles(_whole_words(tensor.codes, WEIGHTS_PER_WORD))
+    return PackedWeightStream(rows=tensor.rows, cols=tensor.cols, group_size=tensor.group_size,
                               words=words, kinds=kinds)
 
 
 def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
     """Invert pack_tensor; validates the word-kind law position by position."""
-    g = stream.group_size
-    expected = beat_kind_pattern(stream.n_groups, g)
+    g, n = stream.group_size, stream.n_groups
+    expected = beat_kind_pattern(n, g)
     if stream.kinds.shape != expected.shape:
         raise FormatError(
             f"stream has {stream.kinds.size} words, the layout law requires {expected.size}")
@@ -353,31 +333,10 @@ def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
         raise FormatError(
             f"word {i} has kind {KIND_NAMES.get(int(stream.kinds[i]), '?')}, "
             f"expected {KIND_NAMES[int(expected[i])]}")
-
-    n_groups = stream.n_groups
-    codes = np.zeros((n_groups, g), dtype=np.uint8)
-    scales = np.zeros(n_groups, dtype=np.float16)
-    zeros = np.zeros(n_groups, dtype=np.uint8)
-    w = 0
-    done = 0
-    while done < n_groups:
-        block = min(GROUPS_PER_ZP_WORD, n_groups - done)
-        zeros[done:done + block] = unpack_nibbles(stream.words[w])[:block]
-        w += 1
-        sect_done = 0
-        while sect_done < block:
-            lo = done + sect_done
-            sect = min(GROUPS_PER_SCALE_WORD, block - sect_done)
-            halves = half_from_bits(np.frombuffer(stream.words[w].tobytes(), dtype="<u2"))
-            scales[lo:lo + sect] = halves[:sect]
-            w += 1
-            n_w = (g // 4) if sect == GROUPS_PER_SCALE_WORD \
-                else -(-sect * g // WEIGHTS_PER_WORD)
-            vals = unpack_nibbles(stream.words[w:w + n_w].ravel())
-            codes[lo:lo + sect] = vals[:sect * g].reshape(sect, g)
-            w += n_w
-            sect_done += sect
-        done += block
+    words = stream.words
+    zeros = unpack_nibbles(words[expected == KIND_ZP])[:n]
+    scales = half_from_bits(words[expected == KIND_SCALE].view("<u2").ravel()[:n])
+    codes = unpack_nibbles(words[expected == KIND_WEIGHT])[:n * g].reshape(n, g)
     return GroupedTensor(rows=stream.rows, cols=stream.cols, group_size=g,
                          codes=codes, scales=scales, zeros=zeros)
 
@@ -387,16 +346,19 @@ def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
 # ---------------------------------------------------------------------------
 
 def write_container(stream: PackedWeightStream, path: str | Path) -> None:
-    payload = stream.words.tobytes()
     header = _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, stream.group_size,
                           FORMAT_WORD_BITS, stream.rows, stream.cols, stream.n_words)
-    checksum = sum(payload) % (1 << 64)
-    Path(path).write_bytes(header + payload + struct.pack("<Q", checksum))
+    payload = np.ascontiguousarray(stream.words, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
+        f.write(_CHECKSUM.pack(zlib.crc32(payload, zlib.crc32(header))))
 
 
 def read_container(path: str | Path) -> PackedWeightStream:
+    """The stream of a container file; any damage raises FormatError."""
     blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + 8:
+    if len(blob) < _HEADER.size + _CHECKSUM.size:
         raise FormatError(f"{path}: truncated container")
     magic, version, group_size, word_bits, rows, cols, n_words = \
         _HEADER.unpack_from(blob, 0)
@@ -406,22 +368,24 @@ def read_container(path: str | Path) -> PackedWeightStream:
         raise FormatError(f"{path}: unsupported version {version}")
     if word_bits != FORMAT_WORD_BITS:
         raise FormatError(f"{path}: unsupported word width {word_bits}")
-    need = _HEADER.size + n_words * WORD_BYTES + 8
+    need = _HEADER.size + n_words * WORD_BYTES + _CHECKSUM.size
     if len(blob) != need:
         raise FormatError(f"{path}: size {len(blob)} != expected {need}")
-    payload = blob[_HEADER.size:-8]
-    (stored_sum,) = struct.unpack_from("<Q", blob, len(blob) - 8)
-    if sum(payload) % (1 << 64) != stored_sum:
+    (stored,) = _CHECKSUM.unpack_from(blob, need - _CHECKSUM.size)
+    if zlib.crc32(memoryview(blob)[:-_CHECKSUM.size]) != stored:
         raise FormatError(f"{path}: checksum mismatch")
-    gpr = -(-cols // group_size)
-    expected = beat_kind_pattern(rows * gpr, group_size)
-    if expected.size != n_words:
-        raise FormatError(
-            f"{path}: {n_words} words inconsistent with shape "
-            f"({rows}x{cols}, group {group_size}) requiring {expected.size}")
-    words = np.frombuffer(payload, dtype=np.uint8).reshape(n_words, WORD_BYTES).copy()
+    # each word holds at most WEIGHTS_PER_WORD codes, so the words bound the
+    # shape before its kind pattern is built
+    groups = rows * -(-cols // group_size) if group_size > 0 else 0
+    if min(rows, cols, group_size) <= 0 or group_size % 4 \
+            or n_words * WEIGHTS_PER_WORD < groups * group_size \
+            or (kinds := beat_kind_pattern(groups, group_size)).size != n_words:
+        raise FormatError(f"{path}: {n_words} words inconsistent with shape "
+                          f"({rows}x{cols}, group {group_size})")
+    words = np.frombuffer(blob, dtype=np.uint8, count=n_words * WORD_BYTES,
+                          offset=_HEADER.size).reshape(n_words, WORD_BYTES)
     return PackedWeightStream(rows=rows, cols=cols, group_size=group_size,
-                              words=words, kinds=expected)
+                              words=words, kinds=kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +411,6 @@ class ScaleZeroPack:
             raise FormatError("pad byte must be zero")
         object.__setattr__(self, "scale", np.float16(self.scale))
         object.__setattr__(self, "zero", int(self.zero))
-
-    @classmethod
-    def from_params(cls, params: KvQuantParams) -> "ScaleZeroPack":
-        return cls(scale=params.scale, zero=-params.zero_point)
-
-    def to_params(self) -> KvQuantParams:
-        return KvQuantParams(scale=self.scale, zero_point=-self.zero)
 
     def encode(self) -> bytes:
         return struct.pack("<HBB", int(half_bits(self.scale)), self.zero, 0)

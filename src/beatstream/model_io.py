@@ -6,15 +6,26 @@ A checkpoint is a directory holding:
     <tensor>.epws            one packed-stream container per projection
     aux.npz                  binary16 sidecar: embedding table, norm gains
 
-Projection tensors are stored quantized; loading preserves their codes
-bit for bit, so a checkpoint round-trip never re-quantizes. The embedding
-and the norm gains stay in binary16 (they are read element-wise, not
-streamed through the dot engine).
+A Checkpoint holds each projection as the words of its container, the
+packed stream the hardware reads: quantizing packs them once, saving
+writes them and loading reads them back, so a round-trip never unpacks or
+re-quantizes. Decoders unpack a tensor's groups from its words when they
+prepare their operands (Checkpoint.grouped). The embedding and the norm
+gains stay in binary16 (they are read element-wise, not streamed through
+the dot engine).
+
+Every damaged file raises a BeatstreamError subclass, except that a
+missing file raises FileNotFoundError.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import lzma
+import tokenize
+import zipfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,10 +33,18 @@ import numpy as np
 
 from .config import ModelConfig, tiny_demo_config
 from .errors import FormatError, ShapeError
-from .layout import GroupedTensor, pack_tensor, read_container, unpack_stream, write_container
+from .layout import (GroupedTensor, PackedWeightStream, pack_tensor, read_container,
+                     unpack_stream, write_container)
 
 AUX_NAME = "aux.npz"
 CONFIG_NAME = "config.json"
+
+# What np.load raises on a damaged archive. A member larger than one zip
+# read has its npy header parsed before its CRC is checked, hence the
+# tokenizer and parser errors; a flipped compression method asks for lzma.
+ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
+                  RuntimeError, TypeError, ValueError, SyntaxError, tokenize.TokenError,
+                  lzma.LZMAError)
 
 LAYER_TENSORS = ("attn.q", "attn.k", "attn.v", "attn.o",
                  "mlp.gate", "mlp.up", "mlp.down")
@@ -54,12 +73,12 @@ def norm_names(cfg: ModelConfig) -> list[str]:
 
 @dataclass(eq=False)
 class Checkpoint:
-    """A model's quantized tensors, embedding and norm gains. Compared by
+    """A model's packed tensors, embedding and norm gains. Compared by
     identity: decoders cache their prepared weights per checkpoint, so its
     tensors must not change once a Decoder has been built on it."""
 
     config: ModelConfig
-    tensors: dict[str, GroupedTensor]
+    tensors: dict[str, PackedWeightStream]
     embedding: np.ndarray            # (vocab, d_model) float16
     norms: dict[str, np.ndarray]     # name -> (d_model,) float16
 
@@ -84,14 +103,20 @@ class Checkpoint:
             if g is None or g.shape != (cfg.d_model,) or g.dtype != np.float16:
                 raise FormatError(f"norm gain {name!r} missing or malformed")
 
+    def grouped(self) -> Iterator[tuple[str, GroupedTensor]]:
+        """(name, GroupedTensor) of every tensor, each unpacked from its
+        words only when the iteration reaches it."""
+        for name, stream in self.tensors.items():
+            yield name, unpack_stream(stream)
+
 
 def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
     ckpt.validate()
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     ckpt.config.to_json(d / CONFIG_NAME)
-    for name, tensor in ckpt.tensors.items():
-        write_container(pack_tensor(tensor), d / f"{name}.epws")
+    for name, stream in ckpt.tensors.items():
+        write_container(stream, d / f"{name}.epws")
     aux = {"embedding": ckpt.embedding}
     aux.update({f"norm.{k}": v for k, v in ckpt.norms.items()})
     np.savez(d / AUX_NAME, **aux)
@@ -108,10 +133,15 @@ def load_checkpoint(dirpath: str | Path) -> Checkpoint:
         path = d / f"{name}.epws"
         if not path.exists():
             raise FileNotFoundError(f"{path} does not exist")
-        tensors[name] = unpack_stream(read_container(path))
-    with np.load(d / AUX_NAME) as aux:
-        embedding = aux["embedding"]
-        norms = {k[len("norm."):]: aux[k] for k in aux.files if k.startswith("norm.")}
+        tensors[name] = read_container(path)
+    aux_path = d / AUX_NAME
+    data = aux_path.read_bytes()    # outside the try: a missing file stays FileNotFoundError
+    try:
+        with np.load(io.BytesIO(data)) as aux:
+            embedding = aux["embedding"]
+            norms = {k[len("norm."):]: aux[k] for k in aux.files if k.startswith("norm.")}
+    except ARCHIVE_FAULTS as e:
+        raise FormatError(f"unreadable {aux_path}: {e}") from e
     ckpt = Checkpoint(config=cfg, tensors=tensors, embedding=embedding, norms=norms)
     ckpt.validate()
     return ckpt
@@ -127,7 +157,7 @@ def quantize_checkpoint(cfg: ModelConfig, weights: dict[str, np.ndarray],
         w = np.asarray(weights[name], dtype=np.float16)
         if w.shape != tensor_shape(cfg, name):
             raise ShapeError(f"{name}: got {w.shape}, want {tensor_shape(cfg, name)}")
-        tensors[name] = GroupedTensor.quantize(w, cfg.group_size)
+        tensors[name] = pack_tensor(GroupedTensor.quantize(w, cfg.group_size))
     ckpt = Checkpoint(config=cfg,
                       tensors=tensors,
                       embedding=np.asarray(embedding, dtype=np.float16),

@@ -189,11 +189,12 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
     """Row-wise dot of a binary16 matrix against a binary16 vector (L,),
     or against one vector per row (n, L).
 
-    Each row follows the exact single-vector `dot` arithmetic; vectorizing
-    over rows changes nothing because lanes are reduced independently per
-    row. Returns one binary16 value per row. `rows` may be a TreeOrderRows
-    operand; in tree order at its own lane count it skips the widening and
-    the strided tree, in any other engine it is read back as binary16.
+    Each row is reduced on its own (lane blocks, the fixed tree, then the
+    sequential block accumulator), so a row's result does not depend on
+    the other rows. Returns one binary16 value per row. `rows` may be a
+    TreeOrderRows operand; in tree order at its own lane count it skips the
+    widening and the strided tree, in any other engine it is read back as
+    binary16.
     """
     prepared = isinstance(rows, TreeOrderRows)
     if not prepared:
@@ -237,16 +238,6 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
     for b in range(sums.shape[1]):                         # sequential across blocks
         acc = acc + sums[:, b]
     return acc.astype(np.float16)
-
-
-def dot(a: np.ndarray, b: np.ndarray,
-        cfg: DotEngineConfig = DotEngineConfig()) -> np.float16:
-    """Bit-deterministic dot product of two binary16 vectors."""
-    a = np.asarray(a, dtype=np.float16)
-    b = np.asarray(b, dtype=np.float16)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"expected 1-D operands, got {a.shape} / {b.shape}")
-    return dot_rows(a[None, :], b, cfg)[0]
 
 
 def pad_to_lanes(v: np.ndarray, lanes: int) -> np.ndarray:

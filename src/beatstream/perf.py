@@ -191,19 +191,3 @@ def token_burst_schedule(cfg: ModelConfig, position: int,
         if (position + 1) % 16 == 0:
             reqs.extend([1] * (cfg.n_heads * 2))                # scale-zero flush
     return reqs
-
-
-def fitted_utilization(cfg: ModelConfig, setup_cycles: float, position: int = 1023,
-                       geom: BusGeometry | None = None,
-                       max_burst_beats: int = 256) -> float:
-    """Mean bus utilization over a 16-token window ending at position."""
-    geom = geom or BusGeometry()
-    model = BusModel(geom=geom, burst_setup_cycles=setup_cycles,
-                     max_burst_beats=max_burst_beats)
-    beats = 0
-    cycles = 0.0
-    for p in range(max(0, position - 15), position + 1):
-        reqs = token_burst_schedule(cfg, p, geom)
-        beats += sum(reqs)
-        cycles += model.stream_cycles(reqs)
-    return beats / cycles

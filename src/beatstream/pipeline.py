@@ -12,11 +12,13 @@ Two decode paths share every arithmetic primitive:
 Both quantize the KV cache identically, so their logits must agree bit
 for bit at every step; that equivalence is the core regression test.
 
-The fused decoder reads its weights as TreeOrderRows operands: each
-projection is dequantized, widened to binary32 and laid out in the dot
-engine's bit-reversed lane order once per checkpoint, and every Decoder on
-that checkpoint shares them. The reference decoder keeps its own plain
-binary16 matrices, so it checks the prepared operands on every step.
+Both decoders prepare their weight operands from the checkpoint's packed
+word streams, unpacking each stream once. The fused decoder reads its
+weights as TreeOrderRows operands: each projection is dequantized, widened
+to binary32 and laid out in the dot engine's bit-reversed lane order once
+per checkpoint, and every Decoder on that checkpoint shares them. The
+reference decoder keeps its own plain binary16 matrices, so it checks the
+prepared operands on every step.
 
 The hardware streams one head at a time. That order lives only in
 schedule_token, which computes the cycle trace of a step from the model
@@ -29,7 +31,6 @@ import functools
 import io
 import math
 import weakref
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,7 +39,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import BusGeometry, ScaleZeroPack, SzFifo
-from .model_io import Checkpoint
+from .model_io import ARCHIVE_FAULTS, Checkpoint
 from .numerics import DotEngineConfig, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
@@ -311,8 +312,7 @@ class KVCacheStore:
                                           f"expected {want.dtype}{want.shape}")
                     want[...] = arr
                 store.length = int(z["length"])
-        except (zipfile.BadZipFile, ConfigError, EOFError, KeyError, NotImplementedError,
-                OSError, RuntimeError, TypeError, ValueError) as e:
+        except (ConfigError,) + ARCHIVE_FAULTS as e:
             raise FormatError(f"unreadable state file {path}: {e}") from e
         if not 0 <= store.length <= cfg.max_context:
             raise FormatError(f"state length {store.length} out of range")
@@ -327,10 +327,10 @@ class _WeightCache:
     """Dequantized, lane-padded weight matrices prepared for the tree dot
     (TreeOrderRows), plus their beat costs.
 
-    Built from the codes a row range at a time, so no whole-tensor
-    temporary exists, and once per (checkpoint, lanes): `of` hands every
-    Decoder on a checkpoint the same cache, which lives as long as the
-    checkpoint does.
+    Unpacked from each tensor's words and widened a row range at a time,
+    so no whole-tensor wide temporary exists, and built once per
+    (checkpoint, lanes): `of` hands every Decoder on a checkpoint the same
+    cache, which lives as long as the checkpoint does.
     """
 
     _shared: "weakref.WeakKeyDictionary[Checkpoint, dict[int, _WeightCache]]" = \
@@ -339,7 +339,7 @@ class _WeightCache:
     def __init__(self, ckpt: Checkpoint, lanes: int) -> None:
         self.mats: dict[str, TreeOrderRows] = {}
         self.beats_per_row: dict[str, int] = {}
-        for name, t in ckpt.tensors.items():
+        for name, t in ckpt.grouped():
             beats = row_code_beats(t.cols, t.group_size, lanes)
             mat = TreeOrderRows(t.rows, beats * lanes, lanes)
             for lo, vals in t.widened_chunks():
@@ -361,7 +361,7 @@ class _WeightCache:
 def _plain_weights(ckpt: Checkpoint, lanes: int) -> dict[str, np.ndarray]:
     """Dequantized weight matrices as lane-padded binary16 (n, L) arrays."""
     mats = {}
-    for name, t in ckpt.tensors.items():
+    for name, t in ckpt.grouped():
         deq = t.dequantized()
         mat = np.zeros((t.rows, row_code_beats(t.cols, t.group_size, lanes) * lanes),
                        dtype=np.float16)

@@ -36,46 +36,14 @@ KV_LEVELS = 255         # 8-bit codes 0..255
 # 4-bit weight groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantGroup:
-    """One quantization group: 4-bit codes plus shared (scale, zero)."""
-
-    codes: np.ndarray       # (group_size,) uint8, values 0..15
-    scale: np.float16       # positive
-    zero: int               # 0..15
-
-    def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.uint8)
-        if codes.ndim != 1 or codes.size == 0:
-            raise ShapeError(f"codes must be a non-empty vector, got shape {codes.shape}")
-        if codes.max(initial=0) > WEIGHT_LEVELS:
-            raise DomainError("codes exceed the 4-bit range")
-        if not (0 <= int(self.zero) <= WEIGHT_LEVELS):
-            raise DomainError(f"zero point {self.zero} outside 0..15")
-        if not (float(self.scale) > 0.0 and np.isfinite(self.scale)):
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "scale", np.float16(self.scale))
-        object.__setattr__(self, "zero", int(self.zero))
-
-    @property
-    def group_size(self) -> int:
-        return self.codes.shape[0]
-
-
-def dequant_group(group: QuantGroup) -> np.ndarray:
-    """Binary16 values of one group: (codes - zero) * scale.
+def dequant_codes(codes: np.ndarray, scales: np.ndarray,
+                  zeros: np.ndarray) -> np.ndarray:
+    """Group dequantization, (codes - zero) * scale: rows of codes, one
+    (scale, zero) each.
 
     (code - zero) is an exact small integer and its product with a binary16
     scale is exact in binary32, so the only rounding is the final narrowing.
     """
-    return dequant_codes(group.codes[None, :], np.float16(group.scale)[None],
-                         np.array([group.zero], dtype=np.int16))[0]
-
-
-def dequant_codes(codes: np.ndarray, scales: np.ndarray,
-                  zeros: np.ndarray) -> np.ndarray:
-    """Vectorized group dequantization: rows of codes, one (scale, zero) each."""
     codes = np.asarray(codes)
     diff = codes.astype(np.float32) - np.asarray(zeros, dtype=np.float32)[:, None]
     return (diff * np.asarray(scales, dtype=np.float32)[:, None]).astype(np.float16)
@@ -103,17 +71,6 @@ def quantize_rows(w: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarra
     q = np.rint(wide / s64[:, None]) + zeros[:, None]
     codes = np.clip(q, 0, WEIGHT_LEVELS).astype(np.uint8)
     return codes, scales.astype(np.float16), zeros
-
-
-def quant_group_rtn(w: np.ndarray, group_size: int) -> QuantGroup:
-    """Round-to-nearest quantization of one group of binary16 values."""
-    w = np.asarray(w, dtype=np.float16)
-    if w.ndim != 1:
-        raise ShapeError(f"expected a vector, got shape {w.shape}")
-    if w.shape[0] != group_size:
-        raise ShapeError(f"expected {group_size} values, got {w.shape[0]}")
-    codes, scales, zeros = quantize_rows(w[None, :], group_size)
-    return QuantGroup(codes=codes[0], scale=scales[0], zero=int(zeros[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +128,6 @@ def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, KvQuantParams]:
         raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
     codes, scales, zero_points = kv_quantize_rows(x[None])
     return codes[0], KvQuantParams(scale=scales[0], zero_point=int(zero_points[0]))
-
-
-def kv_dequantize(codes: np.ndarray, params: KvQuantParams) -> np.ndarray:
-    """x_hat[i] = (code[i] + z) * s, rounded once to binary16."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    return kv_dequantize_rows(codes[None, :], np.float16(params.scale)[None],
-                              np.array([params.zero_point], dtype=np.int16))[0]
 
 
 def kv_dequantize_rows(codes: np.ndarray, scales: np.ndarray,

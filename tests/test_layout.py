@@ -3,12 +3,19 @@
 Word-count oracle: counted per kind straight from the coverage rules
 (one ZP word per 64 groups, one SCALE word per 16, weight words rounded
 up per section), independent of the pattern builder's loop.
+
+Word oracle: digests of the words the per-section packer wrote before
+packing became one masked assignment per kind.
 """
 
+import hashlib
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beatstream import layout
 from beatstream.config import llama2_7b_config, tiny_demo_config
@@ -33,7 +40,7 @@ from beatstream.layout import (
     write_container,
 )
 from beatstream.numerics import to_half
-from beatstream.quant import KvQuantParams, quantize_rows
+from beatstream.quant import KvQuantParams, kv_quantize, quantize_rows
 
 
 def oracle_word_count(n_groups, group_size):
@@ -108,18 +115,24 @@ class TestPackUnpack:
         assert not scale_word[2:].any()
 
     def test_round_trip_bit_exact(self):
+        # group sizes 4..256; 15 of the 60 tensors span several
+        # super-blocks and end in a truncated one
         rng = np.random.default_rng(31)
+        digest = hashlib.sha256()
         for _ in range(60):
             rows = int(rng.integers(1, 40))
             cols = int(rng.integers(1, 300))
-            g = int(rng.choice([4, 16, 64, 128]))
+            g = 4 * int(rng.integers(1, 65))
             w = to_half(rng.normal(size=(rows, cols)))
             t = GroupedTensor.quantize(w, g)
-            back = unpack_stream(pack_tensor(t))
+            stream = pack_tensor(t)
+            digest.update(stream.words.tobytes())
+            back = unpack_stream(stream)
             assert np.array_equal(back.codes, t.codes)
-            assert np.array_equal(back.scales, t.scales)
+            assert np.array_equal(back.scales.view(np.uint16), t.scales.view(np.uint16))
             assert np.array_equal(back.zeros, t.zeros)
             assert (back.rows, back.cols) == (rows, cols)
+        assert digest.hexdigest()[:16] == "c4800c32a7fa0284"
 
     def test_quantize_in_chunks_matches_one_shot(self):
         # 1100 rows of 320 padded columns span two chunks, the second short
@@ -166,6 +179,29 @@ class TestPackUnpack:
         assert counts == {"ZP": 1, "SCALE": 4, "WEIGHT": 128}
 
 
+def reseal(blob: bytes) -> bytes:
+    """A container blob with its crc32 recomputed over the header and payload."""
+    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def with_header(blob: bytes, **fields) -> bytes:
+    """A resealed container blob with some header fields replaced."""
+    names = ("magic", "version", "group_size", "word_bits", "rows", "cols", "n_words")
+    header = dict(zip(names, layout._HEADER.unpack_from(blob, 0)))
+    header.update(fields)
+    return reseal(layout._HEADER.pack(*header.values()) + blob[layout._HEADER.size:])
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """A small container: its stream and its bytes."""
+    t = GroupedTensor.quantize(to_half(np.random.default_rng(4).normal(size=(3, 72))), 8)
+    stream = pack_tensor(t)
+    path = tmp_path_factory.mktemp("container") / "t.epws"
+    write_container(stream, path)
+    return stream, path.read_bytes()
+
+
 class TestContainer:
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -199,6 +235,50 @@ class TestContainer:
         with pytest.raises(FormatError):
             read_container(path)
 
+    def test_swapped_payload_bytes_detected(self, tmp_path, container):
+        # a byte sum misses reordered bytes; the crc32 does not
+        _, blob = container
+        at = layout._HEADER.size + 40
+        assert blob[at] != blob[at + 1]
+        swapped = bytearray(blob)
+        swapped[at], swapped[at + 1] = blob[at + 1], blob[at]
+        path = tmp_path / "t.epws"
+        path.write_bytes(bytes(swapped))
+        with pytest.raises(FormatError, match="checksum"):
+            read_container(path)
+
+    def test_version_1_refused(self, tmp_path, container):
+        path = tmp_path / "t.epws"
+        path.write_bytes(with_header(container[1], version=1))
+        with pytest.raises(FormatError, match="version 1"):
+            read_container(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"group_size": 0}, {"group_size": 6}, {"rows": 0}, {"cols": 0},
+        {"rows": 3 | 1 << 30},    # would ask for the pattern of ~2**30 groups
+        {"cols": 0xFFFFFFFF},
+    ], ids=str)
+    def test_header_shape_checked_before_any_pattern(self, tmp_path, container, fields):
+        path = tmp_path / "t.epws"
+        path.write_bytes(with_header(container[1], **fields))
+        with pytest.raises(FormatError, match="inconsistent"):
+            read_container(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_container_raises_format_error(self, tmp_path_factory, container, damage,
+                                                   data):
+        stream, blob = container
+        path = tmp_path_factory.getbasetemp() / "damaged.epws"
+        path.write_bytes(damage(data, blob))
+        try:
+            back = read_container(path)
+        except FormatError:
+            return
+        assert (back.rows, back.cols, back.group_size) == \
+            (stream.rows, stream.cols, stream.group_size)
+        assert np.array_equal(back.words, stream.words)
+
     def test_word_count_must_match_shape(self, tmp_path):
         t = GroupedTensor.quantize(np.ones((2, 128), dtype=np.float16), 128)
         stream = pack_tensor(t)
@@ -219,8 +299,13 @@ class TestScaleZeroPack:
         assert q.scale == p.scale and q.zero == 200
 
     def test_params_round_trip(self):
-        params = KvQuantParams(scale=np.float16(0.5), zero_point=-42)
-        assert ScaleZeroPack.from_params(params).to_params() == params
+        # a pack holds a cache row's scale and its zero point's magnitude
+        _, params = kv_quantize(to_half(np.linspace(-3.0, 5.0, 16)))
+        assert params.zero_point < 0
+        for p in (params, KvQuantParams(scale=np.float16(0.5), zero_point=-255)):
+            pack = ScaleZeroPack.decode(
+                ScaleZeroPack(scale=p.scale, zero=-p.zero_point).encode())
+            assert KvQuantParams(scale=pack.scale, zero_point=-pack.zero) == p
 
     def test_nonzero_pad_rejected(self):
         with pytest.raises(FormatError):

@@ -1,17 +1,45 @@
 """Checkpoint directory round-trip tests."""
 
+import hashlib
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beatstream.config import tiny_demo_config
-from beatstream.errors import FormatError, ShapeError
+from beatstream.errors import BeatstreamError, ConfigError, FormatError, ShapeError
+from beatstream.layout import PackedWeightStream
 from beatstream.model_io import (
+    AUX_NAME,
+    CONFIG_NAME,
     Checkpoint,
     build_demo_checkpoint,
     load_checkpoint,
     save_checkpoint,
     tensor_names,
 )
+
+
+def assert_same_checkpoint(back, ckpt):
+    assert back.config == ckpt.config
+    assert list(back.tensors) == list(ckpt.tensors)
+    for name, stream in ckpt.tensors.items():
+        assert np.array_equal(back.tensors[name].words, stream.words)
+        assert np.array_equal(back.tensors[name].kinds, stream.kinds)
+    assert np.array_equal(back.embedding.view(np.uint16), ckpt.embedding.view(np.uint16))
+    assert back.norms.keys() == ckpt.norms.keys()
+    for k, v in ckpt.norms.items():
+        assert np.array_equal(back.norms[k].view(np.uint16), v.view(np.uint16))
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """The demo checkpoint and the directory it was saved to."""
+    ckpt = build_demo_checkpoint(seed=1)
+    path = tmp_path_factory.mktemp("saved") / "m"
+    save_checkpoint(ckpt, path)
+    return ckpt, path
 
 
 def test_tensor_names_cover_model():
@@ -26,25 +54,54 @@ def test_demo_checkpoint_is_deterministic():
     a = build_demo_checkpoint(seed=3)
     b = build_demo_checkpoint(seed=3)
     for name in tensor_names(a.config):
-        assert np.array_equal(a.tensors[name].codes, b.tensors[name].codes)
-        assert np.array_equal(a.tensors[name].scales, b.tensors[name].scales)
+        assert np.array_equal(a.tensors[name].words, b.tensors[name].words)
     assert np.array_equal(a.embedding, b.embedding)
     c = build_demo_checkpoint(seed=4)
     assert not np.array_equal(a.embedding, c.embedding)
 
 
-def test_save_load_round_trip(tmp_path):
+def test_save_load_round_trip(saved):
+    ckpt, path = saved
+    back = load_checkpoint(path)
+    assert all(isinstance(t, PackedWeightStream) for t in back.tensors.values())
+    assert_same_checkpoint(back, ckpt)
+
+
+def test_demo_words_are_pinned():
+    # the packed format, at the values the per-section packer wrote
     ckpt = build_demo_checkpoint(seed=1)
-    save_checkpoint(ckpt, tmp_path / "m")
-    back = load_checkpoint(tmp_path / "m")
-    assert back.config == ckpt.config
+    digest = hashlib.sha256()
     for name in tensor_names(ckpt.config):
-        assert np.array_equal(back.tensors[name].codes, ckpt.tensors[name].codes)
-        assert np.array_equal(back.tensors[name].scales, ckpt.tensors[name].scales)
-        assert np.array_equal(back.tensors[name].zeros, ckpt.tensors[name].zeros)
-    assert np.array_equal(back.embedding, ckpt.embedding)
-    for k, v in ckpt.norms.items():
-        assert np.array_equal(back.norms[k], v)
+        digest.update(ckpt.tensors[name].words.tobytes())
+    assert digest.hexdigest().startswith("a807b92c509d95cd")
+
+
+def unbalance_first_shape(blob: bytes) -> bytes:
+    """The first npy header's shape tuple left unclosed. The embedding's
+    member is larger than one zip read, so numpy parses this header before
+    the member's CRC is checked."""
+    at = blob.index(b"), }")
+    return blob[:at] + b"(" + blob[at + 1:]
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:-30], unbalance_first_shape],
+                         ids=["truncated", "unbalanced-header"])
+def test_damaged_aux_raises_format_error(tmp_path, saved, damage):
+    path = tmp_path / "m"
+    shutil.copytree(saved[1], path)
+    aux = path / AUX_NAME
+    aux.write_bytes(damage(aux.read_bytes()))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_non_utf8_config_raises_config_error(tmp_path, saved):
+    path = tmp_path / "m"
+    shutil.copytree(saved[1], path)
+    cfg = path / CONFIG_NAME
+    cfg.write_bytes(b"\xff" + cfg.read_bytes())
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)
 
 
 def test_missing_pieces_raise(tmp_path):
@@ -53,6 +110,10 @@ def test_missing_pieces_raise(tmp_path):
     ckpt = build_demo_checkpoint(seed=1)
     save_checkpoint(ckpt, tmp_path / "m")
     (tmp_path / "m" / "layers.0.attn.k.epws").unlink()
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "m")
+    save_checkpoint(ckpt, tmp_path / "m")
+    (tmp_path / "m" / AUX_NAME).unlink()
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "m")
 
@@ -68,3 +129,30 @@ def test_validate_catches_shape_drift():
                            embedding=ckpt.embedding[:, :-1], norms=ckpt.norms)
     with pytest.raises(ShapeError):
         wrong_emb.validate()
+
+
+@pytest.mark.parametrize("victim", ["layers.1.mlp.down.epws", AUX_NAME, CONFIG_NAME])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_or_loads_equal(tmp_path_factory, saved, damage, victim, data):
+    """Truncate or xor one byte of one file: loading raises a
+    BeatstreamError, or loads the same tensors, embedding and norms. The
+    config carries no checksum, so a damaged one may load as another
+    valid config that still fits the files, or name a file that is not
+    there."""
+    ckpt, src = saved
+    path = tmp_path_factory.getbasetemp() / "damaged"
+    shutil.rmtree(path, ignore_errors=True)
+    shutil.copytree(src, path)
+    (path / victim).write_bytes(damage(data, (src / victim).read_bytes()))
+    try:
+        back = load_checkpoint(path)
+    except BeatstreamError:
+        return
+    except FileNotFoundError:
+        assert victim == CONFIG_NAME
+        return
+    if victim == CONFIG_NAME:
+        back = Checkpoint(config=ckpt.config, tensors=back.tensors,
+                          embedding=back.embedding, norms=back.norms)
+    assert_same_checkpoint(back, ckpt)

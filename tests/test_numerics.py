@@ -15,7 +15,6 @@ from beatstream.numerics import (
     TreeOrderRows,
     TrigTable,
     bit_reversed_lanes,
-    dot,
     dot_rows,
     half_bits,
     half_from_bits,
@@ -34,6 +33,11 @@ def oracle_dot(a, b):
     """Exact-rational dot of two binary16 vectors, rounded once to binary16."""
     total = math.fsum(float(x) * float(y) for x, y in zip(a, b))
     return np.float16(total)
+
+
+def dot(a, b, cfg=DotEngineConfig()):
+    """dot_rows of one row."""
+    return dot_rows(np.asarray(a)[None], b, cfg)[0]
 
 
 def oracle_tree_rows(rows, vec, lanes):
@@ -224,6 +228,10 @@ def test_dot_shape_and_alignment_errors():
     a = np.ones(128, dtype=np.float16)
     with pytest.raises(ShapeError):
         dot(a, np.ones(256, dtype=np.float16))
+    with pytest.raises(ShapeError):
+        dot_rows(a, a)
+    with pytest.raises(ShapeError):
+        dot_rows(a[None], np.ones((1, 1, 128), dtype=np.float16))
     with pytest.raises(AlignmentError):
         dot(np.ones(100, dtype=np.float16), np.ones(100, dtype=np.float16))
     with pytest.raises(AlignmentError):

@@ -14,15 +14,28 @@ from beatstream.errors import DomainError, ShapeError
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
     KvQuantParams,
-    QuantGroup,
     dequant_codes,
-    dequant_group,
-    kv_dequantize,
     kv_dequantize_rows,
     kv_quantize,
-    quant_group_rtn,
     quantize_rows,
 )
+
+
+def quant_group(vals, group_size):
+    """quantize_rows of one group: (codes, scale, zero)."""
+    codes, scales, zeros = quantize_rows(np.asarray(vals)[None, :], group_size)
+    return codes[0], scales[0], int(zeros[0])
+
+
+def dequant_group(codes, scale, zero):
+    return dequant_codes(codes[None, :], np.float16(scale)[None],
+                         np.array([zero], dtype=np.int16))[0]
+
+
+def kv_dequantize(codes, params):
+    """kv_dequantize_rows of one row."""
+    return kv_dequantize_rows(codes[None, :], np.float16(params.scale)[None],
+                              np.array([params.zero_point], dtype=np.int16))[0]
 
 
 def oracle_quant_group(vals):
@@ -43,51 +56,51 @@ def oracle_quant_group(vals):
 class TestWeightQuant:
     def test_identity_ramp(self):
         # values 0..15 are exactly representable at scale 1
-        g = quant_group_rtn(np.arange(16, dtype=np.float16), group_size=16)
-        assert float(g.scale) == 1.0
-        assert g.zero == 0
-        assert list(g.codes) == list(range(16))
-        assert np.array_equal(dequant_group(g), np.arange(16, dtype=np.float16))
+        codes, scale, zero = quant_group(np.arange(16, dtype=np.float16), 16)
+        assert float(scale) == 1.0
+        assert zero == 0
+        assert list(codes) == list(range(16))
+        assert np.array_equal(dequant_group(codes, scale, zero),
+                              np.arange(16, dtype=np.float16))
 
     def test_constant_group_exact_reconstruction(self):
-        g = quant_group_rtn(np.full(128, 3.0, dtype=np.float16), group_size=128)
-        back = dequant_group(g)
+        back = dequant_group(*quant_group(np.full(128, 3.0, dtype=np.float16), 128))
         err = np.abs(back.astype(np.float64) - 3.0)
         assert err.max() <= float(ulp16(np.float16(3.0))) / 2
         # 15 * half(0.2) rounds back to exactly 3.0
         assert np.all(back == np.float16(3.0))
 
     def test_all_zero_group_degenerates_cleanly(self):
-        g = quant_group_rtn(np.zeros(128, dtype=np.float16), group_size=128)
-        assert float(g.scale) == float(HALF_SMALLEST_NORMAL)
-        assert np.all(g.codes == g.zero)
-        assert np.all(dequant_group(g) == np.float16(0.0))
+        codes, scale, zero = quant_group(np.zeros(128, dtype=np.float16), 128)
+        assert float(scale) == float(HALF_SMALLEST_NORMAL)
+        assert np.all(codes == zero)
+        assert np.all(dequant_group(codes, scale, zero) == np.float16(0.0))
 
     def test_negative_constant(self):
-        g = quant_group_rtn(np.full(64, -3.0, dtype=np.float16), group_size=64)
-        assert g.zero == 15
-        assert np.all(g.codes == 0)
-        assert np.all(dequant_group(g) == np.float16(-3.0))
+        codes, scale, zero = quant_group(np.full(64, -3.0, dtype=np.float16), 64)
+        assert zero == 15
+        assert np.all(codes == 0)
+        assert np.all(dequant_group(codes, scale, zero) == np.float16(-3.0))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             vals = to_half(rng.normal(scale=rng.uniform(0.01, 8.0), size=32))
-            g = quant_group_rtn(vals, group_size=32)
-            codes, scale, zero = oracle_quant_group(vals)
-            assert list(g.codes) == codes
-            assert float(g.scale) == scale
-            assert g.zero == zero
+            codes, scale, zero = quant_group(vals, 32)
+            want_codes, want_scale, want_zero = oracle_quant_group(vals)
+            assert list(codes) == want_codes
+            assert float(scale) == want_scale
+            assert zero == want_zero
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         w = to_half(rng.normal(size=(64, 128)))
         codes, scales, zeros = quantize_rows(w, 128)
         for i in range(64):
-            g = quant_group_rtn(w[i], group_size=128)
-            assert np.array_equal(codes[i], g.codes)
-            assert scales[i] == g.scale
-            assert zeros[i] == g.zero
+            one_codes, scale, zero = quant_group(w[i], 128)
+            assert np.array_equal(codes[i], one_codes)
+            assert scales[i] == scale
+            assert zeros[i] == zero
 
     def test_reconstruction_bound_sweep(self):
         # |x - dq(q(x))| <= scale/2 + ulp/2 of the result, everywhere
@@ -107,29 +120,33 @@ class TestWeightQuant:
         # scaling inputs by 2**k scales the scale and leaves codes alone
         rng = np.random.default_rng(21)
         vals = to_half(rng.normal(size=128))
-        base = quant_group_rtn(vals, group_size=128)
+        base_codes, base_scale, base_zero = quant_group(vals, 128)
         for k in (-3, 2, 5):
-            g = quant_group_rtn(to_half(vals.astype(np.float64) * 2.0 ** k), 128)
-            assert np.array_equal(g.codes, base.codes)
-            assert g.zero == base.zero
-            assert float(g.scale) == float(base.scale) * 2.0 ** k
+            codes, scale, zero = quant_group(to_half(vals.astype(np.float64) * 2.0 ** k), 128)
+            assert np.array_equal(codes, base_codes)
+            assert zero == base_zero
+            assert float(scale) == float(base_scale) * 2.0 ** k
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            quant_group_rtn(np.zeros(100, dtype=np.float16), group_size=128)
+            quantize_rows(np.zeros(100, dtype=np.float16), 100)
         with pytest.raises(ShapeError):
             quantize_rows(np.zeros((4, 100), dtype=np.float16), 128)
 
     def test_group_validation(self):
-        with pytest.raises(DomainError):
-            QuantGroup(codes=np.full(16, 16, dtype=np.uint8),
-                       scale=np.float16(1.0), zero=0)
-        with pytest.raises(DomainError):
-            QuantGroup(codes=np.zeros(16, dtype=np.uint8),
-                       scale=np.float16(0.0), zero=0)
-        with pytest.raises(DomainError):
-            QuantGroup(codes=np.zeros(16, dtype=np.uint8),
-                       scale=np.float16(1.0), zero=16)
+        # every group the quantizer emits is valid: codes and zero in
+        # 0..15, a positive finite scale, across tiny, huge, one-signed
+        # and zero ranges
+        rng = np.random.default_rng(8)
+        wide = rng.normal(size=(400, 16)) * 10.0 ** rng.uniform(-8, 4.5, size=(400, 1))
+        w = to_half(np.clip(wide, -65504.0, 65504.0))
+        w[::7] = np.abs(w[::7])
+        w[1::7] = -np.abs(w[1::7])
+        w[2::7] = 0
+        w[3::7, 0] = np.float16(65504.0)
+        codes, scales, zeros = quantize_rows(w, 16)
+        assert codes.max() <= 15 and zeros.max() <= 15
+        assert np.all(np.isfinite(scales)) and np.all(scales > 0)
 
 
 class TestKvQuant:
