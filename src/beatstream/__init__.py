@@ -4,7 +4,7 @@ Library layout:
 
 - numerics: binary16 contract, lane-blocked dot engine, quarter-wave trig
 - quant: 4-bit group weight quantization and the 8-bit KV cache codec
-- layout: packed weight stream words, scale-zero FIFO, memory map, containers
+- layout: packed weight stream words, containers, scale-zero records, memory map
 - ops: streaming operators (rope, rmsnorm, softmax, silu-gate)
 - pipeline: fused decoder (a layer's heads at once), reference decoder, stage schedule
 - perf: roofline peaks, utilization, transaction-level bus simulation

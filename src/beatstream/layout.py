@@ -1,5 +1,5 @@
-"""Bus-aligned packed weight stream, scale-zero FIFO, container files, and
-the DDR memory map.
+"""Bus-aligned packed weight stream, container files, the KV cache's
+scale-zero side channel, and the DDR memory map.
 
 Stream format
 -------------
@@ -40,6 +40,19 @@ Container file
     payload      n_words * 32 bytes
     u32          checksum: zlib.crc32 of the header and the payload
 All integers little-endian. Version 1 (a byte-sum checksum) is refused.
+
+Scale-zero side channel
+-----------------------
+Each cached KV row has one 32-bit record beside its codes:
+
+    u16     binary16 scale, little-endian
+    u8      zero magnitude: -zero_point, 0..255
+    u8      pad, always zero
+
+Every (layer, head, K/V) stream collects its records in token order and
+writes them to DDR one 64-byte beat at a time: one beat per stream per 16
+committed rows. The records live in the KV cache's scale and zero arrays,
+so the beats written so far follow from the cache length alone.
 """
 
 from __future__ import annotations
@@ -295,9 +308,6 @@ class PackedWeightStream:
     def n_groups(self) -> int:
         return self.rows * -(-self.cols // self.group_size)
 
-    def kind_counts(self) -> dict[str, int]:
-        return {KIND_NAMES[k]: int(np.sum(self.kinds == k)) for k in KIND_NAMES}
-
 
 def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:
     """values, zero-padded to fill whole words of per_word values: one row
@@ -389,99 +399,11 @@ def read_container(path: str | Path) -> PackedWeightStream:
 
 
 # ---------------------------------------------------------------------------
-# scale-zero packs and FIFO
+# scale-zero side channel
 # ---------------------------------------------------------------------------
 
 SZ_PACK_BYTES = 4
-
-
-@dataclass(frozen=True)
-class ScaleZeroPack:
-    """32-bit cache side-channel record: binary16 scale, 8-bit zero
-    magnitude (-zero_point), 8 bits of mandatory zero padding."""
-
-    scale: np.float16
-    zero: int
-    pad: int = 0
-
-    def __post_init__(self) -> None:
-        if not (0 <= int(self.zero) <= 0xFF):
-            raise FormatError(f"zero byte {self.zero} outside 0..255")
-        if int(self.pad) != 0:
-            raise FormatError("pad byte must be zero")
-        object.__setattr__(self, "scale", np.float16(self.scale))
-        object.__setattr__(self, "zero", int(self.zero))
-
-    def encode(self) -> bytes:
-        return struct.pack("<HBB", int(half_bits(self.scale)), self.zero, 0)
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "ScaleZeroPack":
-        if len(blob) != SZ_PACK_BYTES:
-            raise FormatError(f"pack must be {SZ_PACK_BYTES} bytes, got {len(blob)}")
-        bits, zero, pad = struct.unpack("<HBB", blob)
-        if pad != 0:
-            raise FormatError("pad byte must be zero")
-        return cls(scale=half_from_bits(np.uint16(bits)), zero=zero)
-
-
-class SzFifo:
-    """Per-stream accumulators of scale-zero packs, one bus beat deep.
-
-    Streams are addressed by (layer, head, kv) with kv 0 for keys and 1 for
-    values. Each stream's element collects beat_bits/32 packs in token
-    order; the push that fills the final slot returns the assembled beat
-    (and empties the element) — nothing is emitted on any other push.
-    """
-
-    def __init__(self, n_layers: int, n_heads: int,
-                 geom: BusGeometry = BusGeometry()) -> None:
-        if n_layers <= 0 or n_heads <= 0:
-            raise ConfigError("n_layers and n_heads must be positive")
-        self.packs_per_element = geom.beat_bits // (8 * SZ_PACK_BYTES)
-        self.n_layers = n_layers
-        self.n_heads = n_heads
-        self._elements: dict[tuple[int, int, int], bytearray] = {
-            (l, h, kv): bytearray()
-            for l in range(n_layers) for h in range(n_heads) for kv in (0, 1)
-        }
-        self.pushed = 0
-        self.flushed_beats = 0
-
-    @property
-    def element_count(self) -> int:
-        return len(self._elements)
-
-    def _element(self, stream_id: tuple[int, int, int]) -> bytearray:
-        try:
-            return self._elements[stream_id]
-        except KeyError:
-            raise KeyError(f"unknown stream id {stream_id!r}") from None
-
-    def fill_count(self, stream_id: tuple[int, int, int]) -> int:
-        return len(self._element(stream_id)) // SZ_PACK_BYTES
-
-    def push(self, stream_id: tuple[int, int, int], pack: ScaleZeroPack) -> bytes | None:
-        """Append one pack; returns the flushed beat when the element fills."""
-        elem = self._element(stream_id)
-        elem += pack.encode()
-        self.pushed += 1
-        if len(elem) == self.packs_per_element * SZ_PACK_BYTES:
-            beat = bytes(elem)
-            elem.clear()
-            self.flushed_beats += 1
-            return beat
-        return None
-
-    def residual_packs(self) -> int:
-        return sum(len(e) // SZ_PACK_BYTES for e in self._elements.values())
-
-    @staticmethod
-    def parse_beat(beat: bytes) -> list[ScaleZeroPack]:
-        if len(beat) % SZ_PACK_BYTES != 0:
-            raise FormatError("beat length is not a whole number of packs")
-        return [ScaleZeroPack.decode(beat[i:i + SZ_PACK_BYTES])
-                for i in range(0, len(beat), SZ_PACK_BYTES)]
+SZ_PACKS_PER_BEAT = BusGeometry().beat_bits // (8 * SZ_PACK_BYTES)   # 16
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,23 @@ from .layout import (GroupedTensor, PackedWeightStream, pack_tensor, read_contai
 AUX_NAME = "aux.npz"
 CONFIG_NAME = "config.json"
 
-# What np.load raises on a damaged archive. A member larger than one zip
-# read has its npy header parsed before its CRC is checked, hence the
-# tokenizer and parser errors; a flipped compression method asks for lzma.
+# What reading a damaged npz archive raises: zipfile's errors, the npy
+# header parser's tokenizer and syntax errors, and lzma's when a flipped
+# compression method asks for it.
 ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
                   RuntimeError, TypeError, ValueError, SyntaxError, tokenize.TokenError,
                   lzma.LZMAError)
+
+
+def load_npz(data: bytes):
+    """np.load of an npz archive's bytes once every member passes its CRC.
+    np.load alone checks a member's CRC only on reading it to its end, so
+    a damaged npy header length would shift the member's data unnoticed."""
+    with zipfile.ZipFile(io.BytesIO(data)) as z:
+        if (bad := z.testzip()) is not None:
+            raise zipfile.BadZipFile(f"member {bad} fails its CRC")
+    return np.load(io.BytesIO(data))
+
 
 LAYER_TENSORS = ("attn.q", "attn.k", "attn.v", "attn.o",
                  "mlp.gate", "mlp.up", "mlp.down")
@@ -137,7 +148,7 @@ def load_checkpoint(dirpath: str | Path) -> Checkpoint:
     aux_path = d / AUX_NAME
     data = aux_path.read_bytes()    # outside the try: a missing file stays FileNotFoundError
     try:
-        with np.load(io.BytesIO(data)) as aux:
+        with load_npz(data) as aux:
             embedding = aux["embedding"]
             norms = {k[len("norm."):]: aux[k] for k in aux.files if k.startswith("norm.")}
     except ARCHIVE_FAULTS as e:

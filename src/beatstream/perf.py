@@ -25,7 +25,7 @@ from importlib import resources
 
 from .config import ModelConfig
 from .errors import ConfigError
-from .layout import SZ_PACK_BYTES, BusGeometry, tensor_stream_words
+from .layout import SZ_PACK_BYTES, SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
 from .model_io import tensor_names, tensor_shape
 
 COUNTING_MODES = ("total_params", "non_embedding", "packed_exact")
@@ -162,19 +162,17 @@ class BusModel:
         beats = sum(requests)
         return beats / self.stream_cycles(requests)
 
-    def effective_bandwidth_bytes_per_s(self, requests) -> float:
-        return self.stream_utilization(requests) * self.geom.bandwidth_bytes_per_s
 
-
-def token_burst_schedule(cfg: ModelConfig, position: int,
-                         geom: BusGeometry | None = None) -> list[int]:
-    """DMA request sizes, in bus beats, for one decode step.
+def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
+    """DMA request sizes, in bus beats, for one decode step on the default
+    BusGeometry.
 
     One request per weight container, per cached head-history read, per
-    new KV row write, plus the embedding row, the norm gains, and the
-    scale-zero flush beats on every sixteenth token.
+    new KV row write, plus the embedding row, the norm gains, and one
+    scale-zero beat per stream whenever the step commits a multiple of
+    SZ_PACKS_PER_BEAT rows.
     """
-    geom = geom or BusGeometry()
+    geom = BusGeometry()
     bb = geom.beat_bytes
     reqs: list[int] = [-(-cfg.d_model * 2 // bb)]  # embedding row
     gains = -(-cfg.d_model * 2 // bb)
@@ -188,6 +186,6 @@ def token_burst_schedule(cfg: ModelConfig, position: int,
         if hist:
             reqs.extend([-(-hist // bb)] * (cfg.n_heads * 2))   # history reads
         reqs.extend([-(-cfg.d_model // bb)] * 2)                # new k, v rows
-        if (position + 1) % 16 == 0:
+        if (position + 1) % SZ_PACKS_PER_BEAT == 0:
             reqs.extend([1] * (cfg.n_heads * 2))                # scale-zero flush
     return reqs

@@ -12,6 +12,11 @@ Two decode paths share every arithmetic primitive:
 Both quantize the KV cache identically, so their logits must agree bit
 for bit at every step; that equivalence is the core regression test.
 
+A decoder's only state is its KV cache, whose per-row scales and zero
+points are the records of the scale-zero side channel (see layout). The
+beats that channel has written follow from the cache length, so a saved
+cache resumes a decoder exactly.
+
 Both decoders prepare their weight operands from the checkpoint's packed
 word streams, unpacking each stream once. The fused decoder reads its
 weights as TreeOrderRows operands: each projection is dequantized, widened
@@ -28,7 +33,6 @@ config and the position without touching any numerics.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import weakref
 from dataclasses import dataclass
@@ -38,8 +42,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
-from .layout import BusGeometry, ScaleZeroPack, SzFifo
-from .model_io import ARCHIVE_FAULTS, Checkpoint
+from .layout import SZ_PACKS_PER_BEAT
+from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import DotEngineConfig, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
@@ -298,7 +302,7 @@ class KVCacheStore:
         """Read a snapshot written by save; any damage raises FormatError."""
         data = Path(path).read_bytes()
         try:
-            with np.load(io.BytesIO(data)) as z:
+            with load_npz(data) as z:
                 if int(z["version"]) != STATE_VERSION:
                     raise FormatError(f"unsupported state version {int(z['version'])}")
                 stored = ModelConfig.from_json_str(str(z["config"]), origin="state file")
@@ -371,10 +375,10 @@ def _plain_weights(ckpt: Checkpoint, lanes: int) -> dict[str, np.ndarray]:
 
 
 class Decoder:
-    """Fused streaming decode with the scale-zero FIFO and carried norm state."""
+    """Fused streaming decode with carried norm state. The KV cache is its
+    whole state: a snapshot of `kv` resumes it exactly."""
 
-    def __init__(self, ckpt: Checkpoint, geom: BusGeometry | None = None,
-                 engine: DotEngineConfig | None = None) -> None:
+    def __init__(self, ckpt: Checkpoint, engine: DotEngineConfig | None = None) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
@@ -384,12 +388,12 @@ class Decoder:
             freq_divisor=self.cfg.rope_freq_divisor)
         self.weights = _WeightCache.of(ckpt, self.engine.lanes)
         self.kv = KVCacheStore(self.cfg)
-        self.fifo = SzFifo(self.cfg.n_layers, self.cfg.n_heads,
-                           geom or BusGeometry())
 
     @property
     def flushed_sz_beats(self) -> int:
-        return self.fifo.flushed_beats
+        """Scale-zero beats written so far: one per (layer, head, K/V)
+        stream for every SZ_PACKS_PER_BEAT committed rows."""
+        return 2 * self.cfg.n_layers * self.cfg.n_heads * (self.kv.length // SZ_PACKS_PER_BEAT)
 
     def _dot(self, name: str, vec: np.ndarray) -> np.ndarray:
         return dot_rows(self.weights.mats[name], vec, self.engine)
@@ -397,16 +401,14 @@ class Decoder:
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
         """Decode one token: its logits and the schedule of the step.
 
-        The KV rows and scale-zero packs of the token are published only
-        after every layer has run, so a step that raises leaves the
-        decoder as it was.
+        The token's KV rows are published only after every layer has run,
+        so a step that raises leaves the decoder as it was.
         """
         cfg = self.cfg
         if not 0 <= token < cfg.vocab_size:
             raise ShapeError(f"token {token} outside vocabulary 0..{cfg.vocab_size - 1}")
         t = self.kv.begin_token()
         heads, hd, lanes = cfg.n_heads, cfg.head_dim, self.engine.lanes
-        packs: list[tuple[tuple[int, int, int], ScaleZeroPack]] = []
 
         x = self.ckpt.embedding[token].copy()
         carry = rms_sumsq(x)
@@ -440,11 +442,8 @@ class Decoder:
             head_out = mix_rows(probs, values).reshape(cfg.d_model)
 
             codes, scales, zero_points = kv_quantize_rows(np.concatenate([k, v]))
-            scales, zero_points = scales.reshape(2, heads), zero_points.reshape(2, heads)
-            self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales, zero_points)
-            packs += [((layer, head, which), ScaleZeroPack(scale=scales[which, head],
-                                                           zero=-int(zero_points[which, head])))
-                      for which, head in np.ndindex(2, heads)]
+            self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
+                                zero_points.reshape(2, heads))
 
             o = self._dot(pre + "attn.o", pad_to_lanes(head_out, lanes))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
@@ -463,8 +462,6 @@ class Decoder:
         h_final = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps,
                           precomputed_sq=carry)
         logits = self._dot("lm_head", pad_to_lanes(h_final, lanes))
-        for stream, pack in packs:
-            self.fifo.push(stream, pack)
         self.kv.commit()
         return logits, schedule_token(cfg, t, lanes=self.engine.lanes)
 
@@ -548,14 +545,6 @@ class DecodeResult:
     logits: np.ndarray
     traces: list[TokenTrace]
     steps: int
-
-    @property
-    def stall_cycles(self) -> int:
-        return sum(tr.stall_cycles for tr in self.traces)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(tr.makespan for tr in self.traces)
 
 
 def _check_agreement(step: int, fused: np.ndarray, ref: np.ndarray) -> None:

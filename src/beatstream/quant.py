@@ -82,7 +82,7 @@ class KvQuantParams:
     """Per-vector cache parameters: binary16 scale and zero point z <= 0.
 
     z = ceil(min/s) with the range extended through zero, so z is always in
-    -255..0; the packed byte in a scale-zero pack stores the magnitude -z.
+    -255..0; the zero byte of its scale-zero record stores the magnitude -z.
     """
 
     scale: np.float16

@@ -1,4 +1,4 @@
-"""Stream layout, container, FIFO, and memory map tests.
+"""Stream layout, container, and memory map tests.
 
 Word-count oracle: counted per kind straight from the coverage rules
 (one ZP word per 64 groups, one SCALE word per 16, weight words rounded
@@ -26,8 +26,6 @@ from beatstream.layout import (
     KIND_ZP,
     BusGeometry,
     GroupedTensor,
-    ScaleZeroPack,
-    SzFifo,
     beat_kind_pattern,
     pack_nibbles,
     pack_tensor,
@@ -40,7 +38,7 @@ from beatstream.layout import (
     write_container,
 )
 from beatstream.numerics import to_half
-from beatstream.quant import KvQuantParams, kv_quantize, quantize_rows
+from beatstream.quant import quantize_rows
 
 
 def oracle_word_count(n_groups, group_size):
@@ -173,11 +171,6 @@ class TestPackUnpack:
         with pytest.raises(FormatError, match=r"word 2 "):
             unpack_stream(bad)
 
-    def test_kind_counts(self):
-        t = GroupedTensor.quantize(np.zeros((1, 8192), dtype=np.float16), 128)
-        counts = pack_tensor(t).kind_counts()
-        assert counts == {"ZP": 1, "SCALE": 4, "WEIGHT": 128}
-
 
 def reseal(blob: bytes) -> bytes:
     """A container blob with its crc32 recomputed over the header and payload."""
@@ -290,98 +283,13 @@ class TestContainer:
             read_container(path)
 
 
-class TestScaleZeroPack:
-    def test_codec(self):
-        p = ScaleZeroPack(scale=np.float16(0.125), zero=200)
-        blob = p.encode()
-        assert len(blob) == 4 and blob[3] == 0
-        q = ScaleZeroPack.decode(blob)
-        assert q.scale == p.scale and q.zero == 200
-
-    def test_params_round_trip(self):
-        # a pack holds a cache row's scale and its zero point's magnitude
-        _, params = kv_quantize(to_half(np.linspace(-3.0, 5.0, 16)))
-        assert params.zero_point < 0
-        for p in (params, KvQuantParams(scale=np.float16(0.5), zero_point=-255)):
-            pack = ScaleZeroPack.decode(
-                ScaleZeroPack(scale=p.scale, zero=-p.zero_point).encode())
-            assert KvQuantParams(scale=pack.scale, zero_point=-pack.zero) == p
-
-    def test_nonzero_pad_rejected(self):
-        with pytest.raises(FormatError):
-            ScaleZeroPack.decode(b"\x00\x3c\x01\x07")
-        with pytest.raises(FormatError):
-            ScaleZeroPack(scale=np.float16(1.0), zero=0, pad=1)
-
-
-class TestSzFifo:
-    def geom(self):
-        return BusGeometry()
-
-    def test_element_count_and_capacity(self):
-        f = SzFifo(4, 8, self.geom())
-        assert f.element_count == 4 * 8 * 2
-        assert f.packs_per_element == 16
-
-    def test_flushes_exactly_on_sixteenth(self):
-        f = SzFifo(1, 1)
-        sid = (0, 0, 0)
-        for i in range(15):
-            assert f.push(sid, ScaleZeroPack(np.float16(i + 1), i)) is None
-            assert f.fill_count(sid) == i + 1
-        beat = f.push(sid, ScaleZeroPack(np.float16(16), 15))
-        assert beat is not None and len(beat) == 64
-        assert f.fill_count(sid) == 0
-
-    def test_flushed_beat_preserves_order(self):
-        f = SzFifo(1, 1)
-        packs = [ScaleZeroPack(np.float16(0.5 * (i + 1)), 255 - i) for i in range(16)]
-        beat = None
-        for p in packs:
-            beat = f.push((0, 0, 1), p)
-        parsed = SzFifo.parse_beat(beat)
-        assert parsed == packs
-
-    def test_streams_are_independent(self):
-        f = SzFifo(2, 2)
-        # interleave pushes across streams; flush order must follow each
-        # stream's own fill count, not global push order
-        oracle = {sid: 0 for sid in [(l, h, kv) for l in range(2)
-                                     for h in range(2) for kv in (0, 1)]}
-        rng = np.random.default_rng(55)
-        flushed = []
-        for _ in range(500):
-            sid = list(oracle)[int(rng.integers(0, len(oracle)))]
-            out = f.push(sid, ScaleZeroPack(np.float16(1.0), 0))
-            oracle[sid] += 1
-            if oracle[sid] % 16 == 0:
-                assert out is not None
-                flushed.append(sid)
-            else:
-                assert out is None
-        assert f.pushed == 500
-        assert f.flushed_beats == len(flushed)
-
-    def test_conservation(self):
-        f = SzFifo(1, 3)
-        rng = np.random.default_rng(8)
-        for _ in range(333):
-            sid = (0, int(rng.integers(0, 3)), int(rng.integers(0, 2)))
-            f.push(sid, ScaleZeroPack(np.float16(2.0), 1))
-        assert f.pushed == f.flushed_beats * 16 + f.residual_packs()
-
-    def test_unknown_stream(self):
-        f = SzFifo(1, 1)
-        with pytest.raises(KeyError):
-            f.push((0, 1, 0), ScaleZeroPack(np.float16(1.0), 0))
-
-
 class TestBusGeometry:
     def test_defaults(self):
         g = BusGeometry()
         assert g.beat_bytes == 64
         assert g.words_per_beat == 2
         assert g.bandwidth_bytes_per_s == pytest.approx(19.2e9)
+        assert layout.SZ_PACKS_PER_BEAT == 16
 
     def test_port_sum_invariant(self):
         with pytest.raises(ConfigError):

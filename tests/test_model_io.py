@@ -78,14 +78,24 @@ def test_demo_words_are_pinned():
 
 def unbalance_first_shape(blob: bytes) -> bytes:
     """The first npy header's shape tuple left unclosed. The embedding's
-    member is larger than one zip read, so numpy parses this header before
-    the member's CRC is checked."""
+    member is larger than one zip read, so np.load alone parses this header
+    before it checks the member's CRC."""
     at = blob.index(b"), }")
     return blob[:at] + b"(" + blob[at + 1:]
 
 
-@pytest.mark.parametrize("damage", [lambda b: b[:-30], unbalance_first_shape],
-                         ids=["truncated", "unbalanced-header"])
+def shorten_first_header(blob: bytes) -> bytes:
+    """The first npy header's length two bytes short. The header still
+    parses (it loses two bytes of padding), so np.load alone reads the
+    embedding two bytes early and, stopping short of the member's end,
+    never checks its CRC."""
+    at = blob.index(b"\x93NUMPY\x01\x00") + 8
+    return blob[:at] + bytes([blob[at] - 2]) + blob[at + 1:]
+
+
+@pytest.mark.parametrize("damage", [lambda b: b[:-30], unbalance_first_shape,
+                                    shorten_first_header],
+                         ids=["truncated", "unbalanced-header", "short-header"])
 def test_damaged_aux_raises_format_error(tmp_path, saved, damage):
     path = tmp_path / "m"
     shutil.copytree(saved[1], path)

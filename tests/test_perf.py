@@ -13,6 +13,7 @@ from beatstream.perf import (
     peak_tokens_per_s,
     token_burst_schedule,
 )
+from beatstream.pipeline import Decoder
 
 CATALOG = [row for rows in load_device_catalog().values() for row in rows]
 
@@ -47,12 +48,19 @@ def test_request_pays_setup_per_burst():
     assert BusModel(burst_setup_cycles=16).request_cycles(300) == 332
 
 
-def test_scale_zero_flush_only_every_sixteenth_token():
+def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
     # past position 0 the request count varies only by the flush beats:
-    # one single-beat request per (layer, head, k/v) stream
-    cfg = tiny_demo_config()
+    # one single-beat request per (layer, head, k/v) stream. Their running
+    # sum is the decoder's count of flushed beats after every step.
+    cfg = demo_ckpt.config
     streams = cfg.n_layers * cfg.n_heads * 2
     base = len(token_burst_schedule(cfg, 1))
-    for position in range(1, cfg.max_context):
-        extra = len(token_burst_schedule(cfg, position)) - base
-        assert extra == (streams if (position + 1) % 16 == 0 else 0)
+    dec = Decoder(demo_ckpt)
+    flushed = 0
+    for position in range(cfg.max_context):
+        dec.step(position % cfg.vocab_size)
+        if position:
+            extra = len(token_burst_schedule(cfg, position)) - base
+            assert extra == (streams if (position + 1) % 16 == 0 else 0)
+            flushed += extra
+        assert dec.flushed_sz_beats == flushed

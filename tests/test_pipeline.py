@@ -2,7 +2,10 @@
 the stage schedule, and sequence-level behavior."""
 
 import gc
+import io
+import struct
 import weakref
+import zipfile
 
 import numpy as np
 import pytest
@@ -67,22 +70,41 @@ class TestMixRows:
             mix_rows(np.ones(3, dtype=np.float16), np.ones((2, 4), dtype=np.float16))
 
 
+def archive_header_spans(blob: bytes) -> list[tuple[int, int]]:
+    """(start, end) byte ranges of an npz archive's headers: each member's
+    zip local header with its npy header, and the central directory."""
+    spans, data_end = [], 0
+    with zipfile.ZipFile(io.BytesIO(blob)) as z:
+        for info in z.infolist():
+            at = info.header_offset
+            name_len, extra_len = struct.unpack_from("<HH", blob, at + 26)
+            data = at + 30 + name_len + extra_len
+            assert blob[data:data + 8] == b"\x93NUMPY\x01\x00"   # npy format 1.0
+            (npy_len,) = struct.unpack_from("<H", blob, data + 8)
+            spans.append((at, data + 10 + npy_len))
+            data_end = max(data_end, data + info.compress_size)
+    spans.append((data_end, len(blob)))
+    return spans
+
+
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
-    """A small saved KV store: its config, the store, and the file."""
-    cfg = tiny_demo_config(max_context=2)
+    """A saved KV store whose code array fills more than one zip read: its
+    config, the store, the file, and the file's header spans."""
+    cfg = tiny_demo_config(max_context=64)
     store = KVCacheStore(cfg)
     rng = np.random.default_rng(5)
-    store.begin_token()
-    for layer in range(cfg.n_layers):
-        for head in range(cfg.n_heads):
-            for which in (0, 1):
-                codes, params = kv_quantize(to_half(rng.normal(size=cfg.head_dim)))
-                store.write(layer, head, which, codes, params)
-    store.commit()
+    for _ in range(3):
+        store.begin_token()
+        for layer in range(cfg.n_layers):
+            for head in range(cfg.n_heads):
+                for which in (0, 1):
+                    codes, params = kv_quantize(to_half(rng.normal(size=cfg.head_dim)))
+                    store.write(layer, head, which, codes, params)
+        store.commit()
     path = tmp_path_factory.mktemp("snapshot") / "state.npz"
     store.save(path)
-    return cfg, store, path
+    return cfg, store, path, archive_header_spans(path.read_bytes())
 
 
 class TestKVCacheStore:
@@ -170,23 +192,27 @@ class TestKVCacheStore:
             KVCacheStore.load(path, cfg)
 
     def test_snapshot_header_damage_raises_format_error(self, tmp_path):
-        # the codes fill more than one zip read, so numpy parses their npy
-        # header before the member's CRC is checked
+        # the codes fill more than one zip read, so np.load alone parses
+        # their npy header before it checks the member's CRC: an unclosed
+        # shape tuple, and a header length two bytes short, which still
+        # parses and would read the codes two bytes early
         cfg = tiny_demo_config(max_context=64)
         path = tmp_path / "state.npz"
         KVCacheStore(cfg).save(path)
         blob = path.read_bytes()
-        at = blob.index(b"64, 16), }") + len(b"64, 16")
-        path.write_bytes(blob[:at] + b"(" + blob[at + 1:])
-        with pytest.raises(FormatError):
-            KVCacheStore.load(path, cfg)
+        shape = blob.index(b"64, 16), }") + len(b"64, 16")
+        length = blob.index(b"\x93NUMPY\x01\x00v\x00{'descr': '|u1'") + 8
+        for at, byte in ((shape, b"("), (length, b"t")):
+            path.write_bytes(blob[:at] + byte + blob[at + 1:])
+            with pytest.raises(FormatError):
+                KVCacheStore.load(path, cfg)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_damaged_snapshot_raises_format_error(self, snapshot, damage, data):
-        cfg, original, path = snapshot
+        cfg, original, path, spans = snapshot
         damaged_path = path.with_name("damaged.npz")
-        damaged_path.write_bytes(damage(data, path.read_bytes()))
+        damaged_path.write_bytes(damage(data, path.read_bytes(), spans))
         try:
             back = KVCacheStore.load(damaged_path, cfg)
         except FormatError:
@@ -448,38 +474,40 @@ class TestRunDecode:
         with pytest.raises(ShapeError):
             dec.step(demo_ckpt.config.vocab_size)
 
-    def test_fifo_accounting(self, demo_ckpt):
+    def test_scale_zero_beats_follow_cache_length(self, demo_ckpt):
         cfg = demo_ckpt.config
+        streams = cfg.n_layers * cfg.n_heads * 2
         dec = Decoder(demo_ckpt)
         for i in range(20):
             dec.step(i % cfg.vocab_size)
-        streams = cfg.n_layers * cfg.n_heads * 2
-        assert dec.fifo.pushed == 20 * streams
-        assert dec.fifo.flushed_beats == streams  # one flush per stream at 16
-        assert dec.fifo.residual_packs() == 4 * streams
-        assert dec.flushed_sz_beats == streams
+            assert dec.kv.length == i + 1
+            # one beat per stream once the sixteenth row is committed
+            assert dec.flushed_sz_beats == (streams if i >= 15 else 0)
 
     def test_snapshot_resume(self, demo_ckpt, tmp_path):
+        # resumed at position 10, both decoders cross the position-15 flush
         a = Decoder(demo_ckpt)
-        for tok in (1, 2, 3, 4, 5, 6):
+        for tok in range(1, 11):
             a.step(tok)
         path = tmp_path / "kv.npz"
         a.kv.save(path)
         b = Decoder(demo_ckpt)
         b.kv = KVCacheStore.load(path, demo_ckpt.config)
-        la, _ = a.step(7)
-        lb, _ = b.step(7)
-        assert np.array_equal(la, lb)
+        assert b.flushed_sz_beats == a.flushed_sz_beats
+        for tok in range(11, 21):
+            la, ta = a.step(tok)
+            lb, tb = b.step(tok)
+            assert np.array_equal(la, lb)
+            assert ta == tb
+            assert a.flushed_sz_beats == b.flushed_sz_beats
+        assert a.kv.length == 20 and a.flushed_sz_beats > 0
 
     def test_failed_step_leaves_no_trace(self, demo_ckpt, monkeypatch):
-        cfg = demo_ckpt.config
-        streams = [(l, h, w) for l in range(cfg.n_layers) for h in range(cfg.n_heads)
-                   for w in (0, 1)]
+        # the failing step would commit the sixteenth row and flush
         a = Decoder(demo_ckpt)
-        for tok in (1, 2, 3):
+        for tok in range(15):
             a.step(tok)
-        pushed, length = a.fifo.pushed, a.kv.length
-        fills = [a.fifo.fill_count(s) for s in streams]
+        assert a.kv.length == 15 and a.flushed_sz_beats == 0
 
         silu = pipeline.silu_gate
         calls = []
@@ -492,14 +520,15 @@ class TestRunDecode:
 
         monkeypatch.setattr(pipeline, "silu_gate", fail_once)
         with pytest.raises(DomainError):
-            a.step(4)
-        assert a.fifo.pushed == pushed
-        assert [a.fifo.fill_count(s) for s in streams] == fills
-        assert a.kv.length == length
+            a.step(15)
+        assert a.kv.length == 15 and a.flushed_sz_beats == 0
 
-        la, _ = a.step(4)
+        la, _ = a.step(15)
         b = Decoder(demo_ckpt)
-        for tok in (1, 2, 3, 4):
+        for tok in range(16):
             lb, _ = b.step(tok)
         assert np.array_equal(la, lb)
-        assert vars(a.fifo) == vars(b.fifo)
+        assert a.kv.length == b.kv.length == 16
+        assert a.flushed_sz_beats == b.flushed_sz_beats > 0
+        for name in ("codes", "scales", "zeros"):
+            assert np.array_equal(getattr(a.kv, name), getattr(b.kv, name))
