@@ -2,12 +2,12 @@
 
 Library layout:
 
-- numerics: binary16 contract, lane-blocked dot engine, quarter-wave trig
+- numerics: binary16 contract, the 128-lane tree dot engine, quarter-wave trig
 - quant: 4-bit group weight quantization and the 8-bit KV cache codec
-- layout: packed weight stream words, containers, scale-zero records, memory map
+- layout: packed weight stream words, containers, scale-zero records, DDR memory map
 - ops: streaming operators (rope, rmsnorm, softmax, silu-gate)
 - pipeline: fused decoder (a layer's heads at once), reference decoder, stage schedule
-- perf: roofline peaks, utilization, transaction-level bus simulation
+- perf: bytes per token (two counting modes), roofline peaks, burst-level bus model
 """
 
 __version__ = "0.1.0"

@@ -30,7 +30,9 @@ format words per cycle, which is what feeds the 128-lane dot engine its
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
 tensor's last word of that kind; packing and unpacking are one masked
-assignment per kind.
+assignment per kind. A stream stores only its words: their kinds follow
+from the tensor's shape (beat_kind_pattern), so a reader checks just the
+word count against that law.
 
 Container file
 --------------
@@ -53,13 +55,20 @@ Every (layer, head, K/V) stream collects its records in token order and
 writes them to DDR one 64-byte beat at a time: one beat per stream per 16
 committed rows. The records live in the KV cache's scale and zero arrays,
 so the beats written so far follow from the cache length alone.
+
+Memory map
+----------
+The embedding, the norm gains, every layer's weight containers, the
+output head and each layer's KV codes and scale-zero records for
+cfg.max_context rows are placed high address half first, each aligned to
+one bus beat; the low half ends with a reserved firmware span.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +87,6 @@ GROUPS_PER_SCALE_WORD = 16
 GROUPS_PER_ZP_WORD = 64
 
 KIND_ZP, KIND_SCALE, KIND_WEIGHT = 0, 1, 2
-KIND_NAMES = {KIND_ZP: "ZP", KIND_SCALE: "SCALE", KIND_WEIGHT: "WEIGHT"}
 
 CONTAINER_MAGIC = b"EPWS"
 CONTAINER_VERSION = 2
@@ -297,8 +305,7 @@ class PackedWeightStream:
     rows: int
     cols: int
     group_size: int
-    words: np.ndarray    # (n_words, 32) uint8
-    kinds: np.ndarray    # (n_words,) uint8
+    words: np.ndarray    # (n_words, 32) uint8; word kinds follow beat_kind_pattern
 
     @property
     def n_words(self) -> int:
@@ -327,26 +334,21 @@ def pack_tensor(tensor: GroupedTensor) -> PackedWeightStream:
     words[kinds == KIND_SCALE] = _whole_words(scale_bits, SCALES_PER_WORD).view(np.uint8)
     words[kinds == KIND_WEIGHT] = pack_nibbles(_whole_words(tensor.codes, WEIGHTS_PER_WORD))
     return PackedWeightStream(rows=tensor.rows, cols=tensor.cols, group_size=tensor.group_size,
-                              words=words, kinds=kinds)
+                              words=words)
 
 
 def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
-    """Invert pack_tensor; validates the word-kind law position by position."""
+    """Invert pack_tensor; a word count other than the layout law's raises
+    FormatError."""
     g, n = stream.group_size, stream.n_groups
-    expected = beat_kind_pattern(n, g)
-    if stream.kinds.shape != expected.shape:
+    kinds = beat_kind_pattern(n, g)
+    if stream.n_words != kinds.size:
         raise FormatError(
-            f"stream has {stream.kinds.size} words, the layout law requires {expected.size}")
-    mismatch = np.nonzero(stream.kinds != expected)[0]
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise FormatError(
-            f"word {i} has kind {KIND_NAMES.get(int(stream.kinds[i]), '?')}, "
-            f"expected {KIND_NAMES[int(expected[i])]}")
+            f"stream has {stream.n_words} words, the layout law requires {kinds.size}")
     words = stream.words
-    zeros = unpack_nibbles(words[expected == KIND_ZP])[:n]
-    scales = half_from_bits(words[expected == KIND_SCALE].view("<u2").ravel()[:n])
-    codes = unpack_nibbles(words[expected == KIND_WEIGHT])[:n * g].reshape(n, g)
+    zeros = unpack_nibbles(words[kinds == KIND_ZP])[:n]
+    scales = half_from_bits(words[kinds == KIND_SCALE].view("<u2").ravel()[:n])
+    codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
     return GroupedTensor(rows=stream.rows, cols=stream.cols, group_size=g,
                          codes=codes, scales=scales, zeros=zeros)
 
@@ -389,13 +391,12 @@ def read_container(path: str | Path) -> PackedWeightStream:
     groups = rows * -(-cols // group_size) if group_size > 0 else 0
     if min(rows, cols, group_size) <= 0 or group_size % 4 \
             or n_words * WEIGHTS_PER_WORD < groups * group_size \
-            or (kinds := beat_kind_pattern(groups, group_size)).size != n_words:
+            or stream_word_count(groups, group_size) != n_words:
         raise FormatError(f"{path}: {n_words} words inconsistent with shape "
                           f"({rows}x{cols}, group {group_size})")
     words = np.frombuffer(blob, dtype=np.uint8, count=n_words * WORD_BYTES,
                           offset=_HEADER.size).reshape(n_words, WORD_BYTES)
-    return PackedWeightStream(rows=rows, cols=cols, group_size=group_size,
-                              words=words, kinds=kinds)
+    return PackedWeightStream(rows=rows, cols=cols, group_size=group_size, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +411,7 @@ SZ_PACKS_PER_BEAT = BusGeometry().beat_bits // (8 * SZ_PACK_BYTES)   # 16
 # memory map
 # ---------------------------------------------------------------------------
 
-BEAT_ALIGN = 64  # one 512-bit bus beat
+BEAT_ALIGN = BusGeometry().beat_bytes   # 64
 
 
 @dataclass(frozen=True)
@@ -427,8 +428,12 @@ class Region:
 @dataclass(frozen=True)
 class MemoryMap:
     capacity: int
-    split: int
     regions: tuple[Region, ...]
+
+    @property
+    def split(self) -> int:
+        """First address of the high half."""
+        return self.capacity // 2
 
     @property
     def occupied_bytes(self) -> int:
@@ -449,9 +454,10 @@ def _align(n: int) -> int:
     return -(-n // BEAT_ALIGN) * BEAT_ALIGN
 
 
-def region_sizes(cfg: ModelConfig, max_context: int) -> list[tuple[str, int]]:
-    """(name, byte length) of every DDR region, in placement order."""
-    d, ctx = cfg.d_model, max_context
+def region_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:
+    """(name, byte length) of every DDR region, in placement order; the KV
+    regions hold cfg.max_context rows."""
+    d, ctx = cfg.d_model, cfg.max_context
     sizes: list[tuple[str, int]] = [
         ("embedding", cfg.vocab_size * d * 2),
         ("norm_gains", (2 * cfg.n_layers + 1) * d * 2),
@@ -469,33 +475,25 @@ def region_sizes(cfg: ModelConfig, max_context: int) -> list[tuple[str, int]]:
     return sizes
 
 
-def plan_memory_map(cfg: ModelConfig, capacity_bytes: int, max_context: int | None = None,
-                    split: int | None = None, reserved_bytes: int | None = None) -> MemoryMap:
+def plan_memory_map(cfg: ModelConfig, capacity_bytes: int) -> MemoryMap:
     """Place all regions across the two address halves, high half first.
 
-    The low half ends reserved_bytes short of the split (boot/firmware
-    scratch); the reserved span counts as occupied. Raises CapacityError
-    naming the first region that does not fit.
+    The low half ends with a reserved span (boot/firmware scratch) of
+    1 MiB, or a sixteenth of the capacity if that is less; the reserved
+    span counts as occupied. Raises CapacityError naming the first region
+    that does not fit.
     """
     if capacity_bytes <= 0:
         raise CapacityError("capacity must be positive")
-    ctx = cfg.max_context if max_context is None else max_context
-    if ctx <= 0:
-        raise CapacityError("max_context must be positive")
-    if split is None:
-        split = capacity_bytes // 2
-    if not (0 < split <= capacity_bytes):
-        raise ConfigError(f"split {split:#x} outside the address space")
-    if reserved_bytes is None:
-        reserved_bytes = min(1 << 20, capacity_bytes // 16)
-    reserved_bytes = _align(reserved_bytes)
+    split = capacity_bytes // 2
+    reserved_bytes = _align(min(1 << 20, capacity_bytes // 16))
     if reserved_bytes >= split:
         raise CapacityError("reserved span swallows the whole low half")
 
     high_cursor, high_end = split, capacity_bytes
     low_cursor, low_end = 0, split - reserved_bytes
     regions: list[Region] = []
-    for name, size in region_sizes(cfg, ctx):
+    for name, size in region_sizes(cfg):
         size = _align(size)
         if high_cursor + size <= high_end:
             regions.append(Region(name, high_cursor, size))
@@ -508,4 +506,4 @@ def plan_memory_map(cfg: ModelConfig, capacity_bytes: int, max_context: int | No
                 f"region {name!r} ({size} bytes) does not fit: "
                 f"high has {high_end - high_cursor}, low has {low_end - low_cursor}")
     regions.append(Region("reserved", split - reserved_bytes, reserved_bytes))
-    return MemoryMap(capacity=capacity_bytes, split=split, regions=tuple(regions))
+    return MemoryMap(capacity=capacity_bytes, regions=tuple(regions))

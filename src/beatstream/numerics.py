@@ -1,4 +1,4 @@
-"""Half-precision arithmetic contract, the lane-blocked dot engine, and
+"""Half-precision arithmetic contract, the 128-lane dot engine, and
 quarter-wave trig tables.
 
 Every consumer in this package rounds the same way: values live as IEEE
@@ -8,26 +8,26 @@ round-to-nearest-even. A binary16 product of two binary16 values is exact
 in binary32 (22 significand bits < 24), so the only rounding inside a dot
 happens in the adder tree and at the final narrowing.
 
-The dot engine mirrors a fixed 128-lane multiplier array fed by one
-512-bit bus beat of 4-bit codes per cycle: operands are split into lane
-blocks, each block is reduced by a fixed binary tree (adjacent pairs,
-log2(lanes) levels), and block sums enter a single sequential accumulator.
-The reduction order is part of the contract; results are reproducible bit
-for bit.
+The dot engine mirrors the decoder's one multiplier array: LANES = 128
+lanes, fed by one 512-bit bus beat of 4-bit codes per cycle. Operands are
+split into 128-lane blocks, each block is reduced by a fixed binary tree
+(adjacent pairs, 7 levels), and block sums enter a single sequential
+accumulator. The reduction order is part of the contract; results are
+reproducible bit for bit.
 
 A weight matrix that is read on every token can be prepared once as a
 TreeOrderRows operand: widened to binary32 and stored (blocks, lanes, rows)
-with each block's lanes in bit-reversed order. In that order lanes 2j and
-2j+1 of the adjacent-pair tree sit at positions i and i + lanes/2 for the
-same i, and the pair sums land in bit-reversed order again, one bit
-shorter. Every tree level is then the sum of two contiguous halves, taken
-in place over all rows at once, and it adds the same pairs in the same
-operand order as the plain path, so the result is the same bit for bit.
+with each block's lanes in bit-reversed order (LANE_ORDER). In that order
+lanes 2j and 2j+1 of the adjacent-pair tree sit at positions i and i + 64
+for the same i, and the pair sums land in bit-reversed order again, one
+bit shorter. Every tree level is then the sum of two contiguous halves,
+taken in place over all rows at once, and it adds the same pairs in the
+same operand order as the plain path, so the result is the same bit for
+bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,28 +65,8 @@ def ulp16(x) -> np.ndarray:
 # dot engine
 # ---------------------------------------------------------------------------
 
-ACCUMULATION_ORDERS = ("tree", "sequential")
-
-
-@dataclass(frozen=True)
-class DotEngineConfig:
-    """Lane count and reduction order of the dot engine.
-
-    lanes matches bus_bits / weight_bits of the active stream layout
-    (128 for a 512-bit bus with 4-bit codes) and must be a power of two
-    so the per-block binary tree is well defined.
-    """
-
-    lanes: int = 128
-    accumulation_order: str = "tree"
-
-    def __post_init__(self) -> None:
-        if self.lanes < 1 or (self.lanes & (self.lanes - 1)) != 0:
-            raise ConfigError(f"lanes must be a power of two, got {self.lanes}")
-        if self.accumulation_order not in ACCUMULATION_ORDERS:
-            raise ConfigError(
-                f"accumulation_order must be one of {ACCUMULATION_ORDERS}, "
-                f"got {self.accumulation_order!r}")
+# Lanes of the multiplier array: one 512-bit beat of 4-bit codes.
+LANES = 128
 
 
 def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
@@ -96,40 +76,40 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
-@functools.lru_cache(maxsize=None)
-def bit_reversed_lanes(lanes: int) -> np.ndarray:
-    """Lane indices 0..lanes-1 in bit-reversed order (lanes a power of two),
-    read-only because every caller shares it.
+def _bit_reversed_lanes() -> np.ndarray:
+    """Lane indices 0..LANES-1 in bit-reversed order, read-only because
+    every operand shares them.
 
-    Built level by level: if `order` lists the lanes/2 nodes of tree level
-    one, the lanes feeding node j are 2j and 2j+1, so the first half of
-    the result holds the even lane of each node and the second half the odd
+    Built level by level: if `order` lists the nodes of tree level one,
+    the lanes feeding node j are 2j and 2j+1, so the first half of the
+    result holds the even lane of each node and the second half the odd
     one at the same position.
     """
     order = np.zeros(1, dtype=np.intp)
-    while order.size < lanes:
+    while order.size < LANES:
         order = np.concatenate([2 * order, 2 * order + 1])
     order.flags.writeable = False
     return order
+
+
+LANE_ORDER = _bit_reversed_lanes()
 
 
 class TreeOrderRows:
     """An (n, L) binary16 matrix prepared for the tree dot engine.
 
     Values are widened once to binary32 (exact) and stored as `blocks`,
-    (L/lanes, lanes, n), with the lanes of each block in bit-reversed
-    order (see the module docstring). Columns the caller does not assign
-    hold +0.0, as lane padding does. dot_rows takes an operand in place of
-    its plain matrix and returns the same bits.
+    (L/LANES, LANES, n), with the lanes of each block in LANE_ORDER (see
+    the module docstring). Columns the caller does not assign hold +0.0,
+    as lane padding does. dot_rows takes an operand in place of its plain
+    matrix and returns the same bits.
     """
 
-    def __init__(self, n_rows: int, length: int, lanes: int) -> None:
-        if length == 0 or length % lanes != 0:
-            raise AlignmentError(f"length {length} is not a positive multiple of {lanes} lanes")
-        self.lanes = lanes
+    def __init__(self, n_rows: int, length: int) -> None:
+        if length == 0 or length % LANES != 0:
+            raise AlignmentError(f"length {length} is not a positive multiple of {LANES} lanes")
         self.shape = (n_rows, length)
-        self.order = bit_reversed_lanes(lanes)
-        self.blocks = np.zeros((length // lanes, lanes, n_rows), dtype=np.float32)
+        self.blocks = np.zeros((length // LANES, LANES, n_rows), dtype=np.float32)
 
     def assign(self, lo: int, rows: np.ndarray) -> None:
         """Store rows of binary16 values, as float16 or already widened to
@@ -139,31 +119,31 @@ class TreeOrderRows:
         if rows.dtype != np.float32:
             rows = rows.astype(np.float16)
         k, width = rows.shape
-        n_blocks, lanes = self.blocks.shape[:2]
-        if width != n_blocks * lanes:
+        n_blocks = self.blocks.shape[0]
+        if width != n_blocks * LANES:
             rows = np.concatenate(
-                [rows, np.zeros((k, n_blocks * lanes - width), dtype=rows.dtype)], axis=1)
-        lane_major = rows.reshape(k, n_blocks, lanes)[:, :, self.order]
+                [rows, np.zeros((k, n_blocks * LANES - width), dtype=rows.dtype)], axis=1)
+        lane_major = rows.reshape(k, n_blocks, LANES)[:, :, LANE_ORDER]
         self.blocks[:, :, lo:lo + k] = lane_major.transpose(1, 2, 0)   # widens exactly
 
     def halves(self) -> np.ndarray:
         """The plain (n, L) binary16 matrix; exact, and bit reversal is its
         own inverse."""
-        plain = self.blocks[:, self.order].transpose(2, 0, 1).reshape(self.shape)
+        plain = self.blocks[:, LANE_ORDER].transpose(2, 0, 1).reshape(self.shape)
         return plain.astype(np.float16)
 
 
 def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     """dot_rows in tree order over a prepared operand: per block, one
-    product buffer (lanes, n) and log2(lanes) in-place half additions."""
-    n_blocks, lanes, n = rows.blocks.shape
-    v = vec.reshape(vec.shape[:-1] + (n_blocks, lanes))[..., rows.order].astype(np.float32)
+    product buffer (LANES, n) and log2(LANES) in-place half additions."""
+    n_blocks, _, n = rows.blocks.shape
+    v = vec.reshape(vec.shape[:-1] + (n_blocks, LANES))[..., LANE_ORDER].astype(np.float32)
     v = v[..., None] if vec.ndim == 1 else v.transpose(1, 2, 0)   # (blocks, lanes, 1 or n)
-    buf = np.empty((lanes, n), dtype=np.float32)
+    buf = np.empty((LANES, n), dtype=np.float32)
     acc = np.zeros(n, dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
         np.multiply(rows.blocks[b], v[b], out=buf)         # exact
-        h = lanes
+        h = LANES
         while h > 1:
             h //= 2
             np.add(buf[:h], buf[h:2 * h], out=buf[:h])
@@ -184,17 +164,14 @@ def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
     return live
 
 
-def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
-             cfg: DotEngineConfig = DotEngineConfig()) -> np.ndarray:
+def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     """Row-wise dot of a binary16 matrix against a binary16 vector (L,),
     or against one vector per row (n, L).
 
     Each row is reduced on its own (lane blocks, the fixed tree, then the
     sequential block accumulator), so a row's result does not depend on
     the other rows. Returns one binary16 value per row. `rows` may be a
-    TreeOrderRows operand; in tree order at its own lane count it skips the
-    widening and the strided tree, in any other engine it is read back as
-    binary16.
+    TreeOrderRows operand, which skips the widening and the strided tree.
     """
     prepared = isinstance(rows, TreeOrderRows)
     if not prepared:
@@ -207,24 +184,16 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
     n, length = shape
     if vec.shape[-1] != length:
         raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[-1]}")
-    if length == 0 or length % cfg.lanes != 0:
+    if length == 0 or length % LANES != 0:
         raise AlignmentError(
-            f"length {length} is not a positive multiple of {cfg.lanes} lanes; "
+            f"length {length} is not a positive multiple of {LANES} lanes; "
             "the caller pads per the stream layout rules")
     if prepared:
-        if cfg.accumulation_order == "tree" and rows.lanes == cfg.lanes:
-            return _tree_order_dot(rows, vec)
-        rows = rows.halves()
+        return _tree_order_dot(rows, vec)
 
-    if cfg.accumulation_order == "sequential":
-        # Strict left-to-right fold in binary32: every prefix is materialized.
-        p = rows.astype(np.float32) * vec.astype(np.float32)   # exact
-        total = np.cumsum(p, axis=1, dtype=np.float32)[:, -1]
-        return total.astype(np.float16)
-
-    lanes = cfg.lanes
-    live = _live_columns(rows, vec) if length == lanes else length
-    if live < lanes:
+    lanes = LANES
+    live = _live_columns(rows, vec) if length == LANES else length
+    if live < LANES:
         # Lanes past `live` multiply zeros into zeros. The block's tree over
         # the leading power-of-two lanes holds every nonzero product, and the
         # rest of the tree only adds zeros to it: x + (+-0) == x for x != 0,
@@ -240,15 +209,15 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray,
     return acc.astype(np.float16)
 
 
-def pad_to_lanes(v: np.ndarray, lanes: int) -> np.ndarray:
-    """Zero-pad a binary16 vector (or row matrix) to a multiple of lanes.
+def pad_to_lanes(v: np.ndarray) -> np.ndarray:
+    """Zero-pad a binary16 vector (or row matrix) to a multiple of LANES.
 
     Zero padding is exact: padded products are +0.0 and x + 0.0 == x in the
     tree, so the padded result equals the unpadded mathematical value.
     """
     v = np.asarray(v, dtype=np.float16)
     length = v.shape[-1]
-    rem = (-length) % lanes
+    rem = (-length) % LANES
     if rem == 0:
         return v
     out = np.zeros(v.shape[:-1] + (length + rem,), dtype=np.float16)

@@ -2,18 +2,18 @@
 
 Decode throughput on this class of hardware is a division: bytes the
 memory system can move per second over bytes that must move per token.
-Three counting modes bracket the numerator bytes:
+Two counting modes bracket the denominator bytes:
 
-    total_params    every parameter including the embedding table
-    non_embedding   parameters actually streamed each token (default;
-                    the embedding is a single row lookup, not a stream)
+    non_embedding   4-bit codes of the parameters streamed each token
+                    (default; the embedding is a single row lookup, not
+                    a stream)
     packed_exact    bytes of the packed containers as laid out in DDR,
                     including scale/zero metadata words and padding,
                     plus per-token KV cache and sidecar traffic
 
 The transaction model charges each DMA request a fixed setup cost per
-maximal burst, which is what separates achievable bandwidth from the
-datasheet number.
+maximal burst of MAX_BURST_BEATS beats, which is what separates
+achievable bandwidth from the datasheet number.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .errors import ConfigError
 from .layout import SZ_PACK_BYTES, SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
 from .model_io import tensor_names, tensor_shape
 
-COUNTING_MODES = ("total_params", "non_embedding", "packed_exact")
+COUNTING_MODES = ("non_embedding", "packed_exact")
+MAX_BURST_BEATS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +63,11 @@ def aux_stream_bytes(cfg: ModelConfig) -> int:
 
 
 def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
-                    weight_bits: int = 4, position: int = 0) -> float:
-    """Bytes that must cross the bus for one decode step.
-
-    weight_bits applies to the parameter-counting modes; the packed mode
-    measures the 4-bit container format itself and ignores it.
-    """
-    if mode == "total_params":
-        return cfg.total_params() * weight_bits / 8
+                    position: int = 0) -> float:
+    """Bytes that must cross the bus for one decode step at `position`
+    (the packed mode's KV traffic grows with it)."""
     if mode == "non_embedding":
-        return cfg.non_embedding_params() * weight_bits / 8
+        return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
         return packed_weight_bytes(cfg) + aux_stream_bytes(cfg) \
             + kv_traffic_bytes(cfg, position)
@@ -132,27 +128,23 @@ def load_device_catalog() -> dict[str, list[DeviceRow]]:
 class BusModel:
     """Beats-plus-setup cost model for a burst-oriented memory port.
 
-    A request of n beats is split into ceil(n / max_burst_beats) maximal
-    bursts; each burst pays the setup plus the inter-command gap on top
-    of its data beats. With zero setup and gap the bus is perfect.
+    A request of n beats is split into ceil(n / MAX_BURST_BEATS) maximal
+    bursts; each burst pays the setup cycles on top of its data beats.
+    With zero setup the bus is perfect.
     """
 
     geom: BusGeometry = BusGeometry()
     burst_setup_cycles: float = 0.0
-    max_burst_beats: int = 256
-    inter_command_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_burst_beats < 1:
-            raise ConfigError("max_burst_beats must be at least 1")
-        if self.burst_setup_cycles < 0 or self.inter_command_gap < 0:
-            raise ConfigError("setup and gap cannot be negative")
+        if self.burst_setup_cycles < 0:
+            raise ConfigError("setup cannot be negative")
 
     def request_cycles(self, beats: int) -> float:
         if beats <= 0:
             raise ConfigError("a request must move at least one beat")
-        bursts = -(-beats // self.max_burst_beats)
-        return beats + bursts * (self.burst_setup_cycles + self.inter_command_gap)
+        bursts = -(-beats // MAX_BURST_BEATS)
+        return float(beats + bursts * self.burst_setup_cycles)
 
     def stream_cycles(self, requests) -> float:
         return sum(self.request_cycles(b) for b in requests)

@@ -17,13 +17,15 @@ points are the records of the scale-zero side channel (see layout). The
 beats that channel has written follow from the cache length, so a saved
 cache resumes a decoder exactly.
 
-Both decoders prepare their weight operands from the checkpoint's packed
-word streams, unpacking each stream once. The fused decoder reads its
-weights as TreeOrderRows operands: each projection is dequantized, widened
-to binary32 and laid out in the dot engine's bit-reversed lane order once
-per checkpoint, and every Decoder on that checkpoint shares them. The
-reference decoder keeps its own plain binary16 matrices, so it checks the
-prepared operands on every step.
+Both decoders reduce every dot on the one 128-lane tree engine of
+numerics, with each operand zero-padded to whole lane blocks, and prepare
+their weight operands from the checkpoint's packed word streams, unpacking
+each stream once. The fused decoder reads its weights as TreeOrderRows
+operands: each projection is dequantized, widened to binary32 and laid
+out in the engine's bit-reversed lane order once per checkpoint, and every
+Decoder on that checkpoint shares them. The reference decoder keeps its
+own plain binary16 matrices, so it checks the prepared operands on every
+step.
 
 The hardware streams one head at a time. That order lives only in
 schedule_token, which computes the cycle trace of a step from the model
@@ -44,7 +46,7 @@ from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import SZ_PACKS_PER_BEAT
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
-from .numerics import DotEngineConfig, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
+from .numerics import LANES, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
 
@@ -119,22 +121,21 @@ class TokenTrace:
         return self.makespan == self.stream_end
 
 
-def row_code_beats(cols: int, group_size: int, lanes: int = 128) -> int:
+def row_code_beats(cols: int, group_size: int) -> int:
     """Bus beats of 4-bit codes in one weight row: the row pads to whole
     groups, then to whole lanes, and each beat feeds every lane once."""
     groups = -(-cols // group_size)
-    return -(-groups * group_size // lanes)
+    return -(-groups * group_size // LANES)
 
 
-def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0,
-                             lanes: int = 128) -> int:
+def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0) -> int:
     """Longest context the value-projection stream can hide softmax under.
 
     The exponent pass costs (t+1)/spu_rate cycles after the attention dot,
     plus the forwarding lead; it stalls nothing while that fits inside the
     value projection's beats.
     """
-    v_beats = cfg.head_dim * row_code_beats(cfg.d_model, cfg.group_size, lanes)
+    v_beats = cfg.head_dim * row_code_beats(cfg.d_model, cfg.group_size)
     return int((v_beats - SOFTMAX_FORWARD_LEAD) * spu_rate) - 1
 
 
@@ -154,8 +155,7 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
                  for layer in range(n_layers))
 
 
-def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
-                   lanes: int = 128) -> TokenTrace:
+def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0) -> TokenTrace:
     """Cycle trace of the fused decode step at `position`.
 
     Weight-fed stages cost one cycle per 128-code bus beat of their tensor
@@ -175,10 +175,10 @@ def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0,
         return max(1, math.ceil(n / spu_rate))
 
     hd, d = cfg.head_dim, cfg.d_model
-    d_row = row_code_beats(d, cfg.group_size, lanes)  # a row over the model width
+    d_row = row_code_beats(d, cfg.group_size)         # a row over the model width
     hb = hd * d_row                                   # one head's q, k or v slice
     ob, gb, lb = d * d_row, 2 * cfg.d_ffn * d_row, cfg.vocab_size * d_row
-    db = d * row_code_beats(cfg.d_ffn, cfg.group_size, lanes)
+    db = d * row_code_beats(cfg.d_ffn, cfg.group_size)
     rows_cycles = (position + 1) * max(1, -(-hd // 64))
     spu_d, spu_hd, spu_kv, spu_rows = spu(d), spu(hd), spu(2 * hd), spu(position + 1)
 
@@ -333,60 +333,61 @@ class _WeightCache:
 
     Unpacked from each tensor's words and widened a row range at a time,
     so no whole-tensor wide temporary exists, and built once per
-    (checkpoint, lanes): `of` hands every Decoder on a checkpoint the same
-    cache, which lives as long as the checkpoint does.
+    checkpoint: `of` hands every Decoder on a checkpoint the same cache,
+    which lives as long as the checkpoint does.
     """
 
-    _shared: "weakref.WeakKeyDictionary[Checkpoint, dict[int, _WeightCache]]" = \
+    _shared: "weakref.WeakKeyDictionary[Checkpoint, _WeightCache]" = \
         weakref.WeakKeyDictionary()
 
-    def __init__(self, ckpt: Checkpoint, lanes: int) -> None:
+    def __init__(self, ckpt: Checkpoint) -> None:
         self.mats: dict[str, TreeOrderRows] = {}
         self.beats_per_row: dict[str, int] = {}
         for name, t in ckpt.grouped():
-            beats = row_code_beats(t.cols, t.group_size, lanes)
-            mat = TreeOrderRows(t.rows, beats * lanes, lanes)
+            beats = row_code_beats(t.cols, t.group_size)
+            mat = TreeOrderRows(t.rows, beats * LANES)
             for lo, vals in t.widened_chunks():
                 mat.assign(lo, vals)
             self.mats[name] = mat
             self.beats_per_row[name] = beats
 
     @classmethod
-    def of(cls, ckpt: Checkpoint, lanes: int) -> "_WeightCache":
-        by_lanes = cls._shared.setdefault(ckpt, {})
-        if lanes not in by_lanes:
-            by_lanes[lanes] = cls(ckpt, lanes)
-        return by_lanes[lanes]
+    def of(cls, ckpt: Checkpoint) -> "_WeightCache":
+        cache = cls._shared.get(ckpt)
+        if cache is None:
+            cache = cls._shared[ckpt] = cls(ckpt)
+        return cache
 
     def stage_beats(self, name: str, rows: int) -> int:
         return rows * self.beats_per_row[name]
 
 
-def _plain_weights(ckpt: Checkpoint, lanes: int) -> dict[str, np.ndarray]:
+def _plain_weights(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Dequantized weight matrices as lane-padded binary16 (n, L) arrays."""
-    mats = {}
-    for name, t in ckpt.grouped():
-        deq = t.dequantized()
-        mat = np.zeros((t.rows, row_code_beats(t.cols, t.group_size, lanes) * lanes),
-                       dtype=np.float16)
-        mat[:, :deq.shape[1]] = deq
-        mats[name] = mat
-    return mats
+    return {name: pad_to_lanes(t.dequantized()) for name, t in ckpt.grouped()}
+
+
+def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
+    """A copy of the token's embedding row; ShapeError outside the
+    vocabulary, before a step touches the cache."""
+    vocab = ckpt.config.vocab_size
+    if not 0 <= token < vocab:
+        raise ShapeError(f"token {token} outside vocabulary 0..{vocab - 1}")
+    return ckpt.embedding[token].copy()
 
 
 class Decoder:
     """Fused streaming decode with carried norm state. The KV cache is its
     whole state: a snapshot of `kv` resumes it exactly."""
 
-    def __init__(self, ckpt: Checkpoint, engine: DotEngineConfig | None = None) -> None:
+    def __init__(self, ckpt: Checkpoint) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.engine = engine or DotEngineConfig()
         self.table = TrigTable.for_head_dim(
             self.cfg.head_dim, base=self.cfg.rope_base,
             freq_divisor=self.cfg.rope_freq_divisor)
-        self.weights = _WeightCache.of(ckpt, self.engine.lanes)
+        self.weights = _WeightCache.of(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
     @property
@@ -396,7 +397,7 @@ class Decoder:
         return 2 * self.cfg.n_layers * self.cfg.n_heads * (self.kv.length // SZ_PACKS_PER_BEAT)
 
     def _dot(self, name: str, vec: np.ndarray) -> np.ndarray:
-        return dot_rows(self.weights.mats[name], vec, self.engine)
+        return dot_rows(self.weights.mats[name], vec)
 
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
         """Decode one token: its logits and the schedule of the step.
@@ -405,18 +406,16 @@ class Decoder:
         so a step that raises leaves the decoder as it was.
         """
         cfg = self.cfg
-        if not 0 <= token < cfg.vocab_size:
-            raise ShapeError(f"token {token} outside vocabulary 0..{cfg.vocab_size - 1}")
+        x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
-        heads, hd, lanes = cfg.n_heads, cfg.head_dim, self.engine.lanes
+        heads, hd = cfg.n_heads, cfg.head_dim
 
-        x = self.ckpt.embedding[token].copy()
         carry = rms_sumsq(x)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps,
                              precomputed_sq=carry)
-            h_pad = pad_to_lanes(h_norm, lanes)
+            h_pad = pad_to_lanes(h_norm)
             qk = np.concatenate([self._dot(pre + "attn.q", h_pad),
                                  self._dot(pre + "attn.k", h_pad)])
             qk = rope_rotate(qk.reshape(2 * heads, hd), t, self.table)
@@ -425,14 +424,13 @@ class Decoder:
 
             # each head's history rows, then its current key, all through
             # the same tree reduction against that head's query
-            q_pad = pad_to_lanes(q, lanes)
+            q_pad = pad_to_lanes(q)
             width = q_pad.shape[1]
             keys = np.zeros((heads, t + 1, width), dtype=np.float16)
             keys[:, :t, :hd] = kv_dequantize_rows(
                 *self.kv.layer_history(layer, 0)).reshape(heads, t, hd)
             keys[:, t, :hd] = k
-            logits_h = dot_rows(keys.reshape(-1, width), np.repeat(q_pad, t + 1, axis=0),
-                                self.engine)
+            logits_h = dot_rows(keys.reshape(-1, width), np.repeat(q_pad, t + 1, axis=0))
             probs = softmax(scale_logits(logits_h.reshape(heads, t + 1), hd))
 
             values = np.empty((heads, t + 1, hd), dtype=np.float16)
@@ -445,68 +443,65 @@ class Decoder:
             self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
                                 zero_points.reshape(2, heads))
 
-            o = self._dot(pre + "attn.o", pad_to_lanes(head_out, lanes))
+            o = self._dot(pre + "attn.o", pad_to_lanes(head_out))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps,
                          precomputed_sq=carry)
-            h2_pad = pad_to_lanes(h2, lanes)
+            h2_pad = pad_to_lanes(h2)
             gate = self._dot(pre + "mlp.gate", h2_pad)
             up = self._dot(pre + "mlp.up", h2_pad)
             act = silu_gate(gate, up)
-            down = self._dot(pre + "mlp.down", pad_to_lanes(act, lanes))
+            down = self._dot(pre + "mlp.down", pad_to_lanes(act))
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
         h_final = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps,
                           precomputed_sq=carry)
-        logits = self._dot("lm_head", pad_to_lanes(h_final, lanes))
+        logits = self._dot("lm_head", pad_to_lanes(h_final))
         self.kv.commit()
-        return logits, schedule_token(cfg, t, lanes=self.engine.lanes)
+        return logits, schedule_token(cfg, t)
 
 
 class ReferenceDecoder:
     """Whole-projection, operator-at-a-time evaluation of the same model,
     on its own plain binary16 weight matrices."""
 
-    def __init__(self, ckpt: Checkpoint, engine: DotEngineConfig | None = None) -> None:
+    def __init__(self, ckpt: Checkpoint) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.engine = engine or DotEngineConfig()
         self.table = TrigTable.for_head_dim(
             self.cfg.head_dim, base=self.cfg.rope_base,
             freq_divisor=self.cfg.rope_freq_divisor)
-        self.mats = _plain_weights(ckpt, self.engine.lanes)
+        self.mats = _plain_weights(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:
         cfg = self.cfg
+        x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
         hd = cfg.head_dim
-        x = self.ckpt.embedding[token].copy()
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps)
-            h_pad = pad_to_lanes(h, self.engine.lanes)
-            q_all = dot_rows(self.mats[pre + "attn.q"], h_pad, self.engine)
-            k_all = dot_rows(self.mats[pre + "attn.k"], h_pad, self.engine)
-            v_all = dot_rows(self.mats[pre + "attn.v"], h_pad, self.engine)
+            h_pad = pad_to_lanes(h)
+            q_all = dot_rows(self.mats[pre + "attn.q"], h_pad)
+            k_all = dot_rows(self.mats[pre + "attn.k"], h_pad)
+            v_all = dot_rows(self.mats[pre + "attn.v"], h_pad)
             out = np.empty(cfg.d_model, dtype=np.float16)
             for head in range(cfg.n_heads):
                 lo, hi = head * hd, (head + 1) * hd
                 q = rope_rotate(q_all[lo:hi], t, self.table)
                 k = rope_rotate(k_all[lo:hi], t, self.table)
                 v = v_all[lo:hi]
-                q_pad = pad_to_lanes(q, self.engine.lanes)
+                q_pad = pad_to_lanes(q)
                 codes, scales, zeros = self.kv.history(layer, head, 0)
                 hist_pad = np.zeros((t, q_pad.size), dtype=np.float16)
                 hist_pad[:, :hd] = kv_dequantize_rows(codes, scales, zeros)
-                logits_h = np.concatenate([
-                    dot_rows(hist_pad, q_pad, self.engine),
-                    dot_rows(pad_to_lanes(k, self.engine.lanes)[None], q_pad,
-                             self.engine)])
+                logits_h = np.concatenate([dot_rows(hist_pad, q_pad),
+                                           dot_rows(pad_to_lanes(k)[None], q_pad)])
                 probs = softmax(scale_logits(logits_h, hd))
                 vc, vs, vz = self.kv.history(layer, head, 1)
                 rows = np.concatenate([kv_dequantize_rows(vc, vs, vz), v[None]],
@@ -516,20 +511,17 @@ class ReferenceDecoder:
                 vcod, vp = kv_quantize(v)
                 self.kv.write(layer, head, 0, kc, kp)
                 self.kv.write(layer, head, 1, vcod, vp)
-            o = dot_rows(self.mats[pre + "attn.o"],
-                         pad_to_lanes(out, self.engine.lanes), self.engine)
+            o = dot_rows(self.mats[pre + "attn.o"], pad_to_lanes(out))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps)
-            h2_pad = pad_to_lanes(h2, self.engine.lanes)
-            gate = dot_rows(self.mats[pre + "mlp.gate"], h2_pad, self.engine)
-            up = dot_rows(self.mats[pre + "mlp.up"], h2_pad, self.engine)
+            h2_pad = pad_to_lanes(h2)
+            gate = dot_rows(self.mats[pre + "mlp.gate"], h2_pad)
+            up = dot_rows(self.mats[pre + "mlp.up"], h2_pad)
             act = silu_gate(gate, up)
-            down = dot_rows(self.mats[pre + "mlp.down"],
-                            pad_to_lanes(act, self.engine.lanes), self.engine)
+            down = dot_rows(self.mats[pre + "mlp.down"], pad_to_lanes(act))
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
         h = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps)
-        logits = dot_rows(self.mats["lm_head"],
-                          pad_to_lanes(h, self.engine.lanes), self.engine)
+        logits = dot_rows(self.mats["lm_head"], pad_to_lanes(h))
         self.kv.commit()
         return logits
 

@@ -26,7 +26,6 @@ def assert_same_checkpoint(back, ckpt):
     assert list(back.tensors) == list(ckpt.tensors)
     for name, stream in ckpt.tensors.items():
         assert np.array_equal(back.tensors[name].words, stream.words)
-        assert np.array_equal(back.tensors[name].kinds, stream.kinds)
     assert np.array_equal(back.embedding.view(np.uint16), ckpt.embedding.view(np.uint16))
     assert back.norms.keys() == ckpt.norms.keys()
     for k, v in ckpt.norms.items():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream.errors import AlignmentError, ConfigError, ShapeError
+from beatstream.errors import AlignmentError, ShapeError
+from beatstream.layout import BusGeometry
 from beatstream.numerics import (
+    LANE_ORDER,
+    LANES,
     QUARTER_ENTRIES,
     PHASE_STEPS,
-    DotEngineConfig,
     TreeOrderRows,
     TrigTable,
-    bit_reversed_lanes,
     dot_rows,
     half_bits,
     half_from_bits,
@@ -35,15 +36,15 @@ def oracle_dot(a, b):
     return np.float16(total)
 
 
-def dot(a, b, cfg=DotEngineConfig()):
+def dot(a, b):
     """dot_rows of one row."""
-    return dot_rows(np.asarray(a)[None], b, cfg)[0]
+    return dot_rows(np.asarray(a)[None], b)[0]
 
 
-def oracle_tree_rows(rows, vec, lanes):
+def oracle_tree_rows(rows, vec):
     """The tree-order dot over every lane, zero lanes included."""
     p = rows.astype(np.float32) * vec.astype(np.float32)
-    level = p.reshape(p.shape[0], -1, lanes)
+    level = p.reshape(p.shape[0], -1, LANES)
     while level.shape[-1] > 1:
         level = level[..., 0::2] + level[..., 1::2]
     acc = np.zeros(p.shape[0], dtype=np.float32)
@@ -82,6 +83,11 @@ def test_ulp16_matches_spacing():
 # dot engine
 # ---------------------------------------------------------------------------
 
+def test_lanes_take_one_beat_of_codes():
+    # the multiplier array takes one bus beat of 4-bit codes per cycle
+    assert LANES * 4 == BusGeometry().beat_bits
+
+
 def test_dot_ones():
     a = np.ones(128, dtype=np.float16)
     assert float(dot(a, a)) == 128.0
@@ -116,15 +122,22 @@ def test_dot_reproducible_bit_for_bit():
         assert half_bits(dot(a, b)) == first
 
 
-def test_tree_vs_sequential_bounded():
+def test_tree_within_summation_bound_of_oracle():
+    """Each of the log2(LANES) tree levels and each block accumulation
+    rounds once in binary32; both results then round once to binary16."""
     rng = np.random.default_rng(5)
-    for n in (128, 256, 512):
-        a = to_half(rng.normal(size=n))
-        b = to_half(rng.normal(size=n))
-        t = float(dot(a, b, DotEngineConfig(accumulation_order="tree")))
-        s = float(dot(a, b, DotEngineConfig(accumulation_order="sequential")))
-        mag = float(np.sum(np.abs(a.astype(np.float64) * b.astype(np.float64))))
-        assert abs(t - s) <= n * 2.0 ** -11 * mag
+    for n in (128, 256, 512, 1024):
+        depth = LANES.bit_length() - 1 + n // LANES
+        for trial in range(20):
+            a = to_half(rng.normal(size=n))
+            b = to_half(rng.normal(size=n))
+            if trial % 2:
+                b[n // 2:] = -b[:n // 2] * a[:n // 2] / a[n // 2:]   # near-cancelling
+            t, o = float(dot(a, b)), float(oracle_dot(a, b))
+            mag = float(np.sum(np.abs(a.astype(np.float64) * b.astype(np.float64))))
+            bound = depth * 2.0 ** -24 * mag * (1 + 2.0 ** -20) \
+                + 2.0 ** -11 * (abs(t) + abs(o)) + 2.0 ** -24
+            assert abs(t - o) <= bound
 
 
 def test_dot_rows_matches_scalar_dot():
@@ -138,14 +151,14 @@ def test_dot_rows_matches_scalar_dot():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), lanes=st.sampled_from([8, 32]),
-       blocks=st.integers(1, 2), n=st.integers(1, 4), per_row=st.booleans(),
-       live_frac=st.floats(0, 1), stray=st.sampled_from([None, 1.0, -2.0 ** -24, np.inf, np.nan]))
-def test_dot_rows_zero_lane_tail_is_exact(seed, lanes, blocks, n, per_row, live_frac, stray):
+@given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 2), n=st.integers(1, 4),
+       per_row=st.booleans(), live_frac=st.floats(0, 1),
+       stray=st.sampled_from([None, 1.0, -2.0 ** -24, np.inf, np.nan]))
+def test_dot_rows_zero_lane_tail_is_exact(seed, blocks, n, per_row, live_frac, stray):
     """Lanes holding zeros of either sign (or one stray value, inf or NaN)
     past the data give the bits of the tree over every lane."""
     rng = np.random.default_rng(seed)
-    length = lanes * blocks
+    length = LANES * blocks
     live = int(live_frac * length)
 
     def operand(shape):
@@ -157,8 +170,8 @@ def test_dot_rows_zero_lane_tail_is_exact(seed, lanes, blocks, n, per_row, live_
     vec = operand((n, length) if per_row else (length,))
     if stray is not None and live < length:
         (rows, vec)[rng.integers(2)][..., rng.integers(live, length)] = stray
-    got = dot_rows(rows, vec, DotEngineConfig(lanes=lanes))
-    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec, lanes)))
+    got = dot_rows(rows, vec)
+    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec)))
 
 
 EDGE_HALVES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24,
@@ -167,61 +180,56 @@ EDGE_HALVES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), lanes=st.sampled_from([1, 2, 8, 128]), blocks=st.integers(1, 4),
-       n=st.integers(1, 5), per_row=st.booleans(),
-       order=st.sampled_from(["tree", "sequential"]))
-def test_tree_order_rows_match_plain_rows(data, lanes, blocks, n, per_row, order):
+@given(data=st.data(), blocks=st.integers(1, 3), n=st.integers(1, 5), per_row=st.booleans())
+def test_tree_order_rows_match_plain_rows(data, blocks, n, per_row):
     halves = st.one_of(st.sampled_from(EDGE_HALVES), st.floats(width=16, allow_nan=False))
-    length = lanes * blocks
+    length = LANES * blocks
     rows = data.draw(arrays(np.float16, (n, length), elements=halves), label="rows")
     vec = data.draw(arrays(np.float16, (n, length) if per_row else (length,),
                            elements=halves), label="vec")
-    prepared = TreeOrderRows(n, length, lanes)
+    prepared = TreeOrderRows(n, length)
     split = data.draw(st.integers(0, n), label="split")   # assigned in two row ranges
     prepared.assign(0, rows[:split])
     prepared.assign(split, rows[split:])
-    cfg = DotEngineConfig(lanes=lanes, accumulation_order=order)
     assert prepared.shape == rows.shape
     assert np.array_equal(half_bits(prepared.halves()), half_bits(rows))
-    assert np.array_equal(half_bits(dot_rows(prepared, vec, cfg)),
-                          half_bits(dot_rows(rows, vec, cfg)))
+    assert np.array_equal(half_bits(dot_rows(prepared, vec)), half_bits(dot_rows(rows, vec)))
 
 
-@pytest.mark.parametrize("lanes", [4, 8, 128])
-def test_tree_order_rows_add_the_tree_pairs(lanes):
+@pytest.mark.parametrize("seed", [4, 8, 128])
+def test_tree_order_rows_add_the_tree_pairs(seed):
     """Each block holds one pair of products, +2**30 and -2**30, that cancel.
     Small products absorbed into them before they meet are lost, so a tree
     that pairs other lanes than the adjacent-pair tree loses other ones."""
-    rng = np.random.default_rng(lanes)
+    rng = np.random.default_rng(seed)
     blocks = 3
-    rows = to_half(rng.normal(size=(64, lanes * blocks)))
-    vec = to_half(rng.normal(size=lanes * blocks))
+    rows = to_half(rng.normal(size=(64, LANES * blocks)))
+    vec = to_half(rng.normal(size=LANES * blocks))
     for b in range(blocks):
-        i, j = rng.choice(lanes, 2, replace=False) + b * lanes
+        i, j = rng.choice(LANES, 2, replace=False) + b * LANES
         vec[[i, j]] = 2.0 ** 15
         rows[:, i], rows[:, j] = 2.0 ** 15, -(2.0 ** 15)
-    prepared = TreeOrderRows(*rows.shape, lanes)
+    prepared = TreeOrderRows(*rows.shape)
     prepared.assign(0, rows)
-    got = dot_rows(prepared, vec, DotEngineConfig(lanes=lanes))
-    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec, lanes)))
+    got = dot_rows(prepared, vec)
+    assert np.array_equal(half_bits(got), half_bits(oracle_tree_rows(rows, vec)))
 
 
 def test_tree_order_rows_pad_narrow_rows_with_positive_zeros():
     rows = to_half(np.random.default_rng(5).normal(size=(3, 40)))
-    prepared = TreeOrderRows(3, 128, 64)
+    prepared = TreeOrderRows(3, 2 * LANES)
     prepared.assign(0, rows)
-    want = np.zeros((3, 128), dtype=np.float16)
+    want = np.zeros((3, 2 * LANES), dtype=np.float16)
     want[:, :40] = rows
     assert np.array_equal(half_bits(prepared.halves()), half_bits(want))
     with pytest.raises(AlignmentError):
-        TreeOrderRows(3, 100, 64)
+        TreeOrderRows(3, 100)
 
 
 def test_bit_reversed_lanes():
-    assert bit_reversed_lanes(1).tolist() == [0]
-    assert bit_reversed_lanes(8).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
-    order = bit_reversed_lanes(128)
-    assert all(order[i] == int(f"{i:07b}"[::-1], 2) for i in range(128))
+    assert LANE_ORDER[:8].tolist() == [0, 64, 32, 96, 16, 80, 48, 112]
+    assert all(LANE_ORDER[i] == int(f"{i:07b}"[::-1], 2) for i in range(LANES))
+    assert not LANE_ORDER.flags.writeable
 
 
 def test_dot_shape_and_alignment_errors():
@@ -238,18 +246,11 @@ def test_dot_shape_and_alignment_errors():
         dot(np.ones(0, dtype=np.float16), np.ones(0, dtype=np.float16))
 
 
-def test_dot_engine_config_validation():
-    with pytest.raises(ConfigError):
-        DotEngineConfig(lanes=96)
-    with pytest.raises(ConfigError):
-        DotEngineConfig(accumulation_order="random")
-
-
 def test_pad_to_lanes_is_exact():
     rng = np.random.default_rng(17)
     a = to_half(rng.normal(size=100))
     b = to_half(rng.normal(size=100))
-    padded = dot(pad_to_lanes(a, 128), pad_to_lanes(b, 128))
+    padded = dot(pad_to_lanes(a), pad_to_lanes(b))
     assert float(padded) == pytest.approx(float(oracle_dot(a, b)), abs=4 * 2.0 ** -10)
 
 
