@@ -74,9 +74,6 @@ class ModelConfig:
         """Weights that stream from DDR every token: all layers + output head."""
         return self.n_layers * self.layer_params() + self.vocab_size * self.d_model
 
-    def total_params(self) -> int:
-        return self.non_embedding_params() + self.vocab_size * self.d_model
-
     # ---- serialization ------------------------------------------------
 
     def to_json_str(self) -> str:

@@ -15,6 +15,11 @@ split into 128-lane blocks, each block is reduced by a fixed binary tree
 accumulator. The reduction order is part of the contract; results are
 reproducible bit for bit.
 
+dot_rows reduces every row on its own, so it batches freely: the rows of
+a matrix against one vector, or the rows of each head (h, n, L) against
+that head's own vector (h, L), as the attention dot over the KV cache
+does.
+
 A weight matrix that is read on every token can be prepared once as a
 TreeOrderRows operand: widened to binary32 and stored (blocks, lanes, rows)
 with each block's lanes in bit-reversed order (LANE_ORDER). In that order
@@ -137,8 +142,7 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     """dot_rows in tree order over a prepared operand: per block, one
     product buffer (LANES, n) and log2(LANES) in-place half additions."""
     n_blocks, _, n = rows.blocks.shape
-    v = vec.reshape(vec.shape[:-1] + (n_blocks, LANES))[..., LANE_ORDER].astype(np.float32)
-    v = v[..., None] if vec.ndim == 1 else v.transpose(1, 2, 0)   # (blocks, lanes, 1 or n)
+    v = vec.reshape(n_blocks, LANES)[:, LANE_ORDER, None].astype(np.float32)   # (b, lanes, 1)
     buf = np.empty((LANES, n), dtype=np.float32)
     acc = np.zeros(n, dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
@@ -153,35 +157,39 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
 
 def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
     """Columns up to the last one where either operand holds a nonzero
-    value; past it both operands are zeros of either sign."""
+    value, in any head; past it both operands are zeros of either sign."""
     vbits = vec.view(np.uint16)
     if vbits.ndim == 2:
         vbits = np.bitwise_or.reduce(vbits, axis=0)
     nonzero = np.flatnonzero(vbits & 0x7FFF)
     live = int(nonzero[-1]) + 1 if nonzero.size else 0
-    if live < rows.shape[1] and (rows.view(np.uint16)[:, live:] & 0x7FFF).any():
-        return rows.shape[1]
+    tail = rows.view(np.uint16)[..., live:]    # one pass, no temporary
+    if np.bitwise_or.reduce(tail, axis=None) & 0x7FFF:
+        return rows.shape[-1]
     return live
 
 
 def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
-    """Row-wise dot of a binary16 matrix against a binary16 vector (L,),
-    or against one vector per row (n, L).
+    """Row-wise dot of a binary16 matrix (n, L) against a binary16 vector
+    (L,), returning (n,); or, per head, of rows (h, n, L) against one
+    vector per head (h, L), returning (h, n).
 
     Each row is reduced on its own (lane blocks, the fixed tree, then the
     sequential block accumulator), so a row's result does not depend on
-    the other rows. Returns one binary16 value per row. `rows` may be a
-    TreeOrderRows operand, which skips the widening and the strided tree.
+    the other rows or heads: head i of the per-head form is the bits of
+    dot_rows(rows[i], vec[i]). Returns binary16. `rows` may be a
+    TreeOrderRows operand, (n, L) against (L,) only, which skips the
+    widening and the strided tree.
     """
     prepared = isinstance(rows, TreeOrderRows)
     if not prepared:
         rows = np.asarray(rows, dtype=np.float16)
     vec = np.asarray(vec, dtype=np.float16)
     shape = rows.shape
-    if len(shape) != 2 or vec.ndim not in (1, 2) or vec.shape[:-1] not in ((), shape[:1]):
-        raise ShapeError(f"expected (n, L) rows and an (L,) or (n, L) vec, "
-                         f"got {shape} / {vec.shape}")
-    n, length = shape
+    if vec.ndim not in (1, 2) or len(shape) != vec.ndim + 1 or vec.shape[:-1] != shape[:-2]:
+        raise ShapeError(f"expected (n, L) rows and an (L,) vec, or (h, n, L) rows and "
+                         f"an (h, L) vec, got {shape} / {vec.shape}")
+    length = shape[-1]
     if vec.shape[-1] != length:
         raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[-1]}")
     if length == 0 or length % LANES != 0:
@@ -199,13 +207,13 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
         # rest of the tree only adds zeros to it: x + (+-0) == x for x != 0,
         # and the +0.0 accumulator turns a zero sum of either sign into +0.0.
         lanes = length = 1 << max(live - 1, 0).bit_length()
-        rows, vec = rows[:, :lanes], vec[..., :lanes]
-    p = rows.astype(np.float32) * vec.astype(np.float32)   # exact
-    blocks = p.reshape(n, length // lanes, lanes)
-    sums = _tree_reduce_f32(blocks)                        # (n, n_blocks)
-    acc = np.zeros(n, dtype=np.float32)
-    for b in range(sums.shape[1]):                         # sequential across blocks
-        acc = acc + sums[:, b]
+        rows, vec = rows[..., :lanes], vec[..., :lanes]
+    p = rows.astype(np.float32) * vec[..., None, :].astype(np.float32)   # exact
+    blocks = p.reshape(shape[:-1] + (length // lanes, lanes))
+    sums = _tree_reduce_f32(blocks)                        # (..., n, n_blocks)
+    acc = np.zeros(shape[:-1], dtype=np.float32)
+    for b in range(sums.shape[-1]):                        # sequential across blocks
+        acc = acc + sums[..., b]
     return acc.astype(np.float16)
 
 

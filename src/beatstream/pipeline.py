@@ -3,10 +3,10 @@
 Two decode paths share every arithmetic primitive:
 
   Decoder           evaluates all heads of a layer together: one dot per
-                    projection, one rotary pass, one attention dot over
-                    every head's cached rows, one softmax, one value mix
-                    and one cache quantize per layer; it carries the
-                    residual's sum of squares into the next norm.
+                    projection, one rotary pass, one per-head attention
+                    dot over every head's cached rows, one softmax, one
+                    value mix and one cache quantize per layer; it carries
+                    the residual's sum of squares into the next norm.
   ReferenceDecoder  operator-at-a-time evaluation, head by head.
 
 Both quantize the KV cache identically, so their logits must agree bit
@@ -16,6 +16,16 @@ A decoder's only state is its KV cache, whose per-row scales and zero
 points are the records of the scale-zero side channel (see layout). The
 beats that channel has written follow from the cache length, so a saved
 cache resumes a decoder exactly.
+
+The cache store also mirrors its codes as binary16 rows, each decoded
+once, when it is written: the fused decoder reads its history from the
+mirrors and never decodes it again. The mirrors are derived state, and
+a snapshot holds the codes alone; loading one rebuilds them. They take
+(W + head_dim) * 2 bytes of host memory per (layer, head, row), W being
+head_dim padded to whole lanes, against 2 * head_dim for the codes: 16 MB
+for one layer of LLaMA2-7B's shape at 1024 rows. The reference decoder
+decodes its history from the codes on every step, so it checks the
+mirrors too.
 
 Both decoders reduce every dot on the one 128-lane tree engine of
 numerics, with each operand zero-padded to whole lane blocks, and prepare
@@ -39,6 +49,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +94,7 @@ def scale_logits(logits: np.ndarray, head_dim: int) -> np.ndarray:
 # trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class StageSpan:
+class StageSpan(NamedTuple):
     name: str
     kind: str        # "vpu", "spu", or "stall"
     start: int
@@ -239,14 +249,31 @@ def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0) -> To
 class KVCacheStore:
     """Preallocated per-(layer, head) KV code arrays with one scale-zero
     pair per cached row. Rows land at the current length during a token;
-    commit() publishes them. History reads never cross the length."""
+    commit() publishes them. History reads never cross the length.
+
+    Beside the codes the store keeps their binary16 decode, so that no
+    step decodes the history again: `keys` (n_layers, n_heads,
+    max_context, W), each row zero-padded to W, head_dim rounded up to
+    whole lanes, and `values` (n_layers, n_heads, max_context, head_dim).
+    The mirrors are derived state. write and write_layer decode each new
+    row through kv_dequantize_rows, which gives the bits a decode of the
+    whole history would; load rebuilds them from the codes; a snapshot
+    holds the codes alone. Rows at or past the length are dead in the
+    mirrors as in the codes. In host memory the mirrors cost
+    (W + head_dim) * 2 bytes per (layer, head, row), against
+    2 * head_dim for the codes: 16 MB for one layer of LLaMA2-7B's shape
+    (32 heads of 128) at 1024 rows, against 8 MB.
+    """
 
     def __init__(self, cfg: ModelConfig) -> None:
         shape = (cfg.n_layers, cfg.n_heads, cfg.max_context)
+        hd = cfg.head_dim
         self.cfg = cfg
-        self.codes = np.zeros((2,) + shape + (cfg.head_dim,), dtype=np.uint8)
+        self.codes = np.zeros((2,) + shape + (hd,), dtype=np.uint8)
         self.scales = np.zeros((2,) + shape, dtype=np.float16)
         self.zeros = np.zeros((2,) + shape, dtype=np.int16)
+        self.keys = np.zeros(shape + (-(-hd // LANES) * LANES,), dtype=np.float16)
+        self.values = np.zeros(shape + (hd,), dtype=np.float16)
         self.length = 0
 
     def begin_token(self) -> int:
@@ -261,6 +288,13 @@ class KVCacheStore:
         self.codes[which, layer, head, t] = codes
         self.scales[which, layer, head, t] = params.scale
         self.zeros[which, layer, head, t] = params.zero_point
+        row = kv_dequantize_rows(self.codes[which, layer, head, t:t + 1],
+                                 self.scales[which, layer, head, t:t + 1],
+                                 self.zeros[which, layer, head, t:t + 1])[0]
+        if which == 0:
+            self.keys[layer, head, t] = pad_to_lanes(row)
+        else:
+            self.values[layer, head, t] = row
 
     def write_layer(self, layer: int, codes: np.ndarray, scales: np.ndarray,
                     zero_points: np.ndarray) -> None:
@@ -271,20 +305,17 @@ class KVCacheStore:
         self.codes[:, layer, :, t] = codes
         self.scales[:, layer, :, t] = scales
         self.zeros[:, layer, :, t] = zero_points
+        hd = self.cfg.head_dim
+        rows = kv_dequantize_rows(codes.reshape(-1, hd), scales.reshape(-1),
+                                  zero_points.reshape(-1)).reshape(2, -1, hd)
+        self.keys[layer, :, t] = pad_to_lanes(rows[0])
+        self.values[layer, :, t] = rows[1]
 
     def history(self, layer: int, head: int, which: int):
         t = self.length
         return (self.codes[which, layer, head, :t],
                 self.scales[which, layer, head, :t],
                 self.zeros[which, layer, head, :t])
-
-    def layer_history(self, layer: int, which: int):
-        """Every head's history in one layer, head after head: codes
-        (n_heads * t, head_dim), scales and zero points (n_heads * t,)."""
-        t = self.length
-        return (self.codes[which, layer, :, :t].reshape(-1, self.cfg.head_dim),
-                self.scales[which, layer, :, :t].reshape(-1),
-                self.zeros[which, layer, :, :t].reshape(-1))
 
     def commit(self) -> None:
         self.length += 1
@@ -318,8 +349,15 @@ class KVCacheStore:
                 store.length = int(z["length"])
         except (ConfigError,) + ARCHIVE_FAULTS as e:
             raise FormatError(f"unreadable state file {path}: {e}") from e
-        if not 0 <= store.length <= cfg.max_context:
-            raise FormatError(f"state length {store.length} out of range")
+        t, hd = store.length, cfg.head_dim
+        if not 0 <= t <= cfg.max_context:
+            raise FormatError(f"state length {t} out of range")
+        rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
+                                  store.scales[:, :, :, :t].reshape(-1),
+                                  store.zeros[:, :, :, :t].reshape(-1))
+        rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
+        store.keys[:, :, :t, :hd] = rows[0]
+        store.values[:, :, :t] = rows[1]
         return store
 
 
@@ -419,27 +457,19 @@ class Decoder:
             qk = np.concatenate([self._dot(pre + "attn.q", h_pad),
                                  self._dot(pre + "attn.k", h_pad)])
             qk = rope_rotate(qk.reshape(2 * heads, hd), t, self.table)
-            q, k = qk[:heads], qk[heads:]
+            qk_pad = pad_to_lanes(qk)
             v = self._dot(pre + "attn.v", h_pad).reshape(heads, hd)
 
-            # each head's history rows, then its current key, all through
-            # the same tree reduction against that head's query
-            q_pad = pad_to_lanes(q)
-            width = q_pad.shape[1]
-            keys = np.zeros((heads, t + 1, width), dtype=np.float16)
-            keys[:, :t, :hd] = kv_dequantize_rows(
-                *self.kv.layer_history(layer, 0)).reshape(heads, t, hd)
-            keys[:, t, :hd] = k
-            logits_h = dot_rows(keys.reshape(-1, width), np.repeat(q_pad, t + 1, axis=0))
-            probs = softmax(scale_logits(logits_h.reshape(heads, t + 1), hd))
-
-            values = np.empty((heads, t + 1, hd), dtype=np.float16)
-            values[:, :t] = kv_dequantize_rows(
-                *self.kv.layer_history(layer, 1)).reshape(heads, t, hd)
+            # row t of the cache mirrors holds this step's key and value
+            # until write_layer puts their cache decode there; each head's
+            # rows go through the tree reduction against that head's query
+            keys, values = self.kv.keys[layer, :, :t + 1], self.kv.values[layer, :, :t + 1]
+            keys[:, t] = qk_pad[heads:]
             values[:, t] = v
+            probs = softmax(scale_logits(dot_rows(keys, qk_pad[:heads]), hd))
             head_out = mix_rows(probs, values).reshape(cfg.d_model)
 
-            codes, scales, zero_points = kv_quantize_rows(np.concatenate([k, v]))
+            codes, scales, zero_points = kv_quantize_rows(np.concatenate([qk[heads:], v]))
             self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
                                 zero_points.reshape(2, heads))
 

@@ -42,18 +42,22 @@ def row_batches(draw, even=False):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), blocks=st.integers(1, 3), n=st.integers(1, 4))
-def test_dot_rows_with_a_vector_per_row(data, blocks, n):
-    rows = data.draw(halves((n, LANES * blocks)), label="rows")
-    vecs = data.draw(halves((n, LANES * blocks)), label="vecs")
-    # zero tails of their own length per row: the batch skips only the
-    # lanes that are zero in every row
-    for i in range(n):
-        live = data.draw(st.integers(0, LANES * blocks), label="live")
+@given(data=st.data(), blocks=st.integers(1, 2), heads=st.integers(1, 8), n=st.integers(1, 40))
+def test_dot_rows_per_head(data, blocks, heads, n):
+    length = LANES * blocks
+    rows = data.draw(halves((heads, n, length)), label="rows")
+    vecs = data.draw(halves((heads, length)), label="vecs")
+    # zero tails of their own length per head, in the rows too when drawn
+    # so: the batch skips only the lanes that are zero in every head
+    for i in range(heads):
+        live = data.draw(st.integers(0, length), label="live")
         vecs[i, live:] = 0.0
+        if data.draw(st.booleans(), label="zero row tail"):
+            rows[i, :, live:] = 0.0
     batched = dot_rows(rows, vecs)
-    for i in range(n):
-        assert bits(batched[i]) == bits(dot_rows(rows[i:i + 1], vecs[i])[0])
+    assert batched.shape == (heads, n)
+    for i in range(heads):
+        assert np.array_equal(bits(batched[i]), bits(dot_rows(rows[i], vecs[i])))
 
 
 @settings(max_examples=100, deadline=None)

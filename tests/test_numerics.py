@@ -42,14 +42,15 @@ def dot(a, b):
 
 
 def oracle_tree_rows(rows, vec):
-    """The tree-order dot over every lane, zero lanes included."""
-    p = rows.astype(np.float32) * vec.astype(np.float32)
-    level = p.reshape(p.shape[0], -1, LANES)
+    """The tree-order dot over every lane, zero lanes included: rows (n, L)
+    against vec (L,), or per head, rows (h, n, L) against vec (h, L)."""
+    p = rows.astype(np.float32) * vec[..., None, :].astype(np.float32)
+    level = p.reshape(p.shape[:-1] + (-1, LANES))
     while level.shape[-1] > 1:
         level = level[..., 0::2] + level[..., 1::2]
-    acc = np.zeros(p.shape[0], dtype=np.float32)
-    for b in range(level.shape[1]):
-        acc = acc + level[:, b, 0]
+    acc = np.zeros(p.shape[:-1], dtype=np.float32)
+    for b in range(level.shape[-2]):
+        acc = acc + level[..., b, 0]
     return acc.astype(np.float16)
 
 
@@ -152,11 +153,12 @@ def test_dot_rows_matches_scalar_dot():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(1, 2), n=st.integers(1, 4),
-       per_row=st.booleans(), live_frac=st.floats(0, 1),
+       heads=st.sampled_from([None, 1, 3]), live_frac=st.floats(0, 1),
        stray=st.sampled_from([None, 1.0, -2.0 ** -24, np.inf, np.nan]))
-def test_dot_rows_zero_lane_tail_is_exact(seed, blocks, n, per_row, live_frac, stray):
+def test_dot_rows_zero_lane_tail_is_exact(seed, blocks, n, heads, live_frac, stray):
     """Lanes holding zeros of either sign (or one stray value, inf or NaN)
-    past the data give the bits of the tree over every lane."""
+    past the data give the bits of the tree over every lane, in the plain
+    form and in the per-head form (`heads` vectors)."""
     rng = np.random.default_rng(seed)
     length = LANES * blocks
     live = int(live_frac * length)
@@ -166,8 +168,9 @@ def test_dot_rows_zero_lane_tail_is_exact(seed, blocks, n, per_row, live_frac, s
         x[..., live:] = np.where(rng.random(x[..., live:].shape) < 0.5, -0.0, 0.0)
         return x
 
-    rows = operand((n, length))
-    vec = operand((n, length) if per_row else (length,))
+    lead = () if heads is None else (heads,)
+    rows = operand(lead + (n, length))
+    vec = operand(lead + (length,))
     if stray is not None and live < length:
         (rows, vec)[rng.integers(2)][..., rng.integers(live, length)] = stray
     got = dot_rows(rows, vec)
@@ -180,20 +183,28 @@ EDGE_HALVES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), blocks=st.integers(1, 3), n=st.integers(1, 5), per_row=st.booleans())
-def test_tree_order_rows_match_plain_rows(data, blocks, n, per_row):
+@given(data=st.data(), blocks=st.integers(1, 3), n=st.integers(1, 5),
+       heads=st.sampled_from([None, 1, 3]))
+def test_tree_order_rows_match_plain_rows(data, blocks, n, heads):
     halves = st.one_of(st.sampled_from(EDGE_HALVES), st.floats(width=16, allow_nan=False))
     length = LANES * blocks
     rows = data.draw(arrays(np.float16, (n, length), elements=halves), label="rows")
-    vec = data.draw(arrays(np.float16, (n, length) if per_row else (length,),
-                           elements=halves), label="vec")
+    lead = () if heads is None else (heads,)
+    vec = data.draw(arrays(np.float16, lead + (length,), elements=halves), label="vec")
     prepared = TreeOrderRows(n, length)
     split = data.draw(st.integers(0, n), label="split")   # assigned in two row ranges
     prepared.assign(0, rows[:split])
     prepared.assign(split, rows[split:])
     assert prepared.shape == rows.shape
     assert np.array_equal(half_bits(prepared.halves()), half_bits(rows))
-    assert np.array_equal(half_bits(dot_rows(prepared, vec)), half_bits(dot_rows(rows, vec)))
+    if heads is None:
+        tree, plain = dot_rows(prepared, vec), dot_rows(rows, vec)
+    else:
+        # each head's vector against the prepared operand, and all of them
+        # at once against the plain rows in the per-head form
+        tree = np.stack([dot_rows(prepared, v) for v in vec])
+        plain = dot_rows(np.broadcast_to(rows, (heads,) + rows.shape), vec)
+    assert np.array_equal(half_bits(tree), half_bits(plain))
 
 
 @pytest.mark.parametrize("seed", [4, 8, 128])
@@ -240,6 +251,13 @@ def test_dot_shape_and_alignment_errors():
         dot_rows(a, a)
     with pytest.raises(ShapeError):
         dot_rows(a[None], np.ones((1, 1, 128), dtype=np.float16))
+    per_head = np.ones((2, 3, 128), dtype=np.float16)
+    with pytest.raises(ShapeError):       # a head count that does not match
+        dot_rows(per_head, np.ones((3, 128), dtype=np.float16))
+    with pytest.raises(ShapeError):       # per-head rows against one vector
+        dot_rows(per_head, a)
+    with pytest.raises(ShapeError):       # a prepared operand takes (L,) only
+        dot_rows(TreeOrderRows(3, 128), np.ones((3, 128), dtype=np.float16))
     with pytest.raises(AlignmentError):
         dot(np.ones(100, dtype=np.float16), np.ones(100, dtype=np.float16))
     with pytest.raises(AlignmentError):

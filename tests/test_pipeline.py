@@ -33,7 +33,7 @@ from beatstream.pipeline import (
     schedule_token,
     stall_free_context_bound,
 )
-from beatstream.quant import KvQuantParams, kv_quantize
+from beatstream.quant import KvQuantParams, kv_dequantize_rows, kv_quantize
 
 
 def random_config(rng, head_dim):
@@ -105,6 +105,43 @@ def snapshot(tmp_path_factory):
     path = tmp_path_factory.mktemp("snapshot") / "state.npz"
     store.save(path)
     return cfg, store, path, archive_header_spans(path.read_bytes())
+
+
+def assert_mirrors_decode_codes(kv):
+    """Mirror rows below the length are the cache decode of the stored
+    codes bit for bit, and the key rows' pad lanes hold +0.0."""
+    t, hd = kv.length, kv.cfg.head_dim
+    for which, mirror in ((0, kv.keys), (1, kv.values)):
+        want = kv_dequantize_rows(kv.codes[which, :, :, :t].reshape(-1, hd),
+                                  kv.scales[which, :, :, :t].reshape(-1),
+                                  kv.zeros[which, :, :, :t].reshape(-1))
+        got = mirror[:, :, :t, :hd].reshape(-1, hd)
+        assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
+    assert kv.keys.shape[-1] % LANES == 0
+    assert not kv.keys[:, :, :t, hd:].view(np.uint16).any()
+
+
+class TestCacheMirrors:
+    @pytest.mark.parametrize("cls", [Decoder, ReferenceDecoder])
+    def test_mirrors_decode_the_codes(self, demo_ckpt, cls):
+        dec = cls(demo_ckpt)
+        tok = 3
+        for _ in range(20):
+            out = dec.step(tok)
+            tok = greedy_pick(out[0] if cls is Decoder else out)
+        assert dec.kv.length == 20
+        assert_mirrors_decode_codes(dec.kv)
+
+    def test_load_rebuilds_the_mirrors(self, snapshot):
+        cfg, store, path, _ = snapshot
+        with np.load(path) as z:   # a snapshot holds the codes alone
+            assert set(z.files) == {"version", "length", "codes", "scales", "zeros", "config"}
+        loaded = KVCacheStore.load(path, cfg)
+        assert loaded.length == 3
+        assert_mirrors_decode_codes(loaded)
+        for name in ("keys", "values"):
+            assert np.array_equal(getattr(loaded, name).view(np.uint16),
+                                  getattr(store, name).view(np.uint16))
 
 
 class TestKVCacheStore:
@@ -297,6 +334,8 @@ class TestCausality:
             b.kv.codes[:, :, :, t:] = rng.integers(0, 256, b.kv.codes[:, :, :, t:].shape)
             b.kv.scales[:, :, :, t:] = np.float16(123.0)
             b.kv.zeros[:, :, :, t:] = -7
+            b.kv.keys[:, :, t:] = np.float16(np.nan)
+            b.kv.values[:, :, t:] = np.float16(np.nan)
             la, _ = a.step(tok)
             lb, _ = b.step(tok)
             assert np.array_equal(la, lb)
@@ -524,5 +563,6 @@ class TestRunDecode:
         assert np.array_equal(la, lb)
         assert a.kv.length == b.kv.length == 16
         assert a.flushed_sz_beats == b.flushed_sz_beats > 0
-        for name in ("codes", "scales", "zeros"):
-            assert np.array_equal(getattr(a.kv, name), getattr(b.kv, name))
+        for name in ("codes", "scales", "zeros", "keys", "values"):   # bit for bit
+            assert np.array_equal(getattr(a.kv, name).view(np.uint8),
+                                  getattr(b.kv, name).view(np.uint8))
