@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-CONFIG_VERSION = 1
+CONFIG_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,6 @@ class ModelConfig:
     group_size: int = 128
     max_context: int = 1024
     norm_eps: float = 1e-5
-    # None selects the standard per-pair schedule base**(-2j/head_dim);
-    # an explicit value d selects base**(-2j/d) (fixed-table variant).
-    rope_freq_divisor: int | None = None
     rope_base: float = 10000.0
 
     def __post_init__(self) -> None:
@@ -50,8 +47,6 @@ class ModelConfig:
                 "(16 groups per scale word must map to whole weight words)")
         if not (self.norm_eps >= 0 and math.isfinite(self.norm_eps)):
             raise ConfigError(f"norm_eps must be finite and >= 0, got {self.norm_eps!r}")
-        if self.rope_freq_divisor is not None and self.rope_freq_divisor <= 0:
-            raise ConfigError("rope_freq_divisor must be positive when given")
 
     @property
     def head_dim(self) -> int:

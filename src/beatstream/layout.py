@@ -23,9 +23,11 @@ partial section gets one SCALE word plus just enough WEIGHT words, all
 padding zero. Groups are consumed row-major across the tensor, matching
 the order the decode pipeline reads rows.
 
-The bus moves 512 bits per beat (four 128-bit ports), i.e. two consecutive
-format words per cycle, which is what feeds the 128-lane dot engine its
-128 codes per cycle.
+The board's bus is fixed, and BusGeometry names it in constants: a beat
+is beat_bytes = 64 (512 bits over four 128-bit ports), i.e.
+words_per_beat = 2 consecutive format words per cycle, which is what
+feeds the 128-lane dot engine its 128 codes per cycle; at freq_hz =
+300 MHz that is bandwidth_bytes_per_s = 19.2 GB/s.
 
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
@@ -94,37 +96,14 @@ _HEADER = struct.Struct("<4sH5I")
 _CHECKSUM = struct.Struct("<I")
 
 
-@dataclass(frozen=True)
 class BusGeometry:
-    """Physical bus: beat width, port split, and clock."""
+    """The board's bus, fixed: a 512-bit beat (four 128-bit ports) at
+    300 MHz."""
 
-    beat_bits: int = 512
-    ports: int = 4
-    port_bits: int = 128
-    freq_hz: float = 300e6
-
-    def __post_init__(self) -> None:
-        if self.ports * self.port_bits != self.beat_bits:
-            raise ConfigError(
-                f"ports*port_bits ({self.ports}*{self.port_bits}) != beat_bits ({self.beat_bits})")
-        if self.beat_bits % FORMAT_WORD_BITS != 0:
-            raise ConfigError(
-                f"beat_bits ({self.beat_bits}) must be a multiple of the "
-                f"{FORMAT_WORD_BITS}-bit format word")
-        if self.freq_hz <= 0:
-            raise ConfigError("freq_hz must be positive")
-
-    @property
-    def beat_bytes(self) -> int:
-        return self.beat_bits // 8
-
-    @property
-    def words_per_beat(self) -> int:
-        return self.beat_bits // FORMAT_WORD_BITS
-
-    @property
-    def bandwidth_bytes_per_s(self) -> float:
-        return self.beat_bytes * self.freq_hz
+    beat_bytes = 64
+    words_per_beat = 2          # format words per beat
+    freq_hz = 300e6
+    bandwidth_bytes_per_s = beat_bytes * freq_hz   # 19.2 GB/s
 
 
 # ---------------------------------------------------------------------------
@@ -404,15 +383,12 @@ def read_container(path: str | Path) -> PackedWeightStream:
 # ---------------------------------------------------------------------------
 
 SZ_PACK_BYTES = 4
-SZ_PACKS_PER_BEAT = BusGeometry().beat_bits // (8 * SZ_PACK_BYTES)   # 16
+SZ_PACKS_PER_BEAT = BusGeometry.beat_bytes // SZ_PACK_BYTES   # 16
 
 
 # ---------------------------------------------------------------------------
 # memory map
 # ---------------------------------------------------------------------------
-
-BEAT_ALIGN = BusGeometry().beat_bytes   # 64
-
 
 @dataclass(frozen=True)
 class Region:
@@ -451,7 +427,7 @@ class MemoryMap:
 
 
 def _align(n: int) -> int:
-    return -(-n // BEAT_ALIGN) * BEAT_ALIGN
+    return -(-n // BusGeometry.beat_bytes) * BusGeometry.beat_bytes
 
 
 def region_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:

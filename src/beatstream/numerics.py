@@ -42,8 +42,6 @@ from .errors import AlignmentError, ConfigError, DomainError, ShapeError
 
 # Smallest positive normal binary16 value, 2**-14.
 HALF_SMALLEST_NORMAL = np.float16(2.0 ** -14)
-# Unit roundoff of binary16, 2**-11.
-HALF_EPS = 2.0 ** -11
 
 
 def to_half(x) -> np.ndarray:
@@ -242,13 +240,12 @@ PHASE_STEPS = 4 * QUARTER_ENTRIES      # full turn on the lookup grid
 _ONE = np.float16(1.0)
 
 
-def inverse_frequency_table(n_pairs: int, divisor: int,
-                            base: float = 10000.0) -> np.ndarray:
-    """inv_freq[j] = base**(-2j/divisor) for j = 0..n_pairs-1 (binary64)."""
-    if n_pairs <= 0 or divisor <= 0:
-        raise ConfigError("n_pairs and divisor must be positive")
-    j = np.arange(n_pairs, dtype=np.float64)
-    return np.power(float(base), -2.0 * j / float(divisor))
+def inverse_frequency_table(head_dim: int, base: float = 10000.0) -> np.ndarray:
+    """inv_freq[j] = base**(-2j/head_dim) for j = 0..head_dim/2-1 (binary64)."""
+    if head_dim <= 0 or head_dim % 2 != 0:
+        raise ConfigError(f"head_dim must be a positive even number, got {head_dim}")
+    j = np.arange(head_dim // 2, dtype=np.float64)
+    return np.power(float(base), -2.0 * j / float(head_dim))
 
 
 @dataclass(frozen=True)
@@ -268,15 +265,10 @@ class TrigTable:
     inv_freq: np.ndarray   # (n_pairs,) float64
 
     @classmethod
-    def for_head_dim(cls, head_dim: int, base: float = 10000.0,
-                     freq_divisor: int | None = None) -> "TrigTable":
-        if head_dim <= 0 or head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be a positive even number, got {head_dim}")
+    def for_head_dim(cls, head_dim: int, base: float = 10000.0) -> "TrigTable":
+        inv_freq = inverse_frequency_table(head_dim, base)
         x = np.arange(QUARTER_ENTRIES, dtype=np.float64) * (math.pi / 2.0 / QUARTER_ENTRIES)
-        entries = np.sin(x).astype(np.float16)
-        divisor = head_dim if freq_divisor is None else freq_divisor
-        return cls(entries=entries,
-                   inv_freq=inverse_frequency_table(head_dim // 2, divisor, base))
+        return cls(entries=np.sin(x).astype(np.float16), inv_freq=inv_freq)
 
     # ---- lookup -------------------------------------------------------
 

@@ -19,13 +19,14 @@ achievable bandwidth from the datasheet number.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import ClassVar
 
 from .config import ModelConfig
 from .errors import ConfigError
-from .layout import SZ_PACK_BYTES, SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
+from .layout import (SZ_PACK_BYTES, SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_bytes,
+                     tensor_stream_words)
 from .model_io import tensor_names, tensor_shape
 
 COUNTING_MODES = ("non_embedding", "packed_exact")
@@ -38,11 +39,8 @@ MAX_BURST_BEATS = 256
 
 def packed_weight_bytes(cfg: ModelConfig) -> int:
     """DDR bytes of every streamed weight container (metadata included)."""
-    total = 0
-    for name in tensor_names(cfg):
-        rows, cols = tensor_shape(cfg, name)
-        total += tensor_stream_words(rows, cols, cfg.group_size) * 32
-    return total
+    return sum(tensor_stream_bytes(*tensor_shape(cfg, name), cfg.group_size)
+               for name in tensor_names(cfg))
 
 
 def kv_traffic_bytes(cfg: ModelConfig, position: int) -> float:
@@ -133,7 +131,7 @@ class BusModel:
     With zero setup the bus is perfect.
     """
 
-    geom: BusGeometry = BusGeometry()
+    geom: ClassVar[type[BusGeometry]] = BusGeometry
     burst_setup_cycles: float = 0.0
 
     def __post_init__(self) -> None:
@@ -156,22 +154,21 @@ class BusModel:
 
 
 def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
-    """DMA request sizes, in bus beats, for one decode step on the default
-    BusGeometry.
+    """DMA request sizes, in bus beats, for one decode step on the board's
+    bus (BusGeometry).
 
     One request per weight container, per cached head-history read, per
     new KV row write, plus the embedding row, the norm gains, and one
     scale-zero beat per stream whenever the step commits a multiple of
     SZ_PACKS_PER_BEAT rows.
     """
-    geom = BusGeometry()
-    bb = geom.beat_bytes
+    bb = BusGeometry.beat_bytes
     reqs: list[int] = [-(-cfg.d_model * 2 // bb)]  # embedding row
     gains = -(-cfg.d_model * 2 // bb)
     for name in tensor_names(cfg):
         rows, cols = tensor_shape(cfg, name)
         words = tensor_stream_words(rows, cols, cfg.group_size)
-        reqs.append(-(-words // geom.words_per_beat))
+        reqs.append(-(-words // BusGeometry.words_per_beat))
     reqs.extend([gains] * (2 * cfg.n_layers + 1))
     hist = position * cfg.head_dim
     for _ in range(cfg.n_layers):

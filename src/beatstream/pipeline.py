@@ -59,7 +59,7 @@ from .layout import SZ_PACKS_PER_BEAT
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import LANES, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows, KvQuantParams
+from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows
 
 STATE_VERSION = 1
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
@@ -138,15 +138,15 @@ def row_code_beats(cols: int, group_size: int) -> int:
     return -(-groups * group_size // LANES)
 
 
-def stall_free_context_bound(cfg: ModelConfig, spu_rate: float = 1.0) -> int:
+def stall_free_context_bound(cfg: ModelConfig) -> int:
     """Longest context the value-projection stream can hide softmax under.
 
-    The exponent pass costs (t+1)/spu_rate cycles after the attention dot,
-    plus the forwarding lead; it stalls nothing while that fits inside the
-    value projection's beats.
+    The exponent pass costs t+1 cycles after the attention dot, plus the
+    forwarding lead; it stalls nothing while that fits inside the value
+    projection's beats.
     """
     v_beats = cfg.head_dim * row_code_beats(cfg.d_model, cfg.group_size)
-    return int((v_beats - SOFTMAX_FORWARD_LEAD) * spu_rate) - 1
+    return v_beats - SOFTMAX_FORWARD_LEAD - 1
 
 
 _LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
@@ -165,57 +165,54 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
                  for layer in range(n_layers))
 
 
-def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0) -> TokenTrace:
+def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     """Cycle trace of the fused decode step at `position`.
 
     Weight-fed stages cost one cycle per 128-code bus beat of their tensor
     slice. Cache-fed stages (the attention dot and the value mix) cost
-    max(1, head_dim/64) cycles per token row. Scalar-unit passes run at
-    spu_rate elements per cycle and are forwarded, so they overlap the
-    stream that produces or consumes them; the one ordering that can stall
-    the vector unit is softmax: the exponent pass cannot start until the
-    attention dot finishes (it needs the final max), and the value mix
-    consumes normalized weights two cycles behind it. Everything else is
-    charged but never gates.
+    max(1, head_dim/64) cycles per token row. Scalar-unit passes take one
+    element per cycle and are forwarded, so they overlap the stream that
+    produces or consumes them; the one ordering that can stall the vector
+    unit is softmax: the exponent pass cannot start until the attention
+    dot finishes (it needs the final max), and the value mix consumes
+    normalized weights two cycles behind it. Everything else is charged
+    but never gates.
     """
     if position < 0:
         raise ConfigError(f"position {position} is negative")
-
-    def spu(n: int) -> int:
-        return max(1, math.ceil(n / spu_rate))
 
     hd, d = cfg.head_dim, cfg.d_model
     d_row = row_code_beats(d, cfg.group_size)         # a row over the model width
     hb = hd * d_row                                   # one head's q, k or v slice
     ob, gb, lb = d * d_row, 2 * cfg.d_ffn * d_row, cfg.vocab_size * d_row
     db = d * row_code_beats(cfg.d_ffn, cfg.group_size)
-    rows_cycles = (position + 1) * max(1, -(-hd // 64))
-    spu_d, spu_hd, spu_kv, spu_rows = spu(d), spu(hd), spu(2 * hd), spu(position + 1)
+    rows = position + 1
+    rows_cycles = rows * max(1, -(-hd // 64))
 
-    spans = [StageSpan("embed", "spu", 0, spu_d)]
+    spans = [StageSpan("embed", "spu", 0, d)]
     add = spans.append
     c = 0  # vector-unit cycle cursor
     for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
         attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
-        add(StageSpan(attn_norm, "spu", c, c + spu_d))
+        add(StageSpan(attn_norm, "spu", c, c + d))
         for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
              v, v_quant, softmax_wait, value_mix) in head_names:
             add(StageSpan(q, "vpu", c, c + hb, hb))
-            add(StageSpan(rope_q, "spu", c + hb, c + hb + spu_hd))
+            add(StageSpan(rope_q, "spu", c + hb, c + hb + hd))
             c += hb
             add(StageSpan(k, "vpu", c, c + hb, hb))
-            add(StageSpan(rope_k, "spu", c + hb, c + hb + spu_hd))
+            add(StageSpan(rope_k, "spu", c + hb, c + hb + hd))
             c += hb
             dot_end = c + rows_cycles
             add(StageSpan(kv_dot, "vpu", c, dot_end))
             add(StageSpan(softmax_max, "spu", c, dot_end))
-            add(StageSpan(k_quant, "spu", c, c + spu_kv))
+            add(StageSpan(k_quant, "spu", c, c + 2 * hd))
             c = dot_end
-            exp_end = dot_end + spu_rows
+            exp_end = dot_end + rows
             add(StageSpan(softmax_exp, "spu", dot_end, exp_end))
-            add(StageSpan(softmax_norm, "spu", exp_end, exp_end + spu_rows))
+            add(StageSpan(softmax_norm, "spu", exp_end, exp_end + rows))
             add(StageSpan(v, "vpu", c, c + hb, hb))
-            add(StageSpan(v_quant, "spu", c, c + spu_kv))
+            add(StageSpan(v_quant, "spu", c, c + 2 * hd))
             c += hb
             mix_start = exp_end + SOFTMAX_FORWARD_LEAD
             if mix_start > c:
@@ -224,19 +221,19 @@ def schedule_token(cfg: ModelConfig, position: int, spu_rate: float = 1.0) -> To
             add(StageSpan(value_mix, "vpu", c, c + rows_cycles))
             c += rows_cycles
         add(StageSpan(o, "vpu", c, c + ob, ob))
-        add(StageSpan(attn_residual, "spu", c, c + spu_d))
+        add(StageSpan(attn_residual, "spu", c, c + d))
         c += ob
-        add(StageSpan(mlp_norm, "spu", c, c + spu_d))
+        add(StageSpan(mlp_norm, "spu", c, c + d))
         # gate and up rows interleave on the stream: one merged stage
         add(StageSpan(gate_up, "vpu", c, c + gb, gb))
-        add(StageSpan(silu, "spu", c, c + spu(cfg.d_ffn)))
+        add(StageSpan(silu, "spu", c, c + cfg.d_ffn))
         c += gb
         add(StageSpan(down, "vpu", c, c + db, db))
-        add(StageSpan(mlp_residual, "spu", c, c + spu_d))
+        add(StageSpan(mlp_residual, "spu", c, c + d))
         c += db
-    add(StageSpan("final_norm", "spu", c, c + spu_d))
+    add(StageSpan("final_norm", "spu", c, c + d))
     add(StageSpan("lm_head", "vpu", c, c + lb, lb))
-    add(StageSpan("argmax", "spu", c, c + spu(cfg.vocab_size)))
+    add(StageSpan("argmax", "spu", c, c + cfg.vocab_size))
     stream_end = c + lb
     spu_end = max(s.end for s in spans if s.kind == "spu")
     return TokenTrace(position, spans, stream_end, max(stream_end, spu_end))
@@ -255,8 +252,8 @@ class KVCacheStore:
     step decodes the history again: `keys` (n_layers, n_heads,
     max_context, W), each row zero-padded to W, head_dim rounded up to
     whole lanes, and `values` (n_layers, n_heads, max_context, head_dim).
-    The mirrors are derived state. write and write_layer decode each new
-    row through kv_dequantize_rows, which gives the bits a decode of the
+    The mirrors are derived state. write_layer decodes each new row
+    through kv_dequantize_rows, which gives the bits a decode of the
     whole history would; load rebuilds them from the codes; a snapshot
     holds the codes alone. Rows at or past the length are dead in the
     mirrors as in the codes. In host memory the mirrors cost
@@ -281,20 +278,6 @@ class KVCacheStore:
             raise CapacityError(
                 f"cache full: {self.length} rows at max_context {self.cfg.max_context}")
         return self.length
-
-    def write(self, layer: int, head: int, which: int,
-              codes: np.ndarray, params: KvQuantParams) -> None:
-        t = self.length
-        self.codes[which, layer, head, t] = codes
-        self.scales[which, layer, head, t] = params.scale
-        self.zeros[which, layer, head, t] = params.zero_point
-        row = kv_dequantize_rows(self.codes[which, layer, head, t:t + 1],
-                                 self.scales[which, layer, head, t:t + 1],
-                                 self.zeros[which, layer, head, t:t + 1])[0]
-        if which == 0:
-            self.keys[layer, head, t] = pad_to_lanes(row)
-        else:
-            self.values[layer, head, t] = row
 
     def write_layer(self, layer: int, codes: np.ndarray, scales: np.ndarray,
                     zero_points: np.ndarray) -> None:
@@ -422,9 +405,7 @@ class Decoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(
-            self.cfg.head_dim, base=self.cfg.rope_base,
-            freq_divisor=self.cfg.rope_freq_divisor)
+        self.table = TrigTable.for_head_dim(self.cfg.head_dim, base=self.cfg.rope_base)
         self.weights = _WeightCache.of(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
@@ -502,9 +483,7 @@ class ReferenceDecoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(
-            self.cfg.head_dim, base=self.cfg.rope_base,
-            freq_divisor=self.cfg.rope_freq_divisor)
+        self.table = TrigTable.for_head_dim(self.cfg.head_dim, base=self.cfg.rope_base)
         self.mats = _plain_weights(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
@@ -512,7 +491,11 @@ class ReferenceDecoder:
         cfg = self.cfg
         x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
-        hd = cfg.head_dim
+        heads, hd = cfg.n_heads, cfg.head_dim
+        # one layer's new cache rows, key (0) and value (1) of every head
+        codes = np.empty((2, heads, hd), dtype=np.uint8)
+        scales = np.empty((2, heads), dtype=np.float16)
+        zero_points = np.empty((2, heads), dtype=np.int16)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps)
@@ -521,15 +504,15 @@ class ReferenceDecoder:
             k_all = dot_rows(self.mats[pre + "attn.k"], h_pad)
             v_all = dot_rows(self.mats[pre + "attn.v"], h_pad)
             out = np.empty(cfg.d_model, dtype=np.float16)
-            for head in range(cfg.n_heads):
+            for head in range(heads):
                 lo, hi = head * hd, (head + 1) * hd
                 q = rope_rotate(q_all[lo:hi], t, self.table)
                 k = rope_rotate(k_all[lo:hi], t, self.table)
                 v = v_all[lo:hi]
                 q_pad = pad_to_lanes(q)
-                codes, scales, zeros = self.kv.history(layer, head, 0)
+                kc, ks, kz = self.kv.history(layer, head, 0)
                 hist_pad = np.zeros((t, q_pad.size), dtype=np.float16)
-                hist_pad[:, :hd] = kv_dequantize_rows(codes, scales, zeros)
+                hist_pad[:, :hd] = kv_dequantize_rows(kc, ks, kz)
                 logits_h = np.concatenate([dot_rows(hist_pad, q_pad),
                                            dot_rows(pad_to_lanes(k)[None], q_pad)])
                 probs = softmax(scale_logits(logits_h, hd))
@@ -537,10 +520,11 @@ class ReferenceDecoder:
                 rows = np.concatenate([kv_dequantize_rows(vc, vs, vz), v[None]],
                                       axis=0)
                 out[lo:hi] = mix_rows(probs, rows)
-                kc, kp = kv_quantize(k)
-                vcod, vp = kv_quantize(v)
-                self.kv.write(layer, head, 0, kc, kp)
-                self.kv.write(layer, head, 1, vcod, vp)
+                for which, row in enumerate((k, v)):
+                    codes[which, head], params = kv_quantize(row)
+                    scales[which, head] = params.scale
+                    zero_points[which, head] = params.zero_point
+            self.kv.write_layer(layer, codes, scales, zero_points)
             o = dot_rows(self.mats[pre + "attn.o"], pad_to_lanes(out))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps)

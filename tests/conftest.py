@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import strategies as st
 
@@ -7,6 +9,17 @@ from beatstream.model_io import build_demo_checkpoint
 @pytest.fixture(scope="session")
 def demo_ckpt():
     return build_demo_checkpoint(seed=7)
+
+
+@pytest.fixture(scope="session")
+def version_1_config():
+    """text(cfg): cfg's config.json as version 1 wrote it, with the
+    rope_freq_divisor field that version 2 dropped."""
+    def text(cfg) -> str:
+        doc = json.loads(cfg.to_json_str())
+        doc.update(version=1, rope_freq_divisor=None)
+        return json.dumps(doc)
+    return text
 
 
 @pytest.fixture(scope="session")

@@ -43,13 +43,16 @@ def test_json_round_trip(tmp_path):
     assert ModelConfig.from_json(path) == cfg
 
 
-def test_json_rejects_garbage(tmp_path):
+def test_json_rejects_garbage(tmp_path, version_1_config):
     path = tmp_path / "config.json"
     path.write_text("not json {")
     with pytest.raises(ConfigError):
         ModelConfig.from_json(path)
     path.write_text('{"version": 99, "n_layers": 1}')
     with pytest.raises(ConfigError):
+        ModelConfig.from_json(path)
+    path.write_text(version_1_config(tiny_demo_config()))
+    with pytest.raises(ConfigError, match="version"):
         ModelConfig.from_json(path)
     path.write_text('{"n_layers": 1, "what": 2}')
     with pytest.raises(ConfigError):

@@ -113,6 +113,14 @@ def test_non_utf8_config_raises_config_error(tmp_path, saved):
         load_checkpoint(path)
 
 
+def test_version_1_config_raises_config_error(tmp_path, saved, version_1_config):
+    path = tmp_path / "m"
+    shutil.copytree(saved[1], path)
+    (path / CONFIG_NAME).write_text(version_1_config(saved[0].config))
+    with pytest.raises(ConfigError, match="version"):
+        load_checkpoint(path)
+
+
 def test_missing_pieces_raise(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope")

@@ -86,7 +86,7 @@ def test_ulp16_matches_spacing():
 
 def test_lanes_take_one_beat_of_codes():
     # the multiplier array takes one bus beat of 4-bit codes per cycle
-    assert LANES * 4 == BusGeometry().beat_bits
+    assert LANES * 4 == BusGeometry.beat_bytes * 8
 
 
 def test_dot_ones():
@@ -328,14 +328,12 @@ def test_lut_quarter_wave_fold_symmetry(table):
 
 
 def test_inverse_frequency_schedules():
-    std = inverse_frequency_table(64, 128)
+    std = inverse_frequency_table(128)
+    assert std.shape == (64,)
     assert std[0] == 1.0
     assert std[1] == pytest.approx(10000.0 ** (-2.0 / 128.0))
     assert std[63] == pytest.approx(10000.0 ** (-126.0 / 128.0))
-    fixed = inverse_frequency_table(64, 4096)
-    assert fixed[1] == pytest.approx(10000.0 ** (-2.0 / 4096.0))
-    t = TrigTable.for_head_dim(128, freq_divisor=4096)
-    assert np.allclose(t.inv_freq, fixed)
+    assert np.array_equal(TrigTable.for_head_dim(128).inv_freq, std)
 
 
 def test_phase_wraps_and_negatives(table):

@@ -29,8 +29,9 @@ def test_catalog_row_reproduces_published_figures(row):
 
 
 def test_7b_non_embedding_peak_matches_paper_bound():
-    bandwidth = BusGeometry().bandwidth_bytes_per_s
+    bandwidth = BusGeometry.bandwidth_bytes_per_s
     assert bandwidth == 19.2e9
+    assert BusModel.geom is BusGeometry
     token_bytes = bytes_per_token(llama2_7b_config(), "non_embedding")
     assert peak_tokens_per_s(bandwidth, token_bytes) == pytest.approx(5.81, abs=0.01)
 

@@ -1,6 +1,7 @@
 """Decode pipeline tests: fused/reference equivalence, cache causality,
 the stage schedule, and sequence-level behavior."""
 
+import dataclasses
 import gc
 import io
 import struct
@@ -33,7 +34,7 @@ from beatstream.pipeline import (
     schedule_token,
     stall_free_context_bound,
 )
-from beatstream.quant import KvQuantParams, kv_dequantize_rows, kv_quantize
+from beatstream.quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows
 
 
 def random_config(rng, head_dim):
@@ -87,21 +88,28 @@ def archive_header_spans(blob: bytes) -> list[tuple[int, int]]:
     return spans
 
 
+def write_random_rows(store, rng, tokens):
+    """Commit `tokens` rows of quantized random keys and values to every
+    layer of a store, one write_layer call per layer."""
+    cfg = store.cfg
+    heads, hd = cfg.n_heads, cfg.head_dim
+    for _ in range(tokens):
+        store.begin_token()
+        for layer in range(cfg.n_layers):
+            codes, scales, zero_points = kv_quantize_rows(
+                to_half(rng.normal(size=(2 * heads, hd))))
+            store.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
+                              zero_points.reshape(2, heads))
+        store.commit()
+
+
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
     """A saved KV store whose code array fills more than one zip read: its
     config, the store, the file, and the file's header spans."""
     cfg = tiny_demo_config(max_context=64)
     store = KVCacheStore(cfg)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        store.begin_token()
-        for layer in range(cfg.n_layers):
-            for head in range(cfg.n_heads):
-                for which in (0, 1):
-                    codes, params = kv_quantize(to_half(rng.normal(size=cfg.head_dim)))
-                    store.write(layer, head, which, codes, params)
-        store.commit()
+    write_random_rows(store, np.random.default_rng(5), 3)
     path = tmp_path_factory.mktemp("snapshot") / "state.npz"
     store.save(path)
     return cfg, store, path, archive_header_spans(path.read_bytes())
@@ -132,6 +140,17 @@ class TestCacheMirrors:
         assert dec.kv.length == 20
         assert_mirrors_decode_codes(dec.kv)
 
+    def test_decoders_write_the_same_store(self, demo_ckpt):
+        dec, ref = Decoder(demo_ckpt), ReferenceDecoder(demo_ckpt)
+        tok = 3
+        for _ in range(20):
+            logits, _ = dec.step(tok)
+            ref.step(tok)
+            tok = greedy_pick(logits)
+        for name in ("codes", "scales", "zeros", "keys", "values"):
+            a, b = getattr(dec.kv, name), getattr(ref.kv, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_load_rebuilds_the_mirrors(self, snapshot):
         cfg, store, path, _ = snapshot
         with np.load(path) as z:   # a snapshot holds the codes alone
@@ -147,16 +166,21 @@ class TestCacheMirrors:
 class TestKVCacheStore:
     def test_write_and_history(self):
         cfg = tiny_demo_config(max_context=4)
+        heads, hd = cfg.n_heads, cfg.head_dim
         store = KVCacheStore(cfg)
-        x = to_half(np.linspace(-1, 1, cfg.head_dim))
-        codes, params = kv_quantize(x)
+        rows = to_half(np.random.default_rng(6).normal(size=(2, heads, hd)))
+        codes, scales, zero_points = kv_quantize_rows(rows.reshape(-1, hd))
         store.begin_token()
-        store.write(1, 2, 0, codes, params)
+        store.write_layer(1, codes.reshape(2, heads, hd), scales.reshape(2, heads),
+                          zero_points.reshape(2, heads))
         store.commit()
-        got_codes, got_scales, got_zeros = store.history(1, 2, 0)
-        assert np.array_equal(got_codes[0], codes)
-        assert got_scales[0] == params.scale
-        assert int(got_zeros[0]) == params.zero_point
+        for which in (0, 1):
+            # each head's row is what quantizing that row alone gives
+            want_codes, params = kv_quantize(rows[which, 2])
+            got_codes, got_scales, got_zeros = store.history(1, 2, which)
+            assert np.array_equal(got_codes[0], want_codes)
+            assert got_scales[0] == params.scale
+            assert int(got_zeros[0]) == params.zero_point
 
     def test_capacity(self):
         cfg = tiny_demo_config(max_context=2)
@@ -169,15 +193,7 @@ class TestKVCacheStore:
     def test_snapshot_round_trip(self, tmp_path):
         cfg = tiny_demo_config(max_context=6)
         store = KVCacheStore(cfg)
-        rng = np.random.default_rng(3)
-        for _ in range(3):
-            store.begin_token()
-            for layer in range(cfg.n_layers):
-                for head in range(cfg.n_heads):
-                    for which in (0, 1):
-                        codes, params = kv_quantize(to_half(rng.normal(size=cfg.head_dim)))
-                        store.write(layer, head, which, codes, params)
-            store.commit()
+        write_random_rows(store, np.random.default_rng(3), 3)
         path = tmp_path / "state.npz"
         store.save(path)
         back = KVCacheStore.load(path, cfg)
@@ -204,17 +220,19 @@ class TestKVCacheStore:
         with pytest.raises(FormatError):
             KVCacheStore.load(path, tiny_demo_config(max_context=8))
 
-    def test_snapshot_version_check(self, tmp_path):
+    def test_snapshot_version_check(self, tmp_path, version_1_config):
+        # the state version, and the version of the config it embeds
         cfg = tiny_demo_config(max_context=4)
         store = KVCacheStore(cfg)
         path = tmp_path / "state.npz"
         store.save(path)
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
-        payload["version"] = np.int64(99)
-        np.savez(path, **payload)
-        with pytest.raises(FormatError):
-            KVCacheStore.load(path, cfg)
+        for name, value in (("version", np.int64(99)),
+                            ("config", np.array(version_1_config(cfg)))):
+            np.savez(path, **{**payload, name: value})
+            with pytest.raises(FormatError, match="version"):
+                KVCacheStore.load(path, cfg)
 
     @pytest.mark.parametrize("name", ["codes", "scales", "zeros"])
     def test_snapshot_array_shapes_checked(self, tmp_path, name):
@@ -352,19 +370,20 @@ def expected_weight_beats(cfg):
     return cfg.n_layers * per_layer + beats(cfg.vocab_size, cfg.d_model)
 
 
-# (spu_rate, position) -> stream end, makespan, stall cycles, weight beats,
-# span count of the demo config. The stream ends are the makespans the trace
-# read when it was still built inside the decode loop; at spu_rate 0.5 the
-# argmax pass runs 256 cycles past the stream, and the makespan covers it.
+# (vocab_size, position) -> stream end, makespan, stall cycles, weight
+# beats, span count of the demo config. The stream ends at vocab 256 are the
+# makespans the trace read when it was still built inside the decode loop;
+# at vocab 32 the final norm pass (64 cycles) outlasts the 32-beat output
+# head, and the makespan covers it.
 GOLDEN_DEMO = {
-    (1.0, 0): (1728, 1728, 0, 1712, 116),
-    (1.0, 13): (1936, 1936, 0, 1712, 116),
-    (1.0, 14): (1960, 1960, 8, 1712, 124),
-    (1.0, 19): (2080, 2080, 48, 1712, 124),
-    (0.5, 0): (1728, 1984, 0, 1712, 116),
-    (0.5, 13): (2048, 2304, 112, 1712, 124),
-    (0.5, 14): (2080, 2336, 128, 1712, 124),
-    (0.5, 19): (2240, 2496, 208, 1712, 124),
+    (256, 0): (1728, 1728, 0, 1712, 116),
+    (256, 13): (1936, 1936, 0, 1712, 116),
+    (256, 14): (1960, 1960, 8, 1712, 124),
+    (256, 19): (2080, 2080, 48, 1712, 124),
+    (32, 0): (1504, 1536, 0, 1488, 116),
+    (32, 13): (1712, 1744, 0, 1488, 116),
+    (32, 14): (1736, 1768, 8, 1488, 124),
+    (32, 19): (1856, 1888, 48, 1488, 124),
 }
 
 
@@ -391,14 +410,15 @@ class TestTrace:
         assert trace.weight_beats == sum(cache.stage_beats(n, tensor_shape(cfg, n)[0])
                                          for n in tensor_names(cfg))
 
-    @pytest.mark.parametrize("rate, position", sorted(GOLDEN_DEMO))
-    def test_golden_demo_schedule(self, rate, position):
-        tr = schedule_token(tiny_demo_config(), position, spu_rate=rate)
+    @pytest.mark.parametrize("vocab, position", sorted(GOLDEN_DEMO))
+    def test_golden_demo_schedule(self, vocab, position):
+        cfg = dataclasses.replace(tiny_demo_config(), vocab_size=vocab)
+        tr = schedule_token(cfg, position)
         got = (tr.stream_end, tr.makespan, tr.stall_cycles, tr.weight_beats, len(tr.spans))
-        assert got == GOLDEN_DEMO[rate, position]
+        assert got == GOLDEN_DEMO[vocab, position]
 
     def test_makespan_is_vpu_plus_stalls(self):
-        # at spu_rate 1 every scalar pass of the demo ends inside the stream
+        # every scalar pass of the demo ends inside the stream
         cfg = tiny_demo_config()
         for position in range(20):
             trace = schedule_token(cfg, position)
@@ -422,15 +442,14 @@ class TestTrace:
             assert schedule_token(cfg, position).stall_cycles == want
 
     @settings(max_examples=300, deadline=None)
-    @given(cfg=schedule_configs(), rate=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
-           position=st.integers(0, 4096))
-    def test_schedule_laws_on_random_configs(self, cfg, rate, position):
-        trace = schedule_token(cfg, position, spu_rate=rate)
+    @given(cfg=schedule_configs(), position=st.integers(0, 4096))
+    def test_schedule_laws_on_random_configs(self, cfg, position):
+        trace = schedule_token(cfg, position)
         assert trace.stream_end == trace.vpu_cycles + trace.stall_cycles
         assert trace.makespan == max(s.end for s in trace.spans)
         assert trace.spu_contained == all(s.end <= trace.stream_end
                                           for s in trace.spans if s.kind == "spu")
-        inside = position <= stall_free_context_bound(cfg, rate)
+        inside = position <= stall_free_context_bound(cfg)
         assert (trace.stall_cycles == 0) == inside
 
     def test_positions_share_span_names(self):
