@@ -7,7 +7,7 @@ Library layout:
 - layout: packed weight stream words, containers, scale-zero records, DDR memory map
 - ops: streaming operators (rope, rmsnorm, softmax, silu-gate)
 - pipeline: fused decoder (a layer's heads at once), reference decoder, stage schedule
-- perf: bytes per token (two counting modes), roofline peaks, burst-level bus model
+- perf: per-token DMA schedule (the one bus-traffic count), bytes per token, peaks, bus model
 """
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ zero-padded final group (padded codes dequantize to exactly 0.0).
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 
@@ -34,8 +34,15 @@ class ModelConfig:
         for name in ("n_layers", "d_model", "n_heads", "d_ffn", "vocab_size",
                      "group_size", "max_context"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        for name, positive in (("norm_eps", False), ("rope_base", True)):
+            v = getattr(self, name)
+            # the float_info.max bound also refuses a JSON integer too large for float()
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not (v > 0 if positive else v >= 0) or v > sys.float_info.max:
+                raise ConfigError(f"{name} must be a finite real {'>' if positive else '>='} 0, "
+                                  f"got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})")
@@ -45,8 +52,6 @@ class ModelConfig:
             raise ConfigError(
                 f"group_size ({self.group_size}) must be a multiple of 4 "
                 "(16 groups per scale word must map to whole weight words)")
-        if not (self.norm_eps >= 0 and math.isfinite(self.norm_eps)):
-            raise ConfigError(f"norm_eps must be finite and >= 0, got {self.norm_eps!r}")
 
     @property
     def head_dim(self) -> int:

@@ -7,11 +7,13 @@ Two counting modes bracket the denominator bytes:
     non_embedding   4-bit codes of the parameters streamed each token
                     (default; the embedding is a single row lookup, not
                     a stream)
-    packed_exact    bytes of the packed containers as laid out in DDR,
-                    including scale/zero metadata words and padding,
-                    plus per-token KV cache and sidecar traffic
+    packed_exact    the beats of the token's DMA schedule times the
+                    64-byte beat: whole containers with their metadata
+                    and padding, aux rows, KV reads and writes, and one
+                    whole scale-zero beat per stream every 16th token
 
-The transaction model charges each DMA request a fixed setup cost per
+token_burst_schedule is the one per-token count of bus traffic. The
+transaction model charges each of its requests a fixed setup cost per
 maximal burst of MAX_BURST_BEATS beats, which is what separates
 achievable bandwidth from the datasheet number.
 """
@@ -19,14 +21,14 @@ achievable bandwidth from the datasheet number.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import ClassVar
 
 from .config import ModelConfig
 from .errors import ConfigError
-from .layout import (SZ_PACK_BYTES, SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_bytes,
-                     tensor_stream_words)
+from .layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
 from .model_io import tensor_names, tensor_shape
 
 COUNTING_MODES = ("non_embedding", "packed_exact")
@@ -37,38 +39,15 @@ MAX_BURST_BEATS = 256
 # bytes per token
 # ---------------------------------------------------------------------------
 
-def packed_weight_bytes(cfg: ModelConfig) -> int:
-    """DDR bytes of every streamed weight container (metadata included)."""
-    return sum(tensor_stream_bytes(*tensor_shape(cfg, name), cfg.group_size)
-               for name in tensor_names(cfg))
-
-
-def kv_traffic_bytes(cfg: ModelConfig, position: int) -> float:
-    """Cache bytes moved while decoding at the given position: history
-    reads for keys and values, the new row writes, and the amortized
-    scale-zero beat (one 64-byte beat per stream per 16 tokens)."""
-    if position < 0:
-        raise ConfigError(f"position {position} is negative")
-    reads = 2 * position * cfg.d_model * cfg.n_layers
-    writes = 2 * cfg.d_model * cfg.n_layers
-    sz = cfg.n_layers * cfg.n_heads * 2 * SZ_PACK_BYTES
-    return float(reads + writes + sz)
-
-
-def aux_stream_bytes(cfg: ModelConfig) -> int:
-    """Embedding row plus norm gains fetched per token, binary16."""
-    return cfg.d_model * 2 + (2 * cfg.n_layers + 1) * cfg.d_model * 2
-
-
 def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
                     position: int = 0) -> float:
-    """Bytes that must cross the bus for one decode step at `position`
-    (the packed mode's KV traffic grows with it)."""
+    """Bytes that must cross the bus for one decode step at `position`;
+    packed_exact reads them off token_burst_schedule, whose KV traffic
+    grows with the position."""
     if mode == "non_embedding":
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
-        return packed_weight_bytes(cfg) + aux_stream_bytes(cfg) \
-            + kv_traffic_bytes(cfg, position)
+        return sum(token_burst_schedule(cfg, position)) * BusGeometry.beat_bytes
     raise ConfigError(f"unknown counting mode {mode!r}; pick from {COUNTING_MODES}")
 
 
@@ -135,8 +114,9 @@ class BusModel:
     burst_setup_cycles: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.burst_setup_cycles < 0:
-            raise ConfigError("setup cannot be negative")
+        if not 0 <= self.burst_setup_cycles < math.inf:
+            raise ConfigError(
+                f"setup must be finite and >= 0, got {self.burst_setup_cycles!r}")
 
     def request_cycles(self, beats: int) -> float:
         if beats <= 0:
@@ -162,6 +142,8 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     scale-zero beat per stream whenever the step commits a multiple of
     SZ_PACKS_PER_BEAT rows.
     """
+    if position < 0:
+        raise ConfigError(f"position {position} is negative")
     bb = BusGeometry.beat_bytes
     reqs: list[int] = [-(-cfg.d_model * 2 // bb)]  # embedding row
     gains = -(-cfg.d_model * 2 // bb)

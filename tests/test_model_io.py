@@ -1,6 +1,8 @@
 """Checkpoint directory round-trip tests."""
 
 import hashlib
+import json
+import math
 import shutil
 
 import numpy as np
@@ -118,6 +120,27 @@ def test_version_1_config_raises_config_error(tmp_path, saved, version_1_config)
     shutil.copytree(saved[1], path)
     (path / CONFIG_NAME).write_text(version_1_config(saved[0].config))
     with pytest.raises(ConfigError, match="version"):
+        load_checkpoint(path)
+
+
+BAD_FIELDS = [
+    ("rope_base", "abc"), ("rope_base", None), ("rope_base", [1]), ("rope_base", 0),
+    ("rope_base", -1), ("rope_base", True), ("rope_base", math.inf), ("rope_base", 10 ** 400),
+    ("norm_eps", True), ("n_layers", True),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_FIELDS,
+                         ids=[f"{f}={v!r:.8}" for f, v in BAD_FIELDS])
+def test_bad_config_field_raises(tmp_path, saved, field, value):
+    """A config.json whose values are the wrong type or out of range is
+    refused at load, not at the first decoder build or rotation."""
+    path = tmp_path / "m"
+    shutil.copytree(saved[1], path)
+    doc = json.loads((path / CONFIG_NAME).read_text())
+    doc[field] = value
+    (path / CONFIG_NAME).write_text(json.dumps(doc))
+    with pytest.raises((ConfigError, FormatError)):
         load_checkpoint(path)
 
 

@@ -1,9 +1,13 @@
 """Bandwidth model tests: the published catalog, the 7B peak, the bus
-transaction arithmetic, and the per-token DMA schedule."""
+transaction arithmetic, and the per-token DMA schedule that every
+packed byte count and the modelled tok/s are read from."""
+
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from beatstream.config import llama2_7b_config, tiny_demo_config
+from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
 from beatstream.layout import BusGeometry
 from beatstream.perf import (
@@ -44,9 +48,77 @@ def test_bad_inputs_raise_config_error():
             peak_tokens_per_s(19.2e9, token_bytes)
 
 
+def test_negative_position_raises_config_error():
+    for position in (-1, -16):
+        with pytest.raises(ConfigError):
+            token_burst_schedule(tiny_demo_config(), position)
+        with pytest.raises(ConfigError):
+            bytes_per_token(tiny_demo_config(), "packed_exact", position)
+
+
+@pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf])
+def test_bus_model_rejects_setup_outside_finite_non_negative(setup):
+    with pytest.raises(ConfigError):
+        BusModel(burst_setup_cycles=setup)
+
+
 def test_request_pays_setup_per_burst():
     # 300 beats split into two maximal bursts of at most 256
     assert BusModel(burst_setup_cycles=16).request_cycles(300) == 332
+
+
+# demo, kv_long and weights_mid shapes of the benchmark, group size left open
+SMALL_SHAPES = [
+    dict(n_layers=2, d_model=64, n_heads=4, d_ffn=172, vocab_size=256, max_context=48),
+    dict(n_layers=2, d_model=128, n_heads=8, d_ffn=256, vocab_size=256, max_context=512),
+    dict(n_layers=4, d_model=512, n_heads=8, d_ffn=1376, vocab_size=4096, max_context=128),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(SMALL_SHAPES), group_size=st.integers(8, 64).map(lambda k: 4 * k),
+       data=st.data())
+def test_packed_bytes_are_the_schedule_beats(shape, group_size, data):
+    # positions p on both sides of a scale-zero flush, which is due when
+    # p + 1 is a multiple of 16
+    cfg = ModelConfig(**shape, group_size=group_size)
+    flush = data.draw(st.integers(1, cfg.max_context // 16 - 1), label="flush") * 16 - 1
+    position = flush + data.draw(st.sampled_from([-1, 0, 1]), label="offset")
+    schedule = token_burst_schedule(cfg, position)
+    assert bytes_per_token(cfg, "packed_exact", position) == \
+        sum(schedule) * BusGeometry.beat_bytes
+
+
+@pytest.fixture(scope="module")
+def schedule_7b():
+    """The LLaMA2-7B DMA schedule at the benchmark's head position."""
+    return token_burst_schedule(llama2_7b_config(), 1023)
+
+
+def test_7b_head_position_beats_and_cycles(schedule_7b):
+    model = BusModel(burst_setup_cycles=16)
+    assert sum(schedule_7b) == 57_838_912
+    assert sum(schedule_7b) * BusGeometry.beat_bytes == 3_701_690_368
+    assert model.stream_cycles(schedule_7b) == 61_488_432
+
+
+def test_utilization_is_beats_over_cycles(schedule_7b):
+    model = BusModel(burst_setup_cycles=16)
+    beats, cycles = sum(schedule_7b), model.stream_cycles(schedule_7b)
+    assert model.stream_utilization(schedule_7b) == beats / cycles
+    assert BusModel().stream_utilization(schedule_7b) == 1.0
+
+
+def test_modelled_tok_s_is_clock_over_cycles(schedule_7b):
+    # the benchmark's perf.model_tok_s: the peak from the schedule's bytes,
+    # times the bus utilisation of the same schedule
+    model = BusModel(burst_setup_cycles=16)
+    token_bytes = sum(schedule_7b) * BusGeometry.beat_bytes
+    tok_s = peak_tokens_per_s(BusGeometry.bandwidth_bytes_per_s, token_bytes) \
+        * model.stream_utilization(schedule_7b)
+    cycles = model.stream_cycles(schedule_7b)
+    assert tok_s == pytest.approx(BusGeometry.freq_hz / cycles, rel=1e-12)
+    assert tok_s == pytest.approx(4.878967, abs=5e-7)
 
 
 def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):

@@ -56,15 +56,40 @@ class TestMixRows:
         out = mix_rows(np.array([1.0], dtype=np.float16), v[None])
         assert np.array_equal(out, v)
 
-    def test_matches_sequential_oracle(self):
-        rng = np.random.default_rng(2)
-        probs = to_half(rng.uniform(0, 1, size=9))
-        rows = to_half(rng.normal(size=(9, 12)))
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.integers(0, 4), tokens=st.integers(1, 600), length=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-28, 10),
+           cancel=st.booleans(), zeros=st.sampled_from([0.0, 0.1, 0.5]))
+    def test_matches_sequential_oracle(self, heads, tokens, length, seed, scale, cancel,
+                                       zeros):
+        """Bit for bit an explicit float32 loop over tokens, starting from
+        the first product. heads 0 draws the unbatched form. Rows reach from
+        binary16 subnormals to thousands, may cancel pairwise, and carry
+        signed zeros; some weights are 0."""
+        rng = np.random.default_rng(seed)
+        batch = (heads,) if heads else ()
+        probs = to_half(rng.uniform(0, 1, size=batch + (tokens,)))
+        rows = to_half(rng.normal(size=batch + (tokens, length)) * 2.0 ** scale)
+        if cancel:   # every odd token undoes the token before it
+            probs[..., 1::2] = probs[..., 0:tokens - 1:2]
+            rows[..., 1::2, :] = -rows[..., 0:tokens - 1:2, :]
+        hit = rng.random(rows.shape) < zeros
+        rows[hit] = np.where(rng.random(hit.sum()) < 0.5, np.float16(0.0), np.float16(-0.0))
+        probs[rng.random(probs.shape) < zeros / 4] = 0
+        p32, r32 = probs.astype(np.float32), rows.astype(np.float32)
+        acc = p32[..., 0, None] * r32[..., 0, :]
+        for t in range(1, tokens):
+            acc = acc + p32[..., t, None] * r32[..., t, :]
         got = mix_rows(probs, rows)
-        acc = np.zeros(12, dtype=np.float32)
-        for i in range(9):
-            acc = acc + np.float32(probs[i]) * rows[i].astype(np.float32)
-        assert np.array_equal(got, acc.astype(np.float16))
+        assert np.array_equal(got.view(np.uint16), acc.astype(np.float16).view(np.uint16))
+
+    def test_sums_token_by_token(self):
+        # In token order 32768 + 16 is a binary16 tie that rounds to even,
+        # and each 2**-9 is below half a float32 ulp there. A grouping that
+        # adds the small terms first, as numpy's pairwise add.reduce does
+        # along a contiguous axis of 8 or more, lifts the sum to 32800.
+        rows = to_half(np.array([[32768.0], [16.0]] + [[2.0 ** -9]] * 6))
+        assert mix_rows(np.ones(8, dtype=np.float16), rows)[0] == 32768
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
