@@ -10,22 +10,16 @@ Two decode paths share every arithmetic primitive:
   ReferenceDecoder  operator-at-a-time evaluation, head by head.
 
 Both quantize the KV cache identically, so their logits must agree bit
-for bit at every step; that equivalence is the core regression test.
+for bit at every step; check_agreement is that check, and that
+equivalence is the core regression test.
 
 A decoder's only state is its KV cache, whose per-row scales and zero
 points are the records of the scale-zero side channel (see layout). The
 beats that channel has written follow from the cache length, so a saved
 cache resumes a decoder exactly.
 
-The cache store also mirrors its codes as binary16 rows, each decoded
-once, when it is written: the fused decoder reads its history from the
-mirrors and never decodes it again. The mirrors are derived state, and
-a snapshot holds the codes alone; loading one rebuilds them. They take
-(W + head_dim) * 2 bytes of host memory per (layer, head, row), W being
-head_dim padded to whole lanes, against 2 * head_dim for the codes: 16 MB
-for one layer of LLaMA2-7B's shape at 1024 rows. The reference decoder
-decodes its history from the codes on every step, so it checks the
-mirrors too.
+The reference decoder decodes its history from the codes on every step,
+so it checks the fused decoder's binary16 cache mirrors (see KVCacheStore).
 
 Both decoders reduce every dot on the one 128-lane tree engine of
 numerics, with each operand zero-padded to whole lane blocks, and prepare
@@ -59,7 +53,7 @@ from .layout import SZ_PACKS_PER_BEAT
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import LANES, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows
+from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, kv_quantize_rows
 
 STATE_VERSION = 1
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
@@ -80,6 +74,8 @@ def mix_rows(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     probs, rows = np.asarray(probs), np.asarray(rows)
     if rows.ndim != probs.ndim + 1 or probs.shape != rows.shape[:-1]:
         raise ShapeError(f"weights {probs.shape} do not match rows {rows.shape}")
+    if probs.ndim == 0 or probs.shape[-1] == 0:
+        raise ShapeError(f"no token rows to mix: weights {probs.shape}")
     p32 = probs.astype(np.float32)[..., None]
     r32 = rows.astype(np.float32)
     return np.cumsum(p32 * r32, axis=-2, dtype=np.float32)[..., -1, :].astype(np.float16)
@@ -313,12 +309,17 @@ class KVCacheStore:
 
     @classmethod
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
-        """Read a snapshot written by save; any damage raises FormatError."""
+        """Read a snapshot written by save; any damage raises FormatError,
+        and so does a row below the length whose scale is negative or not
+        finite or whose zero point is outside -255..0. A committed row never
+        written (scale 0, zero point 0) loads; rows past the length are dead
+        and go unchecked."""
         data = Path(path).read_bytes()
         try:
             with load_npz(data) as z:
-                if int(z["version"]) != STATE_VERSION:
-                    raise FormatError(f"unsupported state version {int(z['version'])}")
+                version, length = (_int_scalar(z, name) for name in ("version", "length"))
+                if version != STATE_VERSION:
+                    raise FormatError(f"unsupported state version {version}")
                 stored = ModelConfig.from_json_str(str(z["config"]), origin="state file")
                 if stored != cfg:
                     raise FormatError("state was captured under a different model config")
@@ -329,19 +330,32 @@ class KVCacheStore:
                         raise FormatError(f"state array {name} is {arr.dtype}{arr.shape}, "
                                           f"expected {want.dtype}{want.shape}")
                     want[...] = arr
-                store.length = int(z["length"])
         except (ConfigError,) + ARCHIVE_FAULTS as e:
             raise FormatError(f"unreadable state file {path}: {e}") from e
-        t, hd = store.length, cfg.head_dim
+        t, hd = length, cfg.head_dim
         if not 0 <= t <= cfg.max_context:
             raise FormatError(f"state length {t} out of range")
+        store.length = t
+        scales, zeros = store.scales[:, :, :, :t], store.zeros[:, :, :, :t]
+        if not ((scales >= 0) & np.isfinite(scales)).all():
+            raise FormatError("state holds a negative or non-finite scale below its length")
+        if not ((zeros >= -KV_LEVELS) & (zeros <= 0)).all():
+            raise FormatError(f"state holds a zero point outside -{KV_LEVELS}..0 "
+                              "below its length")
         rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
-                                  store.scales[:, :, :, :t].reshape(-1),
-                                  store.zeros[:, :, :, :t].reshape(-1))
+                                  scales.reshape(-1), zeros.reshape(-1))
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
         store.keys[:, :, :t, :hd] = rows[0]
         store.values[:, :, :t] = rows[1]
         return store
+
+
+def _int_scalar(z, name: str) -> int:
+    """A snapshot's 0-d integer field; bool, float and string refused."""
+    arr = z[name]
+    if arr.shape != () or arr.dtype.kind not in "iu":
+        raise FormatError(f"state {name} is {arr.dtype}{arr.shape}, expected a 0-d integer")
+    return int(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -540,55 +554,14 @@ class ReferenceDecoder:
         return logits
 
 
-# ---------------------------------------------------------------------------
-# sequence driver
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecodeResult:
-    prompt: list[int]
-    tokens: list[int]
-    logits: np.ndarray
-    traces: list[TokenTrace]
-    steps: int
-
-
-def _check_agreement(step: int, fused: np.ndarray, ref: np.ndarray) -> None:
-    """Raise DivergenceError unless the two logit vectors match bit for bit."""
+def check_agreement(step: int, fused: np.ndarray, ref: np.ndarray) -> None:
+    """Raise DivergenceError unless the two logit vectors match bit for bit:
+    +0 against -0, or two NaNs of different payload, count as a divergence.
+    Where a NaN or an infinity is involved the gap reads nan or inf ulps."""
     differ = fused.view(np.uint16) != ref.view(np.uint16)
     if differ.any():
-        gap = np.abs(fused.astype(np.float64) - ref.astype(np.float64)) / ulp16(ref)
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(fused.astype(np.float64) - ref.astype(np.float64)) / ulp16(ref)
         raise DivergenceError(
             f"step {step}: {int(differ.sum())} of {differ.size} logits differ from "
             f"the reference, the largest by {float(gap[differ].max()):g} ulps")
-
-
-def run_decode(ckpt: Checkpoint, prompt: list[int], n_new: int,
-               verify: bool = False) -> DecodeResult:
-    """Greedy decode: feed the prompt, then generate n_new tokens.
-
-    With verify on, a reference evaluation runs beside the fused one and
-    the first step whose logits differ in any bit raises DivergenceError.
-    """
-    if not prompt:
-        raise ShapeError("prompt must hold at least one token")
-    if n_new < 1:
-        raise ShapeError("n_new must be at least 1")
-    dec = Decoder(ckpt)
-    ref = ReferenceDecoder(ckpt) if verify else None
-
-    traces: list[TokenTrace] = []
-    tokens: list[int] = []
-    feed = list(prompt)
-    steps = len(prompt) + n_new - 1
-    logits = None
-    for i in range(steps):
-        tok = feed[i] if i < len(feed) else tokens[-1]
-        logits, trace = dec.step(tok)
-        traces.append(trace)
-        if ref is not None:
-            _check_agreement(i, logits, ref.step(tok))
-        if i >= len(prompt) - 1:
-            tokens.append(greedy_pick(logits))
-    return DecodeResult(prompt=list(prompt), tokens=tokens, logits=logits,
-                        traces=traces, steps=steps)

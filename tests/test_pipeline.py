@@ -1,5 +1,5 @@
 """Decode pipeline tests: fused/reference equivalence, cache causality,
-the stage schedule, and sequence-level behavior."""
+the stage schedule, and decoders stepped token by token."""
 
 import dataclasses
 import gc
@@ -28,9 +28,9 @@ from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
     ReferenceDecoder,
+    check_agreement,
     greedy_pick,
     mix_rows,
-    run_decode,
     schedule_token,
     stall_free_context_bound,
 )
@@ -92,8 +92,10 @@ class TestMixRows:
         assert mix_rows(np.ones(8, dtype=np.float16), rows)[0] == 32768
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            mix_rows(np.ones(3, dtype=np.float16), np.ones((2, 4), dtype=np.float16))
+        # the last two weigh zero tokens: no row to mix
+        for probs, rows in (((3,), (2, 4)), ((0,), (0, 4)), ((2, 0), (2, 0, 4))):
+            with pytest.raises(ShapeError):
+                mix_rows(np.ones(probs, dtype=np.float16), np.ones(rows, dtype=np.float16))
 
 
 def archive_header_spans(blob: bytes) -> list[tuple[int, int]]:
@@ -259,6 +261,34 @@ class TestKVCacheStore:
             with pytest.raises(FormatError, match="version"):
                 KVCacheStore.load(path, cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("length", np.float64(2.9)), ("length", np.array("2")), ("length", np.True_),
+        ("version", np.float64(1.7)), ("version", np.True_),
+        ("scales", -1.0), ("scales", np.nan), ("scales", np.inf),
+        ("zeros", 300), ("zeros", 5), ("zeros", -256),
+    ], ids=["length-float", "length-str", "length-bool", "version-float", "version-bool",
+            "scale-negative", "scale-nan", "scale-inf", "zero-300", "zero-5", "zero-minus-256"])
+    def test_bad_snapshot_value_raises(self, snapshot, tmp_path, name, value):
+        cfg, _, path, _ = snapshot
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        bad = tmp_path / "bad.npz"
+
+        def at(position):
+            arr = payload[name].copy()
+            arr[1, 0, 1, position] = value
+            return arr
+
+        if name in ("scales", "zeros"):
+            # the value row of layer 0, head 1: dead at position 3, the
+            # length, so it loads; live at position 2, so it raises
+            np.savez(bad, **{**payload, name: at(3)})
+            assert KVCacheStore.load(bad, cfg).length == 3
+            value = at(2)
+        np.savez(bad, **{**payload, name: value})
+        with pytest.raises(FormatError):
+            KVCacheStore.load(bad, cfg)
+
     @pytest.mark.parametrize("name", ["codes", "scales", "zeros"])
     def test_snapshot_array_shapes_checked(self, tmp_path, name):
         cfg = tiny_demo_config(max_context=4)
@@ -308,10 +338,9 @@ class TestFusedMatchesReference:
         dec = Decoder(demo_ckpt)
         ref = ReferenceDecoder(demo_ckpt)
         tok = 5
-        for _ in range(10):
+        for i in range(10):
             fused, _ = dec.step(tok)
-            plain = ref.step(tok)
-            assert np.array_equal(fused, plain)
+            check_agreement(i, fused, ref.step(tok))
             tok = greedy_pick(fused)
 
     def test_random_configs_bitwise(self):
@@ -323,10 +352,9 @@ class TestFusedMatchesReference:
             dec = Decoder(ckpt)
             ref = ReferenceDecoder(ckpt)
             tok = int(rng.integers(0, cfg.vocab_size))
-            for _ in range(8):
+            for i in range(8):
                 fused, _ = dec.step(tok)
-                plain = ref.step(tok)
-                assert np.array_equal(fused, plain)
+                check_agreement(i, fused, ref.step(tok))
                 tok = greedy_pick(fused)
 
     def test_weights_built_in_many_chunks(self, monkeypatch):
@@ -336,9 +364,9 @@ class TestFusedMatchesReference:
         dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
         for name, mat in dec.weights.mats.items():
             assert np.array_equal(mat.halves().view(np.uint16), ref.mats[name].view(np.uint16))
-        for tok in (2, 9, 4):
+        for i, tok in enumerate((2, 9, 4)):
             fused, _ = dec.step(tok)
-            assert np.array_equal(fused, ref.step(tok))
+            check_agreement(i, fused, ref.step(tok))
 
 
 class TestWeightCache:
@@ -371,7 +399,7 @@ class TestCausality:
         b = Decoder(demo_ckpt)
         rng = np.random.default_rng(14)
         tok = 9
-        for _ in range(6):
+        for i in range(6):
             # poison every row at or past the published length in b
             t = b.kv.length
             b.kv.codes[:, :, :, t:] = rng.integers(0, 256, b.kv.codes[:, :, :, t:].shape)
@@ -381,7 +409,7 @@ class TestCausality:
             b.kv.values[:, :, t:] = np.float16(np.nan)
             la, _ = a.step(tok)
             lb, _ = b.step(tok)
-            assert np.array_equal(la, lb)
+            check_agreement(i, la, lb)
             tok = greedy_pick(la)
 
 
@@ -503,40 +531,48 @@ class TestTrace:
         assert trace.weight_beats == expected_weight_beats(cfg)
 
 
-class TestRunDecode:
-    def test_verify_counts_every_step(self, demo_ckpt, monkeypatch):
-        calls = []
-        step = ReferenceDecoder.step
-        monkeypatch.setattr(ReferenceDecoder, "step",
-                            lambda self, tok: calls.append(tok) or step(self, tok))
-        res = run_decode(demo_ckpt, [1], 8, verify=True)
-        assert len(calls) == res.steps == 8
-        assert len(res.tokens) == 8
+class TestCheckAgreement:
+    def test_equal_bits_pass(self):
+        logits = to_half(np.random.default_rng(8).normal(size=64))
+        logits[:3] = np.float16(-0.0), np.float16(np.nan), np.float16(np.inf)
+        check_agreement(0, logits, logits.copy())
 
-    def test_verify_raises_at_first_divergence(self, demo_ckpt, monkeypatch):
-        step = ReferenceDecoder.step
+    def test_signed_zero_swap_raises(self):
+        fused = np.array([1.0, 0.0, -2.0], dtype=np.float16)
+        ref = np.array([1.0, -0.0, -2.0], dtype=np.float16)
+        assert np.array_equal(fused, ref)   # equal as numbers, not as bits
+        with pytest.raises(DivergenceError, match=r"^step 2: 1 of 3 logits .* by 0 ulps"):
+            check_agreement(2, fused, ref)
 
-        def nudged(self, tok):
-            logits = step(self, tok)
-            if self.kv.length == 4:  # the step at position 3 just committed
-                logits[7] = np.nextafter(logits[7], np.float16(np.inf))
-            return logits
+    def test_nan_payload_raises(self):
+        fused = np.array([1.0, np.nan], dtype=np.float16)
+        ref = fused.copy()
+        ref.view(np.uint16)[1] ^= 1
+        with pytest.raises(DivergenceError, match=r"^step 0: 1 of 2 logits"):
+            check_agreement(0, fused, ref)
 
-        monkeypatch.setattr(ReferenceDecoder, "step", nudged)
+
+class TestDecoderSteps:
+    def test_first_divergence_names_its_step(self, demo_ckpt):
+        dec, ref = Decoder(demo_ckpt), ReferenceDecoder(demo_ckpt)
+        tok = 1
         with pytest.raises(DivergenceError, match=r"^step 3: 1 of 256 logits .* by 1 ulps"):
-            run_decode(demo_ckpt, [1], 8, verify=True)
-
-    def test_deterministic(self, demo_ckpt):
-        a = run_decode(demo_ckpt, [2], 10)
-        b = run_decode(demo_ckpt, [2], 10)
-        assert a.tokens == b.tokens
-        assert np.array_equal(a.logits, b.logits)
+            for i in range(8):
+                fused, _ = dec.step(tok)
+                plain = ref.step(tok)
+                if i == 3:
+                    plain[7] = np.nextafter(plain[7], np.float16(np.inf))
+                check_agreement(i, fused, plain)
+                tok = greedy_pick(fused)
 
     def test_capacity_error_past_context(self):
         cfg = tiny_demo_config(max_context=4)
-        ckpt = build_demo_checkpoint(seed=0, cfg=cfg)
+        dec = Decoder(build_demo_checkpoint(seed=0, cfg=cfg))
+        for tok in range(cfg.max_context):
+            dec.step(tok)
         with pytest.raises(CapacityError):
-            run_decode(ckpt, [0], 8)
+            dec.step(0)
+        assert dec.kv.length == cfg.max_context
 
     def test_greedy_tie_takes_first(self):
         assert greedy_pick(np.array([2.0, 5.0, 5.0], dtype=np.float16)) == 1
@@ -574,7 +610,7 @@ class TestRunDecode:
         for tok in range(11, 21):
             la, ta = a.step(tok)
             lb, tb = b.step(tok)
-            assert np.array_equal(la, lb)
+            check_agreement(tok - 1, la, lb)
             assert ta == tb
             assert a.flushed_sz_beats == b.flushed_sz_beats
         assert a.kv.length == 20 and a.flushed_sz_beats > 0
@@ -604,7 +640,7 @@ class TestRunDecode:
         b = Decoder(demo_ckpt)
         for tok in range(16):
             lb, _ = b.step(tok)
-        assert np.array_equal(la, lb)
+        check_agreement(15, la, lb)
         assert a.kv.length == b.kv.length == 16
         assert a.flushed_sz_beats == b.flushed_sz_beats > 0
         for name in ("codes", "scales", "zeros", "keys", "values"):   # bit for bit
