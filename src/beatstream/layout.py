@@ -34,7 +34,8 @@ words each hold their values in plain group order, padded only in the
 tensor's last word of that kind; packing and unpacking are one masked
 assignment per kind. A stream stores only its words: their kinds follow
 from the tensor's shape (beat_kind_pattern), so a reader checks just the
-word count against that law.
+word count against that law, whose closed form (stream_word_count) costs
+the same for any shape.
 
 Container file
 --------------
@@ -233,38 +234,39 @@ class GroupedTensor:
 # packed stream
 # ---------------------------------------------------------------------------
 
-def beat_kind_pattern(n_groups: int, group_size: int) -> np.ndarray:
-    """Word-kind sequence for n_groups row-major groups.
-
-    Super-block law: full blocks are [ZP][SCALE WEIGHT*(g/4)]*4; the final
-    block truncates to the remaining groups with a final partial section.
-    """
+def stream_word_count(n_groups: int, group_size: int) -> int:
+    """Words in the stream of n_groups row-major groups: the super-block
+    law in closed form. Each whole super-block holds 5 + group_size words;
+    a truncated last one holds its ZP word, 1 + group_size/4 words per
+    whole 16-group section, and for a partial section one SCALE word and
+    the WEIGHT words its codes fill."""
     if n_groups <= 0:
         raise ShapeError("n_groups must be positive")
     if group_size % 4 != 0:
         raise ConfigError(f"group_size {group_size} does not map 16 groups to whole words")
-    w_per_section = group_size // 4
-    kinds = bytearray()   # one byte a word: a 7B tensor's list of ints would take 8
-    done = 0
-    while done < n_groups:
-        block = min(GROUPS_PER_ZP_WORD, n_groups - done)
-        kinds.append(KIND_ZP)
-        sect_done = 0
-        while sect_done < block:
-            sect = min(GROUPS_PER_SCALE_WORD, block - sect_done)
-            kinds.append(KIND_SCALE)
-            if sect == GROUPS_PER_SCALE_WORD:
-                n_w = w_per_section
-            else:
-                n_w = -(-sect * group_size // WEIGHTS_PER_WORD)
-            kinds += bytes((KIND_WEIGHT,)) * n_w
-            sect_done += sect
-        done += block
-    return np.frombuffer(kinds, dtype=np.uint8)
+    blocks, rest = divmod(n_groups, GROUPS_PER_ZP_WORD)
+    words = blocks * (5 + group_size)
+    if rest:
+        sections, part = divmod(rest, GROUPS_PER_SCALE_WORD)
+        words += 1 + sections * (1 + group_size // 4)
+        if part:
+            words += 1 + -(-part * group_size // WEIGHTS_PER_WORD)
+    return words
 
 
-def stream_word_count(n_groups: int, group_size: int) -> int:
-    return int(beat_kind_pattern(n_groups, group_size).size)
+def beat_kind_pattern(n_groups: int, group_size: int) -> np.ndarray:
+    """Word-kind sequence for n_groups row-major groups.
+
+    Super-block law: full blocks are [ZP][SCALE WEIGHT*(g/4)]*4; the final
+    block truncates to the remaining groups with a final partial section,
+    which makes it a prefix of a full block, so the sequence is whole
+    blocks cut to stream_word_count words.
+    """
+    n_words = stream_word_count(n_groups, group_size)
+    section = bytes((KIND_SCALE,)) + bytes((KIND_WEIGHT,)) * (group_size // 4)
+    block = bytes((KIND_ZP,)) + section * (GROUPS_PER_ZP_WORD // GROUPS_PER_SCALE_WORD)
+    kinds = block * -(-n_groups // GROUPS_PER_ZP_WORD)
+    return np.frombuffer(kinds, dtype=np.uint8, count=n_words)
 
 
 def tensor_stream_words(rows: int, cols: int, group_size: int) -> int:
@@ -365,12 +367,8 @@ def read_container(path: str | Path) -> PackedWeightStream:
     (stored,) = _CHECKSUM.unpack_from(blob, need - _CHECKSUM.size)
     if zlib.crc32(memoryview(blob)[:-_CHECKSUM.size]) != stored:
         raise FormatError(f"{path}: checksum mismatch")
-    # each word holds at most WEIGHTS_PER_WORD codes, so the words bound the
-    # shape before its kind pattern is built
-    groups = rows * -(-cols // group_size) if group_size > 0 else 0
     if min(rows, cols, group_size) <= 0 or group_size % 4 \
-            or n_words * WEIGHTS_PER_WORD < groups * group_size \
-            or stream_word_count(groups, group_size) != n_words:
+            or tensor_stream_words(rows, cols, group_size) != n_words:
         raise FormatError(f"{path}: {n_words} words inconsistent with shape "
                           f"({rows}x{cols}, group {group_size})")
     words = np.frombuffer(blob, dtype=np.uint8, count=n_words * WORD_BYTES,

@@ -12,9 +12,11 @@ Two counting modes bracket the denominator bytes:
                     and padding, aux rows, KV reads and writes, and one
                     whole scale-zero beat per stream every 16th token
 
-token_burst_schedule is the one per-token count of bus traffic. The
-transaction model charges each of its requests a fixed setup cost per
-maximal burst of MAX_BURST_BEATS beats, which is what separates
+token_burst_schedule is the one per-token count of bus traffic. Every
+layer moves the same bytes, so it counts one layer's requests and repeats
+them n_layers times; each container's size is the layout law's closed
+form. The transaction model charges each of its requests a fixed setup
+cost per maximal burst of MAX_BURST_BEATS beats, which is what separates
 achievable bandwidth from the datasheet number.
 """
 
@@ -29,7 +31,7 @@ from typing import ClassVar
 from .config import ModelConfig
 from .errors import ConfigError
 from .layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
-from .model_io import tensor_names, tensor_shape
+from .model_io import LAYER_TENSORS
 
 COUNTING_MODES = ("non_embedding", "packed_exact")
 MAX_BURST_BEATS = 256
@@ -141,22 +143,28 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     new KV row write, plus the embedding row, the norm gains, and one
     scale-zero beat per stream whenever the step commits a multiple of
     SZ_PACKS_PER_BEAT rows.
+
+    Every layer issues the same requests, so one layer's projection
+    containers and one layer's KV reads, writes and flushes are each
+    counted once and repeated n_layers times. The list is built by
+    concatenation, so it is sized exactly and its repeated sizes are
+    shared int objects: a caller may hold many schedules.
     """
     if position < 0:
         raise ConfigError(f"position {position} is negative")
-    bb = BusGeometry.beat_bytes
-    reqs: list[int] = [-(-cfg.d_model * 2 // bb)]  # embedding row
-    gains = -(-cfg.d_model * 2 // bb)
-    for name in tensor_names(cfg):
-        rows, cols = tensor_shape(cfg, name)
-        words = tensor_stream_words(rows, cols, cfg.group_size)
-        reqs.append(-(-words // BusGeometry.words_per_beat))
-    reqs.extend([gains] * (2 * cfg.n_layers + 1))
-    hist = position * cfg.head_dim
-    for _ in range(cfg.n_layers):
-        if hist:
-            reqs.extend([-(-hist // bb)] * (cfg.n_heads * 2))   # history reads
-        reqs.extend([-(-cfg.d_model // bb)] * 2)                # new k, v rows
-        if (position + 1) % SZ_PACKS_PER_BEAT == 0:
-            reqs.extend([1] * (cfg.n_heads * 2))                # scale-zero flush
-    return reqs
+    bb, g = BusGeometry.beat_bytes, cfg.group_size
+    shapes = cfg.projection_shapes()
+
+    def container_beats(rows: int, cols: int) -> int:
+        return -(-tensor_stream_words(rows, cols, g) // BusGeometry.words_per_beat)
+
+    row = -(-cfg.d_model * 2 // bb)              # embedding row, one norm gain
+    projections = [container_beats(*shapes[t]) for t in LAYER_TENSORS]
+    head = container_beats(cfg.vocab_size, cfg.d_model)
+    streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
+    kv = [-(-position * cfg.head_dim // bb)] * streams if position else []
+    kv += [-(-cfg.d_model // bb)] * 2            # new k, v rows
+    if (position + 1) % SZ_PACKS_PER_BEAT == 0:
+        kv += [1] * streams                      # scale-zero flush
+    return [row] + projections * cfg.n_layers + [head] \
+        + [row] * (2 * cfg.n_layers + 1) + kv * cfg.n_layers

@@ -2,7 +2,8 @@
 
 Word-count oracle: counted per kind straight from the coverage rules
 (one ZP word per 64 groups, one SCALE word per 16, weight words rounded
-up per section), independent of the pattern builder's loop.
+up per section), independent of the closed-form count and of the
+pattern builder.
 
 Word oracle: digests of the words the per-section packer wrote before
 packing became one masked assignment per kind.
@@ -88,6 +89,25 @@ class TestKindPattern:
     def test_rejects_unmappable_group_size(self):
         with pytest.raises(ConfigError):
             beat_kind_pattern(10, 6)
+
+
+GROUP_SIZES = st.integers(1, 64).map(lambda k: 4 * k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=GROUP_SIZES, n=st.one_of(
+    st.integers(1, 10**6),
+    st.builds(lambda k, off: 64 * k + off,
+              st.integers(1, 10**6 // 64), st.sampled_from([-1, 0, 1]))))
+def test_word_count_is_the_oracle_count(g, n):
+    # n = 64k and 64k ± 1: whole super-blocks and one group either side
+    assert stream_word_count(n, g) == oracle_word_count(n, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=GROUP_SIZES, n=st.integers(1, 5000))
+def test_word_count_is_the_pattern_length(g, n):
+    assert stream_word_count(n, g) == beat_kind_pattern(n, g).size
 
 
 class TestNibbles:
@@ -247,8 +267,9 @@ class TestContainer:
 
     @pytest.mark.parametrize("fields", [
         {"group_size": 0}, {"group_size": 6}, {"rows": 0}, {"cols": 0},
-        {"rows": 3 | 1 << 30},    # would ask for the pattern of ~2**30 groups
+        {"rows": 3 | 1 << 30},    # ~2**30 groups against a 7-word payload
         {"cols": 0xFFFFFFFF},
+        {"rows": 0xFFFFFFFF, "cols": 0xFFFFFFFF},   # ~2**61 groups, counted in O(1)
     ], ids=str)
     def test_header_shape_checked_before_any_pattern(self, tmp_path, container, fields):
         path = tmp_path / "t.epws"

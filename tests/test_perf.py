@@ -3,13 +3,15 @@ transaction arithmetic, and the per-token DMA schedule that every
 packed byte count and the modelled tok/s are read from."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
-from beatstream.layout import BusGeometry
+from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
+from beatstream.model_io import LAYER_TENSORS, tensor_names, tensor_shape
 from beatstream.perf import (
     BusModel,
     bytes_per_token,
@@ -89,6 +91,38 @@ def test_packed_bytes_are_the_schedule_beats(shape, group_size, data):
         sum(schedule) * BusGeometry.beat_bytes
 
 
+def oracle_schedule(cfg, position):
+    """token_burst_schedule as a loop over every tensor and every layer."""
+    bb = BusGeometry.beat_bytes
+    reqs = [-(-cfg.d_model * 2 // bb)]  # embedding row
+    gains = -(-cfg.d_model * 2 // bb)
+    for name in tensor_names(cfg):
+        rows, cols = tensor_shape(cfg, name)
+        words = tensor_stream_words(rows, cols, cfg.group_size)
+        reqs.append(-(-words // BusGeometry.words_per_beat))
+    reqs.extend([gains] * (2 * cfg.n_layers + 1))
+    hist = position * cfg.head_dim
+    for _ in range(cfg.n_layers):
+        if hist:
+            reqs.extend([-(-hist // bb)] * (cfg.n_heads * 2))   # history reads
+        reqs.extend([-(-cfg.d_model // bb)] * 2)                # new k, v rows
+        if (position + 1) % SZ_PACKS_PER_BEAT == 0:
+            reqs.extend([1] * (cfg.n_heads * 2))                # scale-zero flush
+    return reqs
+
+
+@pytest.mark.parametrize("group_size", [4, 32, 52, 128, 256])
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=lambda s: f"d{s['d_model']}")
+def test_schedule_matches_the_per_tensor_oracle(shape, group_size):
+    # positions 0 and 1 start and grow the history; 14, 15, 16 sit either
+    # side of the first scale-zero flush
+    cfg = ModelConfig(**shape, group_size=group_size)
+    for position in (0, 1, 14, 15, 16):
+        schedule = token_burst_schedule(cfg, position)
+        assert type(schedule) is list
+        assert schedule == oracle_schedule(cfg, position)
+
+
 @pytest.fixture(scope="module")
 def schedule_7b():
     """The LLaMA2-7B DMA schedule at the benchmark's head position."""
@@ -96,10 +130,21 @@ def schedule_7b():
 
 
 def test_7b_head_position_beats_and_cycles(schedule_7b):
+    assert type(schedule_7b) is list
+    assert schedule_7b == oracle_schedule(llama2_7b_config(), 1023)
     model = BusModel(burst_setup_cycles=16)
     assert sum(schedule_7b) == 57_838_912
     assert sum(schedule_7b) * BusGeometry.beat_bytes == 3_701_690_368
     assert model.stream_cycles(schedule_7b) == 61_488_432
+
+
+def test_7b_schedule_is_exact_sized_with_shared_ints(schedule_7b):
+    # the benchmark holds a schedule for each of the 1024 positions, so
+    # each must cost one pointer per request: no spare capacity, and one
+    # int object per projection plus one each for the embedding row and
+    # norm gains, the head, a history read, a new row and a flush beat
+    assert sys.getsizeof(schedule_7b) == sys.getsizeof([None] * len(schedule_7b))
+    assert len({id(beats) for beats in schedule_7b}) <= len(LAYER_TENSORS) + 5
 
 
 def test_utilization_is_beats_over_cycles(schedule_7b):
