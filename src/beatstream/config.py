@@ -1,21 +1,26 @@
-"""Model and run configuration types.
+"""Model configuration.
 
-ModelConfig carries the decoder-relevant shapes of a LLaMA-family model plus
-the quantization group size. Rows of every projection are grouped along their
-input dimension; a row length that is not a multiple of group_size gets a
-zero-padded final group (padded codes dequantize to exactly 0.0).
+ModelConfig holds the integer shapes of a LLaMA2-family decoder, the
+quantization group size and the KV cache's context length, and nothing
+else. Rows of every projection are grouped along their input dimension; a
+row length that is not a multiple of group_size gets a zero-padded final
+group (padded codes dequantize to exactly 0.0).
+
+The model's two real-valued settings are LLaMA2's and are constants of the
+operators that use them: the RMS norm's epsilon (ops.NORM_EPS, 1e-5) and
+the rotary base (numerics.ROPE_BASE, 10000). A config file of an earlier
+version, which still names them, is refused.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 from .errors import ConfigError
 
-CONFIG_VERSION = 2
+CONFIG_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -27,22 +32,12 @@ class ModelConfig:
     vocab_size: int
     group_size: int = 128
     max_context: int = 1024
-    norm_eps: float = 1e-5
-    rope_base: float = 10000.0
 
     def __post_init__(self) -> None:
-        for name in ("n_layers", "d_model", "n_heads", "d_ffn", "vocab_size",
-                     "group_size", "max_context"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        for name, positive in (("norm_eps", False), ("rope_base", True)):
-            v = getattr(self, name)
-            # the float_info.max bound also refuses a JSON integer too large for float()
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not (v > 0 if positive else v >= 0) or v > sys.float_info.max:
-                raise ConfigError(f"{name} must be a finite real {'>' if positive else '>='} 0, "
-                                  f"got {v!r}")
+                raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})")

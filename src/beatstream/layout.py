@@ -200,8 +200,7 @@ class GroupedTensor:
             padded = np.zeros((hi - lo, gpr * group_size), dtype=np.float16)
             padded[:, :cols] = w[lo:hi]
             g = slice(lo * gpr, hi * gpr)
-            codes[g], scales[g], zeros[g] = quantize_rows(
-                padded.reshape(-1, group_size), group_size)
+            codes[g], scales[g], zeros[g] = quantize_rows(padded.reshape(-1, group_size))
         return cls(rows=rows, cols=cols, group_size=group_size,
                    codes=codes, scales=scales, zeros=zeros)
 

@@ -57,12 +57,9 @@ def load_npz(data: bytes):
     return np.load(io.BytesIO(data))
 
 
-LAYER_TENSORS = ("attn.q", "attn.k", "attn.v", "attn.o",
-                 "mlp.gate", "mlp.up", "mlp.down")
-
-
 def tensor_names(cfg: ModelConfig) -> list[str]:
-    names = [f"layers.{i}.{t}" for i in range(cfg.n_layers) for t in LAYER_TENSORS]
+    layer = list(cfg.projection_shapes())
+    names = [f"layers.{i}.{t}" for i in range(cfg.n_layers) for t in layer]
     names.append("lm_head")
     return names
 

@@ -238,20 +238,22 @@ def pad_to_lanes(v: np.ndarray) -> np.ndarray:
 QUARTER_ENTRIES = 4096                 # samples of sin over [0, pi/2)
 PHASE_STEPS = 4 * QUARTER_ENTRIES      # full turn on the lookup grid
 _ONE = np.float16(1.0)
+ROPE_BASE = 10000.0                    # LLaMA2's rotary base
 
 
-def inverse_frequency_table(head_dim: int, base: float = 10000.0) -> np.ndarray:
-    """inv_freq[j] = base**(-2j/head_dim) for j = 0..head_dim/2-1 (binary64)."""
+def inverse_frequency_table(head_dim: int) -> np.ndarray:
+    """inv_freq[j] = ROPE_BASE**(-2j/head_dim) for j = 0..head_dim/2-1
+    (binary64)."""
     if head_dim <= 0 or head_dim % 2 != 0:
         raise ConfigError(f"head_dim must be a positive even number, got {head_dim}")
     j = np.arange(head_dim // 2, dtype=np.float64)
-    return np.power(float(base), -2.0 * j / float(head_dim))
+    return np.power(ROPE_BASE, -2.0 * j / float(head_dim))
 
 
 @dataclass(frozen=True)
 class TrigTable:
     """4096 binary16 samples of sin over the first quadrant plus the
-    rotation frequency table.
+    rotation frequency table of one head width, at ROPE_BASE.
 
     Phase is a turn count. A lookup snaps the fractional turn to the
     14-bit grid (2 quadrant bits + 12 index bits) with nearest rounding —
@@ -265,8 +267,8 @@ class TrigTable:
     inv_freq: np.ndarray   # (n_pairs,) float64
 
     @classmethod
-    def for_head_dim(cls, head_dim: int, base: float = 10000.0) -> "TrigTable":
-        inv_freq = inverse_frequency_table(head_dim, base)
+    def for_head_dim(cls, head_dim: int) -> "TrigTable":
+        inv_freq = inverse_frequency_table(head_dim)
         x = np.arange(QUARTER_ENTRIES, dtype=np.float64) * (math.pi / 2.0 / QUARTER_ENTRIES)
         return cls(entries=np.sin(x).astype(np.float16), inv_freq=inv_freq)
 

@@ -16,6 +16,7 @@ from .errors import DomainError, ShapeError
 from .numerics import TrigTable
 
 _TWO_PI = 2.0 * math.pi
+NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
 
 
 def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
@@ -62,20 +63,22 @@ def rms_sumsq(x: np.ndarray) -> np.float32:
     return np.cumsum(x32 * x32, dtype=np.float32)[-1]
 
 
-def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5,
+def rmsnorm(x: np.ndarray, gain: np.ndarray,
             precomputed_sq: np.float32 | None = None) -> np.ndarray:
-    """out_i = gain_i * x_i / sqrt(mean(x^2) + eps), binary16 in and out.
+    """out_i = gain_i * x_i / sqrt(mean(x^2) + NORM_EPS), binary16 in and out.
 
     Two passes: sum of squares (skipped when the caller already carries
     it), then the scale pass out = half(f32(gain) * (f32(x) * inv)) with
-    inv = f32(1 / sqrt(mean + eps)) formed once in float64.
+    inv = f32(1 / sqrt(mean + NORM_EPS)) formed once in float64. The
+    epsilon keeps the norm defined at a zero vector, which maps to zeros;
+    an infinite or NaN element raises DomainError.
     """
     x = np.asarray(x, dtype=np.float16)
     gain = np.asarray(gain, dtype=np.float16)
     if x.shape != gain.shape or x.ndim != 1 or x.size == 0:
         raise ShapeError(f"x {x.shape} and gain {gain.shape} must be matching vectors")
     sq = rms_sumsq(x) if precomputed_sq is None else np.float32(precomputed_sq)
-    mean = float(sq) / x.size + eps
+    mean = float(sq) / x.size + NORM_EPS
     if not (mean > 0.0 and math.isfinite(mean)):
         raise DomainError(f"mean square + eps = {mean}, norm undefined")
     inv = np.float32(1.0 / math.sqrt(mean))

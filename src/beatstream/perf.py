@@ -31,7 +31,6 @@ from typing import ClassVar
 from .config import ModelConfig
 from .errors import ConfigError
 from .layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
-from .model_io import LAYER_TENSORS
 
 COUNTING_MODES = ("non_embedding", "packed_exact")
 MAX_BURST_BEATS = 256
@@ -153,13 +152,12 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     if position < 0:
         raise ConfigError(f"position {position} is negative")
     bb, g = BusGeometry.beat_bytes, cfg.group_size
-    shapes = cfg.projection_shapes()
 
     def container_beats(rows: int, cols: int) -> int:
         return -(-tensor_stream_words(rows, cols, g) // BusGeometry.words_per_beat)
 
     row = -(-cfg.d_model * 2 // bb)              # embedding row, one norm gain
-    projections = [container_beats(*shapes[t]) for t in LAYER_TENSORS]
+    projections = [container_beats(*shape) for shape in cfg.projection_shapes().values()]
     head = container_beats(cfg.vocab_size, cfg.d_model)
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
     kv = [-(-position * cfg.head_dim // bb)] * streams if position else []

@@ -364,7 +364,7 @@ def _int_scalar(z, name: str) -> int:
 
 class _WeightCache:
     """Dequantized, lane-padded weight matrices prepared for the tree dot
-    (TreeOrderRows), plus their beat costs.
+    (TreeOrderRows); a row's width in lanes is its beat cost.
 
     Unpacked from each tensor's words and widened a row range at a time,
     so no whole-tensor wide temporary exists, and built once per
@@ -377,14 +377,11 @@ class _WeightCache:
 
     def __init__(self, ckpt: Checkpoint) -> None:
         self.mats: dict[str, TreeOrderRows] = {}
-        self.beats_per_row: dict[str, int] = {}
         for name, t in ckpt.grouped():
-            beats = row_code_beats(t.cols, t.group_size)
-            mat = TreeOrderRows(t.rows, beats * LANES)
+            mat = TreeOrderRows(t.rows, row_code_beats(t.cols, t.group_size) * LANES)
             for lo, vals in t.widened_chunks():
                 mat.assign(lo, vals)
             self.mats[name] = mat
-            self.beats_per_row[name] = beats
 
     @classmethod
     def of(cls, ckpt: Checkpoint) -> "_WeightCache":
@@ -394,7 +391,7 @@ class _WeightCache:
         return cache
 
     def stage_beats(self, name: str, rows: int) -> int:
-        return rows * self.beats_per_row[name]
+        return rows * self.mats[name].shape[1] // LANES
 
 
 def _plain_weights(ckpt: Checkpoint) -> dict[str, np.ndarray]:
@@ -403,8 +400,11 @@ def _plain_weights(ckpt: Checkpoint) -> dict[str, np.ndarray]:
 
 
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
-    """A copy of the token's embedding row; ShapeError outside the
-    vocabulary, before a step touches the cache."""
+    """A copy of the token's embedding row; ShapeError for a token that is
+    not an integer (bools included) or lies outside the vocabulary, before
+    a step touches the cache."""
+    if isinstance(token, bool) or not isinstance(token, (int, np.integer)):
+        raise ShapeError(f"token {token!r} is not an integer")
     vocab = ckpt.config.vocab_size
     if not 0 <= token < vocab:
         raise ShapeError(f"token {token} outside vocabulary 0..{vocab - 1}")
@@ -419,7 +419,7 @@ class Decoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(self.cfg.head_dim, base=self.cfg.rope_base)
+        self.table = TrigTable.for_head_dim(self.cfg.head_dim)
         self.weights = _WeightCache.of(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
@@ -446,8 +446,7 @@ class Decoder:
         carry = rms_sumsq(x)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
-            h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps,
-                             precomputed_sq=carry)
+            h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
             h_pad = pad_to_lanes(h_norm)
             qk = np.concatenate([self._dot(pre + "attn.q", h_pad),
                                  self._dot(pre + "attn.k", h_pad)])
@@ -472,8 +471,7 @@ class Decoder:
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
-            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps,
-                         precomputed_sq=carry)
+            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], precomputed_sq=carry)
             h2_pad = pad_to_lanes(h2)
             gate = self._dot(pre + "mlp.gate", h2_pad)
             up = self._dot(pre + "mlp.up", h2_pad)
@@ -482,8 +480,7 @@ class Decoder:
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
-        h_final = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps,
-                          precomputed_sq=carry)
+        h_final = rmsnorm(x, self.ckpt.norms["final"], precomputed_sq=carry)
         logits = self._dot("lm_head", pad_to_lanes(h_final))
         self.kv.commit()
         return logits, schedule_token(cfg, t)
@@ -497,7 +494,7 @@ class ReferenceDecoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(self.cfg.head_dim, base=self.cfg.rope_base)
+        self.table = TrigTable.for_head_dim(self.cfg.head_dim)
         self.mats = _plain_weights(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
@@ -512,7 +509,7 @@ class ReferenceDecoder:
         zero_points = np.empty((2, heads), dtype=np.int16)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
-            h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], cfg.norm_eps)
+            h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"])
             h_pad = pad_to_lanes(h)
             q_all = dot_rows(self.mats[pre + "attn.q"], h_pad)
             k_all = dot_rows(self.mats[pre + "attn.k"], h_pad)
@@ -541,14 +538,14 @@ class ReferenceDecoder:
             self.kv.write_layer(layer, codes, scales, zero_points)
             o = dot_rows(self.mats[pre + "attn.o"], pad_to_lanes(out))
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
-            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], cfg.norm_eps)
+            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"])
             h2_pad = pad_to_lanes(h2)
             gate = dot_rows(self.mats[pre + "mlp.gate"], h2_pad)
             up = dot_rows(self.mats[pre + "mlp.up"], h2_pad)
             act = silu_gate(gate, up)
             down = dot_rows(self.mats[pre + "mlp.down"], pad_to_lanes(act))
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
-        h = rmsnorm(x, self.ckpt.norms["final"], cfg.norm_eps)
+        h = rmsnorm(x, self.ckpt.norms["final"])
         logits = dot_rows(self.mats["lm_head"], pad_to_lanes(h))
         self.kv.commit()
         return logits

@@ -49,8 +49,9 @@ def dequant_codes(codes: np.ndarray, scales: np.ndarray,
     return (diff * np.asarray(scales, dtype=np.float32)[:, None]).astype(np.float16)
 
 
-def quantize_rows(w: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round-to-nearest groups for a (n_groups, group_size) value matrix.
+def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round-to-nearest groups for a (n_groups, group_size) value matrix:
+    each row is one group.
 
     Returns (codes uint8, scales float16, zeros uint8), one row per group.
     Values are taken as binary16 inputs; ranges are extended to include
@@ -58,8 +59,8 @@ def quantize_rows(w: np.ndarray, group_size: int) -> tuple[np.ndarray, np.ndarra
     smallest positive normal binary16 as scale and encode as the zero point.
     """
     w = np.asarray(w, dtype=np.float16)
-    if w.ndim != 2 or w.shape[1] != group_size:
-        raise ShapeError(f"expected (n, {group_size}) groups, got {w.shape}")
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ShapeError(f"expected (n_groups, group_size) groups, got {w.shape}")
     wide = w.astype(np.float64)
     lo = np.minimum(wide.min(axis=1), 0.0)
     hi = np.maximum(wide.max(axis=1), 0.0)

@@ -12,12 +12,15 @@ def demo_ckpt():
 
 
 @pytest.fixture(scope="session")
-def version_1_config():
-    """text(cfg): cfg's config.json as version 1 wrote it, with the
-    rope_freq_divisor field that version 2 dropped."""
-    def text(cfg) -> str:
+def old_config():
+    """text(cfg, version): cfg's config.json as version 1 or 2 wrote it.
+    Both name the norm_eps and rope_base fields that version 3 dropped;
+    version 1 also names the rope_freq_divisor that version 2 dropped."""
+    def text(cfg, version: int) -> str:
         doc = json.loads(cfg.to_json_str())
-        doc.update(version=1, rope_freq_divisor=None)
+        doc.update(version=version, norm_eps=1e-5, rope_base=10000.0)
+        if version == 1:
+            doc.update(rope_freq_divisor=None)
         return json.dumps(doc)
     return text
 

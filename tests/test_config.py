@@ -43,7 +43,7 @@ def test_json_round_trip(tmp_path):
     assert ModelConfig.from_json(path) == cfg
 
 
-def test_json_rejects_garbage(tmp_path, version_1_config):
+def test_json_rejects_garbage(tmp_path, old_config):
     path = tmp_path / "config.json"
     path.write_text("not json {")
     with pytest.raises(ConfigError):
@@ -51,9 +51,10 @@ def test_json_rejects_garbage(tmp_path, version_1_config):
     path.write_text('{"version": 99, "n_layers": 1}')
     with pytest.raises(ConfigError):
         ModelConfig.from_json(path)
-    path.write_text(version_1_config(tiny_demo_config()))
-    with pytest.raises(ConfigError, match="version"):
-        ModelConfig.from_json(path)
+    for version in (1, 2):
+        path.write_text(old_config(tiny_demo_config(), version))
+        with pytest.raises(ConfigError, match="version"):
+            ModelConfig.from_json(path)
     path.write_text('{"n_layers": 1, "what": 2}')
     with pytest.raises(ConfigError):
         ModelConfig.from_json(path)

@@ -160,7 +160,7 @@ class TestPackUnpack:
         t = GroupedTensor.quantize(w, 32)
         padded = np.zeros((1100, 320), dtype=np.float16)
         padded[:, :300] = w
-        codes, scales, zeros = quantize_rows(padded.reshape(-1, 32), 32)
+        codes, scales, zeros = quantize_rows(padded.reshape(-1, 32))
         assert np.array_equal(t.codes, codes)
         assert np.array_equal(t.scales.view(np.uint16), scales.view(np.uint16))
         assert np.array_equal(t.zeros, zeros)

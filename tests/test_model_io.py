@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import math
 import shutil
 
 import numpy as np
@@ -115,26 +114,25 @@ def test_non_utf8_config_raises_config_error(tmp_path, saved):
         load_checkpoint(path)
 
 
-def test_version_1_config_raises_config_error(tmp_path, saved, version_1_config):
+def test_version_1_config_raises_config_error(tmp_path, saved, old_config):
+    # and version 2, the last to carry norm_eps and rope_base
     path = tmp_path / "m"
     shutil.copytree(saved[1], path)
-    (path / CONFIG_NAME).write_text(version_1_config(saved[0].config))
-    with pytest.raises(ConfigError, match="version"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        (path / CONFIG_NAME).write_text(old_config(saved[0].config, version))
+        with pytest.raises(ConfigError, match="version"):
+            load_checkpoint(path)
 
 
-BAD_FIELDS = [
-    ("rope_base", "abc"), ("rope_base", None), ("rope_base", [1]), ("rope_base", 0),
-    ("rope_base", -1), ("rope_base", True), ("rope_base", math.inf), ("rope_base", 10 ** 400),
-    ("norm_eps", True), ("n_layers", True),
-]
+# the two fields version 3 dropped are unknown whatever their value
+BAD_FIELDS = [("rope_base", "abc"), ("norm_eps", True), ("n_layers", True)]
 
 
 @pytest.mark.parametrize("field, value", BAD_FIELDS,
                          ids=[f"{f}={v!r:.8}" for f, v in BAD_FIELDS])
 def test_bad_config_field_raises(tmp_path, saved, field, value):
-    """A config.json whose values are the wrong type or out of range is
-    refused at load, not at the first decoder build or rotation."""
+    """A config.json with a field of the wrong type, or one the config
+    does not hold, is refused at load, not at the first decoder build."""
     path = tmp_path / "m"
     shutil.copytree(saved[1], path)
     doc = json.loads((path / CONFIG_NAME).read_text())

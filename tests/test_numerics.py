@@ -14,6 +14,7 @@ from beatstream.numerics import (
     LANES,
     QUARTER_ENTRIES,
     PHASE_STEPS,
+    ROPE_BASE,
     TreeOrderRows,
     TrigTable,
     dot_rows,
@@ -331,8 +332,9 @@ def test_inverse_frequency_schedules():
     std = inverse_frequency_table(128)
     assert std.shape == (64,)
     assert std[0] == 1.0
-    assert std[1] == pytest.approx(10000.0 ** (-2.0 / 128.0))
-    assert std[63] == pytest.approx(10000.0 ** (-126.0 / 128.0))
+    assert ROPE_BASE == 10000.0
+    assert std[1] == pytest.approx(ROPE_BASE ** (-2.0 / 128.0))
+    assert std[63] == pytest.approx(ROPE_BASE ** (-126.0 / 128.0))
     assert np.array_equal(TrigTable.for_head_dim(128).inv_freq, std)
 
 

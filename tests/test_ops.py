@@ -8,7 +8,7 @@ import pytest
 from beatstream.errors import DomainError, ShapeError
 from beatstream.numerics import TrigTable, to_half, ulp16
 from beatstream import ops
-from beatstream.ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
+from beatstream.ops import NORM_EPS, rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 
 
 def oracle_sumsq_f32(x):
@@ -81,30 +81,32 @@ class TestRope:
 
 class TestRmsNorm:
     def test_three_four_example(self):
-        out = rmsnorm(np.array([3.0, 4.0], dtype=np.float16),
-                      np.ones(2, dtype=np.float16), eps=0.0)
+        out = rmsnorm(np.array([3.0, 4.0], dtype=np.float16), np.ones(2, dtype=np.float16))
         # 3/sqrt(12.5), 4/sqrt(12.5)
         assert float(out[0]) == pytest.approx(0.84852, rel=1e-3)
         assert float(out[1]) == pytest.approx(1.13137, rel=1e-3)
 
     def test_matches_scalar_oracle_bitwise(self):
+        assert NORM_EPS == 1e-5    # LLaMA2's
         rng = np.random.default_rng(6)
         for _ in range(100):
             n = int(rng.integers(2, 80))
             x = to_half(rng.normal(size=n))
             gain = to_half(rng.normal(size=n))
-            got = rmsnorm(x, gain, eps=1e-5)
+            got = rmsnorm(x, gain)
             sq = oracle_sumsq_f32(x)
-            inv = np.float32(1.0 / math.sqrt(float(sq) / n + 1e-5))
+            inv = np.float32(1.0 / math.sqrt(float(sq) / n + NORM_EPS))
             ref = (gain.astype(np.float32) * (x.astype(np.float32) * inv)).astype(np.float16)
             assert np.array_equal(got, ref)
 
     def test_power_of_two_constant_is_exact(self):
-        # constant 2**k input: inv is exact, output equals the gain
+        # constant 2**k input: without the epsilon inv is exactly 1/c, and
+        # the epsilon moves x * inv by less than half a binary16 ulp of the
+        # gain, so the output equals the gain
         gain = to_half(np.linspace(-2, 2, 32))
         for c in (0.25, 1.0, 4.0):
             x = np.full(32, c, dtype=np.float16)
-            assert np.array_equal(rmsnorm(x, gain, eps=0.0), gain)
+            assert np.array_equal(rmsnorm(x, gain), gain)
 
     def test_precomputed_sumsq_is_bitwise_neutral(self):
         rng = np.random.default_rng(61)
@@ -127,8 +129,13 @@ class TestRmsNorm:
         assert calls == [24]
 
     def test_degenerate_input(self):
+        # the epsilon defines the norm at a zero vector; an infinite
+        # element leaves it undefined
+        gain = np.ones(8, dtype=np.float16)
+        zero = np.zeros(8, dtype=np.float16)
+        assert np.array_equal(rmsnorm(zero, gain), zero)
         with pytest.raises(DomainError):
-            rmsnorm(np.zeros(8, dtype=np.float16), np.ones(8, dtype=np.float16), eps=0.0)
+            rmsnorm(np.array([np.inf] + [0.0] * 7, dtype=np.float16), gain)
 
 
 class TestSoftmax:

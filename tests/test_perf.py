@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
 from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
-from beatstream.model_io import LAYER_TENSORS, tensor_names, tensor_shape
+from beatstream.model_io import tensor_names, tensor_shape
 from beatstream.perf import (
     BusModel,
     bytes_per_token,
@@ -144,7 +144,8 @@ def test_7b_schedule_is_exact_sized_with_shared_ints(schedule_7b):
     # int object per projection plus one each for the embedding row and
     # norm gains, the head, a history read, a new row and a flush beat
     assert sys.getsizeof(schedule_7b) == sys.getsizeof([None] * len(schedule_7b))
-    assert len({id(beats) for beats in schedule_7b}) <= len(LAYER_TENSORS) + 5
+    cfg = llama2_7b_config()
+    assert len({id(beats) for beats in schedule_7b}) <= len(cfg.projection_shapes()) + 5
 
 
 def test_utilization_is_beats_over_cycles(schedule_7b):

@@ -247,7 +247,7 @@ class TestKVCacheStore:
         with pytest.raises(FormatError):
             KVCacheStore.load(path, tiny_demo_config(max_context=8))
 
-    def test_snapshot_version_check(self, tmp_path, version_1_config):
+    def test_snapshot_version_check(self, tmp_path, old_config):
         # the state version, and the version of the config it embeds
         cfg = tiny_demo_config(max_context=4)
         store = KVCacheStore(cfg)
@@ -256,7 +256,8 @@ class TestKVCacheStore:
         with np.load(path) as z:
             payload = {k: z[k] for k in z.files}
         for name, value in (("version", np.int64(99)),
-                            ("config", np.array(version_1_config(cfg)))):
+                            ("config", np.array(old_config(cfg, 1))),
+                            ("config", np.array(old_config(cfg, 2)))):
             np.savez(path, **{**payload, name: value})
             with pytest.raises(FormatError, match="version"):
                 KVCacheStore.load(path, cfg)
@@ -581,7 +582,8 @@ class TestDecoderSteps:
         # raised before the step writes or commits a cache row
         for cls in (Decoder, ReferenceDecoder):
             dec = cls(demo_ckpt)
-            for token in (-1, demo_ckpt.config.vocab_size):
+            for token in (-1, demo_ckpt.config.vocab_size, 3.0, np.float32(2.5), "3", True,
+                          np.True_):
                 with pytest.raises(ShapeError):
                     dec.step(token)
                 assert dec.kv.length == 0

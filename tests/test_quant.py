@@ -21,9 +21,9 @@ from beatstream.quant import (
 )
 
 
-def quant_group(vals, group_size):
+def quant_group(vals):
     """quantize_rows of one group: (codes, scale, zero)."""
-    codes, scales, zeros = quantize_rows(np.asarray(vals)[None, :], group_size)
+    codes, scales, zeros = quantize_rows(np.asarray(vals)[None, :])
     return codes[0], scales[0], int(zeros[0])
 
 
@@ -56,7 +56,7 @@ def oracle_quant_group(vals):
 class TestWeightQuant:
     def test_identity_ramp(self):
         # values 0..15 are exactly representable at scale 1
-        codes, scale, zero = quant_group(np.arange(16, dtype=np.float16), 16)
+        codes, scale, zero = quant_group(np.arange(16, dtype=np.float16))
         assert float(scale) == 1.0
         assert zero == 0
         assert list(codes) == list(range(16))
@@ -64,20 +64,20 @@ class TestWeightQuant:
                               np.arange(16, dtype=np.float16))
 
     def test_constant_group_exact_reconstruction(self):
-        back = dequant_group(*quant_group(np.full(128, 3.0, dtype=np.float16), 128))
+        back = dequant_group(*quant_group(np.full(128, 3.0, dtype=np.float16)))
         err = np.abs(back.astype(np.float64) - 3.0)
         assert err.max() <= float(ulp16(np.float16(3.0))) / 2
         # 15 * half(0.2) rounds back to exactly 3.0
         assert np.all(back == np.float16(3.0))
 
     def test_all_zero_group_degenerates_cleanly(self):
-        codes, scale, zero = quant_group(np.zeros(128, dtype=np.float16), 128)
+        codes, scale, zero = quant_group(np.zeros(128, dtype=np.float16))
         assert float(scale) == float(HALF_SMALLEST_NORMAL)
         assert np.all(codes == zero)
         assert np.all(dequant_group(codes, scale, zero) == np.float16(0.0))
 
     def test_negative_constant(self):
-        codes, scale, zero = quant_group(np.full(64, -3.0, dtype=np.float16), 64)
+        codes, scale, zero = quant_group(np.full(64, -3.0, dtype=np.float16))
         assert zero == 15
         assert np.all(codes == 0)
         assert np.all(dequant_group(codes, scale, zero) == np.float16(-3.0))
@@ -86,7 +86,7 @@ class TestWeightQuant:
         rng = np.random.default_rng(11)
         for _ in range(200):
             vals = to_half(rng.normal(scale=rng.uniform(0.01, 8.0), size=32))
-            codes, scale, zero = quant_group(vals, 32)
+            codes, scale, zero = quant_group(vals)
             want_codes, want_scale, want_zero = oracle_quant_group(vals)
             assert list(codes) == want_codes
             assert float(scale) == want_scale
@@ -95,9 +95,9 @@ class TestWeightQuant:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         w = to_half(rng.normal(size=(64, 128)))
-        codes, scales, zeros = quantize_rows(w, 128)
+        codes, scales, zeros = quantize_rows(w)
         for i in range(64):
-            one_codes, scale, zero = quant_group(w[i], 128)
+            one_codes, scale, zero = quant_group(w[i])
             assert np.array_equal(codes[i], one_codes)
             assert scales[i] == scale
             assert zeros[i] == zero
@@ -107,7 +107,7 @@ class TestWeightQuant:
         rng = np.random.default_rng(404)
         n, g = 2000, 64
         w = to_half(rng.normal(scale=rng.uniform(0.001, 100.0, size=(n, 1)), size=(n, g)))
-        codes, scales, zeros = quantize_rows(w, g)
+        codes, scales, zeros = quantize_rows(w)
         back = dequant_codes(codes, scales, zeros.astype(np.int16))
         err = np.abs(back.astype(np.float64) - w.astype(np.float64))
         # half a step, plus the binary16 rounding of the stored scale
@@ -120,18 +120,18 @@ class TestWeightQuant:
         # scaling inputs by 2**k scales the scale and leaves codes alone
         rng = np.random.default_rng(21)
         vals = to_half(rng.normal(size=128))
-        base_codes, base_scale, base_zero = quant_group(vals, 128)
+        base_codes, base_scale, base_zero = quant_group(vals)
         for k in (-3, 2, 5):
-            codes, scale, zero = quant_group(to_half(vals.astype(np.float64) * 2.0 ** k), 128)
+            codes, scale, zero = quant_group(to_half(vals.astype(np.float64) * 2.0 ** k))
             assert np.array_equal(codes, base_codes)
             assert zero == base_zero
             assert float(scale) == float(base_scale) * 2.0 ** k
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            quantize_rows(np.zeros(100, dtype=np.float16), 100)
+            quantize_rows(np.zeros(100, dtype=np.float16))
         with pytest.raises(ShapeError):
-            quantize_rows(np.zeros((4, 100), dtype=np.float16), 128)
+            quantize_rows(np.zeros((4, 0), dtype=np.float16))
 
     def test_group_validation(self):
         # every group the quantizer emits is valid: codes and zero in
@@ -144,7 +144,7 @@ class TestWeightQuant:
         w[1::7] = -np.abs(w[1::7])
         w[2::7] = 0
         w[3::7, 0] = np.float16(65504.0)
-        codes, scales, zeros = quantize_rows(w, 16)
+        codes, scales, zeros = quantize_rows(w)
         assert codes.max() <= 15 and zeros.max() <= 15
         assert np.all(np.isfinite(scales)) and np.all(scales > 0)
 
