@@ -14,10 +14,6 @@ class ShapeError(BeatstreamError):
     """Operands disagree in length or dimensionality."""
 
 
-class AlignmentError(BeatstreamError):
-    """A length violates a lane/beat alignment rule; the caller pads."""
-
-
 class ConfigError(BeatstreamError):
     """A configuration value is inconsistent or out of range."""
 

@@ -15,6 +15,13 @@ split into 128-lane blocks, each block is reduced by a fixed binary tree
 accumulator. The reduction order is part of the contract; results are
 reproducible bit for bit.
 
+The engine owns lane padding, as the stream layout does: a row fills
+whole 512-bit beats, and the lanes it does not fill hold zeros. Callers
+pass logical widths; dot_rows zero-extends the vector to the rows' width
+and both operands to whole blocks. A row that fits in one block is
+reduced over the smallest power-of-two subtree that holds it, chosen by
+shape alone, with the bits of the whole tree (see dot_rows).
+
 dot_rows reduces every row on its own, so it batches freely: the rows of
 a matrix against one vector, or the rows of each head (h, n, L) against
 that head's own vector (h, L), as the attention dot over the KV cache
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 # Smallest positive normal binary16 value, 2**-14.
 HALF_SMALLEST_NORMAL = np.float16(2.0 ** -14)
@@ -99,20 +106,21 @@ LANE_ORDER = _bit_reversed_lanes()
 
 
 class TreeOrderRows:
-    """An (n, L) binary16 matrix prepared for the tree dot engine.
+    """An (n, width) binary16 matrix prepared for the tree dot engine.
 
-    Values are widened once to binary32 (exact) and stored as `blocks`,
-    (L/LANES, LANES, n), with the lanes of each block in LANE_ORDER (see
-    the module docstring). Columns the caller does not assign hold +0.0,
-    as lane padding does. dot_rows takes an operand in place of its plain
-    matrix and returns the same bits.
+    The width rounds up to whole lane blocks, and the columns past it hold
+    +0.0, as lane padding does. Values are widened once to binary32 (exact)
+    and stored as `blocks`, (blocks, LANES, n), with the lanes of each block
+    in LANE_ORDER (see the module docstring). dot_rows takes an operand in
+    place of its plain matrix and returns the same bits.
     """
 
-    def __init__(self, n_rows: int, length: int) -> None:
-        if length == 0 or length % LANES != 0:
-            raise AlignmentError(f"length {length} is not a positive multiple of {LANES} lanes")
-        self.shape = (n_rows, length)
-        self.blocks = np.zeros((length // LANES, LANES, n_rows), dtype=np.float32)
+    def __init__(self, n_rows: int, width: int) -> None:
+        if width <= 0:
+            raise ShapeError(f"width {width} holds no column")
+        n_blocks = -(-width // LANES)
+        self.shape = (n_rows, n_blocks * LANES)
+        self.blocks = np.zeros((n_blocks, LANES, n_rows), dtype=np.float32)
 
     def assign(self, lo: int, rows: np.ndarray) -> None:
         """Store rows of binary16 values, as float16 or already widened to
@@ -130,8 +138,8 @@ class TreeOrderRows:
         self.blocks[:, :, lo:lo + k] = lane_major.transpose(1, 2, 0)   # widens exactly
 
     def halves(self) -> np.ndarray:
-        """The plain (n, L) binary16 matrix; exact, and bit reversal is its
-        own inverse."""
+        """The plain binary16 matrix of `shape`, zero lanes included;
+        exact, and bit reversal is its own inverse."""
         plain = self.blocks[:, LANE_ORDER].transpose(2, 0, 1).reshape(self.shape)
         return plain.astype(np.float16)
 
@@ -140,7 +148,9 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     """dot_rows in tree order over a prepared operand: per block, one
     product buffer (LANES, n) and log2(LANES) in-place half additions."""
     n_blocks, _, n = rows.blocks.shape
-    v = vec.reshape(n_blocks, LANES)[:, LANE_ORDER, None].astype(np.float32)   # (b, lanes, 1)
+    v = np.zeros(n_blocks * LANES, dtype=np.float32)
+    v[:vec.size] = vec
+    v = v.reshape(n_blocks, LANES)[:, LANE_ORDER, None]    # (b, lanes, 1)
     buf = np.empty((LANES, n), dtype=np.float32)
     acc = np.zeros(n, dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
@@ -153,31 +163,26 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     return acc.astype(np.float16)
 
 
-def _live_columns(rows: np.ndarray, vec: np.ndarray) -> int:
-    """Columns up to the last one where either operand holds a nonzero
-    value, in any head; past it both operands are zeros of either sign."""
-    vbits = vec.view(np.uint16)
-    if vbits.ndim == 2:
-        vbits = np.bitwise_or.reduce(vbits, axis=0)
-    nonzero = np.flatnonzero(vbits & 0x7FFF)
-    live = int(nonzero[-1]) + 1 if nonzero.size else 0
-    tail = rows.view(np.uint16)[..., live:]    # one pass, no temporary
-    if np.bitwise_or.reduce(tail, axis=None) & 0x7FFF:
-        return rows.shape[-1]
-    return live
-
-
 def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
-    """Row-wise dot of a binary16 matrix (n, L) against a binary16 vector
-    (L,), returning (n,); or, per head, of rows (h, n, L) against one
-    vector per head (h, L), returning (h, n).
+    """Row-wise dot of a binary16 matrix (n, W) against a binary16 vector
+    (L,), returning (n,); or, per head, of rows (h, n, W) against one
+    vector per head (h, L), returning (h, n). 1 <= L <= W.
 
-    Each row is reduced on its own (lane blocks, the fixed tree, then the
-    sequential block accumulator), so a row's result does not depend on
-    the other rows or heads: head i of the per-head form is the bits of
+    Padding rule: `vec` is zero-extended to the rows' width W, and both
+    operands are zero-extended to whole LANES-lane blocks, as the stream
+    layout fills a beat; callers pass logical widths. Each row is then
+    reduced on its own (lane blocks, the fixed tree, then the sequential
+    block accumulator), so a row's result does not depend on the other
+    rows or heads: head i of the per-head form is the bits of
     dot_rows(rows[i], vec[i]). Returns binary16. `rows` may be a
-    TreeOrderRows operand, (n, L) against (L,) only, which skips the
+    TreeOrderRows operand, (n, W) against (L,) only, which skips the
     widening and the strided tree.
+
+    A row of W <= LANES is reduced over the leading 2**ceil(log2 W) lanes
+    only. That is exact: every lane past them multiplies +0.0 by +0.0, so
+    the rest of the block's tree adds +0.0 to the subtree's sum, which
+    leaves any sum but -0.0 as it is (infinities and NaNs included), and
+    the +0.0 block accumulator turns a zero sum of either sign into +0.0.
     """
     prepared = isinstance(rows, TreeOrderRows)
     if not prepared:
@@ -185,30 +190,22 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.float16)
     shape = rows.shape
     if vec.ndim not in (1, 2) or len(shape) != vec.ndim + 1 or vec.shape[:-1] != shape[:-2]:
-        raise ShapeError(f"expected (n, L) rows and an (L,) vec, or (h, n, L) rows and "
+        raise ShapeError(f"expected (n, W) rows and an (L,) vec, or (h, n, W) rows and "
                          f"an (h, L) vec, got {shape} / {vec.shape}")
-    length = shape[-1]
-    if vec.shape[-1] != length:
-        raise ShapeError(f"operand lengths differ: {length} vs {vec.shape[-1]}")
-    if length == 0 or length % LANES != 0:
-        raise AlignmentError(
-            f"length {length} is not a positive multiple of {LANES} lanes; "
-            "the caller pads per the stream layout rules")
+    width, length = shape[-1], vec.shape[-1]
+    if not 1 <= length <= width:
+        raise ShapeError(f"vector length {length} is not in 1..{width}, the rows' width")
     if prepared:
         return _tree_order_dot(rows, vec)
 
-    lanes = LANES
-    live = _live_columns(rows, vec) if length == LANES else length
-    if live < LANES:
-        # Lanes past `live` multiply zeros into zeros. The block's tree over
-        # the leading power-of-two lanes holds every nonzero product, and the
-        # rest of the tree only adds zeros to it: x + (+-0) == x for x != 0,
-        # and the +0.0 accumulator turns a zero sum of either sign into +0.0.
-        lanes = length = 1 << max(live - 1, 0).bit_length()
-        rows, vec = rows[..., :lanes], vec[..., :lanes]
-    p = rows.astype(np.float32) * vec[..., None, :].astype(np.float32)   # exact
-    blocks = p.reshape(shape[:-1] + (length // lanes, lanes))
-    sums = _tree_reduce_f32(blocks)                        # (..., n, n_blocks)
+    lanes = LANES if width > LANES else 1 << (width - 1).bit_length()
+    padded = -(-width // lanes) * lanes
+    p = np.zeros(shape[:-1] + (padded,), dtype=np.float32)
+    p[..., :width] = rows                                  # widens exactly
+    v = np.zeros(vec.shape[:-1] + (padded,), dtype=np.float32)
+    v[..., :length] = vec
+    p *= v[..., None, :]                                   # exact
+    sums = _tree_reduce_f32(p.reshape(shape[:-1] + (padded // lanes, lanes)))
     acc = np.zeros(shape[:-1], dtype=np.float32)
     for b in range(sums.shape[-1]):                        # sequential across blocks
         acc = acc + sums[..., b]

@@ -119,14 +119,16 @@ class BusModel:
             raise ConfigError(
                 f"setup must be finite and >= 0, got {self.burst_setup_cycles!r}")
 
-    def request_cycles(self, beats: int) -> float:
-        if beats <= 0:
-            raise ConfigError("a request must move at least one beat")
-        bursts = -(-beats // MAX_BURST_BEATS)
-        return float(beats + bursts * self.burst_setup_cycles)
-
     def stream_cycles(self, requests) -> float:
-        return sum(self.request_cycles(b) for b in requests)
+        """Cycles of a stream of requests, in beats each: every beat, plus
+        the setup of each request's ceil(beats / MAX_BURST_BEATS) bursts."""
+        beats = bursts = 0
+        for b in requests:
+            if b < 1:
+                raise ConfigError("a request must move at least one beat")
+            beats += b
+            bursts += -(-b // MAX_BURST_BEATS)
+        return float(beats + bursts * self.burst_setup_cycles)
 
     def stream_utilization(self, requests) -> float:
         requests = list(requests)

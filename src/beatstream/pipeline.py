@@ -22,12 +22,13 @@ The reference decoder decodes its history from the codes on every step,
 so it checks the fused decoder's binary16 cache mirrors (see KVCacheStore).
 
 Both decoders reduce every dot on the one 128-lane tree engine of
-numerics, with each operand zero-padded to whole lane blocks, and prepare
-their weight operands from the checkpoint's packed word streams, unpacking
-each stream once. The fused decoder reads its weights as TreeOrderRows
-operands: each projection is dequantized, widened to binary32 and laid
-out in the engine's bit-reversed lane order once per checkpoint, and every
-Decoder on that checkpoint shares them. The reference decoder keeps its
+numerics and pass it logical vectors: the engine pads every operand to
+whole lane blocks. They prepare their weight operands from the
+checkpoint's packed word streams, unpacking each stream once. The fused
+decoder reads its weights as TreeOrderRows operands: each projection is
+dequantized, widened to binary32 and laid out in the engine's
+bit-reversed lane order once per checkpoint, and every Decoder on that
+checkpoint shares them. The reference decoder keeps its
 own plain binary16 matrices, so it checks the prepared operands on every
 step.
 
@@ -245,17 +246,15 @@ class KVCacheStore:
     commit() publishes them. History reads never cross the length.
 
     Beside the codes the store keeps their binary16 decode, so that no
-    step decodes the history again: `keys` (n_layers, n_heads,
-    max_context, W), each row zero-padded to W, head_dim rounded up to
-    whole lanes, and `values` (n_layers, n_heads, max_context, head_dim).
-    The mirrors are derived state. write_layer decodes each new row
-    through kv_dequantize_rows, which gives the bits a decode of the
-    whole history would; load rebuilds them from the codes; a snapshot
-    holds the codes alone. Rows at or past the length are dead in the
-    mirrors as in the codes. In host memory the mirrors cost
-    (W + head_dim) * 2 bytes per (layer, head, row), against
-    2 * head_dim for the codes: 16 MB for one layer of LLaMA2-7B's shape
-    (32 heads of 128) at 1024 rows, against 8 MB.
+    step decodes the history again: `keys` and `values`, each
+    (n_layers, n_heads, max_context, head_dim). The mirrors are derived
+    state. write_layer decodes each new row through kv_dequantize_rows,
+    which gives the bits a decode of the whole history would; load
+    rebuilds them from the codes; a snapshot holds the codes alone. Rows
+    at or past the length are dead in the mirrors as in the codes. In
+    host memory the mirrors cost 4 * head_dim bytes per (layer, head,
+    row), twice the 2 * head_dim of the codes: 16 MB for one layer of
+    LLaMA2-7B's shape (32 heads of 128) at 1024 rows, against 8 MB.
     """
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -265,7 +264,7 @@ class KVCacheStore:
         self.codes = np.zeros((2,) + shape + (hd,), dtype=np.uint8)
         self.scales = np.zeros((2,) + shape, dtype=np.float16)
         self.zeros = np.zeros((2,) + shape, dtype=np.int16)
-        self.keys = np.zeros(shape + (-(-hd // LANES) * LANES,), dtype=np.float16)
+        self.keys = np.zeros(shape + (hd,), dtype=np.float16)
         self.values = np.zeros(shape + (hd,), dtype=np.float16)
         self.length = 0
 
@@ -287,7 +286,7 @@ class KVCacheStore:
         hd = self.cfg.head_dim
         rows = kv_dequantize_rows(codes.reshape(-1, hd), scales.reshape(-1),
                                   zero_points.reshape(-1)).reshape(2, -1, hd)
-        self.keys[layer, :, t] = pad_to_lanes(rows[0])
+        self.keys[layer, :, t] = rows[0]
         self.values[layer, :, t] = rows[1]
 
     def history(self, layer: int, head: int, which: int):
@@ -345,7 +344,7 @@ class KVCacheStore:
         rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
                                   scales.reshape(-1), zeros.reshape(-1))
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
-        store.keys[:, :, :t, :hd] = rows[0]
+        store.keys[:, :, :t] = rows[0]
         store.values[:, :, :t] = rows[1]
         return store
 
@@ -363,8 +362,9 @@ def _int_scalar(z, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 class _WeightCache:
-    """Dequantized, lane-padded weight matrices prepared for the tree dot
-    (TreeOrderRows); a row's width in lanes is its beat cost.
+    """Dequantized weight matrices prepared for the tree dot
+    (TreeOrderRows), each row padded to whole groups and then to whole
+    lanes; a row's width in lanes is its beat cost.
 
     Unpacked from each tensor's words and widened a row range at a time,
     so no whole-tensor wide temporary exists, and built once per
@@ -378,7 +378,7 @@ class _WeightCache:
     def __init__(self, ckpt: Checkpoint) -> None:
         self.mats: dict[str, TreeOrderRows] = {}
         for name, t in ckpt.grouped():
-            mat = TreeOrderRows(t.rows, row_code_beats(t.cols, t.group_size) * LANES)
+            mat = TreeOrderRows(t.rows, t.padded_cols)
             for lo, vals in t.widened_chunks():
                 mat.assign(lo, vals)
             self.mats[name] = mat
@@ -446,42 +446,36 @@ class Decoder:
         carry = rms_sumsq(x)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
-            h_norm = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
-            h_pad = pad_to_lanes(h_norm)
-            qk = np.concatenate([self._dot(pre + "attn.q", h_pad),
-                                 self._dot(pre + "attn.k", h_pad)])
+            h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
+            qk = np.concatenate([self._dot(pre + "attn.q", h), self._dot(pre + "attn.k", h)])
             qk = rope_rotate(qk.reshape(2 * heads, hd), t, self.table)
-            qk_pad = pad_to_lanes(qk)
-            v = self._dot(pre + "attn.v", h_pad).reshape(heads, hd)
+            v = self._dot(pre + "attn.v", h).reshape(heads, hd)
 
             # row t of the cache mirrors holds this step's key and value
             # until write_layer puts their cache decode there; each head's
             # rows go through the tree reduction against that head's query
             keys, values = self.kv.keys[layer, :, :t + 1], self.kv.values[layer, :, :t + 1]
-            keys[:, t] = qk_pad[heads:]
+            keys[:, t] = qk[heads:]
             values[:, t] = v
-            probs = softmax(scale_logits(dot_rows(keys, qk_pad[:heads]), hd))
+            probs = softmax(scale_logits(dot_rows(keys, qk[:heads]), hd))
             head_out = mix_rows(probs, values).reshape(cfg.d_model)
 
             codes, scales, zero_points = kv_quantize_rows(np.concatenate([qk[heads:], v]))
             self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
                                 zero_points.reshape(2, heads))
 
-            o = self._dot(pre + "attn.o", pad_to_lanes(head_out))
+            o = self._dot(pre + "attn.o", head_out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], precomputed_sq=carry)
-            h2_pad = pad_to_lanes(h2)
-            gate = self._dot(pre + "mlp.gate", h2_pad)
-            up = self._dot(pre + "mlp.up", h2_pad)
-            act = silu_gate(gate, up)
-            down = self._dot(pre + "mlp.down", pad_to_lanes(act))
+            act = silu_gate(self._dot(pre + "mlp.gate", h2), self._dot(pre + "mlp.up", h2))
+            down = self._dot(pre + "mlp.down", act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
         h_final = rmsnorm(x, self.ckpt.norms["final"], precomputed_sq=carry)
-        logits = self._dot("lm_head", pad_to_lanes(h_final))
+        logits = self._dot("lm_head", h_final)
         self.kv.commit()
         return logits, schedule_token(cfg, t)
 
@@ -510,22 +504,18 @@ class ReferenceDecoder:
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"])
-            h_pad = pad_to_lanes(h)
-            q_all = dot_rows(self.mats[pre + "attn.q"], h_pad)
-            k_all = dot_rows(self.mats[pre + "attn.k"], h_pad)
-            v_all = dot_rows(self.mats[pre + "attn.v"], h_pad)
+            q_all = dot_rows(self.mats[pre + "attn.q"], h)
+            k_all = dot_rows(self.mats[pre + "attn.k"], h)
+            v_all = dot_rows(self.mats[pre + "attn.v"], h)
             out = np.empty(cfg.d_model, dtype=np.float16)
             for head in range(heads):
                 lo, hi = head * hd, (head + 1) * hd
                 q = rope_rotate(q_all[lo:hi], t, self.table)
                 k = rope_rotate(k_all[lo:hi], t, self.table)
                 v = v_all[lo:hi]
-                q_pad = pad_to_lanes(q)
                 kc, ks, kz = self.kv.history(layer, head, 0)
-                hist_pad = np.zeros((t, q_pad.size), dtype=np.float16)
-                hist_pad[:, :hd] = kv_dequantize_rows(kc, ks, kz)
-                logits_h = np.concatenate([dot_rows(hist_pad, q_pad),
-                                           dot_rows(pad_to_lanes(k)[None], q_pad)])
+                logits_h = np.concatenate([dot_rows(kv_dequantize_rows(kc, ks, kz), q),
+                                           dot_rows(k[None], q)])
                 probs = softmax(scale_logits(logits_h, hd))
                 vc, vs, vz = self.kv.history(layer, head, 1)
                 rows = np.concatenate([kv_dequantize_rows(vc, vs, vz), v[None]],
@@ -536,17 +526,15 @@ class ReferenceDecoder:
                     scales[which, head] = params.scale
                     zero_points[which, head] = params.zero_point
             self.kv.write_layer(layer, codes, scales, zero_points)
-            o = dot_rows(self.mats[pre + "attn.o"], pad_to_lanes(out))
+            o = dot_rows(self.mats[pre + "attn.o"], out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"])
-            h2_pad = pad_to_lanes(h2)
-            gate = dot_rows(self.mats[pre + "mlp.gate"], h2_pad)
-            up = dot_rows(self.mats[pre + "mlp.up"], h2_pad)
-            act = silu_gate(gate, up)
-            down = dot_rows(self.mats[pre + "mlp.down"], pad_to_lanes(act))
+            act = silu_gate(dot_rows(self.mats[pre + "mlp.gate"], h2),
+                            dot_rows(self.mats[pre + "mlp.up"], h2))
+            down = dot_rows(self.mats[pre + "mlp.down"], act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
         h = rmsnorm(x, self.ckpt.norms["final"])
-        logits = dot_rows(self.mats["lm_head"], pad_to_lanes(h))
+        logits = dot_rows(self.mats["lm_head"], h)
         self.kv.commit()
         return logits
 

@@ -48,7 +48,7 @@ def test_dot_rows_per_head(data, blocks, heads, n):
     rows = data.draw(halves((heads, n, length)), label="rows")
     vecs = data.draw(halves((heads, length)), label="vecs")
     # zero tails of their own length per head, in the rows too when drawn
-    # so: the batch skips only the lanes that are zero in every head
+    # so, and signed zeros anywhere
     for i in range(heads):
         live = data.draw(st.integers(0, length), label="live")
         vecs[i, live:] = 0.0

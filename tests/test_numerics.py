@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream.errors import AlignmentError, ShapeError
+from beatstream.errors import ShapeError
 from beatstream.layout import BusGeometry
 from beatstream.numerics import (
     LANE_ORDER,
@@ -234,8 +234,7 @@ def test_tree_order_rows_pad_narrow_rows_with_positive_zeros():
     want = np.zeros((3, 2 * LANES), dtype=np.float16)
     want[:, :40] = rows
     assert np.array_equal(half_bits(prepared.halves()), half_bits(want))
-    with pytest.raises(AlignmentError):
-        TreeOrderRows(3, 100)
+    assert TreeOrderRows(3, 100).shape == (3, LANES)   # whole lane blocks
 
 
 def test_bit_reversed_lanes():
@@ -244,9 +243,9 @@ def test_bit_reversed_lanes():
     assert not LANE_ORDER.flags.writeable
 
 
-def test_dot_shape_and_alignment_errors():
+def test_dot_shape_errors():
     a = np.ones(128, dtype=np.float16)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError):       # a vector wider than the rows
         dot(a, np.ones(256, dtype=np.float16))
     with pytest.raises(ShapeError):
         dot_rows(a, a)
@@ -259,10 +258,49 @@ def test_dot_shape_and_alignment_errors():
         dot_rows(per_head, a)
     with pytest.raises(ShapeError):       # a prepared operand takes (L,) only
         dot_rows(TreeOrderRows(3, 128), np.ones((3, 128), dtype=np.float16))
-    with pytest.raises(AlignmentError):
-        dot(np.ones(100, dtype=np.float16), np.ones(100, dtype=np.float16))
-    with pytest.raises(AlignmentError):
+    with pytest.raises(ShapeError):
         dot(np.ones(0, dtype=np.float16), np.ones(0, dtype=np.float16))
+    with pytest.raises(ShapeError):
+        TreeOrderRows(3, 0)
+
+
+def zero_pad(x, width):
+    """x zero-extended with +0.0 to `width` along its last axis."""
+    out = np.zeros(x.shape[:-1] + (width,), dtype=np.float16)
+    out[..., :x.shape[-1]] = x
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 300), n=st.integers(1, 4),
+       form=st.sampled_from(["plain", "per_head", "prepared"]))
+def test_dot_rows_pads_logical_widths(data, width, n, form):
+    """Rows of any width W against a vector of any length L <= W give the
+    bits of the tree over every lane, both operands zero-padded to whole
+    lane blocks by hand, in the plain, per-head (3 heads) and prepared
+    forms. An empty vector or one wider than the rows is refused.
+
+    A NaN result is compared as NaN only: where two NaNs meet, numpy's
+    vector and scalar loops keep different ones, and the prepared form's
+    rows fall in other loops than the oracle's."""
+    halves = st.one_of(st.sampled_from(EDGE_HALVES + [np.nan]), st.floats(width=16))
+    length = data.draw(st.integers(1, width), label="length")
+    lead = (3,) if form == "per_head" else ()
+    rows = data.draw(arrays(np.float16, lead + (n, width), elements=halves), label="rows")
+    vec = data.draw(arrays(np.float16, lead + (length,), elements=halves), label="vec")
+    operand = rows
+    if form == "prepared":
+        operand = TreeOrderRows(n, width)
+        operand.assign(0, rows)
+    padded = -(-width // LANES) * LANES
+    want = oracle_tree_rows(zero_pad(rows, padded), zero_pad(vec, padded))
+    got = dot_rows(operand, vec)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(half_bits(got)[~np.isnan(got)], half_bits(want)[~np.isnan(want)])
+    for bad in (0, operand.shape[-1] + 1):
+        with pytest.raises(ShapeError):
+            dot_rows(operand, np.ones(lead + (bad,), dtype=np.float16))
 
 
 def test_pad_to_lanes_is_exact():

@@ -66,7 +66,9 @@ def test_bus_model_rejects_setup_outside_finite_non_negative(setup):
 
 def test_request_pays_setup_per_burst():
     # 300 beats split into two maximal bursts of at most 256
-    assert BusModel(burst_setup_cycles=16).request_cycles(300) == 332
+    assert BusModel(burst_setup_cycles=16).stream_cycles([300]) == 332
+    with pytest.raises(ConfigError):
+        BusModel().stream_cycles([300, 0])
 
 
 # demo, kv_long and weights_mid shapes of the benchmark, group size left open

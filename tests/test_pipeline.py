@@ -45,7 +45,7 @@ def random_config(rng, head_dim):
         n_heads=heads,
         d_ffn=int(rng.integers(8, 96)),
         vocab_size=int(rng.integers(32, 200)),
-        group_size=int(rng.choice([32, 64, 128])),
+        group_size=int(rng.choice([32, 64, 128, 256])),
         max_context=24,
     )
 
@@ -144,16 +144,16 @@ def snapshot(tmp_path_factory):
 
 def assert_mirrors_decode_codes(kv):
     """Mirror rows below the length are the cache decode of the stored
-    codes bit for bit, and the key rows' pad lanes hold +0.0."""
-    t, hd = kv.length, kv.cfg.head_dim
+    codes bit for bit."""
+    cfg, t = kv.cfg, kv.length
+    hd = cfg.head_dim
     for which, mirror in ((0, kv.keys), (1, kv.values)):
+        assert mirror.shape == (cfg.n_layers, cfg.n_heads, cfg.max_context, hd)
         want = kv_dequantize_rows(kv.codes[which, :, :, :t].reshape(-1, hd),
                                   kv.scales[which, :, :, :t].reshape(-1),
                                   kv.zeros[which, :, :, :t].reshape(-1))
-        got = mirror[:, :, :t, :hd].reshape(-1, hd)
+        got = mirror[:, :, :t].reshape(-1, hd)
         assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
-    assert kv.keys.shape[-1] % LANES == 0
-    assert not kv.keys[:, :, :t, hd:].view(np.uint16).any()
 
 
 class TestCacheMirrors:
@@ -357,6 +357,24 @@ class TestFusedMatchesReference:
                 fused, _ = dec.step(tok)
                 check_agreement(i, fused, ref.step(tok))
                 tok = greedy_pick(fused)
+
+    @pytest.mark.parametrize("shape", [
+        dict(n_layers=1, d_model=64, n_heads=4, d_ffn=96, vocab_size=64),
+        # the weights_mid shape of the benchmark, at two layers
+        dict(n_layers=2, d_model=512, n_heads=8, d_ffn=1376, vocab_size=4096),
+    ], ids=["d64", "weights_mid"])
+    def test_groups_wider_than_lane_padding(self, shape):
+        """At group size 256 a row pads to more lanes than its logical
+        width: d_model 64 to 256 columns, and d_ffn 1376 to 1536 rather
+        than the 1408 of lane padding alone."""
+        ckpt = build_demo_checkpoint(seed=3, cfg=ModelConfig(**shape, group_size=256,
+                                                             max_context=8))
+        dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
+        tok = 1
+        for i in range(4):
+            fused, _ = dec.step(tok)
+            check_agreement(i, fused, ref.step(tok))
+            tok = greedy_pick(fused)
 
     def test_weights_built_in_many_chunks(self, monkeypatch):
         # a few rows per piece, the last piece short
