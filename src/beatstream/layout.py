@@ -274,10 +274,6 @@ def tensor_stream_words(rows: int, cols: int, group_size: int) -> int:
     return stream_word_count(rows * gpr, group_size)
 
 
-def tensor_stream_bytes(rows: int, cols: int, group_size: int) -> int:
-    return tensor_stream_words(rows, cols, group_size) * WORD_BYTES
-
-
 @dataclass(frozen=True)
 class PackedWeightStream:
     """The interleaved word stream of one tensor, in read order."""
@@ -435,12 +431,12 @@ def region_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:
         ("embedding", cfg.vocab_size * d * 2),
         ("norm_gains", (2 * cfg.n_layers + 1) * d * 2),
     ]
-    per_layer = sum(tensor_stream_bytes(r, c, cfg.group_size)
+    per_layer = sum(tensor_stream_words(r, c, cfg.group_size) * WORD_BYTES
                     for r, c in cfg.projection_shapes().values())
     for layer in range(cfg.n_layers):
         sizes.append((f"weights.L{layer}", per_layer))
     sizes.append(("weights.lm_head",
-                  tensor_stream_bytes(cfg.vocab_size, d, cfg.group_size)))
+                  tensor_stream_words(cfg.vocab_size, d, cfg.group_size) * WORD_BYTES))
     for layer in range(cfg.n_layers):
         sizes.append((f"kv.L{layer}.k_codes", ctx * d))
         sizes.append((f"kv.L{layer}.v_codes", ctx * d))

@@ -1,5 +1,5 @@
-"""Half-precision arithmetic contract, the 128-lane dot engine, and
-quarter-wave trig tables.
+"""Half-precision arithmetic contract, the 128-lane dot engine, and the
+quarter-wave sine ROM.
 
 Every consumer in this package rounds the same way: values live as IEEE
 binary16, products and partial sums are carried in binary32 (or wider),
@@ -35,13 +35,19 @@ for the same i, and the pair sums land in bit-reversed order again, one
 bit shorter. Every tree level is then the sum of two contiguous halves,
 taken in place over all rows at once, and it adds the same pairs in the
 same operand order as the plain path, so the result is the same bit for
-bit.
+bit. A NaN result is the one exception: only its being NaN is part of
+the contract, not its sign or payload (see dot_rows).
+
+The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
+binary16 samples of the first quadrant, folded to the full turn by
+sin_cos. The ROM and the rotary base are constants, and a head width
+fixes its frequencies (inverse_frequency_table), so nothing about the
+rotation is state or setting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +118,8 @@ class TreeOrderRows:
     +0.0, as lane padding does. Values are widened once to binary32 (exact)
     and stored as `blocks`, (blocks, LANES, n), with the lanes of each block
     in LANE_ORDER (see the module docstring). dot_rows takes an operand in
-    place of its plain matrix and returns the same bits.
+    place of its plain matrix and returns the same bits, up to the sign
+    and payload of a NaN result, which are not part of the contract.
     """
 
     def __init__(self, n_rows: int, width: int) -> None:
@@ -183,6 +190,12 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     the rest of the block's tree adds +0.0 to the subtree's sum, which
     leaves any sum but -0.0 as it is (infinities and NaNs included), and
     the +0.0 block accumulator turns a zero sum of either sign into +0.0.
+
+    A NaN result is NaN on every path, but its sign and payload are not
+    part of the contract: where NaNs of both signs meet in one addition,
+    numpy keeps one operand in its vector loop and the other in its
+    scalar tail, and the TreeOrderRows path puts rows in other loops than
+    the plain one.
     """
     prepared = isinstance(rows, TreeOrderRows)
     if not prepared:
@@ -229,13 +242,18 @@ def pad_to_lanes(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quarter-wave trig table
+# quarter-wave sine ROM
 # ---------------------------------------------------------------------------
 
 QUARTER_ENTRIES = 4096                 # samples of sin over [0, pi/2)
 PHASE_STEPS = 4 * QUARTER_ENTRIES      # full turn on the lookup grid
-_ONE = np.float16(1.0)
 ROPE_BASE = 10000.0                    # LLaMA2's rotary base
+
+# The ROM: binary16 sin at k/QUARTER_ENTRIES quarter turns, k = 0..4095;
+# QUARTER_SINE[0] == 0 and the entries never decrease.
+QUARTER_SINE = np.sin(np.arange(QUARTER_ENTRIES) * (math.pi / 2.0 / QUARTER_ENTRIES)
+                      ).astype(np.float16)
+QUARTER_SINE.flags.writeable = False
 
 
 def inverse_frequency_table(head_dim: int) -> np.ndarray:
@@ -247,55 +265,25 @@ def inverse_frequency_table(head_dim: int) -> np.ndarray:
     return np.power(ROPE_BASE, -2.0 * j / float(head_dim))
 
 
-@dataclass(frozen=True)
-class TrigTable:
-    """4096 binary16 samples of sin over the first quadrant plus the
-    rotation frequency table of one head width, at ROPE_BASE.
+def sin_cos(phase_turns) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos) as binary16 for a phase given in turns, read off the ROM.
 
-    Phase is a turn count. A lookup snaps the fractional turn to the
-    14-bit grid (2 quadrant bits + 12 index bits) with nearest rounding —
-    the address path carries 12 further fraction bits that a nearest-entry
-    lookup discards (no interpolation). Quadrant folding supplies the
-    other three quadrants and the exact 1.0 at odd quadrant boundaries
-    that the half-open table cannot store.
+    The fractional turn snaps to the 14-bit grid (2 quadrant bits + 12
+    index bits) with nearest rounding; the address path carries 12 further
+    fraction bits that a nearest-entry lookup discards (no interpolation).
+    cos is sin a quarter turn on. Quadrant folding supplies the other three
+    quadrants and the exact 1.0 at odd quadrant boundaries that the
+    half-open ROM cannot store.
     """
-
-    entries: np.ndarray    # (4096,) float16, entries[0] == 0, non-decreasing
-    inv_freq: np.ndarray   # (n_pairs,) float64
-
-    @classmethod
-    def for_head_dim(cls, head_dim: int) -> "TrigTable":
-        inv_freq = inverse_frequency_table(head_dim)
-        x = np.arange(QUARTER_ENTRIES, dtype=np.float64) * (math.pi / 2.0 / QUARTER_ENTRIES)
-        return cls(entries=np.sin(x).astype(np.float16), inv_freq=inv_freq)
-
-    # ---- lookup -------------------------------------------------------
-
-    def _quarter_sin(self, idx: np.ndarray) -> np.ndarray:
-        """sin at grid points idx/PHASE_STEPS turns, folded from one quadrant."""
-        idx = np.asarray(idx)
-        quadrant = idx >> 12
-        r = idx & (QUARTER_ENTRIES - 1)
-        rising = (quadrant & 1) == 0
-        mirrored = QUARTER_ENTRIES - r
-        # At r == 0 the mirrored index is the exact quadrant boundary (|sin| = 1).
-        mag = np.where(rising, self.entries[r],
-                       np.where(r == 0, _ONE, self.entries[mirrored % QUARTER_ENTRIES]))
-        sign = np.where(quadrant >= 2, np.float16(-1.0), _ONE)
-        return (sign * mag).astype(np.float16)
-
-    def phase_to_index(self, phase_turns) -> np.ndarray:
-        """Snap fractional turns to the 14-bit lookup grid (nearest entry)."""
-        phase = np.asarray(phase_turns, dtype=np.float64)
-        if not np.all(np.isfinite(phase)):
-            raise DomainError("phase must be finite")
-        frac = phase - np.floor(phase)
-        return np.rint(frac * PHASE_STEPS).astype(np.int64) % PHASE_STEPS
-
-    def sin_cos_at(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.asarray(idx) % PHASE_STEPS
-        return self._quarter_sin(idx), self._quarter_sin((idx + QUARTER_ENTRIES) % PHASE_STEPS)
-
-    def sin_cos(self, phase_turns) -> tuple[np.ndarray, np.ndarray]:
-        """(sin, cos) as binary16 for a phase given in turns."""
-        return self.sin_cos_at(self.phase_to_index(phase_turns))
+    phase = np.asarray(phase_turns, dtype=np.float64)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError("phase must be finite")
+    idx = np.rint((phase - np.floor(phase)) * PHASE_STEPS).astype(np.int64)
+    idx = np.stack([idx, idx + QUARTER_ENTRIES]) % PHASE_STEPS
+    quadrant = idx >> 12
+    r = idx & (QUARTER_ENTRIES - 1)
+    # At r == 0 a falling quadrant starts on its boundary, where |sin| = 1.
+    mag = np.where((quadrant & 1) == 0, QUARTER_SINE[r],
+                   np.where(r == 0, np.float16(1.0), QUARTER_SINE[-r % QUARTER_ENTRIES]))
+    sin_and_cos = np.where(quadrant >= 2, -mag, mag)
+    return sin_and_cos[0], sin_and_cos[1]

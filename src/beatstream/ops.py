@@ -13,33 +13,29 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import TrigTable
+from .numerics import inverse_frequency_table, sin_cos
 
 _TWO_PI = 2.0 * math.pi
 NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
 
 
-def rope_rotate(v: np.ndarray, pos: int, table: TrigTable) -> np.ndarray:
+def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     """Rotate adjacent pairs (v[2j], v[2j+1]) by pos * inv_freq[j], in a
-    vector or in each row of a matrix.
+    vector or in each row of a matrix; the frequencies are
+    inverse_frequency_table of the row width.
 
-    Angles are formed in float64, snapped to the table's phase grid, and
-    the rotation runs in float32 with one binary16 rounding per output.
-    Position 0 hits the exact 0/1 table entries, so it is the identity
-    bit for bit.
+    Angles are formed in float64, snapped to the sine ROM's phase grid
+    (numerics.sin_cos), and the rotation runs in float32 with one binary16
+    rounding per output. Position 0 hits the exact 0/1 ROM entries, so it
+    is the identity bit for bit.
     """
     v = np.asarray(v, dtype=np.float16)
-    if v.ndim not in (1, 2) or v.shape[-1] % 2 != 0:
-        raise ShapeError(f"rotation needs even-length rows, got shape {v.shape}")
-    n_pairs = v.shape[-1] // 2
-    if n_pairs != table.inv_freq.size:
-        raise ShapeError(
-            f"{n_pairs} pairs but the table holds {table.inv_freq.size} frequencies")
+    if v.ndim not in (1, 2) or v.shape[-1] == 0 or v.shape[-1] % 2 != 0:
+        raise ShapeError(f"rotation needs non-empty even-length rows, got shape {v.shape}")
     if pos < 0:
         raise DomainError(f"position {pos} is negative")
 
-    turns = (pos * table.inv_freq) / _TWO_PI
-    sin, cos = table.sin_cos(turns)
+    sin, cos = sin_cos(pos * inverse_frequency_table(v.shape[-1]) / _TWO_PI)
     a = v[..., 0::2].astype(np.float32)
     b = v[..., 1::2].astype(np.float32)
     sin32 = sin.astype(np.float32)

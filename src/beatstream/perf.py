@@ -58,12 +58,6 @@ def peak_tokens_per_s(bandwidth_bytes_per_s: float, token_bytes: float) -> float
     return bandwidth_bytes_per_s / token_bytes
 
 
-def utilization_pct(measured_tok_s: float, peak_tok_s: float) -> float:
-    if peak_tok_s <= 0:
-        raise ConfigError("peak must be positive")
-    return 100.0 * measured_tok_s / peak_tok_s
-
-
 # ---------------------------------------------------------------------------
 # published comparison points
 # ---------------------------------------------------------------------------
@@ -88,7 +82,9 @@ class DeviceRow:
     def computed_util_pct(self) -> float:
         # measured against the row's published peak, the convention the
         # comparison figures use
-        return utilization_pct(self.measured_tok_s, self.peak_tok_s)
+        if self.peak_tok_s <= 0:
+            raise ConfigError("peak must be positive")
+        return 100.0 * self.measured_tok_s / self.peak_tok_s
 
 
 def load_device_catalog() -> dict[str, list[DeviceRow]]:

@@ -52,7 +52,7 @@ from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import SZ_PACKS_PER_BEAT
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
-from .numerics import LANES, TreeOrderRows, TrigTable, dot_rows, pad_to_lanes, ulp16
+from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, kv_quantize_rows
 
@@ -243,7 +243,7 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
 class KVCacheStore:
     """Preallocated per-(layer, head) KV code arrays with one scale-zero
     pair per cached row. Rows land at the current length during a token;
-    commit() publishes them. History reads never cross the length.
+    commit() publishes them. Readers take the rows below the length only.
 
     Beside the codes the store keeps their binary16 decode, so that no
     step decodes the history again: `keys` and `values`, each
@@ -288,12 +288,6 @@ class KVCacheStore:
                                   zero_points.reshape(-1)).reshape(2, -1, hd)
         self.keys[layer, :, t] = rows[0]
         self.values[layer, :, t] = rows[1]
-
-    def history(self, layer: int, head: int, which: int):
-        t = self.length
-        return (self.codes[which, layer, head, :t],
-                self.scales[which, layer, head, :t],
-                self.zeros[which, layer, head, :t])
 
     def commit(self) -> None:
         self.length += 1
@@ -419,7 +413,6 @@ class Decoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(self.cfg.head_dim)
         self.weights = _WeightCache.of(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
@@ -448,7 +441,7 @@ class Decoder:
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
             qk = np.concatenate([self._dot(pre + "attn.q", h), self._dot(pre + "attn.k", h)])
-            qk = rope_rotate(qk.reshape(2 * heads, hd), t, self.table)
+            qk = rope_rotate(qk.reshape(2 * heads, hd), t)
             v = self._dot(pre + "attn.v", h).reshape(heads, hd)
 
             # row t of the cache mirrors holds this step's key and value
@@ -488,14 +481,13 @@ class ReferenceDecoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.table = TrigTable.for_head_dim(self.cfg.head_dim)
         self.mats = _plain_weights(ckpt)
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:
-        cfg = self.cfg
+        cfg, kv = self.cfg, self.kv
         x = _embedding_row(self.ckpt, token)
-        t = self.kv.begin_token()
+        t = kv.begin_token()
         heads, hd = cfg.n_heads, cfg.head_dim
         # one layer's new cache rows, key (0) and value (1) of every head
         codes = np.empty((2, heads, hd), dtype=np.uint8)
@@ -510,22 +502,21 @@ class ReferenceDecoder:
             out = np.empty(cfg.d_model, dtype=np.float16)
             for head in range(heads):
                 lo, hi = head * hd, (head + 1) * hd
-                q = rope_rotate(q_all[lo:hi], t, self.table)
-                k = rope_rotate(k_all[lo:hi], t, self.table)
+                q = rope_rotate(q_all[lo:hi], t)
+                k = rope_rotate(k_all[lo:hi], t)
                 v = v_all[lo:hi]
-                kc, ks, kz = self.kv.history(layer, head, 0)
-                logits_h = np.concatenate([dot_rows(kv_dequantize_rows(kc, ks, kz), q),
-                                           dot_rows(k[None], q)])
+                # this head's cached keys and values, decoded from their codes
+                past_k, past_v = (kv_dequantize_rows(kv.codes[which, layer, head, :t],
+                                                     kv.scales[which, layer, head, :t],
+                                                     kv.zeros[which, layer, head, :t])
+                                  for which in (0, 1))
+                logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
                 probs = softmax(scale_logits(logits_h, hd))
-                vc, vs, vz = self.kv.history(layer, head, 1)
-                rows = np.concatenate([kv_dequantize_rows(vc, vs, vz), v[None]],
-                                      axis=0)
-                out[lo:hi] = mix_rows(probs, rows)
+                out[lo:hi] = mix_rows(probs, np.concatenate([past_v, v[None]], axis=0))
                 for which, row in enumerate((k, v)):
-                    codes[which, head], params = kv_quantize(row)
-                    scales[which, head] = params.scale
-                    zero_points[which, head] = params.zero_point
-            self.kv.write_layer(layer, codes, scales, zero_points)
+                    codes[which, head], scales[which, head], zero_points[which, head] = \
+                        kv_quantize(row)
+            kv.write_layer(layer, codes, scales, zero_points)
             o = dot_rows(self.mats[pre + "attn.o"], out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"])
@@ -535,7 +526,7 @@ class ReferenceDecoder:
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
         h = rmsnorm(x, self.ckpt.norms["final"])
         logits = dot_rows(self.mats["lm_head"], h)
-        self.kv.commit()
+        kv.commit()
         return logits
 
 

@@ -21,8 +21,6 @@ Rounding is round-half-even everywhere. Both codecs are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -78,32 +76,14 @@ def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # 8-bit KV cache codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KvQuantParams:
-    """Per-vector cache parameters: binary16 scale and zero point z <= 0.
-
-    z = ceil(min/s) with the range extended through zero, so z is always in
-    -255..0; the zero byte of its scale-zero record stores the magnitude -z.
-    """
-
-    scale: np.float16
-    zero_point: int
-
-    def __post_init__(self) -> None:
-        if not (float(self.scale) > 0.0 and np.isfinite(self.scale)):
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
-        if not (-KV_LEVELS <= int(self.zero_point) <= 0):
-            raise DomainError(f"zero_point {self.zero_point} outside -255..0")
-        object.__setattr__(self, "scale", np.float16(self.scale))
-        object.__setattr__(self, "zero_point", int(self.zero_point))
-
-
 def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-pass 8-bit encoding of each row of a binary16 matrix.
 
     Pass 1 reads a row once for min/max; pass 2 reads it again to emit
     codes. Returns (codes uint8, scales float16, zero_points int16), one
-    scale and zero point per row.
+    scale and zero point per row. A zero point is z = ceil(min/s) with the
+    range extended through zero, so it lies in -255..0; the zero byte of
+    the row's scale-zero record stores the magnitude -z.
     """
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -122,13 +102,14 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return codes, scales, z[:, 0].astype(np.int16)
 
 
-def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, KvQuantParams]:
-    """kv_quantize_rows of one non-empty vector: (codes uint8, params)."""
+def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, np.float16, np.int16]:
+    """kv_quantize_rows of one non-empty vector: (codes uint8, scale,
+    zero_point)."""
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 1:
         raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
     codes, scales, zero_points = kv_quantize_rows(x[None])
-    return codes[0], KvQuantParams(scale=scales[0], zero_point=int(zero_points[0]))
+    return codes[0], scales[0], zero_points[0]
 
 
 def kv_dequantize_rows(codes: np.ndarray, scales: np.ndarray,

@@ -33,8 +33,8 @@ from beatstream.layout import (
     pack_tensor,
     plan_memory_map,
     read_container,
+    region_sizes,
     stream_word_count,
-    tensor_stream_bytes,
     unpack_nibbles,
     unpack_stream,
     write_container,
@@ -312,11 +312,9 @@ class TestBusGeometry:
 
 class TestMemoryMap:
     def test_frozen_7b_region_sizes(self):
-        cfg = llama2_7b_config()
-        per_layer = sum(tensor_stream_bytes(r, c, 128)
-                        for r, c in cfg.projection_shapes().values())
-        assert per_layer == 105_140_224
-        assert tensor_stream_bytes(cfg.vocab_size, cfg.d_model, 128) == 68_096_000
+        sizes = dict(region_sizes(llama2_7b_config()))
+        assert sizes["weights.L0"] == sizes["weights.L31"] == 105_140_224
+        assert sizes["weights.lm_head"] == 68_096_000
 
     def test_7b_occupancy_band(self):
         m = plan_memory_map(llama2_7b_config(max_context=1024), 4 << 30)

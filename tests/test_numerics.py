@@ -1,5 +1,6 @@
-"""Numerics: binary16 contract, dot engine vs wide oracles, trig table."""
+"""Numerics: binary16 contract, dot engine vs wide oracles, sine ROM."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,21 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream.errors import ShapeError
+from beatstream.errors import DomainError, ShapeError
 from beatstream.layout import BusGeometry
 from beatstream.numerics import (
     LANE_ORDER,
     LANES,
     QUARTER_ENTRIES,
+    QUARTER_SINE,
     PHASE_STEPS,
     ROPE_BASE,
     TreeOrderRows,
-    TrigTable,
     dot_rows,
     half_bits,
     half_from_bits,
     inverse_frequency_table,
     pad_to_lanes,
+    sin_cos,
     to_half,
     ulp16,
 )
@@ -303,6 +305,27 @@ def test_dot_rows_pads_logical_widths(data, width, n, form):
             dot_rows(operand, np.ones(lead + (bad,), dtype=np.float16))
 
 
+@pytest.mark.parametrize("n", [1, 17])
+def test_nan_sign_is_not_part_of_the_contract(n):
+    """+inf over lanes 0..64 times a vector with NaN at lane 0 and zeros
+    elsewhere makes NaNs of both signs meet in one addition. One row, or
+    row 17 of 17, falls in numpy's scalar tail on the prepared path and
+    its vector loop on the plain one, so the two may keep NaNs of
+    opposite sign. Both must be NaN; a result that is not NaN must have
+    the same bits on both paths."""
+    rows = np.zeros((n, LANES), dtype=np.float16)
+    rows[:, :65] = np.inf
+    vec = np.zeros(LANES, dtype=np.float16)
+    vec[0] = np.nan
+    operand = TreeOrderRows(n, LANES)
+    operand.assign(0, rows)
+    with np.errstate(invalid="ignore"):
+        plain, prepared = dot_rows(rows, vec), dot_rows(operand, vec)
+    assert np.isnan(plain).all() and np.isnan(prepared).all()
+    live = ~np.isnan(plain)
+    assert np.array_equal(half_bits(plain)[live], half_bits(prepared)[live])
+
+
 def test_pad_to_lanes_is_exact():
     rng = np.random.default_rng(17)
     a = to_half(rng.normal(size=100))
@@ -312,57 +335,61 @@ def test_pad_to_lanes_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# trig table
+# quarter-wave sine ROM
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def table():
-    return TrigTable.for_head_dim(128)
+GRID = np.arange(PHASE_STEPS) / PHASE_STEPS      # every grid phase, exactly
 
 
-def test_table_entries_invariants(table):
-    assert table.entries.shape == (QUARTER_ENTRIES,)
-    assert table.entries.dtype == np.float16
-    assert float(table.entries[0]) == 0.0
-    assert np.all(np.diff(table.entries.astype(np.float64)) >= 0.0)
+def test_table_entries_invariants():
+    assert QUARTER_SINE.shape == (QUARTER_ENTRIES,)
+    assert QUARTER_SINE.dtype == np.float16
+    assert not QUARTER_SINE.flags.writeable
+    assert float(QUARTER_SINE[0]) == 0.0
+    assert np.all(np.diff(QUARTER_SINE.astype(np.float64)) >= 0.0)
 
 
-def test_lut_axes(table):
-    s, c = table.sin_cos(0.0)
+def test_lut_axes():
+    s, c = sin_cos(0.0)
     assert float(s) == 0.0 and float(c) == 1.0
-    s, c = table.sin_cos(0.25)
+    s, c = sin_cos(0.25)
     assert float(s) == 1.0 and float(c) == 0.0
-    s, c = table.sin_cos(0.5)
+    s, c = sin_cos(0.5)
     assert float(s) == 0.0 and float(c) == -1.0
-    s, c = table.sin_cos(0.75)
+    s, c = sin_cos(0.75)
     assert float(s) == -1.0 and float(c) == 0.0
 
 
-def test_lut_error_bound_random_phases(table):
+def test_lut_golden_bits():
+    """The bits of every grid phase, pinned by their sha256."""
+    s, c = sin_cos(GRID)
+    digest = hashlib.sha256(s.tobytes() + c.tobytes()).hexdigest()
+    assert digest.startswith("1d3f0d071d03b844")
+
+
+def test_lut_error_bound_random_phases():
     rng = np.random.default_rng(19)
     phases = rng.uniform(0.0, 1.0, size=1024)
-    idx = table.phase_to_index(phases)
-    grid = idx.astype(np.float64) / PHASE_STEPS          # the angle actually looked up
-    s, c = table.sin_cos(phases)
+    grid = np.rint(phases * PHASE_STEPS) / PHASE_STEPS   # the angle actually looked up
+    s, c = sin_cos(phases)
+    assert np.array_equal(half_bits(s), half_bits(sin_cos(grid)[0]))
     assert np.max(np.abs(s.astype(np.float64) - np.sin(2 * math.pi * grid))) <= 2.0 ** -9
     assert np.max(np.abs(c.astype(np.float64) - np.cos(2 * math.pi * grid))) <= 2.0 ** -9
     # And against the requested (pre-snap) phase: quantization adds < 2**-9.
     assert np.max(np.abs(s.astype(np.float64) - np.sin(2 * math.pi * phases))) <= 2.0 ** -9
 
 
-def test_lut_unit_norm_every_grid_phase(table):
-    idx = np.arange(PHASE_STEPS)
-    s, c = table.sin_cos_at(idx)
+def test_lut_unit_norm_every_grid_phase():
+    s, c = sin_cos(GRID)
     norm = s.astype(np.float64) ** 2 + c.astype(np.float64) ** 2
     assert np.all(norm >= 1.0 - 2.0 ** -7)
     assert np.all(norm <= 1.0 + 2.0 ** -7)
 
 
-def test_lut_quarter_wave_fold_symmetry(table):
+def test_lut_quarter_wave_fold_symmetry():
     # sin(theta) == sin(0.5 - theta) for every grid phase.
-    idx = np.arange(PHASE_STEPS)
-    s_fwd, _ = table.sin_cos_at(idx)
-    s_mir, _ = table.sin_cos_at((PHASE_STEPS // 2 - idx) % PHASE_STEPS)
+    s_fwd, _ = sin_cos(GRID)
+    s_mir, _ = sin_cos(0.5 - GRID)
     assert np.all(s_fwd == s_mir)
 
 
@@ -373,11 +400,12 @@ def test_inverse_frequency_schedules():
     assert ROPE_BASE == 10000.0
     assert std[1] == pytest.approx(ROPE_BASE ** (-2.0 / 128.0))
     assert std[63] == pytest.approx(ROPE_BASE ** (-126.0 / 128.0))
-    assert np.array_equal(TrigTable.for_head_dim(128).inv_freq, std)
 
 
-def test_phase_wraps_and_negatives(table):
-    i1 = table.phase_to_index(0.125)
-    i2 = table.phase_to_index(5.125)
-    i3 = table.phase_to_index(-0.875)
-    assert i1 == i2 == i3
+def test_phase_wraps_and_negatives():
+    s1, c1 = sin_cos(0.125)
+    for phase in (5.125, -0.875):
+        s, c = sin_cos(phase)
+        assert half_bits(s) == half_bits(s1) and half_bits(c) == half_bits(c1)
+    with pytest.raises(DomainError):
+        sin_cos(np.array([0.0, np.inf]))

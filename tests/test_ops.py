@@ -1,12 +1,13 @@
 """Operator tests against scalar oracles mirroring the stated arithmetic."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from beatstream.errors import DomainError, ShapeError
-from beatstream.numerics import TrigTable, to_half, ulp16
+from beatstream.numerics import inverse_frequency_table, to_half, ulp16
 from beatstream import ops
 from beatstream.ops import NORM_EPS, rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 
@@ -19,29 +20,24 @@ def oracle_sumsq_f32(x):
 
 
 class TestRope:
-    def table(self, head_dim):
-        return TrigTable.for_head_dim(head_dim)
-
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(4)
         for hd in (2, 16, 64, 128):
             v = to_half(rng.normal(size=hd))
-            out = rope_rotate(v, 0, self.table(hd))
+            out = rope_rotate(v, 0)
             assert np.array_equal(out, v)
 
     def test_first_pair_rotates_by_one_radian(self):
         # inv_freq[0] is base**0 = 1, so position p turns pair 0 by p radians
-        t = self.table(2)
-        out = rope_rotate(np.array([1.0, 0.0], dtype=np.float16), 1, t)
+        out = rope_rotate(np.array([1.0, 0.0], dtype=np.float16), 1)
         assert float(out[0]) == pytest.approx(math.cos(1.0), abs=2 ** -8)
         assert float(out[1]) == pytest.approx(math.sin(1.0), abs=2 ** -8)
 
     def test_pair_norms_preserved(self):
         rng = np.random.default_rng(12)
-        t = self.table(64)
         for _ in range(300):
             v = to_half(rng.normal(scale=2.0, size=64))
-            out = rope_rotate(v, int(rng.integers(0, 4096)), t)
+            out = rope_rotate(v, int(rng.integers(0, 4096)))
             n_in = np.hypot(v[0::2].astype(np.float64), v[1::2].astype(np.float64))
             n_out = np.hypot(out[0::2].astype(np.float64), out[1::2].astype(np.float64))
             mask = n_in > 0.05  # relative bound needs headroom over f16 grain
@@ -49,34 +45,42 @@ class TestRope:
 
     def test_rotations_compose(self):
         rng = np.random.default_rng(19)
-        t = self.table(32)
         v = to_half(rng.normal(size=32))
-        a = rope_rotate(rope_rotate(v, 100, t), 23, t)
-        b = rope_rotate(v, 123, t)
+        a = rope_rotate(rope_rotate(v, 100), 23)
+        b = rope_rotate(v, 123)
         assert np.abs(a.astype(np.float64) - b.astype(np.float64)).max() \
             <= float(np.abs(v).max()) * 2 ** -7
 
     def test_matches_direct_trig(self):
         rng = np.random.default_rng(44)
-        t = self.table(16)
         v = to_half(rng.normal(size=16))
         pos = 77
-        out = rope_rotate(v, pos, t)
-        theta = pos * t.inv_freq
+        out = rope_rotate(v, pos)
+        theta = pos * inverse_frequency_table(16)
         ref0 = v[0::2] * np.cos(theta) - v[1::2] * np.sin(theta)
         ref1 = v[0::2] * np.sin(theta) + v[1::2] * np.cos(theta)
         ref = np.empty(16)
         ref[0::2], ref[1::2] = ref0, ref1
         assert np.abs(out.astype(np.float64) - ref).max() <= 2 ** -7
 
+    def test_golden_bits(self):
+        """The rotation's bits at three head widths and five positions,
+        pinned by their sha256 (both decoders share this function, so no
+        agreement check can see a change to them)."""
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for hd in (16, 64, 128):
+            v = rng.standard_normal((8, hd)).astype(np.float16)
+            for pos in (0, 1, 511, 1023, 4095):
+                digest.update(rope_rotate(v, pos).tobytes())
+        assert digest.hexdigest().startswith("99d652c0f17caccd")
+
     def test_shape_checks(self):
-        t = self.table(16)
-        with pytest.raises(ShapeError):
-            rope_rotate(np.zeros(15, dtype=np.float16), 0, t)
-        with pytest.raises(ShapeError):
-            rope_rotate(np.zeros(32, dtype=np.float16), 0, t)
+        for shape in ((15,), (0,), (2, 0), (2, 2, 4)):
+            with pytest.raises(ShapeError):
+                rope_rotate(np.zeros(shape, dtype=np.float16), 0)
         with pytest.raises(DomainError):
-            rope_rotate(np.zeros(16, dtype=np.float16), -1, t)
+            rope_rotate(np.zeros(16, dtype=np.float16), -1)
 
 
 class TestRmsNorm:

@@ -2,6 +2,7 @@
 transaction arithmetic, and the per-token DMA schedule that every
 packed byte count and the modelled tok/s are read from."""
 
+import dataclasses
 import math
 import sys
 
@@ -48,6 +49,9 @@ def test_bad_inputs_raise_config_error():
     for token_bytes in (0, -1.0):
         with pytest.raises(ConfigError):
             peak_tokens_per_s(19.2e9, token_bytes)
+    for peak in (0.0, -4.9):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(CATALOG[0], peak_tok_s=peak).computed_util_pct()
 
 
 def test_negative_position_raises_config_error():

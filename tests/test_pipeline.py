@@ -203,11 +203,10 @@ class TestKVCacheStore:
         store.commit()
         for which in (0, 1):
             # each head's row is what quantizing that row alone gives
-            want_codes, params = kv_quantize(rows[which, 2])
-            got_codes, got_scales, got_zeros = store.history(1, 2, which)
-            assert np.array_equal(got_codes[0], want_codes)
-            assert got_scales[0] == params.scale
-            assert int(got_zeros[0]) == params.zero_point
+            want_codes, want_scale, want_zero = kv_quantize(rows[which, 2])
+            assert np.array_equal(store.codes[which, 1, 2, 0], want_codes)
+            assert store.scales[which, 1, 2, 0] == want_scale
+            assert store.zeros[which, 1, 2, 0] == want_zero
 
     def test_capacity(self):
         cfg = tiny_demo_config(max_context=2)

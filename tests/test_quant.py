@@ -10,10 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from beatstream.errors import DomainError, ShapeError
+from beatstream.errors import ShapeError
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
-    KvQuantParams,
     dequant_codes,
     kv_dequantize_rows,
     kv_quantize,
@@ -32,10 +31,10 @@ def dequant_group(codes, scale, zero):
                          np.array([zero], dtype=np.int16))[0]
 
 
-def kv_dequantize(codes, params):
+def kv_dequantize(codes, scale, zero_point):
     """kv_dequantize_rows of one row."""
-    return kv_dequantize_rows(codes[None, :], np.float16(params.scale)[None],
-                              np.array([params.zero_point], dtype=np.int16))[0]
+    return kv_dequantize_rows(codes[None, :], np.float16(scale)[None],
+                              np.array([zero_point], dtype=np.int16))[0]
 
 
 def oracle_quant_group(vals):
@@ -151,37 +150,38 @@ class TestWeightQuant:
 
 class TestKvQuant:
     def test_ramp_endpoints(self):
-        codes, params = kv_quantize(np.array([0.0, 127.5, 255.0], dtype=np.float16))
-        assert float(params.scale) == 1.0
-        assert params.zero_point == 0
+        codes, scale, zero_point = kv_quantize(np.array([0.0, 127.5, 255.0], dtype=np.float16))
+        assert float(scale) == 1.0
+        assert zero_point == 0
         # 127.5 rounds half-to-even
         assert list(codes) == [0, 128, 255]
 
     def test_symmetric_round_trip(self):
         x = np.array([-1.0, 0.0, 1.0], dtype=np.float16)
-        codes, params = kv_quantize(x)
-        back = kv_dequantize(codes, params)
-        step = float(params.scale)
+        codes, scale, zero_point = kv_quantize(x)
+        back = kv_dequantize(codes, scale, zero_point)
+        step = float(scale)
         assert np.abs(back.astype(np.float64) - x.astype(np.float64)).max() <= 1.5 * step
         assert math.isclose(step, 2.0 / 255, rel_tol=2 ** -10)
 
     def test_constant_vector_clamps_scale(self):
-        codes, params = kv_quantize(np.full(64, 7.0, dtype=np.float16))
-        assert float(params.scale) >= float(HALF_SMALLEST_NORMAL)
+        codes, scale, _ = kv_quantize(np.full(64, 7.0, dtype=np.float16))
+        assert float(scale) >= float(HALF_SMALLEST_NORMAL)
         assert len(set(codes.tolist())) == 1
 
     def test_all_zero(self):
-        codes, params = kv_quantize(np.zeros(16, dtype=np.float16))
-        assert float(params.scale) == float(HALF_SMALLEST_NORMAL)
-        assert np.all(kv_dequantize(codes, params) == np.float16(0.0))
+        codes, scale, zero_point = kv_quantize(np.zeros(16, dtype=np.float16))
+        assert float(scale) == float(HALF_SMALLEST_NORMAL)
+        assert zero_point == 0
+        assert np.all(kv_dequantize(codes, scale, zero_point) == np.float16(0.0))
 
     def test_zero_point_domain(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             lo = rng.uniform(-50, 50)
             x = to_half(rng.uniform(lo, lo + rng.uniform(0.01, 60), size=32))
-            codes, params = kv_quantize(x)
-            assert -255 <= params.zero_point <= 0
+            codes, _, zero_point = kv_quantize(x)
+            assert -255 <= zero_point <= 0
             assert codes.dtype == np.uint8
 
     def test_round_trip_bound_sweep(self):
@@ -189,13 +189,13 @@ class TestKvQuant:
         worst = 0.0
         for _ in range(300):
             x = to_half(rng.normal(scale=rng.uniform(0.01, 20), size=64))
-            codes, params = kv_quantize(x)
-            back = kv_dequantize(codes, params)
+            codes, scale, zero_point = kv_quantize(x)
+            back = kv_dequantize(codes, scale, zero_point)
             err = np.abs(back.astype(np.float64) - x.astype(np.float64)).max()
             # interior points sit within half a step; the ceil zero point
             # can clamp a sub-step sliver at the range bottom, so the
             # uniform bound is one full step plus rounding slop
-            bound = float(params.scale) * 1.125 + float(ulp16(back).max())
+            bound = float(scale) * 1.125 + float(ulp16(back).max())
             worst = max(worst, err / bound)
             assert err <= bound
         assert worst <= 1.0
@@ -207,19 +207,9 @@ class TestKvQuant:
         scales = np.empty(8, dtype=np.float16)
         zps = np.empty(8, dtype=np.int16)
         for i in range(8):
-            c, p = kv_quantize(xs[i])
+            c, scales[i], zps[i] = kv_quantize(xs[i])
             rows_codes.append(c)
-            scales[i] = p.scale
-            zps[i] = p.zero_point
         batch = kv_dequantize_rows(np.stack(rows_codes), scales, zps)
         for i in range(8):
-            one = kv_dequantize(rows_codes[i], KvQuantParams(scales[i], int(zps[i])))
+            one = kv_dequantize(rows_codes[i], scales[i], zps[i])
             assert np.array_equal(batch[i], one)
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            KvQuantParams(scale=np.float16(1.0), zero_point=1)
-        with pytest.raises(DomainError):
-            KvQuantParams(scale=np.float16(1.0), zero_point=-256)
-        with pytest.raises(DomainError):
-            KvQuantParams(scale=np.float16(-1.0), zero_point=0)
