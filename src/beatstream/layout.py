@@ -27,7 +27,11 @@ The board's bus is fixed, and BusGeometry names it in constants: a beat
 is beat_bytes = 64 (512 bits over four 128-bit ports), i.e.
 words_per_beat = 2 consecutive format words per cycle, which is what
 feeds the 128-lane dot engine its 128 codes per cycle; at freq_hz =
-300 MHz that is bandwidth_bytes_per_s = 19.2 GB/s.
+300 MHz that is bandwidth_bytes_per_s = 19.2 GB/s. Two laws count a
+tensor's beats: code_beats its 4-bit codes alone, each row padded to whole
+groups and then to whole beats, which the stage trace charges; and
+container_beats its whole container, which the DMA schedule and the memory
+map charge. Every container starts on a beat of its own.
 
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
@@ -64,7 +68,8 @@ Memory map
 The embedding, the norm gains, every layer's weight containers, the
 output head and each layer's KV codes and scale-zero records for
 cfg.max_context rows are placed high address half first, each aligned to
-one bus beat; the low half ends with a reserved firmware span.
+one bus beat; the low half ends with a reserved firmware span. A layer's
+weight region is its containers end to end, each in container_beats beats.
 """
 
 from __future__ import annotations
@@ -274,6 +279,19 @@ def tensor_stream_words(rows: int, cols: int, group_size: int) -> int:
     return stream_word_count(rows * gpr, group_size)
 
 
+def code_beats(rows: int, cols: int, group_size: int) -> int:
+    """Bus beats of a (rows x cols) tensor's 4-bit codes alone: each row
+    pads to whole groups, then to whole beats of 128 codes, one per lane."""
+    padded = -(-cols // group_size) * group_size
+    return rows * -(-padded // (BusGeometry.words_per_beat * WEIGHTS_PER_WORD))
+
+
+def container_beats(rows: int, cols: int, group_size: int) -> int:
+    """Bus beats of a (rows x cols) tensor's whole container, metadata and
+    padding included, counted from the container's own first beat."""
+    return -(-tensor_stream_words(rows, cols, group_size) // BusGeometry.words_per_beat)
+
+
 @dataclass(frozen=True)
 class PackedWeightStream:
     """The interleaved word stream of one tensor, in read order."""
@@ -431,12 +449,11 @@ def region_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:
         ("embedding", cfg.vocab_size * d * 2),
         ("norm_gains", (2 * cfg.n_layers + 1) * d * 2),
     ]
-    per_layer = sum(tensor_stream_words(r, c, cfg.group_size) * WORD_BYTES
-                    for r, c in cfg.projection_shapes().values())
+    bb, g = BusGeometry.beat_bytes, cfg.group_size
+    per_layer = sum(container_beats(r, c, g) * bb for r, c in cfg.projection_shapes().values())
     for layer in range(cfg.n_layers):
         sizes.append((f"weights.L{layer}", per_layer))
-    sizes.append(("weights.lm_head",
-                  tensor_stream_words(cfg.vocab_size, d, cfg.group_size) * WORD_BYTES))
+    sizes.append(("weights.lm_head", container_beats(cfg.vocab_size, d, g) * bb))
     for layer in range(cfg.n_layers):
         sizes.append((f"kv.L{layer}.k_codes", ctx * d))
         sizes.append((f"kv.L{layer}.v_codes", ctx * d))

@@ -132,16 +132,8 @@ def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
 
 def load_checkpoint(dirpath: str | Path) -> Checkpoint:
     d = Path(dirpath)
-    cfg_path = d / CONFIG_NAME
-    if not cfg_path.exists():
-        raise FileNotFoundError(f"{cfg_path} does not exist")
-    cfg = ModelConfig.from_json(cfg_path)
-    tensors = {}
-    for name in tensor_names(cfg):
-        path = d / f"{name}.epws"
-        if not path.exists():
-            raise FileNotFoundError(f"{path} does not exist")
-        tensors[name] = read_container(path)
+    cfg = ModelConfig.from_json(d / CONFIG_NAME)
+    tensors = {name: read_container(d / f"{name}.epws") for name in tensor_names(cfg)}
     aux_path = d / AUX_NAME
     data = aux_path.read_bytes()    # outside the try: a missing file stays FileNotFoundError
     try:

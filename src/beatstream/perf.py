@@ -14,9 +14,10 @@ Two counting modes bracket the denominator bytes:
 
 token_burst_schedule is the one per-token count of bus traffic. Every
 layer moves the same bytes, so it counts one layer's requests and repeats
-them n_layers times; each container's size is the layout law's closed
-form. The transaction model charges each of its requests a fixed setup
-cost per maximal burst of MAX_BURST_BEATS beats, which is what separates
+them n_layers times. Every container starts on a beat, and its request is
+layout.container_beats, the beats the memory map gives it. The
+transaction model charges each of its requests a fixed setup cost per
+maximal burst of MAX_BURST_BEATS beats, which is what separates
 achievable bandwidth from the datasheet number.
 """
 
@@ -30,9 +31,8 @@ from typing import ClassVar
 
 from .config import ModelConfig
 from .errors import ConfigError
-from .layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
+from .layout import SZ_PACKS_PER_BEAT, BusGeometry, container_beats
 
-COUNTING_MODES = ("non_embedding", "packed_exact")
 MAX_BURST_BEATS = 256
 
 
@@ -49,7 +49,7 @@ def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
         return sum(token_burst_schedule(cfg, position)) * BusGeometry.beat_bytes
-    raise ConfigError(f"unknown counting mode {mode!r}; pick from {COUNTING_MODES}")
+    raise ConfigError(f"unknown counting mode {mode!r}; pick non_embedding or packed_exact")
 
 
 def peak_tokens_per_s(bandwidth_bytes_per_s: float, token_bytes: float) -> float:
@@ -136,10 +136,10 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     """DMA request sizes, in bus beats, for one decode step on the board's
     bus (BusGeometry).
 
-    One request per weight container, per cached head-history read, per
-    new KV row write, plus the embedding row, the norm gains, and one
-    scale-zero beat per stream whenever the step commits a multiple of
-    SZ_PACKS_PER_BEAT rows.
+    One request per weight container (layout.container_beats), per cached
+    head-history read, per new KV row write, plus the embedding row, the
+    norm gains, and one scale-zero beat per stream whenever the step
+    commits a multiple of SZ_PACKS_PER_BEAT rows.
 
     Every layer issues the same requests, so one layer's projection
     containers and one layer's KV reads, writes and flushes are each
@@ -150,13 +150,9 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     if position < 0:
         raise ConfigError(f"position {position} is negative")
     bb, g = BusGeometry.beat_bytes, cfg.group_size
-
-    def container_beats(rows: int, cols: int) -> int:
-        return -(-tensor_stream_words(rows, cols, g) // BusGeometry.words_per_beat)
-
     row = -(-cfg.d_model * 2 // bb)              # embedding row, one norm gain
-    projections = [container_beats(*shape) for shape in cfg.projection_shapes().values()]
-    head = container_beats(cfg.vocab_size, cfg.d_model)
+    projections = [container_beats(r, c, g) for r, c in cfg.projection_shapes().values()]
+    head = container_beats(cfg.vocab_size, cfg.d_model, g)
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
     kv = [-(-position * cfg.head_dim // bb)] * streams if position else []
     kv += [-(-cfg.d_model // bb)] * 2            # new k, v rows

@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
-from .layout import SZ_PACKS_PER_BEAT
+from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
@@ -128,21 +128,14 @@ class TokenTrace:
         return self.makespan == self.stream_end
 
 
-def row_code_beats(cols: int, group_size: int) -> int:
-    """Bus beats of 4-bit codes in one weight row: the row pads to whole
-    groups, then to whole lanes, and each beat feeds every lane once."""
-    groups = -(-cols // group_size)
-    return -(-groups * group_size // LANES)
-
-
 def stall_free_context_bound(cfg: ModelConfig) -> int:
     """Longest context the value-projection stream can hide softmax under.
 
     The exponent pass costs t+1 cycles after the attention dot, plus the
-    forwarding lead; it stalls nothing while that fits inside the value
-    projection's beats.
+    forwarding lead; it stalls nothing while that fits inside one head's
+    slice of the value projection's code beats.
     """
-    v_beats = cfg.head_dim * row_code_beats(cfg.d_model, cfg.group_size)
+    v_beats = code_beats(*cfg.projection_shapes()["attn.v"], cfg.group_size) // cfg.n_heads
     return v_beats - SOFTMAX_FORWARD_LEAD - 1
 
 
@@ -165,10 +158,14 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
 def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     """Cycle trace of the fused decode step at `position`.
 
-    Weight-fed stages cost one cycle per 128-code bus beat of their tensor
-    slice. Cache-fed stages (the attention dot and the value mix) cost
-    max(1, head_dim/64) cycles per token row. Scalar-unit passes take one
-    element per cycle and are forwarded, so they overlap the stream that
+    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
+    (layout.code_beats); a head's q, k or v slice is its projection's
+    beats over n_heads. The trace charges the codes alone, where the DMA
+    schedule moves whole containers (layout.container_beats), each from a
+    beat of its own and with its SCALE and ZP words. Cache-fed stages (the
+    attention dot and the value mix) cost, per token row, the beats of one
+    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
+    per cycle and are forwarded, so they overlap the stream that
     produces or consumes them; the one ordering that can stall the vector
     unit is softmax: the exponent pass cannot start until the attention
     dot finishes (it needs the final max), and the value mix consumes
@@ -178,13 +175,13 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     if position < 0:
         raise ConfigError(f"position {position} is negative")
 
-    hd, d = cfg.head_dim, cfg.d_model
-    d_row = row_code_beats(d, cfg.group_size)         # a row over the model width
-    hb = hd * d_row                                   # one head's q, k or v slice
-    ob, gb, lb = d * d_row, 2 * cfg.d_ffn * d_row, cfg.vocab_size * d_row
-    db = d * row_code_beats(cfg.d_ffn, cfg.group_size)
+    hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
+    beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
+    qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
+    ob, db, lb = beats["attn.o"], beats["mlp.down"], code_beats(cfg.vocab_size, d, g)
+    gb = beats["mlp.gate"] + beats["mlp.up"]
     rows = position + 1
-    rows_cycles = rows * max(1, -(-hd // 64))
+    rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
 
     spans = [StageSpan("embed", "spu", 0, d)]
     add = spans.append
@@ -194,12 +191,12 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
         add(StageSpan(attn_norm, "spu", c, c + d))
         for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
              v, v_quant, softmax_wait, value_mix) in head_names:
-            add(StageSpan(q, "vpu", c, c + hb, hb))
-            add(StageSpan(rope_q, "spu", c + hb, c + hb + hd))
-            c += hb
-            add(StageSpan(k, "vpu", c, c + hb, hb))
-            add(StageSpan(rope_k, "spu", c + hb, c + hb + hd))
-            c += hb
+            add(StageSpan(q, "vpu", c, c + qb, qb))
+            add(StageSpan(rope_q, "spu", c + qb, c + qb + hd))
+            c += qb
+            add(StageSpan(k, "vpu", c, c + kb, kb))
+            add(StageSpan(rope_k, "spu", c + kb, c + kb + hd))
+            c += kb
             dot_end = c + rows_cycles
             add(StageSpan(kv_dot, "vpu", c, dot_end))
             add(StageSpan(softmax_max, "spu", c, dot_end))
@@ -208,9 +205,9 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
             exp_end = dot_end + rows
             add(StageSpan(softmax_exp, "spu", dot_end, exp_end))
             add(StageSpan(softmax_norm, "spu", exp_end, exp_end + rows))
-            add(StageSpan(v, "vpu", c, c + hb, hb))
+            add(StageSpan(v, "vpu", c, c + vb, vb))
             add(StageSpan(v_quant, "spu", c, c + 2 * hd))
-            c += hb
+            c += vb
             mix_start = exp_end + SOFTMAX_FORWARD_LEAD
             if mix_start > c:
                 add(StageSpan(softmax_wait, "stall", c, mix_start))
@@ -388,11 +385,6 @@ class _WeightCache:
         return rows * self.mats[name].shape[1] // LANES
 
 
-def _plain_weights(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    """Dequantized weight matrices as lane-padded binary16 (n, L) arrays."""
-    return {name: pad_to_lanes(t.dequantized()) for name, t in ckpt.grouped()}
-
-
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
     """A copy of the token's embedding row; ShapeError for a token that is
     not an integer (bools included) or lies outside the vocabulary, before
@@ -422,16 +414,13 @@ class Decoder:
         stream for every SZ_PACKS_PER_BEAT committed rows."""
         return 2 * self.cfg.n_layers * self.cfg.n_heads * (self.kv.length // SZ_PACKS_PER_BEAT)
 
-    def _dot(self, name: str, vec: np.ndarray) -> np.ndarray:
-        return dot_rows(self.weights.mats[name], vec)
-
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
         """Decode one token: its logits and the schedule of the step.
 
         The token's KV rows are published only after every layer has run,
         so a step that raises leaves the decoder as it was.
         """
-        cfg = self.cfg
+        cfg, mats = self.cfg, self.weights.mats
         x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
         heads, hd = cfg.n_heads, cfg.head_dim
@@ -440,9 +429,10 @@ class Decoder:
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
-            qk = np.concatenate([self._dot(pre + "attn.q", h), self._dot(pre + "attn.k", h)])
+            qk = np.concatenate([dot_rows(mats[pre + "attn.q"], h),
+                                 dot_rows(mats[pre + "attn.k"], h)])
             qk = rope_rotate(qk.reshape(2 * heads, hd), t)
-            v = self._dot(pre + "attn.v", h).reshape(heads, hd)
+            v = dot_rows(mats[pre + "attn.v"], h).reshape(heads, hd)
 
             # row t of the cache mirrors holds this step's key and value
             # until write_layer puts their cache decode there; each head's
@@ -457,18 +447,19 @@ class Decoder:
             self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
                                 zero_points.reshape(2, heads))
 
-            o = self._dot(pre + "attn.o", head_out)
+            o = dot_rows(mats[pre + "attn.o"], head_out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], precomputed_sq=carry)
-            act = silu_gate(self._dot(pre + "mlp.gate", h2), self._dot(pre + "mlp.up", h2))
-            down = self._dot(pre + "mlp.down", act)
+            act = silu_gate(dot_rows(mats[pre + "mlp.gate"], h2),
+                            dot_rows(mats[pre + "mlp.up"], h2))
+            down = dot_rows(mats[pre + "mlp.down"], act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
         h_final = rmsnorm(x, self.ckpt.norms["final"], precomputed_sq=carry)
-        logits = self._dot("lm_head", h_final)
+        logits = dot_rows(mats["lm_head"], h_final)
         self.kv.commit()
         return logits, schedule_token(cfg, t)
 
@@ -481,7 +472,8 @@ class ReferenceDecoder:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.mats = _plain_weights(ckpt)
+        # dequantized weight matrices as lane-padded binary16 (n, L) arrays
+        self.mats = {name: pad_to_lanes(t.dequantized()) for name, t in ckpt.grouped()}
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:

@@ -17,10 +17,10 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beatstream import layout
-from beatstream.config import llama2_7b_config, tiny_demo_config
+from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import CapacityError, ConfigError, DomainError, FormatError
 from beatstream.layout import (
     KIND_SCALE,
@@ -29,6 +29,8 @@ from beatstream.layout import (
     BusGeometry,
     GroupedTensor,
     beat_kind_pattern,
+    code_beats,
+    container_beats,
     pack_nibbles,
     pack_tensor,
     plan_memory_map,
@@ -39,7 +41,8 @@ from beatstream.layout import (
     unpack_stream,
     write_container,
 )
-from beatstream.numerics import to_half
+from beatstream.numerics import LANES, TreeOrderRows, to_half
+from beatstream.perf import token_burst_schedule
 from beatstream.quant import quantize_rows
 
 
@@ -108,6 +111,24 @@ def test_word_count_is_the_oracle_count(g, n):
 @given(g=GROUP_SIZES, n=st.integers(1, 5000))
 def test_word_count_is_the_pattern_length(g, n):
     assert stream_word_count(n, g) == beat_kind_pattern(n, g).size
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.sampled_from([32, 64, 128, 256]), rows=st.integers(1, 80),
+       groups=st.integers(1, 4), short=st.integers(0, 255))
+@example(g=128, rows=64, groups=1, short=64)    # one whole super-block, short groups
+@example(g=32, rows=3, groups=5, short=0)       # whole groups, truncated super-block
+@example(g=256, rows=5, groups=1, short=100)    # a group wider than a lane block
+def test_beat_laws_count_the_real_artifacts(g, rows, groups, short):
+    # cols falls short % g codes short of whole groups, and rows * groups
+    # groups end in a truncated super-block unless a multiple of 64
+    cols = groups * g - short % g
+    w = np.random.default_rng(rows * cols).standard_normal((rows, cols)).astype(np.float16)
+    t = GroupedTensor.quantize(w, g)
+    words = pack_tensor(t).n_words
+    assert container_beats(rows, cols, g) == -(-words // BusGeometry.words_per_beat)
+    operand = TreeOrderRows(rows, t.padded_cols)
+    assert code_beats(rows, cols, g) == rows * operand.shape[1] // LANES
 
 
 class TestNibbles:
@@ -347,3 +368,32 @@ class TestMemoryMap:
     def test_capacity_error_names_region(self):
         with pytest.raises(CapacityError, match="embedding"):
             plan_memory_map(llama2_7b_config(max_context=8), 1 << 20)
+
+
+@st.composite
+def map_configs(draw):
+    heads = draw(st.sampled_from([1, 2, 4, 8]))
+    return ModelConfig(
+        n_layers=draw(st.integers(1, 3)),
+        d_model=heads * draw(st.sampled_from([8, 16, 32, 64])),
+        n_heads=heads,
+        d_ffn=draw(st.integers(8, 512)),
+        vocab_size=draw(st.integers(32, 1000)),
+        group_size=draw(st.sampled_from([32, 64, 128, 256])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=map_configs())
+@example(cfg=tiny_demo_config())   # each 64x64 projection is a 133-word container
+def test_weight_regions_hold_the_schedule_requests(cfg):
+    # every container starts on a beat, in DDR as on the bus: at position 0
+    # the schedule is the embedding row, each layer's projections in turn,
+    # then the output head
+    sizes = dict(region_sizes(cfg))
+    schedule = token_burst_schedule(cfg, 0)
+    n, bb = len(cfg.projection_shapes()), BusGeometry.beat_bytes
+    for layer in range(cfg.n_layers):
+        first = 1 + layer * n
+        assert sizes[f"weights.L{layer}"] == bb * sum(schedule[first:first + n])
+    assert sizes["weights.lm_head"] == bb * schedule[1 + cfg.n_layers * n]
