@@ -55,7 +55,7 @@ Scale-zero side channel
 Each cached KV row has one 32-bit record beside its codes:
 
     u16     binary16 scale, little-endian
-    u8      zero magnitude: -zero_point, 0..255
+    u8      zero point, 0..255
     u8      pad, always zero
 
 Every (layer, head, K/V) stream collects its records in token order and
@@ -211,7 +211,7 @@ class GroupedTensor:
 
     def dequantized(self) -> np.ndarray:
         """(rows, padded_cols) binary16 values."""
-        vals = dequant_codes(self.codes, self.scales, self.zeros.astype(np.int16))
+        vals = dequant_codes(self.codes, self.scales, self.zeros)
         return vals.reshape(self.rows, self.padded_cols)
 
     def widened_chunks(self):
@@ -229,7 +229,7 @@ class GroupedTensor:
             g = slice(lo * gpr, hi * gpr)
             n = (hi - lo) * gpr
             levels = dequant_codes(np.broadcast_to(codes, (n, codes.size)), self.scales[g],
-                                   self.zeros[g].astype(np.int16)).astype(np.float32)
+                                   self.zeros[g]).astype(np.float32)
             index = self.codes[g] + np.arange(0, levels.size, codes.size)[:, None]
             yield lo, np.take(levels, index).reshape(hi - lo, self.padded_cols)
 

@@ -4,13 +4,14 @@ Two decode paths share every arithmetic primitive:
 
   Decoder           evaluates all heads of a layer together: one dot per
                     projection, one rotary pass, one per-head attention
-                    dot over every head's cached rows, one softmax, one
-                    value mix and one cache quantize per layer; it carries
-                    the residual's sum of squares into the next norm.
+                    dot over every head's cached rows, one softmax and one
+                    value mix per layer; it carries the residual's sum of
+                    squares into the next norm.
   ReferenceDecoder  operator-at-a-time evaluation, head by head.
 
-Both quantize the KV cache identically, so their logits must agree bit
-for bit at every step; check_agreement is that check, and that
+Neither quantizes: each hands a layer's new key and value rows to its
+KVCacheStore, which owns the cache's row codec, so their logits must
+agree bit for bit at every step; check_agreement is that check, and that
 equivalence is the core regression test.
 
 A decoder's only state is its KV cache, whose per-row scales and zero
@@ -28,9 +29,9 @@ checkpoint's packed word streams, unpacking each stream once. The fused
 decoder reads its weights as TreeOrderRows operands: each projection is
 dequantized, widened to binary32 and laid out in the engine's
 bit-reversed lane order once per checkpoint, and every Decoder on that
-checkpoint shares them. The reference decoder keeps its
-own plain binary16 matrices, so it checks the prepared operands on every
-step.
+checkpoint shares them. The reference decoder keeps its own plain
+binary16 matrices at their group-padded width, so it checks the prepared
+operands on every step.
 
 The hardware streams one head at a time. That order lives only in
 schedule_token, which computes the cycle trace of a step from the model
@@ -54,9 +55,12 @@ from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, kv_quantize_rows
+from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows
 
-STATE_VERSION = 1
+# No step calls pad_to_lanes or kv_quantize: they stay bound here because
+# beatbench wraps the names it finds on this module.
+
+STATE_VERSION = 2
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
 
 
@@ -239,8 +243,11 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
 
 class KVCacheStore:
     """Preallocated per-(layer, head) KV code arrays with one scale-zero
-    pair per cached row. Rows land at the current length during a token;
-    commit() publishes them. Readers take the rows below the length only.
+    pair per cached row: a binary16 scale and a uint8 zero point, the
+    row's scale-zero record. The store owns the row codec: write_layer
+    quantizes the rows it is given (kv_quantize_rows). Rows land at the
+    current length during a token; commit() publishes them. Readers take
+    the rows below the length only.
 
     Beside the codes the store keeps their binary16 decode, so that no
     step decodes the history again: `keys` and `values`, each
@@ -260,7 +267,7 @@ class KVCacheStore:
         self.cfg = cfg
         self.codes = np.zeros((2,) + shape + (hd,), dtype=np.uint8)
         self.scales = np.zeros((2,) + shape, dtype=np.float16)
-        self.zeros = np.zeros((2,) + shape, dtype=np.int16)
+        self.zeros = np.zeros((2,) + shape, dtype=np.uint8)
         self.keys = np.zeros(shape + (hd,), dtype=np.float16)
         self.values = np.zeros(shape + (hd,), dtype=np.float16)
         self.length = 0
@@ -271,20 +278,18 @@ class KVCacheStore:
                 f"cache full: {self.length} rows at max_context {self.cfg.max_context}")
         return self.length
 
-    def write_layer(self, layer: int, codes: np.ndarray, scales: np.ndarray,
-                    zero_points: np.ndarray) -> None:
-        """Row t of every head's key (which 0) and value (which 1) in one
-        layer: codes (2, n_heads, head_dim), scales and zero points
-        (2, n_heads)."""
-        t = self.length
-        self.codes[:, layer, :, t] = codes
-        self.scales[:, layer, :, t] = scales
-        self.zeros[:, layer, :, t] = zero_points
-        hd = self.cfg.head_dim
-        rows = kv_dequantize_rows(codes.reshape(-1, hd), scales.reshape(-1),
-                                  zero_points.reshape(-1)).reshape(2, -1, hd)
-        self.keys[layer, :, t] = rows[0]
-        self.values[layer, :, t] = rows[1]
+    def write_layer(self, layer: int, rows: np.ndarray) -> None:
+        """Quantize one layer's new rows into row t: `rows` is binary16
+        (2 * n_heads, head_dim), every head's key, then every head's
+        value."""
+        t, heads = self.length, self.cfg.n_heads
+        codes, scales, zeros = kv_quantize_rows(rows)
+        self.codes[:, layer, :, t] = codes.reshape(2, heads, -1)
+        self.scales[:, layer, :, t] = scales.reshape(2, heads)
+        self.zeros[:, layer, :, t] = zeros.reshape(2, heads)
+        decoded = kv_dequantize_rows(codes, scales, zeros)
+        self.keys[layer, :, t] = decoded[:heads]
+        self.values[layer, :, t] = decoded[heads:]
 
     def commit(self) -> None:
         self.length += 1
@@ -301,9 +306,10 @@ class KVCacheStore:
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
         """Read a snapshot written by save; any damage raises FormatError,
         and so does a row below the length whose scale is negative or not
-        finite or whose zero point is outside -255..0. A committed row never
-        written (scale 0, zero point 0) loads; rows past the length are dead
-        and go unchecked."""
+        finite. Every uint8 is a legal zero point; a version-1 file, whose
+        zero points were signed, is refused. A committed row never written
+        (scale 0, zero point 0) loads; rows past the length are dead and go
+        unchecked."""
         data = Path(path).read_bytes()
         try:
             with load_npz(data) as z:
@@ -329,9 +335,6 @@ class KVCacheStore:
         scales, zeros = store.scales[:, :, :, :t], store.zeros[:, :, :, :t]
         if not ((scales >= 0) & np.isfinite(scales)).all():
             raise FormatError("state holds a negative or non-finite scale below its length")
-        if not ((zeros >= -KV_LEVELS) & (zeros <= 0)).all():
-            raise FormatError(f"state holds a zero point outside -{KV_LEVELS}..0 "
-                              "below its length")
         rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
                                   scales.reshape(-1), zeros.reshape(-1))
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
@@ -443,9 +446,7 @@ class Decoder:
             probs = softmax(scale_logits(dot_rows(keys, qk[:heads]), hd))
             head_out = mix_rows(probs, values).reshape(cfg.d_model)
 
-            codes, scales, zero_points = kv_quantize_rows(np.concatenate([qk[heads:], v]))
-            self.kv.write_layer(layer, codes.reshape(2, heads, hd), scales.reshape(2, heads),
-                                zero_points.reshape(2, heads))
+            self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
 
             o = dot_rows(mats[pre + "attn.o"], head_out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
@@ -466,14 +467,13 @@ class Decoder:
 
 class ReferenceDecoder:
     """Whole-projection, operator-at-a-time evaluation of the same model,
-    on its own plain binary16 weight matrices."""
+    on its own plain binary16 weight matrices, each (rows, padded_cols)."""
 
     def __init__(self, ckpt: Checkpoint) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        # dequantized weight matrices as lane-padded binary16 (n, L) arrays
-        self.mats = {name: pad_to_lanes(t.dequantized()) for name, t in ckpt.grouped()}
+        self.mats = {name: t.dequantized() for name, t in ckpt.grouped()}
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:
@@ -481,10 +481,8 @@ class ReferenceDecoder:
         x = _embedding_row(self.ckpt, token)
         t = kv.begin_token()
         heads, hd = cfg.n_heads, cfg.head_dim
-        # one layer's new cache rows, key (0) and value (1) of every head
-        codes = np.empty((2, heads, hd), dtype=np.uint8)
-        scales = np.empty((2, heads), dtype=np.float16)
-        zero_points = np.empty((2, heads), dtype=np.int16)
+        # one layer's new cache rows: every head's key, then every head's value
+        rows = np.empty((2 * heads, hd), dtype=np.float16)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"])
@@ -505,10 +503,8 @@ class ReferenceDecoder:
                 logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
                 probs = softmax(scale_logits(logits_h, hd))
                 out[lo:hi] = mix_rows(probs, np.concatenate([past_v, v[None]], axis=0))
-                for which, row in enumerate((k, v)):
-                    codes[which, head], scales[which, head], zero_points[which, head] = \
-                        kv_quantize(row)
-            kv.write_layer(layer, codes, scales, zero_points)
+                rows[head], rows[heads + head] = k, v
+            kv.write_layer(layer, rows)
             o = dot_rows(self.mats[pre + "attn.o"], out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"])

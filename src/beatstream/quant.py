@@ -11,12 +11,14 @@ inside 0..15 without clamping and makes padded zeros encode/decode exactly.
 
 KV cache: 8-bit asymmetric per vector. With s = range/255 (range again
 extended through zero, s clamped up to the smallest positive normal
-binary16) and z = ceil(min/s) (z <= 0):
+binary16) and the zero point a magnitude like the weights',
+zero = -ceil(min/s) in 0..255:
 
-    code[i] = clamp(round(x[i]/s) - z, 0, 255)
-    x_hat[i] = (code[i] + z) * s
+    code[i] = clamp(round(x[i]/s) + zero, 0, 255)
+    x_hat[i] = (code[i] - zero) * s
 
-Rounding is round-half-even everywhere. Both codecs are pure.
+so the cache decodes through the weights' dequant_codes. Rounding is
+round-half-even everywhere. Both codecs are pure.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ KV_LEVELS = 255         # 8-bit codes 0..255
 def dequant_codes(codes: np.ndarray, scales: np.ndarray,
                   zeros: np.ndarray) -> np.ndarray:
     """Group dequantization, (codes - zero) * scale: rows of codes, one
-    (scale, zero) each.
+    (scale, zero) each; the 4-bit weight groups and the 8-bit cache rows.
 
-    (code - zero) is an exact small integer and its product with a binary16
-    scale is exact in binary32, so the only rounding is the final narrowing.
+    (code - zero) is an exact integer of magnitude at most 255, and its
+    product with a binary16 scale (an 11-bit significand) fits binary32's
+    24 bits, so the only rounding is the final narrowing.
     """
     codes = np.asarray(codes)
     diff = codes.astype(np.float32) - np.asarray(zeros, dtype=np.float32)[:, None]
@@ -80,10 +83,10 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Two-pass 8-bit encoding of each row of a binary16 matrix.
 
     Pass 1 reads a row once for min/max; pass 2 reads it again to emit
-    codes. Returns (codes uint8, scales float16, zero_points int16), one
-    scale and zero point per row. A zero point is z = ceil(min/s) with the
-    range extended through zero, so it lies in -255..0; the zero byte of
-    the row's scale-zero record stores the magnitude -z.
+    codes. Returns (codes uint8, scales float16, zeros uint8), one scale
+    and zero point per row. A zero point is the magnitude -ceil(min/s) with
+    the range extended through zero, so it lies in 0..255; it is the zero
+    byte of the row's scale-zero record.
     """
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -97,24 +100,20 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     scales = np.maximum(to_half((hi - lo) / KV_LEVELS), HALF_SMALLEST_NORMAL)
     s64 = scales.astype(np.float64)[:, None]
-    z = np.ceil(lo[:, None] / s64)
-    codes = np.clip(np.rint(wide / s64) - z, 0, KV_LEVELS).astype(np.uint8)
-    return codes, scales, z[:, 0].astype(np.int16)
+    zeros = -np.ceil(lo[:, None] / s64)
+    codes = np.clip(np.rint(wide / s64) + zeros, 0, KV_LEVELS).astype(np.uint8)
+    return codes, scales, zeros[:, 0].astype(np.uint8)
 
 
-def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, np.float16, np.int16]:
+def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, np.float16, np.uint8]:
     """kv_quantize_rows of one non-empty vector: (codes uint8, scale,
-    zero_point)."""
+    zero uint8)."""
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 1:
         raise ShapeError(f"expected a non-empty vector, got shape {x.shape}")
-    codes, scales, zero_points = kv_quantize_rows(x[None])
-    return codes[0], scales[0], zero_points[0]
+    codes, scales, zeros = kv_quantize_rows(x[None])
+    return codes[0], scales[0], zeros[0]
 
 
-def kv_dequantize_rows(codes: np.ndarray, scales: np.ndarray,
-                       zero_points: np.ndarray) -> np.ndarray:
-    """Vectorized cache decode: one (scale, zero_point) per row of codes."""
-    shifted = np.asarray(codes).astype(np.float32) \
-        + np.asarray(zero_points, dtype=np.float32)[:, None]
-    return (shifted * np.asarray(scales, dtype=np.float32)[:, None]).astype(np.float16)
+# the cache decode is the weights' decode: one (scale, zero) per row of codes
+kv_dequantize_rows = dequant_codes

@@ -88,7 +88,8 @@ def test_mix_rows_per_head(data, heads, tokens, width):
 
 
 def kv_quantize_one(x):
-    """The per-vector cache encoder in scalar float64 steps."""
+    """The per-vector cache encoder in scalar float64 steps, with the signed
+    zero point z = ceil(min/s) <= 0 of the arithmetic definition."""
     wide = x.astype(np.float64)
     lo = min(float(wide.min()), 0.0)
     hi = max(float(wide.max()), 0.0)
@@ -103,14 +104,16 @@ def kv_quantize_one(x):
 # a range below 255 smallest normals: the scale clamps up to 2**-14, not down to a subnormal
 @example(x=np.array([[-6.104e-05]], dtype=np.float16))
 def test_kv_quantize_rows(x):
-    codes, scales, zero_points = kv_quantize_rows(x)
+    codes, scales, zeros = kv_quantize_rows(x)
+    assert zeros.dtype == np.uint8
     for i in range(x.shape[0]):
         one_codes, one_scale, one_zero = kv_quantize(x[i])
-        want_codes, want_scale, want_zero = kv_quantize_one(x[i])
+        want_codes, want_scale, z = kv_quantize_one(x[i])
         assert np.array_equal(codes[i], one_codes)
         assert np.array_equal(codes[i], want_codes)
         assert bits(scales[i]) == bits(one_scale) == bits(want_scale)
-        assert zero_points[i] == one_zero == want_zero
+        # the stored zero point is the magnitude of the signed one
+        assert zeros[i] == one_zero == -z
 
 
 @settings(max_examples=100, deadline=None)

@@ -28,13 +28,13 @@ def quant_group(vals):
 
 def dequant_group(codes, scale, zero):
     return dequant_codes(codes[None, :], np.float16(scale)[None],
-                         np.array([zero], dtype=np.int16))[0]
+                         np.array([zero], dtype=np.uint8))[0]
 
 
 def kv_dequantize(codes, scale, zero_point):
     """kv_dequantize_rows of one row."""
     return kv_dequantize_rows(codes[None, :], np.float16(scale)[None],
-                              np.array([zero_point], dtype=np.int16))[0]
+                              np.array([zero_point], dtype=np.uint8))[0]
 
 
 def oracle_quant_group(vals):
@@ -107,7 +107,7 @@ class TestWeightQuant:
         n, g = 2000, 64
         w = to_half(rng.normal(scale=rng.uniform(0.001, 100.0, size=(n, 1)), size=(n, g)))
         codes, scales, zeros = quantize_rows(w)
-        back = dequant_codes(codes, scales, zeros.astype(np.int16))
+        back = dequant_codes(codes, scales, zeros)
         err = np.abs(back.astype(np.float64) - w.astype(np.float64))
         # half a step, plus the binary16 rounding of the stored scale
         # (up to 15 * 2**-12 steps at the range ends), plus output rounding
@@ -176,12 +176,13 @@ class TestKvQuant:
         assert np.all(kv_dequantize(codes, scale, zero_point) == np.float16(0.0))
 
     def test_zero_point_domain(self):
+        # a zero point is a magnitude, so its domain 0..255 is its dtype
         rng = np.random.default_rng(77)
         for _ in range(300):
             lo = rng.uniform(-50, 50)
             x = to_half(rng.uniform(lo, lo + rng.uniform(0.01, 60), size=32))
             codes, _, zero_point = kv_quantize(x)
-            assert -255 <= zero_point <= 0
+            assert zero_point.dtype == np.uint8
             assert codes.dtype == np.uint8
 
     def test_round_trip_bound_sweep(self):
@@ -205,7 +206,7 @@ class TestKvQuant:
         xs = to_half(rng.normal(size=(8, 32)))
         rows_codes = []
         scales = np.empty(8, dtype=np.float16)
-        zps = np.empty(8, dtype=np.int16)
+        zps = np.empty(8, dtype=np.uint8)
         for i in range(8):
             c, scales[i], zps[i] = kv_quantize(xs[i])
             rows_codes.append(c)
