@@ -27,16 +27,26 @@ a matrix against one vector, or the rows of each head (h, n, L) against
 that head's own vector (h, L), as the attention dot over the KV cache
 does.
 
-A weight matrix that is read on every token can be prepared once as a
-TreeOrderRows operand: widened to binary32 and stored (blocks, lanes, rows)
-with each block's lanes in bit-reversed order (LANE_ORDER). In that order
-lanes 2j and 2j+1 of the adjacent-pair tree sit at positions i and i + 64
-for the same i, and the pair sums land in bit-reversed order again, one
-bit shorter. Every tree level is then the sum of two contiguous halves,
-taken in place over all rows at once, and it adds the same pairs in the
-same operand order as the plain path, so the result is the same bit for
-bit. A NaN result is the one exception: only its being NaN is part of
-the contract, not its sign or payload (see dot_rows).
+An operand that is read on every token is prepared once as a
+TreeOrderRows: widened to binary32 and stored (blocks, lanes, rows), or
+(blocks, lanes, heads, rows) with a head axis, where `lanes` follows the
+subtree rule above and each block's lanes sit in bit-reversed order over
+the subtree's own width (LANE_ORDER for 128 lanes; its first 16 entries
+are not the 16-lane order). In that order lanes 2j and 2j+1 of the
+adjacent-pair tree sit at positions i and i + lanes/2 for the same i, and
+the pair sums land in bit-reversed order again, one bit shorter. Every
+tree level is then the sum of two contiguous halves, taken in place over
+all rows (and heads) at once, and it adds the same pairs in the same
+operand order as the plain path, so the result is the same bit for bit.
+A NaN result is the one exception: only its being NaN is part of the
+contract, not its sign or payload (see dot_rows). The weights are such
+operands, prepared once per checkpoint, and so is the KV cache's key
+mirror, whose step view of rows 0..t (first_rows) is free; one in-place
+tree kernel serves both. (The cache's value mirror is prepared too, but
+token-major for the value mix in pipeline, not for this engine.) The
+reference decoder in pipeline reads plain binary16 matrices and cache
+rows decoded from their codes, so it is the oracle of every prepared
+operand.
 
 The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
 binary16 samples of the first quadrant, folded to the full turn by
@@ -47,6 +57,7 @@ rotation is state or setting.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +66,8 @@ from .errors import ConfigError, DomainError, ShapeError
 
 # Smallest positive normal binary16 value, 2**-14.
 HALF_SMALLEST_NORMAL = np.float16(2.0 ** -14)
+# Least magnitude that rounds to binary16 infinity: 65504 plus half an ulp.
+HALF_OVERFLOW = 65520.0
 
 
 def to_half(x) -> np.ndarray:
@@ -92,77 +105,107 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
-def _bit_reversed_lanes() -> np.ndarray:
-    """Lane indices 0..LANES-1 in bit-reversed order, read-only because
-    every operand shares them.
+def _subtree_lanes(width: int) -> int:
+    """Lanes a row of `width` is reduced over: whole LANES blocks, or for a
+    row of one block the smallest power-of-two subtree that holds it."""
+    return LANES if width > LANES else 1 << (width - 1).bit_length()
+
+
+@functools.cache   # one per power of two up to LANES
+def _bit_reversed_lanes(width: int) -> np.ndarray:
+    """Lane indices 0..width-1 of a `width`-lane subtree (a power of two)
+    in bit-reversed order, read-only because every operand of that width
+    shares them.
 
     Built level by level: if `order` lists the nodes of tree level one,
     the lanes feeding node j are 2j and 2j+1, so the first half of the
     result holds the even lane of each node and the second half the odd
-    one at the same position.
+    one at the same position. The reversal is over the subtree's own
+    bits: LANE_ORDER[:16] is not the 16-lane order.
     """
     order = np.zeros(1, dtype=np.intp)
-    while order.size < LANES:
+    while order.size < width:
         order = np.concatenate([2 * order, 2 * order + 1])
     order.flags.writeable = False
     return order
 
 
-LANE_ORDER = _bit_reversed_lanes()
+LANE_ORDER = _bit_reversed_lanes(LANES)
 
 
 class TreeOrderRows:
-    """An (n, width) binary16 matrix prepared for the tree dot engine.
+    """A binary16 matrix (n, width), or one per head (heads, n, width),
+    prepared for the tree dot engine.
 
-    The width rounds up to whole lane blocks, and the columns past it hold
-    +0.0, as lane padding does. Values are widened once to binary32 (exact)
-    and stored as `blocks`, (blocks, LANES, n), with the lanes of each block
-    in LANE_ORDER (see the module docstring). dot_rows takes an operand in
-    place of its plain matrix and returns the same bits, up to the sign
-    and payload of a NaN result, which are not part of the contract.
+    A row is reduced over `lanes` lanes, the subtree rule of dot_rows: the
+    smallest power-of-two subtree that holds `width`, or whole LANES blocks
+    past one block. The width rounds up to whole blocks of those lanes,
+    `shape` is the plain operand's with that width, and the columns past
+    `width` hold +0.0, as lane padding does. Values are widened once to
+    binary32 (exact) and stored as `blocks`, (blocks, lanes, n) or
+    (blocks, lanes, heads, n), with the lanes of each block in `order`, the
+    bit reversal over `lanes` (see the module docstring). dot_rows takes an
+    operand in place of its plain matrix and returns the same bits, up to
+    the sign and payload of a NaN result, which are not part of the
+    contract.
     """
 
-    def __init__(self, n_rows: int, width: int) -> None:
+    def __init__(self, *shape: int) -> None:
+        if len(shape) not in (2, 3):
+            raise ShapeError(f"expected (n, width) or (heads, n, width), got {shape}")
+        *lead, width = shape
         if width <= 0:
             raise ShapeError(f"width {width} holds no column")
-        n_blocks = -(-width // LANES)
-        self.shape = (n_rows, n_blocks * LANES)
-        self.blocks = np.zeros((n_blocks, LANES, n_rows), dtype=np.float32)
+        lanes = _subtree_lanes(width)
+        n_blocks = -(-width // lanes)
+        self.order = _bit_reversed_lanes(lanes)
+        self.shape = (*lead, n_blocks * lanes)
+        self.blocks = np.zeros((n_blocks, lanes, *lead), dtype=np.float32)
+
+    def first_rows(self, k: int) -> "TreeOrderRows":
+        """The operand of rows 0..k-1 (of every head): a view that shares
+        `blocks`."""
+        view = object.__new__(TreeOrderRows)
+        view.order, view.blocks = self.order, self.blocks[..., :k]
+        view.shape = (*self.shape[:-2], k, self.shape[-1])
+        return view
 
     def assign(self, lo: int, rows: np.ndarray) -> None:
-        """Store rows of binary16 values, as float16 or already widened to
-        float32, as matrix rows lo.. (rows may be narrower than the matrix;
-        the columns past them keep their +0.0)."""
+        """Store rows of binary16 values, (k, w) or per head (heads, k, w),
+        as float16 or already widened to float32, as rows lo..lo+k-1 (w may
+        be narrower than the operand; the columns past it keep +0.0)."""
         rows = np.asarray(rows)
         if rows.dtype != np.float32:
             rows = rows.astype(np.float16)
-        k, width = rows.shape
-        n_blocks = self.blocks.shape[0]
-        if width != n_blocks * LANES:
-            rows = np.concatenate(
-                [rows, np.zeros((k, n_blocks * LANES - width), dtype=rows.dtype)], axis=1)
-        lane_major = rows.reshape(k, n_blocks, LANES)[:, :, LANE_ORDER]
-        self.blocks[:, :, lo:lo + k] = lane_major.transpose(1, 2, 0)   # widens exactly
+        n_blocks, lanes = self.blocks.shape[:2]
+        *lead, k, width = rows.shape
+        if width != n_blocks * lanes:
+            pad = np.zeros((*lead, k, n_blocks * lanes - width), dtype=rows.dtype)
+            rows = np.concatenate([rows, pad], axis=-1)
+        lane_major = rows.reshape(*lead, k, n_blocks, lanes)[..., self.order]
+        nd = lane_major.ndim   # to (blocks, lanes, [heads,] k), widening exactly
+        self.blocks[..., lo:lo + k] = lane_major.transpose(nd - 2, nd - 1, *range(nd - 2))
 
-    def halves(self) -> np.ndarray:
-        """The plain binary16 matrix of `shape`, zero lanes included;
+    def plain(self) -> np.ndarray:
+        """The plain binary32 operand of `shape`, zero lanes included;
         exact, and bit reversal is its own inverse."""
-        plain = self.blocks[:, LANE_ORDER].transpose(2, 0, 1).reshape(self.shape)
-        return plain.astype(np.float16)
+        lane_major = np.moveaxis(self.blocks[:, self.order], (0, 1), (-2, -1))
+        return lane_major.reshape(self.shape)
 
 
 def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     """dot_rows in tree order over a prepared operand: per block, one
-    product buffer (LANES, n) and log2(LANES) in-place half additions."""
-    n_blocks, _, n = rows.blocks.shape
-    v = np.zeros(n_blocks * LANES, dtype=np.float32)
-    v[:vec.size] = vec
-    v = v.reshape(n_blocks, LANES)[:, LANE_ORDER, None]    # (b, lanes, 1)
-    buf = np.empty((LANES, n), dtype=np.float32)
-    acc = np.zeros(n, dtype=np.float32)
+    product buffer (lanes, [heads,] n) and log2(lanes) in-place half
+    additions, then the sequential block accumulator from +0.0."""
+    n_blocks, lanes, *lead = rows.blocks.shape[:-1]
+    v = np.zeros((n_blocks * lanes, *lead), dtype=np.float32)
+    v[:vec.shape[-1]] = vec.T
+    v = v.reshape(n_blocks, lanes, *lead)[:, rows.order, ..., None]   # (b, lanes, [h,] 1)
+    buf = np.empty(rows.blocks.shape[1:], dtype=np.float32)
+    acc = np.zeros(buf.shape[1:], dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
         np.multiply(rows.blocks[b], v[b], out=buf)         # exact
-        h = LANES
+        h = lanes
         while h > 1:
             h //= 2
             np.add(buf[:h], buf[h:2 * h], out=buf[:h])
@@ -182,8 +225,8 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     block accumulator), so a row's result does not depend on the other
     rows or heads: head i of the per-head form is the bits of
     dot_rows(rows[i], vec[i]). Returns binary16. `rows` may be a
-    TreeOrderRows operand, (n, W) against (L,) only, which skips the
-    widening and the strided tree.
+    TreeOrderRows operand of either form, which skips the widening and
+    the strided tree.
 
     A row of W <= LANES is reduced over the leading 2**ceil(log2 W) lanes
     only. That is exact: every lane past them multiplies +0.0 by +0.0, so
@@ -211,7 +254,7 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     if prepared:
         return _tree_order_dot(rows, vec)
 
-    lanes = LANES if width > LANES else 1 << (width - 1).bit_length()
+    lanes = _subtree_lanes(width)
     padded = -(-width // lanes) * lanes
     p = np.zeros(shape[:-1] + (padded,), dtype=np.float32)
     p[..., :width] = rows                                  # widens exactly

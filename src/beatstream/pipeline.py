@@ -19,19 +19,27 @@ points are the records of the scale-zero side channel (see layout). The
 beats that channel has written follow from the cache length, so a saved
 cache resumes a decoder exactly.
 
-The reference decoder decodes its history from the codes on every step,
-so it checks the fused decoder's binary16 cache mirrors (see KVCacheStore).
-
 Both decoders reduce every dot on the one 128-lane tree engine of
 numerics and pass it logical vectors: the engine pads every operand to
 whole lane blocks. They prepare their weight operands from the
 checkpoint's packed word streams, unpacking each stream once. The fused
-decoder reads its weights as TreeOrderRows operands: each projection is
-dequantized, widened to binary32 and laid out in the engine's
-bit-reversed lane order once per checkpoint, and every Decoder on that
-checkpoint shares them. The reference decoder keeps its own plain
-binary16 matrices at their group-padded width, so it checks the prepared
-operands on every step.
+decoder reads prepared operands only, each laid out once in the order
+the engine consumes it:
+
+  weights  TreeOrderRows: each projection dequantized, widened to
+           binary32 and put in the engine's bit-reversed lane order once
+           per checkpoint, shared by every Decoder on that checkpoint.
+  keys     the cache store's key mirror, a TreeOrderRows with a head
+           axis, written a row at a time; the attention dot reads rows
+           0..t as a view.
+  values   the store's token-major binary32 value mirror, which mix_rows
+           reduces over tokens in one call.
+
+The reference decoder is the oracle of all three: it keeps its own plain
+binary16 weight matrices at their group-padded width, decodes its key
+and value history from the codes, and mixes values head by head with a
+sequential running sum of its own (_mix_sequential), so it checks the
+prepared operands and the fused mix on every step.
 
 The hardware streams one head at a time. That order lives only in
 schedule_token, which computes the cycle trace of a step from the model
@@ -69,21 +77,37 @@ def greedy_pick(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-def mix_rows(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Probability-weighted row sum: sequential float32 accumulation over
-    tokens, one binary16 rounding at the end.
+def mix_rows(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Probability-weighted sum of token-major value rows: probs (H, T)
+    weigh values (T, H, L) head by head and return (H, L); or probs (T,)
+    weigh values (T, L) and return (L,). The values are binary16, widened
+    to binary32 (the cache's value mirror is that already); each product
+    is exact, the sum is carried in binary32 over tokens in order, starting
+    from the first product, and rounded to binary16 once.
 
-    probs (T,) weighs rows (T, L); a batch probs (H, T) weighs rows
-    (H, T, L) head by head and returns (H, L).
+    One reduce over the token axis: it adds in token order because that
+    axis is outermost and each token holds H * L >= 2 values, so numpy's
+    inner loop runs across a token's values. Over a single value it would
+    sum pairwise, so that shape is refused. Starting from -0.0 leaves the
+    first product's bits as they are.
     """
-    probs, rows = np.asarray(probs), np.asarray(rows)
-    if rows.ndim != probs.ndim + 1 or probs.shape != rows.shape[:-1]:
-        raise ShapeError(f"weights {probs.shape} do not match rows {rows.shape}")
-    if probs.ndim == 0 or probs.shape[-1] == 0:
+    probs, values = np.asarray(probs), np.asarray(values)
+    if values.ndim != probs.ndim + 1 or values.shape[:-1] != probs.T.shape:
+        raise ShapeError(f"weights {probs.shape} do not match token-major rows {values.shape}")
+    if probs.ndim == 0 or values.shape[0] == 0:
         raise ShapeError(f"no token rows to mix: weights {probs.shape}")
-    p32 = probs.astype(np.float32)[..., None]
-    r32 = rows.astype(np.float32)
-    return np.cumsum(p32 * r32, axis=-2, dtype=np.float32)[..., -1, :].astype(np.float16)
+    if values[0].size < 2:
+        raise ShapeError(f"a token of {values[0].size} value would be summed pairwise")
+    products = probs.astype(np.float32).T[..., None] * values   # binary32, exact
+    return np.add.reduce(products, axis=0, initial=-0.0).astype(np.float16)
+
+
+def _mix_sequential(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The reference's value mix of one head: probs (T,) weigh rows (T, L)
+    in a running binary32 sum over tokens (cumsum, whose order is its
+    definition), rounded to binary16 once."""
+    products = probs.astype(np.float32)[:, None] * rows.astype(np.float32)
+    return np.cumsum(products, axis=0, dtype=np.float32)[-1].astype(np.float16)
 
 
 def scale_logits(logits: np.ndarray, head_dim: int) -> np.ndarray:
@@ -249,16 +273,26 @@ class KVCacheStore:
     current length during a token; commit() publishes them. Readers take
     the rows below the length only.
 
-    Beside the codes the store keeps their binary16 decode, so that no
-    step decodes the history again: `keys` and `values`, each
-    (n_layers, n_heads, max_context, head_dim). The mirrors are derived
-    state. write_layer decodes each new row through kv_dequantize_rows,
-    which gives the bits a decode of the whole history would; load
-    rebuilds them from the codes; a snapshot holds the codes alone. Rows
-    at or past the length are dead in the mirrors as in the codes. In
-    host memory the mirrors cost 4 * head_dim bytes per (layer, head,
-    row), twice the 2 * head_dim of the codes: 16 MB for one layer of
-    LLaMA2-7B's shape (32 heads of 128) at 1024 rows, against 8 MB.
+    Beside the codes the store keeps their decode, widened to binary32
+    and laid out in the order the fused attention reads it, so that no
+    step decodes, widens, pads or transposes the history again:
+
+      keys    one TreeOrderRows per layer, (n_heads, max_context, W):
+              the dot engine's prepared operand, W being head_dim padded
+              to its lane subtree; a step reads rows 0..t through
+              first_rows, a free view.
+      values  (n_layers, max_context, n_heads, head_dim), token-major, so
+              that the value mix is one reduce over the token axis.
+
+    The mirrors are derived state. write_layer decodes each new row through
+    kv_dequantize_rows, which gives the bits a decode of the whole history
+    would; load rebuilds them from the codes; a snapshot holds the codes
+    alone. Rows at or past the length are dead in the mirrors as in the
+    codes. In host memory the two mirrors cost 8 * head_dim bytes per
+    (layer, head, row), plus the key mirror's lane padding where head_dim
+    is not a power of two, against the 2 * head_dim of the codes: 32 MB
+    for one layer of LLaMA2-7B's shape (32 heads of 128) at 1024 rows,
+    against 8 MB of codes.
     """
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -268,8 +302,10 @@ class KVCacheStore:
         self.codes = np.zeros((2,) + shape + (hd,), dtype=np.uint8)
         self.scales = np.zeros((2,) + shape, dtype=np.float16)
         self.zeros = np.zeros((2,) + shape, dtype=np.uint8)
-        self.keys = np.zeros(shape + (hd,), dtype=np.float16)
-        self.values = np.zeros(shape + (hd,), dtype=np.float16)
+        self.keys = tuple(TreeOrderRows(cfg.n_heads, cfg.max_context, hd)
+                          for _ in range(cfg.n_layers))
+        self.values = np.zeros((cfg.n_layers, cfg.max_context, cfg.n_heads, hd),
+                               dtype=np.float32)
         self.length = 0
 
     def begin_token(self) -> int:
@@ -288,8 +324,8 @@ class KVCacheStore:
         self.scales[:, layer, :, t] = scales.reshape(2, heads)
         self.zeros[:, layer, :, t] = zeros.reshape(2, heads)
         decoded = kv_dequantize_rows(codes, scales, zeros)
-        self.keys[layer, :, t] = decoded[:heads]
-        self.values[layer, :, t] = decoded[heads:]
+        self.keys[layer].assign(t, decoded[:heads, None])
+        self.values[layer, t] = decoded[heads:]
 
     def commit(self) -> None:
         self.length += 1
@@ -338,8 +374,9 @@ class KVCacheStore:
         rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
                                   scales.reshape(-1), zeros.reshape(-1))
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
-        store.keys[:, :, :t] = rows[0]
-        store.values[:, :, :t] = rows[1]
+        for layer, keys in enumerate(store.keys):
+            keys.assign(0, rows[0, layer])
+        store.values[:, :t] = rows[1].transpose(0, 2, 1, 3)
         return store
 
 
@@ -357,8 +394,8 @@ def _int_scalar(z, name: str) -> int:
 
 class _WeightCache:
     """Dequantized weight matrices prepared for the tree dot
-    (TreeOrderRows), each row padded to whole groups and then to whole
-    lanes; a row's width in lanes is its beat cost.
+    (TreeOrderRows), each row padded to whole groups and then to its
+    lane subtree; a row's width in whole lane blocks is its beat cost.
 
     Unpacked from each tensor's words and widened a row range at a time,
     so no whole-tensor wide temporary exists, and built once per
@@ -385,7 +422,7 @@ class _WeightCache:
         return cache
 
     def stage_beats(self, name: str, rows: int) -> int:
-        return rows * self.mats[name].shape[1] // LANES
+        return rows * -(-self.mats[name].shape[1] // LANES)
 
 
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
@@ -440,11 +477,11 @@ class Decoder:
             # row t of the cache mirrors holds this step's key and value
             # until write_layer puts their cache decode there; each head's
             # rows go through the tree reduction against that head's query
-            keys, values = self.kv.keys[layer, :, :t + 1], self.kv.values[layer, :, :t + 1]
-            keys[:, t] = qk[heads:]
-            values[:, t] = v
-            probs = softmax(scale_logits(dot_rows(keys, qk[:heads]), hd))
-            head_out = mix_rows(probs, values).reshape(cfg.d_model)
+            keys, values = self.kv.keys[layer], self.kv.values[layer]
+            keys.assign(t, qk[heads:, None])
+            values[t] = v
+            probs = softmax(scale_logits(dot_rows(keys.first_rows(t + 1), qk[:heads]), hd))
+            head_out = mix_rows(probs, values[:t + 1]).reshape(cfg.d_model)
 
             self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
 
@@ -502,7 +539,7 @@ class ReferenceDecoder:
                                   for which in (0, 1))
                 logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
                 probs = softmax(scale_logits(logits_h, hd))
-                out[lo:hi] = mix_rows(probs, np.concatenate([past_v, v[None]], axis=0))
+                out[lo:hi] = _mix_sequential(probs, np.concatenate([past_v, v[None]], axis=0))
                 rows[head], rows[heads + head] = k, v
             kv.write_layer(layer, rows)
             o = dot_rows(self.mats[pre + "attn.o"], out)

@@ -19,6 +19,11 @@ zero = -ceil(min/s) in 0..255:
 
 so the cache decodes through the weights' dequant_codes. Rounding is
 round-half-even everywhere. Both codecs are pure.
+
+Every decode is finite. The binary16 scale of either codec can round up
+past the range over its levels, and near the binary16 maximum the top
+code would then decode to infinity; such a row's scale is lowered an ulp
+at a time until it does not (_finite_decode). No other row changes.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import HALF_SMALLEST_NORMAL, to_half
+from .numerics import HALF_OVERFLOW, HALF_SMALLEST_NORMAL, to_half
 
 WEIGHT_LEVELS = 15      # 4-bit codes 0..15
 KV_LEVELS = 255         # 8-bit codes 0..255
@@ -50,6 +55,31 @@ def dequant_codes(codes: np.ndarray, scales: np.ndarray,
     return (diff * np.asarray(scales, dtype=np.float32)[:, None]).astype(np.float16)
 
 
+def _finite_decode(encode, levels: int, wide: np.ndarray, lo: np.ndarray,
+                   scales: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(codes, scales, zeros) of rows encoded by encode(wide, lo, scales),
+    each scale lowered one binary16 ulp at a time, only in the rows that
+    need it, until the row's largest |code - zero| * scale is finite in
+    binary16.
+
+    A scale rounds to the nearest binary16 value, so it can exceed the
+    row's range over the levels, and near the binary16 maximum a code's
+    decode then rounds to infinity. A row that decodes finite at its
+    first scale keeps that scale, its codes and its zero point. Only a row
+    whose levels * scale reaches HALF_OVERFLOW can overflow, so the loop
+    ends, and most calls check no row.
+    """
+    codes, zeros = encode(wide, lo, scales)
+    rows = np.flatnonzero(scales.astype(np.float64) * levels >= HALF_OVERFLOW)
+    while rows.size:
+        z = zeros[rows].astype(np.float64)
+        reach = np.maximum(codes[rows].max(axis=1) - z, z - codes[rows].min(axis=1))
+        rows = rows[reach * scales[rows] >= HALF_OVERFLOW]
+        scales[rows] = np.nextafter(scales[rows], np.float16(0))
+        codes[rows], zeros[rows] = encode(wide[rows], lo[rows], scales[rows])
+    return codes, scales, zeros
+
+
 def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-to-nearest groups for a (n_groups, group_size) value matrix:
     each row is one group.
@@ -58,6 +88,8 @@ def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Values are taken as binary16 inputs; ranges are extended to include
     zero so the derived zero point never clamps. All-zero groups take the
     smallest positive normal binary16 as scale and encode as the zero point.
+    A group near the binary16 maximum may have its scale lowered so that it
+    decodes finite (_finite_decode).
     """
     w = np.asarray(w, dtype=np.float16)
     if w.ndim != 2 or w.shape[1] == 0:
@@ -66,13 +98,17 @@ def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo = np.minimum(wide.min(axis=1), 0.0)
     hi = np.maximum(wide.max(axis=1), 0.0)
     scales = to_half((hi - lo) / WEIGHT_LEVELS)
-    degenerate = scales == 0
-    scales = np.where(degenerate, HALF_SMALLEST_NORMAL, scales)
+    scales = np.where(scales == 0, HALF_SMALLEST_NORMAL, scales)
+    return _finite_decode(_weight_codes, WEIGHT_LEVELS, wide, lo, scales)
+
+
+def _weight_codes(wide: np.ndarray, lo: np.ndarray,
+                  scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, zeros) of 4-bit groups at the given scales."""
     s64 = scales.astype(np.float64)
     zeros = np.clip(np.rint(-lo / s64), 0, WEIGHT_LEVELS).astype(np.uint8)
     q = np.rint(wide / s64[:, None]) + zeros[:, None]
-    codes = np.clip(q, 0, WEIGHT_LEVELS).astype(np.uint8)
-    return codes, scales.astype(np.float16), zeros
+    return np.clip(q, 0, WEIGHT_LEVELS).astype(np.uint8), zeros
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +122,8 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     codes. Returns (codes uint8, scales float16, zeros uint8), one scale
     and zero point per row. A zero point is the magnitude -ceil(min/s) with
     the range extended through zero, so it lies in 0..255; it is the zero
-    byte of the row's scale-zero record.
+    byte of the row's scale-zero record. A row near the binary16 maximum
+    may have its scale lowered so that it decodes finite (_finite_decode).
     """
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -97,12 +134,17 @@ def kv_quantize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     lo = np.minimum(wide.min(axis=1), 0.0)
     hi = np.maximum(wide.max(axis=1), 0.0)
-
     scales = np.maximum(to_half((hi - lo) / KV_LEVELS), HALF_SMALLEST_NORMAL)
+    return _finite_decode(_kv_codes, KV_LEVELS, wide, lo, scales)
+
+
+def _kv_codes(wide: np.ndarray, lo: np.ndarray,
+              scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, zeros) of 8-bit cache rows at the given scales."""
     s64 = scales.astype(np.float64)[:, None]
     zeros = -np.ceil(lo[:, None] / s64)
     codes = np.clip(np.rint(wide / s64) + zeros, 0, KV_LEVELS).astype(np.uint8)
-    return codes, scales, zeros[:, 0].astype(np.uint8)
+    return codes, zeros[:, 0].astype(np.uint8)
 
 
 def kv_quantize(x: np.ndarray) -> tuple[np.ndarray, np.float16, np.uint8]:

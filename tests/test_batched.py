@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from beatstream.numerics import LANES, dot_rows, pad_to_lanes
 from beatstream.ops import rope_rotate, softmax
-from beatstream.pipeline import mix_rows
+from beatstream.errors import ShapeError
+from beatstream.pipeline import _mix_sequential, mix_rows
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half
 from beatstream.quant import KV_LEVELS, kv_quantize, kv_quantize_rows
 
@@ -22,7 +23,7 @@ pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarn
 
 EDGES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24, 65504.0, -65504.0]
 HALVES = st.one_of(st.sampled_from(EDGES),
-                   st.floats(width=16, allow_nan=False, allow_infinity=False))
+                   st.floats(-65504, 65504, width=16))
 
 
 def halves(shape):
@@ -80,29 +81,44 @@ def test_softmax_rows(x):
 @given(data=st.data(), heads=st.integers(1, 4), tokens=st.integers(1, 6),
        width=st.integers(1, 8))
 def test_mix_rows_per_head(data, heads, tokens, width):
+    """The fused mix of token-major rows is, head by head, the reference's
+    sequential mix; a token of one value is refused, as the reduce would
+    sum it pairwise."""
     probs = data.draw(halves((heads, tokens)), label="probs")
     rows = data.draw(halves((heads, tokens, width)), label="rows")
-    batched = mix_rows(probs, rows)
+    values = rows.transpose(1, 0, 2)
+    if heads * width < 2:
+        with pytest.raises(ShapeError):
+            mix_rows(probs, values)
+        return
+    batched = mix_rows(probs, values)
     for h in range(heads):
-        assert np.array_equal(bits(batched[h]), bits(mix_rows(probs[h], rows[h])))
+        assert np.array_equal(bits(batched[h]), bits(_mix_sequential(probs[h], rows[h])))
 
 
 def kv_quantize_one(x):
     """The per-vector cache encoder in scalar float64 steps, with the signed
-    zero point z = ceil(min/s) <= 0 of the arithmetic definition."""
+    zero point z = ceil(min/s) <= 0 of the arithmetic definition. While
+    the largest |code - z| * s reaches 65520, which rounds to binary16
+    infinity, s steps down one binary16 ulp."""
     wide = x.astype(np.float64)
     lo = min(float(wide.min()), 0.0)
     hi = max(float(wide.max()), 0.0)
     scale = max(to_half((hi - lo) / KV_LEVELS), HALF_SMALLEST_NORMAL)
-    z = int(np.ceil(lo / float(scale)))
-    codes = np.clip(np.rint(wide / float(scale)) - z, 0, KV_LEVELS).astype(np.uint8)
-    return codes, scale, z
+    while True:
+        z = int(np.ceil(lo / float(scale)))
+        codes = np.clip(np.rint(wide / float(scale)) - z, 0, KV_LEVELS).astype(np.uint8)
+        if max(abs(int(c) + z) for c in codes) * float(scale) < 65520:
+            return codes, scale, z
+        scale = np.nextafter(scale, np.float16(0))
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=row_batches())
 # a range below 255 smallest normals: the scale clamps up to 2**-14, not down to a subnormal
 @example(x=np.array([[-6.104e-05]], dtype=np.float16))
+# first scales 257 and 513.5 would decode a code to infinity; they step down
+@example(x=np.array([[65504, 0, 1, 2], [65472, -65504, 0, 1]], dtype=np.float16))
 def test_kv_quantize_rows(x):
     codes, scales, zeros = kv_quantize_rows(x)
     assert zeros.dtype == np.uint8

@@ -18,6 +18,7 @@ from beatstream.numerics import (
     PHASE_STEPS,
     ROPE_BASE,
     TreeOrderRows,
+    _bit_reversed_lanes,
     dot_rows,
     half_bits,
     half_from_bits,
@@ -199,7 +200,8 @@ def test_tree_order_rows_match_plain_rows(data, blocks, n, heads):
     prepared.assign(0, rows[:split])
     prepared.assign(split, rows[split:])
     assert prepared.shape == rows.shape
-    assert np.array_equal(half_bits(prepared.halves()), half_bits(rows))
+    wide = rows.astype(np.float32)
+    assert np.array_equal(prepared.plain().view(np.uint32), wide.view(np.uint32))
     if heads is None:
         tree, plain = dot_rows(prepared, vec), dot_rows(rows, vec)
     else:
@@ -208,6 +210,47 @@ def test_tree_order_rows_match_plain_rows(data, blocks, n, heads):
         tree = np.stack([dot_rows(prepared, v) for v in vec])
         plain = dot_rows(np.broadcast_to(rows, (heads,) + rows.shape), vec)
     assert np.array_equal(half_bits(tree), half_bits(plain))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hd=st.integers(1, 150).map(lambda h: 2 * h),
+       heads=st.integers(1, 4), rows=st.integers(1, 70), spare=st.integers(0, 9),
+       edge_frac=st.sampled_from([0.0, 0.02, 0.3]), cancel=st.booleans())
+def test_key_operand_matches_plain_rows(seed, hd, heads, rows, spare, edge_frac, cancel):
+    """The cache's key operand: per head, rows written one at a time into a
+    larger capacity and read through first_rows give the bits of the
+    plain per-head dot over the same rows, a NaN result compared as NaN
+    only. Even widths 2..300 cover one block's subtrees, exactly one
+    block and several blocks; values mix signed zeros, subnormals,
+    +-65504, infinities and NaN into scaled normals. With `cancel`, each
+    head's products hold a pair +2**30 and -2**30 that cancel, so the
+    small products a tree adds into either before they meet are lost,
+    and a tree that pairs other lanes loses other ones."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = to_half(rng.normal(size=shape) * 2.0 ** rng.integers(-20, 12))
+        edges = np.array(EDGE_HALVES + [np.nan], dtype=np.float16)
+        hit = rng.random(shape) < edge_frac
+        x[hit] = rng.choice(edges, hit.sum())
+        return x
+
+    keys, q = draw((heads, rows, hd)), draw((heads, hd))
+    if cancel:
+        for h in range(heads):
+            i, j = rng.choice(hd, 2, replace=False)
+            q[h, [i, j]] = 2.0 ** 15
+            keys[h, :, i], keys[h, :, j] = 2.0 ** 15, -(2.0 ** 15)
+    operand = TreeOrderRows(heads, rows + spare, hd)
+    operand.blocks[...] = np.nan   # a row write fills every lane; rows never written stay out
+    for t in range(rows):
+        operand.assign(t, keys[:, t:t + 1])
+    view = operand.first_rows(rows)
+    assert view.shape == (heads, rows, operand.shape[-1]) and operand.shape[-1] >= hd
+    got, want = dot_rows(view, q), dot_rows(keys, q)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(half_bits(got)[~np.isnan(got)], half_bits(want)[~np.isnan(want)])
 
 
 @pytest.mark.parametrize("seed", [4, 8, 128])
@@ -233,16 +276,25 @@ def test_tree_order_rows_pad_narrow_rows_with_positive_zeros():
     rows = to_half(np.random.default_rng(5).normal(size=(3, 40)))
     prepared = TreeOrderRows(3, 2 * LANES)
     prepared.assign(0, rows)
-    want = np.zeros((3, 2 * LANES), dtype=np.float16)
+    want = np.zeros((3, 2 * LANES), dtype=np.float32)
     want[:, :40] = rows
-    assert np.array_equal(half_bits(prepared.halves()), half_bits(want))
+    assert np.array_equal(prepared.plain().view(np.uint32), want.view(np.uint32))
     assert TreeOrderRows(3, 100).shape == (3, LANES)   # whole lane blocks
+    # one block's subtree: the smallest power of two that holds the width
+    assert TreeOrderRows(3, 40).shape == (3, 64)
+    assert TreeOrderRows(2, 3, 6).shape == (2, 3, 8)
+    assert TreeOrderRows(2, 3, 192).shape == (2, 3, 2 * LANES)
 
 
 def test_bit_reversed_lanes():
     assert LANE_ORDER[:8].tolist() == [0, 64, 32, 96, 16, 80, 48, 112]
     assert all(LANE_ORDER[i] == int(f"{i:07b}"[::-1], 2) for i in range(LANES))
     assert not LANE_ORDER.flags.writeable
+    for bits in range(7):
+        order = _bit_reversed_lanes(1 << bits)
+        assert [int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits)] == order.tolist()
+    # a subtree reverses its own bits, not the first lanes of the whole tree's
+    assert _bit_reversed_lanes(16).tolist() != LANE_ORDER[:16].tolist()
 
 
 def test_dot_shape_errors():

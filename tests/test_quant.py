@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beatstream.errors import ShapeError
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
@@ -16,6 +18,7 @@ from beatstream.quant import (
     dequant_codes,
     kv_dequantize_rows,
     kv_quantize,
+    kv_quantize_rows,
     quantize_rows,
 )
 
@@ -214,3 +217,27 @@ class TestKvQuant:
         for i in range(8):
             one = kv_dequantize(rows_codes[i], scales[i], zps[i])
             assert np.array_equal(batch[i], one)
+
+
+LARGEST = [65504.0, -65504.0, 65472.0, -65472.0, 0.0, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=arrays(np.float16, st.tuples(st.integers(1, 4), st.integers(1, 8)),
+                   elements=st.one_of(st.sampled_from(LARGEST),
+                                      st.floats(-65504, 65504, width=16))))
+# first scales 257 (KV) and 4368 (weights): 255 * 257 and 15 * 4368 round to infinity
+@example(rows=np.array([[65504, 0, 1, 2]], dtype=np.float16))
+# a row over almost the whole range: its first scales, 513.5 (KV) and 8728 (weights),
+# step down to 511.75 and 8188
+@example(rows=np.array([[65472, -65504, 0, 1]], dtype=np.float16))
+def test_every_finite_row_decodes_finite(rows):
+    """Under both quantizers every finite binary16 row, +-65504 included,
+    decodes to finite values, with zero points inside their codes' range
+    and positive finite scales (warnings are errors, so an overflowing
+    decode fails here too)."""
+    for quantize, levels in ((quantize_rows, 15), (kv_quantize_rows, 255)):
+        codes, scales, zeros = quantize(rows)
+        assert np.isfinite(dequant_codes(codes, scales, zeros)).all()
+        assert zeros.max() <= levels and codes.max() <= levels
+        assert np.isfinite(scales).all() and (scales > 0).all()
