@@ -37,9 +37,10 @@ Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
 tensor's last word of that kind; packing and unpacking are one masked
 assignment per kind. A stream stores only its words: their kinds follow
-from the tensor's shape (beat_kind_pattern), so a reader checks just the
-word count against that law, whose closed form (stream_word_count) costs
-the same for any shape.
+from the tensor's shape (beat_kind_pattern), so a reader checks the word
+count against that law, whose closed form (stream_word_count) costs the
+same for any shape. The reader also refuses a group scale the quantizer
+never writes: each is finite and at least the smallest normal binary16.
 
 Container file
 --------------
@@ -83,7 +84,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DomainError, FormatError, ShapeError
-from .numerics import half_bits, half_from_bits
+from .numerics import HALF_SMALLEST_NORMAL, half_bits, half_from_bits
 from .quant import WEIGHT_LEVELS, dequant_codes, quantize_rows
 
 FORMAT_WORD_BITS = 256
@@ -332,8 +333,10 @@ def pack_tensor(tensor: GroupedTensor) -> PackedWeightStream:
 
 
 def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
-    """Invert pack_tensor; a word count other than the layout law's raises
-    FormatError."""
+    """Invert pack_tensor. A word count other than the layout law's raises
+    FormatError, and so does a group scale the quantizer never writes: one
+    that is not finite or is below HALF_SMALLEST_NORMAL (zero, negative
+    or subnormal). The padding scales past the last group go unchecked."""
     g, n = stream.group_size, stream.n_groups
     kinds = beat_kind_pattern(n, g)
     if stream.n_words != kinds.size:
@@ -342,6 +345,9 @@ def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
     words = stream.words
     zeros = unpack_nibbles(words[kinds == KIND_ZP])[:n]
     scales = half_from_bits(words[kinds == KIND_SCALE].view("<u2").ravel()[:n])
+    if not (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL)).all():
+        raise FormatError("stream holds a group scale that is not finite or below "
+                          "the smallest normal binary16")
     codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
     return GroupedTensor(rows=stream.rows, cols=stream.cols, group_size=g,
                          codes=codes, scales=scales, zeros=zeros)

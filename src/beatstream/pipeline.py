@@ -63,10 +63,10 @@ from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats
 from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
 from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import kv_dequantize_rows, kv_quantize, kv_quantize_rows
+from .quant import kv_dequantize_rows, kv_quantize
 
-# No step calls pad_to_lanes or kv_quantize: they stay bound here because
-# beatbench wraps the names it finds on this module.
+# No step calls pad_to_lanes: it stays bound here because beatbench wraps
+# the names it finds on this module.
 
 STATE_VERSION = 2
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
@@ -269,7 +269,7 @@ class KVCacheStore:
     """Preallocated per-(layer, head) KV code arrays with one scale-zero
     pair per cached row: a binary16 scale and a uint8 zero point, the
     row's scale-zero record. The store owns the row codec: write_layer
-    quantizes the rows it is given (kv_quantize_rows). Rows land at the
+    quantizes the rows it is given (kv_quantize). Rows land at the
     current length during a token; commit() publishes them. Readers take
     the rows below the length only.
 
@@ -319,7 +319,7 @@ class KVCacheStore:
         (2 * n_heads, head_dim), every head's key, then every head's
         value."""
         t, heads = self.length, self.cfg.n_heads
-        codes, scales, zeros = kv_quantize_rows(rows)
+        codes, scales, zeros = kv_quantize(rows)
         self.codes[:, layer, :, t] = codes.reshape(2, heads, -1)
         self.scales[:, layer, :, t] = scales.reshape(2, heads)
         self.zeros[:, layer, :, t] = zeros.reshape(2, heads)

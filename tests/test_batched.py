@@ -16,7 +16,7 @@ from beatstream.ops import rope_rotate, softmax
 from beatstream.errors import ShapeError
 from beatstream.pipeline import _mix_sequential, mix_rows
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half
-from beatstream.quant import KV_LEVELS, kv_quantize, kv_quantize_rows
+from beatstream.quant import KV_LEVELS, kv_quantize
 
 # the largest magnitudes overflow binary16 in products and sums, alike on both sides
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -120,10 +120,10 @@ def kv_quantize_one(x):
 # first scales 257 and 513.5 would decode a code to infinity; they step down
 @example(x=np.array([[65504, 0, 1, 2], [65472, -65504, 0, 1]], dtype=np.float16))
 def test_kv_quantize_rows(x):
-    codes, scales, zeros = kv_quantize_rows(x)
+    codes, scales, zeros = kv_quantize(x)
     assert zeros.dtype == np.uint8
     for i in range(x.shape[0]):
-        one_codes, one_scale, one_zero = kv_quantize(x[i])
+        one_codes, one_scale, one_zero = (part[0] for part in kv_quantize(x[i][None]))
         want_codes, want_scale, z = kv_quantize_one(x[i])
         assert np.array_equal(codes[i], one_codes)
         assert np.array_equal(codes[i], want_codes)

@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from beatstream.config import tiny_demo_config
 from beatstream.errors import BeatstreamError, ConfigError, FormatError, ShapeError
-from beatstream.layout import PackedWeightStream
+from beatstream.layout import (
+    KIND_SCALE,
+    PackedWeightStream,
+    beat_kind_pattern,
+    read_container,
+    unpack_stream,
+    write_container,
+)
 from beatstream.model_io import (
     AUX_NAME,
     CONFIG_NAME,
@@ -20,6 +27,7 @@ from beatstream.model_io import (
     save_checkpoint,
     tensor_names,
 )
+from beatstream.pipeline import Decoder
 
 
 def assert_same_checkpoint(back, ckpt):
@@ -103,6 +111,27 @@ def test_damaged_aux_raises_format_error(tmp_path, saved, damage):
     aux.write_bytes(damage(aux.read_bytes()))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, 2.0 ** -15])
+def test_scale_the_quantizer_never_writes_refused(tmp_path, saved, scale):
+    """A container with a valid crc whose first group scale is not finite
+    or is below the smallest normal binary16 loads, but unpacking it, and
+    so building a decoder on it, raises FormatError."""
+    ckpt, src = saved
+    path = tmp_path / "m"
+    shutil.copytree(src, path)
+    victim = path / "layers.0.attn.q.epws"
+    stream = read_container(victim)
+    words = stream.words.copy()
+    first = np.flatnonzero(beat_kind_pattern(stream.n_groups, stream.group_size) == KIND_SCALE)[0]
+    words[first, :2] = np.array([scale], dtype="<f2").view(np.uint8)
+    write_container(PackedWeightStream(stream.rows, stream.cols, stream.group_size, words),
+                    victim)
+    with pytest.raises(FormatError, match="scale"):
+        unpack_stream(read_container(victim))
+    with pytest.raises(FormatError, match="scale"):
+        Decoder(load_checkpoint(path))
 
 
 def test_non_utf8_config_raises_config_error(tmp_path, saved):

@@ -3,6 +3,7 @@ the stage schedule, and decoders stepped token by token."""
 
 import dataclasses
 import gc
+import hashlib
 import io
 import struct
 import weakref
@@ -259,7 +260,8 @@ class TestKVCacheStore:
             store.commit()
         for t, layer, i in np.ndindex(written.shape[:3]):
             which, head = divmod(i, cfg.n_heads)
-            want_codes, want_scale, want_zero = kv_quantize(written[t, layer, i])
+            want_codes, want_scale, want_zero = (
+                part[0] for part in kv_quantize(written[t, layer, i][None]))
             assert np.array_equal(store.codes[which, layer, head, t], want_codes)
             assert store.scales[which, layer, head, t].view(np.uint16) == \
                 want_scale.view(np.uint16)
@@ -393,6 +395,33 @@ class TestKVCacheStore:
         for name in ("codes", "scales", "zeros"):
             assert np.array_equal(getattr(back, name).view(np.uint8),
                                   getattr(original, name).view(np.uint8))
+
+
+PINNED_CONFIG = ModelConfig(n_layers=2, d_model=48, n_heads=3, d_ffn=100, vocab_size=200,
+                            group_size=32, max_context=32)
+
+
+@pytest.mark.parametrize("ckpt, want", [
+    (lambda: build_demo_checkpoint(seed=1), "ffee749e3ccbdb47"),
+    (lambda: build_demo_checkpoint(seed=2, cfg=PINNED_CONFIG), "d7b12bf415db6ac4"),
+], ids=["demo", "hd16-g32"])
+def test_greedy_logits_are_pinned(ckpt, want):
+    """The logits both decoders compute, pinned: check_agreement cannot
+    see a change in the code they share (the quantizers, the operators,
+    the rotary pass). From the prompt [1, 2, 3], 24 steps of greedy
+    decode, hashing every step's binary16 logits and then the 25 tokens
+    fed or picked. The prefixes were computed before the two quantizers
+    became one body, which moved no bit."""
+    dec = Decoder(ckpt())
+    digest = hashlib.sha256()
+    fed = [1, 2, 3]
+    for i in range(24):
+        logits, _ = dec.step(fed[i])
+        digest.update(logits.tobytes())
+        if len(fed) == i + 1:
+            fed.append(greedy_pick(logits))
+    digest.update(np.array(fed, dtype="<i8").tobytes())
+    assert digest.hexdigest().startswith(want)
 
 
 class TestFusedMatchesReference:

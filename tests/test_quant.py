@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream.errors import ShapeError
+from beatstream.errors import DomainError, ShapeError
+from beatstream.layout import GroupedTensor
+from beatstream.model_io import build_demo_checkpoint, quantize_checkpoint
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
     dequant_codes,
     kv_dequantize_rows,
     kv_quantize,
-    kv_quantize_rows,
     quantize_rows,
 )
 
@@ -34,6 +35,12 @@ def dequant_group(codes, scale, zero):
                          np.array([zero], dtype=np.uint8))[0]
 
 
+def kv_quant_row(x):
+    """kv_quantize of one row: (codes, scale, zero point)."""
+    codes, scales, zeros = kv_quantize(np.asarray(x)[None])
+    return codes[0], scales[0], zeros[0]
+
+
 def kv_dequantize(codes, scale, zero_point):
     """kv_dequantize_rows of one row."""
     return kv_dequantize_rows(codes[None, :], np.float16(scale)[None],
@@ -41,15 +48,12 @@ def kv_dequantize(codes, scale, zero_point):
 
 
 def oracle_quant_group(vals):
-    """Scalar reference: range extended to include zero, binary16 scale,
-    codes rounded half-to-even in float64."""
+    """Scalar reference: range extended to include zero, binary16 scale
+    clamped up to the smallest normal, codes rounded half-to-even in
+    float64."""
     lo = min(0.0, min(float(v) for v in vals))
     hi = max(0.0, max(float(v) for v in vals))
-    if hi == lo:
-        scale = float(HALF_SMALLEST_NORMAL)
-        zero = 0
-        return [zero] * len(vals), scale, zero
-    scale = float(to_half((hi - lo) / 15))
+    scale = max(float(to_half((hi - lo) / 15)), float(HALF_SMALLEST_NORMAL))
     zero = int(min(15, max(0, round(-lo / scale))))
     codes = [int(min(15, max(0, round(float(v) / scale) + zero))) for v in vals]
     return codes, scale, zero
@@ -86,8 +90,11 @@ class TestWeightQuant:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            vals = to_half(rng.normal(scale=rng.uniform(0.01, 8.0), size=32))
+        # a range below 15 smallest normals: the scale clamps up to 2**-14,
+        # not down to a subnormal
+        groups = [to_half([6.104e-05, 0, 0, 0])]
+        groups += [to_half(rng.normal(scale=rng.uniform(0.01, 8.0), size=32)) for _ in range(200)]
+        for vals in groups:
             codes, scale, zero = quant_group(vals)
             want_codes, want_scale, want_zero = oracle_quant_group(vals)
             assert list(codes) == want_codes
@@ -135,6 +142,21 @@ class TestWeightQuant:
         with pytest.raises(ShapeError):
             quantize_rows(np.zeros((4, 0), dtype=np.float16))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, bad):
+        # a NaN or infinite scale would decode its whole group to NaN
+        w = np.ones((3, 32), dtype=np.float16)
+        w[1, 5] = bad
+        with pytest.raises(DomainError):
+            quantize_rows(w)
+        with pytest.raises(DomainError):
+            GroupedTensor.quantize(w, 16)
+        ckpt = build_demo_checkpoint(seed=1)
+        weights = {name: t.dequantized()[:, :t.cols] for name, t in ckpt.grouped()}
+        weights["layers.1.mlp.up"][7, 3] = bad
+        with pytest.raises(DomainError):
+            quantize_checkpoint(ckpt.config, weights, ckpt.embedding, ckpt.norms)
+
     def test_group_validation(self):
         # every group the quantizer emits is valid: codes and zero in
         # 0..15, a positive finite scale, across tiny, huge, one-signed
@@ -153,7 +175,7 @@ class TestWeightQuant:
 
 class TestKvQuant:
     def test_ramp_endpoints(self):
-        codes, scale, zero_point = kv_quantize(np.array([0.0, 127.5, 255.0], dtype=np.float16))
+        codes, scale, zero_point = kv_quant_row(np.array([0.0, 127.5, 255.0], dtype=np.float16))
         assert float(scale) == 1.0
         assert zero_point == 0
         # 127.5 rounds half-to-even
@@ -161,19 +183,26 @@ class TestKvQuant:
 
     def test_symmetric_round_trip(self):
         x = np.array([-1.0, 0.0, 1.0], dtype=np.float16)
-        codes, scale, zero_point = kv_quantize(x)
+        codes, scale, zero_point = kv_quant_row(x)
         back = kv_dequantize(codes, scale, zero_point)
         step = float(scale)
         assert np.abs(back.astype(np.float64) - x.astype(np.float64)).max() <= 1.5 * step
         assert math.isclose(step, 2.0 / 255, rel_tol=2 ** -10)
 
     def test_constant_vector_clamps_scale(self):
-        codes, scale, _ = kv_quantize(np.full(64, 7.0, dtype=np.float16))
+        codes, scale, _ = kv_quant_row(np.full(64, 7.0, dtype=np.float16))
         assert float(scale) >= float(HALF_SMALLEST_NORMAL)
         assert len(set(codes.tolist())) == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_refused(self, bad):
+        x = np.ones((2, 16), dtype=np.float16)
+        x[1, 0] = bad
+        with pytest.raises(DomainError):
+            kv_quantize(x)
+
     def test_all_zero(self):
-        codes, scale, zero_point = kv_quantize(np.zeros(16, dtype=np.float16))
+        codes, scale, zero_point = kv_quant_row(np.zeros(16, dtype=np.float16))
         assert float(scale) == float(HALF_SMALLEST_NORMAL)
         assert zero_point == 0
         assert np.all(kv_dequantize(codes, scale, zero_point) == np.float16(0.0))
@@ -184,7 +213,7 @@ class TestKvQuant:
         for _ in range(300):
             lo = rng.uniform(-50, 50)
             x = to_half(rng.uniform(lo, lo + rng.uniform(0.01, 60), size=32))
-            codes, _, zero_point = kv_quantize(x)
+            codes, _, zero_point = kv_quant_row(x)
             assert zero_point.dtype == np.uint8
             assert codes.dtype == np.uint8
 
@@ -193,7 +222,7 @@ class TestKvQuant:
         worst = 0.0
         for _ in range(300):
             x = to_half(rng.normal(scale=rng.uniform(0.01, 20), size=64))
-            codes, scale, zero_point = kv_quantize(x)
+            codes, scale, zero_point = kv_quant_row(x)
             back = kv_dequantize(codes, scale, zero_point)
             err = np.abs(back.astype(np.float64) - x.astype(np.float64)).max()
             # interior points sit within half a step; the ceil zero point
@@ -211,7 +240,7 @@ class TestKvQuant:
         scales = np.empty(8, dtype=np.float16)
         zps = np.empty(8, dtype=np.uint8)
         for i in range(8):
-            c, scales[i], zps[i] = kv_quantize(xs[i])
+            c, scales[i], zps[i] = kv_quant_row(xs[i])
             rows_codes.append(c)
         batch = kv_dequantize_rows(np.stack(rows_codes), scales, zps)
         for i in range(8):
@@ -231,13 +260,15 @@ LARGEST = [65504.0, -65504.0, 65472.0, -65472.0, 0.0, -0.0]
 # a row over almost the whole range: its first scales, 513.5 (KV) and 8728 (weights),
 # step down to 511.75 and 8188
 @example(rows=np.array([[65472, -65504, 0, 1]], dtype=np.float16))
+# a range below 15 smallest normals: both scales clamp up to 2**-14
+@example(rows=np.array([[6.104e-05, 0, 0, 0]], dtype=np.float16))
 def test_every_finite_row_decodes_finite(rows):
     """Under both quantizers every finite binary16 row, +-65504 included,
     decodes to finite values, with zero points inside their codes' range
-    and positive finite scales (warnings are errors, so an overflowing
-    decode fails here too)."""
-    for quantize, levels in ((quantize_rows, 15), (kv_quantize_rows, 255)):
+    and finite scales of at least the smallest normal binary16 (warnings
+    are errors, so an overflowing decode fails here too)."""
+    for quantize, levels in ((quantize_rows, 15), (kv_quantize, 255)):
         codes, scales, zeros = quantize(rows)
         assert np.isfinite(dequant_codes(codes, scales, zeros)).all()
         assert zeros.max() <= levels and codes.max() <= levels
-        assert np.isfinite(scales).all() and (scales > 0).all()
+        assert np.isfinite(scales).all() and (scales >= HALF_SMALLEST_NORMAL).all()
