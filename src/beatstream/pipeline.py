@@ -3,10 +3,11 @@
 Two decode paths share every arithmetic primitive:
 
   Decoder           evaluates all heads of a layer together: one dot per
-                    projection, one rotary pass, one per-head attention
-                    dot over every head's cached rows, one softmax and one
-                    value mix per layer; it carries the residual's sum of
-                    squares into the next norm.
+                    weight stage of the stream (qkv, o, gate_up, down), one
+                    rotary pass, one per-head attention dot over every
+                    head's cached rows, one softmax and one value mix per
+                    layer; it carries the residual's sum of squares into
+                    the next norm.
   ReferenceDecoder  operator-at-a-time evaluation, head by head.
 
 Neither quantizes: each hands a layer's new key and value rows to its
@@ -26,9 +27,11 @@ checkpoint's packed word streams, unpacking each stream once. The fused
 decoder reads prepared operands only, each laid out once in the order
 the engine consumes it:
 
-  weights  TreeOrderRows: each projection dequantized, widened to
-           binary32 and put in the engine's bit-reversed lane order once
-           per checkpoint, shared by every Decoder on that checkpoint.
+  weights  TreeOrderRows, one per weight stage: the stage's projections
+           dequantized, widened to binary32, stacked by rows (q, k, v;
+           gate, up) and put in the engine's bit-reversed lane order once
+           per checkpoint, shared by every Decoder on that checkpoint. A
+           stage's result splits by rows into its projections' bits.
   keys     the cache store's key mirror, a TreeOrderRows with a head
            axis, written a row at a time; the attention dot reads rows
            0..t as a view.
@@ -41,9 +44,11 @@ and value history from the codes, and mixes values head by head with a
 sequential running sum of its own (_mix_sequential), so it checks the
 prepared operands and the fused mix on every step.
 
-The hardware streams one head at a time. That order lives only in
-schedule_token, which computes the cycle trace of a step from the model
-config and the position without touching any numerics.
+The hardware streams one head at a time. That order lives only in the
+cycle trace of a step, a TokenTrace: a value of the model config and the
+position that builds its spans when first read, without touching any
+numerics. schedule_token returns it, and so does Decoder.step, which
+builds none of it.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats
-from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz
+from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz, tensor_shape
 from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import kv_dequantize_rows, kv_quantize
@@ -131,12 +136,29 @@ class StageSpan(NamedTuple):
         return self.end - self.start
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenTrace:
+    """The cycle trace of the fused step at `position`, a value of the
+    config and the position: two traces of one config and position are
+    equal, read or not. `spans` is built by _stage_spans when first read,
+    once per trace, and every figure below is read off it."""
+
+    cfg: ModelConfig
     position: int
-    spans: list[StageSpan]
-    stream_end: int   # the vector unit's last cycle, stalls included
-    makespan: int     # the later of stream_end and the last scalar-unit end
+
+    @functools.cached_property
+    def spans(self) -> list[StageSpan]:
+        return _stage_spans(self.cfg, self.position)
+
+    @functools.cached_property
+    def stream_end(self) -> int:
+        """The vector unit's last cycle, stalls included."""
+        return max(s.end for s in self.spans if s.kind != "spu")
+
+    @functools.cached_property
+    def makespan(self) -> int:
+        """The later of stream_end and the last scalar-unit end."""
+        return max(s.end for s in self.spans)
 
     @property
     def vpu_cycles(self) -> int:
@@ -184,7 +206,9 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
 
 
 def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
-    """Cycle trace of the fused decode step at `position`.
+    """Cycle trace of the fused decode step at `position`: ConfigError for
+    a negative position, else the TokenTrace value, whose spans are built
+    only when read (see _stage_spans).
 
     Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
     (layout.code_beats); a head's q, k or v slice is its projection's
@@ -202,7 +226,12 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     """
     if position < 0:
         raise ConfigError(f"position {position} is negative")
+    return TokenTrace(cfg, position)
 
+
+def _stage_spans(cfg: ModelConfig, position: int) -> list[StageSpan]:
+    """The spans of the step at `position`, in stream order, by the cost
+    rules of schedule_token."""
     hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
     beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
     qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
@@ -256,9 +285,7 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     add(StageSpan("final_norm", "spu", c, c + d))
     add(StageSpan("lm_head", "vpu", c, c + lb, lb))
     add(StageSpan("argmax", "spu", c, c + cfg.vocab_size))
-    stream_end = c + lb
-    spu_end = max(s.end for s in spans if s.kind == "spu")
-    return TokenTrace(position, spans, stream_end, max(stream_end, spu_end))
+    return spans
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +419,51 @@ def _int_scalar(z, name: str) -> int:
 # decoders
 # ---------------------------------------------------------------------------
 
-class _WeightCache:
-    """Dequantized weight matrices prepared for the tree dot
-    (TreeOrderRows), each row padded to whole groups and then to its
-    lane subtree; a row's width in whole lane blocks is its beat cost.
+# The weight stages of a layer's stream, each with the projections whose
+# rows it streams, stacked in this order: q, k and v feed one stage, and
+# gate and up rows interleave on the stream as one merged stage.
+_STREAM_STAGES = {"attn.qkv": ("attn.q", "attn.k", "attn.v"), "attn.o": ("attn.o",),
+                  "mlp.gate_up": ("mlp.gate", "mlp.up"), "mlp.down": ("mlp.down",)}
 
-    Unpacked from each tensor's words and widened a row range at a time,
-    so no whole-tensor wide temporary exists, and built once per
-    checkpoint: `of` hands every Decoder on a checkpoint the same cache,
-    which lives as long as the checkpoint does.
+
+class _WeightCache:
+    """One dequantized operand per weight stage of the stream, prepared
+    for the tree dot (TreeOrderRows): per layer `attn.qkv`, `attn.o`,
+    `mlp.gate_up` and `mlp.down`, then `lm_head`. A stage stacks its
+    projections' rows, each padded to whole groups and then to its lane
+    subtree; a row's width in whole lane blocks is its beat cost. dot_rows
+    reduces every row on its own, so each projection's row range of a
+    stage's result holds the bits of that projection's own dot.
+
+    `parts` maps each tensor name to its stage and first row there. A
+    tensor is unpacked from its words and widened a row range at a time
+    straight into its rows of the stage, so no whole-tensor wide temporary
+    and no per-tensor copy exists. Built once per checkpoint: `of` hands
+    every Decoder on a checkpoint the same cache, which lives as long as
+    the checkpoint does.
     """
 
     _shared: "weakref.WeakKeyDictionary[Checkpoint, _WeightCache]" = \
         weakref.WeakKeyDictionary()
 
     def __init__(self, ckpt: Checkpoint) -> None:
+        cfg = ckpt.config
+        stages = {f"layers.{i}.{stage}": [f"layers.{i}.{p}" for p in parts]
+                  for i in range(cfg.n_layers) for stage, parts in _STREAM_STAGES.items()}
+        stages["lm_head"] = ["lm_head"]
+        self.parts: dict[str, tuple[str, int]] = {}
         self.mats: dict[str, TreeOrderRows] = {}
+        for stage, names in stages.items():
+            rows = 0
+            for name in names:
+                self.parts[name] = (stage, rows)
+                rows += tensor_shape(cfg, name)[0]
+            cols = tensor_shape(cfg, names[0])[1]   # a stage's parts share their input
+            self.mats[stage] = TreeOrderRows(rows, -(-cols // cfg.group_size) * cfg.group_size)
         for name, t in ckpt.grouped():
-            mat = TreeOrderRows(t.rows, t.padded_cols)
+            stage, first = self.parts[name]
             for lo, vals in t.widened_chunks():
-                mat.assign(lo, vals)
-            self.mats[name] = mat
+                self.mats[stage].assign(first + lo, vals)
 
     @classmethod
     def of(cls, ckpt: Checkpoint) -> "_WeightCache":
@@ -422,7 +473,8 @@ class _WeightCache:
         return cache
 
     def stage_beats(self, name: str, rows: int) -> int:
-        return rows * -(-self.mats[name].shape[1] // LANES)
+        """Beats of `rows` rows of tensor `name`, at its stage's width."""
+        return rows * -(-self.mats[self.parts[name][0]].shape[1] // LANES)
 
 
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
@@ -455,24 +507,26 @@ class Decoder:
         return 2 * self.cfg.n_layers * self.cfg.n_heads * (self.kv.length // SZ_PACKS_PER_BEAT)
 
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
-        """Decode one token: its logits and the schedule of the step.
+        """Decode one token: its logits and the schedule of the step, a
+        TokenTrace the step does not build (its spans are built if read).
 
+        Each weight stage is one dot over its stage operand, whose result
+        splits by rows: q, k, v of attn.qkv and gate, up of mlp.gate_up.
         The token's KV rows are published only after every layer has run,
         so a step that raises leaves the decoder as it was.
         """
         cfg, mats = self.cfg, self.weights.mats
         x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
-        heads, hd = cfg.n_heads, cfg.head_dim
+        heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
 
         carry = rms_sumsq(x)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
             h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
-            qk = np.concatenate([dot_rows(mats[pre + "attn.q"], h),
-                                 dot_rows(mats[pre + "attn.k"], h)])
-            qk = rope_rotate(qk.reshape(2 * heads, hd), t)
-            v = dot_rows(mats[pre + "attn.v"], h).reshape(heads, hd)
+            qkv = dot_rows(mats[pre + "attn.qkv"], h)
+            qk = rope_rotate(qkv[:2 * d].reshape(2 * heads, hd), t)
+            v = qkv[2 * d:].reshape(heads, hd)
 
             # row t of the cache mirrors holds this step's key and value
             # until write_layer puts their cache decode there; each head's
@@ -481,7 +535,7 @@ class Decoder:
             keys.assign(t, qk[heads:, None])
             values[t] = v
             probs = softmax(scale_logits(dot_rows(keys.first_rows(t + 1), qk[:heads]), hd))
-            head_out = mix_rows(probs, values[:t + 1]).reshape(cfg.d_model)
+            head_out = mix_rows(probs, values[:t + 1]).reshape(d)
 
             self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
 
@@ -490,8 +544,8 @@ class Decoder:
             carry = rms_sumsq(x)
 
             h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], precomputed_sq=carry)
-            act = silu_gate(dot_rows(mats[pre + "mlp.gate"], h2),
-                            dot_rows(mats[pre + "mlp.up"], h2))
+            gate_up = dot_rows(mats[pre + "mlp.gate_up"], h2)
+            act = silu_gate(gate_up[:cfg.d_ffn], gate_up[cfg.d_ffn:])
             down = dot_rows(mats[pre + "mlp.down"], act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
@@ -499,7 +553,7 @@ class Decoder:
         h_final = rmsnorm(x, self.ckpt.norms["final"], precomputed_sq=carry)
         logits = dot_rows(mats["lm_head"], h_final)
         self.kv.commit()
-        return logits, schedule_token(cfg, t)
+        return logits, TokenTrace(cfg, t)
 
 
 class ReferenceDecoder:

@@ -192,10 +192,39 @@ def test_validate_catches_shape_drift():
                         embedding=ckpt.embedding, norms=ckpt.norms)
     with pytest.raises(FormatError):
         broken.validate()
+    extra = Checkpoint(config=ckpt.config,
+                       tensors={**ckpt.tensors, "extra": ckpt.tensors["lm_head"]},
+                       embedding=ckpt.embedding, norms=ckpt.norms)
+    with pytest.raises(FormatError, match="extra"):
+        Decoder(extra)
     wrong_emb = Checkpoint(config=ckpt.config, tensors=ckpt.tensors,
                            embedding=ckpt.embedding[:, :-1], norms=ckpt.norms)
     with pytest.raises(ShapeError):
         wrong_emb.validate()
+
+
+@pytest.mark.parametrize("key, index, value", [
+    ("embedding", (5, 0), np.nan),
+    ("norm.mlp.1", (3,), np.inf),
+], ids=["nan-embedding", "inf-norm-gain"])
+def test_non_finite_aux_value_refused(tmp_path, saved, key, index, value):
+    """An aux file that holds a non-finite embedding value or norm gain is
+    refused at load, not by the step that reads the value, and a
+    checkpoint holding one is refused by saving."""
+    ckpt, src = saved
+    path = tmp_path / "m"
+    shutil.copytree(src, path)
+    with np.load(path / AUX_NAME) as z:
+        aux = dict(z)
+    aux[key][index] = value
+    np.savez(path / AUX_NAME, **aux)
+    with pytest.raises(FormatError, match="non-finite"):
+        load_checkpoint(path)
+    bad = Checkpoint(config=ckpt.config, tensors=ckpt.tensors, embedding=aux["embedding"],
+                     norms={k[len("norm."):]: v for k, v in aux.items() if k != "embedding"})
+    with pytest.raises(FormatError, match="non-finite"):
+        save_checkpoint(bad, tmp_path / "again")
+    assert not (tmp_path / "again").exists()
 
 
 @pytest.mark.parametrize("victim", ["layers.1.mlp.down.epws", AUX_NAME, CONFIG_NAME])

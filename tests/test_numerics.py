@@ -357,6 +357,44 @@ def test_dot_rows_pads_logical_widths(data, width, n, form):
             dot_rows(operand, np.ones(lead + (bad,), dtype=np.float16))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       width=st.one_of(st.integers(1, LANES - 1), st.just(LANES),
+                       st.integers(LANES + 1, 3 * LANES)),
+       part_rows=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_stacked_parts_dot_as_each_part_alone(data, width, part_rows):
+    """One TreeOrderRows stacking several parts' rows, each part assigned
+    at its row offset in two row ranges, gives over each part's range the
+    bits of dot_rows over that part alone, plain or prepared: every row is
+    reduced on its own, so a merged weight stage can be one dot. Widths
+    fall below, at and above LANES. A NaN result is compared as NaN only,
+    since the stacked rows fall in other numpy loops than a part's own."""
+    halves = st.one_of(st.sampled_from(EDGE_HALVES + [np.nan]), st.floats(width=16))
+    length = data.draw(st.integers(1, width), label="length")
+    vec = data.draw(arrays(np.float16, (length,), elements=halves), label="vec")
+    parts = [data.draw(arrays(np.float16, (k, width), elements=halves), label=f"part {i}")
+             for i, k in enumerate(part_rows)]
+    stacked = TreeOrderRows(sum(part_rows), width)
+    lo = 0
+    for part in parts:
+        split = data.draw(st.integers(0, len(part)), label="split")
+        stacked.assign(lo, part[:split])
+        stacked.assign(lo + split, part[split:])
+        lo += len(part)
+    got = dot_rows(stacked, vec)
+    lo = 0
+    for part in parts:
+        alone = TreeOrderRows(*part.shape)
+        alone.assign(0, part)
+        mine = got[lo:lo + len(part)]
+        for want in (dot_rows(part, vec), dot_rows(alone, vec)):
+            assert np.array_equal(np.isnan(mine), np.isnan(want))
+            assert np.array_equal(half_bits(mine)[~np.isnan(mine)],
+                                  half_bits(want)[~np.isnan(want)])
+        lo += len(part)
+
+
 @pytest.mark.parametrize("n", [1, 17])
 def test_nan_sign_is_not_part_of_the_contract(n):
     """+inf over lanes 0..64 times a vector with NaN at lane 0 and zeros

@@ -471,12 +471,26 @@ class TestFusedMatchesReference:
         monkeypatch.setattr(layout, "CHUNK_VALUES", 700)
         ckpt = build_demo_checkpoint(seed=4)
         dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
-        for name, mat in dec.weights.mats.items():
-            # the reference keeps the group-padded width; lane padding is +0.0
-            w = ref.mats[name].shape[1]
-            plain = mat.plain().view(np.uint32)
-            assert np.array_equal(plain[:, :w], ref.mats[name].astype(np.float32).view(np.uint32))
-            assert not plain[:, w:].any()
+        cache = dec.weights
+        assert set(cache.parts) == set(ref.mats)
+        stages = {}
+        for name, (stage, first) in cache.parts.items():
+            stages.setdefault(stage, []).append((first, name))
+        assert set(stages) == set(cache.mats)
+        for stage, parts in stages.items():
+            plain = cache.mats[stage].plain().view(np.uint32)
+            row = 0
+            for first, name in sorted(parts):
+                # each tensor's rows follow the last one's, bit for bit at the
+                # reference's group-padded width; lane padding is +0.0
+                rows, w = ref.mats[name].shape
+                assert first == row
+                got = plain[first:first + rows]
+                assert np.array_equal(got[:, :w],
+                                      ref.mats[name].astype(np.float32).view(np.uint32))
+                assert not got[:, w:].any()
+                row += rows
+            assert row == plain.shape[0]
         for i, tok in enumerate((2, 9, 4)):
             fused, _ = dec.step(tok)
             check_agreement(i, fused, ref.step(tok))
@@ -568,6 +582,11 @@ def schedule_configs(draw):
     )
 
 
+def built(trace):
+    """What reading a trace builds: its spans and the two ends."""
+    return trace.spans, trace.stream_end, trace.makespan
+
+
 class TestTrace:
     def test_weight_beats_match_layout(self, demo_ckpt):
         cfg = demo_ckpt.config
@@ -632,7 +651,22 @@ class TestTrace:
         dec = Decoder(demo_ckpt)
         for position, tok in enumerate((4, 8, 15)):
             _, trace = dec.step(tok)
-            assert trace == schedule_token(demo_ckpt.config, position)
+            assert built(trace) == built(schedule_token(demo_ckpt.config, position))
+            assert trace.position == position
+
+    def test_step_builds_no_spans(self, demo_ckpt, monkeypatch):
+        """The step's trace is a value of the config and the position; its
+        spans are built when read, never by the step."""
+        want, _ = Decoder(demo_ckpt).step(7)
+
+        def no_spans(cfg, position):
+            raise AssertionError("a step built its trace")
+
+        monkeypatch.setattr(pipeline, "_stage_spans", no_spans)
+        logits, trace = Decoder(demo_ckpt).step(7)
+        check_agreement(0, logits, want)
+        with pytest.raises(AssertionError, match="built its trace"):
+            trace.spans
 
     def test_7b_bound_covers_published_context(self):
         assert stall_free_context_bound(llama2_7b_config()) >= 1024
@@ -726,7 +760,7 @@ class TestDecoderSteps:
             la, ta = a.step(tok)
             lb, tb = b.step(tok)
             check_agreement(tok - 1, la, lb)
-            assert ta == tb
+            assert built(ta) == built(tb)
             assert a.flushed_sz_beats == b.flushed_sz_beats
         assert a.kv.length == 20 and a.flushed_sz_beats > 0
 
