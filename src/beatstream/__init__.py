@@ -5,7 +5,8 @@ Library layout:
 - numerics: binary16 contract, the 128-lane tree dot engine, the quarter-wave
   sine ROM and rotary frequencies
 - quant: 4-bit group weight quantization and the 8-bit KV cache codec
-- layout: packed weight stream words, containers, scale-zero records, DDR memory map
+- layout: packed weight stream words, the image file of checkpoints and KV
+  snapshots, scale-zero records, DDR memory map
 - ops: streaming operators, plain functions of arrays (rope, rmsnorm, softmax,
   silu-gate)
 - pipeline: fused decoder (a layer's heads at once), reference decoder, their

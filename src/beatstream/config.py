@@ -8,19 +8,15 @@ group (padded codes dequantize to exactly 0.0).
 
 The model's two real-valued settings are LLaMA2's and are constants of the
 operators that use them: the RMS norm's epsilon (ops.NORM_EPS, 1e-5) and
-the rotary base (numerics.ROPE_BASE, 10000). A config file of an earlier
-version, which still names them, is refused.
+the rotary base (numerics.ROPE_BASE, 10000). A config is stored as its
+seven integers in the header of an image file (see layout).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, fields
-from pathlib import Path
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-
-CONFIG_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -68,38 +64,6 @@ class ModelConfig:
     def non_embedding_params(self) -> int:
         """Weights that stream from DDR every token: all layers + output head."""
         return self.n_layers * self.layer_params() + self.vocab_size * self.d_model
-
-    # ---- serialization ------------------------------------------------
-
-    def to_json_str(self) -> str:
-        doc = {"version": CONFIG_VERSION, **asdict(self)}
-        return json.dumps(doc, indent=2) + "\n"
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json_str())
-
-    @classmethod
-    def from_json_str(cls, text: str, origin: str = "<string>") -> "ModelConfig":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"unreadable config {origin}: {e}") from e
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {origin} is not an object")
-        if doc.pop("version", CONFIG_VERSION) != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version in {origin}")
-        try:
-            return cls(**doc)
-        except TypeError as e:
-            raise ConfigError(f"bad config fields in {origin}: {e}") from e
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ModelConfig":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise ConfigError(f"config {path} is not UTF-8: {e}") from e
-        return cls.from_json_str(text, origin=str(path))
 
 
 def llama2_7b_config(max_context: int = 1024) -> ModelConfig:

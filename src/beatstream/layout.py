@@ -1,5 +1,5 @@
-"""Bus-aligned packed weight stream, container files, the KV cache's
-scale-zero side channel, and the DDR memory map.
+"""Bus-aligned packed weight stream, the image file of checkpoints and KV
+snapshots, the KV cache's scale-zero side channel, and the DDR memory map.
 
 Stream format
 -------------
@@ -39,17 +39,29 @@ tensor's last word of that kind; packing and unpacking are one masked
 assignment per kind. A stream stores only its words: their kinds follow
 from the tensor's shape (beat_kind_pattern), so a reader checks the word
 count against that law, whose closed form (stream_word_count) costs the
-same for any shape. The reader also refuses a group scale the quantizer
-never writes: each is finite and at least the smallest normal binary16.
+same for any shape. The reader also refuses a group the quantizer never
+writes: its scale is finite and at least the smallest normal binary16,
+and its decode stays finite (quant.overflow_rows).
 
-Container file
---------------
-    magic   4s   "EPWS"
-    u16          version (2)
-    u32 x 5      group_size, word_bits (256), rows, cols, n_words
-    payload      n_words * 32 bytes
-    u32          checksum: zlib.crc32 of the header and the payload
-All integers little-endian. Version 1 (a byte-sum checksum) is refused.
+Image file
+----------
+Checkpoints and KV snapshots are one format, little-endian, that lays out
+the memory map's regions:
+
+    magic    4s      "BSCK" checkpoint, "BSKV" KV snapshot
+    u32 x 9          version (1), the seven ModelConfig integers in field
+                     order, and length: a snapshot's rows, 0 in a checkpoint
+    pieces           after the header, each padded with zeros to whole beats
+    u32              zlib.crc32 of everything before it
+
+A checkpoint's pieces are its non-KV regions: the binary16 embedding, the
+norm gains, and every tensor's container words, a layer's making up its
+weights region. A snapshot's are each layer's K codes, V codes and
+scale-zero records for cfg.max_context rows, so its size does not depend
+on the length. The magic and the config fix every piece's length
+(checkpoint_pieces, snapshot_pieces), so the reader checks the body's
+length in O(1), then cuts the pieces as views of one buffer, reading no
+padding.
 
 Scale-zero side channel
 -----------------------
@@ -69,15 +81,14 @@ Memory map
 The embedding, the norm gains, every layer's weight containers, the
 output head and each layer's KV codes and scale-zero records for
 cfg.max_context rows are placed high address half first, each aligned to
-one bus beat; the low half ends with a reserved firmware span. A layer's
-weight region is its containers end to end, each in container_beats beats.
+one bus beat; the low half ends with a reserved firmware span.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +96,7 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DomainError, FormatError, ShapeError
 from .numerics import HALF_SMALLEST_NORMAL, half_bits, half_from_bits
-from .quant import WEIGHT_LEVELS, dequant_codes, quantize_rows
+from .quant import WEIGHT_LEVELS, dequant_codes, overflow_rows, quantize_rows
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
@@ -96,11 +107,6 @@ GROUPS_PER_SCALE_WORD = 16
 GROUPS_PER_ZP_WORD = 64
 
 KIND_ZP, KIND_SCALE, KIND_WEIGHT = 0, 1, 2
-
-CONTAINER_MAGIC = b"EPWS"
-CONTAINER_VERSION = 2
-_HEADER = struct.Struct("<4sH5I")
-_CHECKSUM = struct.Struct("<I")
 
 
 class BusGeometry:
@@ -334,9 +340,10 @@ def pack_tensor(tensor: GroupedTensor) -> PackedWeightStream:
 
 def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
     """Invert pack_tensor. A word count other than the layout law's raises
-    FormatError, and so does a group scale the quantizer never writes: one
-    that is not finite or is below HALF_SMALLEST_NORMAL (zero, negative
-    or subnormal). The padding scales past the last group go unchecked."""
+    FormatError, and so does a group the quantizer never writes: its scale
+    is not finite or is below HALF_SMALLEST_NORMAL (zero, negative or
+    subnormal), or its decode overflows binary16. The padding past the
+    last group goes unchecked."""
     g, n = stream.group_size, stream.n_groups
     kinds = beat_kind_pattern(n, g)
     if stream.n_words != kinds.size:
@@ -349,58 +356,119 @@ def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
         raise FormatError("stream holds a group scale that is not finite or below "
                           "the smallest normal binary16")
     codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
+    if overflow_rows(codes, scales, zeros, WEIGHT_LEVELS).size:
+        raise FormatError("stream holds a group whose decode overflows binary16")
     return GroupedTensor(rows=stream.rows, cols=stream.cols, group_size=g,
                          codes=codes, scales=scales, zeros=zeros)
 
 
-# ---------------------------------------------------------------------------
-# container files
-# ---------------------------------------------------------------------------
-
-def write_container(stream: PackedWeightStream, path: str | Path) -> None:
-    header = _HEADER.pack(CONTAINER_MAGIC, CONTAINER_VERSION, stream.group_size,
-                          FORMAT_WORD_BITS, stream.rows, stream.cols, stream.n_words)
-    payload = np.ascontiguousarray(stream.words, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
-        f.write(_CHECKSUM.pack(zlib.crc32(payload, zlib.crc32(header))))
-
-
-def read_container(path: str | Path) -> PackedWeightStream:
-    """The stream of a container file; any damage raises FormatError."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + _CHECKSUM.size:
-        raise FormatError(f"{path}: truncated container")
-    magic, version, group_size, word_bits, rows, cols, n_words = \
-        _HEADER.unpack_from(blob, 0)
-    if magic != CONTAINER_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != CONTAINER_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if word_bits != FORMAT_WORD_BITS:
-        raise FormatError(f"{path}: unsupported word width {word_bits}")
-    need = _HEADER.size + n_words * WORD_BYTES + _CHECKSUM.size
-    if len(blob) != need:
-        raise FormatError(f"{path}: size {len(blob)} != expected {need}")
-    (stored,) = _CHECKSUM.unpack_from(blob, need - _CHECKSUM.size)
-    if zlib.crc32(memoryview(blob)[:-_CHECKSUM.size]) != stored:
-        raise FormatError(f"{path}: checksum mismatch")
+def read_container(piece: np.ndarray, rows: int, cols: int,
+                   group_size: int) -> PackedWeightStream:
+    """The stream of one tensor's piece of an image, a view of it; FormatError
+    unless the piece holds the words the layout law gives the shape."""
     if min(rows, cols, group_size) <= 0 or group_size % 4 \
-            or tensor_stream_words(rows, cols, group_size) != n_words:
-        raise FormatError(f"{path}: {n_words} words inconsistent with shape "
+            or piece.size != tensor_stream_words(rows, cols, group_size) * WORD_BYTES:
+        raise FormatError(f"{piece.size} bytes inconsistent with shape "
                           f"({rows}x{cols}, group {group_size})")
-    words = np.frombuffer(blob, dtype=np.uint8, count=n_words * WORD_BYTES,
-                          offset=_HEADER.size).reshape(n_words, WORD_BYTES)
-    return PackedWeightStream(rows=rows, cols=cols, group_size=group_size, words=words)
+    return PackedWeightStream(rows=rows, cols=cols, group_size=group_size,
+                              words=piece.reshape(-1, WORD_BYTES))
 
 
 # ---------------------------------------------------------------------------
 # scale-zero side channel
 # ---------------------------------------------------------------------------
 
-SZ_PACK_BYTES = 4
-SZ_PACKS_PER_BEAT = BusGeometry.beat_bytes // SZ_PACK_BYTES   # 16
+SZ_RECORD = np.dtype([("scale", "<f2"), ("zero", "u1"), ("pad", "u1")])
+SZ_PACKS_PER_BEAT = BusGeometry.beat_bytes // SZ_RECORD.itemsize   # 16
+
+
+# ---------------------------------------------------------------------------
+# image files
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_MAGIC = b"BSCK"
+SNAPSHOT_MAGIC = b"BSKV"
+IMAGE_VERSION = 1
+_IMAGE_HEADER = struct.Struct("<4s9I")   # magic, version, config, length
+
+
+def _align(n: int) -> int:
+    return -(-n // BusGeometry.beat_bytes) * BusGeometry.beat_bytes
+
+
+IMAGE_HEADER_BYTES = _align(_IMAGE_HEADER.size)
+
+
+def checkpoint_pieces(cfg: ModelConfig) -> tuple:
+    """Byte lengths of a checkpoint image's pieces, unpadded: (embedding,
+    norm gains), (one layer's containers), (the head's container)."""
+    d, g = cfg.d_model, cfg.group_size
+    return ((cfg.vocab_size * d * 2, (2 * cfg.n_layers + 1) * d * 2),
+            tuple(tensor_stream_words(r, c, g) * WORD_BYTES
+                  for r, c in cfg.projection_shapes().values()),
+            (tensor_stream_words(cfg.vocab_size, d, g) * WORD_BYTES,))
+
+
+def snapshot_pieces(cfg: ModelConfig) -> tuple:
+    """(), (one layer's K codes, V codes and scale-zero records), ()."""
+    codes = cfg.max_context * cfg.d_model
+    return (), (codes, codes, cfg.max_context * 2 * cfg.n_heads * SZ_RECORD.itemsize), ()
+
+
+_IMAGE_PIECES = {CHECKPOINT_MAGIC: checkpoint_pieces, SNAPSHOT_MAGIC: snapshot_pieces}
+
+
+def write_image(path: str | Path, magic: bytes, cfg: ModelConfig, length: int,
+                pieces: list[np.ndarray]) -> None:
+    """Write an image file (see the module docstring): each piece's bytes
+    as they lie in memory. FormatError if the pieces are not the lengths
+    the magic and the config give."""
+    lead, layer, tail = _IMAGE_PIECES[magic](cfg)
+    if tuple(p.nbytes for p in pieces) != lead + layer * cfg.n_layers + tail:
+        raise FormatError(f"pieces do not fill a {magic!r} image of {cfg}")
+    header = np.frombuffer(_IMAGE_HEADER.pack(magic, IMAGE_VERSION, *astuple(cfg), length),
+                           dtype=np.uint8)
+    crc = 0
+    with open(path, "wb") as f:
+        for piece in (header, *pieces):
+            data = np.ascontiguousarray(piece).reshape(-1).view(np.uint8)
+            pad = bytes(-data.size % BusGeometry.beat_bytes)
+            f.write(data)
+            f.write(pad)
+            crc = zlib.crc32(pad, zlib.crc32(data, crc))
+        f.write(crc.to_bytes(4, "little"))
+
+
+def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[np.ndarray]]:
+    """(config, length, pieces) of an image file with this magic, each piece
+    a uint8 view of the one buffer read. Checks the size, crc, magic and
+    version, then the body's length against the config in O(1), before any
+    per-layer list; every failure raises FormatError."""
+    blob = Path(path).read_bytes()
+    if len(blob) < IMAGE_HEADER_BYTES + 4:
+        raise FormatError(f"{path}: truncated image")
+    if zlib.crc32(memoryview(blob)[:-4]) != int.from_bytes(blob[-4:], "little"):
+        raise FormatError(f"{path}: checksum mismatch")
+    found, version, *fields, length = _IMAGE_HEADER.unpack_from(blob)
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    if version != IMAGE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    try:
+        cfg = ModelConfig(*fields)
+    except ConfigError as e:
+        raise FormatError(f"{path}: {e}") from e
+    lead, layer, tail = _IMAGE_PIECES[magic](cfg)
+    body = len(blob) - IMAGE_HEADER_BYTES - 4
+    want = sum(map(_align, lead + tail)) + cfg.n_layers * sum(map(_align, layer))
+    if body != want:
+        raise FormatError(f"{path}: body of {body} bytes, the config's pieces fill {want}")
+    data = np.frombuffer(blob, dtype=np.uint8)
+    pieces, at = [], IMAGE_HEADER_BYTES
+    for size in lead + layer * cfg.n_layers + tail:
+        pieces.append(data[at:at + size])
+        at += _align(size)
+    return cfg, length, pieces
 
 
 # ---------------------------------------------------------------------------
@@ -443,27 +511,19 @@ class MemoryMap:
         raise KeyError(f"no region named {name!r}")
 
 
-def _align(n: int) -> int:
-    return -(-n // BusGeometry.beat_bytes) * BusGeometry.beat_bytes
-
-
 def region_sizes(cfg: ModelConfig) -> list[tuple[str, int]]:
-    """(name, byte length) of every DDR region, in placement order; the KV
-    regions hold cfg.max_context rows."""
-    d, ctx = cfg.d_model, cfg.max_context
-    sizes: list[tuple[str, int]] = [
-        ("embedding", cfg.vocab_size * d * 2),
-        ("norm_gains", (2 * cfg.n_layers + 1) * d * 2),
-    ]
-    bb, g = BusGeometry.beat_bytes, cfg.group_size
-    per_layer = sum(container_beats(r, c, g) * bb for r, c in cfg.projection_shapes().values())
-    for layer in range(cfg.n_layers):
-        sizes.append((f"weights.L{layer}", per_layer))
-    sizes.append(("weights.lm_head", container_beats(cfg.vocab_size, d, g) * bb))
-    for layer in range(cfg.n_layers):
-        sizes.append((f"kv.L{layer}.k_codes", ctx * d))
-        sizes.append((f"kv.L{layer}.v_codes", ctx * d))
-        sizes.append((f"kv.L{layer}.scale_zero", ctx * cfg.n_heads * 2 * SZ_PACK_BYTES))
+    """(name, byte length) of every DDR region, in placement order: a
+    checkpoint image's pieces, each layer's containers as one region, then
+    a snapshot's, whose KV regions hold cfg.max_context rows."""
+    (embedding, norms), layer, (head,) = checkpoint_pieces(cfg)
+    k_codes, v_codes, scale_zero = snapshot_pieces(cfg)[1]
+    weights = sum(map(_align, layer))
+    sizes = [("embedding", embedding), ("norm_gains", norms)]
+    sizes += [(f"weights.L{i}", weights) for i in range(cfg.n_layers)]
+    sizes.append(("weights.lm_head", _align(head)))
+    for i in range(cfg.n_layers):
+        sizes += [(f"kv.L{i}.k_codes", k_codes), (f"kv.L{i}.v_codes", v_codes),
+                  (f"kv.L{i}.scale_zero", scale_zero)]
     return sizes
 
 

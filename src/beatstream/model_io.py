@@ -1,10 +1,10 @@
 """Checkpoint directory format.
 
-A checkpoint is a directory holding:
-
-    config.json              model shape and quantization parameters
-    <tensor>.epws            one packed-stream container per projection
-    aux.npz                  binary16 sidecar: embedding table, norm gains
+A checkpoint is a directory holding one image file (see layout), model.img:
+the config in its header, then the regions the board's DDR holds besides
+the KV cache, in placement order: the binary16 embedding, the norm gains
+in norm_names order, and every tensor's container words in tensor_names
+order.
 
 A Checkpoint holds each projection as the words of its container, the
 packed stream the hardware reads: quantizing packs them once, saving
@@ -12,19 +12,16 @@ writes them and loading reads them back, so a round-trip never unpacks or
 re-quantizes. Decoders unpack a tensor's groups from its words when they
 prepare their operands (Checkpoint.grouped). The embedding and the norm
 gains stay in binary16 (they are read element-wise, not streamed through
-the dot engine).
+the dot engine). Loading keeps the embedding, the norm gains and the
+words as read-only views of the one buffer the image is read into.
 
-Every damaged file raises a BeatstreamError subclass, except that a
-missing file raises FileNotFoundError.
+Loading refuses a damaged image with FormatError and a missing one with
+FileNotFoundError; a group the quantizer never writes is refused when a
+decoder unpacks it (layout.unpack_stream).
 """
 
 from __future__ import annotations
 
-import io
-import json
-import lzma
-import tokenize
-import zipfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,28 +30,10 @@ import numpy as np
 
 from .config import ModelConfig, tiny_demo_config
 from .errors import FormatError, ShapeError
-from .layout import (GroupedTensor, PackedWeightStream, pack_tensor, read_container,
-                     unpack_stream, write_container)
+from .layout import (CHECKPOINT_MAGIC, GroupedTensor, PackedWeightStream, pack_tensor,
+                     read_container, read_image, unpack_stream, write_image)
 
-AUX_NAME = "aux.npz"
-CONFIG_NAME = "config.json"
-
-# What reading a damaged npz archive raises: zipfile's errors, the npy
-# header parser's tokenizer and syntax errors, and lzma's when a flipped
-# compression method asks for it.
-ARCHIVE_FAULTS = (zipfile.BadZipFile, EOFError, KeyError, NotImplementedError, OSError,
-                  RuntimeError, TypeError, ValueError, SyntaxError, tokenize.TokenError,
-                  lzma.LZMAError)
-
-
-def load_npz(data: bytes):
-    """np.load of an npz archive's bytes once every member passes its CRC.
-    np.load alone checks a member's CRC only on reading it to its end, so
-    a damaged npy header length would shift the member's data unnoticed."""
-    with zipfile.ZipFile(io.BytesIO(data)) as z:
-        if (bad := z.testzip()) is not None:
-            raise zipfile.BadZipFile(f"member {bad} fails its CRC")
-    return np.load(io.BytesIO(data))
+IMAGE_NAME = "model.img"
 
 
 def tensor_names(cfg: ModelConfig) -> list[str]:
@@ -116,8 +95,8 @@ class Checkpoint:
 
     def refuse_non_finite(self) -> None:
         """FormatError if the embedding or a norm gain holds a non-finite
-        value. Loading and saving check it, so a damaged aux file fails at
-        load rather than in the step that reads the value. validate leaves
+        value. Loading and saving check it, so such an image fails at load
+        rather than in the step that reads the value. validate leaves
         it out: the benchmark's tests build a Decoder on a checkpoint in
         memory with an infinite embedding row to make a step raise."""
         if not np.isfinite(self.embedding).all():
@@ -136,30 +115,22 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
     ckpt.validate()
     ckpt.refuse_non_finite()
-    d = Path(dirpath)
+    cfg, d = ckpt.config, Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    ckpt.config.to_json(d / CONFIG_NAME)
-    for name, stream in ckpt.tensors.items():
-        write_container(stream, d / f"{name}.epws")
-    aux = {"embedding": ckpt.embedding}
-    aux.update({f"norm.{k}": v for k, v in ckpt.norms.items()})
-    np.savez(d / AUX_NAME, **aux)
+    gains = np.stack([ckpt.norms[name] for name in norm_names(cfg)])
+    words = [ckpt.tensors[name].words for name in tensor_names(cfg)]
+    write_image(d / IMAGE_NAME, CHECKPOINT_MAGIC, cfg, 0, [ckpt.embedding, gains] + words)
 
 
 def load_checkpoint(dirpath: str | Path) -> Checkpoint:
-    d = Path(dirpath)
-    cfg = ModelConfig.from_json(d / CONFIG_NAME)
-    tensors = {name: read_container(d / f"{name}.epws") for name in tensor_names(cfg)}
-    aux_path = d / AUX_NAME
-    data = aux_path.read_bytes()    # outside the try: a missing file stays FileNotFoundError
-    try:
-        with load_npz(data) as aux:
-            embedding = aux["embedding"]
-            norms = {k[len("norm."):]: aux[k] for k in aux.files if k.startswith("norm.")}
-    except ARCHIVE_FAULTS as e:
-        raise FormatError(f"unreadable {aux_path}: {e}") from e
-    ckpt = Checkpoint(config=cfg, tensors=tensors, embedding=embedding, norms=norms)
-    ckpt.validate()
+    cfg, length, pieces = read_image(Path(dirpath) / IMAGE_NAME, CHECKPOINT_MAGIC)
+    if length:
+        raise FormatError(f"checkpoint image claims {length} KV rows, a checkpoint holds none")
+    embedding, gains, *words = pieces
+    tensors = {name: read_container(piece, *tensor_shape(cfg, name), cfg.group_size)
+               for name, piece in zip(tensor_names(cfg), words)}
+    norms = dict(zip(norm_names(cfg), gains.view(np.float16).reshape(-1, cfg.d_model)))
+    ckpt = Checkpoint(cfg, tensors, embedding.view(np.float16).reshape(-1, cfg.d_model), norms)
     ckpt.refuse_non_finite()
     return ckpt
 

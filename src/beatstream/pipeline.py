@@ -64,16 +64,17 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
-from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats
-from .model_io import ARCHIVE_FAULTS, Checkpoint, load_npz, tensor_shape
-from .numerics import LANES, TreeOrderRows, dot_rows, pad_to_lanes, ulp16
+from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, BusGeometry, code_beats,
+                     read_image, write_image)
+from .model_io import Checkpoint, tensor_shape
+from .numerics import (HALF_SMALLEST_NORMAL, LANES, TreeOrderRows, dot_rows, half_bits,
+                       pad_to_lanes, ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import kv_dequantize_rows, kv_quantize
+from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, overflow_rows
 
 # No step calls pad_to_lanes: it stays bound here because beatbench wraps
 # the names it finds on this module.
 
-STATE_VERSION = 2
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
 
 
@@ -358,61 +359,54 @@ class KVCacheStore:
         self.length += 1
 
     def save(self, path: str | Path) -> None:
-        """Write a snapshot to exactly `path` (np.savez given a name would
-        append .npz to it)."""
-        with open(path, "wb") as f:
-            np.savez(f, version=STATE_VERSION, length=self.length,
-                     codes=self.codes, scales=self.scales, zeros=self.zeros,
-                     config=self.cfg.to_json_str())
+        """Write a snapshot image (see layout) to exactly `path`: per layer
+        the K codes, the V codes and the scale-zero records of every row,
+        written or not."""
+        cfg, pieces = self.cfg, []
+        for layer in range(cfg.n_layers):
+            records = np.zeros((2, cfg.n_heads, cfg.max_context), dtype=SZ_RECORD)
+            records["scale"], records["zero"] = self.scales[:, layer], self.zeros[:, layer]
+            pieces += [self.codes[0, layer], self.codes[1, layer], records]
+        write_image(path, SNAPSHOT_MAGIC, cfg, self.length, pieces)
 
     @classmethod
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
-        """Read a snapshot written by save; any damage raises FormatError,
-        and so does a row below the length whose scale is negative or not
-        finite. Every uint8 is a legal zero point; a version-1 file, whose
-        zero points were signed, is refused. A committed row never written
-        (scale 0, zero point 0) loads; rows past the length are dead and go
-        unchecked."""
-        data = Path(path).read_bytes()
-        try:
-            with load_npz(data) as z:
-                version, length = (_int_scalar(z, name) for name in ("version", "length"))
-                if version != STATE_VERSION:
-                    raise FormatError(f"unsupported state version {version}")
-                stored = ModelConfig.from_json_str(str(z["config"]), origin="state file")
-                if stored != cfg:
-                    raise FormatError("state was captured under a different model config")
-                store = cls(cfg)
-                for name in ("codes", "scales", "zeros"):
-                    arr, want = z[name], getattr(store, name)
-                    if arr.shape != want.shape or arr.dtype != want.dtype:
-                        raise FormatError(f"state array {name} is {arr.dtype}{arr.shape}, "
-                                          f"expected {want.dtype}{want.shape}")
-                    want[...] = arr
-        except (ConfigError,) + ARCHIVE_FAULTS as e:
-            raise FormatError(f"unreadable state file {path}: {e}") from e
-        t, hd = length, cfg.head_dim
-        if not 0 <= t <= cfg.max_context:
+        """Read a snapshot written by save under `cfg`; any damage raises
+        FormatError, and so does a row below the length that the codec
+        never writes: a nonzero scale that is not finite or is below
+        HALF_SMALLEST_NORMAL, a decode that overflows binary16, or a
+        nonzero pad byte. A committed row never written (scale +0.0)
+        loads; rows past the length are dead and go unchecked."""
+        stored, t, pieces = read_image(path, SNAPSHOT_MAGIC)
+        if stored != cfg:
+            raise FormatError("state was captured under a different model config")
+        if t > cfg.max_context:
             raise FormatError(f"state length {t} out of range")
+        store, hd = cls(cfg), cfg.head_dim
+        head_rows = (cfg.n_heads, cfg.max_context)
+        for layer in range(cfg.n_layers):
+            k, v, sz = pieces[3 * layer:3 * layer + 3]
+            store.codes[0, layer] = k.reshape(head_rows + (hd,))
+            store.codes[1, layer] = v.reshape(head_rows + (hd,))
+            records = sz.view(SZ_RECORD).reshape((2,) + head_rows)
+            if records["pad"][..., :t].any():
+                raise FormatError("state holds a scale-zero record with a nonzero pad byte")
+            store.scales[:, layer], store.zeros[:, layer] = records["scale"], records["zero"]
         store.length = t
-        scales, zeros = store.scales[:, :, :, :t], store.zeros[:, :, :, :t]
-        if not ((scales >= 0) & np.isfinite(scales)).all():
-            raise FormatError("state holds a negative or non-finite scale below its length")
-        rows = kv_dequantize_rows(store.codes[:, :, :, :t].reshape(-1, hd),
-                                  scales.reshape(-1), zeros.reshape(-1))
+        codes = store.codes[:, :, :, :t].reshape(-1, hd)
+        scales = store.scales[:, :, :, :t].reshape(-1)
+        zeros = store.zeros[:, :, :, :t].reshape(-1)
+        if not ((half_bits(scales) == 0)
+                | (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL))).all():
+            raise FormatError("state holds a scale the cache codec never writes below its length")
+        if overflow_rows(codes, scales, zeros, KV_LEVELS).size:
+            raise FormatError("state holds a row whose decode overflows binary16")
+        rows = kv_dequantize_rows(codes, scales, zeros)
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
         for layer, keys in enumerate(store.keys):
             keys.assign(0, rows[0, layer])
         store.values[:, :t] = rows[1].transpose(0, 2, 1, 3)
         return store
-
-
-def _int_scalar(z, name: str) -> int:
-    """A snapshot's 0-d integer field; bool, float and string refused."""
-    arr = z[name]
-    if arr.shape != () or arr.dtype.kind not in "iu":
-        raise FormatError(f"state {name} is {arr.dtype}{arr.shape}, expected a 0-d integer")
-    return int(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ through dequant_codes, and both quantize through one body, _quantize:
           is therefore finite and at least the floor.
   finite  every decode is finite. A binary16 scale can round up past the
           range over its levels, and near the binary16 maximum the top
-          code would then decode to infinity; such a row's scale is lowered
-          an ulp at a time until it does not. No other row changes.
+          code would then decode to infinity (overflow_rows); such a row's
+          scale is lowered an ulp at a time until it does not. No other row
+          changes. The weight and cache readers refuse such a row.
 
 The widths differ only in their levels and their zero-point rule: a weight
 zero is rint(-min/s) clipped to 0..15, a cache zero the magnitude
@@ -59,15 +60,25 @@ def dequant_codes(codes: np.ndarray, scales: np.ndarray,
 kv_dequantize_rows = dequant_codes
 
 
+def overflow_rows(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
+                  levels: int) -> np.ndarray:
+    """Indices of the rows whose decode reaches binary16 infinity: reach,
+    the largest |code - zero|, times the finite scale is HALF_OVERFLOW or
+    more. Reach is at most levels, so most calls read no row's codes."""
+    rows = np.flatnonzero(scales.astype(np.float64) * levels >= HALF_OVERFLOW)
+    if rows.size:
+        z = zeros[rows].astype(np.float64)
+        reach = np.maximum(codes[rows].max(axis=1) - z, z - codes[rows].min(axis=1))
+        rows = rows[reach * scales[rows] >= HALF_OVERFLOW]
+    return rows
+
+
 def _quantize(x: np.ndarray, levels: int,
               encode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(codes uint8, scales float16, zeros uint8) of each row of a binary16
     matrix, encode(wide, lo, scales) giving a width's (codes, zeros); see
-    the module docstring.
-
-    Only a row whose levels * scale reaches HALF_OVERFLOW can decode to
-    infinity, so most calls check no row, and the loop that lowers such a
-    row's scale ends.
+    the module docstring. Lowering a row's scale an ulp at a time ends: at
+    a scale below HALF_OVERFLOW / levels no decode overflows.
     """
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -79,13 +90,11 @@ def _quantize(x: np.ndarray, levels: int,
     hi = np.maximum(wide.max(axis=1), 0.0)
     scales = np.maximum(to_half((hi - lo) / levels), HALF_SMALLEST_NORMAL)
     codes, zeros = encode(wide, lo, scales)
-    rows = np.flatnonzero(scales.astype(np.float64) * levels >= HALF_OVERFLOW)
+    rows = overflow_rows(codes, scales, zeros, levels)
     while rows.size:
-        z = zeros[rows].astype(np.float64)
-        reach = np.maximum(codes[rows].max(axis=1) - z, z - codes[rows].min(axis=1))
-        rows = rows[reach * scales[rows] >= HALF_OVERFLOW]
         scales[rows] = np.nextafter(scales[rows], np.float16(0))
         codes[rows], zeros[rows] = encode(wide[rows], lo[rows], scales[rows])
+        rows = rows[overflow_rows(codes[rows], scales[rows], zeros[rows], levels)]
     return codes, scales, zeros
 
 

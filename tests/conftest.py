@@ -1,8 +1,10 @@
-import json
+import zlib
 
 import pytest
 from hypothesis import strategies as st
 
+from beatstream import layout
+from beatstream.layout import read_image, write_image
 from beatstream.model_io import build_demo_checkpoint
 
 
@@ -12,31 +14,14 @@ def demo_ckpt():
 
 
 @pytest.fixture(scope="session")
-def old_config():
-    """text(cfg, version): cfg's config.json as version 1 or 2 wrote it.
-    Both name the norm_eps and rope_base fields that version 3 dropped;
-    version 1 also names the rope_freq_divisor that version 2 dropped."""
-    def text(cfg, version: int) -> str:
-        doc = json.loads(cfg.to_json_str())
-        doc.update(version=version, norm_eps=1e-5, rope_base=10000.0)
-        if version == 1:
-            doc.update(rope_freq_divisor=None)
-        return json.dumps(doc)
-    return text
-
-
-@pytest.fixture(scope="session")
 def damage():
-    """draw(data, blob, spans=()): the bytes of a file with hypothesis-drawn
+    """draw(data, blob): the bytes of an image file with hypothesis-drawn
     damage, either a truncation or one byte xored with a nonzero mask.
-
-    spans, (start, end) byte ranges such as a file's headers, draw the
-    damaged position from inside one of them half of the time."""
-    def draw(data, blob: bytes, spans=()) -> bytes:
+    Half of the time the damaged position is drawn from the image header."""
+    def draw(data, blob: bytes) -> bytes:
         def position(label):
-            if spans and data.draw(st.booleans(), label=f"{label} in a span"):
-                lo, hi = data.draw(st.sampled_from(spans), label="span")
-                return data.draw(st.integers(lo, hi - 1), label=label)
+            if data.draw(st.booleans(), label=f"{label} in the header"):
+                return data.draw(st.integers(0, layout.IMAGE_HEADER_BYTES - 1), label=label)
             return data.draw(st.integers(0, len(blob) - 1), label=label)
 
         if data.draw(st.booleans(), label="truncate"):
@@ -45,3 +30,33 @@ def damage():
         flip = data.draw(st.integers(1, 255), label="xor")
         return blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
     return draw
+
+
+HEADER_FIELDS = ("magic", "version", "n_layers", "d_model", "n_heads", "d_ffn", "vocab_size",
+                 "group_size", "max_context", "length")
+
+
+@pytest.fixture(scope="session")
+def reheader():
+    """with_header(blob, **fields): an image file's bytes with some header
+    fields replaced (HEADER_FIELDS) and its crc32 recomputed, so only the
+    checks after the crc's can refuse it."""
+    def with_header(blob: bytes, **fields) -> bytes:
+        header = dict(zip(HEADER_FIELDS, layout._IMAGE_HEADER.unpack_from(blob)))
+        header.update(fields)
+        body = layout._IMAGE_HEADER.pack(*header.values()) + blob[layout._IMAGE_HEADER.size:-4]
+        return body + zlib.crc32(body).to_bytes(4, "little")
+    return with_header
+
+
+@pytest.fixture(scope="session")
+def rewrite():
+    """rewrite(path, magic, edit): the image file at path written again,
+    sealed, with the pieces that edit(cfg, pieces) changed in place;
+    pieces are writable copies, as uint8 arrays."""
+    def rewrite(path, magic: bytes, edit) -> None:
+        cfg, length, pieces = read_image(path, magic)
+        pieces = [p.copy() for p in pieces]
+        edit(cfg, pieces)
+        write_image(path, magic, cfg, length, pieces)
+    return rewrite

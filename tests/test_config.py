@@ -35,26 +35,3 @@ def test_validation():
         ModelConfig(n_layers=1, d_model=64, n_heads=4, d_ffn=8, vocab_size=16,
                     group_size=6)
 
-
-def test_json_round_trip(tmp_path):
-    cfg = tiny_demo_config(max_context=32)
-    path = tmp_path / "config.json"
-    cfg.to_json(path)
-    assert ModelConfig.from_json(path) == cfg
-
-
-def test_json_rejects_garbage(tmp_path, old_config):
-    path = tmp_path / "config.json"
-    path.write_text("not json {")
-    with pytest.raises(ConfigError):
-        ModelConfig.from_json(path)
-    path.write_text('{"version": 99, "n_layers": 1}')
-    with pytest.raises(ConfigError):
-        ModelConfig.from_json(path)
-    for version in (1, 2):
-        path.write_text(old_config(tiny_demo_config(), version))
-        with pytest.raises(ConfigError, match="version"):
-            ModelConfig.from_json(path)
-    path.write_text('{"n_layers": 1, "what": 2}')
-    with pytest.raises(ConfigError):
-        ModelConfig.from_json(path)

@@ -1,4 +1,4 @@
-"""Stream layout, container, and memory map tests.
+"""Stream layout, container, image file, and memory map tests.
 
 Word-count oracle: counted per kind straight from the coverage rules
 (one ZP word per 64 groups, one SCALE word per 16, weight words rounded
@@ -23,9 +23,12 @@ from beatstream import layout
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import CapacityError, ConfigError, DomainError, FormatError
 from beatstream.layout import (
+    CHECKPOINT_MAGIC,
+    IMAGE_HEADER_BYTES,
     KIND_SCALE,
     KIND_WEIGHT,
     KIND_ZP,
+    SNAPSHOT_MAGIC,
     BusGeometry,
     GroupedTensor,
     beat_kind_pattern,
@@ -35,14 +38,18 @@ from beatstream.layout import (
     pack_tensor,
     plan_memory_map,
     read_container,
+    read_image,
     region_sizes,
     stream_word_count,
     unpack_nibbles,
     unpack_stream,
-    write_container,
+    write_image,
 )
+from beatstream.model_io import (IMAGE_NAME, build_demo_checkpoint, save_checkpoint,
+                                 tensor_names, tensor_shape)
 from beatstream.numerics import LANES, TreeOrderRows, to_half
 from beatstream.perf import token_burst_schedule
+from beatstream.pipeline import KVCacheStore
 from beatstream.quant import quantize_rows
 
 
@@ -191,6 +198,23 @@ class TestPackUnpack:
         assert np.array_equal(np.concatenate([v for _, v in chunks]).view(np.uint32),
                               t.dequantized().astype(np.float32).view(np.uint32))
 
+    @pytest.mark.parametrize("scale, code, refused", [
+        (30000.0, 15, True),
+        (4368.0, 15, True),     # 15 * 4368 = 65520, the least product that overflows
+        (4364.0, 15, False),    # the next scale down: the top code decodes to 65460
+        (30000.0, 0, False),    # every code on the zero point decodes to 0
+    ])
+    def test_group_decoding_past_binary16_refused(self, scale, code, refused):
+        # the quantizer never writes a group whose decode overflows; with
+        # every warning an error, the check itself warns of nothing
+        t = GroupedTensor(rows=1, cols=8, group_size=8, codes=np.full((1, 8), code, np.uint8),
+                          scales=np.array([scale], np.float16), zeros=np.zeros(1, np.uint8))
+        if refused:
+            with pytest.raises(FormatError, match="overflows"):
+                unpack_stream(pack_tensor(t))
+        else:
+            assert np.isfinite(unpack_stream(pack_tensor(t)).dequantized()).all()
+
     def test_codes_past_four_bits_rejected(self):
         codes = np.zeros((2, 4), dtype=np.uint8)
         codes[1, 3] = 16
@@ -214,114 +238,125 @@ class TestPackUnpack:
             unpack_stream(bad)
 
 
-def reseal(blob: bytes) -> bytes:
-    """A container blob with its crc32 recomputed over the header and payload."""
-    return blob[:-4] + struct.pack("<I", zlib.crc32(blob[:-4]))
-
-
-def with_header(blob: bytes, **fields) -> bytes:
-    """A resealed container blob with some header fields replaced."""
-    names = ("magic", "version", "group_size", "word_bits", "rows", "cols", "n_words")
-    header = dict(zip(names, layout._HEADER.unpack_from(blob, 0)))
-    header.update(fields)
-    return reseal(layout._HEADER.pack(*header.values()) + blob[layout._HEADER.size:])
+SMALL = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ffn=24, vocab_size=8, group_size=8,
+                    max_context=2)
 
 
 @pytest.fixture(scope="module")
 def container(tmp_path_factory):
-    """A small container: its stream and its bytes."""
-    t = GroupedTensor.quantize(to_half(np.random.default_rng(4).normal(size=(3, 72))), 8)
-    stream = pack_tensor(t)
-    path = tmp_path_factory.mktemp("container") / "t.epws"
-    write_container(stream, path)
-    return stream, path.read_bytes()
+    """A small checkpoint and the bytes of its image file."""
+    ckpt = build_demo_checkpoint(seed=4, cfg=SMALL)
+    path = tmp_path_factory.mktemp("container")
+    save_checkpoint(ckpt, path)
+    return ckpt, (path / IMAGE_NAME).read_bytes()
+
+
+def read_blob(tmp_path, blob: bytes, magic=CHECKPOINT_MAGIC):
+    path = tmp_path / "t.img"
+    path.write_bytes(blob)
+    return read_image(path, magic)
+
+
+def old_container(stream, version: int) -> bytes:
+    """A container file as versions 1 and 2 laid it out, sealed with
+    version 2's crc32, which is the image's check too."""
+    blob = struct.pack("<4sH5I", b"EPWS", version, stream.group_size, 256, stream.rows,
+                       stream.cols, stream.n_words) + stream.words.tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob))
 
 
 class TestContainer:
-    def test_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        t = GroupedTensor.quantize(to_half(rng.normal(size=(20, 172))), 128)
-        stream = pack_tensor(t)
-        path = tmp_path / "t.epws"
-        write_container(stream, path)
-        back = read_container(path)
-        assert np.array_equal(back.words, stream.words)
-        assert (back.rows, back.cols, back.group_size) == (20, 172, 128)
+    """A tensor's container is its piece of an image file."""
 
-    def test_corruption_detected(self, tmp_path):
-        t = GroupedTensor.quantize(np.ones((2, 128), dtype=np.float16), 128)
-        path = tmp_path / "t.epws"
-        write_container(pack_tensor(t), path)
-        blob = bytearray(path.read_bytes())
+    def test_file_round_trip(self, tmp_path, container):
+        ckpt, blob = container
+        cfg, length, pieces = read_blob(tmp_path, blob)
+        assert (cfg, length) == (SMALL, 0)
+        assert all(p.base is pieces[0].base for p in pieces)   # views of one buffer
+        for name, piece in zip(tensor_names(cfg), pieces[2:]):
+            back = read_container(piece, *tensor_shape(cfg, name), cfg.group_size)
+            assert np.array_equal(back.words, ckpt.tensors[name].words)
+            assert (back.rows, back.cols) == tensor_shape(cfg, name)
 
-        for mutate, pattern in [
-            (lambda b: b.__setitem__(0, ord("X")), "magic"),
-            (lambda b: b.__setitem__(4, 99), "version"),
-            (lambda b: b.__setitem__(len(b) // 2, blob[len(blob) // 2] ^ 1), "checksum"),
+    def test_corruption_detected(self, tmp_path, container, reheader):
+        blob = container[1]
+        middle = bytearray(blob)
+        middle[len(blob) // 2] ^= 1
+        for bad, pattern in [
+            (reheader(blob, magic=b"XSCK"), "magic"),
+            (reheader(blob, version=99), "version"),
+            (bytes(middle), "checksum"),
+            (blob[:-9], "checksum"),
+            (blob[:IMAGE_HEADER_BYTES], "truncated"),
         ]:
-            bad = bytearray(blob)
-            mutate(bad)
-            path.write_bytes(bytes(bad))
             with pytest.raises(FormatError, match=pattern):
-                read_container(path)
-
-        path.write_bytes(bytes(blob[:-9]))
-        with pytest.raises(FormatError):
-            read_container(path)
+                read_blob(tmp_path, bad)
 
     def test_swapped_payload_bytes_detected(self, tmp_path, container):
         # a byte sum misses reordered bytes; the crc32 does not
-        _, blob = container
-        at = layout._HEADER.size + 40
+        blob = container[1]
+        at = IMAGE_HEADER_BYTES + 40
         assert blob[at] != blob[at + 1]
         swapped = bytearray(blob)
         swapped[at], swapped[at + 1] = blob[at + 1], blob[at]
-        path = tmp_path / "t.epws"
-        path.write_bytes(bytes(swapped))
         with pytest.raises(FormatError, match="checksum"):
-            read_container(path)
+            read_blob(tmp_path, bytes(swapped))
 
     def test_version_1_refused(self, tmp_path, container):
-        path = tmp_path / "t.epws"
-        path.write_bytes(with_header(container[1], version=1))
-        with pytest.raises(FormatError, match="version 1"):
-            read_container(path)
+        # a container file of version 1 or 2 passes the image's crc32 check
+        # (version 2 sealed itself the same way) and fails at its magic
+        stream = container[0].tensors["lm_head"]
+        for version in (1, 2):
+            with pytest.raises(FormatError, match="magic"):
+                read_blob(tmp_path, old_container(stream, version))
 
     @pytest.mark.parametrize("fields", [
         {"group_size": 0}, {"group_size": 6}, {"rows": 0}, {"cols": 0},
-        {"rows": 3 | 1 << 30},    # ~2**30 groups against a 7-word payload
+        {"rows": 3 | 1 << 30},    # ~2**30 groups against a 10-word piece
         {"cols": 0xFFFFFFFF},
         {"rows": 0xFFFFFFFF, "cols": 0xFFFFFFFF},   # ~2**61 groups, counted in O(1)
     ], ids=str)
-    def test_header_shape_checked_before_any_pattern(self, tmp_path, container, fields):
-        path = tmp_path / "t.epws"
-        path.write_bytes(with_header(container[1], **fields))
+    def test_header_shape_checked_before_any_pattern(self, container, fields, monkeypatch):
+        # the shape a config gives a tensor is checked against its piece
+        # before any word-kind pattern is built
+        monkeypatch.setattr(layout, "beat_kind_pattern", None)
+        stream = container[0].tensors["layers.0.mlp.gate"]
+        shape = {"rows": stream.rows, "cols": stream.cols, "group_size": stream.group_size}
         with pytest.raises(FormatError, match="inconsistent"):
-            read_container(path)
+            read_container(stream.words.reshape(-1), **{**shape, **fields})
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_container_raises_format_error(self, tmp_path_factory, container, damage,
                                                    data):
-        stream, blob = container
-        path = tmp_path_factory.getbasetemp() / "damaged.epws"
-        path.write_bytes(damage(data, blob))
-        try:
-            back = read_container(path)
-        except FormatError:
-            return
-        assert (back.rows, back.cols, back.group_size) == \
-            (stream.rows, stream.cols, stream.group_size)
-        assert np.array_equal(back.words, stream.words)
+        path = tmp_path_factory.getbasetemp() / "damaged.img"
+        path.write_bytes(damage(data, container[1]))
+        with pytest.raises(FormatError):
+            read_image(path, CHECKPOINT_MAGIC)
 
-    def test_word_count_must_match_shape(self, tmp_path):
+    def test_word_count_must_match_shape(self):
         t = GroupedTensor.quantize(np.ones((2, 128), dtype=np.float16), 128)
-        stream = pack_tensor(t)
-        short = dataclasses.replace(stream, rows=3)
-        path = tmp_path / "t.epws"
-        write_container(short, path)
+        piece = pack_tensor(t).words.reshape(-1)
         with pytest.raises(FormatError, match="inconsistent"):
-            read_container(path)
+            read_container(piece, 3, 128, 128)
+
+
+class TestImage:
+    def test_writer_refuses_pieces_of_another_layout(self, tmp_path, container):
+        cfg, _, pieces = read_blob(tmp_path, container[1])
+        for bad in (pieces[:-1], pieces[:2] + [pieces[-1]] + pieces[3:]):
+            with pytest.raises(FormatError, match="pieces"):
+                write_image(tmp_path / "bad.img", CHECKPOINT_MAGIC, cfg, 0, bad)
+        assert not (tmp_path / "bad.img").exists()
+
+    def test_magic_names_the_layout(self, tmp_path, container, reheader):
+        # a checkpoint read as a snapshot is refused at its magic, and a
+        # checkpoint sealed with the snapshot magic at its length
+        blob = container[1]
+        with pytest.raises(FormatError, match="magic"):
+            read_blob(tmp_path, blob, SNAPSHOT_MAGIC)
+        with pytest.raises(FormatError, match="body"):
+            read_blob(tmp_path, reheader(blob, magic=SNAPSHOT_MAGIC), SNAPSHOT_MAGIC)
 
 
 class TestBusGeometry:
@@ -398,3 +433,42 @@ def test_weight_regions_hold_the_schedule_requests(cfg):
         first = 1 + layer * n
         assert sizes[f"weights.L{layer}"] == bb * sum(schedule[first:first + n])
     assert sizes["weights.lm_head"] == bb * schedule[1 + cfg.n_layers * n]
+
+
+@st.composite
+def image_configs(draw):
+    """Small configs: short final groups, and containers of odd word counts
+    at group sizes that are not powers of two."""
+    heads = draw(st.sampled_from([1, 2, 4]))
+    return ModelConfig(
+        n_layers=draw(st.integers(1, 3)),
+        d_model=heads * draw(st.sampled_from([2, 4, 6, 8, 16])),
+        n_heads=heads,
+        d_ffn=draw(st.integers(1, 80)),
+        vocab_size=draw(st.integers(1, 40)),
+        group_size=draw(st.sampled_from([4, 8, 12, 20, 32, 128])),
+        max_context=draw(st.integers(1, 9)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=image_configs())
+@example(cfg=tiny_demo_config(max_context=3))   # 133-word containers
+def test_images_fill_the_memory_map(tmp_path_factory, cfg):
+    """A checkpoint image's body is the non-KV regions, each beat-aligned,
+    and a snapshot's the KV regions; together they are the occupied
+    bytes of the memory map less its reserved span."""
+    path = tmp_path_factory.mktemp("law")
+    save_checkpoint(build_demo_checkpoint(seed=0, cfg=cfg), path)
+    KVCacheStore(cfg).save(path / "kv.img")
+
+    def body(name):
+        return (path / name).stat().st_size - IMAGE_HEADER_BYTES - 4
+
+    aligned = {name: -(-n // BusGeometry.beat_bytes) * BusGeometry.beat_bytes
+               for name, n in region_sizes(cfg)}
+    kv = sum(n for name, n in aligned.items() if name.startswith("kv."))
+    assert body(IMAGE_NAME) == sum(aligned.values()) - kv
+    assert body("kv.img") == kv
+    m = plan_memory_map(cfg, 1 << 30)
+    assert body(IMAGE_NAME) + body("kv.img") == m.occupied_bytes - m.find("reserved").length

@@ -1,29 +1,30 @@
-"""Checkpoint directory round-trip tests."""
+"""Checkpoint image round-trip and refusal tests."""
 
 import hashlib
-import json
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beatstream import config, layout, model_io, pipeline
 from beatstream.config import tiny_demo_config
-from beatstream.errors import BeatstreamError, ConfigError, FormatError, ShapeError
+from beatstream.errors import FormatError, ShapeError
 from beatstream.layout import (
+    CHECKPOINT_MAGIC,
     KIND_SCALE,
+    KIND_WEIGHT,
+    KIND_ZP,
     PackedWeightStream,
     beat_kind_pattern,
-    read_container,
     unpack_stream,
-    write_container,
 )
 from beatstream.model_io import (
-    AUX_NAME,
-    CONFIG_NAME,
+    IMAGE_NAME,
     Checkpoint,
     build_demo_checkpoint,
     load_checkpoint,
+    norm_names,
     save_checkpoint,
     tensor_names,
 )
@@ -41,6 +42,13 @@ def assert_same_checkpoint(back, ckpt):
         assert np.array_equal(back.norms[k].view(np.uint16), v.view(np.uint16))
 
 
+def buffer_of(a):
+    """The object at the root of an array's chain of bases."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """The demo checkpoint and the directory it was saved to."""
@@ -48,6 +56,14 @@ def saved(tmp_path_factory):
     path = tmp_path_factory.mktemp("saved") / "m"
     save_checkpoint(ckpt, path)
     return ckpt, path
+
+
+@pytest.fixture
+def copied(tmp_path, saved):
+    """A copy of the saved checkpoint directory, free to damage."""
+    path = tmp_path / "m"
+    shutil.copytree(saved[1], path)
+    return path
 
 
 def test_tensor_names_cover_model():
@@ -70,9 +86,14 @@ def test_demo_checkpoint_is_deterministic():
 
 def test_save_load_round_trip(saved):
     ckpt, path = saved
+    assert [p.name for p in path.iterdir()] == [IMAGE_NAME]
     back = load_checkpoint(path)
     assert all(isinstance(t, PackedWeightStream) for t in back.tensors.values())
     assert_same_checkpoint(back, ckpt)
+    # the embedding, the gains and the words are views of the one buffer read
+    arrays = [back.embedding, *back.norms.values(), *(t.words for t in back.tensors.values())]
+    assert {id(buffer_of(a)) for a in arrays} == {id(buffer_of(back.embedding))}
+    assert isinstance(buffer_of(back.embedding), bytes)
 
 
 def test_demo_words_are_pinned():
@@ -84,91 +105,78 @@ def test_demo_words_are_pinned():
     assert digest.hexdigest().startswith("a807b92c509d95cd")
 
 
-def unbalance_first_shape(blob: bytes) -> bytes:
-    """The first npy header's shape tuple left unclosed. The embedding's
-    member is larger than one zip read, so np.load alone parses this header
-    before it checks the member's CRC."""
-    at = blob.index(b"), }")
-    return blob[:at] + b"(" + blob[at + 1:]
-
-
-def shorten_first_header(blob: bytes) -> bytes:
-    """The first npy header's length two bytes short. The header still
-    parses (it loses two bytes of padding), so np.load alone reads the
-    embedding two bytes early and, stopping short of the member's end,
-    never checks its CRC."""
-    at = blob.index(b"\x93NUMPY\x01\x00") + 8
-    return blob[:at] + bytes([blob[at] - 2]) + blob[at + 1:]
-
-
-@pytest.mark.parametrize("damage", [lambda b: b[:-30], unbalance_first_shape,
-                                    shorten_first_header],
-                         ids=["truncated", "unbalanced-header", "short-header"])
-def test_damaged_aux_raises_format_error(tmp_path, saved, damage):
-    path = tmp_path / "m"
-    shutil.copytree(saved[1], path)
-    aux = path / AUX_NAME
-    aux.write_bytes(damage(aux.read_bytes()))
-    with pytest.raises(FormatError):
-        load_checkpoint(path)
+def first_group_words(cfg, pieces, name="layers.0.attn.q"):
+    """The words of a tensor's piece, and the indices of its first ZP,
+    SCALE and WEIGHT words, those of its first group."""
+    words = pieces[2 + tensor_names(cfg).index(name)].reshape(-1, layout.WORD_BYTES)
+    rows, cols = model_io.tensor_shape(cfg, name)
+    kinds = beat_kind_pattern(rows * -(-cols // cfg.group_size), cfg.group_size)
+    return words, [np.flatnonzero(kinds == kind)[0] for kind in (KIND_ZP, KIND_SCALE, KIND_WEIGHT)]
 
 
 @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, 2.0 ** -15])
-def test_scale_the_quantizer_never_writes_refused(tmp_path, saved, scale):
-    """A container with a valid crc whose first group scale is not finite
-    or is below the smallest normal binary16 loads, but unpacking it, and
-    so building a decoder on it, raises FormatError."""
-    ckpt, src = saved
-    path = tmp_path / "m"
-    shutil.copytree(src, path)
-    victim = path / "layers.0.attn.q.epws"
-    stream = read_container(victim)
-    words = stream.words.copy()
-    first = np.flatnonzero(beat_kind_pattern(stream.n_groups, stream.group_size) == KIND_SCALE)[0]
-    words[first, :2] = np.array([scale], dtype="<f2").view(np.uint8)
-    write_container(PackedWeightStream(stream.rows, stream.cols, stream.group_size, words),
-                    victim)
+def test_scale_the_quantizer_never_writes_refused(copied, rewrite, scale):
+    """An image with a valid crc whose first group scale is not finite or
+    is below the smallest normal binary16 loads, but unpacking it, and so
+    building a decoder on it, raises FormatError."""
+    def edit(cfg, pieces):
+        words, (_, first, _) = first_group_words(cfg, pieces)
+        words[first, :2] = np.array([scale], dtype="<f2").view(np.uint8)
+
+    rewrite(copied / IMAGE_NAME, CHECKPOINT_MAGIC, edit)
+    back = load_checkpoint(copied)
     with pytest.raises(FormatError, match="scale"):
-        unpack_stream(read_container(victim))
+        unpack_stream(back.tensors["layers.0.attn.q"])
     with pytest.raises(FormatError, match="scale"):
-        Decoder(load_checkpoint(path))
+        Decoder(back)
 
 
-def test_non_utf8_config_raises_config_error(tmp_path, saved):
-    path = tmp_path / "m"
-    shutil.copytree(saved[1], path)
-    cfg = path / CONFIG_NAME
-    cfg.write_bytes(b"\xff" + cfg.read_bytes())
-    with pytest.raises(ConfigError):
-        load_checkpoint(path)
+def test_group_decoding_past_binary16_refused(copied, rewrite):
+    """A sealed image whose first group has scale 30000, codes 15 and zero
+    point 0 loads, but that group would decode past binary16: unpacking
+    it, and so building a decoder, raises FormatError, and no overflow
+    warning escapes (every warning is an error here)."""
+    def edit(cfg, pieces):
+        words, (zp, scale, weight) = first_group_words(cfg, pieces)
+        words[zp, 0] &= 0xF0
+        words[scale, :2] = np.array([30000], dtype="<f2").view(np.uint8)
+        words[weight] = 0xFF
+
+    rewrite(copied / IMAGE_NAME, CHECKPOINT_MAGIC, edit)
+    back = load_checkpoint(copied)
+    with pytest.raises(FormatError, match="overflows"):
+        unpack_stream(back.tensors["layers.0.attn.q"])
+    with pytest.raises(FormatError, match="overflows"):
+        Decoder(back)
 
 
-def test_version_1_config_raises_config_error(tmp_path, saved, old_config):
-    # and version 2, the last to carry norm_eps and rope_base
-    path = tmp_path / "m"
-    shutil.copytree(saved[1], path)
-    for version in (1, 2):
-        (path / CONFIG_NAME).write_text(old_config(saved[0].config, version))
-        with pytest.raises(ConfigError, match="version"):
-            load_checkpoint(path)
+def refuse_layer_walk(cfg):
+    raise AssertionError("a crafted header reached a per-layer walk")
 
 
-# the two fields version 3 dropped are unknown whatever their value
-BAD_FIELDS = [("rope_base", "abc"), ("norm_eps", True), ("n_layers", True)]
+CRAFTED = {
+    "n_layers-2^32-1": {"n_layers": 2 ** 32 - 1},
+    "d_model-2^32-64": {"d_model": 2 ** 32 - 64},
+    "n_heads-3": {"n_heads": 3},            # d_model 64 does not divide into 3 heads
+    "npz-magic": {"magic": b"PK\x03\x04"},
+    "snapshot-magic": {"magic": layout.SNAPSHOT_MAGIC},
+    "version-0": {"version": 0},
+    "version-2": {"version": 2},
+    "length-1": {"length": 1},
+}
 
 
-@pytest.mark.parametrize("field, value", BAD_FIELDS,
-                         ids=[f"{f}={v!r:.8}" for f, v in BAD_FIELDS])
-def test_bad_config_field_raises(tmp_path, saved, field, value):
-    """A config.json with a field of the wrong type, or one the config
-    does not hold, is refused at load, not at the first decoder build."""
-    path = tmp_path / "m"
-    shutil.copytree(saved[1], path)
-    doc = json.loads((path / CONFIG_NAME).read_text())
-    doc[field] = value
-    (path / CONFIG_NAME).write_text(json.dumps(doc))
-    with pytest.raises((ConfigError, FormatError)):
-        load_checkpoint(path)
+@pytest.mark.parametrize("fields", CRAFTED.values(), ids=CRAFTED.keys())
+def test_crafted_header_refused_before_any_layer_walk(copied, reheader, monkeypatch, fields):
+    """A correctly sealed header that names another format, version or
+    layout, or a config whose pieces cannot fill the body, raises
+    FormatError in O(1): the loader never lists the layers' names."""
+    image = copied / IMAGE_NAME
+    image.write_bytes(reheader(image.read_bytes(), **fields))
+    monkeypatch.setattr(model_io, "tensor_names", refuse_layer_walk)
+    monkeypatch.setattr(model_io, "norm_names", refuse_layer_walk)
+    with pytest.raises(FormatError):
+        load_checkpoint(copied)
 
 
 def test_missing_pieces_raise(tmp_path):
@@ -176,11 +184,7 @@ def test_missing_pieces_raise(tmp_path):
         load_checkpoint(tmp_path / "nope")
     ckpt = build_demo_checkpoint(seed=1)
     save_checkpoint(ckpt, tmp_path / "m")
-    (tmp_path / "m" / "layers.0.attn.k.epws").unlink()
-    with pytest.raises(FileNotFoundError):
-        load_checkpoint(tmp_path / "m")
-    save_checkpoint(ckpt, tmp_path / "m")
-    (tmp_path / "m" / AUX_NAME).unlink()
+    (tmp_path / "m" / IMAGE_NAME).unlink()
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "m")
 
@@ -203,52 +207,50 @@ def test_validate_catches_shape_drift():
         wrong_emb.validate()
 
 
-@pytest.mark.parametrize("key, index, value", [
-    ("embedding", (5, 0), np.nan),
-    ("norm.mlp.1", (3,), np.inf),
+@pytest.mark.parametrize("piece, index, value", [
+    (0, (5, 0), np.nan),
+    (1, (norm_names(tiny_demo_config()).index("mlp.1"), 3), np.inf),
 ], ids=["nan-embedding", "inf-norm-gain"])
-def test_non_finite_aux_value_refused(tmp_path, saved, key, index, value):
-    """An aux file that holds a non-finite embedding value or norm gain is
+def test_non_finite_aux_value_refused(tmp_path, copied, rewrite, piece, index, value):
+    """An image that holds a non-finite embedding value or norm gain is
     refused at load, not by the step that reads the value, and a
     checkpoint holding one is refused by saving."""
-    ckpt, src = saved
-    path = tmp_path / "m"
-    shutil.copytree(src, path)
-    with np.load(path / AUX_NAME) as z:
-        aux = dict(z)
-    aux[key][index] = value
-    np.savez(path / AUX_NAME, **aux)
+    def edit(cfg, pieces):
+        rows = pieces[piece].view(np.float16).reshape(-1, cfg.d_model)
+        rows[index] = value
+
+    rewrite(copied / IMAGE_NAME, CHECKPOINT_MAGIC, edit)
     with pytest.raises(FormatError, match="non-finite"):
-        load_checkpoint(path)
-    bad = Checkpoint(config=ckpt.config, tensors=ckpt.tensors, embedding=aux["embedding"],
-                     norms={k[len("norm."):]: v for k, v in aux.items() if k != "embedding"})
+        load_checkpoint(copied)
+    ckpt = build_demo_checkpoint(seed=1)
+    embedding = ckpt.embedding.copy()
+    norms = {k: v.copy() for k, v in ckpt.norms.items()}
+    if piece == 0:
+        embedding[index] = value
+    else:
+        norms[norm_names(ckpt.config)[index[0]]][index[1]] = value
+    bad = Checkpoint(config=ckpt.config, tensors=ckpt.tensors, embedding=embedding, norms=norms)
     with pytest.raises(FormatError, match="non-finite"):
         save_checkpoint(bad, tmp_path / "again")
     assert not (tmp_path / "again").exists()
 
 
-@pytest.mark.parametrize("victim", ["layers.1.mlp.down.epws", AUX_NAME, CONFIG_NAME])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_damaged_checkpoint_raises_or_loads_equal(tmp_path_factory, saved, damage, victim, data):
-    """Truncate or xor one byte of one file: loading raises a
-    BeatstreamError, or loads the same tensors, embedding and norms. The
-    config carries no checksum, so a damaged one may load as another
-    valid config that still fits the files, or name a file that is not
-    there."""
-    ckpt, src = saved
+def test_damaged_checkpoint_raises_format_error(tmp_path_factory, saved, damage, data):
+    """Every truncation of the image and every one-byte xor of it raises
+    FormatError: the crc32 covers every byte but its own, and catches
+    every error within 32 bits."""
+    _, src = saved
     path = tmp_path_factory.getbasetemp() / "damaged"
-    shutil.rmtree(path, ignore_errors=True)
-    shutil.copytree(src, path)
-    (path / victim).write_bytes(damage(data, (src / victim).read_bytes()))
-    try:
-        back = load_checkpoint(path)
-    except BeatstreamError:
-        return
-    except FileNotFoundError:
-        assert victim == CONFIG_NAME
-        return
-    if victim == CONFIG_NAME:
-        back = Checkpoint(config=ckpt.config, tensors=back.tensors,
-                          embedding=back.embedding, norms=back.norms)
-    assert_same_checkpoint(back, ckpt)
+    path.mkdir(exist_ok=True)
+    (path / IMAGE_NAME).write_bytes(damage(data, (src / IMAGE_NAME).read_bytes()))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_readers_bind_no_archive_or_text_parser():
+    """Images are read with struct, zlib and numpy alone: no reader module
+    binds the archive and text parsers of the npz and JSON formats."""
+    for module in (model_io, pipeline, layout, config):
+        assert not {"zipfile", "lzma", "tokenize", "json"} & set(vars(module)), module.__name__

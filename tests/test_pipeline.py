@@ -4,10 +4,8 @@ the stage schedule, and decoders stepped token by token."""
 import dataclasses
 import gc
 import hashlib
-import io
-import struct
+import shutil
 import weakref
-import zipfile
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from beatstream.errors import (
     FormatError,
     ShapeError,
 )
+from beatstream.layout import SNAPSHOT_MAGIC, SZ_RECORD, read_image
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
 from beatstream.numerics import LANES, TreeOrderRows, to_half
 from beatstream.pipeline import (
@@ -133,23 +132,6 @@ class TestMixRows:
                 mix_rows(np.ones(probs, dtype=np.float16), np.ones(rows, dtype=np.float16))
 
 
-def archive_header_spans(blob: bytes) -> list[tuple[int, int]]:
-    """(start, end) byte ranges of an npz archive's headers: each member's
-    zip local header with its npy header, and the central directory."""
-    spans, data_end = [], 0
-    with zipfile.ZipFile(io.BytesIO(blob)) as z:
-        for info in z.infolist():
-            at = info.header_offset
-            name_len, extra_len = struct.unpack_from("<HH", blob, at + 26)
-            data = at + 30 + name_len + extra_len
-            assert blob[data:data + 8] == b"\x93NUMPY\x01\x00"   # npy format 1.0
-            (npy_len,) = struct.unpack_from("<H", blob, data + 8)
-            spans.append((at, data + 10 + npy_len))
-            data_end = max(data_end, data + info.compress_size)
-    spans.append((data_end, len(blob)))
-    return spans
-
-
 def write_random_rows(store, rng, tokens):
     """Commit `tokens` rows of random keys and values to every layer of a
     store, one write_layer call per layer."""
@@ -163,14 +145,13 @@ def write_random_rows(store, rng, tokens):
 
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
-    """A saved KV store whose code array fills more than one zip read: its
-    config, the store, the file, and the file's header spans."""
+    """A saved KV store of 3 rows: its config, the store and the file."""
     cfg = tiny_demo_config(max_context=64)
     store = KVCacheStore(cfg)
     write_random_rows(store, np.random.default_rng(5), 3)
-    path = tmp_path_factory.mktemp("snapshot") / "state.npz"
+    path = tmp_path_factory.mktemp("snapshot") / "state.img"
     store.save(path)
-    return cfg, store, path, archive_header_spans(path.read_bytes())
+    return cfg, store, path
 
 
 def store_arrays(kv):
@@ -224,9 +205,9 @@ class TestCacheMirrors:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_load_rebuilds_the_mirrors(self, snapshot):
-        cfg, store, path, _ = snapshot
-        with np.load(path) as z:   # a snapshot holds the codes alone
-            assert set(z.files) == {"version", "length", "codes", "scales", "zeros", "config"}
+        cfg, store, path = snapshot
+        # a snapshot holds the codes and their records alone
+        assert len(read_image(path, SNAPSHOT_MAGIC)[2]) == 3 * cfg.n_layers
         loaded = KVCacheStore.load(path, cfg)
         assert loaded.length == 3
         assert_mirrors_decode_codes(loaded)
@@ -280,7 +261,7 @@ class TestKVCacheStore:
         cfg = tiny_demo_config(max_context=6)
         store = KVCacheStore(cfg)
         write_random_rows(store, np.random.default_rng(3), 3)
-        path = tmp_path / "state.npz"
+        path = tmp_path / "state.img"
         store.save(path)
         back = KVCacheStore.load(path, cfg)
         assert back.length == 3
@@ -298,103 +279,94 @@ class TestKVCacheStore:
         assert [p.name for p in tmp_path.iterdir()] == ["snap"]
         assert KVCacheStore.load(path, cfg).length == 1
 
+    def test_committed_unwritten_rows_load(self, tmp_path):
+        # rows committed without a write keep scale 0 and decode to zeros
+        cfg = tiny_demo_config(max_context=4)
+        store = KVCacheStore(cfg)
+        for _ in range(2):
+            store.begin_token()
+            store.commit()
+        store.save(tmp_path / "snap")
+        back = KVCacheStore.load(tmp_path / "snap", cfg)
+        assert back.length == 2 and not back.scales.any()
+        assert_mirrors_decode_codes(back)
+
     def test_snapshot_config_mismatch(self, tmp_path):
         cfg = tiny_demo_config(max_context=6)
         store = KVCacheStore(cfg)
-        path = tmp_path / "state.npz"
+        path = tmp_path / "state.img"
         store.save(path)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="config"):
             KVCacheStore.load(path, tiny_demo_config(max_context=8))
 
-    def test_snapshot_version_check(self, tmp_path, old_config):
-        # the state version, and the version of the config it embeds
+    def test_snapshot_version_check(self, tmp_path, reheader):
+        # the image's version, and a version-2 state file, an npz archive
         cfg = tiny_demo_config(max_context=4)
         store = KVCacheStore(cfg)
-        path = tmp_path / "state.npz"
+        path = tmp_path / "state.img"
         store.save(path)
-        with np.load(path) as z:
-            payload = {k: z[k] for k in z.files}
-        for name, value in (("version", np.int64(99)), ("version", np.int64(1)),
-                            ("config", np.array(old_config(cfg, 1))),
-                            ("config", np.array(old_config(cfg, 2)))):
-            np.savez(path, **{**payload, name: value})
+        blob = path.read_bytes()
+        for version in (0, 2, 99):
+            path.write_bytes(reheader(blob, version=version))
             with pytest.raises(FormatError, match="version"):
                 KVCacheStore.load(path, cfg)
-
-    @pytest.mark.parametrize("name, value", [
-        ("length", np.float64(2.9)), ("length", np.array("2")), ("length", np.True_),
-        ("version", np.float64(1.7)), ("version", np.True_),
-        ("scales", -1.0), ("scales", np.nan), ("scales", np.inf),
-    ], ids=["length-float", "length-str", "length-bool", "version-float", "version-bool",
-            "scale-negative", "scale-nan", "scale-inf"])
-    def test_bad_snapshot_value_raises(self, snapshot, tmp_path, name, value):
-        cfg, _, path, _ = snapshot
-        with np.load(path) as z:
-            payload = {k: z[k] for k in z.files}
-        bad = tmp_path / "bad.npz"
-
-        def at(position):
-            arr = payload[name].copy()
-            arr[1, 0, 1, position] = value
-            return arr
-
-        if name == "scales":
-            # the value row of layer 0, head 1: dead at position 3, the
-            # length, so it loads; live at position 2, so it raises
-            np.savez(bad, **{**payload, name: at(3)})
-            assert KVCacheStore.load(bad, cfg).length == 3
-            value = at(2)
-        np.savez(bad, **{**payload, name: value})
-        with pytest.raises(FormatError):
-            KVCacheStore.load(bad, cfg)
-
-    @pytest.mark.parametrize("name, change", [
-        ("codes", lambda a: a[..., :1]), ("scales", lambda a: a[..., :1]),
-        ("zeros", lambda a: a[..., :1]),
-        # version 1's signed zero points
-        ("zeros", lambda a: a.astype(np.int16)),
-    ], ids=["codes", "scales", "zeros", "zeros-int16"])
-    def test_snapshot_array_shapes_checked(self, tmp_path, name, change):
-        cfg = tiny_demo_config(max_context=4)
-        path = tmp_path / "state.npz"
-        KVCacheStore(cfg).save(path)
-        with np.load(path) as z:
-            payload = {k: z[k] for k in z.files}
-        payload[name] = change(payload[name])
-        np.savez(path, **payload)
+        with open(path, "wb") as f:
+            np.savez(f, version=2, length=0, codes=store.codes, scales=store.scales,
+                     zeros=store.zeros)
         with pytest.raises(FormatError):
             KVCacheStore.load(path, cfg)
 
-    def test_snapshot_header_damage_raises_format_error(self, tmp_path):
-        # the codes fill more than one zip read, so np.load alone parses
-        # their npy header before it checks the member's CRC: an unclosed
-        # shape tuple, and a header length two bytes short, which still
-        # parses and would read the codes two bytes early
-        cfg = tiny_demo_config(max_context=64)
-        path = tmp_path / "state.npz"
-        KVCacheStore(cfg).save(path)
-        blob = path.read_bytes()
-        shape = blob.index(b"64, 16), }") + len(b"64, 16")
-        length = blob.index(b"\x93NUMPY\x01\x00v\x00{'descr': '|u1'") + 8
-        for at, byte in ((shape, b"("), (length, b"t")):
-            path.write_bytes(blob[:at] + byte + blob[at + 1:])
-            with pytest.raises(FormatError):
-                KVCacheStore.load(path, cfg)
+    @pytest.mark.parametrize("field, value", [
+        ("scale", -1.0), ("scale", np.nan), ("scale", np.inf), ("scale", -0.0),
+        ("scale", 2.0 ** -20), ("scale", 65504.0), ("pad", 1),
+    ], ids=["scale-negative", "scale-nan", "scale-inf", "scale-negative-zero",
+            "scale-subnormal", "decode-overflow", "pad-nonzero"])
+    def test_bad_snapshot_value_raises(self, snapshot, rewrite, tmp_path, field, value):
+        """A sealed snapshot whose record of the value row of layer 0, head
+        1 is one the codec never writes. At the 65504 scale the row's codes
+        are 255 and its zero point 0, a decode past binary16. Dead at
+        position 3, the length, it loads; live at position 2, it raises."""
+        cfg, _, path = snapshot
+
+        def at(position):
+            def edit(cfg, pieces):
+                records = pieces[2].view(SZ_RECORD).reshape(2, cfg.n_heads, cfg.max_context)
+                records[field][1, 1, position] = value
+                if value == 65504.0:
+                    records["zero"][1, 1, position] = 0
+                    pieces[1].reshape(cfg.n_heads, cfg.max_context, -1)[1, position] = 255
+            bad = tmp_path / f"bad{position}.img"
+            shutil.copy(path, bad)
+            rewrite(bad, SNAPSHOT_MAGIC, edit)
+            return bad
+
+        assert KVCacheStore.load(at(3), cfg).length == 3
+        with pytest.raises(FormatError):
+            KVCacheStore.load(at(2), cfg)
+
+    @pytest.mark.parametrize("fields", [
+        {"n_layers": 2 ** 32 - 1}, {"d_model": 2 ** 32 - 64}, {"magic": b"PK\x03\x04"},
+        {"magic": layout.CHECKPOINT_MAGIC}, {"version": 0}, {"version": 2}, {"length": 65},
+    ], ids=str)
+    def test_snapshot_header_damage_raises_format_error(self, snapshot, reheader, tmp_path,
+                                                        fields):
+        # correctly sealed headers: another layout, format or version, or
+        # more rows than the context holds
+        cfg, _, path = snapshot
+        bad = tmp_path / "bad.img"
+        bad.write_bytes(reheader(path.read_bytes(), **fields))
+        with pytest.raises(FormatError):
+            KVCacheStore.load(bad, cfg)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_damaged_snapshot_raises_format_error(self, snapshot, damage, data):
-        cfg, original, path, spans = snapshot
-        damaged_path = path.with_name("damaged.npz")
-        damaged_path.write_bytes(damage(data, path.read_bytes(), spans))
-        try:
-            back = KVCacheStore.load(damaged_path, cfg)
-        except FormatError:
-            return
-        assert back.length == original.length
-        for name in ("codes", "scales", "zeros"):
-            assert np.array_equal(getattr(back, name).view(np.uint8),
-                                  getattr(original, name).view(np.uint8))
+        """Every truncation and every one-byte xor raises FormatError."""
+        cfg, _, path = snapshot
+        damaged_path = path.with_name("damaged.img")
+        damaged_path.write_bytes(damage(data, path.read_bytes()))
+        with pytest.raises(FormatError):
+            KVCacheStore.load(damaged_path, cfg)
 
 
 PINNED_CONFIG = ModelConfig(n_layers=2, d_model=48, n_heads=3, d_ffn=100, vocab_size=200,
@@ -751,7 +723,7 @@ class TestDecoderSteps:
         a = Decoder(demo_ckpt)
         for tok in range(1, 11):
             a.step(tok)
-        path = tmp_path / "kv.npz"
+        path = tmp_path / "kv.img"
         a.kv.save(path)
         b = Decoder(demo_ckpt)
         b.kv = KVCacheStore.load(path, demo_ckpt.config)
