@@ -15,11 +15,14 @@ def demo_ckpt():
 
 @pytest.fixture(scope="session")
 def damage():
-    """draw(data, blob): the bytes of an image file with hypothesis-drawn
-    damage, either a truncation or one byte xored with a nonzero mask.
-    Half of the time the damaged position is drawn from the image header."""
-    def draw(data, blob: bytes) -> bytes:
+    """draw(data, blob, span=None): the bytes of an image file with
+    hypothesis-drawn damage, either a truncation or one byte xored with a
+    nonzero mask. The damaged position is drawn from span, a (start, stop)
+    byte range, if one is given; else half of the time from the header."""
+    def draw(data, blob: bytes, span: tuple[int, int] | None = None) -> bytes:
         def position(label):
+            if span is not None:
+                return data.draw(st.integers(span[0], span[1] - 1), label=label)
             if data.draw(st.booleans(), label=f"{label} in the header"):
                 return data.draw(st.integers(0, layout.IMAGE_HEADER_BYTES - 1), label=label)
             return data.draw(st.integers(0, len(blob) - 1), label=label)

@@ -249,6 +249,36 @@ def test_damaged_checkpoint_raises_format_error(tmp_path_factory, saved, damage,
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("victim", ["layers.1.mlp.down.epws", "aux.npz", "config.json"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_raises_or_loads_equal(tmp_path_factory, saved, damage, victim, data):
+    """Truncate or xor one byte within the image bytes that hold what one
+    of the old per-format files held: a tensor's container, the embedding
+    and norm gains (aux.npz), or the config (the header). The crc covers
+    each of them, so loading raises FormatError; the old unchecked config
+    could instead load as another valid one."""
+    ckpt, src = saved
+    _, _, pieces = layout.read_image(src / IMAGE_NAME, CHECKPOINT_MAGIC)
+
+    def span(first, last):
+        at = layout.IMAGE_HEADER_BYTES - pieces[0].ctypes.data
+        return first.ctypes.data + at, last.ctypes.data + last.nbytes + at
+
+    if victim == "config.json":
+        lo, hi = 0, layout.IMAGE_HEADER_BYTES
+    elif victim == "aux.npz":
+        lo, hi = span(pieces[0], pieces[1])
+    else:
+        tensor = pieces[2 + tensor_names(ckpt.config).index(victim.removesuffix(".epws"))]
+        lo, hi = span(tensor, tensor)
+    path = tmp_path_factory.getbasetemp() / "damaged"
+    path.mkdir(exist_ok=True)
+    (path / IMAGE_NAME).write_bytes(damage(data, (src / IMAGE_NAME).read_bytes(), (lo, hi)))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
 def test_readers_bind_no_archive_or_text_parser():
     """Images are read with struct, zlib and numpy alone: no reader module
     binds the archive and text parsers of the npz and JSON formats."""
