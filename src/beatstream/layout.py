@@ -60,8 +60,10 @@ weights region. A snapshot's are each layer's K codes, V codes and
 scale-zero records for cfg.max_context rows, so its size does not depend
 on the length. The magic and the config fix every piece's length
 (checkpoint_pieces, snapshot_pieces), so the reader checks the body's
-length in O(1), then cuts the pieces as views of one buffer, reading no
-padding.
+length in O(1), then that the config's memory map fits the board's
+DDR_BYTES (a checkpoint's body does not depend on max_context, so a
+crafted one could otherwise size a KV cache of terabytes), then cuts the
+pieces as views of one buffer, reading no padding.
 
 Scale-zero side channel
 -----------------------
@@ -117,6 +119,9 @@ class BusGeometry:
     words_per_beat = 2          # format words per beat
     freq_hz = 300e6
     bandwidth_bytes_per_s = beat_bytes * freq_hz   # 19.2 GB/s
+
+
+DDR_BYTES = 4 << 30     # the board's DDR, 4 GiB, which must hold an image's memory map
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +448,9 @@ def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[n
     """(config, length, pieces) of an image file with this magic, each piece
     a uint8 view of the one buffer read. Checks the size, crc, magic and
     version, then the body's length against the config in O(1), before any
-    per-layer list; every failure raises FormatError."""
+    per-layer list, then that the config's memory map fits the board's
+    DDR_BYTES, so no reader sizes a KV cache the board cannot hold; every
+    failure raises FormatError."""
     blob = Path(path).read_bytes()
     if len(blob) < IMAGE_HEADER_BYTES + 4:
         raise FormatError(f"{path}: truncated image")
@@ -463,6 +470,10 @@ def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[n
     want = sum(map(_align, lead + tail)) + cfg.n_layers * sum(map(_align, layer))
     if body != want:
         raise FormatError(f"{path}: body of {body} bytes, the config's pieces fill {want}")
+    try:
+        plan_memory_map(cfg, DDR_BYTES)
+    except CapacityError as e:
+        raise FormatError(f"{path}: {e}") from e
     data = np.frombuffer(blob, dtype=np.uint8)
     pieces, at = [], IMAGE_HEADER_BYTES
     for size in lead + layer * cfg.n_layers + tail:

@@ -13,21 +13,29 @@ Two counting modes bracket the denominator bytes:
                     whole scale-zero beat per stream every 16th token
 
 token_burst_schedule is the one per-token count of bus traffic. Every
-layer moves the same bytes, so it counts one layer's requests and repeats
-them n_layers times. Every container starts on a beat, and its request is
-layout.container_beats, the beats the memory map gives it. The
-transaction model charges each of its requests a fixed setup cost per
-maximal burst of MAX_BURST_BEATS beats, which is what separates
-achievable bandwidth from the datasheet number.
+layer moves the same bytes, so a step's requests come as five runs, each
+a short list of request sizes and the times it repeats: the embedding row
+once, one layer's projection containers n_layers times, the head once,
+the norm gains 2 * n_layers + 1 times, and one layer's KV reads, writes
+and scale-zero flushes n_layers times. The schedule concatenates the
+runs; the packed byte count sums them without building it. Every
+container starts on a beat, and its request is layout.container_beats,
+the beats the memory map gives it. The transaction model charges each of
+its requests a fixed setup cost per maximal burst of MAX_BURST_BEATS
+beats, which is what separates achievable bandwidth from the datasheet
+number; it reads a stream's requests in one numpy pass.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import ClassVar
+
+import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError
@@ -43,12 +51,13 @@ MAX_BURST_BEATS = 256
 def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
                     position: int = 0) -> float:
     """Bytes that must cross the bus for one decode step at `position`;
-    packed_exact reads them off token_burst_schedule, whose KV traffic
-    grows with the position."""
+    packed_exact sums the beats of token_burst_schedule's runs, whose KV
+    traffic grows with the position, without building the schedule."""
     if mode == "non_embedding":
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
-        return sum(token_burst_schedule(cfg, position)) * BusGeometry.beat_bytes
+        beats = sum(sum(requests) * times for requests, times in _burst_runs(cfg, position))
+        return beats * BusGeometry.beat_bytes
     raise ConfigError(f"unknown counting mode {mode!r}; pick non_embedding or packed_exact")
 
 
@@ -118,18 +127,52 @@ class BusModel:
     def stream_cycles(self, requests) -> float:
         """Cycles of a stream of requests, in beats each: every beat, plus
         the setup of each request's ceil(beats / MAX_BURST_BEATS) bursts."""
-        beats = bursts = 0
-        for b in requests:
-            if b < 1:
-                raise ConfigError("a request must move at least one beat")
-            beats += b
-            bursts += -(-b // MAX_BURST_BEATS)
-        return float(beats + bursts * self.burst_setup_cycles)
+        return self._cycles(*_beats_and_bursts(requests))
 
     def stream_utilization(self, requests) -> float:
+        beats, bursts = _beats_and_bursts(requests)
+        return beats / self._cycles(beats, bursts)
+
+    def _cycles(self, beats: int, bursts: int) -> float:
+        return float(beats + bursts * self.burst_setup_cycles)
+
+
+def _beats_and_bursts(requests) -> tuple[int, int]:
+    """Total beats and maximal bursts of a stream of requests, counted in
+    one numpy pass. ConfigError unless every request is an int (not a
+    bool) from 1 to 2**63 - 1: the int64 conversion would truncate a
+    float or a bool where it must refuse it."""
+    if not isinstance(requests, (list, tuple)):
         requests = list(requests)
-        beats = sum(requests)
-        return beats / self.stream_cycles(requests)
+    if operator.countOf(map(type, requests), int) != len(requests):
+        raise ConfigError("a request must be an int number of beats")
+    try:
+        beats = np.fromiter(requests, dtype=np.int64, count=len(requests))
+    except OverflowError as e:
+        raise ConfigError("a request must move fewer than 2**63 beats") from e
+    if beats.min(initial=1) < 1:
+        raise ConfigError("a request must move at least one beat")
+    if len(beats) * int(beats.max(initial=0)) > np.iinfo(np.int64).max:
+        beats = beats.astype(object)     # the int64 sums could wrap; count in ints
+    return int(beats.sum()), int((-(-beats // MAX_BURST_BEATS)).sum())
+
+
+def _burst_runs(cfg: ModelConfig, position: int) -> list[tuple[list[int], int]]:
+    """One decode step's DMA requests as (requests, times) runs, in the
+    schedule's order (see token_burst_schedule)."""
+    if position < 0:
+        raise ConfigError(f"position {position} is negative")
+    bb, g = BusGeometry.beat_bytes, cfg.group_size
+    row = [-(-cfg.d_model * 2 // bb)]            # embedding row, one norm gain
+    projections = [container_beats(r, c, g) for r, c in cfg.projection_shapes().values()]
+    head = [container_beats(cfg.vocab_size, cfg.d_model, g)]
+    streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
+    kv = [-(-position * cfg.head_dim // bb)] * streams if position else []
+    kv += [-(-cfg.d_model // bb)] * 2            # new k, v rows
+    if (position + 1) % SZ_PACKS_PER_BEAT == 0:
+        kv += [1] * streams                      # scale-zero flush
+    return [(row, 1), (projections, cfg.n_layers), (head, 1),
+            (row, 2 * cfg.n_layers + 1), (kv, cfg.n_layers)]
 
 
 def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
@@ -141,22 +184,15 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     norm gains, and one scale-zero beat per stream whenever the step
     commits a multiple of SZ_PACKS_PER_BEAT rows.
 
-    Every layer issues the same requests, so one layer's projection
-    containers and one layer's KV reads, writes and flushes are each
-    counted once and repeated n_layers times. The list is built by
-    concatenation, so it is sized exactly and its repeated sizes are
-    shared int objects: a caller may hold many schedules.
+    Every layer issues the same requests, so the schedule is five runs,
+    each counted once and repeated: the embedding row once, one layer's
+    projection containers n_layers times, the head once, the norm gains
+    2 * n_layers + 1 times, and one layer's KV reads, new-row writes and
+    scale-zero flushes n_layers times. The list is built by concatenation,
+    so it is sized exactly and its repeated sizes are shared int objects:
+    a caller may hold many schedules.
     """
-    if position < 0:
-        raise ConfigError(f"position {position} is negative")
-    bb, g = BusGeometry.beat_bytes, cfg.group_size
-    row = -(-cfg.d_model * 2 // bb)              # embedding row, one norm gain
-    projections = [container_beats(r, c, g) for r, c in cfg.projection_shapes().values()]
-    head = container_beats(cfg.vocab_size, cfg.d_model, g)
-    streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
-    kv = [-(-position * cfg.head_dim // bb)] * streams if position else []
-    kv += [-(-cfg.d_model // bb)] * 2            # new k, v rows
-    if (position + 1) % SZ_PACKS_PER_BEAT == 0:
-        kv += [1] * streams                      # scale-zero flush
-    return [row] + projections * cfg.n_layers + [head] \
-        + [row] * (2 * cfg.n_layers + 1) + kv * cfg.n_layers
+    schedule: list[int] = []
+    for requests, times in _burst_runs(cfg, position):
+        schedule = schedule + requests * times
+    return schedule

@@ -157,6 +157,7 @@ def refuse_layer_walk(cfg):
 CRAFTED = {
     "n_layers-2^32-1": {"n_layers": 2 ** 32 - 1},
     "d_model-2^32-64": {"d_model": 2 ** 32 - 64},
+    "max_context-2^32-1": {"max_context": 2 ** 32 - 1},   # a KV cache of terabytes
     "n_heads-3": {"n_heads": 3},            # d_model 64 does not divide into 3 heads
     "npz-magic": {"magic": b"PK\x03\x04"},
     "snapshot-magic": {"magic": layout.SNAPSHOT_MAGIC},
@@ -169,8 +170,9 @@ CRAFTED = {
 @pytest.mark.parametrize("fields", CRAFTED.values(), ids=CRAFTED.keys())
 def test_crafted_header_refused_before_any_layer_walk(copied, reheader, monkeypatch, fields):
     """A correctly sealed header that names another format, version or
-    layout, or a config whose pieces cannot fill the body, raises
-    FormatError in O(1): the loader never lists the layers' names."""
+    layout, a config whose pieces cannot fill the body, or one whose
+    memory map the board's DDR cannot hold, raises FormatError before the
+    loader lists the layers' names."""
     image = copied / IMAGE_NAME
     image.write_bytes(reheader(image.read_bytes(), **fields))
     monkeypatch.setattr(model_io, "tensor_names", refuse_layer_walk)

@@ -9,11 +9,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beatstream import perf
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
 from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
 from beatstream.model_io import tensor_names, tensor_shape
 from beatstream.perf import (
+    MAX_BURST_BEATS,
     BusModel,
     bytes_per_token,
     load_device_catalog,
@@ -73,6 +75,50 @@ def test_request_pays_setup_per_burst():
     assert BusModel(burst_setup_cycles=16).stream_cycles([300]) == 332
     with pytest.raises(ConfigError):
         BusModel().stream_cycles([300, 0])
+
+
+def oracle_stream_cycles(requests, setup):
+    """BusModel.stream_cycles as a loop over the requests."""
+    beats = bursts = 0
+    for b in requests:
+        beats += b
+        bursts += -(-b // MAX_BURST_BEATS)
+    return float(beats + bursts * setup)
+
+
+# request sizes either side of whole bursts, and ones whose int64 sums wrap
+NEAR_BURSTS = st.sampled_from([1, 255, 256, 257, 512, 513, 2 ** 40 + 1, 2 ** 62, 2 ** 63 - 1])
+SETUPS = st.sampled_from([0, 16, 7.5])
+
+
+@settings(deadline=None)
+@given(requests=st.lists(NEAR_BURSTS | st.integers(1, 2 ** 20), max_size=40), setup=SETUPS)
+def test_stream_cycles_is_the_loop_bit_for_bit(requests, setup):
+    model = BusModel(burst_setup_cycles=setup)
+    cycles = model.stream_cycles(requests)
+    assert type(cycles) is float
+    assert cycles.hex() == oracle_stream_cycles(requests, setup).hex()
+    assert model.stream_cycles(iter(requests)) == cycles
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, 2 ** 70], ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(requests=st.lists(NEAR_BURSTS, max_size=20), data=st.data())
+def test_stream_refuses_a_request_outside_int64_beats(bad, requests, data):
+    # the int64 conversion would truncate a float or a bool, and raise no
+    # ConfigError for an int it cannot hold
+    requests.insert(data.draw(st.integers(0, len(requests)), label="at"), bad)
+    model = BusModel(burst_setup_cycles=16)
+    with pytest.raises(ConfigError):
+        model.stream_cycles(requests)
+    with pytest.raises(ConfigError):
+        model.stream_utilization(requests)
+
+
+def test_empty_stream_takes_no_cycles():
+    for setup in (0, 16, 7.5):
+        cycles = BusModel(burst_setup_cycles=setup).stream_cycles([])
+        assert type(cycles) is float and cycles == 0.0
 
 
 # demo, kv_long and weights_mid shapes of the benchmark, group size left open
@@ -171,6 +217,29 @@ def test_modelled_tok_s_is_clock_over_cycles(schedule_7b):
     cycles = model.stream_cycles(schedule_7b)
     assert tok_s == pytest.approx(BusGeometry.freq_hz / cycles, rel=1e-12)
     assert tok_s == pytest.approx(4.878967, abs=5e-7)
+
+
+def test_every_7b_position_bytes_and_cycles():
+    # the whole published context: the byte count sums the schedule's
+    # runs, and the bus model's one numpy pass is the loop
+    cfg = llama2_7b_config()
+    model = BusModel(burst_setup_cycles=16)
+    for position in range(cfg.max_context):
+        schedule = token_burst_schedule(cfg, position)
+        assert bytes_per_token(cfg, "packed_exact", position) == \
+            sum(schedule) * BusGeometry.beat_bytes
+        assert model.stream_cycles(schedule) == oracle_stream_cycles(schedule, 16)
+
+
+def test_byte_count_builds_no_schedule(monkeypatch):
+    cfg = llama2_7b_config()
+    want = bytes_per_token(cfg, "packed_exact", 1023)
+
+    def no_schedule(cfg, position):
+        raise AssertionError("the byte count built a schedule")
+
+    monkeypatch.setattr(perf, "token_burst_schedule", no_schedule)
+    assert bytes_per_token(cfg, "packed_exact", 1023) == want == 3_701_690_368
 
 
 def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
