@@ -36,12 +36,13 @@ map charge. Every container starts on a beat of its own.
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
 tensor's last word of that kind; packing and unpacking are one masked
-assignment per kind. A stream stores only its words: their kinds follow
-from the tensor's shape (beat_kind_pattern), so a reader checks the word
-count against that law, whose closed form (stream_word_count) costs the
-same for any shape. The reader also refuses a group the quantizer never
-writes: its scale is finite and at least the smallest normal binary16,
-and its decode stays finite (quant.overflow_rows).
+assignment per kind. A stream is its words alone, an (n_words, 32) uint8
+array: the shape is the config's, and the word kinds follow from it
+(beat_kind_pattern), so a reader checks the word count against that law,
+whose closed form (stream_word_count) costs the same for any shape. The
+reader also refuses a group the quantizer never writes: its scale is
+finite and at least the smallest normal binary16, and its decode stays
+finite (quant.overflow_rows).
 
 Image file
 ----------
@@ -55,15 +56,17 @@ the memory map's regions:
     u32              zlib.crc32 of everything before it
 
 A checkpoint's pieces are its non-KV regions: the binary16 embedding, the
-norm gains, and every tensor's container words, a layer's making up its
-weights region. A snapshot's are each layer's K codes, V codes and
-scale-zero records for cfg.max_context rows, so its size does not depend
-on the length. The magic and the config fix every piece's length
-(checkpoint_pieces, snapshot_pieces), so the reader checks the body's
-length in O(1), then that the config's memory map fits the board's
-DDR_BYTES (a checkpoint's body does not depend on max_context, so a
-crafted one could otherwise size a KV cache of terabytes), then cuts the
-pieces as views of one buffer, reading no padding.
+(2 * n_layers + 1, d_model) binary16 norm gains, and every tensor's
+container words, a layer's making up its weights region. A snapshot's are
+each layer's K codes, V codes and scale-zero records for cfg.max_context
+rows, so its size does not depend on the length. Each piece is an array
+a checkpoint or KV cache holds in memory, written as it lies. The magic
+and the config fix every piece's length (checkpoint_pieces,
+snapshot_pieces), so the reader checks the body's length in O(1), then
+that the config's memory map fits the board's DDR_BYTES (a checkpoint's
+body does not depend on max_context, so a crafted one could otherwise
+size a KV cache of terabytes), then cuts the pieces as views of one
+buffer, reading no padding.
 
 Scale-zero side channel
 -----------------------
@@ -75,8 +78,8 @@ Each cached KV row has one 32-bit record beside its codes:
 
 Every (layer, head, K/V) stream collects its records in token order and
 writes them to DDR one 64-byte beat at a time: one beat per stream per 16
-committed rows. The records live in the KV cache's scale and zero arrays,
-so the beats written so far follow from the cache length alone.
+committed rows. The KV cache holds its records as SZ_RECORD arrays, so the
+beats written so far follow from the cache length alone.
 
 Memory map
 ----------
@@ -304,24 +307,6 @@ def container_beats(rows: int, cols: int, group_size: int) -> int:
     return -(-tensor_stream_words(rows, cols, group_size) // BusGeometry.words_per_beat)
 
 
-@dataclass(frozen=True)
-class PackedWeightStream:
-    """The interleaved word stream of one tensor, in read order."""
-
-    rows: int
-    cols: int
-    group_size: int
-    words: np.ndarray    # (n_words, 32) uint8; word kinds follow beat_kind_pattern
-
-    @property
-    def n_words(self) -> int:
-        return self.words.shape[0]
-
-    @property
-    def n_groups(self) -> int:
-        return self.rows * -(-self.cols // self.group_size)
-
-
 def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:
     """values, zero-padded to fill whole words of per_word values: one row
     of per_word values a word."""
@@ -330,31 +315,33 @@ def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:
     return out
 
 
-def pack_tensor(tensor: GroupedTensor) -> PackedWeightStream:
-    """Interleave a grouped tensor into its word stream, one masked
-    assignment per word kind (see the module docstring)."""
+def pack_tensor(tensor: GroupedTensor) -> np.ndarray:
+    """Interleave a grouped tensor into its word stream, (n_words, 32)
+    uint8, one masked assignment per word kind (see the module
+    docstring)."""
     kinds = beat_kind_pattern(tensor.n_groups, tensor.group_size)
     words = np.zeros((kinds.size, WORD_BYTES), dtype=np.uint8)
     scale_bits = half_bits(tensor.scales).astype("<u2")
     words[kinds == KIND_ZP] = pack_nibbles(_whole_words(tensor.zeros, ZPS_PER_WORD))
     words[kinds == KIND_SCALE] = _whole_words(scale_bits, SCALES_PER_WORD).view(np.uint8)
     words[kinds == KIND_WEIGHT] = pack_nibbles(_whole_words(tensor.codes, WEIGHTS_PER_WORD))
-    return PackedWeightStream(rows=tensor.rows, cols=tensor.cols, group_size=tensor.group_size,
-                              words=words)
+    return words
 
 
-def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
-    """Invert pack_tensor. A word count other than the layout law's raises
-    FormatError, and so does a group the quantizer never writes: its scale
-    is not finite or is below HALF_SMALLEST_NORMAL (zero, negative or
-    subnormal), or its decode overflows binary16. The padding past the
-    last group goes unchecked."""
-    g, n = stream.group_size, stream.n_groups
+def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> GroupedTensor:
+    """Invert pack_tensor for a (rows x cols) tensor. FormatError unless the
+    words are a uint8 array of the layout law's (n_words, 32) shape, and
+    for a group the quantizer never writes: its scale is not finite or is
+    below HALF_SMALLEST_NORMAL (zero, negative or subnormal), or its decode
+    overflows binary16. The padding past the last group goes unchecked."""
+    if words.dtype != np.uint8 or words.ndim != 2 or words.shape[1] != WORD_BYTES:
+        raise FormatError(f"stream words are {words.dtype} of shape {words.shape}, "
+                          f"not uint8 words of {WORD_BYTES} bytes")
+    g, n = group_size, rows * -(-cols // group_size)
     kinds = beat_kind_pattern(n, g)
-    if stream.n_words != kinds.size:
+    if words.shape[0] != kinds.size:
         raise FormatError(
-            f"stream has {stream.n_words} words, the layout law requires {kinds.size}")
-    words = stream.words
+            f"stream has {words.shape[0]} words, the layout law requires {kinds.size}")
     zeros = unpack_nibbles(words[kinds == KIND_ZP])[:n]
     scales = half_from_bits(words[kinds == KIND_SCALE].view("<u2").ravel()[:n])
     if not (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL)).all():
@@ -363,20 +350,19 @@ def unpack_stream(stream: PackedWeightStream) -> GroupedTensor:
     codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
     if overflow_rows(codes, scales, zeros, WEIGHT_LEVELS).size:
         raise FormatError("stream holds a group whose decode overflows binary16")
-    return GroupedTensor(rows=stream.rows, cols=stream.cols, group_size=g,
+    return GroupedTensor(rows=rows, cols=cols, group_size=g,
                          codes=codes, scales=scales, zeros=zeros)
 
 
-def read_container(piece: np.ndarray, rows: int, cols: int,
-                   group_size: int) -> PackedWeightStream:
-    """The stream of one tensor's piece of an image, a view of it; FormatError
-    unless the piece holds the words the layout law gives the shape."""
+def read_container(piece: np.ndarray, rows: int, cols: int, group_size: int) -> np.ndarray:
+    """The words of one tensor's piece of an image, (n_words, 32), a view of
+    it; FormatError unless the piece holds the words the layout law gives
+    the shape."""
     if min(rows, cols, group_size) <= 0 or group_size % 4 \
             or piece.size != tensor_stream_words(rows, cols, group_size) * WORD_BYTES:
         raise FormatError(f"{piece.size} bytes inconsistent with shape "
                           f"({rows}x{cols}, group {group_size})")
-    return PackedWeightStream(rows=rows, cols=cols, group_size=group_size,
-                              words=piece.reshape(-1, WORD_BYTES))
+    return piece.reshape(-1, WORD_BYTES)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 A checkpoint is a directory holding one image file (see layout), model.img:
 the config in its header, then the regions the board's DDR holds besides
-the KV cache, in placement order: the binary16 embedding, the norm gains
-in norm_names order, and every tensor's container words in tensor_names
-order.
+the KV cache, in placement order: the binary16 embedding, the norm gains,
+and every tensor's container words in tensor_names order.
 
-A Checkpoint holds each projection as the words of its container, the
-packed stream the hardware reads: quantizing packs them once, saving
-writes them and loading reads them back, so a round-trip never unpacks or
-re-quantizes. Decoders unpack a tensor's groups from its words when they
-prepare their operands (Checkpoint.grouped). The embedding and the norm
-gains stay in binary16 (they are read element-wise, not streamed through
-the dot engine). Loading keeps the embedding, the norm gains and the
-words as read-only views of the one buffer the image is read into.
+A Checkpoint holds each region as its piece of the image, so saving and
+loading convert nothing: each projection is the (n_words, 32) uint8
+words of its container, the packed stream the hardware reads, and the
+norm gains are one (2 * n_layers + 1, d_model) array whose rows are the
+attention and MLP gains of each layer in turn, then the final one. Only
+the config states a tensor's shape. Quantizing packs the words once, and
+a round-trip never unpacks or re-quantizes; decoders unpack a tensor's
+groups from its words when they prepare their operands
+(Checkpoint.grouped). The embedding and the norm gains stay in binary16
+(they are read element-wise, not streamed through the dot engine).
+Loading keeps the embedding, the norm gains and the words as read-only
+views of the one buffer the image is read into.
 
 Loading refuses a damaged image with FormatError and a missing one with
 FileNotFoundError; a group the quantizer never writes is refused when a
@@ -30,8 +33,8 @@ import numpy as np
 
 from .config import ModelConfig, tiny_demo_config
 from .errors import FormatError, ShapeError
-from .layout import (CHECKPOINT_MAGIC, GroupedTensor, PackedWeightStream, pack_tensor,
-                     read_container, read_image, unpack_stream, write_image)
+from .layout import (CHECKPOINT_MAGIC, GroupedTensor, pack_tensor, read_container, read_image,
+                     unpack_stream, write_image)
 
 IMAGE_NAME = "model.img"
 
@@ -50,14 +53,6 @@ def tensor_shape(cfg: ModelConfig, name: str) -> tuple[int, int]:
     return cfg.projection_shapes()[short]
 
 
-def norm_names(cfg: ModelConfig) -> list[str]:
-    names = []
-    for i in range(cfg.n_layers):
-        names += [f"attn.{i}", f"mlp.{i}"]
-    names.append("final")
-    return names
-
-
 @dataclass(eq=False)
 class Checkpoint:
     """A model's packed tensors, embedding and norm gains. Compared by
@@ -65,11 +60,15 @@ class Checkpoint:
     tensors must not change once a Decoder has been built on it."""
 
     config: ModelConfig
-    tensors: dict[str, PackedWeightStream]
+    tensors: dict[str, np.ndarray]   # name -> (n_words, 32) uint8 container words
     embedding: np.ndarray            # (vocab, d_model) float16
-    norms: dict[str, np.ndarray]     # name -> (d_model,) float16
+    norms: np.ndarray                # (2 * n_layers + 1, d_model) float16
 
     def validate(self) -> None:
+        """FormatError or ShapeError unless the tensors are the ones the
+        config names and the embedding and norm gains have its shape. A
+        tensor's word count is checked by unpack_stream, which every
+        decoder calls, and by write_image."""
         cfg = self.config
         names = tensor_names(cfg)
         if extra := sorted(set(self.tensors) - set(names)):
@@ -77,21 +76,14 @@ class Checkpoint:
         for name in names:
             if name not in self.tensors:
                 raise FormatError(f"checkpoint is missing tensor {name!r}")
-            t = self.tensors[name]
-            want = tensor_shape(cfg, name)
-            if (t.rows, t.cols) != want:
-                raise ShapeError(f"{name}: shape ({t.rows}, {t.cols}) != {want}")
-            if t.group_size != cfg.group_size:
-                raise FormatError(
-                    f"{name}: group size {t.group_size} != config {cfg.group_size}")
         if self.embedding.shape != (cfg.vocab_size, cfg.d_model):
             raise ShapeError(f"embedding shape {self.embedding.shape} is wrong")
         if self.embedding.dtype != np.float16:
             raise FormatError("embedding must be binary16")
-        for name in norm_names(cfg):
-            g = self.norms.get(name)
-            if g is None or g.shape != (cfg.d_model,) or g.dtype != np.float16:
-                raise FormatError(f"norm gain {name!r} missing or malformed")
+        if self.norms.shape != (2 * cfg.n_layers + 1, cfg.d_model) \
+                or self.norms.dtype != np.float16:
+            raise FormatError(f"norm gains of shape {self.norms.shape} and type "
+                              f"{self.norms.dtype} are malformed")
 
     def refuse_non_finite(self) -> None:
         """FormatError if the embedding or a norm gain holds a non-finite
@@ -101,15 +93,15 @@ class Checkpoint:
         memory with an infinite embedding row to make a step raise."""
         if not np.isfinite(self.embedding).all():
             raise FormatError("embedding holds a non-finite value")
-        for name, g in self.norms.items():
-            if not np.isfinite(g).all():
-                raise FormatError(f"norm gain {name!r} holds a non-finite value")
+        if not np.isfinite(self.norms).all():
+            raise FormatError("a norm gain holds a non-finite value")
 
     def grouped(self) -> Iterator[tuple[str, GroupedTensor]]:
         """(name, GroupedTensor) of every tensor, each unpacked from its
-        words only when the iteration reaches it."""
-        for name, stream in self.tensors.items():
-            yield name, unpack_stream(stream)
+        words at its config shape only when the iteration reaches it."""
+        cfg = self.config
+        for name, words in self.tensors.items():
+            yield name, unpack_stream(words, *tensor_shape(cfg, name), cfg.group_size)
 
 
 def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
@@ -117,27 +109,27 @@ def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
     ckpt.refuse_non_finite()
     cfg, d = ckpt.config, Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    gains = np.stack([ckpt.norms[name] for name in norm_names(cfg)])
-    words = [ckpt.tensors[name].words for name in tensor_names(cfg)]
-    write_image(d / IMAGE_NAME, CHECKPOINT_MAGIC, cfg, 0, [ckpt.embedding, gains] + words)
+    words = [ckpt.tensors[name] for name in tensor_names(cfg)]
+    write_image(d / IMAGE_NAME, CHECKPOINT_MAGIC, cfg, 0, [ckpt.embedding, ckpt.norms] + words)
 
 
 def load_checkpoint(dirpath: str | Path) -> Checkpoint:
     cfg, length, pieces = read_image(Path(dirpath) / IMAGE_NAME, CHECKPOINT_MAGIC)
     if length:
         raise FormatError(f"checkpoint image claims {length} KV rows, a checkpoint holds none")
-    embedding, gains, *words = pieces
+    embedding, norms, *words = pieces
     tensors = {name: read_container(piece, *tensor_shape(cfg, name), cfg.group_size)
                for name, piece in zip(tensor_names(cfg), words)}
-    norms = dict(zip(norm_names(cfg), gains.view(np.float16).reshape(-1, cfg.d_model)))
-    ckpt = Checkpoint(cfg, tensors, embedding.view(np.float16).reshape(-1, cfg.d_model), norms)
+    ckpt = Checkpoint(cfg, tensors, embedding.view(np.float16).reshape(-1, cfg.d_model),
+                      norms.view(np.float16).reshape(-1, cfg.d_model))
     ckpt.refuse_non_finite()
     return ckpt
 
 
 def quantize_checkpoint(cfg: ModelConfig, weights: dict[str, np.ndarray],
-                        embedding: np.ndarray, norms: dict[str, np.ndarray]) -> Checkpoint:
-    """Quantize a dict of binary16 weight matrices into a checkpoint."""
+                        embedding: np.ndarray, norms: np.ndarray) -> Checkpoint:
+    """Quantize a dict of binary16 weight matrices into a checkpoint; the
+    norm gains are one (2 * n_layers + 1, d_model) array (see Checkpoint)."""
     tensors = {}
     for name in tensor_names(cfg):
         if name not in weights:
@@ -149,7 +141,7 @@ def quantize_checkpoint(cfg: ModelConfig, weights: dict[str, np.ndarray],
     ckpt = Checkpoint(config=cfg,
                       tensors=tensors,
                       embedding=np.asarray(embedding, dtype=np.float16),
-                      norms={k: np.asarray(v, dtype=np.float16) for k, v in norms.items()})
+                      norms=np.asarray(norms, dtype=np.float16))
     ckpt.validate()
     return ckpt
 
@@ -163,6 +155,5 @@ def build_demo_checkpoint(seed: int = 0, cfg: ModelConfig | None = None) -> Chec
         rows, cols = tensor_shape(cfg, name)
         weights[name] = (rng.standard_normal((rows, cols)) / np.sqrt(cols)).astype(np.float16)
     embedding = rng.standard_normal((cfg.vocab_size, cfg.d_model)).astype(np.float16)
-    norms = {name: (1.0 + 0.1 * rng.standard_normal(cfg.d_model)).astype(np.float16)
-             for name in norm_names(cfg)}
+    norms = 1.0 + 0.1 * rng.standard_normal((2 * cfg.n_layers + 1, cfg.d_model))
     return quantize_checkpoint(cfg, weights, embedding, norms)

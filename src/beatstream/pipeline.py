@@ -15,8 +15,8 @@ KVCacheStore, which owns the cache's row codec, so their logits must
 agree bit for bit at every step; check_agreement is that check, and that
 equivalence is the core regression test.
 
-A decoder's only state is its KV cache, whose per-row scales and zero
-points are the records of the scale-zero side channel (see layout). The
+A decoder's only state is its KV cache, which holds each row's scale and
+zero point as its record of the scale-zero side channel (see layout). The
 beats that channel has written follow from the cache length, so a saved
 cache resumes a decoder exactly.
 
@@ -67,8 +67,8 @@ from .errors import CapacityError, ConfigError, DivergenceError, FormatError, Sh
 from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, BusGeometry, code_beats,
                      read_image, write_image)
 from .model_io import Checkpoint, tensor_shape
-from .numerics import (HALF_SMALLEST_NORMAL, LANES, TreeOrderRows, dot_rows, half_bits,
-                       pad_to_lanes, ulp16)
+from .numerics import (HALF_SMALLEST_NORMAL, TreeOrderRows, dot_rows, half_bits, pad_to_lanes,
+                       ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, overflow_rows
 
@@ -294,12 +294,13 @@ def _stage_spans(cfg: ModelConfig, position: int) -> list[StageSpan]:
 # ---------------------------------------------------------------------------
 
 class KVCacheStore:
-    """Preallocated per-(layer, head) KV code arrays with one scale-zero
-    pair per cached row: a binary16 scale and a uint8 zero point, the
-    row's scale-zero record. The store owns the row codec: write_layer
-    quantizes the rows it is given (kv_quantize). Rows land at the
-    current length during a token; commit() publishes them. Readers take
-    the rows below the length only.
+    """Preallocated per-(layer, head) KV code arrays, `codes`, and one
+    scale-zero record (layout.SZ_RECORD) per cached row, `records`, both
+    indexed (K/V, layer, head, row), so that a layer's K codes, V codes
+    and records are the pieces of a snapshot as they lie. The store owns
+    the row codec: write_layer quantizes the rows it is given
+    (kv_quantize). Rows land at the current length during a token;
+    commit() publishes them. Readers take the rows below the length only.
 
     Beside the codes the store keeps their decode, widened to binary32
     and laid out in the order the fused attention reads it, so that no
@@ -314,9 +315,9 @@ class KVCacheStore:
 
     The mirrors are derived state. write_layer decodes each new row through
     kv_dequantize_rows, which gives the bits a decode of the whole history
-    would; load rebuilds them from the codes; a snapshot holds the codes
-    alone. Rows at or past the length are dead in the mirrors as in the
-    codes. In host memory the two mirrors cost 8 * head_dim bytes per
+    would; load rebuilds them from the codes and records; a snapshot holds
+    those alone. Rows at or past the length are dead in the mirrors as in
+    the codes. In host memory the two mirrors cost 8 * head_dim bytes per
     (layer, head, row), plus the key mirror's lane padding where head_dim
     is not a power of two, against the 2 * head_dim of the codes: 32 MB
     for one layer of LLaMA2-7B's shape (32 heads of 128) at 1024 rows,
@@ -328,8 +329,7 @@ class KVCacheStore:
         hd = cfg.head_dim
         self.cfg = cfg
         self.codes = np.zeros((2,) + shape + (hd,), dtype=np.uint8)
-        self.scales = np.zeros((2,) + shape, dtype=np.float16)
-        self.zeros = np.zeros((2,) + shape, dtype=np.uint8)
+        self.records = np.zeros((2,) + shape, dtype=SZ_RECORD)
         self.keys = tuple(TreeOrderRows(cfg.n_heads, cfg.max_context, hd)
                           for _ in range(cfg.n_layers))
         self.values = np.zeros((cfg.n_layers, cfg.max_context, cfg.n_heads, hd),
@@ -349,8 +349,8 @@ class KVCacheStore:
         t, heads = self.length, self.cfg.n_heads
         codes, scales, zeros = kv_quantize(rows)
         self.codes[:, layer, :, t] = codes.reshape(2, heads, -1)
-        self.scales[:, layer, :, t] = scales.reshape(2, heads)
-        self.zeros[:, layer, :, t] = zeros.reshape(2, heads)
+        self.records["scale"][:, layer, :, t] = scales.reshape(2, heads)
+        self.records["zero"][:, layer, :, t] = zeros.reshape(2, heads)
         decoded = kv_dequantize_rows(codes, scales, zeros)
         self.keys[layer].assign(t, decoded[:heads, None])
         self.values[layer, t] = decoded[heads:]
@@ -362,12 +362,10 @@ class KVCacheStore:
         """Write a snapshot image (see layout) to exactly `path`: per layer
         the K codes, the V codes and the scale-zero records of every row,
         written or not."""
-        cfg, pieces = self.cfg, []
-        for layer in range(cfg.n_layers):
-            records = np.zeros((2, cfg.n_heads, cfg.max_context), dtype=SZ_RECORD)
-            records["scale"], records["zero"] = self.scales[:, layer], self.zeros[:, layer]
-            pieces += [self.codes[0, layer], self.codes[1, layer], records]
-        write_image(path, SNAPSHOT_MAGIC, cfg, self.length, pieces)
+        pieces = []
+        for layer in range(self.cfg.n_layers):
+            pieces += [self.codes[0, layer], self.codes[1, layer], self.records[:, layer]]
+        write_image(path, SNAPSHOT_MAGIC, self.cfg, self.length, pieces)
 
     @classmethod
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
@@ -388,14 +386,13 @@ class KVCacheStore:
             k, v, sz = pieces[3 * layer:3 * layer + 3]
             store.codes[0, layer] = k.reshape(head_rows + (hd,))
             store.codes[1, layer] = v.reshape(head_rows + (hd,))
-            records = sz.view(SZ_RECORD).reshape((2,) + head_rows)
-            if records["pad"][..., :t].any():
-                raise FormatError("state holds a scale-zero record with a nonzero pad byte")
-            store.scales[:, layer], store.zeros[:, layer] = records["scale"], records["zero"]
+            store.records[:, layer] = sz.view(SZ_RECORD).reshape((2,) + head_rows)
         store.length = t
+        records = store.records[:, :, :, :t]
+        if records["pad"].any():
+            raise FormatError("state holds a scale-zero record with a nonzero pad byte")
         codes = store.codes[:, :, :, :t].reshape(-1, hd)
-        scales = store.scales[:, :, :, :t].reshape(-1)
-        zeros = store.zeros[:, :, :, :t].reshape(-1)
+        scales, zeros = records["scale"].reshape(-1), records["zero"].reshape(-1)
         if not ((half_bits(scales) == 0)
                 | (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL))).all():
             raise FormatError("state holds a scale the cache codec never writes below its length")
@@ -429,8 +426,7 @@ class _WeightCache:
     reduces every row on its own, so each projection's row range of a
     stage's result holds the bits of that projection's own dot.
 
-    `parts` maps each tensor name to its stage and first row there. A
-    tensor is unpacked from its words and widened a row range at a time
+    A tensor is unpacked from its words and widened a row range at a time
     straight into its rows of the stage, so no whole-tensor wide temporary
     and no per-tensor copy exists. Built once per checkpoint: `of` hands
     every Decoder on a checkpoint the same cache, which lives as long as
@@ -441,21 +437,21 @@ class _WeightCache:
         weakref.WeakKeyDictionary()
 
     def __init__(self, ckpt: Checkpoint) -> None:
-        cfg = ckpt.config
+        self.cfg = cfg = ckpt.config
         stages = {f"layers.{i}.{stage}": [f"layers.{i}.{p}" for p in parts]
                   for i in range(cfg.n_layers) for stage, parts in _STREAM_STAGES.items()}
         stages["lm_head"] = ["lm_head"]
-        self.parts: dict[str, tuple[str, int]] = {}
+        parts: dict[str, tuple[str, int]] = {}   # tensor -> its stage, its first row there
         self.mats: dict[str, TreeOrderRows] = {}
         for stage, names in stages.items():
             rows = 0
             for name in names:
-                self.parts[name] = (stage, rows)
+                parts[name] = (stage, rows)
                 rows += tensor_shape(cfg, name)[0]
             cols = tensor_shape(cfg, names[0])[1]   # a stage's parts share their input
             self.mats[stage] = TreeOrderRows(rows, -(-cols // cfg.group_size) * cfg.group_size)
         for name, t in ckpt.grouped():
-            stage, first = self.parts[name]
+            stage, first = parts[name]
             for lo, vals in t.widened_chunks():
                 self.mats[stage].assign(first + lo, vals)
 
@@ -467,8 +463,9 @@ class _WeightCache:
         return cache
 
     def stage_beats(self, name: str, rows: int) -> int:
-        """Beats of `rows` rows of tensor `name`, at its stage's width."""
-        return rows * -(-self.mats[self.parts[name][0]].shape[1] // LANES)
+        """Beats of `rows` rows of tensor `name`: their code beats at the
+        tensor's config width (layout.code_beats)."""
+        return code_beats(rows, tensor_shape(self.cfg, name)[1], self.cfg.group_size)
 
 
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
@@ -517,7 +514,7 @@ class Decoder:
         carry = rms_sumsq(x)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
-            h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"], precomputed_sq=carry)
+            h = rmsnorm(x, self.ckpt.norms[2 * layer], precomputed_sq=carry)
             qkv = dot_rows(mats[pre + "attn.qkv"], h)
             qk = rope_rotate(qkv[:2 * d].reshape(2 * heads, hd), t)
             v = qkv[2 * d:].reshape(heads, hd)
@@ -537,14 +534,14 @@ class Decoder:
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
-            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"], precomputed_sq=carry)
+            h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], precomputed_sq=carry)
             gate_up = dot_rows(mats[pre + "mlp.gate_up"], h2)
             act = silu_gate(gate_up[:cfg.d_ffn], gate_up[cfg.d_ffn:])
             down = dot_rows(mats[pre + "mlp.down"], act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
             carry = rms_sumsq(x)
 
-        h_final = rmsnorm(x, self.ckpt.norms["final"], precomputed_sq=carry)
+        h_final = rmsnorm(x, self.ckpt.norms[-1], precomputed_sq=carry)
         logits = dot_rows(mats["lm_head"], h_final)
         self.kv.commit()
         return logits, TokenTrace(cfg, t)
@@ -570,7 +567,7 @@ class ReferenceDecoder:
         rows = np.empty((2 * heads, hd), dtype=np.float16)
         for layer in range(cfg.n_layers):
             pre = f"layers.{layer}."
-            h = rmsnorm(x, self.ckpt.norms[f"attn.{layer}"])
+            h = rmsnorm(x, self.ckpt.norms[2 * layer])
             q_all = dot_rows(self.mats[pre + "attn.q"], h)
             k_all = dot_rows(self.mats[pre + "attn.k"], h)
             v_all = dot_rows(self.mats[pre + "attn.v"], h)
@@ -582,8 +579,8 @@ class ReferenceDecoder:
                 v = v_all[lo:hi]
                 # this head's cached keys and values, decoded from their codes
                 past_k, past_v = (kv_dequantize_rows(kv.codes[which, layer, head, :t],
-                                                     kv.scales[which, layer, head, :t],
-                                                     kv.zeros[which, layer, head, :t])
+                                                     kv.records["scale"][which, layer, head, :t],
+                                                     kv.records["zero"][which, layer, head, :t])
                                   for which in (0, 1))
                 logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
                 probs = softmax(scale_logits(logits_h, hd))
@@ -592,12 +589,12 @@ class ReferenceDecoder:
             kv.write_layer(layer, rows)
             o = dot_rows(self.mats[pre + "attn.o"], out)
             x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
-            h2 = rmsnorm(x, self.ckpt.norms[f"mlp.{layer}"])
+            h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1])
             act = silu_gate(dot_rows(self.mats[pre + "mlp.gate"], h2),
                             dot_rows(self.mats[pre + "mlp.up"], h2))
             down = dot_rows(self.mats[pre + "mlp.down"], act)
             x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
-        h = rmsnorm(x, self.ckpt.norms["final"])
+        h = rmsnorm(x, self.ckpt.norms[-1])
         logits = dot_rows(self.mats["lm_head"], h)
         kv.commit()
         return logits

@@ -52,14 +52,18 @@ def test_each_step_books_one_weight_dot_per_stage():
 
 
 def test_setup_records_the_stream_unpack(tmp_path):
-    """Building the decoder unpacks every tensor through the name the
-    set-up metric wraps, so layout.unpack_stream_s does not read 0."""
+    """A set-up packs, reads and unpacks every tensor once, each through
+    the name its set-up metric wraps, and builds each tensor's word-kind
+    pattern twice, to pack and to unpack: no set-up metric reads 0."""
     cfg = tiny_demo_config()
     tracer = Tracer()
     with tracer.installed(wl.SETUP_TARGETS):
         wl.setup_decoder(cfg, 1, tmp_path, tracer)
-    unpacks = [s for s in tracer.spans if s.name == "layout.unpack_stream"]
-    assert len(unpacks) == len(tensor_names(cfg))
+    n = len(tensor_names(cfg))
+    spans = Counter(s.name for s in tracer.spans)
+    assert {t.name: spans[t.name] for t in wl.SETUP_TARGETS} == {
+        "layout.pack_tensor": n, "layout.read_container": n, "layout.unpack_stream": n,
+        "layout.beat_kind_pattern": 2 * n}
 
 
 def test_stage_beats_answers_every_tensor():

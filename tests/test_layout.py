@@ -9,7 +9,6 @@ Word oracle: digests of the words the per-section packer wrote before
 packing became one masked assignment per kind.
 """
 
-import dataclasses
 import hashlib
 import math
 import struct
@@ -132,7 +131,7 @@ def test_beat_laws_count_the_real_artifacts(g, rows, groups, short):
     cols = groups * g - short % g
     w = np.random.default_rng(rows * cols).standard_normal((rows, cols)).astype(np.float16)
     t = GroupedTensor.quantize(w, g)
-    words = pack_tensor(t).n_words
+    words = len(pack_tensor(t))
     assert container_beats(rows, cols, g) == -(-words // BusGeometry.words_per_beat)
     operand = TreeOrderRows(rows, t.padded_cols)
     # a row narrower than a block is reduced over a subtree but still fills its beat
@@ -154,8 +153,8 @@ class TestNibbles:
 class TestPackUnpack:
     def test_scale_word_is_little_endian(self):
         t = GroupedTensor.quantize(np.ones((1, 128), dtype=np.float16), 128)
-        stream = pack_tensor(t)
-        scale_word = stream.words[np.nonzero(beat_kind_pattern(1, 128) == KIND_SCALE)[0][0]]
+        words = pack_tensor(t)
+        scale_word = words[np.nonzero(beat_kind_pattern(1, 128) == KIND_SCALE)[0][0]]
         # scale for the ones group is half(1/15); check byte order explicitly
         bits = int(np.frombuffer(scale_word[:2].tobytes(), dtype="<u2")[0])
         assert np.float16(t.scales[0]) == np.uint16(bits).view(np.float16)
@@ -173,9 +172,9 @@ class TestPackUnpack:
             g = 4 * int(rng.integers(1, 65))
             w = to_half(rng.normal(size=(rows, cols)))
             t = GroupedTensor.quantize(w, g)
-            stream = pack_tensor(t)
-            digest.update(stream.words.tobytes())
-            back = unpack_stream(stream)
+            words = pack_tensor(t)
+            digest.update(words.tobytes())
+            back = unpack_stream(words, rows, cols, g)
             assert np.array_equal(back.codes, t.codes)
             assert np.array_equal(back.scales.view(np.uint16), t.scales.view(np.uint16))
             assert np.array_equal(back.zeros, t.zeros)
@@ -211,9 +210,9 @@ class TestPackUnpack:
                           scales=np.array([scale], np.float16), zeros=np.zeros(1, np.uint8))
         if refused:
             with pytest.raises(FormatError, match="overflows"):
-                unpack_stream(pack_tensor(t))
+                unpack_stream(pack_tensor(t), 1, 8, 8)
         else:
-            assert np.isfinite(unpack_stream(pack_tensor(t)).dequantized()).all()
+            assert np.isfinite(unpack_stream(pack_tensor(t), 1, 8, 8).dequantized()).all()
 
     def test_codes_past_four_bits_rejected(self):
         codes = np.zeros((2, 4), dtype=np.uint8)
@@ -231,11 +230,19 @@ class TestPackUnpack:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_word_count_checked_against_the_law(self, extra):
         t = GroupedTensor.quantize(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
-        stream = pack_tensor(t)
-        words = np.resize(stream.words, (stream.n_words + extra, layout.WORD_BYTES))
-        bad = dataclasses.replace(stream, words=words)
-        with pytest.raises(FormatError, match=f"has {stream.n_words + extra} words"):
-            unpack_stream(bad)
+        words = pack_tensor(t)
+        bad = np.resize(words, (len(words) + extra, layout.WORD_BYTES))
+        with pytest.raises(FormatError, match=f"has {len(words) + extra} words"):
+            unpack_stream(bad, 4, 128, 128)
+
+    @pytest.mark.parametrize("retype", [lambda w: w.astype(np.int64), np.ravel],
+                             ids=["int64", "one-axis"])
+    def test_words_of_another_type_refused(self, retype):
+        # int64 words of the law's shape would pass the count and then be
+        # read again as bytes by the scale words' view
+        t = GroupedTensor.quantize(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
+        with pytest.raises(FormatError, match="not uint8 words"):
+            unpack_stream(retype(pack_tensor(t)), 4, 128, 128)
 
 
 SMALL = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ffn=24, vocab_size=8, group_size=8,
@@ -257,11 +264,11 @@ def read_blob(tmp_path, blob: bytes, magic=CHECKPOINT_MAGIC):
     return read_image(path, magic)
 
 
-def old_container(stream, version: int) -> bytes:
+def old_container(words, rows: int, cols: int, group_size: int, version: int) -> bytes:
     """A container file as versions 1 and 2 laid it out, sealed with
     version 2's crc32, which is the image's check too."""
-    blob = struct.pack("<4sH5I", b"EPWS", version, stream.group_size, 256, stream.rows,
-                       stream.cols, stream.n_words) + stream.words.tobytes()
+    blob = struct.pack("<4sH5I", b"EPWS", version, group_size, 256, rows, cols,
+                       len(words)) + words.tobytes()
     return blob + struct.pack("<I", zlib.crc32(blob))
 
 
@@ -275,8 +282,9 @@ class TestContainer:
         assert all(p.base is pieces[0].base for p in pieces)   # views of one buffer
         for name, piece in zip(tensor_names(cfg), pieces[2:]):
             back = read_container(piece, *tensor_shape(cfg, name), cfg.group_size)
-            assert np.array_equal(back.words, ckpt.tensors[name].words)
-            assert (back.rows, back.cols) == tensor_shape(cfg, name)
+            assert np.array_equal(back, ckpt.tensors[name])
+            assert back.shape == (layout.tensor_stream_words(*tensor_shape(cfg, name),
+                                                             cfg.group_size), layout.WORD_BYTES)
 
     def test_corruption_detected(self, tmp_path, container, reheader):
         blob = container[1]
@@ -305,10 +313,11 @@ class TestContainer:
     def test_version_1_refused(self, tmp_path, container):
         # a container file of version 1 or 2 passes the image's crc32 check
         # (version 2 sealed itself the same way) and fails at its magic
-        stream = container[0].tensors["lm_head"]
+        words = container[0].tensors["lm_head"]
         for version in (1, 2):
             with pytest.raises(FormatError, match="magic"):
-                read_blob(tmp_path, old_container(stream, version))
+                read_blob(tmp_path, old_container(words, *tensor_shape(SMALL, "lm_head"),
+                                                  SMALL.group_size, version))
 
     @pytest.mark.parametrize("fields", [
         {"group_size": 0}, {"group_size": 6}, {"rows": 0}, {"cols": 0},
@@ -320,10 +329,11 @@ class TestContainer:
         # the shape a config gives a tensor is checked against its piece
         # before any word-kind pattern is built
         monkeypatch.setattr(layout, "beat_kind_pattern", None)
-        stream = container[0].tensors["layers.0.mlp.gate"]
-        shape = {"rows": stream.rows, "cols": stream.cols, "group_size": stream.group_size}
+        name = "layers.0.mlp.gate"
+        rows, cols = tensor_shape(SMALL, name)
+        shape = {"rows": rows, "cols": cols, "group_size": SMALL.group_size}
         with pytest.raises(FormatError, match="inconsistent"):
-            read_container(stream.words.reshape(-1), **{**shape, **fields})
+            read_container(container[0].tensors[name].reshape(-1), **{**shape, **fields})
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -336,12 +346,36 @@ class TestContainer:
 
     def test_word_count_must_match_shape(self):
         t = GroupedTensor.quantize(np.ones((2, 128), dtype=np.float16), 128)
-        piece = pack_tensor(t).words.reshape(-1)
+        piece = pack_tensor(t).reshape(-1)
         with pytest.raises(FormatError, match="inconsistent"):
             read_container(piece, 3, 128, 128)
 
 
 class TestImage:
+    def test_checkpoint_pieces_are_its_arrays(self, tmp_path, container):
+        # the embedding, the norm gains, then each tensor's words, as they lie
+        ckpt, blob = container
+        _, _, pieces = read_blob(tmp_path, blob)
+        arrays = [ckpt.embedding, ckpt.norms, *(ckpt.tensors[n] for n in tensor_names(SMALL))]
+        assert [p.tobytes() for p in pieces] == [a.tobytes() for a in arrays]
+
+    def test_snapshot_pieces_are_its_arrays(self, tmp_path):
+        # per layer the K codes, the V codes and the records, as they lie
+        cfg = tiny_demo_config(max_context=3)
+        store = KVCacheStore(cfg)
+        rng = np.random.default_rng(8)
+        for _ in range(2):
+            store.begin_token()
+            for layer in range(cfg.n_layers):
+                store.write_layer(layer, to_half(rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))))
+            store.commit()
+        store.save(tmp_path / "kv.img")
+        _, length, pieces = read_image(tmp_path / "kv.img", SNAPSHOT_MAGIC)
+        arrays = [a for layer in range(cfg.n_layers)
+                  for a in (store.codes[0, layer], store.codes[1, layer], store.records[:, layer])]
+        assert length == 2
+        assert [p.tobytes() for p in pieces] == [a.tobytes() for a in arrays]
+
     def test_writer_refuses_pieces_of_another_layout(self, tmp_path, container):
         cfg, _, pieces = read_blob(tmp_path, container[1])
         for bad in (pieces[:-1], pieces[:2] + [pieces[-1]] + pieces[3:]):

@@ -15,16 +15,13 @@ from beatstream.layout import (
     KIND_SCALE,
     KIND_WEIGHT,
     KIND_ZP,
-    PackedWeightStream,
     beat_kind_pattern,
-    unpack_stream,
 )
 from beatstream.model_io import (
     IMAGE_NAME,
     Checkpoint,
     build_demo_checkpoint,
     load_checkpoint,
-    norm_names,
     save_checkpoint,
     tensor_names,
 )
@@ -34,12 +31,10 @@ from beatstream.pipeline import Decoder
 def assert_same_checkpoint(back, ckpt):
     assert back.config == ckpt.config
     assert list(back.tensors) == list(ckpt.tensors)
-    for name, stream in ckpt.tensors.items():
-        assert np.array_equal(back.tensors[name].words, stream.words)
+    for name, words in ckpt.tensors.items():
+        assert np.array_equal(back.tensors[name], words)
     assert np.array_equal(back.embedding.view(np.uint16), ckpt.embedding.view(np.uint16))
-    assert back.norms.keys() == ckpt.norms.keys()
-    for k, v in ckpt.norms.items():
-        assert np.array_equal(back.norms[k].view(np.uint16), v.view(np.uint16))
+    assert np.array_equal(back.norms.view(np.uint16), ckpt.norms.view(np.uint16))
 
 
 def buffer_of(a):
@@ -78,7 +73,7 @@ def test_demo_checkpoint_is_deterministic():
     a = build_demo_checkpoint(seed=3)
     b = build_demo_checkpoint(seed=3)
     for name in tensor_names(a.config):
-        assert np.array_equal(a.tensors[name].words, b.tensors[name].words)
+        assert np.array_equal(a.tensors[name], b.tensors[name])
     assert np.array_equal(a.embedding, b.embedding)
     c = build_demo_checkpoint(seed=4)
     assert not np.array_equal(a.embedding, c.embedding)
@@ -88,10 +83,11 @@ def test_save_load_round_trip(saved):
     ckpt, path = saved
     assert [p.name for p in path.iterdir()] == [IMAGE_NAME]
     back = load_checkpoint(path)
-    assert all(isinstance(t, PackedWeightStream) for t in back.tensors.values())
+    assert all(t.dtype == np.uint8 and t.shape[1:] == (layout.WORD_BYTES,)
+               for t in back.tensors.values())
     assert_same_checkpoint(back, ckpt)
     # the embedding, the gains and the words are views of the one buffer read
-    arrays = [back.embedding, *back.norms.values(), *(t.words for t in back.tensors.values())]
+    arrays = [back.embedding, back.norms, *back.tensors.values()]
     assert {id(buffer_of(a)) for a in arrays} == {id(buffer_of(back.embedding))}
     assert isinstance(buffer_of(back.embedding), bytes)
 
@@ -101,7 +97,7 @@ def test_demo_words_are_pinned():
     ckpt = build_demo_checkpoint(seed=1)
     digest = hashlib.sha256()
     for name in tensor_names(ckpt.config):
-        digest.update(ckpt.tensors[name].words.tobytes())
+        digest.update(ckpt.tensors[name].tobytes())
     assert digest.hexdigest().startswith("a807b92c509d95cd")
 
 
@@ -126,7 +122,7 @@ def test_scale_the_quantizer_never_writes_refused(copied, rewrite, scale):
     rewrite(copied / IMAGE_NAME, CHECKPOINT_MAGIC, edit)
     back = load_checkpoint(copied)
     with pytest.raises(FormatError, match="scale"):
-        unpack_stream(back.tensors["layers.0.attn.q"])
+        next(back.grouped())   # layers.0.attn.q, the first tensor
     with pytest.raises(FormatError, match="scale"):
         Decoder(back)
 
@@ -145,7 +141,7 @@ def test_group_decoding_past_binary16_refused(copied, rewrite):
     rewrite(copied / IMAGE_NAME, CHECKPOINT_MAGIC, edit)
     back = load_checkpoint(copied)
     with pytest.raises(FormatError, match="overflows"):
-        unpack_stream(back.tensors["layers.0.attn.q"])
+        next(back.grouped())   # layers.0.attn.q, the first tensor
     with pytest.raises(FormatError, match="overflows"):
         Decoder(back)
 
@@ -176,7 +172,6 @@ def test_crafted_header_refused_before_any_layer_walk(copied, reheader, monkeypa
     image = copied / IMAGE_NAME
     image.write_bytes(reheader(image.read_bytes(), **fields))
     monkeypatch.setattr(model_io, "tensor_names", refuse_layer_walk)
-    monkeypatch.setattr(model_io, "norm_names", refuse_layer_walk)
     with pytest.raises(FormatError):
         load_checkpoint(copied)
 
@@ -211,7 +206,7 @@ def test_validate_catches_shape_drift():
 
 @pytest.mark.parametrize("piece, index, value", [
     (0, (5, 0), np.nan),
-    (1, (norm_names(tiny_demo_config()).index("mlp.1"), 3), np.inf),
+    (1, (2 * 1 + 1, 3), np.inf),   # the MLP gain of layer 1
 ], ids=["nan-embedding", "inf-norm-gain"])
 def test_non_finite_aux_value_refused(tmp_path, copied, rewrite, piece, index, value):
     """An image that holds a non-finite embedding value or norm gain is
@@ -225,12 +220,11 @@ def test_non_finite_aux_value_refused(tmp_path, copied, rewrite, piece, index, v
     with pytest.raises(FormatError, match="non-finite"):
         load_checkpoint(copied)
     ckpt = build_demo_checkpoint(seed=1)
-    embedding = ckpt.embedding.copy()
-    norms = {k: v.copy() for k, v in ckpt.norms.items()}
+    embedding, norms = ckpt.embedding.copy(), ckpt.norms.copy()
     if piece == 0:
         embedding[index] = value
     else:
-        norms[norm_names(ckpt.config)[index[0]]][index[1]] = value
+        norms[index] = value
     bad = Checkpoint(config=ckpt.config, tensors=ckpt.tensors, embedding=embedding, norms=norms)
     with pytest.raises(FormatError, match="non-finite"):
         save_checkpoint(bad, tmp_path / "again")

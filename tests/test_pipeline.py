@@ -155,9 +155,9 @@ def snapshot(tmp_path_factory):
 
 
 def store_arrays(kv):
-    """Every array a store holds: its codes, scales and zero points, each
+    """Every array a store holds: its codes, scale-zero records, each
     layer's key operand blocks stacked, and the value mirror."""
-    return dict(codes=kv.codes, scales=kv.scales, zeros=kv.zeros,
+    return dict(codes=kv.codes, records=kv.records,
                 keys=np.stack([k.blocks for k in kv.keys]), values=kv.values)
 
 
@@ -175,8 +175,8 @@ def assert_mirrors_decode_codes(kv):
     assert not keys[:, :, :t, hd:].view(np.uint32).any()
     for which, mirror in ((0, keys[..., :hd]), (1, kv.values.transpose(0, 2, 1, 3))):
         want = kv_dequantize_rows(kv.codes[which, :, :, :t].reshape(-1, hd),
-                                  kv.scales[which, :, :, :t].reshape(-1),
-                                  kv.zeros[which, :, :, :t].reshape(-1))
+                                  kv.records["scale"][which, :, :, :t].reshape(-1),
+                                  kv.records["zero"][which, :, :, :t].reshape(-1))
         got = mirror[:, :, :t].reshape(-1, hd)
         assert np.array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
 
@@ -244,9 +244,9 @@ class TestKVCacheStore:
             want_codes, want_scale, want_zero = (
                 part[0] for part in kv_quantize(written[t, layer, i][None]))
             assert np.array_equal(store.codes[which, layer, head, t], want_codes)
-            assert store.scales[which, layer, head, t].view(np.uint16) == \
+            assert store.records["scale"][which, layer, head, t].view(np.uint16) == \
                 want_scale.view(np.uint16)
-            assert store.zeros[which, layer, head, t] == want_zero
+            assert store.records["zero"][which, layer, head, t] == want_zero
         assert_mirrors_decode_codes(store)
 
     def test_capacity(self):
@@ -266,8 +266,8 @@ class TestKVCacheStore:
         back = KVCacheStore.load(path, cfg)
         assert back.length == 3
         assert np.array_equal(back.codes, store.codes)
-        assert np.array_equal(back.scales, store.scales)
-        assert np.array_equal(back.zeros, store.zeros)
+        assert np.array_equal(back.records["scale"], store.records["scale"])
+        assert np.array_equal(back.records["zero"], store.records["zero"])
 
     def test_snapshot_path_without_suffix(self, tmp_path):
         cfg = tiny_demo_config(max_context=4)
@@ -288,7 +288,7 @@ class TestKVCacheStore:
             store.commit()
         store.save(tmp_path / "snap")
         back = KVCacheStore.load(tmp_path / "snap", cfg)
-        assert back.length == 2 and not back.scales.any()
+        assert back.length == 2 and not back.records["scale"].any()
         assert_mirrors_decode_codes(back)
 
     def test_snapshot_config_mismatch(self, tmp_path):
@@ -311,8 +311,8 @@ class TestKVCacheStore:
             with pytest.raises(FormatError, match="version"):
                 KVCacheStore.load(path, cfg)
         with open(path, "wb") as f:
-            np.savez(f, version=2, length=0, codes=store.codes, scales=store.scales,
-                     zeros=store.zeros)
+            np.savez(f, version=2, length=0, codes=store.codes, scales=store.records["scale"],
+                     zeros=store.records["zero"])
         with pytest.raises(FormatError):
             KVCacheStore.load(path, cfg)
 
@@ -441,21 +441,22 @@ class TestFusedMatchesReference:
         monkeypatch.setattr(layout, "CHUNK_VALUES", 700)
         ckpt = build_demo_checkpoint(seed=4)
         dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
-        cache = dec.weights
-        assert set(cache.parts) == set(ref.mats)
-        stages = {}
-        for name, (stage, first) in cache.parts.items():
-            stages.setdefault(stage, []).append((first, name))
+        cache, cfg = dec.weights, ckpt.config
+        # every tensor is in one stage, which stacks its projections in order
+        stages = {f"layers.{i}.{stage}": [f"layers.{i}.{p}" for p in parts]
+                  for i in range(cfg.n_layers)
+                  for stage, parts in pipeline._STREAM_STAGES.items()}
+        stages["lm_head"] = ["lm_head"]
+        assert sorted(n for names in stages.values() for n in names) == sorted(ref.mats)
         assert set(stages) == set(cache.mats)
-        for stage, parts in stages.items():
+        for stage, names in stages.items():
             plain = cache.mats[stage].plain().view(np.uint32)
             row = 0
-            for first, name in sorted(parts):
+            for name in names:
                 # each tensor's rows follow the last one's, bit for bit at the
                 # reference's group-padded width; lane padding is +0.0
                 rows, w = ref.mats[name].shape
-                assert first == row
-                got = plain[first:first + rows]
+                got = plain[row:row + rows]
                 assert np.array_equal(got[:, :w],
                                       ref.mats[name].astype(np.float32).view(np.uint32))
                 assert not got[:, w:].any()
@@ -500,8 +501,8 @@ class TestCausality:
             # poison every row at or past the published length in b
             t = b.kv.length
             b.kv.codes[:, :, :, t:] = rng.integers(0, 256, b.kv.codes[:, :, :, t:].shape)
-            b.kv.scales[:, :, :, t:] = np.float16(123.0)
-            b.kv.zeros[:, :, :, t:] = 7
+            b.kv.records["scale"][:, :, :, t:] = np.float16(123.0)
+            b.kv.records["zero"][:, :, :, t:] = 7
             for keys in b.kv.keys:
                 keys.blocks[..., t:] = np.nan
             b.kv.values[:, t:] = np.nan
