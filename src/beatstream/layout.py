@@ -36,7 +36,8 @@ map charge. Every container starts on a beat of its own.
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
 tensor's last word of that kind; packing and unpacking are one masked
-assignment per kind. A stream is its words alone, an (n_words, 32) uint8
+assignment per kind. A tensor's groups are the codec's triple (codes,
+scales, zeros), and its stream is its words alone, an (n_words, 32) uint8
 array: the shape is the config's, and the word kinds follow from it
 (beat_kind_pattern), so a reader checks the word count against that law,
 whose closed form (stream_word_count) costs the same for any shape. The
@@ -91,6 +92,7 @@ one bus beat; the low half ends with a reserved firmware span.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import astuple, dataclass
@@ -99,17 +101,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CapacityError, ConfigError, DomainError, FormatError, ShapeError
+from .errors import CapacityError, ConfigError, FormatError, ShapeError
 from .numerics import HALF_SMALLEST_NORMAL, half_bits, half_from_bits
 from .quant import WEIGHT_LEVELS, dequant_codes, overflow_rows, quantize_rows
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
 WEIGHTS_PER_WORD = FORMAT_WORD_BITS // 4    # 64
-SCALES_PER_WORD = FORMAT_WORD_BITS // 16    # 16
-ZPS_PER_WORD = FORMAT_WORD_BITS // 4        # 64
-GROUPS_PER_SCALE_WORD = 16
-GROUPS_PER_ZP_WORD = 64
+SCALES_PER_WORD = FORMAT_WORD_BITS // 16    # 16, so a SCALE word covers 16 groups
+ZPS_PER_WORD = FORMAT_WORD_BITS // 4        # 64, so a ZP word covers 64 groups
 
 KIND_ZP, KIND_SCALE, KIND_WEIGHT = 0, 1, 2
 
@@ -133,13 +133,13 @@ DDR_BYTES = 4 << 30     # the board's DDR, 4 GiB, which must hold an image's mem
 
 def pack_nibbles(vals: np.ndarray) -> np.ndarray:
     """4-bit values to bytes along the last axis, low nibble first. Its
-    length must be even."""
-    vals = np.asarray(vals, dtype=np.uint8)
+    length must be even, and each value is checked before it is narrowed."""
+    vals = np.asarray(vals)
     if vals.shape[-1] % 2 != 0:
         raise ShapeError("nibble count must be even")
-    if vals.size and vals.max() > 0xF:
-        raise FormatError("nibble value exceeds 4 bits")
-    pairs = vals.reshape(vals.shape[:-1] + (-1, 2))
+    if vals.size and not 0 <= vals.min() <= vals.max() <= 0xF:
+        raise FormatError("nibble value outside 0..15")
+    pairs = vals.astype(np.uint8, copy=False).reshape(vals.shape[:-1] + (-1, 2))
     return pairs[..., 0] | (pairs[..., 1] << 4)
 
 
@@ -167,86 +167,48 @@ def _row_chunks(rows: int, cols: int):
     return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-@dataclass(frozen=True)
-class GroupedTensor:
-    """A (rows x cols) tensor as row-major quantization groups.
+def quantize_groups(w: np.ndarray, group_size: int) -> tuple:
+    """Round-to-nearest groups of a (rows, cols) binary16 matrix: (n_groups,
+    group_size) uint8 codes, one binary16 scale and one uint8 zero point
+    per group, ceil(cols/group_size) groups a row, row-major. A short final
+    group is zero-padded, so its padded codes decode to exactly 0.0."""
+    w = np.asarray(w, dtype=np.float16)
+    if w.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {w.shape}")
+    rows, cols = w.shape
+    gpr = -(-cols // group_size)
+    codes = np.empty((rows * gpr, group_size), dtype=np.uint8)
+    scales = np.empty(rows * gpr, dtype=np.float16)
+    zeros = np.empty(rows * gpr, dtype=np.uint8)
+    # groups are independent, so quantizing a row range at a time is exact
+    for lo, hi in _row_chunks(rows, gpr * group_size):
+        padded = np.zeros((hi - lo, gpr * group_size), dtype=np.float16)
+        padded[:, :cols] = w[lo:hi]
+        g = slice(lo * gpr, hi * gpr)
+        codes[g], scales[g], zeros[g] = quantize_rows(padded.reshape(-1, group_size))
+    return codes, scales, zeros
 
-    Each row owns ceil(cols/group_size) groups; a short final group is
-    zero-padded to group_size (padded codes equal the zero point, so they
-    dequantize to exactly 0.0).
+
+def widened_chunks(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray, rows: int):
+    """A tensor's groups dequantized and widened to binary32 (exact), a row
+    range at a time: (first row, values) pairs whose value blocks stack to
+    the (rows, padded cols) matrix.
+
+    Each group's 16 levels are dequantized and rounded once, then every
+    code looks its level up, so the binary16 rounding runs per level rather
+    than per weight. Every code must be at most 15, as codes read from
+    nibbles are (unpack_stream); a larger one reads another group's level.
     """
-
-    rows: int
-    cols: int
-    group_size: int
-    codes: np.ndarray    # (n_groups, group_size) uint8
-    scales: np.ndarray   # (n_groups,) float16
-    zeros: np.ndarray    # (n_groups,) uint8
-
-    def __post_init__(self) -> None:
-        n = self.rows * self.groups_per_row
-        if self.codes.shape != (n, self.group_size):
-            raise ShapeError(f"codes shape {self.codes.shape} != ({n}, {self.group_size})")
-        if self.scales.shape != (n,) or self.zeros.shape != (n,):
-            raise ShapeError("scales/zeros must have one entry per group")
-        if self.codes.max(initial=0) > WEIGHT_LEVELS:
-            raise DomainError("codes exceed the 4-bit range")
-
-    @property
-    def groups_per_row(self) -> int:
-        return -(-self.cols // self.group_size)
-
-    @property
-    def n_groups(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def padded_cols(self) -> int:
-        return self.groups_per_row * self.group_size
-
-    @classmethod
-    def quantize(cls, w: np.ndarray, group_size: int) -> "GroupedTensor":
-        """Round-to-nearest groups from a (rows, cols) binary16 matrix."""
-        w = np.asarray(w, dtype=np.float16)
-        if w.ndim != 2:
-            raise ShapeError(f"expected a matrix, got shape {w.shape}")
-        rows, cols = w.shape
-        gpr = -(-cols // group_size)
-        codes = np.empty((rows * gpr, group_size), dtype=np.uint8)
-        scales = np.empty(rows * gpr, dtype=np.float16)
-        zeros = np.empty(rows * gpr, dtype=np.uint8)
-        # groups are independent, so quantizing a row range at a time is exact
-        for lo, hi in _row_chunks(rows, gpr * group_size):
-            padded = np.zeros((hi - lo, gpr * group_size), dtype=np.float16)
-            padded[:, :cols] = w[lo:hi]
-            g = slice(lo * gpr, hi * gpr)
-            codes[g], scales[g], zeros[g] = quantize_rows(padded.reshape(-1, group_size))
-        return cls(rows=rows, cols=cols, group_size=group_size,
-                   codes=codes, scales=scales, zeros=zeros)
-
-    def dequantized(self) -> np.ndarray:
-        """(rows, padded_cols) binary16 values."""
-        vals = dequant_codes(self.codes, self.scales, self.zeros)
-        return vals.reshape(self.rows, self.padded_cols)
-
-    def widened_chunks(self):
-        """dequantized() widened to binary32 (exact), a row range at a time:
-        (first row, values) pairs whose value blocks stack to the whole
-        matrix.
-
-        Each group's 16 levels are dequantized and rounded once, then every
-        code (0..15, checked on construction) looks its level up, so the
-        binary16 rounding runs per level rather than per weight.
-        """
-        gpr = self.groups_per_row
-        codes = np.arange(WEIGHT_LEVELS + 1, dtype=np.uint8)
-        for lo, hi in _row_chunks(self.rows, self.padded_cols):
-            g = slice(lo * gpr, hi * gpr)
-            n = (hi - lo) * gpr
-            levels = dequant_codes(np.broadcast_to(codes, (n, codes.size)), self.scales[g],
-                                   self.zeros[g]).astype(np.float32)
-            index = self.codes[g] + np.arange(0, levels.size, codes.size)[:, None]
-            yield lo, np.take(levels, index).reshape(hi - lo, self.padded_cols)
+    gpr = codes.shape[0] // rows
+    padded_cols = gpr * codes.shape[1]
+    all_codes = np.arange(WEIGHT_LEVELS + 1, dtype=np.uint8)
+    for lo, hi in _row_chunks(rows, padded_cols):
+        g = slice(lo * gpr, hi * gpr)
+        n = (hi - lo) * gpr
+        levels = dequant_codes(np.broadcast_to(all_codes, (n, all_codes.size)), scales[g],
+                               zeros[g]).astype(np.float32)
+        index = codes[g] + np.arange(0, levels.size, all_codes.size)[:, None]
+        yield lo, np.take(levels, index).reshape(hi - lo, padded_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +225,10 @@ def stream_word_count(n_groups: int, group_size: int) -> int:
         raise ShapeError("n_groups must be positive")
     if group_size % 4 != 0:
         raise ConfigError(f"group_size {group_size} does not map 16 groups to whole words")
-    blocks, rest = divmod(n_groups, GROUPS_PER_ZP_WORD)
+    blocks, rest = divmod(n_groups, ZPS_PER_WORD)
     words = blocks * (5 + group_size)
     if rest:
-        sections, part = divmod(rest, GROUPS_PER_SCALE_WORD)
+        sections, part = divmod(rest, SCALES_PER_WORD)
         words += 1 + sections * (1 + group_size // 4)
         if part:
             words += 1 + -(-part * group_size // WEIGHTS_PER_WORD)
@@ -283,8 +245,8 @@ def beat_kind_pattern(n_groups: int, group_size: int) -> np.ndarray:
     """
     n_words = stream_word_count(n_groups, group_size)
     section = bytes((KIND_SCALE,)) + bytes((KIND_WEIGHT,)) * (group_size // 4)
-    block = bytes((KIND_ZP,)) + section * (GROUPS_PER_ZP_WORD // GROUPS_PER_SCALE_WORD)
-    kinds = block * -(-n_groups // GROUPS_PER_ZP_WORD)
+    block = bytes((KIND_ZP,)) + section * (ZPS_PER_WORD // SCALES_PER_WORD)
+    kinds = block * -(-n_groups // ZPS_PER_WORD)
     return np.frombuffer(kinds, dtype=np.uint8, count=n_words)
 
 
@@ -315,25 +277,30 @@ def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:
     return out
 
 
-def pack_tensor(tensor: GroupedTensor) -> np.ndarray:
-    """Interleave a grouped tensor into its word stream, (n_words, 32)
-    uint8, one masked assignment per word kind (see the module
-    docstring)."""
-    kinds = beat_kind_pattern(tensor.n_groups, tensor.group_size)
+def pack_tensor(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Interleave a tensor's groups into its word stream, (n_words, 32)
+    uint8, one masked assignment per word kind (see the module docstring);
+    the group size is the codes' width. ShapeError unless scales and zeros
+    hold one entry per group, a row of codes; FormatError for a code or
+    zero point past 4 bits (pack_nibbles)."""
+    if codes.ndim != 2 or not scales.shape == zeros.shape == codes.shape[:1]:
+        raise ShapeError("scales/zeros must have one entry per group, a row of codes")
+    kinds = beat_kind_pattern(*codes.shape)
     words = np.zeros((kinds.size, WORD_BYTES), dtype=np.uint8)
-    scale_bits = half_bits(tensor.scales).astype("<u2")
-    words[kinds == KIND_ZP] = pack_nibbles(_whole_words(tensor.zeros, ZPS_PER_WORD))
+    scale_bits = half_bits(scales).astype("<u2")
+    words[kinds == KIND_ZP] = pack_nibbles(_whole_words(zeros, ZPS_PER_WORD))
     words[kinds == KIND_SCALE] = _whole_words(scale_bits, SCALES_PER_WORD).view(np.uint8)
-    words[kinds == KIND_WEIGHT] = pack_nibbles(_whole_words(tensor.codes, WEIGHTS_PER_WORD))
+    words[kinds == KIND_WEIGHT] = pack_nibbles(_whole_words(codes, WEIGHTS_PER_WORD))
     return words
 
 
-def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> GroupedTensor:
-    """Invert pack_tensor for a (rows x cols) tensor. FormatError unless the
-    words are a uint8 array of the layout law's (n_words, 32) shape, and
-    for a group the quantizer never writes: its scale is not finite or is
-    below HALF_SMALLEST_NORMAL (zero, negative or subnormal), or its decode
-    overflows binary16. The padding past the last group goes unchecked."""
+def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> tuple:
+    """Invert pack_tensor for a (rows x cols) tensor: its groups (codes,
+    scales, zeros). FormatError unless the words are a uint8 array of the
+    layout law's (n_words, 32) shape, and for a group the quantizer never
+    writes: its scale is not finite or is below HALF_SMALLEST_NORMAL (zero,
+    negative or subnormal), or its decode overflows binary16. The padding
+    past the last group goes unchecked."""
     if words.dtype != np.uint8 or words.ndim != 2 or words.shape[1] != WORD_BYTES:
         raise FormatError(f"stream words are {words.dtype} of shape {words.shape}, "
                           f"not uint8 words of {WORD_BYTES} bytes")
@@ -350,8 +317,7 @@ def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> G
     codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
     if overflow_rows(codes, scales, zeros, WEIGHT_LEVELS).size:
         raise FormatError("stream holds a group whose decode overflows binary16")
-    return GroupedTensor(rows=rows, cols=cols, group_size=g,
-                         codes=codes, scales=scales, zeros=zeros)
+    return codes, scales, zeros
 
 
 def read_container(piece: np.ndarray, rows: int, cols: int, group_size: int) -> np.ndarray:
@@ -413,21 +379,29 @@ def write_image(path: str | Path, magic: bytes, cfg: ModelConfig, length: int,
                 pieces: list[np.ndarray]) -> None:
     """Write an image file (see the module docstring): each piece's bytes
     as they lie in memory. FormatError if the pieces are not the lengths
-    the magic and the config give."""
+    the magic and the config give. Written beside path, then renamed onto
+    it, so a failed write leaves path as it was and no partial file."""
     lead, layer, tail = _IMAGE_PIECES[magic](cfg)
     if tuple(p.nbytes for p in pieces) != lead + layer * cfg.n_layers + tail:
         raise FormatError(f"pieces do not fill a {magic!r} image of {cfg}")
     header = np.frombuffer(_IMAGE_HEADER.pack(magic, IMAGE_VERSION, *astuple(cfg), length),
                            dtype=np.uint8)
+    path = Path(path)
+    part = path.with_name(f"{path.name}.{os.getpid()}.part")
     crc = 0
-    with open(path, "wb") as f:
-        for piece in (header, *pieces):
-            data = np.ascontiguousarray(piece).reshape(-1).view(np.uint8)
-            pad = bytes(-data.size % BusGeometry.beat_bytes)
-            f.write(data)
-            f.write(pad)
-            crc = zlib.crc32(pad, zlib.crc32(data, crc))
-        f.write(crc.to_bytes(4, "little"))
+    try:
+        with open(part, "wb") as f:
+            for piece in (header, *pieces):
+                data = np.ascontiguousarray(piece).reshape(-1).view(np.uint8)
+                pad = bytes(-data.size % BusGeometry.beat_bytes)
+                f.write(data)
+                f.write(pad)
+                crc = zlib.crc32(pad, zlib.crc32(data, crc))
+            f.write(crc.to_bytes(4, "little"))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[np.ndarray]]:

@@ -12,9 +12,9 @@ norm gains are one (2 * n_layers + 1, d_model) array whose rows are the
 attention and MLP gains of each layer in turn, then the final one. Only
 the config states a tensor's shape. Quantizing packs the words once, and
 a round-trip never unpacks or re-quantizes; decoders unpack a tensor's
-groups from its words when they prepare their operands
-(Checkpoint.grouped). The embedding and the norm gains stay in binary16
-(they are read element-wise, not streamed through the dot engine).
+groups, the codec's triple (codes, scales, zeros), from its words at its
+config shape as they prepare their operands (Checkpoint.grouped). The
+embedding and the norm gains stay binary16: they are read element-wise.
 Loading keeps the embedding, the norm gains and the words as read-only
 views of the one buffer the image is read into.
 
@@ -33,8 +33,8 @@ import numpy as np
 
 from .config import ModelConfig, tiny_demo_config
 from .errors import FormatError, ShapeError
-from .layout import (CHECKPOINT_MAGIC, GroupedTensor, pack_tensor, read_container, read_image,
-                     unpack_stream, write_image)
+from .layout import (CHECKPOINT_MAGIC, pack_tensor, quantize_groups, read_container,
+                     read_image, unpack_stream, write_image)
 
 IMAGE_NAME = "model.img"
 
@@ -96,9 +96,9 @@ class Checkpoint:
         if not np.isfinite(self.norms).all():
             raise FormatError("a norm gain holds a non-finite value")
 
-    def grouped(self) -> Iterator[tuple[str, GroupedTensor]]:
-        """(name, GroupedTensor) of every tensor, each unpacked from its
-        words at its config shape only when the iteration reaches it."""
+    def grouped(self) -> Iterator[tuple[str, tuple]]:
+        """(name, (codes, scales, zeros)) of every tensor, each unpacked from
+        its words at its config shape only when the iteration reaches it."""
         cfg = self.config
         for name, words in self.tensors.items():
             yield name, unpack_stream(words, *tensor_shape(cfg, name), cfg.group_size)
@@ -137,7 +137,7 @@ def quantize_checkpoint(cfg: ModelConfig, weights: dict[str, np.ndarray],
         w = np.asarray(weights[name], dtype=np.float16)
         if w.shape != tensor_shape(cfg, name):
             raise ShapeError(f"{name}: got {w.shape}, want {tensor_shape(cfg, name)}")
-        tensors[name] = pack_tensor(GroupedTensor.quantize(w, cfg.group_size))
+        tensors[name] = pack_tensor(*quantize_groups(w, cfg.group_size))
     ckpt = Checkpoint(config=cfg,
                       tensors=tensors,
                       embedding=np.asarray(embedding, dtype=np.float16),

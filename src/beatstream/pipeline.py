@@ -65,12 +65,12 @@ import numpy as np
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
 from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, BusGeometry, code_beats,
-                     read_image, write_image)
+                     read_image, widened_chunks, write_image)
 from .model_io import Checkpoint, tensor_shape
 from .numerics import (HALF_SMALLEST_NORMAL, TreeOrderRows, dot_rows, half_bits, pad_to_lanes,
                        ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import KV_LEVELS, kv_dequantize_rows, kv_quantize, overflow_rows
+from .quant import KV_LEVELS, dequant_codes, kv_dequantize_rows, kv_quantize, overflow_rows
 
 # No step calls pad_to_lanes: it stays bound here because beatbench wraps
 # the names it finds on this module.
@@ -450,9 +450,9 @@ class _WeightCache:
                 rows += tensor_shape(cfg, name)[0]
             cols = tensor_shape(cfg, names[0])[1]   # a stage's parts share their input
             self.mats[stage] = TreeOrderRows(rows, -(-cols // cfg.group_size) * cfg.group_size)
-        for name, t in ckpt.grouped():
+        for name, groups in ckpt.grouped():
             stage, first = parts[name]
-            for lo, vals in t.widened_chunks():
+            for lo, vals in widened_chunks(*groups, tensor_shape(cfg, name)[0]):
                 self.mats[stage].assign(first + lo, vals)
 
     @classmethod
@@ -549,13 +549,14 @@ class Decoder:
 
 class ReferenceDecoder:
     """Whole-projection, operator-at-a-time evaluation of the same model,
-    on its own plain binary16 weight matrices, each (rows, padded_cols)."""
+    on its own plain binary16 weight matrices, rows padded to whole groups."""
 
     def __init__(self, ckpt: Checkpoint) -> None:
         ckpt.validate()
         self.ckpt = ckpt
         self.cfg = ckpt.config
-        self.mats = {name: t.dequantized() for name, t in ckpt.grouped()}
+        self.mats = {name: dequant_codes(*groups).reshape(tensor_shape(self.cfg, name)[0], -1)
+                     for name, groups in ckpt.grouped()}
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:

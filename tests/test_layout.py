@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from beatstream import layout
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
-from beatstream.errors import CapacityError, ConfigError, DomainError, FormatError
+from beatstream.errors import CapacityError, ConfigError, FormatError, ShapeError
 from beatstream.layout import (
     CHECKPOINT_MAGIC,
     IMAGE_HEADER_BYTES,
@@ -29,19 +29,20 @@ from beatstream.layout import (
     KIND_ZP,
     SNAPSHOT_MAGIC,
     BusGeometry,
-    GroupedTensor,
     beat_kind_pattern,
     code_beats,
     container_beats,
     pack_nibbles,
     pack_tensor,
     plan_memory_map,
+    quantize_groups,
     read_container,
     read_image,
     region_sizes,
     stream_word_count,
     unpack_nibbles,
     unpack_stream,
+    widened_chunks,
     write_image,
 )
 from beatstream.model_io import (IMAGE_NAME, build_demo_checkpoint, save_checkpoint,
@@ -49,7 +50,7 @@ from beatstream.model_io import (IMAGE_NAME, build_demo_checkpoint, save_checkpo
 from beatstream.numerics import LANES, TreeOrderRows, to_half
 from beatstream.perf import token_burst_schedule
 from beatstream.pipeline import KVCacheStore
-from beatstream.quant import quantize_rows
+from beatstream.quant import dequant_codes, quantize_rows
 
 
 def oracle_word_count(n_groups, group_size):
@@ -130,10 +131,10 @@ def test_beat_laws_count_the_real_artifacts(g, rows, groups, short):
     # groups end in a truncated super-block unless a multiple of 64
     cols = groups * g - short % g
     w = np.random.default_rng(rows * cols).standard_normal((rows, cols)).astype(np.float16)
-    t = GroupedTensor.quantize(w, g)
-    words = len(pack_tensor(t))
+    codes, scales, zeros = quantize_groups(w, g)
+    words = len(pack_tensor(codes, scales, zeros))
     assert container_beats(rows, cols, g) == -(-words // BusGeometry.words_per_beat)
-    operand = TreeOrderRows(rows, t.padded_cols)
+    operand = TreeOrderRows(rows, codes.size // rows)
     # a row narrower than a block is reduced over a subtree but still fills its beat
     assert code_beats(rows, cols, g) == rows * -(-operand.shape[1] // LANES)
 
@@ -152,12 +153,12 @@ class TestNibbles:
 
 class TestPackUnpack:
     def test_scale_word_is_little_endian(self):
-        t = GroupedTensor.quantize(np.ones((1, 128), dtype=np.float16), 128)
-        words = pack_tensor(t)
+        codes, scales, zeros = quantize_groups(np.ones((1, 128), dtype=np.float16), 128)
+        words = pack_tensor(codes, scales, zeros)
         scale_word = words[np.nonzero(beat_kind_pattern(1, 128) == KIND_SCALE)[0][0]]
         # scale for the ones group is half(1/15); check byte order explicitly
         bits = int(np.frombuffer(scale_word[:2].tobytes(), dtype="<u2")[0])
-        assert np.float16(t.scales[0]) == np.uint16(bits).view(np.float16)
+        assert np.float16(scales[0]) == np.uint16(bits).view(np.float16)
         # unused scale slots stay zero
         assert not scale_word[2:].any()
 
@@ -171,31 +172,32 @@ class TestPackUnpack:
             cols = int(rng.integers(1, 300))
             g = 4 * int(rng.integers(1, 65))
             w = to_half(rng.normal(size=(rows, cols)))
-            t = GroupedTensor.quantize(w, g)
-            words = pack_tensor(t)
+            codes, scales, zeros = quantize_groups(w, g)
+            words = pack_tensor(codes, scales, zeros)
             digest.update(words.tobytes())
             back = unpack_stream(words, rows, cols, g)
-            assert np.array_equal(back.codes, t.codes)
-            assert np.array_equal(back.scales.view(np.uint16), t.scales.view(np.uint16))
-            assert np.array_equal(back.zeros, t.zeros)
-            assert (back.rows, back.cols) == (rows, cols)
+            assert np.array_equal(back[0], codes)
+            assert np.array_equal(back[1].view(np.uint16), scales.view(np.uint16))
+            assert np.array_equal(back[2], zeros)
+            assert back[0].shape == (rows * -(-cols // g), g)
         assert digest.hexdigest()[:16] == "c4800c32a7fa0284"
 
     def test_quantize_in_chunks_matches_one_shot(self):
         # 1100 rows of 320 padded columns span two chunks, the second short
         w = to_half(np.random.default_rng(12).normal(size=(1100, 300)))
         assert w.size > layout.CHUNK_VALUES
-        t = GroupedTensor.quantize(w, 32)
+        groups = quantize_groups(w, 32)
         padded = np.zeros((1100, 320), dtype=np.float16)
         padded[:, :300] = w
         codes, scales, zeros = quantize_rows(padded.reshape(-1, 32))
-        assert np.array_equal(t.codes, codes)
-        assert np.array_equal(t.scales.view(np.uint16), scales.view(np.uint16))
-        assert np.array_equal(t.zeros, zeros)
-        chunks = list(t.widened_chunks())
+        assert np.array_equal(groups[0], codes)
+        assert np.array_equal(groups[1].view(np.uint16), scales.view(np.uint16))
+        assert np.array_equal(groups[2], zeros)
+        chunks = list(widened_chunks(*groups, 1100))
         assert [lo for lo, _ in chunks] == [0, layout.CHUNK_VALUES // 320]
+        whole = dequant_codes(*groups).reshape(1100, 320)
         assert np.array_equal(np.concatenate([v for _, v in chunks]).view(np.uint32),
-                              t.dequantized().astype(np.float32).view(np.uint32))
+                              whole.astype(np.float32).view(np.uint32))
 
     @pytest.mark.parametrize("scale, code, refused", [
         (30000.0, 15, True),
@@ -206,31 +208,49 @@ class TestPackUnpack:
     def test_group_decoding_past_binary16_refused(self, scale, code, refused):
         # the quantizer never writes a group whose decode overflows; with
         # every warning an error, the check itself warns of nothing
-        t = GroupedTensor(rows=1, cols=8, group_size=8, codes=np.full((1, 8), code, np.uint8),
-                          scales=np.array([scale], np.float16), zeros=np.zeros(1, np.uint8))
+        words = pack_tensor(np.full((1, 8), code, np.uint8), np.array([scale], np.float16),
+                            np.zeros(1, np.uint8))
         if refused:
             with pytest.raises(FormatError, match="overflows"):
-                unpack_stream(pack_tensor(t), 1, 8, 8)
+                unpack_stream(words, 1, 8, 8)
         else:
-            assert np.isfinite(unpack_stream(pack_tensor(t), 1, 8, 8).dequantized()).all()
+            assert np.isfinite(dequant_codes(*unpack_stream(words, 1, 8, 8))).all()
 
     def test_codes_past_four_bits_rejected(self):
-        codes = np.zeros((2, 4), dtype=np.uint8)
-        codes[1, 3] = 16
-        with pytest.raises(DomainError):
-            GroupedTensor(rows=1, cols=8, group_size=4, codes=codes,
-                          scales=np.ones(2, dtype=np.float16), zeros=np.zeros(2, dtype=np.uint8))
+        # also codes of a wider type that narrowing to bytes would wrap
+        for code, dtype in [(16, np.uint8), (256, np.int64), (-1, np.int64)]:
+            codes = np.zeros((2, 4), dtype=dtype)
+            codes[1, 3] = code
+            with pytest.raises(FormatError, match="outside 0..15"):
+                pack_tensor(codes, np.ones(2, dtype=np.float16), np.zeros(2, dtype=np.uint8))
+
+    @pytest.mark.parametrize("scales, zeros", [
+        (np.ones(1, np.float16), np.zeros(2, np.uint8)),         # a scale short
+        (np.ones(2, np.float16), np.zeros(3, np.uint8)),         # a zero point over
+        (np.ones((2, 1), np.float16), np.zeros(2, np.uint8)),    # one per group, but 2-D
+    ], ids=["scale-short", "zero-over", "scales-2d"])
+    def test_scales_or_zeros_not_one_per_group_rejected(self, scales, zeros):
+        with pytest.raises(ShapeError, match="one entry per group"):
+            pack_tensor(np.zeros((2, 4), dtype=np.uint8), scales, zeros)
+
+    def test_demo_checkpoint_words_repack_byte_for_byte(self):
+        # unpacking at the config's shape and packing again is the identity
+        ckpt = build_demo_checkpoint(seed=2)
+        cfg = ckpt.config
+        for name, words in ckpt.tensors.items():
+            groups = unpack_stream(words, *tensor_shape(cfg, name), cfg.group_size)
+            assert pack_tensor(*groups).tobytes() == words.tobytes(), name
 
     def test_padded_groups_dequantize_to_zero(self):
-        t = GroupedTensor.quantize(np.ones((3, 100), dtype=np.float16), 64)
-        vals = t.dequantized()
+        groups = quantize_groups(np.ones((3, 100), dtype=np.float16), 64)
+        vals = dequant_codes(*groups).reshape(3, -1)
         assert np.all(vals[:, 100:] == np.float16(0.0))
         assert np.all(vals[:, :100] == np.float16(1.0))
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_word_count_checked_against_the_law(self, extra):
-        t = GroupedTensor.quantize(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
-        words = pack_tensor(t)
+        groups = quantize_groups(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
+        words = pack_tensor(*groups)
         bad = np.resize(words, (len(words) + extra, layout.WORD_BYTES))
         with pytest.raises(FormatError, match=f"has {len(words) + extra} words"):
             unpack_stream(bad, 4, 128, 128)
@@ -240,9 +260,9 @@ class TestPackUnpack:
     def test_words_of_another_type_refused(self, retype):
         # int64 words of the law's shape would pass the count and then be
         # read again as bytes by the scale words' view
-        t = GroupedTensor.quantize(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
+        groups = quantize_groups(to_half(np.random.default_rng(7).normal(size=(4, 128))), 128)
         with pytest.raises(FormatError, match="not uint8 words"):
-            unpack_stream(retype(pack_tensor(t)), 4, 128, 128)
+            unpack_stream(retype(pack_tensor(*groups)), 4, 128, 128)
 
 
 SMALL = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_ffn=24, vocab_size=8, group_size=8,
@@ -345,8 +365,7 @@ class TestContainer:
             read_image(path, CHECKPOINT_MAGIC)
 
     def test_word_count_must_match_shape(self):
-        t = GroupedTensor.quantize(np.ones((2, 128), dtype=np.float16), 128)
-        piece = pack_tensor(t).reshape(-1)
+        piece = pack_tensor(*quantize_groups(np.ones((2, 128), dtype=np.float16), 128)).reshape(-1)
         with pytest.raises(FormatError, match="inconsistent"):
             read_container(piece, 3, 128, 128)
 

@@ -186,6 +186,20 @@ def test_missing_pieces_raise(tmp_path):
         load_checkpoint(tmp_path / "m")
 
 
+def test_failed_save_keeps_the_previous_image(copied, saved):
+    # a piece of the right byte length that is not bytes fails the write
+    # part-way through; the image saved before it stays whole
+    ckpt = saved[0]
+    before = (copied / IMAGE_NAME).read_bytes()
+    head = np.empty(ckpt.tensors["lm_head"].nbytes // np.dtype(object).itemsize, dtype=object)
+    bad = Checkpoint(ckpt.config, {**ckpt.tensors, "lm_head": head}, ckpt.embedding, ckpt.norms)
+    with pytest.raises(TypeError):
+        save_checkpoint(bad, copied)
+    assert [p.name for p in copied.iterdir()] == [IMAGE_NAME]
+    assert (copied / IMAGE_NAME).read_bytes() == before
+    assert_same_checkpoint(load_checkpoint(copied), ckpt)
+
+
 def test_validate_catches_shape_drift():
     ckpt = build_demo_checkpoint(seed=1)
     broken = Checkpoint(config=ckpt.config,

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beatstream.errors import DomainError, ShapeError
-from beatstream.layout import GroupedTensor
-from beatstream.model_io import build_demo_checkpoint, quantize_checkpoint
+from beatstream.layout import quantize_groups
+from beatstream.model_io import build_demo_checkpoint, quantize_checkpoint, tensor_shape
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
     dequant_codes,
@@ -150,9 +150,13 @@ class TestWeightQuant:
         with pytest.raises(DomainError):
             quantize_rows(w)
         with pytest.raises(DomainError):
-            GroupedTensor.quantize(w, 16)
+            quantize_groups(w, 16)
         ckpt = build_demo_checkpoint(seed=1)
-        weights = {name: t.dequantized()[:, :t.cols] for name, t in ckpt.grouped()}
+        cfg = ckpt.config
+        weights = {}
+        for name, groups in ckpt.grouped():
+            rows, cols = tensor_shape(cfg, name)
+            weights[name] = dequant_codes(*groups).reshape(rows, -1)[:, :cols]
         weights["layers.1.mlp.up"][7, 3] = bad
         with pytest.raises(DomainError):
             quantize_checkpoint(ckpt.config, weights, ckpt.embedding, ckpt.norms)
