@@ -14,16 +14,18 @@ Two counting modes bracket the denominator bytes:
 
 token_burst_schedule is the one per-token count of bus traffic. Every
 layer moves the same bytes, so a step's requests come as five runs, each
-a short list of request sizes and the times it repeats: the embedding row
-once, one layer's projection containers n_layers times, the head once,
-the norm gains 2 * n_layers + 1 times, and one layer's KV reads, writes
-and scale-zero flushes n_layers times. The schedule concatenates the
-runs; the packed byte count sums them without building it. Every
-container starts on a beat, and its request is layout.container_beats,
-the beats the memory map gives it. The transaction model charges each of
-its requests a fixed setup cost per maximal burst of MAX_BURST_BEATS
-beats, which is what separates achievable bandwidth from the datasheet
-number; it reads a stream's requests in one numpy pass.
+a short tuple of request sizes and the times it repeats: the embedding
+row once, one layer's projection containers n_layers times, the head
+once, the norm gains 2 * n_layers + 1 times, and one layer's KV reads,
+writes and scale-zero flushes n_layers times. The schedule is a
+BurstSchedule that holds those runs and reads as their flat list; the
+packed byte count sums the runs without building it. Every container
+starts on a beat, and its request is layout.container_beats, the beats
+the memory map gives it. The transaction model charges each of its
+requests a fixed setup cost per maximal burst of MAX_BURST_BEATS beats,
+which is what separates achievable bandwidth from the datasheet number;
+it counts a schedule run by run, so a 7B position costs O(runs), not
+O(requests).
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, repeat
 from typing import ClassVar
-
-import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError
@@ -52,7 +54,8 @@ def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
                     position: int = 0) -> float:
     """Bytes that must cross the bus for one decode step at `position`;
     packed_exact sums the beats of token_burst_schedule's runs, whose KV
-    traffic grows with the position, without building the schedule."""
+    traffic grows with the position, without building the schedule.
+    ConfigError for a position outside the context (see _burst_runs)."""
     if mode == "non_embedding":
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
@@ -62,8 +65,11 @@ def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
 
 
 def peak_tokens_per_s(bandwidth_bytes_per_s: float, token_bytes: float) -> float:
-    if token_bytes <= 0:
-        raise ConfigError("bytes per token must be positive")
+    """Tokens a second the bus could carry; ConfigError unless both the
+    bandwidth and the bytes per token are finite and positive."""
+    for name, value in (("bandwidth", bandwidth_bytes_per_s), ("bytes per token", token_bytes)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     return bandwidth_bytes_per_s / token_bytes
 
 
@@ -120,9 +126,9 @@ class BusModel:
     burst_setup_cycles: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.burst_setup_cycles < math.inf:
-            raise ConfigError(
-                f"setup must be finite and >= 0, got {self.burst_setup_cycles!r}")
+        setup = self.burst_setup_cycles
+        if isinstance(setup, bool) or not 0 <= setup < math.inf:
+            raise ConfigError(f"setup must be a finite number >= 0, got {setup!r}")
 
     def stream_cycles(self, requests) -> float:
         """Cycles of a stream of requests, in beats each: every beat, plus
@@ -130,52 +136,98 @@ class BusModel:
         return self._cycles(*_beats_and_bursts(requests))
 
     def stream_utilization(self, requests) -> float:
+        """Beats over cycles; ConfigError for an empty stream, which has
+        no utilisation."""
         beats, bursts = _beats_and_bursts(requests)
+        if not beats:
+            raise ConfigError("an empty stream has no utilisation")
         return beats / self._cycles(beats, bursts)
 
     def _cycles(self, beats: int, bursts: int) -> float:
         return float(beats + bursts * self.burst_setup_cycles)
 
 
+@dataclass(frozen=True, slots=True)
+class BurstSchedule:
+    """A stream of DMA requests, in beats, held as (requests, times) runs:
+    each run's requests, in order, `times` times over.
+
+    It reads as the flat list of requests it stands for (len, iteration,
+    indexing, slicing and repr are the list's; indexing builds that list)
+    but stores only its runs, so the bus model counts it in O(runs) and a
+    caller may hold many. ConfigError unless every request is an int (not
+    a bool) from 1 to 2**63 - 1 beats and every run repeats a positive int
+    number of times.
+    """
+
+    runs: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __post_init__(self) -> None:
+        runs = tuple((tuple(requests), times) for requests, times in self.runs)
+        for requests, times in runs:
+            if type(times) is not int or times < 1:
+                raise ConfigError(f"a run must repeat a positive int number of times, got {times!r}")
+            if operator.countOf(map(type, requests), int) != len(requests):
+                raise ConfigError("a request must be an int number of beats")
+            if requests and min(requests) < 1:
+                raise ConfigError("a request must move at least one beat")
+            if requests and max(requests) >= 2 ** 63:
+                raise ConfigError("a request must move fewer than 2**63 beats")
+        object.__setattr__(self, "runs", runs)
+
+    def __len__(self) -> int:
+        return sum(len(requests) * times for requests, times in self.runs)
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(chain.from_iterable(repeat(requests, times))
+                                   for requests, times in self.runs)
+
+    def __getitem__(self, index: int | slice) -> int | list[int]:
+        return list(self)[index]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def _beats_and_bursts(requests) -> tuple[int, int]:
-    """Total beats and maximal bursts of a stream of requests, counted in
-    one numpy pass. ConfigError unless every request is an int (not a
-    bool) from 1 to 2**63 - 1: the int64 conversion would truncate a
-    float or a bool where it must refuse it."""
-    if not isinstance(requests, (list, tuple)):
-        requests = list(requests)
-    if operator.countOf(map(type, requests), int) != len(requests):
-        raise ConfigError("a request must be an int number of beats")
-    try:
-        beats = np.fromiter(requests, dtype=np.int64, count=len(requests))
-    except OverflowError as e:
-        raise ConfigError("a request must move fewer than 2**63 beats") from e
-    if beats.min(initial=1) < 1:
-        raise ConfigError("a request must move at least one beat")
-    if len(beats) * int(beats.max(initial=0)) > np.iinfo(np.int64).max:
-        beats = beats.astype(object)     # the int64 sums could wrap; count in ints
-    return int(beats.sum()), int((-(-beats // MAX_BURST_BEATS)).sum())
+    """Total beats and maximal bursts of a stream of requests: over its
+    runs, the sums of times * beats and of times * ceil(beats /
+    MAX_BURST_BEATS), in Python ints. Any stream but a BurstSchedule is
+    one run, once; either way the schedule's checks refuse a bad request."""
+    if not isinstance(requests, BurstSchedule):
+        requests = BurstSchedule(((requests, 1),))
+    beats = bursts = 0
+    for run, times in requests.runs:
+        beats += sum(run) * times
+        # each request's ceil(beats / MAX_BURST_BEATS), without a Python loop
+        bursts += sum(map(operator.floordiv, map(operator.add, run, repeat(MAX_BURST_BEATS - 1)),
+                          repeat(MAX_BURST_BEATS))) * times
+    return beats, bursts
 
 
-def _burst_runs(cfg: ModelConfig, position: int) -> list[tuple[list[int], int]]:
+def _burst_runs(cfg: ModelConfig, position: int) -> list[tuple[tuple[int, ...], int]]:
     """One decode step's DMA requests as (requests, times) runs, in the
-    schedule's order (see token_burst_schedule)."""
-    if position < 0:
-        raise ConfigError(f"position {position} is negative")
+    schedule's order (see token_burst_schedule). ConfigError unless the
+    position is an int (not a bool) from 0 to max_context - 1: past it the
+    KV reads would leave the cache's DDR region."""
+    if isinstance(position, bool) or not isinstance(position, int) \
+            or not 0 <= position < cfg.max_context:
+        raise ConfigError(
+            f"position must be an int from 0 to {cfg.max_context - 1}, got {position!r}")
     bb, g = BusGeometry.beat_bytes, cfg.group_size
-    row = [-(-cfg.d_model * 2 // bb)]            # embedding row, one norm gain
-    projections = [container_beats(r, c, g) for r, c in cfg.projection_shapes().values()]
-    head = [container_beats(cfg.vocab_size, cfg.d_model, g)]
+    row = (-(-cfg.d_model * 2 // bb),)           # embedding row, one norm gain
+    projections = tuple(container_beats(r, c, g) for r, c in cfg.projection_shapes().values())
+    head = (container_beats(cfg.vocab_size, cfg.d_model, g),)
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
-    kv = [-(-position * cfg.head_dim // bb)] * streams if position else []
-    kv += [-(-cfg.d_model // bb)] * 2            # new k, v rows
+    kv = (-(-position * cfg.head_dim // bb),) * streams if position else ()
+    kv += (-(-cfg.d_model // bb),) * 2           # new k, v rows
     if (position + 1) % SZ_PACKS_PER_BEAT == 0:
-        kv += [1] * streams                      # scale-zero flush
+        kv += (1,) * streams                     # scale-zero flush
     return [(row, 1), (projections, cfg.n_layers), (head, 1),
             (row, 2 * cfg.n_layers + 1), (kv, cfg.n_layers)]
 
 
-def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
+def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
     """DMA request sizes, in bus beats, for one decode step on the board's
     bus (BusGeometry).
 
@@ -188,11 +240,9 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> list[int]:
     each counted once and repeated: the embedding row once, one layer's
     projection containers n_layers times, the head once, the norm gains
     2 * n_layers + 1 times, and one layer's KV reads, new-row writes and
-    scale-zero flushes n_layers times. The list is built by concatenation,
-    so it is sized exactly and its repeated sizes are shared int objects:
-    a caller may hold many schedules.
+    scale-zero flushes n_layers times. The BurstSchedule holds those runs
+    and never the flat list, so its size does not grow with the position
+    and the bus model costs it in O(runs). ConfigError for a position
+    outside the context (see _burst_runs).
     """
-    schedule: list[int] = []
-    for requests, times in _burst_runs(cfg, position):
-        schedule = schedule + requests * times
-    return schedule
+    return BurstSchedule(_burst_runs(cfg, position))

@@ -16,6 +16,7 @@ from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_word
 from beatstream.model_io import tensor_names, tensor_shape
 from beatstream.perf import (
     MAX_BURST_BEATS,
+    BurstSchedule,
     BusModel,
     bytes_per_token,
     load_device_catalog,
@@ -48,9 +49,11 @@ def test_7b_non_embedding_peak_matches_paper_bound():
 def test_bad_inputs_raise_config_error():
     with pytest.raises(ConfigError):
         bytes_per_token(tiny_demo_config(), "every_byte")
-    for token_bytes in (0, -1.0):
+    for bad in (0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):
-            peak_tokens_per_s(19.2e9, token_bytes)
+            peak_tokens_per_s(19.2e9, bad)
+        with pytest.raises(ConfigError):
+            peak_tokens_per_s(bad, 3.7e9)
     for peak in (0.0, -4.9):
         with pytest.raises(ConfigError):
             dataclasses.replace(CATALOG[0], peak_tok_s=peak).computed_util_pct()
@@ -64,7 +67,17 @@ def test_negative_position_raises_config_error():
             bytes_per_token(tiny_demo_config(), "packed_exact", position)
 
 
-@pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("position", [48, 5000, True, 2.5, 1.0], ids=repr)
+def test_position_outside_the_context_raises_config_error(position):
+    # the demo's context holds positions 0..47; a bool or a float is no
+    # position, and past the context the KV reads leave the cache's region
+    with pytest.raises(ConfigError):
+        token_burst_schedule(tiny_demo_config(), position)
+    with pytest.raises(ConfigError):
+        bytes_per_token(tiny_demo_config(), "packed_exact", position)
+
+
+@pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf, True])
 def test_bus_model_rejects_setup_outside_finite_non_negative(setup):
     with pytest.raises(ConfigError):
         BusModel(burst_setup_cycles=setup)
@@ -117,8 +130,65 @@ def test_stream_refuses_a_request_outside_int64_beats(bad, requests, data):
 
 def test_empty_stream_takes_no_cycles():
     for setup in (0, 16, 7.5):
-        cycles = BusModel(burst_setup_cycles=setup).stream_cycles([])
-        assert type(cycles) is float and cycles == 0.0
+        model = BusModel(burst_setup_cycles=setup)
+        for empty in ([], BurstSchedule(()), BurstSchedule((((), 3),))):
+            cycles = model.stream_cycles(empty)
+            assert type(cycles) is float and cycles == 0.0
+            with pytest.raises(ConfigError):    # no beats, so no utilisation
+                model.stream_utilization(empty)
+
+
+# a step's runs: a few requests each, repeated; the repeats make the sums of
+# the largest requests wrap int64 even where one run's sum would not
+RUNS = st.lists(st.tuples(st.lists(NEAR_BURSTS | st.integers(1, 2 ** 20), max_size=8),
+                          st.integers(1, 40)), max_size=6)
+
+
+@settings(deadline=None)
+@given(runs=RUNS, setup=SETUPS)
+def test_schedule_costs_as_its_flat_list_bit_for_bit(runs, setup):
+    schedule = BurstSchedule(runs)
+    flat = [b for requests, times in runs for _ in range(times) for b in requests]
+    assert list(schedule) == flat
+    model = BusModel(burst_setup_cycles=setup)
+    cycles = oracle_stream_cycles(flat, setup)
+    assert model.stream_cycles(schedule).hex() == cycles.hex()
+    if flat:
+        assert model.stream_utilization(schedule).hex() == (sum(flat) / cycles).hex()
+
+
+@settings(max_examples=50, deadline=None)
+@given(runs=RUNS, data=st.data())
+def test_schedule_reads_as_its_flat_list(runs, data):
+    schedule = BurstSchedule(runs)
+    flat = list(schedule)
+    assert len(schedule) == len(flat)
+    assert repr(schedule) == repr(flat)
+    index = data.draw(st.integers(-len(flat) - 2, len(flat) + 1), label="index")
+    if -len(flat) <= index < len(flat):
+        assert schedule[index] == flat[index]
+    else:
+        with pytest.raises(IndexError):
+            schedule[index]
+    cut = slice(*data.draw(st.tuples(st.none() | st.integers(-5, 50), st.none() | st.integers(-5, 50),
+                                     st.none() | st.integers(-3, 3).filter(bool)), label="slice"))
+    assert schedule[cut] == flat[cut]
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, 2 ** 70], ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(runs=RUNS.filter(bool), data=st.data())
+def test_schedule_refuses_a_bad_request_in_any_run(bad, runs, data):
+    requests, _ = runs[data.draw(st.integers(0, len(runs) - 1), label="run")]
+    requests.insert(data.draw(st.integers(0, len(requests)), label="at"), bad)
+    with pytest.raises(ConfigError):
+        BusModel(burst_setup_cycles=16).stream_cycles(BurstSchedule(runs))
+
+
+@pytest.mark.parametrize("times", [0, -1, 1.5, True, None], ids=repr)
+def test_schedule_refuses_a_run_repeated_other_than_a_positive_int(times):
+    with pytest.raises(ConfigError):
+        BurstSchedule((((1, 2), 2), ((3,), times)))
 
 
 # demo, kv_long and weights_mid shapes of the benchmark, group size left open
@@ -171,8 +241,8 @@ def test_schedule_matches_the_per_tensor_oracle(shape, group_size):
     cfg = ModelConfig(**shape, group_size=group_size)
     for position in (0, 1, 14, 15, 16):
         schedule = token_burst_schedule(cfg, position)
-        assert type(schedule) is list
-        assert schedule == oracle_schedule(cfg, position)
+        assert isinstance(schedule, BurstSchedule)
+        assert list(schedule) == oracle_schedule(cfg, position)
 
 
 @pytest.fixture(scope="module")
@@ -182,22 +252,34 @@ def schedule_7b():
 
 
 def test_7b_head_position_beats_and_cycles(schedule_7b):
-    assert type(schedule_7b) is list
-    assert schedule_7b == oracle_schedule(llama2_7b_config(), 1023)
+    assert isinstance(schedule_7b, BurstSchedule)
+    assert list(schedule_7b) == oracle_schedule(llama2_7b_config(), 1023)
     model = BusModel(burst_setup_cycles=16)
     assert sum(schedule_7b) == 57_838_912
     assert sum(schedule_7b) * BusGeometry.beat_bytes == 3_701_690_368
     assert model.stream_cycles(schedule_7b) == 61_488_432
 
 
-def test_7b_schedule_is_exact_sized_with_shared_ints(schedule_7b):
+def stored_entries(schedule):
+    """Requests and repeat counts a schedule holds: one per run's times,
+    one per request of each run."""
+    return sum(len(requests) + 1 for requests, _ in schedule.runs)
+
+
+def test_7b_schedule_stores_no_more_at_later_positions():
     # the benchmark holds a schedule for each of the 1024 positions, so
-    # each must cost one pointer per request: no spare capacity, and one
-    # int object per projection plus one each for the embedding row and
-    # norm gains, the head, a history read, a new row and a flush beat
-    assert sys.getsizeof(schedule_7b) == sys.getsizeof([None] * len(schedule_7b))
+    # what one stores must not grow with the history it reads: positions
+    # 1 and 1022 flush no scale-zero beats, 15 and 1023 flush them
     cfg = llama2_7b_config()
-    assert len({id(beats) for beats in schedule_7b}) <= len(cfg.projection_shapes()) + 5
+    for early, late in ((1, 1022), (15, 1023)):
+        first, last = token_burst_schedule(cfg, early), token_burst_schedule(cfg, late)
+        assert stored_entries(first) == stored_entries(last)
+        assert sum(map(sys.getsizeof, (r for r, _ in first.runs))) == \
+            sum(map(sys.getsizeof, (r for r, _ in last.runs)))
+    # 7 projections, the embedding row, the norm gain, the head, a new
+    # k and v row, and one read and one flush beat per (head, k/v) stream
+    streams = cfg.n_heads * 2
+    assert stored_entries(last) == len(last.runs) + 12 + 2 * streams
 
 
 def test_utilization_is_beats_over_cycles(schedule_7b):
@@ -226,9 +308,10 @@ def test_every_7b_position_bytes_and_cycles():
     model = BusModel(burst_setup_cycles=16)
     for position in range(cfg.max_context):
         schedule = token_burst_schedule(cfg, position)
+        flat = list(schedule)
         assert bytes_per_token(cfg, "packed_exact", position) == \
-            sum(schedule) * BusGeometry.beat_bytes
-        assert model.stream_cycles(schedule) == oracle_stream_cycles(schedule, 16)
+            sum(flat) * BusGeometry.beat_bytes
+        assert model.stream_cycles(schedule) == oracle_stream_cycles(flat, 16)
 
 
 def test_byte_count_builds_no_schedule(monkeypatch):
@@ -240,6 +323,23 @@ def test_byte_count_builds_no_schedule(monkeypatch):
 
     monkeypatch.setattr(perf, "token_burst_schedule", no_schedule)
     assert bytes_per_token(cfg, "packed_exact", 1023) == want == 3_701_690_368
+
+
+def test_costing_a_7b_schedule_never_reads_its_flat_list(monkeypatch):
+    # the bus model counts a schedule's runs; reading it request by
+    # request would cost a 7B position O(requests) again
+    cfg = llama2_7b_config()
+    schedule = token_burst_schedule(cfg, 1023)
+
+    def no_flat_list(self):
+        raise AssertionError("the bus model iterated the flat schedule")
+
+    monkeypatch.setattr(BurstSchedule, "__iter__", no_flat_list)
+    model = BusModel(burst_setup_cycles=16)
+    assert model.stream_cycles(schedule) == 61_488_432
+    assert model.stream_utilization(schedule) == 57_838_912 / 61_488_432
+    assert model.stream_cycles(token_burst_schedule(cfg, 0)) > 0
+    assert len(schedule) == 4451
 
 
 def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
