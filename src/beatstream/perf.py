@@ -14,29 +14,32 @@ Two counting modes bracket the denominator bytes:
 
 token_burst_schedule is the one per-token count of bus traffic. Every
 layer moves the same bytes, so a step's requests come as five runs, each
-a short tuple of request sizes and the times it repeats: the embedding
-row once, one layer's projection containers n_layers times, the head
-once, the norm gains 2 * n_layers + 1 times, and one layer's KV reads,
-writes and scale-zero flushes n_layers times. The schedule is a
-BurstSchedule that holds those runs and reads as their flat list; the
-packed byte count sums the runs without building it. Every container
-starts on a beat, and its request is layout.container_beats, the beats
-the memory map gives it. The transaction model charges each of its
-requests a fixed setup cost per maximal burst of MAX_BURST_BEATS beats,
-which is what separates achievable bandwidth from the datasheet number;
-it counts a schedule run by run, so a 7B position costs O(runs), not
-O(requests).
+a short tuple of (beats, count) segments, `count` requests of `beats`
+beats in a row, and the times the run repeats: the embedding row once,
+one layer's projection containers n_layers times, the head once, the
+norm gains 2 * n_layers + 1 times, and one layer's KV reads, new-row
+writes and scale-zero flushes n_layers times. Only the last run depends
+on the position, and it is at most three segments, so a LLaMA2-7B step
+is at most 13 segments at any position. The schedule is a BurstSchedule
+that holds those runs, reads as their flat list and counts its beats and
+bursts once, when built; the packed byte count sums the segments without
+building it. Every container starts on a beat, and its request is
+layout.container_beats, the beats the memory map gives it. The
+transaction model charges each request a fixed setup cost per maximal
+burst of MAX_BURST_BEATS beats, which is what separates achievable
+bandwidth from the datasheet number; it reads a schedule's totals, so a
+7B position costs O(segments), not O(requests).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import ClassVar
 
 from .config import ModelConfig
@@ -53,13 +56,14 @@ MAX_BURST_BEATS = 256
 def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
                     position: int = 0) -> float:
     """Bytes that must cross the bus for one decode step at `position`;
-    packed_exact sums the beats of token_burst_schedule's runs, whose KV
+    packed_exact sums the beats of token_burst_schedule's segments, whose KV
     traffic grows with the position, without building the schedule.
     ConfigError for a position outside the context (see _burst_runs)."""
     if mode == "non_embedding":
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
-        beats = sum(sum(requests) * times for requests, times in _burst_runs(cfg, position))
+        beats = sum(size * count * times for segments, times in _burst_runs(cfg, position)
+                    for size, count in segments)
         return beats * BusGeometry.beat_bytes
     raise ConfigError(f"unknown counting mode {mode!r}; pick non_embedding or packed_exact")
 
@@ -147,40 +151,58 @@ class BusModel:
         return float(beats + bursts * self.burst_setup_cycles)
 
 
+Segment = tuple[int, int]            # (beats, count): count requests of beats beats
+Run = tuple[tuple[Segment, ...], int]  # (segments, times): the segments, times over
+
+
 @dataclass(frozen=True, slots=True)
 class BurstSchedule:
-    """A stream of DMA requests, in beats, held as (requests, times) runs:
-    each run's requests, in order, `times` times over.
+    """A stream of DMA requests, in beats, held as (segments, times) runs:
+    each run's segments, in order, `times` times over, where a segment
+    (beats, count) is `count` requests of `beats` beats in a row.
 
     It reads as the flat list of requests it stands for (len, iteration,
     indexing, slicing and repr are the list's; indexing builds that list)
-    but stores only its runs, so the bus model counts it in O(runs) and a
-    caller may hold many. ConfigError unless every request is an int (not
-    a bool) from 1 to 2**63 - 1 beats and every run repeats a positive int
-    number of times.
+    but stores only its segments, and it counts its total beats and
+    maximal bursts once, when built, so the bus model costs it in O(1)
+    and a caller may hold many. ConfigError unless every request is an
+    int (not a bool) from 1 to 2**63 - 1 beats and every segment and run
+    repeats a positive int number of times.
     """
 
-    runs: tuple[tuple[tuple[int, ...], int], ...]
+    runs: tuple[Run, ...]
+    beats: int = field(init=False)     # Σ beats · count · times
+    bursts: int = field(init=False)    # Σ ceil(beats / MAX_BURST_BEATS) · count · times
 
     def __post_init__(self) -> None:
-        runs = tuple((tuple(requests), times) for requests, times in self.runs)
-        for requests, times in runs:
+        runs = tuple((tuple(map(tuple, segments)), times) for segments, times in self.runs)
+        beats = bursts = 0
+        for segments, times in runs:
             if type(times) is not int or times < 1:
                 raise ConfigError(f"a run must repeat a positive int number of times, got {times!r}")
-            if operator.countOf(map(type, requests), int) != len(requests):
-                raise ConfigError("a request must be an int number of beats")
-            if requests and min(requests) < 1:
-                raise ConfigError("a request must move at least one beat")
-            if requests and max(requests) >= 2 ** 63:
-                raise ConfigError("a request must move fewer than 2**63 beats")
+            run_beats = run_bursts = 0
+            for size, count in segments:
+                if type(size) is not int or not 0 < size < 2 ** 63:
+                    raise ConfigError(
+                        f"a request must be an int from 1 to 2**63 - 1 beats, got {size!r}")
+                if type(count) is not int or count < 1:
+                    raise ConfigError(
+                        f"a segment must repeat a positive int number of times, got {count!r}")
+                run_beats += size * count
+                run_bursts += -(-size // MAX_BURST_BEATS) * count
+            beats += run_beats * times
+            bursts += run_bursts * times
         object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "beats", beats)
+        object.__setattr__(self, "bursts", bursts)
 
     def __len__(self) -> int:
-        return sum(len(requests) * times for requests, times in self.runs)
+        return sum(sum(count for _, count in segments) * times for segments, times in self.runs)
 
     def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(chain.from_iterable(repeat(requests, times))
-                                   for requests, times in self.runs)
+        segments = chain.from_iterable(chain.from_iterable(
+            repeat(segments, times) for segments, times in self.runs))
+        return chain.from_iterable(starmap(repeat, segments))
 
     def __getitem__(self, index: int | slice) -> int | list[int]:
         return list(self)[index]
@@ -190,23 +212,30 @@ class BurstSchedule:
 
 
 def _beats_and_bursts(requests) -> tuple[int, int]:
-    """Total beats and maximal bursts of a stream of requests: over its
-    runs, the sums of times * beats and of times * ceil(beats /
-    MAX_BURST_BEATS), in Python ints. Any stream but a BurstSchedule is
-    one run, once; either way the schedule's checks refuse a bad request."""
+    """Total beats and maximal bursts of a stream of requests, in Python
+    ints: a BurstSchedule's, counted when it was built. Any other stream
+    becomes one run of (beats, 1) segments, once, so the schedule's checks
+    refuse a bad request either way."""
     if not isinstance(requests, BurstSchedule):
-        requests = BurstSchedule(((requests, 1),))
-    beats = bursts = 0
-    for run, times in requests.runs:
-        beats += sum(run) * times
-        # each request's ceil(beats / MAX_BURST_BEATS), without a Python loop
-        bursts += sum(map(operator.floordiv, map(operator.add, run, repeat(MAX_BURST_BEATS - 1)),
-                          repeat(MAX_BURST_BEATS))) * times
-    return beats, bursts
+        requests = BurstSchedule(((zip(requests, repeat(1)), 1),))
+    return requests.beats, requests.bursts
 
 
-def _burst_runs(cfg: ModelConfig, position: int) -> list[tuple[tuple[int, ...], int]]:
-    """One decode step's DMA requests as (requests, times) runs, in the
+@lru_cache(maxsize=16)
+def _weight_runs(cfg: ModelConfig) -> tuple[Run, ...]:
+    """The runs of a decode step that no position changes, in schedule
+    order: the embedding row once, one layer's 7 projection containers
+    n_layers times, the head once, and the norm gains 2 * n_layers + 1
+    times, each request a segment of its own."""
+    g = cfg.group_size
+    row = ((-(-cfg.d_model * 2 // BusGeometry.beat_bytes), 1),)   # embedding row, one norm gain
+    projections = tuple((container_beats(r, c, g), 1) for r, c in cfg.projection_shapes().values())
+    head = ((container_beats(cfg.vocab_size, cfg.d_model, g), 1),)
+    return (row, 1), (projections, cfg.n_layers), (head, 1), (row, 2 * cfg.n_layers + 1)
+
+
+def _burst_runs(cfg: ModelConfig, position: int) -> tuple[Run, ...]:
+    """One decode step's DMA requests as (segments, times) runs, in the
     schedule's order (see token_burst_schedule). ConfigError unless the
     position is an int (not a bool) from 0 to max_context - 1: past it the
     KV reads would leave the cache's DDR region."""
@@ -214,17 +243,13 @@ def _burst_runs(cfg: ModelConfig, position: int) -> list[tuple[tuple[int, ...], 
             or not 0 <= position < cfg.max_context:
         raise ConfigError(
             f"position must be an int from 0 to {cfg.max_context - 1}, got {position!r}")
-    bb, g = BusGeometry.beat_bytes, cfg.group_size
-    row = (-(-cfg.d_model * 2 // bb),)           # embedding row, one norm gain
-    projections = tuple(container_beats(r, c, g) for r, c in cfg.projection_shapes().values())
-    head = (container_beats(cfg.vocab_size, cfg.d_model, g),)
+    bb = BusGeometry.beat_bytes
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
-    kv = (-(-position * cfg.head_dim // bb),) * streams if position else ()
-    kv += (-(-cfg.d_model // bb),) * 2           # new k, v rows
+    kv = ((-(-position * cfg.head_dim // bb), streams),) if position else ()
+    kv += ((-(-cfg.d_model // bb), 2),)          # new k, v rows
     if (position + 1) % SZ_PACKS_PER_BEAT == 0:
-        kv += (1,) * streams                     # scale-zero flush
-    return [(row, 1), (projections, cfg.n_layers), (head, 1),
-            (row, 2 * cfg.n_layers + 1), (kv, cfg.n_layers)]
+        kv += ((1, streams),)                    # scale-zero flush
+    return (*_weight_runs(cfg), (kv, cfg.n_layers))
 
 
 def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
@@ -236,13 +261,15 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
     norm gains, and one scale-zero beat per stream whenever the step
     commits a multiple of SZ_PACKS_PER_BEAT rows.
 
-    Every layer issues the same requests, so the schedule is five runs,
-    each counted once and repeated: the embedding row once, one layer's
-    projection containers n_layers times, the head once, the norm gains
-    2 * n_layers + 1 times, and one layer's KV reads, new-row writes and
-    scale-zero flushes n_layers times. The BurstSchedule holds those runs
-    and never the flat list, so its size does not grow with the position
-    and the bus model costs it in O(runs). ConfigError for a position
-    outside the context (see _burst_runs).
+    Every layer issues the same requests, so the schedule is five runs of
+    (beats, count) segments, each counted once and repeated: the embedding
+    row once, one layer's 7 projection containers n_layers times, the head
+    once, the norm gains 2 * n_layers + 1 times, and one layer's KV
+    traffic n_layers times, as at most three segments: (history beats,
+    2 * n_heads) reads, (new row beats, 2) writes and, on a flush step,
+    (1, 2 * n_heads). The BurstSchedule holds those segments and never the
+    flat list, so its size does not grow with the position, and it counts
+    its totals when built, so the bus model costs it in O(1). ConfigError
+    for a position outside the context (see _burst_runs).
     """
     return BurstSchedule(_burst_runs(cfg, position))

@@ -5,6 +5,7 @@ packed byte count and the modelled tok/s are read from."""
 import dataclasses
 import math
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from beatstream import perf
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
-from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, tensor_stream_words
+from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, container_beats, tensor_stream_words
 from beatstream.model_io import tensor_names, tensor_shape
 from beatstream.perf import (
     MAX_BURST_BEATS,
@@ -138,17 +139,25 @@ def test_empty_stream_takes_no_cycles():
                 model.stream_utilization(empty)
 
 
-# a step's runs: a few requests each, repeated; the repeats make the sums of
-# the largest requests wrap int64 even where one run's sum would not
-RUNS = st.lists(st.tuples(st.lists(NEAR_BURSTS | st.integers(1, 2 ** 20), max_size=8),
-                          st.integers(1, 40)), max_size=6)
+# a step's runs: a few (beats, count) segments each, repeated; the counts
+# and repeats make the sums of the largest requests wrap int64 even where
+# one segment's beats would not
+SEGMENTS = st.lists(st.tuples(NEAR_BURSTS | st.integers(1, 2 ** 20), st.integers(1, 6)),
+                    max_size=8)
+RUNS = st.lists(st.tuples(SEGMENTS, st.integers(1, 40)), max_size=6)
+
+
+def flat_requests(runs):
+    """The requests that (segments, times) runs stand for, one by one."""
+    return [b for segments, times in runs for _ in range(times)
+            for b, count in segments for _ in range(count)]
 
 
 @settings(deadline=None)
 @given(runs=RUNS, setup=SETUPS)
 def test_schedule_costs_as_its_flat_list_bit_for_bit(runs, setup):
     schedule = BurstSchedule(runs)
-    flat = [b for requests, times in runs for _ in range(times) for b in requests]
+    flat = flat_requests(runs)
     assert list(schedule) == flat
     model = BusModel(burst_setup_cycles=setup)
     cycles = oracle_stream_cycles(flat, setup)
@@ -179,8 +188,20 @@ def test_schedule_reads_as_its_flat_list(runs, data):
 @settings(max_examples=20, deadline=None)
 @given(runs=RUNS.filter(bool), data=st.data())
 def test_schedule_refuses_a_bad_request_in_any_run(bad, runs, data):
-    requests, _ = runs[data.draw(st.integers(0, len(runs) - 1), label="run")]
-    requests.insert(data.draw(st.integers(0, len(requests)), label="at"), bad)
+    segments, _ = runs[data.draw(st.integers(0, len(runs) - 1), label="run")]
+    count = data.draw(st.integers(1, 6), label="count")
+    segments.insert(data.draw(st.integers(0, len(segments)), label="at"), (bad, count))
+    with pytest.raises(ConfigError):
+        BusModel(burst_setup_cycles=16).stream_cycles(BurstSchedule(runs))
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5, True, None], ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(runs=RUNS.filter(bool), data=st.data())
+def test_schedule_refuses_a_segment_repeated_other_than_a_positive_int(count, runs, data):
+    segments, _ = runs[data.draw(st.integers(0, len(runs) - 1), label="run")]
+    beats = data.draw(NEAR_BURSTS, label="beats")
+    segments.insert(data.draw(st.integers(0, len(segments)), label="at"), (beats, count))
     with pytest.raises(ConfigError):
         BusModel(burst_setup_cycles=16).stream_cycles(BurstSchedule(runs))
 
@@ -188,7 +209,28 @@ def test_schedule_refuses_a_bad_request_in_any_run(bad, runs, data):
 @pytest.mark.parametrize("times", [0, -1, 1.5, True, None], ids=repr)
 def test_schedule_refuses_a_run_repeated_other_than_a_positive_int(times):
     with pytest.raises(ConfigError):
-        BurstSchedule((((1, 2), 2), ((3,), times)))
+        BurstSchedule(((((1, 1), (2, 3)), 2), (((3, 2),), times)))
+
+
+def test_segment_stream_costs_as_its_flat_list(monkeypatch):
+    # a per-row weight stream: 32 layers of 11,008 rows of 86 beats and
+    # 4,096 rows of 32 beats, 483,328 requests in two segments; the bus
+    # model reads the totals counted when the schedule was built
+    runs = [(((86, 11_008), (32, 4_096)), 32)]
+    flat = flat_requests(runs)
+    assert len(flat) == 483_328
+    schedule = BurstSchedule(runs)
+
+    def no_flat_list(self):
+        raise AssertionError("the bus model iterated the flat schedule")
+
+    monkeypatch.setattr(BurstSchedule, "__iter__", no_flat_list)
+    for setup in (0, 16, 7.5):
+        model = BusModel(burst_setup_cycles=setup)
+        cycles = model.stream_cycles(schedule)
+        assert cycles.hex() == model.stream_cycles(flat).hex() == \
+            oracle_stream_cycles(flat, setup).hex()
+        assert model.stream_utilization(schedule) == model.stream_utilization(flat)
 
 
 # demo, kv_long and weights_mid shapes of the benchmark, group size left open
@@ -236,10 +278,10 @@ def oracle_schedule(cfg, position):
 @pytest.mark.parametrize("group_size", [4, 32, 52, 128, 256])
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=lambda s: f"d{s['d_model']}")
 def test_schedule_matches_the_per_tensor_oracle(shape, group_size):
-    # positions 0 and 1 start and grow the history; 14, 15, 16 sit either
-    # side of the first scale-zero flush
+    # every position: 0 reads no history, and every 16th flushes the
+    # scale-zero beats
     cfg = ModelConfig(**shape, group_size=group_size)
-    for position in (0, 1, 14, 15, 16):
+    for position in range(cfg.max_context):
         schedule = token_burst_schedule(cfg, position)
         assert isinstance(schedule, BurstSchedule)
         assert list(schedule) == oracle_schedule(cfg, position)
@@ -261,9 +303,15 @@ def test_7b_head_position_beats_and_cycles(schedule_7b):
 
 
 def stored_entries(schedule):
-    """Requests and repeat counts a schedule holds: one per run's times,
-    one per request of each run."""
-    return sum(len(requests) + 1 for requests, _ in schedule.runs)
+    """Segments and repeat counts a schedule holds: one per run's times,
+    one per segment of each run."""
+    return sum(len(segments) + 1 for segments, _ in schedule.runs)
+
+
+def stored_bytes(schedule):
+    """Bytes of the tuples and ints that a schedule's segments hold."""
+    return sum(sys.getsizeof(segments) + sum(map(sys.getsizeof, chain(*segments)))
+               + sum(map(sys.getsizeof, segments)) for segments, _ in schedule.runs)
 
 
 def test_7b_schedule_stores_no_more_at_later_positions():
@@ -274,12 +322,11 @@ def test_7b_schedule_stores_no_more_at_later_positions():
     for early, late in ((1, 1022), (15, 1023)):
         first, last = token_burst_schedule(cfg, early), token_burst_schedule(cfg, late)
         assert stored_entries(first) == stored_entries(last)
-        assert sum(map(sys.getsizeof, (r for r, _ in first.runs))) == \
-            sum(map(sys.getsizeof, (r for r, _ in last.runs)))
-    # 7 projections, the embedding row, the norm gain, the head, a new
-    # k and v row, and one read and one flush beat per (head, k/v) stream
-    streams = cfg.n_heads * 2
-    assert stored_entries(last) == len(last.runs) + 12 + 2 * streams
+        assert stored_bytes(first) == stored_bytes(last)
+    # 7 projections, the embedding row, the norm gain, the head, and a
+    # layer's history reads, new k and v rows and flush beats, one segment
+    # each
+    assert stored_entries(last) == len(last.runs) + 13 == 18
 
 
 def test_utilization_is_beats_over_cycles(schedule_7b):
@@ -303,7 +350,7 @@ def test_modelled_tok_s_is_clock_over_cycles(schedule_7b):
 
 def test_every_7b_position_bytes_and_cycles():
     # the whole published context: the byte count sums the schedule's
-    # runs, and the bus model's one numpy pass is the loop
+    # segments, and the totals the bus model reads are the loop's
     cfg = llama2_7b_config()
     model = BusModel(burst_setup_cycles=16)
     for position in range(cfg.max_context):
@@ -312,6 +359,25 @@ def test_every_7b_position_bytes_and_cycles():
         assert bytes_per_token(cfg, "packed_exact", position) == \
             sum(flat) * BusGeometry.beat_bytes
         assert model.stream_cycles(schedule) == oracle_stream_cycles(flat, 16)
+
+
+def test_costing_every_7b_position_sizes_each_container_once(monkeypatch):
+    # the weight segments depend on the config alone, so the 8 containers
+    # (7 projections and the head) are sized once for the whole context
+    cfg = llama2_7b_config()
+    calls = []
+
+    def counted(rows, cols, group_size):
+        calls.append((rows, cols))
+        return container_beats(rows, cols, group_size)
+
+    monkeypatch.setattr(perf, "container_beats", counted)
+    perf._weight_runs.cache_clear()
+    model = BusModel(burst_setup_cycles=16)
+    for position in range(cfg.max_context):
+        bytes_per_token(cfg, "packed_exact", position)
+        model.stream_cycles(token_burst_schedule(cfg, position))
+    assert calls == [*cfg.projection_shapes().values(), (cfg.vocab_size, cfg.d_model)]
 
 
 def test_byte_count_builds_no_schedule(monkeypatch):
