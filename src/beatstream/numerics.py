@@ -52,7 +52,9 @@ The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
 binary16 samples of the first quadrant, folded to the full turn by
 sin_cos. The ROM and the rotary base are constants, and a head width
 fixes its frequencies (inverse_frequency_table), so nothing about the
-rotation is state or setting.
+rotation is state or setting. The rotation at a (width, position) is a
+pure function of the pair, so the rotary operator (ops.rope_rotate)
+keeps it in a bounded memo and reads the ROM once per pair.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -19,6 +21,22 @@ _TWO_PI = 2.0 * math.pi
 NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
 
 
+@functools.lru_cache(maxsize=4096)
+def _rotation(width: int, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's cos, each pair's (-sin, +sin) and the pair-swap index
+    at a row width and position, binary32 and read-only. A pure function,
+    memoised: both layers of a step and every later pass at a position
+    share it, and the bound holds every position of a 4096-token context."""
+    sin, cos = sin_cos(pos * inverse_frequency_table(width) / _TWO_PI)
+    cos2 = np.repeat(cos.astype(np.float32), 2)
+    nsin2 = np.repeat(sin.astype(np.float32), 2)
+    nsin2[0::2] = -nsin2[0::2]
+    swap = np.arange(width) ^ 1
+    for a in (cos2, nsin2, swap):
+        a.flags.writeable = False
+    return cos2, nsin2, swap
+
+
 def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     """Rotate adjacent pairs (v[2j], v[2j+1]) by pos * inv_freq[j], in a
     vector or in each row of a matrix; the frequencies are
@@ -27,23 +45,27 @@ def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     Angles are formed in float64, snapped to the sine ROM's phase grid
     (numerics.sin_cos), and the rotation runs in float32 with one binary16
     rounding per output. Position 0 hits the exact 0/1 ROM entries, so it
-    is the identity bit for bit.
+    is the identity bit for bit. The ROM is read once per (width,
+    position), through a bounded memo (_rotation).
+
+    Even lanes are a*cos + b*(-sin), which IEEE makes a*cos - b*sin, and
+    odd lanes b*cos + a*sin, so every non-NaN output has the bits of the
+    two-output rotation; a NaN stays NaN, its sign and payload outside
+    the contract, as in dot_rows. A position that is not a non-negative
+    integer raises DomainError.
     """
     v = np.asarray(v, dtype=np.float16)
     if v.ndim not in (1, 2) or v.shape[-1] == 0 or v.shape[-1] % 2 != 0:
         raise ShapeError(f"rotation needs non-empty even-length rows, got shape {v.shape}")
+    if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)):
+        raise DomainError(f"position {pos!r} is not an integer")
+    pos = operator.index(pos)
     if pos < 0:
         raise DomainError(f"position {pos} is negative")
 
-    sin, cos = sin_cos(pos * inverse_frequency_table(v.shape[-1]) / _TWO_PI)
-    a = v[..., 0::2].astype(np.float32)
-    b = v[..., 1::2].astype(np.float32)
-    sin32 = sin.astype(np.float32)
-    cos32 = cos.astype(np.float32)
-    out = np.empty_like(v)
-    out[..., 0::2] = (a * cos32 - b * sin32).astype(np.float16)
-    out[..., 1::2] = (a * sin32 + b * cos32).astype(np.float16)
-    return out
+    cos2, nsin2, swap = _rotation(v.shape[-1], pos)
+    v32 = v.astype(np.float32)
+    return (v32 * cos2 + v32[..., swap] * nsin2).astype(np.float16)
 
 
 def rms_sumsq(x: np.ndarray) -> np.float32:
@@ -88,21 +110,25 @@ def softmax(x: np.ndarray) -> np.ndarray:
     Pass 1 finds the max, pass 2 stores t_i = half(exp(x_i - max)) with
     the exponential taken in float64, pass 3 divides by the sequential
     float32 sum of the t_i. The shift makes every exponent <= 0, so any
-    input length a float32 can count is safe from overflow.
+    input length a float32 can count is safe from overflow. The input is
+    widened to float32 once, exactly, and so are the t_i. A row holding
+    NaN or +inf, or only -inf, raises DomainError.
     """
-    x = np.asarray(x, dtype=np.float16)
-    if x.ndim not in (1, 2) or x.shape[-1] == 0:
-        raise ShapeError(f"expected non-empty rows, got shape {x.shape}")
-    if np.isnan(x).any():
+    x32 = np.asarray(x, dtype=np.float16).astype(np.float32)
+    if x32.ndim not in (1, 2) or x32.shape[-1] == 0:
+        raise ShapeError(f"expected non-empty rows, got shape {x32.shape}")
+    m = x32.max(axis=-1, keepdims=True)     # NaN wins the max
+    if np.isnan(m).any():
         raise DomainError("softmax input contains NaN")
-    m = x.max(axis=-1, keepdims=True)
+    if np.isposinf(m).any():
+        raise DomainError("softmax input contains +inf")
     if np.isneginf(m).any():
         raise DomainError("softmax denominator vanished")
-    t = np.exp(x.astype(np.float64) - m.astype(np.float64)).astype(np.float16)
-    d = np.cumsum(t.astype(np.float32), axis=-1, dtype=np.float32)[..., -1:]
+    t32 = np.exp(np.subtract(x32, m, dtype=np.float64)).astype(np.float16).astype(np.float32)
+    d = np.cumsum(t32, axis=-1, dtype=np.float32)[..., -1:]
     if not (d > 0.0).all():
         raise DomainError("softmax denominator vanished")
-    return (t.astype(np.float32) / d).astype(np.float16)
+    return (t32 / d).astype(np.float16)
 
 
 def silu_gate(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -116,4 +142,8 @@ def silu_gate(gate: np.ndarray, up: np.ndarray) -> np.ndarray:
     if gate.shape != up.shape or gate.ndim != 1:
         raise ShapeError(f"gate {gate.shape} and up {up.shape} must match")
     g = gate.astype(np.float64)
-    return (g / (1.0 + np.exp(-g)) * up.astype(np.float64)).astype(np.float16)
+    # exp(-g) overflows to inf for g below about -709, where g / (1 + inf)
+    # is the right -0.0, so the overflow is not an error here
+    with np.errstate(over="ignore"):
+        e = np.exp(-g)
+    return (g / (1.0 + e) * up.astype(np.float64)).astype(np.float16)

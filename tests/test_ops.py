@@ -2,14 +2,56 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beatstream.errors import DomainError, ShapeError
-from beatstream.numerics import inverse_frequency_table, to_half, ulp16
+from beatstream.numerics import inverse_frequency_table, sin_cos, to_half, ulp16
 from beatstream import ops
 from beatstream.ops import NORM_EPS, rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float16).view(np.uint16)
+
+
+def oracle_rope(v, pos):
+    """The rotation as two strided outputs: a*cos - b*sin and a*sin + b*cos."""
+    sin, cos = sin_cos(pos * inverse_frequency_table(v.shape[-1]) / (2.0 * math.pi))
+    a = v[..., 0::2].astype(np.float32)
+    b = v[..., 1::2].astype(np.float32)
+    sin32, cos32 = sin.astype(np.float32), cos.astype(np.float32)
+    out = np.empty_like(v)
+    out[..., 0::2] = (a * cos32 - b * sin32).astype(np.float16)
+    out[..., 1::2] = (a * sin32 + b * cos32).astype(np.float16)
+    return out
+
+
+def oracle_softmax(x):
+    """Three passes over binary16: a NaN scan and max, the float64
+    exponentials of x - max rounded to binary16, their float32 sum."""
+    if np.isnan(x).any():
+        raise DomainError("NaN")
+    m = x.max(axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise DomainError("vanished")
+    t = np.exp(x.astype(np.float64) - m.astype(np.float64)).astype(np.float16)
+    d = np.cumsum(t.astype(np.float32), axis=-1, dtype=np.float32)[..., -1:]
+    if not (d > 0.0).all():
+        raise DomainError("vanished")
+    return (t.astype(np.float32) / d).astype(np.float16)
+
+
+@st.composite
+def half_batches(draw, widths, elements):
+    """A binary16 vector of a drawn width, or a matrix of 1..4 such rows."""
+    width = draw(widths)
+    shape = (width,) if draw(st.booleans()) else (draw(st.integers(1, 4)), width)
+    return draw(arrays(np.float16, shape, elements=elements))
 
 
 def oracle_sumsq_f32(x):
@@ -81,6 +123,40 @@ class TestRope:
                 rope_rotate(np.zeros(shape, dtype=np.float16), 0)
         with pytest.raises(DomainError):
             rope_rotate(np.zeros(16, dtype=np.float16), -1)
+
+    def test_refuses_a_position_that_is_not_an_integer(self):
+        ops._rotation.cache_clear()
+        v = np.ones(16, dtype=np.float16)
+        for pos in (1.5, 2.0, True, False, None, "3", np.float64(2.0), np.True_):
+            with pytest.raises(DomainError, match="not an integer"):
+                rope_rotate(v, pos)
+        assert ops._rotation.cache_info().currsize == 0   # refused before the memo
+        for pos in (np.int64(5), np.uint16(5), np.int8(5)):
+            assert np.array_equal(bits(rope_rotate(v, pos)), bits(rope_rotate(v, 5)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(v=half_batches(st.integers(1, 128).map(lambda n: 2 * n),
+                          st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, 65504.0]),
+                                    st.floats(-65504, 65504, width=16))),
+           pos=st.one_of(st.integers(0, 1 << 20),
+                         st.integers(0, 1 << 20).map(np.int64),
+                         st.integers(0, 1 << 15).map(np.uint16)))
+    def test_equals_the_two_output_formula(self, v, pos):
+        # bit for bit wherever the formula gives a number; NaN where it
+        # gives NaN, of any sign and payload
+        got, want = rope_rotate(v, pos), oracle_rope(v, pos)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(bits(got)[~nan], bits(want)[~nan])
+
+    def test_rotation_memo_is_bounded_and_read_only(self):
+        assert ops._rotation.cache_info().maxsize is not None
+        for part in ops._rotation(16, 3):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0
 
 
 class TestRmsNorm:
@@ -193,6 +269,37 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(np.zeros((2, 0), dtype=np.float16))
 
+    def test_refuses_positive_infinity_before_any_arithmetic(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in ([np.inf, 0.0], [[0.0, 1.0], [-np.inf, np.inf]]):
+                with pytest.raises(DomainError, match=r"\+inf"):
+                    softmax(np.array(x, dtype=np.float16))
+
+    def test_every_half_within_twenty_of_the_max_matches_the_three_pass_formula(self):
+        # one row of every binary16 in [top - 20, top]: each shift the
+        # float64 pass can meet there, its exponential rounded once
+        halves = np.arange(0, 0xFC00, dtype=np.uint16).view(np.float16)
+        halves = halves[np.isfinite(halves)]
+        for top in (0.0, 1.0, 3.5):
+            x = halves[(halves >= top - 20) & (halves <= top)]
+            assert np.array_equal(bits(softmax(x)), bits(oracle_softmax(x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=half_batches(st.integers(1, 40),
+                          st.one_of(st.floats(-20, 20, width=16),
+                                    st.sampled_from([0.0, -0.0, -np.inf, 2.0 ** -24]))))
+    def test_equals_the_three_pass_formula(self, x):
+        # rows spread over +-20 narrow many exponentials to subnormals or
+        # zero; a row of -inf alone is refused by both
+        try:
+            want = oracle_softmax(x)
+        except DomainError:
+            with pytest.raises(DomainError):
+                softmax(x)
+            return
+        assert np.array_equal(bits(softmax(x)), bits(want))
+
 
 class TestSiluGate:
     def test_saturated_gate_passes_unit(self):
@@ -222,6 +329,14 @@ class TestSiluGate:
         g64, u64 = g.astype(np.float64), u.astype(np.float64)
         ref = g64 / (1.0 + np.exp(-g64)) * u64
         assert np.abs(out - ref).max() <= float(ulp16(to_half(ref)).max()) / 2 + 1e-12
+
+    def test_gate_past_exp_overflow_is_a_signed_zero(self):
+        # exp(800) overflows binary64, and g / (1 + inf) * up is the
+        # right zero; no warning is raised on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = silu_gate(to_half([-800.0, -65504.0, -800.0]), to_half([1.0, 2.0, -1.0]))
+        assert list(bits(out)) == list(bits(to_half([-0.0, -0.0, 0.0])))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream import layout, pipeline
+from beatstream import layout, ops, pipeline
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import (
     CapacityError,
@@ -24,7 +24,7 @@ from beatstream.errors import (
 )
 from beatstream.layout import SNAPSHOT_MAGIC, SZ_RECORD, read_image
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
-from beatstream.numerics import LANES, TreeOrderRows, to_half
+from beatstream.numerics import LANES, TreeOrderRows, sin_cos, to_half
 from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
@@ -706,6 +706,26 @@ class TestDecoderSteps:
                     dec.step(token)
                 assert dec.kv.length == 0
                 assert not dec.kv.codes.any()
+
+    def test_a_pass_reads_the_rotary_rom_once_per_position(self, demo_ckpt, monkeypatch):
+        # both layers of a step share the position's memoised rotation,
+        # and a second pass over the same positions reads the ROM no more
+        cfg = demo_ckpt.config
+        assert cfg.n_layers == 2
+        positions = []
+
+        def counted(phase_turns):
+            # inv_freq[0] is 1, so the first phase is position / 2pi turns
+            positions.append(round(float(phase_turns[0]) * 2.0 * np.pi))
+            return sin_cos(phase_turns)
+
+        monkeypatch.setattr(ops, "sin_cos", counted)
+        ops._rotation.cache_clear()
+        for _ in range(2):
+            dec = Decoder(demo_ckpt)
+            for t in range(cfg.max_context):
+                dec.step(t % cfg.vocab_size)
+            assert positions == list(range(cfg.max_context))
 
     def test_scale_zero_beats_follow_cache_length(self, demo_ckpt):
         cfg = demo_ckpt.config
