@@ -35,18 +35,24 @@ the subtree's own width (LANE_ORDER for 128 lanes; its first 16 entries
 are not the 16-lane order). In that order lanes 2j and 2j+1 of the
 adjacent-pair tree sit at positions i and i + lanes/2 for the same i, and
 the pair sums land in bit-reversed order again, one bit shorter. Every
-tree level is then the sum of two contiguous halves, taken in place over
-all rows (and heads) at once, and it adds the same pairs in the same
-operand order as the plain path, so the result is the same bit for bit.
-A NaN result is the one exception: only its being NaN is part of the
-contract, not its sign or payload (see dot_rows). The weights are such
-operands, prepared once per checkpoint, and so is the KV cache's key
-mirror, whose step view of rows 0..t (first_rows) is free; one in-place
-tree kernel serves both. (The cache's value mirror is prepared too, but
-token-major for the value mix in pipeline, not for this engine.) The
-reference decoder in pipeline reads plain binary16 matrices and cache
-rows decoded from their codes, so it is the oracle of every prepared
-operand.
+tree level is then the sum of two contiguous halves over all rows (and
+heads) at once, and it adds the same pairs as the plain path, so the
+result is the same bit for bit. The first level is fused with the
+products, as the multiplier array feeds the adder tree with no product
+stored: one np.einsum per block sums each lane pair's two products into
+a (lanes/2, [heads,] n) buffer, and log2(lanes) - 1 in-place half
+additions follow. A product of two binary16 values is exact in binary32,
+so a pair sum has one rounding however it is formed; only a zero's sign
+can differ, and the +0.0 block accumulator never passes it on (see
+_tree_order_dot). A NaN result is the one exception: only its being NaN
+is part of the contract, not its sign or payload (see dot_rows). The
+weights are such operands, prepared once per checkpoint, and so is the
+KV cache's key mirror, whose step view of rows 0..t (first_rows) is
+free; one tree kernel serves both. (The cache's value mirror is
+prepared too, but token-major for the value mix in pipeline, not for
+this engine.) The reference decoder in pipeline reads plain binary16
+matrices and cache rows decoded from their codes, so it is the oracle of
+every prepared operand.
 
 The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
 binary16 samples of the first quadrant, folded to the full turn by
@@ -196,18 +202,38 @@ class TreeOrderRows:
 
 
 def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
-    """dot_rows in tree order over a prepared operand: per block, one
-    product buffer (lanes, [heads,] n) and log2(lanes) in-place half
-    additions, then the sequential block accumulator from +0.0."""
+    """dot_rows in tree order over a prepared operand. Per block, one
+    einsum forms the products and the tree's first level together into a
+    buffer of (lanes/2, [heads,] n), the pair sums p_i + p_{i+lanes/2};
+    then log2(lanes) - 1 in-place half additions, and the sequential block
+    accumulator from +0.0. A one-lane operand has no tree level and keeps
+    the product alone.
+
+    The fused level has the bits of a multiply then an add. A product of
+    two binary16 values is exact in binary32, so a pair sum has one
+    rounding, RN32(p_i + p_{i+lanes/2}), whatever the order, fusing or
+    accumulator width. One sign differs: einsum adds from +0.0, so two
+    -0.0 products sum to +0.0, not -0.0. No zero's sign reaches the
+    result, since the block accumulator starts at +0.0, is never -0.0,
+    and x + (+-0) = x for any x != 0. optimize=False keeps einsum on its
+    own two-operand loop, not a BLAS call, whose summation order and
+    accumulator numpy does not fix.
+    """
     n_blocks, lanes, *lead = rows.blocks.shape[:-1]
     v = np.zeros((n_blocks * lanes, *lead), dtype=np.float32)
     v[:vec.shape[-1]] = vec.T
-    v = v.reshape(n_blocks, lanes, *lead)[:, rows.order, ..., None]   # (b, lanes, [h,] 1)
-    buf = np.empty(rows.blocks.shape[1:], dtype=np.float32)
+    v = v.reshape(n_blocks, lanes, *lead)[:, rows.order]   # (b, lanes, [h])
+    half = max(lanes // 2, 1)
+    spec = "klhr,klh->lhr" if lead else "klr,kl->lr"
+    buf = np.empty((half, *rows.blocks.shape[2:]), dtype=np.float32)
     acc = np.zeros(buf.shape[1:], dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
-        np.multiply(rows.blocks[b], v[b], out=buf)         # exact
-        h = lanes
+        if lanes == 1:
+            np.multiply(rows.blocks[b], v[b, ..., None], out=buf)   # exact
+        else:
+            np.einsum(spec, rows.blocks[b].reshape(2, *buf.shape), v[b].reshape(2, half, *lead),
+                      out=buf, optimize=False)
+        h = half
         while h > 1:
             h //= 2
             np.add(buf[:h], buf[h:2 * h], out=buf[:h])

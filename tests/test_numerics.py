@@ -416,6 +416,68 @@ def test_nan_sign_is_not_part_of_the_contract(n):
     assert np.array_equal(half_bits(plain)[live], half_bits(prepared)[live])
 
 
+def prepared_and_plain(rows, vec):
+    """dot_rows of (n, W) rows, or per head (h, n, W), against vec (L,) or
+    (h, L), over a TreeOrderRows operand and over the plain rows."""
+    operand = TreeOrderRows(*rows.shape)
+    operand.assign(0, rows)
+    return dot_rows(operand, vec), dot_rows(rows, vec)
+
+
+@pytest.mark.parametrize("heads", [None, 3])
+@pytest.mark.parametrize("width", [1 << k for k in range(8)] + [2 * LANES])
+@pytest.mark.parametrize("mixed", [False, True], ids=["all_negative", "mixed"])
+def test_zero_products_sum_to_positive_zero(width, heads, mixed):
+    """Products that are all -0.0, or zeros of both signs, at every
+    subtree width and past one block: the prepared kernel's first level
+    adds from +0.0 where the plain path adds two products, so pair sums
+    of two -0.0 differ in sign, but the +0.0 block accumulator makes both
+    results +0.0."""
+    rng = np.random.default_rng(width)
+    lead = () if heads is None else (heads,)
+    rows = np.full(lead + (5, width), -0.0, dtype=np.float16)
+    vec = to_half(rng.uniform(2.0 ** -24, 65504.0, lead + (width,)))
+    if mixed:
+        rows[rng.random(rows.shape) < 0.5] = 0.0
+        vec[rng.random(vec.shape) < 0.5] *= -1
+    prepared, plain = prepared_and_plain(rows, vec)
+    assert np.all(half_bits(prepared) == 0)
+    assert np.array_equal(half_bits(prepared), half_bits(plain))
+
+
+@pytest.mark.parametrize("heads", [None, 3])
+@pytest.mark.parametrize("width", [2, LANES])
+@pytest.mark.parametrize("gap", ["tie", "past_31"])
+def test_pair_sum_rounds_once_in_binary32(width, heads, gap):
+    """One adjacent lane pair a row, the rest zero: p0 = a * 1.5 is a
+    binary16 midpoint, and p1 = c * 2**-24 is half a binary32 ulp of p0
+    (an exact binary32 tie) or lies 32 to 40 binades below it. The pair
+    sum must round once to binary32 (ties to even), then to binary16, as
+    the plain path does; a single rounding to binary16 of the exact sum
+    gives other bits for some of these rows."""
+    rng = np.random.default_rng(width)
+    lead = () if heads is None else (heads,)
+    n = 64
+    exp_a = rng.integers(-4, 5, lead + (n,))
+    below = 24 if gap == "tie" else rng.integers(32, 41, lead + (n,))
+    a = (1 + (2 * rng.integers(0, 170, lead + (n,)) + 1) * 2.0 ** -10) * 2.0 ** exp_a
+    a *= rng.choice([-1, 1], a.shape)
+    c = rng.choice([-1, 1], a.shape) * 2.0 ** (exp_a + 24 - below)
+    pair = rng.integers(0, width // 2)
+    rows = np.zeros(lead + (n, width), dtype=np.float16)
+    rows[..., 2 * pair], rows[..., 2 * pair + 1] = to_half(a), to_half(c)
+    vec = np.zeros(lead + (width,), dtype=np.float16)
+    vec[..., 2 * pair], vec[..., 2 * pair + 1] = 1.5, 2.0 ** -24
+    exact = a * 1.5 + c * 2.0 ** -24                       # exact in binary64
+    want = exact.astype(np.float32).astype(np.float16)
+    assert np.array_equal(to_half(a).astype(np.float64), a)
+    assert np.array_equal(to_half(c).astype(np.float64), c)
+    assert np.any(exact.astype(np.float16) != want)
+    prepared, plain = prepared_and_plain(rows, vec)
+    assert np.array_equal(half_bits(prepared), half_bits(want))
+    assert np.array_equal(half_bits(prepared), half_bits(plain))
+
+
 def test_pad_to_lanes_is_exact():
     rng = np.random.default_rng(17)
     a = to_half(rng.normal(size=100))
