@@ -206,8 +206,8 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     einsum forms the products and the tree's first level together into a
     buffer of (lanes/2, [heads,] n), the pair sums p_i + p_{i+lanes/2};
     then log2(lanes) - 1 in-place half additions, and the sequential block
-    accumulator from +0.0. A one-lane operand has no tree level and keeps
-    the product alone.
+    accumulator from +0.0. A one-lane operand has no tree level: its
+    einsum sums a single product.
 
     The fused level has the bits of a multiply then an add. A product of
     two binary16 values is exact in binary32, so a pair sum has one
@@ -223,16 +223,14 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     v = np.zeros((n_blocks * lanes, *lead), dtype=np.float32)
     v[:vec.shape[-1]] = vec.T
     v = v.reshape(n_blocks, lanes, *lead)[:, rows.order]   # (b, lanes, [h])
-    half = max(lanes // 2, 1)
+    k = min(lanes, 2)
+    half = lanes // k
     spec = "klhr,klh->lhr" if lead else "klr,kl->lr"
     buf = np.empty((half, *rows.blocks.shape[2:]), dtype=np.float32)
     acc = np.zeros(buf.shape[1:], dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
-        if lanes == 1:
-            np.multiply(rows.blocks[b], v[b, ..., None], out=buf)   # exact
-        else:
-            np.einsum(spec, rows.blocks[b].reshape(2, *buf.shape), v[b].reshape(2, half, *lead),
-                      out=buf, optimize=False)
+        np.einsum(spec, rows.blocks[b].reshape(k, *buf.shape), v[b].reshape(k, half, *lead),
+                  out=buf, optimize=False)
         h = half
         while h > 1:
             h //= 2

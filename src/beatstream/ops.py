@@ -21,29 +21,20 @@ _TWO_PI = 2.0 * math.pi
 NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
 
 
-@functools.lru_cache(maxsize=16)    # a model rotates rows of one or two widths
-def _pair_swap(width: int) -> np.ndarray:
-    """The index that swaps each adjacent pair of a row, read-only because
-    every position of the width shares it."""
-    swap = np.arange(width) ^ 1
-    swap.flags.writeable = False
-    return swap
-
-
 @functools.lru_cache(maxsize=4096)
 def _rotation(width: int, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each lane's cos, each pair's (-sin, +sin) and the pair-swap index
     at a row width and position, binary32 and read-only. A pure function,
     memoised: both layers of a step and every later pass at a position
-    share it, and the bound holds every position of a 4096-token context.
-    The swap index depends on the width alone; every position shares it."""
+    share it, and the bound holds every position of a 4096-token context."""
     sin, cos = sin_cos(pos * inverse_frequency_table(width) / _TWO_PI)
     cos2 = np.repeat(cos.astype(np.float32), 2)
     nsin2 = np.repeat(sin.astype(np.float32), 2)
     nsin2[0::2] = -nsin2[0::2]
-    for a in (cos2, nsin2):
+    swap = np.arange(width) ^ 1
+    for a in (cos2, nsin2, swap):
         a.flags.writeable = False
-    return cos2, nsin2, _pair_swap(width)
+    return cos2, nsin2, swap
 
 
 def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:

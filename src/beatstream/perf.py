@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -156,10 +155,6 @@ Segment = tuple[int, int]            # (beats, count): count requests of beats b
 Run = tuple[tuple[Segment, ...], int]  # (segments, times): the segments, times over
 
 
-def _request_error(size) -> ConfigError:
-    return ConfigError(f"a request must be an int from 1 to 2**63 - 1 beats, got {size!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class BurstSchedule:
     """A stream of DMA requests, in beats, held as (segments, times) runs:
@@ -188,7 +183,8 @@ class BurstSchedule:
             run_beats = run_bursts = 0
             for size, count in segments:
                 if type(size) is not int or not 0 < size < 2 ** 63:
-                    raise _request_error(size)
+                    raise ConfigError(
+                        f"a request must be an int from 1 to 2**63 - 1 beats, got {size!r}")
                 if type(count) is not int or count < 1:
                     raise ConfigError(
                         f"a segment must repeat a positive int number of times, got {count!r}")
@@ -217,21 +213,12 @@ class BurstSchedule:
 
 def _beats_and_bursts(requests) -> tuple[int, int]:
     """Total beats and maximal bursts of a stream of requests, in Python
-    ints: a BurstSchedule's, counted when it was built. Any other stream is
-    counted in C-level passes over its requests (no Python loop): one
-    type and one range check, with the schedule's refusal, then a sum for
-    the beats and a mapped sum of ceil(beats / MAX_BURST_BEATS) for the
-    bursts."""
-    if isinstance(requests, BurstSchedule):
-        return requests.beats, requests.bursts
-    if not isinstance(requests, (list, tuple)):
-        requests = list(requests)
-    if operator.countOf(map(type, requests), int) != len(requests) \
-            or requests and not (0 < min(requests) and max(requests) < 2 ** 63):
-        raise _request_error(next(b for b in requests if type(b) is not int or not 0 < b < 2 ** 63))
-    bursts = sum(map(operator.floordiv, map(operator.add, requests, repeat(MAX_BURST_BEATS - 1)),
-                     repeat(MAX_BURST_BEATS)))
-    return sum(requests), bursts
+    ints: a BurstSchedule's, counted when it was built. Any other stream
+    becomes one run of (beats, 1) segments, once, so the schedule's checks
+    refuse a bad request either way."""
+    if not isinstance(requests, BurstSchedule):
+        requests = BurstSchedule(((zip(requests, repeat(1)), 1),))
+    return requests.beats, requests.bursts
 
 
 @lru_cache(maxsize=16)

@@ -233,22 +233,6 @@ def test_segment_stream_costs_as_its_flat_list(monkeypatch):
         assert model.stream_utilization(schedule) == model.stream_utilization(flat)
 
 
-def test_per_row_7b_list_costs_as_its_segment_schedule():
-    # every weight row of LLaMA2-7B a request of its own: per layer 38,400
-    # rows 4,096 wide (32 beats) and 4,096 rows 11,008 wide (86 beats), then
-    # the head's 32,000 rows; 1,391,872 requests as a plain list and a tuple
-    runs = [(((32, 38_400), (86, 4_096)), 32), (((32, 32_000),), 1)]
-    flat = flat_requests(runs)
-    assert len(flat) == 1_391_872
-    schedule = BurstSchedule(runs)
-    for setup in (0, 16, 7.5):
-        model = BusModel(burst_setup_cycles=setup)
-        cycles = model.stream_cycles(schedule)
-        assert model.stream_cycles(flat).hex() == model.stream_cycles(tuple(flat)).hex() \
-            == cycles.hex()
-        assert model.stream_utilization(flat) == model.stream_utilization(schedule)
-
-
 # demo, kv_long and weights_mid shapes of the benchmark, group size left open
 SMALL_SHAPES = [
     dict(n_layers=2, d_model=64, n_heads=4, d_ffn=172, vocab_size=256, max_context=48),
