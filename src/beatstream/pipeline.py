@@ -46,9 +46,9 @@ prepared operands and the fused mix on every step.
 
 The hardware streams one head at a time. That order lives only in the
 cycle trace of a step, a TokenTrace: a value of the model config and the
-position that builds its spans when first read, without touching any
-numerics. schedule_token returns it, and so does Decoder.step, which
-builds none of it.
+position whose spans are built on each read, never kept, without touching
+any numerics; it keeps only its figures. schedule_token returns it, and
+so does Decoder.step, which builds none of it.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -141,37 +142,56 @@ class StageSpan(NamedTuple):
 class TokenTrace:
     """The cycle trace of the fused step at `position`, a value of the
     config and the position: two traces of one config and position are
-    equal, read or not. `spans` is built by _stage_spans when first read,
-    once per trace, and every figure below is read off it."""
+    equal, read or not. `spans` is built by _stage_spans on each read,
+    never kept; the figures below come from one pass over the spans, made
+    when one is first read, and the trace keeps only those integers."""
 
     cfg: ModelConfig
     position: int
 
-    @functools.cached_property
+    @property
     def spans(self) -> list[StageSpan]:
-        return _stage_spans(self.cfg, self.position)
+        return list(_stage_spans(self.cfg, self.position))
 
     @functools.cached_property
+    def _figures(self) -> tuple[int, int, int, int, int]:
+        """stream_end, makespan, vpu_cycles, stall_cycles, weight_beats."""
+        stream_end = makespan = vpu = stall = beats = 0
+        for _, kind, start, end, weight_beats in _stage_spans(self.cfg, self.position):
+            beats += weight_beats
+            if end > makespan:
+                makespan = end
+            if kind == "spu":
+                continue
+            if end > stream_end:
+                stream_end = end
+            if kind == "vpu":
+                vpu += end - start
+            else:   # "stall"
+                stall += end - start
+        return stream_end, makespan, vpu, stall, beats
+
+    @property
     def stream_end(self) -> int:
         """The vector unit's last cycle, stalls included."""
-        return max(s.end for s in self.spans if s.kind != "spu")
+        return self._figures[0]
 
-    @functools.cached_property
+    @property
     def makespan(self) -> int:
         """The later of stream_end and the last scalar-unit end."""
-        return max(s.end for s in self.spans)
+        return self._figures[1]
 
     @property
     def vpu_cycles(self) -> int:
-        return sum(s.cycles for s in self.spans if s.kind == "vpu")
+        return self._figures[2]
 
     @property
     def stall_cycles(self) -> int:
-        return sum(s.cycles for s in self.spans if s.kind == "stall")
+        return self._figures[3]
 
     @property
     def weight_beats(self) -> int:
-        return sum(s.weight_beats for s in self.spans)
+        return self._figures[4]
 
     @property
     def spu_contained(self) -> bool:
@@ -208,8 +228,9 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
 
 def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     """Cycle trace of the fused decode step at `position`: ConfigError for
-    a negative position, else the TokenTrace value, whose spans are built
-    only when read (see _stage_spans).
+    a position that is not a non-negative int (a bool is refused, a numpy
+    int taken as its value), else the TokenTrace value, whose spans are
+    built on each read, never kept (see _stage_spans).
 
     Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
     (layout.code_beats); a head's q, k or v slice is its projection's
@@ -225,12 +246,13 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     normalized weights two cycles behind it. Everything else is charged
     but never gates.
     """
-    if position < 0:
-        raise ConfigError(f"position {position} is negative")
-    return TokenTrace(cfg, position)
+    if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
+            or position < 0:
+        raise ConfigError(f"position must be a non-negative int, got {position!r}")
+    return TokenTrace(cfg, int(position))
 
 
-def _stage_spans(cfg: ModelConfig, position: int) -> list[StageSpan]:
+def _stage_spans(cfg: ModelConfig, position: int) -> Iterator[StageSpan]:
     """The spans of the step at `position`, in stream order, by the cost
     rules of schedule_token."""
     hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
@@ -241,52 +263,50 @@ def _stage_spans(cfg: ModelConfig, position: int) -> list[StageSpan]:
     rows = position + 1
     rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
 
-    spans = [StageSpan("embed", "spu", 0, d)]
-    add = spans.append
+    yield StageSpan("embed", "spu", 0, d)
     c = 0  # vector-unit cycle cursor
     for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
         attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
-        add(StageSpan(attn_norm, "spu", c, c + d))
+        yield StageSpan(attn_norm, "spu", c, c + d)
         for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
              v, v_quant, softmax_wait, value_mix) in head_names:
-            add(StageSpan(q, "vpu", c, c + qb, qb))
-            add(StageSpan(rope_q, "spu", c + qb, c + qb + hd))
+            yield StageSpan(q, "vpu", c, c + qb, qb)
+            yield StageSpan(rope_q, "spu", c + qb, c + qb + hd)
             c += qb
-            add(StageSpan(k, "vpu", c, c + kb, kb))
-            add(StageSpan(rope_k, "spu", c + kb, c + kb + hd))
+            yield StageSpan(k, "vpu", c, c + kb, kb)
+            yield StageSpan(rope_k, "spu", c + kb, c + kb + hd)
             c += kb
             dot_end = c + rows_cycles
-            add(StageSpan(kv_dot, "vpu", c, dot_end))
-            add(StageSpan(softmax_max, "spu", c, dot_end))
-            add(StageSpan(k_quant, "spu", c, c + 2 * hd))
+            yield StageSpan(kv_dot, "vpu", c, dot_end)
+            yield StageSpan(softmax_max, "spu", c, dot_end)
+            yield StageSpan(k_quant, "spu", c, c + 2 * hd)
             c = dot_end
             exp_end = dot_end + rows
-            add(StageSpan(softmax_exp, "spu", dot_end, exp_end))
-            add(StageSpan(softmax_norm, "spu", exp_end, exp_end + rows))
-            add(StageSpan(v, "vpu", c, c + vb, vb))
-            add(StageSpan(v_quant, "spu", c, c + 2 * hd))
+            yield StageSpan(softmax_exp, "spu", dot_end, exp_end)
+            yield StageSpan(softmax_norm, "spu", exp_end, exp_end + rows)
+            yield StageSpan(v, "vpu", c, c + vb, vb)
+            yield StageSpan(v_quant, "spu", c, c + 2 * hd)
             c += vb
             mix_start = exp_end + SOFTMAX_FORWARD_LEAD
             if mix_start > c:
-                add(StageSpan(softmax_wait, "stall", c, mix_start))
+                yield StageSpan(softmax_wait, "stall", c, mix_start)
                 c = mix_start
-            add(StageSpan(value_mix, "vpu", c, c + rows_cycles))
+            yield StageSpan(value_mix, "vpu", c, c + rows_cycles)
             c += rows_cycles
-        add(StageSpan(o, "vpu", c, c + ob, ob))
-        add(StageSpan(attn_residual, "spu", c, c + d))
+        yield StageSpan(o, "vpu", c, c + ob, ob)
+        yield StageSpan(attn_residual, "spu", c, c + d)
         c += ob
-        add(StageSpan(mlp_norm, "spu", c, c + d))
+        yield StageSpan(mlp_norm, "spu", c, c + d)
         # gate and up rows interleave on the stream: one merged stage
-        add(StageSpan(gate_up, "vpu", c, c + gb, gb))
-        add(StageSpan(silu, "spu", c, c + cfg.d_ffn))
+        yield StageSpan(gate_up, "vpu", c, c + gb, gb)
+        yield StageSpan(silu, "spu", c, c + cfg.d_ffn)
         c += gb
-        add(StageSpan(down, "vpu", c, c + db, db))
-        add(StageSpan(mlp_residual, "spu", c, c + d))
+        yield StageSpan(down, "vpu", c, c + db, db)
+        yield StageSpan(mlp_residual, "spu", c, c + d)
         c += db
-    add(StageSpan("final_norm", "spu", c, c + d))
-    add(StageSpan("lm_head", "vpu", c, c + lb, lb))
-    add(StageSpan("argmax", "spu", c, c + cfg.vocab_size))
-    return spans
+    yield StageSpan("final_norm", "spu", c, c + d)
+    yield StageSpan("lm_head", "vpu", c, c + lb, lb)
+    yield StageSpan("argmax", "spu", c, c + cfg.vocab_size)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +519,8 @@ class Decoder:
 
     def step(self, token: int) -> tuple[np.ndarray, TokenTrace]:
         """Decode one token: its logits and the schedule of the step, a
-        TokenTrace the step does not build (its spans are built if read).
+        TokenTrace the step does not build (its spans are built on each
+        read, never kept).
 
         Each weight stage is one dot over its stage operand, whose result
         splits by rows: q, k, v of attn.qkv and gate, up of mlp.gate_up.

@@ -29,6 +29,7 @@ from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
     ReferenceDecoder,
+    StageSpan,
     check_agreement,
     greedy_pick,
     mix_rows,
@@ -608,15 +609,48 @@ class TestTrace:
                                           for s in trace.spans if s.kind == "spu")
         inside = position <= stall_free_context_bound(cfg)
         assert (trace.stall_cycles == 0) == inside
+        # every cached figure recounted from the spans it was read off
+        spans = trace.spans
+        assert trace.vpu_cycles == sum(s.cycles for s in spans if s.kind == "vpu")
+        assert trace.stall_cycles == sum(s.cycles for s in spans if s.kind == "stall")
+        assert trace.weight_beats == sum(s.weight_beats for s in spans)
+        vector_end = max(s.end for s in spans if s.kind != "spu")
+        assert trace.stream_end == vector_end
+        assert trace.spu_contained == (vector_end == max(s.end for s in spans))
 
     def test_positions_share_span_names(self):
         a, b = schedule_token(tiny_demo_config(), 3), schedule_token(tiny_demo_config(), 5)
         assert all(x.name is y.name for x, y in zip(a.spans, b.spans))
         assert not hasattr(a.spans[0], "__dict__")
 
-    def test_negative_position_rejected(self):
+    @pytest.mark.parametrize("position", [-1, np.int64(-1), 2.5, True, None],
+                             ids=["-1", "numpy-1", "2.5", "True", "None"])
+    def test_negative_position_rejected(self, position):
         with pytest.raises(ConfigError):
-            schedule_token(tiny_demo_config(), -1)
+            schedule_token(tiny_demo_config(), position)
+
+    def test_numpy_int_position_taken_as_its_value(self):
+        cfg = tiny_demo_config()
+        trace = schedule_token(cfg, np.int64(14))
+        assert trace == schedule_token(cfg, 14)
+        assert type(trace.position) is int and type(trace.makespan) is int
+        assert trace.makespan == GOLDEN_DEMO[256, 14][1]
+
+    @pytest.mark.parametrize("cfg, position", [(tiny_demo_config(), 14),
+                                               (llama2_7b_config(), 1023)],
+                             ids=["demo", "7b"])
+    def test_trace_keeps_figures_not_spans(self, cfg, position):
+        trace = schedule_token(cfg, position)
+        figures = (trace.stream_end, trace.makespan, trace.vpu_cycles, trace.stall_cycles,
+                   trace.weight_beats, trace.spu_contained)
+        first, second = trace.spans, trace.spans
+        assert first == second and first is not second
+        kept = list(vars(trace).values())
+        assert not any(isinstance(v, (list, StageSpan)) for v in kept)
+        assert not any(isinstance(x, StageSpan) for v in kept if isinstance(v, tuple)
+                       for x in v)
+        assert figures == (trace.stream_end, trace.makespan, trace.vpu_cycles,
+                           trace.stall_cycles, trace.weight_beats, trace.spu_contained)
 
     def test_step_returns_the_schedule(self, demo_ckpt):
         dec = Decoder(demo_ckpt)
