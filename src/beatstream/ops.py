@@ -69,25 +69,20 @@ def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
 
 
 def rms_sumsq(x: np.ndarray) -> np.float32:
-    """Sequential float32 sum of squares, the norm's first pass.
-
-    The fused pipeline computes this same reduction while writing the
-    residual; feeding the result back through precomputed_sq must be
-    bitwise neutral, so both sides share this function.
-    """
+    """Sequential float32 sum of squares, the norm's first pass: every
+    caller of rmsnorm passes it rms_sumsq of the same vector."""
     x32 = np.asarray(x, dtype=np.float16).astype(np.float32)
     if x32.size == 0:
         raise ShapeError("empty vector")
     return np.cumsum(x32 * x32, dtype=np.float32)[-1]
 
 
-def rmsnorm(x: np.ndarray, gain: np.ndarray,
-            precomputed_sq: np.float32 | None = None) -> np.ndarray:
-    """out_i = gain_i * x_i / sqrt(mean(x^2) + NORM_EPS), binary16 in and out.
+def rmsnorm(x: np.ndarray, gain: np.ndarray, sq: np.float32) -> np.ndarray:
+    """out_i = gain_i * x_i / sqrt(mean(x^2) + NORM_EPS), binary16 in and out,
+    given sq = rms_sumsq(x), the norm's first pass.
 
-    Two passes: sum of squares (skipped when the caller already carries
-    it), then the scale pass out = half(f32(gain) * (f32(x) * inv)) with
-    inv = f32(1 / sqrt(mean + NORM_EPS)) formed once in float64. The
+    This is the scale pass, out = half(f32(gain) * (f32(x) * inv)) with
+    inv = f32(1 / sqrt(sq / n + NORM_EPS)) formed once in float64. The
     epsilon keeps the norm defined at a zero vector, which maps to zeros;
     an infinite or NaN element raises DomainError.
     """
@@ -95,7 +90,6 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray,
     gain = np.asarray(gain, dtype=np.float16)
     if x.shape != gain.shape or x.ndim != 1 or x.size == 0:
         raise ShapeError(f"x {x.shape} and gain {gain.shape} must be matching vectors")
-    sq = rms_sumsq(x) if precomputed_sq is None else np.float32(precomputed_sq)
     mean = float(sq) / x.size + NORM_EPS
     if not (mean > 0.0 and math.isfinite(mean)):
         raise DomainError(f"mean square + eps = {mean}, norm undefined")

@@ -161,9 +161,8 @@ class BurstSchedule:
     each run's segments, in order, `times` times over, where a segment
     (beats, count) is `count` requests of `beats` beats in a row.
 
-    It reads as the flat list of requests it stands for (len, iteration,
-    indexing, slicing and repr are the list's; indexing builds that list)
-    but stores only its segments, and it counts its total beats and
+    It iterates and reprs as the flat list of requests it stands for but
+    stores only its segments, and it counts its total beats and
     maximal bursts once, when built, so the bus model costs it in O(1)
     and a caller may hold many. ConfigError unless every request is an
     int (not a bool) from 1 to 2**63 - 1 beats and every segment and run
@@ -196,16 +195,10 @@ class BurstSchedule:
         object.__setattr__(self, "beats", beats)
         object.__setattr__(self, "bursts", bursts)
 
-    def __len__(self) -> int:
-        return sum(sum(count for _, count in segments) * times for segments, times in self.runs)
-
     def __iter__(self) -> Iterator[int]:
         segments = chain.from_iterable(chain.from_iterable(
             repeat(segments, times) for segments, times in self.runs))
         return chain.from_iterable(starmap(repeat, segments))
-
-    def __getitem__(self, index: int | slice) -> int | list[int]:
-        return list(self)[index]
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -6,9 +6,14 @@ Two decode paths share every arithmetic primitive:
                     weight stage of the stream (qkv, o, gate_up, down), one
                     rotary pass, one per-head attention dot over every
                     head's cached rows, one softmax and one value mix per
-                    layer; it carries the residual's sum of squares into
-                    the next norm.
+                    layer.
   ReferenceDecoder  operator-at-a-time evaluation, head by head.
+
+A step of either is a short frame around one per-layer body, _layer(x,
+layer, t) -> x: the token's embedding row goes through every layer's body
+in turn, then the final norm and the head. The residual x is all that
+passes from one layer to the next; no norm state is carried, and every
+norm takes the sum of squares of its own input (rms_sumsq).
 
 Neither quantizes: each hands a layer's new key and value rows to its
 KVCacheStore, which owns the cache's row codec, so their logits must
@@ -71,10 +76,13 @@ from .model_io import Checkpoint, tensor_shape
 from .numerics import (HALF_SMALLEST_NORMAL, TreeOrderRows, dot_rows, half_bits, pad_to_lanes,
                        ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import KV_LEVELS, dequant_codes, kv_dequantize_rows, kv_quantize, overflow_rows
+from .quant import KV_LEVELS, dequant_codes, kv_quantize, overflow_rows
+from .quant import dequant_codes as kv_dequantize_rows
 
-# No step calls pad_to_lanes: it stays bound here because beatbench wraps
-# the names it finds on this module.
+# beatbench wraps the names it finds on this module: the cache decodes its
+# rows through kv_dequantize_rows so that they are timed and counted apart
+# from the weights' decode, and no step calls pad_to_lanes, which stays
+# bound for beatbench alone.
 
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
 
@@ -244,7 +252,10 @@ def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
     unit is softmax: the exponent pass cannot start until the attention
     dot finishes (it needs the final max), and the value mix consumes
     normalized weights two cycles behind it. Everything else is charged
-    but never gates.
+    but never gates. A norm is one scalar pass of d_model elements: the
+    hardware forms its sum of squares while it writes the residual (or
+    the embedding row), so the numerics' two passes, rms_sumsq and
+    rmsnorm's scale pass, cost it one.
     """
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
             or position < 0:
@@ -500,9 +511,14 @@ def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
     return ckpt.embedding[token].copy()
 
 
+def _residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The residual add: x + y in binary32, rounded to binary16 once."""
+    return (x.astype(np.float32) + y.astype(np.float32)).astype(np.float16)
+
+
 class Decoder:
-    """Fused streaming decode with carried norm state. The KV cache is its
-    whole state: a snapshot of `kv` resumes it exactly."""
+    """Fused streaming decode, one per-layer body (_layer) per layer. The
+    KV cache is its whole state: a snapshot of `kv` resumes it exactly."""
 
     def __init__(self, ckpt: Checkpoint) -> None:
         ckpt.validate()
@@ -527,45 +543,40 @@ class Decoder:
         The token's KV rows are published only after every layer has run,
         so a step that raises leaves the decoder as it was.
         """
-        cfg, mats = self.cfg, self.weights.mats
         x = _embedding_row(self.ckpt, token)
         t = self.kv.begin_token()
-        heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
-
-        carry = rms_sumsq(x)
-        for layer in range(cfg.n_layers):
-            pre = f"layers.{layer}."
-            h = rmsnorm(x, self.ckpt.norms[2 * layer], precomputed_sq=carry)
-            qkv = dot_rows(mats[pre + "attn.qkv"], h)
-            qk = rope_rotate(qkv[:2 * d].reshape(2 * heads, hd), t)
-            v = qkv[2 * d:].reshape(heads, hd)
-
-            # row t of the cache mirrors holds this step's key and value
-            # until write_layer puts their cache decode there; each head's
-            # rows go through the tree reduction against that head's query
-            keys, values = self.kv.keys[layer], self.kv.values[layer]
-            keys.assign(t, qk[heads:, None])
-            values[t] = v
-            probs = softmax(scale_logits(dot_rows(keys.first_rows(t + 1), qk[:heads]), hd))
-            head_out = mix_rows(probs, values[:t + 1]).reshape(d)
-
-            self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
-
-            o = dot_rows(mats[pre + "attn.o"], head_out)
-            x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
-            carry = rms_sumsq(x)
-
-            h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], precomputed_sq=carry)
-            gate_up = dot_rows(mats[pre + "mlp.gate_up"], h2)
-            act = silu_gate(gate_up[:cfg.d_ffn], gate_up[cfg.d_ffn:])
-            down = dot_rows(mats[pre + "mlp.down"], act)
-            x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
-            carry = rms_sumsq(x)
-
-        h_final = rmsnorm(x, self.ckpt.norms[-1], precomputed_sq=carry)
-        logits = dot_rows(mats["lm_head"], h_final)
+        for layer in range(self.cfg.n_layers):
+            x = self._layer(x, layer, t)
+        h = rmsnorm(x, self.ckpt.norms[-1], rms_sumsq(x))
+        logits = dot_rows(self.weights.mats["lm_head"], h)
         self.kv.commit()
-        return logits, TokenTrace(cfg, t)
+        return logits, TokenTrace(self.cfg, t)
+
+    def _layer(self, x: np.ndarray, layer: int, t: int) -> np.ndarray:
+        """One layer at position t: the residual after its MLP."""
+        cfg, mats, pre = self.cfg, self.weights.mats, f"layers.{layer}."
+        heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
+        h = rmsnorm(x, self.ckpt.norms[2 * layer], rms_sumsq(x))
+        qkv = dot_rows(mats[pre + "attn.qkv"], h)
+        qk = rope_rotate(qkv[:2 * d].reshape(2 * heads, hd), t)
+        v = qkv[2 * d:].reshape(heads, hd)
+
+        # row t of the cache mirrors holds this step's key and value
+        # until write_layer puts their cache decode there; each head's
+        # rows go through the tree reduction against that head's query
+        keys, values = self.kv.keys[layer], self.kv.values[layer]
+        keys.assign(t, qk[heads:, None])
+        values[t] = v
+        probs = softmax(scale_logits(dot_rows(keys.first_rows(t + 1), qk[:heads]), hd))
+        head_out = mix_rows(probs, values[:t + 1]).reshape(d)
+
+        self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
+        x = _residual(x, dot_rows(mats[pre + "attn.o"], head_out))
+
+        h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], rms_sumsq(x))
+        gate_up = dot_rows(mats[pre + "mlp.gate_up"], h2)
+        act = silu_gate(gate_up[:cfg.d_ffn], gate_up[cfg.d_ffn:])
+        return _residual(x, dot_rows(mats[pre + "mlp.down"], act))
 
 
 class ReferenceDecoder:
@@ -581,45 +592,45 @@ class ReferenceDecoder:
         self.kv = KVCacheStore(self.cfg)
 
     def step(self, token: int) -> np.ndarray:
-        cfg, kv = self.cfg, self.kv
         x = _embedding_row(self.ckpt, token)
-        t = kv.begin_token()
-        heads, hd = cfg.n_heads, cfg.head_dim
-        # one layer's new cache rows: every head's key, then every head's value
-        rows = np.empty((2 * heads, hd), dtype=np.float16)
-        for layer in range(cfg.n_layers):
-            pre = f"layers.{layer}."
-            h = rmsnorm(x, self.ckpt.norms[2 * layer])
-            q_all = dot_rows(self.mats[pre + "attn.q"], h)
-            k_all = dot_rows(self.mats[pre + "attn.k"], h)
-            v_all = dot_rows(self.mats[pre + "attn.v"], h)
-            out = np.empty(cfg.d_model, dtype=np.float16)
-            for head in range(heads):
-                lo, hi = head * hd, (head + 1) * hd
-                q = rope_rotate(q_all[lo:hi], t)
-                k = rope_rotate(k_all[lo:hi], t)
-                v = v_all[lo:hi]
-                # this head's cached keys and values, decoded from their codes
-                past_k, past_v = (kv_dequantize_rows(kv.codes[which, layer, head, :t],
-                                                     kv.records["scale"][which, layer, head, :t],
-                                                     kv.records["zero"][which, layer, head, :t])
-                                  for which in (0, 1))
-                logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
-                probs = softmax(scale_logits(logits_h, hd))
-                out[lo:hi] = _mix_sequential(probs, np.concatenate([past_v, v[None]], axis=0))
-                rows[head], rows[heads + head] = k, v
-            kv.write_layer(layer, rows)
-            o = dot_rows(self.mats[pre + "attn.o"], out)
-            x = (x.astype(np.float32) + o.astype(np.float32)).astype(np.float16)
-            h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1])
-            act = silu_gate(dot_rows(self.mats[pre + "mlp.gate"], h2),
-                            dot_rows(self.mats[pre + "mlp.up"], h2))
-            down = dot_rows(self.mats[pre + "mlp.down"], act)
-            x = (x.astype(np.float32) + down.astype(np.float32)).astype(np.float16)
-        h = rmsnorm(x, self.ckpt.norms[-1])
+        t = self.kv.begin_token()
+        for layer in range(self.cfg.n_layers):
+            x = self._layer(x, layer, t)
+        h = rmsnorm(x, self.ckpt.norms[-1], rms_sumsq(x))
         logits = dot_rows(self.mats["lm_head"], h)
-        kv.commit()
+        self.kv.commit()
         return logits
+
+    def _layer(self, x: np.ndarray, layer: int, t: int) -> np.ndarray:
+        """One layer at position t: the residual after its MLP."""
+        cfg, kv, mats, pre = self.cfg, self.kv, self.mats, f"layers.{layer}."
+        heads, hd = cfg.n_heads, cfg.head_dim
+        h = rmsnorm(x, self.ckpt.norms[2 * layer], rms_sumsq(x))
+        q_all = dot_rows(mats[pre + "attn.q"], h)
+        k_all = dot_rows(mats[pre + "attn.k"], h)
+        v_all = dot_rows(mats[pre + "attn.v"], h)
+        out = np.empty(cfg.d_model, dtype=np.float16)
+        # the layer's new cache rows: every head's key, then every head's value
+        rows = np.empty((2 * heads, hd), dtype=np.float16)
+        for head in range(heads):
+            lo, hi = head * hd, (head + 1) * hd
+            q = rope_rotate(q_all[lo:hi], t)
+            k = rope_rotate(k_all[lo:hi], t)
+            v = v_all[lo:hi]
+            # this head's cached keys and values, decoded from their codes
+            past_k, past_v = (kv_dequantize_rows(kv.codes[which, layer, head, :t],
+                                                 kv.records["scale"][which, layer, head, :t],
+                                                 kv.records["zero"][which, layer, head, :t])
+                              for which in (0, 1))
+            logits_h = np.concatenate([dot_rows(past_k, q), dot_rows(k[None], q)])
+            probs = softmax(scale_logits(logits_h, hd))
+            out[lo:hi] = _mix_sequential(probs, np.concatenate([past_v, v[None]], axis=0))
+            rows[head], rows[heads + head] = k, v
+        kv.write_layer(layer, rows)
+        x = _residual(x, dot_rows(mats[pre + "attn.o"], out))
+        h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], rms_sumsq(x))
+        act = silu_gate(dot_rows(mats[pre + "mlp.gate"], h2), dot_rows(mats[pre + "mlp.up"], h2))
+        return _residual(x, dot_rows(mats[pre + "mlp.down"], act))
 
 
 def check_agreement(step: int, fused: np.ndarray, ref: np.ndarray) -> None:

@@ -56,10 +56,6 @@ def dequant_codes(codes: np.ndarray, scales: np.ndarray,
     return (diff * np.asarray(scales, dtype=np.float32)[:, None]).astype(np.float16)
 
 
-# the cache decode is the weights' decode: one (scale, zero) per row of codes
-kv_dequantize_rows = dequant_codes
-
-
 def overflow_rows(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
                   levels: int) -> np.ndarray:
     """Indices of the rows whose decode reaches binary16 infinity: reach,

@@ -37,7 +37,9 @@ def test_each_step_books_one_weight_dot_per_stage():
     """One weight dot per stream stage (qkv, o, gate_up and down per layer,
     then the head) and one KV dot per layer. A stage operand that the
     benchmark does not find among the weight cache's matrices, or one
-    passed as a view, would book its time as KV time."""
+    passed as a view, would book its time as KV time. Each of the
+    2 * n_layers + 1 norms is one sum of squares and one scale pass, so
+    ops.rms_sumsq times every norm's first pass."""
     dec = Decoder(build_demo_checkpoint(seed=1))
     layers = dec.cfg.n_layers
     tracer = Tracer()
@@ -49,6 +51,7 @@ def test_each_step_books_one_weight_dot_per_stage():
         calls = Counter(s.name for s in tracer.spans if s.op == i)
         assert calls["numerics.dot_rows.weight"] == 4 * layers + 1
         assert calls["numerics.dot_rows.kv"] == layers
+        assert calls["ops.rms_sumsq"] == calls["ops.rmsnorm"] == 2 * layers + 1
 
 
 def test_setup_records_the_stream_unpack(tmp_path):

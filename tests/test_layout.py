@@ -480,7 +480,7 @@ def test_weight_regions_hold_the_schedule_requests(cfg):
     # the schedule is the embedding row, each layer's projections in turn,
     # then the output head
     sizes = dict(region_sizes(cfg))
-    schedule = token_burst_schedule(cfg, 0)
+    schedule = list(token_burst_schedule(cfg, 0))
     n, bb = len(cfg.projection_shapes()), BusGeometry.beat_bytes
     for layer in range(cfg.n_layers):
         first = 1 + layer * n

@@ -61,6 +61,12 @@ def oracle_sumsq_f32(x):
     return acc
 
 
+def oracle_rmsnorm(x, gain):
+    """The scalar loop's sum of squares, then the scale pass."""
+    inv = np.float32(1.0 / math.sqrt(float(oracle_sumsq_f32(x)) / x.size + NORM_EPS))
+    return (gain.astype(np.float32) * (x.astype(np.float32) * inv)).astype(np.float16)
+
+
 class TestRope:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(4)
@@ -161,7 +167,8 @@ class TestRope:
 
 class TestRmsNorm:
     def test_three_four_example(self):
-        out = rmsnorm(np.array([3.0, 4.0], dtype=np.float16), np.ones(2, dtype=np.float16))
+        x = np.array([3.0, 4.0], dtype=np.float16)
+        out = rmsnorm(x, np.ones(2, dtype=np.float16), rms_sumsq(x))
         # 3/sqrt(12.5), 4/sqrt(12.5)
         assert float(out[0]) == pytest.approx(0.84852, rel=1e-3)
         assert float(out[1]) == pytest.approx(1.13137, rel=1e-3)
@@ -173,11 +180,7 @@ class TestRmsNorm:
             n = int(rng.integers(2, 80))
             x = to_half(rng.normal(size=n))
             gain = to_half(rng.normal(size=n))
-            got = rmsnorm(x, gain)
-            sq = oracle_sumsq_f32(x)
-            inv = np.float32(1.0 / math.sqrt(float(sq) / n + NORM_EPS))
-            ref = (gain.astype(np.float32) * (x.astype(np.float32) * inv)).astype(np.float16)
-            assert np.array_equal(got, ref)
+            assert np.array_equal(rmsnorm(x, gain, rms_sumsq(x)), oracle_rmsnorm(x, gain))
 
     def test_power_of_two_constant_is_exact(self):
         # constant 2**k input: without the epsilon inv is exactly 1/c, and
@@ -186,36 +189,31 @@ class TestRmsNorm:
         gain = to_half(np.linspace(-2, 2, 32))
         for c in (0.25, 1.0, 4.0):
             x = np.full(32, c, dtype=np.float16)
-            assert np.array_equal(rmsnorm(x, gain), gain)
+            assert np.array_equal(rmsnorm(x, gain, rms_sumsq(x)), gain)
 
-    def test_precomputed_sumsq_is_bitwise_neutral(self):
+    def test_makes_no_sum_of_squares_pass(self, monkeypatch):
+        # the norm is its scale pass alone: the caller's sum of squares
+        # is the only one it reads
         rng = np.random.default_rng(61)
         x = to_half(rng.normal(size=64))
         gain = to_half(rng.normal(size=64))
-        direct = rmsnorm(x, gain)
-        carried = rmsnorm(x, gain, precomputed_sq=rms_sumsq(x))
-        assert np.array_equal(direct, carried)
-
-    def test_pass_structure(self, monkeypatch):
-        # a carried sum of squares skips the norm's first pass
-        x = to_half(np.linspace(1, 2, 24))
-        g = np.ones(24, dtype=np.float16)
         sq = rms_sumsq(x)
-        calls = []
-        monkeypatch.setattr(ops, "rms_sumsq", lambda v: calls.append(v.size) or sq)
-        rmsnorm(x, g)
-        assert calls == [24]
-        rmsnorm(x, g, precomputed_sq=sq)
-        assert calls == [24]
+
+        def no_pass(v):
+            raise AssertionError("rmsnorm took a sum of squares of its own")
+
+        monkeypatch.setattr(ops, "rms_sumsq", no_pass)
+        assert np.array_equal(rmsnorm(x, gain, sq), oracle_rmsnorm(x, gain))
 
     def test_degenerate_input(self):
         # the epsilon defines the norm at a zero vector; an infinite
         # element leaves it undefined
         gain = np.ones(8, dtype=np.float16)
         zero = np.zeros(8, dtype=np.float16)
-        assert np.array_equal(rmsnorm(zero, gain), zero)
+        assert np.array_equal(rmsnorm(zero, gain, rms_sumsq(zero)), zero)
+        inf = np.array([np.inf] + [0.0] * 7, dtype=np.float16)
         with pytest.raises(DomainError):
-            rmsnorm(np.array([np.inf] + [0.0] * 7, dtype=np.float16), gain)
+            rmsnorm(inf, gain, rms_sumsq(inf))
 
 
 class TestSoftmax:

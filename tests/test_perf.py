@@ -167,21 +167,12 @@ def test_schedule_costs_as_its_flat_list_bit_for_bit(runs, setup):
 
 
 @settings(max_examples=50, deadline=None)
-@given(runs=RUNS, data=st.data())
-def test_schedule_reads_as_its_flat_list(runs, data):
+@given(runs=RUNS)
+def test_schedule_reads_as_its_flat_list(runs):
     schedule = BurstSchedule(runs)
-    flat = list(schedule)
-    assert len(schedule) == len(flat)
+    flat = flat_requests(runs)
+    assert list(schedule) == flat
     assert repr(schedule) == repr(flat)
-    index = data.draw(st.integers(-len(flat) - 2, len(flat) + 1), label="index")
-    if -len(flat) <= index < len(flat):
-        assert schedule[index] == flat[index]
-    else:
-        with pytest.raises(IndexError):
-            schedule[index]
-    cut = slice(*data.draw(st.tuples(st.none() | st.integers(-5, 50), st.none() | st.integers(-5, 50),
-                                     st.none() | st.integers(-3, 3).filter(bool)), label="slice"))
-    assert schedule[cut] == flat[cut]
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True, 2 ** 70], ids=repr)
@@ -396,6 +387,7 @@ def test_costing_a_7b_schedule_never_reads_its_flat_list(monkeypatch):
     # request would cost a 7B position O(requests) again
     cfg = llama2_7b_config()
     schedule = token_burst_schedule(cfg, 1023)
+    assert len(list(schedule)) == 4451
 
     def no_flat_list(self):
         raise AssertionError("the bus model iterated the flat schedule")
@@ -405,7 +397,6 @@ def test_costing_a_7b_schedule_never_reads_its_flat_list(monkeypatch):
     assert model.stream_cycles(schedule) == 61_488_432
     assert model.stream_utilization(schedule) == 57_838_912 / 61_488_432
     assert model.stream_cycles(token_burst_schedule(cfg, 0)) > 0
-    assert len(schedule) == 4451
 
 
 def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
@@ -414,13 +405,13 @@ def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
     # sum is the decoder's count of flushed beats after every step.
     cfg = demo_ckpt.config
     streams = cfg.n_layers * cfg.n_heads * 2
-    base = len(token_burst_schedule(cfg, 1))
+    base = len(list(token_burst_schedule(cfg, 1)))
     dec = Decoder(demo_ckpt)
     flushed = 0
     for position in range(cfg.max_context):
         dec.step(position % cfg.vocab_size)
         if position:
-            extra = len(token_burst_schedule(cfg, position)) - base
+            extra = len(list(token_burst_schedule(cfg, position))) - base
             assert extra == (streams if (position + 1) % 16 == 0 else 0)
             flushed += extra
         assert dec.flushed_sz_beats == flushed

@@ -36,7 +36,7 @@ from beatstream.pipeline import (
     schedule_token,
     stall_free_context_bound,
 )
-from beatstream.quant import kv_dequantize_rows, kv_quantize
+from beatstream.quant import dequant_codes, kv_quantize
 
 
 def random_config(rng, head_dim):
@@ -175,9 +175,9 @@ def assert_mirrors_decode_codes(kv):
     assert keys.dtype == kv.values.dtype == np.float32
     assert not keys[:, :, :t, hd:].view(np.uint32).any()
     for which, mirror in ((0, keys[..., :hd]), (1, kv.values.transpose(0, 2, 1, 3))):
-        want = kv_dequantize_rows(kv.codes[which, :, :, :t].reshape(-1, hd),
-                                  kv.records["scale"][which, :, :, :t].reshape(-1),
-                                  kv.records["zero"][which, :, :, :t].reshape(-1))
+        want = dequant_codes(kv.codes[which, :, :, :t].reshape(-1, hd),
+                             kv.records["scale"][which, :, :, :t].reshape(-1),
+                             kv.records["zero"][which, :, :, :t].reshape(-1))
         got = mirror[:, :, :t].reshape(-1, hd)
         assert np.array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
 
@@ -418,6 +418,33 @@ class TestFusedMatchesReference:
                 fused, _ = dec.step(tok)
                 check_agreement(i, fused, ref.step(tok))
                 tok = greedy_pick(fused)
+
+    @pytest.mark.parametrize("head_dim", [None, 6, 32], ids=["demo", "hd6", "hd32"])
+    def test_every_layer_bitwise(self, demo_ckpt, monkeypatch, head_dim):
+        """Each layer body's residual, not only the logits, has the
+        reference's bits at every step."""
+        residuals = {Decoder: [], ReferenceDecoder: []}
+        for cls, seen in residuals.items():
+            def record(self, x, layer, t, body=cls._layer, seen=seen):
+                out = body(self, x, layer, t)
+                seen.append(((t, layer), out.copy()))
+                return out
+            monkeypatch.setattr(cls, "_layer", record)
+        ckpt = demo_ckpt
+        if head_dim is not None:
+            rng = np.random.default_rng(head_dim)
+            ckpt = build_demo_checkpoint(seed=head_dim, cfg=random_config(rng, head_dim))
+        dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
+        tok = 1
+        for _ in range(5):
+            fused, _ = dec.step(tok)
+            ref.step(tok)
+            tok = greedy_pick(fused)
+        fused_layers, ref_layers = residuals[Decoder], residuals[ReferenceDecoder]
+        assert len(fused_layers) == len(ref_layers) == 5 * ckpt.config.n_layers
+        for (at, a), (ref_at, b) in zip(fused_layers, ref_layers):
+            assert at == ref_at
+            assert np.array_equal(a.view(np.uint16), b.view(np.uint16)), at
 
     @pytest.mark.parametrize("shape", [
         dict(n_layers=1, d_model=64, n_heads=4, d_ffn=96, vocab_size=64),

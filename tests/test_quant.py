@@ -18,7 +18,6 @@ from beatstream.model_io import build_demo_checkpoint, quantize_checkpoint, tens
 from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
     dequant_codes,
-    kv_dequantize_rows,
     kv_quantize,
     quantize_rows,
 )
@@ -39,12 +38,6 @@ def kv_quant_row(x):
     """kv_quantize of one row: (codes, scale, zero point)."""
     codes, scales, zeros = kv_quantize(np.asarray(x)[None])
     return codes[0], scales[0], zeros[0]
-
-
-def kv_dequantize(codes, scale, zero_point):
-    """kv_dequantize_rows of one row."""
-    return kv_dequantize_rows(codes[None, :], np.float16(scale)[None],
-                              np.array([zero_point], dtype=np.uint8))[0]
 
 
 def oracle_quant_group(vals):
@@ -188,7 +181,7 @@ class TestKvQuant:
     def test_symmetric_round_trip(self):
         x = np.array([-1.0, 0.0, 1.0], dtype=np.float16)
         codes, scale, zero_point = kv_quant_row(x)
-        back = kv_dequantize(codes, scale, zero_point)
+        back = dequant_group(codes, scale, zero_point)
         step = float(scale)
         assert np.abs(back.astype(np.float64) - x.astype(np.float64)).max() <= 1.5 * step
         assert math.isclose(step, 2.0 / 255, rel_tol=2 ** -10)
@@ -209,7 +202,7 @@ class TestKvQuant:
         codes, scale, zero_point = kv_quant_row(np.zeros(16, dtype=np.float16))
         assert float(scale) == float(HALF_SMALLEST_NORMAL)
         assert zero_point == 0
-        assert np.all(kv_dequantize(codes, scale, zero_point) == np.float16(0.0))
+        assert np.all(dequant_group(codes, scale, zero_point) == np.float16(0.0))
 
     def test_zero_point_domain(self):
         # a zero point is a magnitude, so its domain 0..255 is its dtype
@@ -227,7 +220,7 @@ class TestKvQuant:
         for _ in range(300):
             x = to_half(rng.normal(scale=rng.uniform(0.01, 20), size=64))
             codes, scale, zero_point = kv_quant_row(x)
-            back = kv_dequantize(codes, scale, zero_point)
+            back = dequant_group(codes, scale, zero_point)
             err = np.abs(back.astype(np.float64) - x.astype(np.float64)).max()
             # interior points sit within half a step; the ceil zero point
             # can clamp a sub-step sliver at the range bottom, so the
@@ -246,9 +239,9 @@ class TestKvQuant:
         for i in range(8):
             c, scales[i], zps[i] = kv_quant_row(xs[i])
             rows_codes.append(c)
-        batch = kv_dequantize_rows(np.stack(rows_codes), scales, zps)
+        batch = dequant_codes(np.stack(rows_codes), scales, zps)
         for i in range(8):
-            one = kv_dequantize(rows_codes[i], scales[i], zps[i])
+            one = dequant_group(rows_codes[i], scales[i], zps[i])
             assert np.array_equal(batch[i], one)
 
 
