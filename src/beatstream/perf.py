@@ -22,13 +22,17 @@ writes and scale-zero flushes n_layers times. Only the last run depends
 on the position, and it is at most three segments, so a LLaMA2-7B step
 is at most 13 segments at any position. The schedule is a BurstSchedule
 that holds those runs, reads as their flat list and counts its beats and
-bursts once, when built; the packed byte count sums the segments without
-building it. Every container starts on a beat, and its request is
-layout.container_beats, the beats the memory map gives it. The
-transaction model charges each request a fixed setup cost per maximal
-burst of MAX_BURST_BEATS beats, which is what separates achievable
-bandwidth from the datasheet number; it reads a schedule's totals, so a
-7B position costs O(segments), not O(requests).
+bursts once, when built. The four weight runs are one BurstSchedule a
+config, checked and counted once and cached; a position checks and
+counts only its KV run, and its schedule is the join of the two, whose
+totals are the two sums. The packed byte count adds the KV run's beats
+to the cached weight beats without building a schedule. Every container
+starts on a beat, and its request is layout.container_beats, the beats
+the memory map gives it. The transaction model charges each request a
+fixed setup cost per maximal burst of MAX_BURST_BEATS beats, which is
+what separates achievable bandwidth from the datasheet number; it reads
+a schedule's totals, so a 7B position costs O(KV segments), not
+O(requests).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from functools import lru_cache
 from importlib import resources
 from itertools import chain, repeat, starmap
 from typing import ClassVar
+
+import numpy as np
 
 from .config import ModelConfig
 from .errors import ConfigError
@@ -56,15 +62,15 @@ MAX_BURST_BEATS = 256
 def bytes_per_token(cfg: ModelConfig, mode: str = "non_embedding",
                     position: int = 0) -> float:
     """Bytes that must cross the bus for one decode step at `position`;
-    packed_exact sums the beats of token_burst_schedule's segments, whose KV
-    traffic grows with the position, without building the schedule.
-    ConfigError for a position outside the context (see _burst_runs)."""
+    packed_exact is the beats of token_burst_schedule, whose KV traffic
+    grows with the position, times the beat: the config's cached weight
+    beats plus the position's KV run's, without building the schedule.
+    ConfigError for a position outside the context (see _kv_runs)."""
     if mode == "non_embedding":
         return cfg.non_embedding_params() * 4 / 8
     if mode == "packed_exact":
-        beats = sum(size * count * times for segments, times in _burst_runs(cfg, position)
-                    for size, count in segments)
-        return beats * BusGeometry.beat_bytes
+        _, kv_beats, _ = _counted(_kv_runs(cfg, position))
+        return (_weight_runs(cfg).beats + kv_beats) * BusGeometry.beat_bytes
     raise ConfigError(f"unknown counting mode {mode!r}; pick non_embedding or packed_exact")
 
 
@@ -155,6 +161,32 @@ Segment = tuple[int, int]            # (beats, count): count requests of beats b
 Run = tuple[tuple[Segment, ...], int]  # (segments, times): the segments, times over
 
 
+def _counted(runs) -> tuple[tuple[Run, ...], int, int]:
+    """Runs as tuples, with their total beats and maximal bursts: the one
+    check and count of a schedule's segments, ConfigError for what a
+    BurstSchedule refuses."""
+    checked = []
+    beats = bursts = 0
+    for segments, times in runs:
+        if type(times) is not int or times < 1:
+            raise ConfigError(f"a run must repeat a positive int number of times, got {times!r}")
+        segments = tuple(map(tuple, segments))
+        run_beats = run_bursts = 0
+        for size, count in segments:
+            if type(size) is not int or not 0 < size < 2 ** 63:
+                raise ConfigError(
+                    f"a request must be an int from 1 to 2**63 - 1 beats, got {size!r}")
+            if type(count) is not int or count < 1:
+                raise ConfigError(
+                    f"a segment must repeat a positive int number of times, got {count!r}")
+            run_beats += size * count
+            run_bursts += -(-size // MAX_BURST_BEATS) * count
+        beats += run_beats * times
+        bursts += run_bursts * times
+        checked.append((segments, times))
+    return tuple(checked), beats, bursts
+
+
 @dataclass(frozen=True, slots=True)
 class BurstSchedule:
     """A stream of DMA requests, in beats, held as (segments, times) runs:
@@ -163,10 +195,16 @@ class BurstSchedule:
 
     It iterates and reprs as the flat list of requests it stands for but
     stores only its segments, and it counts its total beats and
-    maximal bursts once, when built, so the bus model costs it in O(1)
-    and a caller may hold many. ConfigError unless every request is an
-    int (not a bool) from 1 to 2**63 - 1 beats and every segment and run
-    repeats a positive int number of times.
+    maximal bursts once, when built (see _counted), so the bus model costs
+    it in O(1) and a caller may hold many. ConfigError unless every
+    request is an int (not a bool) from 1 to 2**63 - 1 beats and every
+    segment and run repeats a positive int number of times.
+
+    `a + b` is the stream of a's requests then b's: its runs are a's and
+    b's run tuples, shared, and its totals are the sums of theirs, so
+    joining checks and counts nothing again. A decode step is the
+    config's weight schedule, counted once, joined with its position's
+    KV run.
     """
 
     runs: tuple[Run, ...]
@@ -174,26 +212,19 @@ class BurstSchedule:
     bursts: int = field(init=False)    # Σ ceil(beats / MAX_BURST_BEATS) · count · times
 
     def __post_init__(self) -> None:
-        runs = tuple((tuple(map(tuple, segments)), times) for segments, times in self.runs)
-        beats = bursts = 0
-        for segments, times in runs:
-            if type(times) is not int or times < 1:
-                raise ConfigError(f"a run must repeat a positive int number of times, got {times!r}")
-            run_beats = run_bursts = 0
-            for size, count in segments:
-                if type(size) is not int or not 0 < size < 2 ** 63:
-                    raise ConfigError(
-                        f"a request must be an int from 1 to 2**63 - 1 beats, got {size!r}")
-                if type(count) is not int or count < 1:
-                    raise ConfigError(
-                        f"a segment must repeat a positive int number of times, got {count!r}")
-                run_beats += size * count
-                run_bursts += -(-size // MAX_BURST_BEATS) * count
-            beats += run_beats * times
-            bursts += run_bursts * times
+        runs, beats, bursts = _counted(self.runs)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "beats", beats)
         object.__setattr__(self, "bursts", bursts)
+
+    def __add__(self, other: BurstSchedule) -> BurstSchedule:
+        if not isinstance(other, BurstSchedule):
+            return NotImplemented
+        joined = object.__new__(BurstSchedule)
+        object.__setattr__(joined, "runs", self.runs + other.runs)
+        object.__setattr__(joined, "beats", self.beats + other.beats)
+        object.__setattr__(joined, "bursts", self.bursts + other.bursts)
+        return joined
 
     def __iter__(self) -> Iterator[int]:
         segments = chain.from_iterable(chain.from_iterable(
@@ -215,34 +246,38 @@ def _beats_and_bursts(requests) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=16)
-def _weight_runs(cfg: ModelConfig) -> tuple[Run, ...]:
+def _weight_runs(cfg: ModelConfig) -> BurstSchedule:
     """The runs of a decode step that no position changes, in schedule
-    order: the embedding row once, one layer's 7 projection containers
-    n_layers times, the head once, and the norm gains 2 * n_layers + 1
-    times, each request a segment of its own."""
+    order, checked and counted once per config: the embedding row once,
+    one layer's 7 projection containers n_layers times, the head once, and
+    the norm gains 2 * n_layers + 1 times, each request a segment of its
+    own."""
     g = cfg.group_size
     row = ((-(-cfg.d_model * 2 // BusGeometry.beat_bytes), 1),)   # embedding row, one norm gain
     projections = tuple((container_beats(r, c, g), 1) for r, c in cfg.projection_shapes().values())
     head = ((container_beats(cfg.vocab_size, cfg.d_model, g), 1),)
-    return (row, 1), (projections, cfg.n_layers), (head, 1), (row, 2 * cfg.n_layers + 1)
+    return BurstSchedule(((row, 1), (projections, cfg.n_layers), (head, 1),
+                          (row, 2 * cfg.n_layers + 1)))
 
 
-def _burst_runs(cfg: ModelConfig, position: int) -> tuple[Run, ...]:
-    """One decode step's DMA requests as (segments, times) runs, in the
-    schedule's order (see token_burst_schedule). ConfigError unless the
-    position is an int (not a bool) from 0 to max_context - 1: past it the
-    KV reads would leave the cache's DDR region."""
-    if isinstance(position, bool) or not isinstance(position, int) \
+def _kv_runs(cfg: ModelConfig, position: int) -> tuple[Run]:
+    """The one run of a decode step that the position changes, last in
+    the schedule (see token_burst_schedule). ConfigError unless the
+    position is an int from 0 to max_context - 1 (a bool is refused, a
+    numpy integer taken as its value): past it the KV reads would leave
+    the cache's DDR region."""
+    if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
             or not 0 <= position < cfg.max_context:
         raise ConfigError(
             f"position must be an int from 0 to {cfg.max_context - 1}, got {position!r}")
+    position = int(position)
     bb = BusGeometry.beat_bytes
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
     kv = ((-(-position * cfg.head_dim // bb), streams),) if position else ()
     kv += ((-(-cfg.d_model // bb), 2),)          # new k, v rows
     if (position + 1) % SZ_PACKS_PER_BEAT == 0:
         kv += ((1, streams),)                    # scale-zero flush
-    return (*_weight_runs(cfg), (kv, cfg.n_layers))
+    return ((kv, cfg.n_layers),)
 
 
 def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
@@ -261,8 +296,10 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
     traffic n_layers times, as at most three segments: (history beats,
     2 * n_heads) reads, (new row beats, 2) writes and, on a flush step,
     (1, 2 * n_heads). The BurstSchedule holds those segments and never the
-    flat list, so its size does not grow with the position, and it counts
-    its totals when built, so the bus model costs it in O(1). ConfigError
-    for a position outside the context (see _burst_runs).
+    flat list, so its size does not grow with the position. It is the
+    join of the config's weight runs, one cached BurstSchedule counted
+    once (_weight_runs), and the position's KV run, the only segments a
+    position checks and counts; the bus model reads the join's totals in
+    O(1). ConfigError for a position outside the context (see _kv_runs).
     """
-    return BurstSchedule(_burst_runs(cfg, position))
+    return _weight_runs(cfg) + BurstSchedule(_kv_runs(cfg, position))

@@ -7,6 +7,7 @@ import math
 import sys
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,7 +69,8 @@ def test_negative_position_raises_config_error():
             bytes_per_token(tiny_demo_config(), "packed_exact", position)
 
 
-@pytest.mark.parametrize("position", [48, 5000, True, 2.5, 1.0], ids=repr)
+@pytest.mark.parametrize("position", [48, 5000, True, 2.5, 1.0, np.True_, np.int64(48)],
+                         ids=repr)
 def test_position_outside_the_context_raises_config_error(position):
     # the demo's context holds positions 0..47; a bool or a float is no
     # position, and past the context the KV reads leave the cache's region
@@ -76,6 +78,19 @@ def test_position_outside_the_context_raises_config_error(position):
         token_burst_schedule(tiny_demo_config(), position)
     with pytest.raises(ConfigError):
         bytes_per_token(tiny_demo_config(), "packed_exact", position)
+
+
+@pytest.mark.parametrize("position", [np.int64(5), np.int32(15), np.uint16(47)], ids=repr)
+def test_numpy_int_position_taken_as_its_value(position):
+    # the stage schedule's rule: a numpy integer is its int value
+    cfg = tiny_demo_config()
+    schedule = token_burst_schedule(cfg, position)
+    assert schedule == token_burst_schedule(cfg, int(position))
+    assert repr(schedule) == repr(token_burst_schedule(cfg, int(position)))
+    assert all(type(b) is int for b in schedule)
+    token_bytes = bytes_per_token(cfg, "packed_exact", position)
+    assert type(token_bytes) is int
+    assert token_bytes == bytes_per_token(cfg, "packed_exact", int(position))
 
 
 @pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf, True])
@@ -173,6 +188,26 @@ def test_schedule_reads_as_its_flat_list(runs):
     flat = flat_requests(runs)
     assert list(schedule) == flat
     assert repr(schedule) == repr(flat)
+
+
+@settings(max_examples=50, deadline=None)
+@given(left=RUNS, right=RUNS)
+def test_joined_schedule_is_one_stream_then_the_other(left, right):
+    a, b = BurstSchedule(left), BurstSchedule(right)
+    a_runs, b_runs = a.runs, b.runs
+    joined = a + b
+    flat = list(a) + list(b)
+    assert list(joined) == flat
+    assert repr(joined) == repr(flat)
+    assert joined.beats == a.beats + b.beats == sum(flat)
+    assert joined.bursts == a.bursts + b.bursts
+    assert joined == BurstSchedule(a.runs + b.runs)
+    # the runs are shared, not copied, and neither side changes
+    assert all(j is r for j, r in zip(joined.runs, a.runs + b.runs, strict=True))
+    assert a.runs is a_runs and b.runs is b_runs
+    assert a == BurstSchedule(left) and b == BurstSchedule(right)
+    with pytest.raises(TypeError):
+        a + flat
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True, 2 ** 70], ids=repr)
@@ -320,6 +355,16 @@ def test_7b_schedule_stores_no_more_at_later_positions():
     assert stored_entries(last) == len(last.runs) + 13 == 18
 
 
+def test_7b_positions_share_the_weight_runs():
+    # the four weight runs are one schedule a config, joined, not copied,
+    # into every position's
+    cfg = llama2_7b_config()
+    first, last = token_burst_schedule(cfg, 1), token_burst_schedule(cfg, 1023)
+    assert len(first.runs) == len(last.runs) == 5
+    assert all(a is b for a, b in zip(first.runs[:4], last.runs[:4]))
+    assert first.runs[4] != last.runs[4]
+
+
 def test_utilization_is_beats_over_cycles(schedule_7b):
     model = BusModel(burst_setup_cycles=16)
     beats, cycles = sum(schedule_7b), model.stream_cycles(schedule_7b)
@@ -415,3 +460,27 @@ def test_scale_zero_flush_only_every_sixteenth_token(demo_ckpt):
             assert extra == (streams if (position + 1) % 16 == 0 else 0)
             flushed += extra
         assert dec.flushed_sz_beats == flushed
+
+
+
+def test_costing_a_warm_7b_position_checks_only_its_kv_run(monkeypatch):
+    # the weight runs are checked and counted once a config; after that a
+    # position's byte count and schedule each check its KV run alone, at
+    # most three segments
+    cfg = llama2_7b_config()
+    model = BusModel(burst_setup_cycles=16)
+    model.stream_cycles(token_burst_schedule(cfg, 0))
+    counted, seen = perf._counted, []
+
+    def counting(runs):
+        runs = [(list(segments), times) for segments, times in runs]
+        seen.extend(segment for segments, _ in runs for segment in segments)
+        return counted(runs)
+
+    monkeypatch.setattr(perf, "_counted", counting)
+    for position in (0, 1, 15, 1022, 1023):
+        seen.clear()
+        token_bytes = bytes_per_token(cfg, "packed_exact", position)
+        cycles = model.stream_cycles(token_burst_schedule(cfg, position))
+        assert 0 < len(seen) <= 6
+    assert (token_bytes, cycles) == (3_701_690_368, 61_488_432)
