@@ -22,19 +22,17 @@ NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
 
 
 @functools.lru_cache(maxsize=4096)
-def _rotation(width: int, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each lane's cos, each pair's (-sin, +sin) and the pair-swap index
-    at a row width and position, binary32 and read-only. A pure function,
-    memoised: both layers of a step and every later pass at a position
-    share it, and the bound holds every position of a 4096-token context."""
+def _rotation(width: int, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's cos and each pair's (-sin, +sin) at a row width and
+    position, binary32 and read-only. A pure function, memoised: both
+    layers of a step and every later pass at a position share it, and the
+    bound holds every position of a 4096-token context."""
     sin, cos = sin_cos(pos * inverse_frequency_table(width) / _TWO_PI)
     cos2 = np.repeat(cos.astype(np.float32), 2)
     nsin2 = np.repeat(sin.astype(np.float32), 2)
     nsin2[0::2] = -nsin2[0::2]
-    swap = np.arange(width) ^ 1
-    for a in (cos2, nsin2, swap):
-        a.flags.writeable = False
-    return cos2, nsin2, swap
+    cos2.flags.writeable = nsin2.flags.writeable = False
+    return cos2, nsin2
 
 
 def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
@@ -63,9 +61,10 @@ def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     if pos < 0:
         raise DomainError(f"position {pos} is negative")
 
-    cos2, nsin2, swap = _rotation(v.shape[-1], pos)
+    cos2, nsin2 = _rotation(v.shape[-1], pos)
     v32 = v.astype(np.float32)
-    return (v32 * cos2 + v32[..., swap] * nsin2).astype(np.float16)
+    swapped = v32.reshape(*v.shape[:-1], -1, 2)[..., ::-1].reshape(v.shape)
+    return (v32 * cos2 + swapped * nsin2).astype(np.float16)
 
 
 def rms_sumsq(x: np.ndarray) -> np.float32:
@@ -119,9 +118,7 @@ def softmax(x: np.ndarray) -> np.ndarray:
     if np.isneginf(m).any():
         raise DomainError("softmax denominator vanished")
     t32 = np.exp(np.subtract(x32, m, dtype=np.float64)).astype(np.float16).astype(np.float32)
-    d = np.cumsum(t32, axis=-1, dtype=np.float32)[..., -1:]
-    if not (d > 0.0).all():
-        raise DomainError("softmax denominator vanished")
+    d = np.cumsum(t32, axis=-1, dtype=np.float32)[..., -1:]   # >= exp(0) = 1
     return (t32 / d).astype(np.float16)
 
 

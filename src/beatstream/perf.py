@@ -30,9 +30,9 @@ to the cached weight beats without building a schedule. Every container
 starts on a beat, and its request is layout.container_beats, the beats
 the memory map gives it. The transaction model charges each request a
 fixed setup cost per maximal burst of MAX_BURST_BEATS beats, which is
-what separates achievable bandwidth from the datasheet number; it reads
-a schedule's totals, so a 7B position costs O(KV segments), not
-O(requests).
+what separates achievable bandwidth from the datasheet number; it costs
+only a BurstSchedule and reads its totals, so a 7B position costs O(KV
+segments), not O(requests).
 """
 
 from __future__ import annotations
@@ -125,11 +125,13 @@ def load_device_catalog() -> dict[str, list[DeviceRow]]:
 
 @dataclass(frozen=True)
 class BusModel:
-    """Beats-plus-setup cost model for a burst-oriented memory port.
+    """Beats-plus-setup cost model for a burst-oriented memory port, over
+    a BurstSchedule.
 
     A request of n beats is split into ceil(n / MAX_BURST_BEATS) maximal
     bursts; each burst pays the setup cycles on top of its data beats.
-    With zero setup the bus is perfect.
+    With zero setup the bus is perfect. The model reads only a schedule's
+    totals, counted when it was built, so it checks no request itself.
     """
 
     geom: ClassVar[type[BusGeometry]] = BusGeometry
@@ -140,18 +142,17 @@ class BusModel:
         if isinstance(setup, bool) or not 0 <= setup < math.inf:
             raise ConfigError(f"setup must be a finite number >= 0, got {setup!r}")
 
-    def stream_cycles(self, requests) -> float:
-        """Cycles of a stream of requests, in beats each: every beat, plus
-        the setup of each request's ceil(beats / MAX_BURST_BEATS) bursts."""
-        return self._cycles(*_beats_and_bursts(requests))
+    def stream_cycles(self, schedule: BurstSchedule) -> float:
+        """Cycles of a schedule: every beat, plus the setup of each
+        request's ceil(beats / MAX_BURST_BEATS) bursts."""
+        return self._cycles(schedule.beats, schedule.bursts)
 
-    def stream_utilization(self, requests) -> float:
-        """Beats over cycles; ConfigError for an empty stream, which has
+    def stream_utilization(self, schedule: BurstSchedule) -> float:
+        """Beats over cycles; ConfigError for an empty schedule, which has
         no utilisation."""
-        beats, bursts = _beats_and_bursts(requests)
-        if not beats:
+        if not schedule.beats:
             raise ConfigError("an empty stream has no utilisation")
-        return beats / self._cycles(beats, bursts)
+        return schedule.beats / self._cycles(schedule.beats, schedule.bursts)
 
     def _cycles(self, beats: int, bursts: int) -> float:
         return float(beats + bursts * self.burst_setup_cycles)
@@ -233,16 +234,6 @@ class BurstSchedule:
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-def _beats_and_bursts(requests) -> tuple[int, int]:
-    """Total beats and maximal bursts of a stream of requests, in Python
-    ints: a BurstSchedule's, counted when it was built. Any other stream
-    becomes one run of (beats, 1) segments, once, so the schedule's checks
-    refuse a bad request either way."""
-    if not isinstance(requests, BurstSchedule):
-        requests = BurstSchedule(((zip(requests, repeat(1)), 1),))
-    return requests.beats, requests.bursts
 
 
 @lru_cache(maxsize=16)

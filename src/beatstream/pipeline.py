@@ -52,8 +52,8 @@ prepared operands and the fused mix on every step.
 The hardware streams one head at a time. That order lives only in the
 cycle trace of a step, a TokenTrace: a value of the model config and the
 position whose spans are built on each read, never kept, without touching
-any numerics; it keeps only its figures. schedule_token returns it, and
-so does Decoder.step, which builds none of it.
+any numerics; it keeps only its figures. Decoder.step returns one and
+builds none of it.
 """
 
 from __future__ import annotations
@@ -150,12 +150,39 @@ class StageSpan(NamedTuple):
 class TokenTrace:
     """The cycle trace of the fused step at `position`, a value of the
     config and the position: two traces of one config and position are
-    equal, read or not. `spans` is built by _stage_spans on each read,
-    never kept; the figures below come from one pass over the spans, made
-    when one is first read, and the trace keeps only those integers."""
+    equal, read or not. ConfigError for a position that is not a
+    non-negative int (a bool is refused, a numpy int taken as its value).
+    `spans` is built by _stage_spans on each read, never kept; the figures
+    below come from one pass over the spans, made when one is first read,
+    and the trace keeps only those integers.
+
+    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
+    (layout.code_beats); a head's q, k or v slice is its projection's
+    beats over n_heads. The trace charges the codes alone, where the DMA
+    schedule moves whole containers (layout.container_beats), each from a
+    beat of its own and with its SCALE and ZP words. Cache-fed stages (the
+    attention dot and the value mix) cost, per token row, the beats of one
+    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
+    per cycle and are forwarded, so they overlap the stream that
+    produces or consumes them; the one ordering that can stall the vector
+    unit is softmax: the exponent pass cannot start until the attention
+    dot finishes (it needs the final max), and the value mix consumes
+    normalized weights two cycles behind it. Everything else is charged
+    but never gates. A norm is one scalar pass of d_model elements: the
+    hardware forms its sum of squares while it writes the residual (or
+    the embedding row), so the numerics' two passes, rms_sumsq and
+    rmsnorm's scale pass, cost it one.
+    """
 
     cfg: ModelConfig
     position: int
+
+    def __post_init__(self) -> None:
+        position = self.position
+        if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
+                or position < 0:
+            raise ConfigError(f"position must be a non-negative int, got {position!r}")
+        object.__setattr__(self, "position", int(position))
 
     @property
     def spans(self) -> list[StageSpan]:
@@ -234,38 +261,9 @@ def _span_names(n_layers: int, n_heads: int) -> tuple:
                  for layer in range(n_layers))
 
 
-def schedule_token(cfg: ModelConfig, position: int) -> TokenTrace:
-    """Cycle trace of the fused decode step at `position`: ConfigError for
-    a position that is not a non-negative int (a bool is refused, a numpy
-    int taken as its value), else the TokenTrace value, whose spans are
-    built on each read, never kept (see _stage_spans).
-
-    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
-    (layout.code_beats); a head's q, k or v slice is its projection's
-    beats over n_heads. The trace charges the codes alone, where the DMA
-    schedule moves whole containers (layout.container_beats), each from a
-    beat of its own and with its SCALE and ZP words. Cache-fed stages (the
-    attention dot and the value mix) cost, per token row, the beats of one
-    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
-    per cycle and are forwarded, so they overlap the stream that
-    produces or consumes them; the one ordering that can stall the vector
-    unit is softmax: the exponent pass cannot start until the attention
-    dot finishes (it needs the final max), and the value mix consumes
-    normalized weights two cycles behind it. Everything else is charged
-    but never gates. A norm is one scalar pass of d_model elements: the
-    hardware forms its sum of squares while it writes the residual (or
-    the embedding row), so the numerics' two passes, rms_sumsq and
-    rmsnorm's scale pass, cost it one.
-    """
-    if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
-            or position < 0:
-        raise ConfigError(f"position must be a non-negative int, got {position!r}")
-    return TokenTrace(cfg, int(position))
-
-
 def _stage_spans(cfg: ModelConfig, position: int) -> Iterator[StageSpan]:
     """The spans of the step at `position`, in stream order, by the cost
-    rules of schedule_token."""
+    rules of TokenTrace."""
     hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
     beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
     qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice

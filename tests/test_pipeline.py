@@ -30,10 +30,10 @@ from beatstream.pipeline import (
     KVCacheStore,
     ReferenceDecoder,
     StageSpan,
+    TokenTrace,
     check_agreement,
     greedy_pick,
     mix_rows,
-    schedule_token,
     stall_free_context_bound,
 )
 from beatstream.quant import dequant_codes, kv_quantize
@@ -589,7 +589,7 @@ def built(trace):
 class TestTrace:
     def test_weight_beats_match_layout(self, demo_ckpt):
         cfg = demo_ckpt.config
-        trace = schedule_token(cfg, 3)
+        trace = TokenTrace(cfg, 3)
         assert trace.weight_beats == expected_weight_beats(cfg)
         cache = Decoder(demo_ckpt).weights
         assert trace.weight_beats == sum(cache.stage_beats(n, tensor_shape(cfg, n)[0])
@@ -598,7 +598,7 @@ class TestTrace:
     @pytest.mark.parametrize("vocab, position", sorted(GOLDEN_DEMO))
     def test_golden_demo_schedule(self, vocab, position):
         cfg = dataclasses.replace(tiny_demo_config(), vocab_size=vocab)
-        tr = schedule_token(cfg, position)
+        tr = TokenTrace(cfg, position)
         got = (tr.stream_end, tr.makespan, tr.stall_cycles, tr.weight_beats, len(tr.spans))
         assert got == GOLDEN_DEMO[vocab, position]
 
@@ -606,7 +606,7 @@ class TestTrace:
         # every scalar pass of the demo ends inside the stream
         cfg = tiny_demo_config()
         for position in range(20):
-            trace = schedule_token(cfg, position)
+            trace = TokenTrace(cfg, position)
             assert trace.makespan == trace.stream_end == trace.vpu_cycles + trace.stall_cycles
 
     def test_stall_free_inside_bound(self):
@@ -614,7 +614,7 @@ class TestTrace:
         bound = stall_free_context_bound(cfg)
         assert bound == 13
         for position in range(bound + 1):
-            trace = schedule_token(cfg, position)
+            trace = TokenTrace(cfg, position)
             assert trace.stall_cycles == 0
             assert trace.spu_contained
 
@@ -624,12 +624,12 @@ class TestTrace:
         per_head = cfg.n_layers * cfg.n_heads
         for position in range(21):
             want = per_head * max(0, position - bound)
-            assert schedule_token(cfg, position).stall_cycles == want
+            assert TokenTrace(cfg, position).stall_cycles == want
 
     @settings(max_examples=300, deadline=None)
     @given(cfg=schedule_configs(), position=st.integers(0, 4096))
     def test_schedule_laws_on_random_configs(self, cfg, position):
-        trace = schedule_token(cfg, position)
+        trace = TokenTrace(cfg, position)
         assert trace.stream_end == trace.vpu_cycles + trace.stall_cycles
         assert trace.makespan == max(s.end for s in trace.spans)
         assert trace.spu_contained == all(s.end <= trace.stream_end
@@ -646,7 +646,7 @@ class TestTrace:
         assert trace.spu_contained == (vector_end == max(s.end for s in spans))
 
     def test_positions_share_span_names(self):
-        a, b = schedule_token(tiny_demo_config(), 3), schedule_token(tiny_demo_config(), 5)
+        a, b = TokenTrace(tiny_demo_config(), 3), TokenTrace(tiny_demo_config(), 5)
         assert all(x.name is y.name for x, y in zip(a.spans, b.spans))
         assert not hasattr(a.spans[0], "__dict__")
 
@@ -654,12 +654,12 @@ class TestTrace:
                              ids=["-1", "numpy-1", "2.5", "True", "None"])
     def test_negative_position_rejected(self, position):
         with pytest.raises(ConfigError):
-            schedule_token(tiny_demo_config(), position)
+            TokenTrace(tiny_demo_config(), position)
 
     def test_numpy_int_position_taken_as_its_value(self):
         cfg = tiny_demo_config()
-        trace = schedule_token(cfg, np.int64(14))
-        assert trace == schedule_token(cfg, 14)
+        trace = TokenTrace(cfg, np.int64(14))
+        assert trace == TokenTrace(cfg, 14)
         assert type(trace.position) is int and type(trace.makespan) is int
         assert trace.makespan == GOLDEN_DEMO[256, 14][1]
 
@@ -667,7 +667,7 @@ class TestTrace:
                                                (llama2_7b_config(), 1023)],
                              ids=["demo", "7b"])
     def test_trace_keeps_figures_not_spans(self, cfg, position):
-        trace = schedule_token(cfg, position)
+        trace = TokenTrace(cfg, position)
         figures = (trace.stream_end, trace.makespan, trace.vpu_cycles, trace.stall_cycles,
                    trace.weight_beats, trace.spu_contained)
         first, second = trace.spans, trace.spans
@@ -683,7 +683,7 @@ class TestTrace:
         dec = Decoder(demo_ckpt)
         for position, tok in enumerate((4, 8, 15)):
             _, trace = dec.step(tok)
-            assert built(trace) == built(schedule_token(demo_ckpt.config, position))
+            assert built(trace) == built(TokenTrace(demo_ckpt.config, position))
             assert trace.position == position
 
     def test_step_builds_no_spans(self, demo_ckpt, monkeypatch):
@@ -705,7 +705,7 @@ class TestTrace:
 
     def test_7b_schedule_without_a_checkpoint(self):
         cfg = llama2_7b_config()
-        trace = schedule_token(cfg, 1023)
+        trace = TokenTrace(cfg, 1023)
         assert trace.stall_cycles == 0
         assert trace.spu_contained
         assert trace.weight_beats == expected_weight_beats(cfg)
