@@ -135,6 +135,20 @@ def test_stream_cycles_is_the_loop_bit_for_bit(requests, setup):
     assert cycles.hex() == oracle_stream_cycles(requests, setup).hex()
 
 
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, 2 ** 70], ids=repr)
+@settings(max_examples=20, deadline=None)
+@given(requests=st.lists(NEAR_BURSTS, max_size=20), data=st.data())
+def test_stream_refuses_a_request_outside_int64_beats(bad, requests, data):
+    # a flat request list reaches the bus only as a one-run schedule, which
+    # refuses the bad request before either cost is read
+    requests.insert(data.draw(st.integers(0, len(requests)), label="at"), bad)
+    model = BusModel(burst_setup_cycles=16)
+    with pytest.raises(ConfigError):
+        model.stream_cycles(one_run(requests))
+    with pytest.raises(ConfigError):
+        model.stream_utilization(one_run(requests))
+
+
 def test_empty_stream_takes_no_cycles():
     for setup in (0, 16, 7.5):
         model = BusModel(burst_setup_cycles=setup)
