@@ -1,9 +1,11 @@
-"""Error taxonomy shared across the package.
+"""Error taxonomy shared across the package, and its one index rule.
 
 Library code raises these directly and never calls sys.exit itself.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class BeatstreamError(Exception):
@@ -33,3 +35,16 @@ class DomainError(BeatstreamError):
 class DivergenceError(BeatstreamError):
     """Fused and reference decoding produced different logits."""
 
+
+def as_index(value, error: type[BeatstreamError], what: str, stop: int | None = None) -> int:
+    """value as an int from 0 to stop - 1, or any non-negative int with no
+    stop; `error`, naming `what`, for anything else, a bool or numpy bool
+    included. Every position or token that reaches a step, a trace or a
+    schedule passes it, each site raising its own class. A numpy integer is
+    taken as its int."""
+    if not (type(value) is int
+            or isinstance(value, (int, np.integer)) and not isinstance(value, bool)) \
+            or value < 0 or stop is not None and value >= stop:
+        bound = ">= 0" if stop is None else f"from 0 to {stop - 1}"
+        raise error(f"{what} {value!r} is not an integer {bound}")
+    return int(value)

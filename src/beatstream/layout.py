@@ -41,9 +41,8 @@ scales, zeros), and its stream is its words alone, an (n_words, 32) uint8
 array: the shape is the config's, and the word kinds follow from it
 (beat_kind_pattern), so a reader checks the word count against that law,
 whose closed form (stream_word_count) costs the same for any shape. The
-reader also refuses a group the quantizer never writes: its scale is
-finite and at least the smallest normal binary16, and its decode stays
-finite (quant.overflow_rows).
+reader also refuses a group the quantizer never writes, by the codec's
+own rule (quant.refuse_unwritten).
 
 Image file
 ----------
@@ -52,7 +51,8 @@ the memory map's regions:
 
     magic    4s      "BSCK" checkpoint, "BSKV" KV snapshot
     u32 x 9          version (1), the seven ModelConfig integers in field
-                     order, and length: a snapshot's rows, 0 in a checkpoint
+                     order, and length: a snapshot's rows, at most
+                     max_context; 0 in a checkpoint
     pieces           after the header, each padded with zeros to whole beats
     u32              zlib.crc32 of everything before it
 
@@ -102,8 +102,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import CapacityError, ConfigError, FormatError, ShapeError
-from .numerics import HALF_SMALLEST_NORMAL, half_bits, half_from_bits
-from .quant import WEIGHT_LEVELS, dequant_codes, overflow_rows, quantize_rows
+from .numerics import half_bits, half_from_bits
+from .quant import WEIGHT_LEVELS, dequant_codes, quantize_rows, refuse_unwritten
 
 FORMAT_WORD_BITS = 256
 WORD_BYTES = FORMAT_WORD_BITS // 8          # 32
@@ -298,9 +298,8 @@ def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> t
     """Invert pack_tensor for a (rows x cols) tensor: its groups (codes,
     scales, zeros). FormatError unless the words are a uint8 array of the
     layout law's (n_words, 32) shape, and for a group the quantizer never
-    writes: its scale is not finite or is below HALF_SMALLEST_NORMAL (zero,
-    negative or subnormal), or its decode overflows binary16. The padding
-    past the last group goes unchecked."""
+    writes (quant.refuse_unwritten). The padding past the last group goes
+    unchecked."""
     if words.dtype != np.uint8 or words.ndim != 2 or words.shape[1] != WORD_BYTES:
         raise FormatError(f"stream words are {words.dtype} of shape {words.shape}, "
                           f"not uint8 words of {WORD_BYTES} bytes")
@@ -311,12 +310,8 @@ def unpack_stream(words: np.ndarray, rows: int, cols: int, group_size: int) -> t
             f"stream has {words.shape[0]} words, the layout law requires {kinds.size}")
     zeros = unpack_nibbles(words[kinds == KIND_ZP])[:n]
     scales = half_from_bits(words[kinds == KIND_SCALE].view("<u2").ravel()[:n])
-    if not (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL)).all():
-        raise FormatError("stream holds a group scale that is not finite or below "
-                          "the smallest normal binary16")
     codes = unpack_nibbles(words[kinds == KIND_WEIGHT])[:n * g].reshape(n, g)
-    if overflow_rows(codes, scales, zeros, WEIGHT_LEVELS).size:
-        raise FormatError("stream holds a group whose decode overflows binary16")
+    refuse_unwritten(codes, scales, zeros, WEIGHT_LEVELS)
     return codes, scales, zeros
 
 
@@ -407,7 +402,8 @@ def write_image(path: str | Path, magic: bytes, cfg: ModelConfig, length: int,
 def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[np.ndarray]]:
     """(config, length, pieces) of an image file with this magic, each piece
     a uint8 view of the one buffer read. Checks the size, crc, magic and
-    version, then the body's length against the config in O(1), before any
+    version, then the length (0 in a checkpoint, at most max_context in a
+    snapshot) and the body's length against the config in O(1), before any
     per-layer list, then that the config's memory map fits the board's
     DDR_BYTES, so no reader sizes a KV cache the board cannot hold; every
     failure raises FormatError."""
@@ -425,6 +421,8 @@ def read_image(path: str | Path, magic: bytes) -> tuple[ModelConfig, int, list[n
         cfg = ModelConfig(*fields)
     except ConfigError as e:
         raise FormatError(f"{path}: {e}") from e
+    if length > (cfg.max_context if magic == SNAPSHOT_MAGIC else 0):
+        raise FormatError(f"{path}: length {length} is more rows than a {magic!r} image holds")
     lead, layer, tail = _IMAGE_PIECES[magic](cfg)
     body = len(blob) - IMAGE_HEADER_BYTES - 4
     want = sum(map(_align, lead + tail)) + cfg.n_layers * sum(map(_align, layer))

@@ -114,9 +114,7 @@ def save_checkpoint(ckpt: Checkpoint, dirpath: str | Path) -> None:
 
 
 def load_checkpoint(dirpath: str | Path) -> Checkpoint:
-    cfg, length, pieces = read_image(Path(dirpath) / IMAGE_NAME, CHECKPOINT_MAGIC)
-    if length:
-        raise FormatError(f"checkpoint image claims {length} KV rows, a checkpoint holds none")
+    cfg, _, pieces = read_image(Path(dirpath) / IMAGE_NAME, CHECKPOINT_MAGIC)
     embedding, norms, *words = pieces
     tensors = {name: read_container(piece, *tensor_shape(cfg, name), cfg.group_size)
                for name, piece in zip(tensor_names(cfg), words)}

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, as_index
 from .numerics import inverse_frequency_table, sin_cos
 
 _TWO_PI = 2.0 * math.pi
@@ -50,16 +49,12 @@ def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     odd lanes b*cos + a*sin, so every non-NaN output has the bits of the
     two-output rotation; a NaN stays NaN, its sign and payload outside
     the contract, as in dot_rows. A position that is not a non-negative
-    integer raises DomainError.
+    integer (errors.as_index) raises DomainError, before the memo is read.
     """
     v = np.asarray(v, dtype=np.float16)
     if v.ndim not in (1, 2) or v.shape[-1] == 0 or v.shape[-1] % 2 != 0:
         raise ShapeError(f"rotation needs non-empty even-length rows, got shape {v.shape}")
-    if isinstance(pos, bool) or not isinstance(pos, (int, np.integer)):
-        raise DomainError(f"position {pos!r} is not an integer")
-    pos = operator.index(pos)
-    if pos < 0:
-        raise DomainError(f"position {pos} is negative")
+    pos = as_index(pos, DomainError, "position")
 
     cos2, nsin2 = _rotation(v.shape[-1], pos)
     v32 = v.astype(np.float32)

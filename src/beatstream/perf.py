@@ -46,10 +46,8 @@ from importlib import resources
 from itertools import chain, repeat, starmap
 from typing import ClassVar
 
-import numpy as np
-
 from .config import ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, as_index
 from .layout import SZ_PACKS_PER_BEAT, BusGeometry, container_beats
 
 MAX_BURST_BEATS = 256
@@ -254,14 +252,9 @@ def _weight_runs(cfg: ModelConfig) -> BurstSchedule:
 def _kv_runs(cfg: ModelConfig, position: int) -> tuple[Run]:
     """The one run of a decode step that the position changes, last in
     the schedule (see token_burst_schedule). ConfigError unless the
-    position is an int from 0 to max_context - 1 (a bool is refused, a
-    numpy integer taken as its value): past it the KV reads would leave
-    the cache's DDR region."""
-    if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
-            or not 0 <= position < cfg.max_context:
-        raise ConfigError(
-            f"position must be an int from 0 to {cfg.max_context - 1}, got {position!r}")
-    position = int(position)
+    position is an index below max_context (errors.as_index): past it the
+    KV reads would leave the cache's DDR region."""
+    position = as_index(position, ConfigError, "position", cfg.max_context)
     bb = BusGeometry.beat_bytes
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
     kv = ((-(-position * cfg.head_dim // bb), streams),) if position else ()

@@ -69,14 +69,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError
+from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError, as_index
 from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, BusGeometry, code_beats,
                      read_image, widened_chunks, write_image)
 from .model_io import Checkpoint, tensor_shape
 from .numerics import (HALF_SMALLEST_NORMAL, TreeOrderRows, dot_rows, half_bits, pad_to_lanes,
                        ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
-from .quant import KV_LEVELS, dequant_codes, kv_quantize, overflow_rows
+from .quant import KV_LEVELS, dequant_codes, kv_quantize, refuse_unwritten
 from .quant import dequant_codes as kv_dequantize_rows
 
 # beatbench wraps the names it finds on this module: the cache decodes its
@@ -150,8 +150,9 @@ class StageSpan(NamedTuple):
 class TokenTrace:
     """The cycle trace of the fused step at `position`, a value of the
     config and the position: two traces of one config and position are
-    equal, read or not. ConfigError for a position that is not a
-    non-negative int (a bool is refused, a numpy int taken as its value).
+    equal, read or not. ConfigError for a position that is not an index
+    below the config's max_context (errors.as_index), as the DMA schedule
+    refuses it; a numpy integer is stored as its int.
     `spans` is built by _stage_spans on each read, never kept; the figures
     below come from one pass over the spans, made when one is first read,
     and the trace keeps only those integers.
@@ -178,11 +179,8 @@ class TokenTrace:
     position: int
 
     def __post_init__(self) -> None:
-        position = self.position
-        if isinstance(position, bool) or not isinstance(position, (int, np.integer)) \
-                or position < 0:
-            raise ConfigError(f"position must be a non-negative int, got {position!r}")
-        object.__setattr__(self, "position", int(position))
+        object.__setattr__(self, "position", as_index(self.position, ConfigError, "position",
+                                                      self.cfg.max_context))
 
     @property
     def spans(self) -> list[StageSpan]:
@@ -400,15 +398,13 @@ class KVCacheStore:
     def load(cls, path: str | Path, cfg: ModelConfig) -> "KVCacheStore":
         """Read a snapshot written by save under `cfg`; any damage raises
         FormatError, and so does a row below the length that the codec
-        never writes: a nonzero scale that is not finite or is below
-        HALF_SMALLEST_NORMAL, a decode that overflows binary16, or a
-        nonzero pad byte. A committed row never written (scale +0.0)
-        loads; rows past the length are dead and go unchecked."""
+        never writes (refuse_unwritten) or whose record has a nonzero pad
+        byte. A committed row never written (scale +0.0) loads: the check
+        reads that scale as the codec's floor, the decode as +0.0. Rows
+        past the length are dead and go unchecked."""
         stored, t, pieces = read_image(path, SNAPSHOT_MAGIC)
         if stored != cfg:
             raise FormatError("state was captured under a different model config")
-        if t > cfg.max_context:
-            raise FormatError(f"state length {t} out of range")
         store, hd = cls(cfg), cfg.head_dim
         head_rows = (cfg.n_heads, cfg.max_context)
         for layer in range(cfg.n_layers):
@@ -422,11 +418,8 @@ class KVCacheStore:
             raise FormatError("state holds a scale-zero record with a nonzero pad byte")
         codes = store.codes[:, :, :, :t].reshape(-1, hd)
         scales, zeros = records["scale"].reshape(-1), records["zero"].reshape(-1)
-        if not ((half_bits(scales) == 0)
-                | (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL))).all():
-            raise FormatError("state holds a scale the cache codec never writes below its length")
-        if overflow_rows(codes, scales, zeros, KV_LEVELS).size:
-            raise FormatError("state holds a row whose decode overflows binary16")
+        floored = np.where(half_bits(scales) == 0, HALF_SMALLEST_NORMAL, scales)
+        refuse_unwritten(codes, floored, zeros, KV_LEVELS)
         rows = kv_dequantize_rows(codes, scales, zeros)
         rows = rows.reshape(2, cfg.n_layers, cfg.n_heads, t, hd)
         for layer, keys in enumerate(store.keys):
@@ -499,14 +492,9 @@ class _WeightCache:
 
 def _embedding_row(ckpt: Checkpoint, token: int) -> np.ndarray:
     """A copy of the token's embedding row; ShapeError for a token that is
-    not an integer (bools included) or lies outside the vocabulary, before
-    a step touches the cache."""
-    if isinstance(token, bool) or not isinstance(token, (int, np.integer)):
-        raise ShapeError(f"token {token!r} is not an integer")
-    vocab = ckpt.config.vocab_size
-    if not 0 <= token < vocab:
-        raise ShapeError(f"token {token} outside vocabulary 0..{vocab - 1}")
-    return ckpt.embedding[token].copy()
+    not an index into the vocabulary (errors.as_index), before a step
+    touches the cache."""
+    return ckpt.embedding[as_index(token, ShapeError, "token", ckpt.config.vocab_size)].copy()
 
 
 def _residual(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ through dequant_codes, and both quantize through one body, _quantize:
           range over its levels, and near the binary16 maximum the top
           code would then decode to infinity (overflow_rows); such a row's
           scale is lowered an ulp at a time until it does not. No other row
-          changes. The weight and cache readers refuse such a row.
+          changes. Both readers refuse such a row (refuse_unwritten).
 
 The widths differ only in their levels and their zero-point rule: a weight
 zero is rint(-min/s) clipped to 0..15, a cache zero the magnitude
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, FormatError, ShapeError
 from .numerics import HALF_OVERFLOW, HALF_SMALLEST_NORMAL, to_half
 
 WEIGHT_LEVELS = 15      # 4-bit codes 0..15
@@ -67,6 +67,17 @@ def overflow_rows(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
         reach = np.maximum(codes[rows].max(axis=1) - z, z - codes[rows].min(axis=1))
         rows = rows[reach * scales[rows] >= HALF_OVERFLOW]
     return rows
+
+
+def refuse_unwritten(codes: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
+                     levels: int) -> None:
+    """FormatError for a row the codec never writes: a scale that is not
+    finite or is below HALF_SMALLEST_NORMAL, or a decode past binary16. The
+    weight stream's and the cache snapshot's readers both call it."""
+    if not (np.isfinite(scales) & (scales >= HALF_SMALLEST_NORMAL)).all():
+        raise FormatError("a row's scale is not finite or below the smallest normal binary16")
+    if overflow_rows(codes, scales, zeros, levels).size:
+        raise FormatError("a row's decode overflows binary16")
 
 
 def _quantize(x: np.ndarray, levels: int,

@@ -1,5 +1,6 @@
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -33,6 +34,18 @@ def damage():
         flip = data.draw(st.integers(1, 255), label="xor")
         return blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1:]
     return draw
+
+
+# No index: a bool, a float, None, a string or a negative int, by test id.
+# Every site of the index rule (errors.as_index) refuses each with its own
+# error class, and a site with a stop refuses the stop too.
+BAD_INDICES = {"True": True, "np.True_": np.True_, "2.0": 2.0, "2.5": 2.5, "None": None,
+               "'3'": "3", "-1": -1, "numpy-1": np.int64(-1)}
+
+# Scales the row codec never writes, by test id: both readers refuse a row
+# that holds one (quant.refuse_unwritten).
+UNWRITTEN_SCALES = {"nan": np.nan, "inf": np.inf, "negative-inf": -np.inf, "negative-zero": -0.0,
+                    "negative": -1.0, "floor-halved": 2.0 ** -15, "subnormal": 2.0 ** -20}
 
 
 HEADER_FIELDS = ("magic", "version", "n_layers", "d_model", "n_heads", "d_ffn", "vocab_size",

@@ -27,6 +27,8 @@ from beatstream.model_io import (
 )
 from beatstream.pipeline import Decoder
 
+from conftest import UNWRITTEN_SCALES
+
 
 def assert_same_checkpoint(back, ckpt):
     assert back.config == ckpt.config
@@ -110,7 +112,7 @@ def first_group_words(cfg, pieces, name="layers.0.attn.q"):
     return words, [np.flatnonzero(kinds == kind)[0] for kind in (KIND_ZP, KIND_SCALE, KIND_WEIGHT)]
 
 
-@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0, 2.0 ** -15])
+@pytest.mark.parametrize("scale", [*UNWRITTEN_SCALES.values(), 0.0])
 def test_scale_the_quantizer_never_writes_refused(copied, rewrite, scale):
     """An image with a valid crc whose first group scale is not finite or
     is below the smallest normal binary16 loads, but unpacking it, and so

@@ -14,6 +14,8 @@ from beatstream.numerics import inverse_frequency_table, sin_cos, to_half, ulp16
 from beatstream import ops
 from beatstream.ops import NORM_EPS, rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
 
+from conftest import BAD_INDICES
+
 
 def bits(x):
     return np.asarray(x, dtype=np.float16).view(np.uint16)
@@ -133,7 +135,7 @@ class TestRope:
     def test_refuses_a_position_that_is_not_an_integer(self):
         ops._rotation.cache_clear()
         v = np.ones(16, dtype=np.float16)
-        for pos in (1.5, 2.0, True, False, None, "3", np.float64(2.0), np.True_):
+        for pos in (*BAD_INDICES.values(), 1.5, False, np.float64(2.0)):
             with pytest.raises(DomainError, match="not an integer"):
                 rope_rotate(v, pos)
         assert ops._rotation.cache_info().currsize == 0   # refused before the memo

@@ -27,6 +27,8 @@ from beatstream.perf import (
 )
 from beatstream.pipeline import Decoder
 
+from conftest import BAD_INDICES
+
 CATALOG = [row for rows in load_device_catalog().values() for row in rows]
 
 
@@ -69,11 +71,14 @@ def test_negative_position_raises_config_error():
             bytes_per_token(tiny_demo_config(), "packed_exact", position)
 
 
-@pytest.mark.parametrize("position", [48, 5000, True, 2.5, 1.0, np.True_, np.int64(48)],
-                         ids=repr)
+# the demo's context holds positions 0..47; past it the KV reads leave
+# the cache's region
+SCHEDULE_REFUSALS = {**BAD_INDICES, "48": 48, "np.int64(48)": np.int64(48), "5000": 5000,
+                     "1.0": 1.0}
+
+
+@pytest.mark.parametrize("position", SCHEDULE_REFUSALS.values(), ids=SCHEDULE_REFUSALS.keys())
 def test_position_outside_the_context_raises_config_error(position):
-    # the demo's context holds positions 0..47; a bool or a float is no
-    # position, and past the context the KV reads leave the cache's region
     with pytest.raises(ConfigError):
         token_burst_schedule(tiny_demo_config(), position)
     with pytest.raises(ConfigError):

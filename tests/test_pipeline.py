@@ -38,6 +38,8 @@ from beatstream.pipeline import (
 )
 from beatstream.quant import dequant_codes, kv_quantize
 
+from conftest import BAD_INDICES, UNWRITTEN_SCALES
+
 
 def random_config(rng, head_dim):
     heads = 1 if head_dim > 128 else int(rng.choice([1, 2, 4]))
@@ -217,6 +219,10 @@ class TestCacheMirrors:
             assert np.array_equal(ours[name].view(np.uint32), theirs[name].view(np.uint32))
 
 
+BAD_RECORDS = {**{f"scale-{name}": ("scale", scale) for name, scale in UNWRITTEN_SCALES.items()},
+               "decode-overflow": ("scale", 65504.0), "pad-nonzero": ("pad", 1)}
+
+
 class TestKVCacheStore:
     # the bounds are binary16's own: unbounded, hypothesis draws binary64
     # values and rejects those that overflow binary16, often enough to fail
@@ -317,11 +323,7 @@ class TestKVCacheStore:
         with pytest.raises(FormatError):
             KVCacheStore.load(path, cfg)
 
-    @pytest.mark.parametrize("field, value", [
-        ("scale", -1.0), ("scale", np.nan), ("scale", np.inf), ("scale", -0.0),
-        ("scale", 2.0 ** -20), ("scale", 65504.0), ("pad", 1),
-    ], ids=["scale-negative", "scale-nan", "scale-inf", "scale-negative-zero",
-            "scale-subnormal", "decode-overflow", "pad-nonzero"])
+    @pytest.mark.parametrize("field, value", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
     def test_bad_snapshot_value_raises(self, snapshot, rewrite, tmp_path, field, value):
         """A sealed snapshot whose record of the value row of layer 0, head
         1 is one the codec never writes. At the 65504 scale the row's codes
@@ -567,6 +569,10 @@ GOLDEN_DEMO = {
 }
 
 
+# the demo's context holds positions 0..47, as the DMA schedule's does
+TRACE_REFUSALS = {**BAD_INDICES, "48": 48, "np.int64(48)": np.int64(48)}
+
+
 @st.composite
 def schedule_configs(draw):
     heads = draw(st.sampled_from([1, 2, 4, 8]))
@@ -578,6 +584,7 @@ def schedule_configs(draw):
         d_ffn=draw(st.integers(8, 512)),
         vocab_size=draw(st.integers(32, 1000)),
         group_size=draw(st.sampled_from([32, 64, 128])),
+        max_context=draw(st.integers(1, 4097)),
     )
 
 
@@ -627,8 +634,9 @@ class TestTrace:
             assert TokenTrace(cfg, position).stall_cycles == want
 
     @settings(max_examples=300, deadline=None)
-    @given(cfg=schedule_configs(), position=st.integers(0, 4096))
-    def test_schedule_laws_on_random_configs(self, cfg, position):
+    @given(cfg=schedule_configs(), data=st.data())
+    def test_schedule_laws_on_random_configs(self, cfg, data):
+        position = data.draw(st.integers(0, cfg.max_context - 1), label="position")
         trace = TokenTrace(cfg, position)
         assert trace.stream_end == trace.vpu_cycles + trace.stall_cycles
         assert trace.makespan == max(s.end for s in trace.spans)
@@ -650,8 +658,7 @@ class TestTrace:
         assert all(x.name is y.name for x, y in zip(a.spans, b.spans))
         assert not hasattr(a.spans[0], "__dict__")
 
-    @pytest.mark.parametrize("position", [-1, np.int64(-1), 2.5, True, None],
-                             ids=["-1", "numpy-1", "2.5", "True", "None"])
+    @pytest.mark.parametrize("position", TRACE_REFUSALS.values(), ids=TRACE_REFUSALS.keys())
     def test_negative_position_rejected(self, position):
         with pytest.raises(ConfigError):
             TokenTrace(tiny_demo_config(), position)
@@ -761,8 +768,8 @@ class TestDecoderSteps:
         # raised before the step writes or commits a cache row
         for cls in (Decoder, ReferenceDecoder):
             dec = cls(demo_ckpt)
-            for token in (-1, demo_ckpt.config.vocab_size, 3.0, np.float32(2.5), "3", True,
-                          np.True_):
+            for token in (*BAD_INDICES.values(), demo_ckpt.config.vocab_size, 3.0,
+                          np.float32(2.5)):
                 with pytest.raises(ShapeError):
                     dec.step(token)
                 assert dec.kv.length == 0
