@@ -10,8 +10,9 @@ Library layout:
 - ops: streaming operators, plain functions of arrays (rope, rmsnorm, softmax,
   silu-gate)
 - pipeline: fused decoder (a layer's heads at once), reference decoder, their
-  bit-for-bit check (check_agreement), KV cache store, stage schedule
-- perf: per-token DMA schedule (the one bus-traffic count), bytes per token, peaks, bus model
+  bit-for-bit check (check_agreement), KV cache store
+- perf: the board's two clocks, the stage trace (TokenTrace) and the per-token
+  DMA schedule with its bus model; bytes per token, peaks
 """
 
 __version__ = "0.1.0"

@@ -1,38 +1,34 @@
-"""Bandwidth-bound performance model and the published comparison points.
+"""The board's two clocks of a decode step, bytes per token, and the
+published comparison points.
 
-Decode throughput on this class of hardware is a division: bytes the
-memory system can move per second over bytes that must move per token.
-Two counting modes bracket the denominator bytes:
+The paper's result is the ratio of two clocks (4.9 tok/s measured against
+a 5.8 tok/s bound on the KV260), each a pure function of the config and
+the position: the stage trace, TokenTrace, times the fused pipeline stage
+by stage; the DMA schedule, token_burst_schedule, lists the step's bus
+requests, which BusModel costs with a fixed setup per maximal burst of
+MAX_BURST_BEATS beats. Both read their weight beats from layout, and they
+differ in three ways:
 
-    non_embedding   4-bit codes of the parameters streamed each token
-                    (default; the embedding is a single row lookup, not
-                    a stream)
-    packed_exact    the beats of the token's DMA schedule times the
-                    64-byte beat: whole containers with their metadata
-                    and padding, aux rows, KV reads and writes, and one
-                    whole scale-zero beat per stream every 16th token
+  - the trace charges a weight's 4-bit codes (layout.code_beats), the bus
+    its whole container (layout.container_beats), from a beat of its own
+    and with its SCALE and ZP words; only the bus moves the embedding
+    row, the norm gains and the new KV rows;
+  - the trace charges each cached row of a head ceil(head_dim / 64)
+    beats, the bus one read of ceil(position * head_dim / 64) beats a
+    head, so a 16-wide row costs a cycle against a quarter beat;
+  - the bus writes a scale-zero beat per stream every SZ_PACKS_PER_BEAT
+    rows and the trace none, and neither reads them back for attention
+    (131,072 beats at the LLaMA2-7B head position, 0.23%).
 
-token_burst_schedule is the one per-token count of bus traffic. Every
-layer moves the same bytes, so a step's requests come as five runs, each
-a short tuple of (beats, count) segments, `count` requests of `beats`
-beats in a row, and the times the run repeats: the embedding row once,
-one layer's projection containers n_layers times, the head once, the
-norm gains 2 * n_layers + 1 times, and one layer's KV reads, new-row
-writes and scale-zero flushes n_layers times. Only the last run depends
-on the position, and it is at most three segments, so a LLaMA2-7B step
-is at most 13 segments at any position. The schedule is a BurstSchedule
-that holds those runs, reads as their flat list and counts its beats and
-bursts once, when built. The four weight runs are one BurstSchedule a
-config, checked and counted once and cached; a position checks and
-counts only its KV run, and its schedule is the join of the two, whose
-totals are the two sums. The packed byte count adds the KV run's beats
-to the cached weight beats without building a schedule. Every container
-starts on a beat, and its request is layout.container_beats, the beats
-the memory map gives it. The transaction model charges each request a
-fixed setup cost per maximal burst of MAX_BURST_BEATS beats, which is
-what separates achievable bandwidth from the datasheet number; it costs
-only a BurstSchedule and reads its totals, so a 7B position costs O(KV
-segments), not O(requests).
+Two counting modes give the bytes per token: non_embedding, the 4-bit
+codes of the parameters streamed each token (default; the embedding is a
+single row lookup, not a stream), and packed_exact, the beats of the
+token's DMA schedule times the 64-byte beat.
+
+A schedule is a BurstSchedule of five runs (see token_burst_schedule).
+Only the last, a layer's KV traffic, depends on the position, so the four
+weight runs are counted once a config and cached (_weight_runs), and the
+bus model reads a schedule's totals in O(1).
 """
 
 from __future__ import annotations
@@ -41,16 +37,17 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import chain, repeat, starmap
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .config import ModelConfig
 from .errors import ConfigError, as_index
-from .layout import SZ_PACKS_PER_BEAT, BusGeometry, container_beats
+from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats, container_beats
 
 MAX_BURST_BEATS = 256
+SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,14 @@ def _kv_runs(cfg: ModelConfig, position: int) -> tuple[Run]:
     """The one run of a decode step that the position changes, last in
     the schedule (see token_burst_schedule). ConfigError unless the
     position is an index below max_context (errors.as_index): past it the
-    KV reads would leave the cache's DDR region."""
+    KV reads would leave the cache's DDR region.
+
+    A layer's new K row, and its V row, is one ceil(d_model / 64)-beat
+    write, as if row t lay contiguous across heads; but the cache is
+    head-major, (n_heads, max_context, head_dim) a layer (KVCacheStore,
+    the snapshot, the map's kv.L*.k_codes), so it is n_heads writes of
+    ceil(head_dim / 64) beats: at LLaMA2-7B the same beats in 64 bursts,
+    not 2, a layer."""
     position = as_index(position, ConfigError, "position", cfg.max_context)
     bb = BusGeometry.beat_bytes
     streams = cfg.n_heads * 2                    # (head, k/v) cache streams a layer
@@ -287,3 +291,188 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
     O(1). ConfigError for a position outside the context (see _kv_runs).
     """
     return _weight_runs(cfg) + BurstSchedule(_kv_runs(cfg, position))
+
+
+# ---------------------------------------------------------------------------
+# stage trace
+# ---------------------------------------------------------------------------
+
+class StageSpan(NamedTuple):
+    name: str
+    kind: str        # "vpu", "spu", or "stall"
+    start: int
+    end: int
+    weight_beats: int = 0
+
+    @property
+    def cycles(self) -> int:
+        return self.end - self.start
+
+
+@dataclass(frozen=True)
+class TokenTrace:
+    """The cycle trace of the fused step at `position`, a value of the
+    config and the position: two traces of one config and position are
+    equal, read or not. ConfigError for a position that is not an index
+    below the config's max_context (errors.as_index); a numpy integer is
+    stored as its int.
+    `spans` is built by _stage_spans on each read, never kept; the figures
+    below come from one pass over the spans, made when one is first read,
+    and the trace keeps only those integers.
+
+    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
+    (layout.code_beats); a head's q, k or v slice is its projection's
+    beats over n_heads. Cache-fed stages (the
+    attention dot and the value mix) cost, per token row, the beats of one
+    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
+    per cycle and are forwarded, so they overlap the stream that
+    produces or consumes them; the one ordering that can stall the vector
+    unit is softmax: the exponent pass cannot start until the attention
+    dot finishes (it needs the final max), and the value mix consumes
+    normalized weights two cycles behind it. Everything else is charged
+    but never gates. A norm is one scalar pass of d_model elements: the
+    hardware forms its sum of squares while it writes the residual (or
+    the embedding row), so the numerics' two passes, rms_sumsq and
+    rmsnorm's scale pass, cost it one.
+    """
+
+    cfg: ModelConfig
+    position: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "position", as_index(self.position, ConfigError, "position",
+                                                      self.cfg.max_context))
+
+    @property
+    def spans(self) -> list[StageSpan]:
+        return list(_stage_spans(self.cfg, self.position))
+
+    @cached_property
+    def _figures(self) -> tuple[int, int, int, int, int]:
+        """stream_end, makespan, vpu_cycles, stall_cycles, weight_beats."""
+        stream_end = makespan = vpu = stall = beats = 0
+        for _, kind, start, end, weight_beats in _stage_spans(self.cfg, self.position):
+            beats += weight_beats
+            if end > makespan:
+                makespan = end
+            if kind == "spu":
+                continue
+            if end > stream_end:
+                stream_end = end
+            if kind == "vpu":
+                vpu += end - start
+            else:   # "stall"
+                stall += end - start
+        return stream_end, makespan, vpu, stall, beats
+
+    @property
+    def stream_end(self) -> int:
+        """The vector unit's last cycle, stalls included."""
+        return self._figures[0]
+
+    @property
+    def makespan(self) -> int:
+        """The later of stream_end and the last scalar-unit end."""
+        return self._figures[1]
+
+    @property
+    def vpu_cycles(self) -> int:
+        return self._figures[2]
+
+    @property
+    def stall_cycles(self) -> int:
+        return self._figures[3]
+
+    @property
+    def weight_beats(self) -> int:
+        return self._figures[4]
+
+    @property
+    def spu_contained(self) -> bool:
+        """Every scalar-unit pass ends inside the vector stream."""
+        return self.makespan == self.stream_end
+
+
+def stall_free_context_bound(cfg: ModelConfig) -> int:
+    """Longest context the value-projection stream can hide softmax under.
+
+    The exponent pass costs t+1 cycles after the attention dot, plus the
+    forwarding lead; it stalls nothing while that fits inside one head's
+    slice of the value projection's code beats.
+    """
+    v_beats = code_beats(*cfg.projection_shapes()["attn.v"], cfg.group_size) // cfg.n_heads
+    return v_beats - SOFTMAX_FORWARD_LEAD - 1
+
+
+_LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
+                 "down", "mlp_residual")
+_HEAD_STAGES = ("q", "rope_q", "k", "rope_k", "kv_dot", "softmax_max", "k_quant",
+                "softmax_exp", "softmax_norm", "v", "v_quant", "softmax_wait", "value_mix")
+
+
+@lru_cache(maxsize=16)
+def _span_names(n_layers: int, n_heads: int) -> tuple:
+    """Per layer: its stage names and each head's, built once per shape:
+    building them is a third of a figure pass (LLaMA2-7B, 2-core Xeon VM,
+    best of 3: 7.0 ms a trace with them cached, 10.7 ms without)."""
+    return tuple((tuple(f"L{layer}.{s}" for s in _LAYER_STAGES),
+                  tuple(tuple(f"L{layer}.h{head}.{s}" for s in _HEAD_STAGES)
+                        for head in range(n_heads)))
+                 for layer in range(n_layers))
+
+
+def _stage_spans(cfg: ModelConfig, position: int) -> Iterator[StageSpan]:
+    """The spans of the step at `position`, in stream order, by the cost
+    rules of TokenTrace."""
+    hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
+    beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
+    qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
+    ob, db, lb = beats["attn.o"], beats["mlp.down"], code_beats(cfg.vocab_size, d, g)
+    gb = beats["mlp.gate"] + beats["mlp.up"]
+    rows = position + 1
+    rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
+
+    yield StageSpan("embed", "spu", 0, d)
+    c = 0  # vector-unit cycle cursor
+    for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
+        attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
+        yield StageSpan(attn_norm, "spu", c, c + d)
+        for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
+             v, v_quant, softmax_wait, value_mix) in head_names:
+            yield StageSpan(q, "vpu", c, c + qb, qb)
+            yield StageSpan(rope_q, "spu", c + qb, c + qb + hd)
+            c += qb
+            yield StageSpan(k, "vpu", c, c + kb, kb)
+            yield StageSpan(rope_k, "spu", c + kb, c + kb + hd)
+            c += kb
+            dot_end = c + rows_cycles
+            yield StageSpan(kv_dot, "vpu", c, dot_end)
+            yield StageSpan(softmax_max, "spu", c, dot_end)
+            yield StageSpan(k_quant, "spu", c, c + 2 * hd)
+            c = dot_end
+            exp_end = dot_end + rows
+            yield StageSpan(softmax_exp, "spu", dot_end, exp_end)
+            yield StageSpan(softmax_norm, "spu", exp_end, exp_end + rows)
+            yield StageSpan(v, "vpu", c, c + vb, vb)
+            yield StageSpan(v_quant, "spu", c, c + 2 * hd)
+            c += vb
+            mix_start = exp_end + SOFTMAX_FORWARD_LEAD
+            if mix_start > c:
+                yield StageSpan(softmax_wait, "stall", c, mix_start)
+                c = mix_start
+            yield StageSpan(value_mix, "vpu", c, c + rows_cycles)
+            c += rows_cycles
+        yield StageSpan(o, "vpu", c, c + ob, ob)
+        yield StageSpan(attn_residual, "spu", c, c + d)
+        c += ob
+        yield StageSpan(mlp_norm, "spu", c, c + d)
+        # gate and up rows interleave on the stream: one merged stage
+        yield StageSpan(gate_up, "vpu", c, c + gb, gb)
+        yield StageSpan(silu, "spu", c, c + cfg.d_ffn)
+        c += gb
+        yield StageSpan(down, "vpu", c, c + db, db)
+        yield StageSpan(mlp_residual, "spu", c, c + d)
+        c += db
+    yield StageSpan("final_norm", "spu", c, c + d)
+    yield StageSpan("lm_head", "vpu", c, c + lb, lb)
+    yield StageSpan("argmax", "spu", c, c + cfg.vocab_size)

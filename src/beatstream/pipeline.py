@@ -1,4 +1,5 @@
-"""Fused decode pipeline and its per-token stage schedule.
+"""Fused and reference decode pipelines, their KV cache store and their
+bit-for-bit check.
 
 Two decode paths share every arithmetic primitive:
 
@@ -49,33 +50,30 @@ and value history from the codes, and mixes values head by head with a
 sequential running sum of its own (_mix_sequential), so it checks the
 prepared operands and the fused mix on every step.
 
-The hardware streams one head at a time. That order lives only in the
-cycle trace of a step, a TokenTrace: a value of the model config and the
-position whose spans are built on each read, never kept, without touching
-any numerics; it keeps only its figures. Decoder.step returns one and
-builds none of it.
+This module computes; perf costs. The hardware streams one head at a
+time, and that order lives only in perf's stage trace: Decoder.step
+returns a perf.TokenTrace of its config and position and builds none of
+it. The only cost readers left here are _WeightCache.stage_beats and
+Decoder.flushed_sz_beats, which beatbench reads off a decoder.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
-from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CapacityError, ConfigError, DivergenceError, FormatError, ShapeError, as_index
-from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, BusGeometry, code_beats,
-                     read_image, widened_chunks, write_image)
+from .errors import CapacityError, DivergenceError, FormatError, ShapeError, as_index
+from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, code_beats, read_image,
+                     widened_chunks, write_image)
 from .model_io import Checkpoint, tensor_shape
 from .numerics import (HALF_SMALLEST_NORMAL, TreeOrderRows, dot_rows, half_bits, pad_to_lanes,
                        ulp16)
 from .ops import rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
+from .perf import TokenTrace
 from .quant import KV_LEVELS, dequant_codes, kv_quantize, refuse_unwritten
 from .quant import dequant_codes as kv_dequantize_rows
 
@@ -83,8 +81,6 @@ from .quant import dequant_codes as kv_dequantize_rows
 # rows through kv_dequantize_rows so that they are timed and counted apart
 # from the weights' decode, and no step calls pad_to_lanes, which stays
 # bound for beatbench alone.
-
-SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
 
 
 def greedy_pick(logits: np.ndarray) -> int:
@@ -128,192 +124,6 @@ def _mix_sequential(probs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def scale_logits(logits: np.ndarray, head_dim: int) -> np.ndarray:
     inv = np.float32(1.0 / math.sqrt(head_dim))
     return (logits.astype(np.float32) * inv).astype(np.float16)
-
-
-# ---------------------------------------------------------------------------
-# trace
-# ---------------------------------------------------------------------------
-
-class StageSpan(NamedTuple):
-    name: str
-    kind: str        # "vpu", "spu", or "stall"
-    start: int
-    end: int
-    weight_beats: int = 0
-
-    @property
-    def cycles(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
-class TokenTrace:
-    """The cycle trace of the fused step at `position`, a value of the
-    config and the position: two traces of one config and position are
-    equal, read or not. ConfigError for a position that is not an index
-    below the config's max_context (errors.as_index), as the DMA schedule
-    refuses it; a numpy integer is stored as its int.
-    `spans` is built by _stage_spans on each read, never kept; the figures
-    below come from one pass over the spans, made when one is first read,
-    and the trace keeps only those integers.
-
-    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
-    (layout.code_beats); a head's q, k or v slice is its projection's
-    beats over n_heads. The trace charges the codes alone, where the DMA
-    schedule moves whole containers (layout.container_beats), each from a
-    beat of its own and with its SCALE and ZP words. Cache-fed stages (the
-    attention dot and the value mix) cost, per token row, the beats of one
-    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
-    per cycle and are forwarded, so they overlap the stream that
-    produces or consumes them; the one ordering that can stall the vector
-    unit is softmax: the exponent pass cannot start until the attention
-    dot finishes (it needs the final max), and the value mix consumes
-    normalized weights two cycles behind it. Everything else is charged
-    but never gates. A norm is one scalar pass of d_model elements: the
-    hardware forms its sum of squares while it writes the residual (or
-    the embedding row), so the numerics' two passes, rms_sumsq and
-    rmsnorm's scale pass, cost it one.
-    """
-
-    cfg: ModelConfig
-    position: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", as_index(self.position, ConfigError, "position",
-                                                      self.cfg.max_context))
-
-    @property
-    def spans(self) -> list[StageSpan]:
-        return list(_stage_spans(self.cfg, self.position))
-
-    @functools.cached_property
-    def _figures(self) -> tuple[int, int, int, int, int]:
-        """stream_end, makespan, vpu_cycles, stall_cycles, weight_beats."""
-        stream_end = makespan = vpu = stall = beats = 0
-        for _, kind, start, end, weight_beats in _stage_spans(self.cfg, self.position):
-            beats += weight_beats
-            if end > makespan:
-                makespan = end
-            if kind == "spu":
-                continue
-            if end > stream_end:
-                stream_end = end
-            if kind == "vpu":
-                vpu += end - start
-            else:   # "stall"
-                stall += end - start
-        return stream_end, makespan, vpu, stall, beats
-
-    @property
-    def stream_end(self) -> int:
-        """The vector unit's last cycle, stalls included."""
-        return self._figures[0]
-
-    @property
-    def makespan(self) -> int:
-        """The later of stream_end and the last scalar-unit end."""
-        return self._figures[1]
-
-    @property
-    def vpu_cycles(self) -> int:
-        return self._figures[2]
-
-    @property
-    def stall_cycles(self) -> int:
-        return self._figures[3]
-
-    @property
-    def weight_beats(self) -> int:
-        return self._figures[4]
-
-    @property
-    def spu_contained(self) -> bool:
-        """Every scalar-unit pass ends inside the vector stream."""
-        return self.makespan == self.stream_end
-
-
-def stall_free_context_bound(cfg: ModelConfig) -> int:
-    """Longest context the value-projection stream can hide softmax under.
-
-    The exponent pass costs t+1 cycles after the attention dot, plus the
-    forwarding lead; it stalls nothing while that fits inside one head's
-    slice of the value projection's code beats.
-    """
-    v_beats = code_beats(*cfg.projection_shapes()["attn.v"], cfg.group_size) // cfg.n_heads
-    return v_beats - SOFTMAX_FORWARD_LEAD - 1
-
-
-_LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
-                 "down", "mlp_residual")
-_HEAD_STAGES = ("q", "rope_q", "k", "rope_k", "kv_dot", "softmax_max", "k_quant",
-                "softmax_exp", "softmax_norm", "v", "v_quant", "softmax_wait", "value_mix")
-
-
-@functools.lru_cache(maxsize=16)
-def _span_names(n_layers: int, n_heads: int) -> tuple:
-    """Per layer: its stage names and each head's, built once per shape so
-    that the traces of every position share the strings."""
-    return tuple((tuple(f"L{layer}.{s}" for s in _LAYER_STAGES),
-                  tuple(tuple(f"L{layer}.h{head}.{s}" for s in _HEAD_STAGES)
-                        for head in range(n_heads)))
-                 for layer in range(n_layers))
-
-
-def _stage_spans(cfg: ModelConfig, position: int) -> Iterator[StageSpan]:
-    """The spans of the step at `position`, in stream order, by the cost
-    rules of TokenTrace."""
-    hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
-    beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
-    qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
-    ob, db, lb = beats["attn.o"], beats["mlp.down"], code_beats(cfg.vocab_size, d, g)
-    gb = beats["mlp.gate"] + beats["mlp.up"]
-    rows = position + 1
-    rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
-
-    yield StageSpan("embed", "spu", 0, d)
-    c = 0  # vector-unit cycle cursor
-    for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
-        attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
-        yield StageSpan(attn_norm, "spu", c, c + d)
-        for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
-             v, v_quant, softmax_wait, value_mix) in head_names:
-            yield StageSpan(q, "vpu", c, c + qb, qb)
-            yield StageSpan(rope_q, "spu", c + qb, c + qb + hd)
-            c += qb
-            yield StageSpan(k, "vpu", c, c + kb, kb)
-            yield StageSpan(rope_k, "spu", c + kb, c + kb + hd)
-            c += kb
-            dot_end = c + rows_cycles
-            yield StageSpan(kv_dot, "vpu", c, dot_end)
-            yield StageSpan(softmax_max, "spu", c, dot_end)
-            yield StageSpan(k_quant, "spu", c, c + 2 * hd)
-            c = dot_end
-            exp_end = dot_end + rows
-            yield StageSpan(softmax_exp, "spu", dot_end, exp_end)
-            yield StageSpan(softmax_norm, "spu", exp_end, exp_end + rows)
-            yield StageSpan(v, "vpu", c, c + vb, vb)
-            yield StageSpan(v_quant, "spu", c, c + 2 * hd)
-            c += vb
-            mix_start = exp_end + SOFTMAX_FORWARD_LEAD
-            if mix_start > c:
-                yield StageSpan(softmax_wait, "stall", c, mix_start)
-                c = mix_start
-            yield StageSpan(value_mix, "vpu", c, c + rows_cycles)
-            c += rows_cycles
-        yield StageSpan(o, "vpu", c, c + ob, ob)
-        yield StageSpan(attn_residual, "spu", c, c + d)
-        c += ob
-        yield StageSpan(mlp_norm, "spu", c, c + d)
-        # gate and up rows interleave on the stream: one merged stage
-        yield StageSpan(gate_up, "vpu", c, c + gb, gb)
-        yield StageSpan(silu, "spu", c, c + cfg.d_ffn)
-        c += gb
-        yield StageSpan(down, "vpu", c, c + db, db)
-        yield StageSpan(mlp_residual, "spu", c, c + d)
-        c += db
-    yield StageSpan("final_norm", "spu", c, c + d)
-    yield StageSpan("lm_head", "vpu", c, c + lb, lb)
-    yield StageSpan("argmax", "spu", c, c + cfg.vocab_size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never reads. The project
-has no linter, so this is its unused-import check: each module is parsed
-with ast, and every name an import binds must be read somewhere in it, in
-code or in a quoted annotation."""
+"""Import checks on the package's source, each module parsed with ast.
+The project has no linter, so this is its unused-import check: every name
+an import binds must be read somewhere in its module, in code or in a
+quoted annotation. It also keeps the split between the module that
+computes a step (pipeline) and the one that costs it (perf)."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,40 @@ def test_every_imported_name_is_read():
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items()
                    if name not in read and (path.stem, name) not in BOUND_FOR_BEATBENCH]
     assert not unused, f"imported but never read: {unused}"
+
+
+# the stage trace, which perf holds beside the DMA schedule and the bus model
+TRACE_NAMES = {"SOFTMAX_FORWARD_LEAD", "StageSpan", "TokenTrace", "stall_free_context_bound",
+               "_LAYER_STAGES", "_HEAD_STAGES", "_span_names", "_stage_spans"}
+COMPUTING_MODULES = {"numerics", "ops", "quant", "model_io", "pipeline"}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level other than by import."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def imports_from(tree: ast.Module) -> dict[str, set[str]]:
+    """Each package module a module imports from, with the names it binds."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.setdefault(node.module, set()).update(a.name for a in node.names)
+    return found
+
+
+def test_pipeline_computes_and_perf_costs():
+    pipeline, perf = (ast.parse((PACKAGE / f"{m}.py").read_text()) for m in ("pipeline", "perf"))
+    assert TRACE_NAMES <= defined_names(perf)
+    assert not TRACE_NAMES & defined_names(pipeline)
+    from_modules = imports_from(pipeline)
+    assert from_modules["perf"] == {"TokenTrace"}
+    assert not any("BusGeometry" in names for names in from_modules.values())
+    assert not COMPUTING_MODULES & set(imports_from(perf))

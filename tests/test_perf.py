@@ -20,6 +20,7 @@ from beatstream.perf import (
     MAX_BURST_BEATS,
     BurstSchedule,
     BusModel,
+    TokenTrace,
     bytes_per_token,
     load_device_catalog,
     peak_tokens_per_s,
@@ -338,6 +339,21 @@ def test_7b_head_position_beats_and_cycles(schedule_7b):
     assert sum(schedule_7b) == 57_838_912
     assert sum(schedule_7b) * BusGeometry.beat_bytes == 3_701_690_368
     assert model.stream_cycles(schedule_7b) == 61_488_432
+
+
+# group size: (bus cycles at a 16-cycle setup, schedule beats)
+BUS_7B_HEAD = {64: (63_631_152, 59_855_232), 128: (61_488_432, 57_838_912),
+               256: (60_417_072, 56_830_752)}
+
+
+@pytest.mark.parametrize("group_size", sorted(BUS_7B_HEAD))
+def test_7b_head_position_both_clocks(group_size):
+    # the two clocks side by side: the stage trace charges code beats and
+    # never stalls, so no group size moves it; the bus charges containers
+    cfg = dataclasses.replace(llama2_7b_config(), group_size=group_size)
+    trace, schedule = TokenTrace(cfg, 1023), token_burst_schedule(cfg, 1023)
+    assert (trace.makespan, trace.stall_cycles) == (55_812_096, 0)
+    assert (BusModel(16).stream_cycles(schedule), schedule.beats) == BUS_7B_HEAD[group_size]
 
 
 def stored_entries(schedule):

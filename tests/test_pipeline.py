@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from beatstream import layout, ops, pipeline
+from beatstream import layout, ops, perf, pipeline
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import (
     CapacityError,
@@ -25,16 +25,14 @@ from beatstream.errors import (
 from beatstream.layout import SNAPSHOT_MAGIC, SZ_RECORD, read_image
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
 from beatstream.numerics import LANES, TreeOrderRows, sin_cos, to_half
+from beatstream.perf import StageSpan, TokenTrace, stall_free_context_bound
 from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
     ReferenceDecoder,
-    StageSpan,
-    TokenTrace,
     check_agreement,
     greedy_pick,
     mix_rows,
-    stall_free_context_bound,
 )
 from beatstream.quant import dequant_codes, kv_quantize
 
@@ -701,7 +699,7 @@ class TestTrace:
         def no_spans(cfg, position):
             raise AssertionError("a step built its trace")
 
-        monkeypatch.setattr(pipeline, "_stage_spans", no_spans)
+        monkeypatch.setattr(perf, "_stage_spans", no_spans)
         logits, trace = Decoder(demo_ckpt).step(7)
         check_agreement(0, logits, want)
         with pytest.raises(AssertionError, match="built its trace"):
