@@ -177,15 +177,15 @@ def quantize_groups(w: np.ndarray, group_size: int) -> tuple:
         raise ShapeError(f"expected a matrix, got shape {w.shape}")
     rows, cols = w.shape
     gpr = -(-cols // group_size)
+    if cols != gpr * group_size:
+        w = np.pad(w, ((0, 0), (0, gpr * group_size - cols)))
     codes = np.empty((rows * gpr, group_size), dtype=np.uint8)
     scales = np.empty(rows * gpr, dtype=np.float16)
     zeros = np.empty(rows * gpr, dtype=np.uint8)
     # groups are independent, so quantizing a row range at a time is exact
     for lo, hi in _row_chunks(rows, gpr * group_size):
-        padded = np.zeros((hi - lo, gpr * group_size), dtype=np.float16)
-        padded[:, :cols] = w[lo:hi]
         g = slice(lo * gpr, hi * gpr)
-        codes[g], scales[g], zeros[g] = quantize_rows(padded.reshape(-1, group_size))
+        codes[g], scales[g], zeros[g] = quantize_rows(w[lo:hi].reshape(-1, group_size))
     return codes, scales, zeros
 
 

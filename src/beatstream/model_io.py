@@ -151,7 +151,9 @@ def build_demo_checkpoint(seed: int = 0, cfg: ModelConfig | None = None) -> Chec
     weights = {}
     for name in tensor_names(cfg):
         rows, cols = tensor_shape(cfg, name)
-        weights[name] = (rng.standard_normal((rows, cols)) / np.sqrt(cols)).astype(np.float16)
+        w = rng.standard_normal((rows, cols))
+        w /= np.sqrt(cols)
+        weights[name] = w.astype(np.float16)
     embedding = rng.standard_normal((cfg.vocab_size, cfg.d_model)).astype(np.float16)
     norms = 1.0 + 0.1 * rng.standard_normal((2 * cfg.n_layers + 1, cfg.d_model))
     return quantize_checkpoint(cfg, weights, embedding, norms)

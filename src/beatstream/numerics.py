@@ -181,7 +181,12 @@ class TreeOrderRows:
     def assign(self, lo: int, rows: np.ndarray) -> None:
         """Store rows of binary16 values, (k, w) or per head (heads, k, w),
         as float16 or already widened to float32, as rows lo..lo+k-1 (w may
-        be narrower than the operand; the columns past it keep +0.0)."""
+        be narrower than the operand; the columns past it keep +0.0).
+
+        One strided copy, widening exactly: with lanes = 2**b, a lane
+        index is b bits and its bit reversal reverses them, so the rows
+        seen as (..., blocks, 2, ..., 2) go to `blocks` seen the same way
+        with those b lane-bit axes in reverse order."""
         rows = np.asarray(rows)
         if rows.dtype != np.float32:
             rows = rows.astype(np.float16)
@@ -190,9 +195,12 @@ class TreeOrderRows:
         if width != n_blocks * lanes:
             pad = np.zeros((*lead, k, n_blocks * lanes - width), dtype=rows.dtype)
             rows = np.concatenate([rows, pad], axis=-1)
-        lane_major = rows.reshape(*lead, k, n_blocks, lanes)[..., self.order]
-        nd = lane_major.ndim   # to (blocks, lanes, [heads,] k), widening exactly
-        self.blocks[..., lo:lo + k] = lane_major.transpose(nd - 2, nd - 1, *range(nd - 2))
+        bits = lanes.bit_length() - 1
+        nl = len(lead)   # rows as (*lead, k, blocks, lane bits high to low)
+        lane_axes = range(nl + 1 + bits, nl + 1, -1)
+        src = rows.reshape(*lead, k, n_blocks, *(2,) * bits)
+        dst = self.blocks.reshape(n_blocks, *(2,) * bits, *self.blocks.shape[2:], copy=False)
+        dst[..., lo:lo + k] = src.transpose(nl + 1, *lane_axes, *range(nl), nl)
 
     def plain(self) -> np.ndarray:
         """The plain binary32 operand of `shape`, zero lanes included;

@@ -29,6 +29,17 @@ The widths differ only in their levels and their zero-point rule: a weight
 zero is rint(-min/s) clipped to 0..15, a cache zero the magnitude
 -ceil(min/s) in 0..255; codes are clamp(rint(x/s) + zero, 0, levels).
 Rounding is round-half-even everywhere. The codec is pure.
+
+Per-row formulas (the range, the scale, the zero points) run in float64;
+the per-value code rule runs in binary32, the input widened once (exactly)
+and the quotient x/s rounded, shifted and clipped in place. That
+is the float64 rule bit for bit. A quotient of two binary16 values that
+is not a half-integer lies more than 2**-13 from one, while binary32
+rounds a quotient below 512 by at most 2**-16; rounding is monotone and
+every half-integer there is a binary32 value, so rint lands on the same
+integer. A quotient of 256 or more in magnitude rounds to one too, and
+every code of either width clips the same from there (an add that rounds
+past 2**24 keeps its sign).
 """
 
 from __future__ import annotations
@@ -84,18 +95,20 @@ def _quantize(x: np.ndarray, levels: int,
               encode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(codes uint8, scales float16, zeros uint8) of each row of a binary16
     matrix, encode(wide, lo, scales) giving a width's (codes, zeros); see
-    the module docstring. Lowering a row's scale an ulp at a time ends: at
-    a scale below HALF_OVERFLOW / levels no decode overflows.
+    the module docstring. A NaN or an infinity makes its row's range
+    non-finite, so the range check covers every value. Lowering a row's
+    scale an ulp at a time ends: at a scale below HALF_OVERFLOW / levels
+    no decode overflows.
     """
     x = np.asarray(x, dtype=np.float16)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeError(f"expected rows of at least one value, got shape {x.shape}")
-    wide = x.astype(np.float64)
-    if not np.isfinite(wide).all():
+    wide = x.astype(np.float32)
+    lo = wide.min(axis=1, initial=0.0)
+    span = np.subtract(wide.max(axis=1, initial=0.0), lo, dtype=np.float64)
+    if not np.isfinite(span).all():
         raise DomainError("quantizer input must be finite")
-    lo = np.minimum(wide.min(axis=1), 0.0)
-    hi = np.maximum(wide.max(axis=1), 0.0)
-    scales = np.maximum(to_half((hi - lo) / levels), HALF_SMALLEST_NORMAL)
+    scales = np.maximum(to_half(span / levels), HALF_SMALLEST_NORMAL)
     codes, zeros = encode(wide, lo, scales)
     rows = overflow_rows(codes, scales, zeros, levels)
     while rows.size:
@@ -105,22 +118,29 @@ def _quantize(x: np.ndarray, levels: int,
     return codes, scales, zeros
 
 
+def _codes(wide: np.ndarray, scales: np.ndarray, zeros: np.ndarray,
+           levels: int) -> np.ndarray:
+    """clamp(rint(x/s) + zero, 0, levels) of binary32 rows, in one binary32
+    quotient buffer; exact, see the module docstring."""
+    q = np.divide(wide, scales.astype(np.float32)[:, None])
+    np.rint(q, out=q)
+    np.add(q, zeros.astype(np.float32)[:, None], out=q)
+    np.minimum(np.maximum(q, 0, out=q), levels, out=q)
+    return q.astype(np.uint8)
+
+
 def _weight_codes(wide: np.ndarray, lo: np.ndarray,
                   scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(codes, zeros) of 4-bit groups at the given scales."""
-    s64 = scales.astype(np.float64)
-    zeros = np.clip(np.rint(-lo / s64), 0, WEIGHT_LEVELS).astype(np.uint8)
-    q = np.rint(wide / s64[:, None]) + zeros[:, None]
-    return np.clip(q, 0, WEIGHT_LEVELS).astype(np.uint8), zeros
+    zeros = np.clip(np.rint(-lo / scales.astype(np.float64)), 0, WEIGHT_LEVELS)
+    return _codes(wide, scales, zeros, WEIGHT_LEVELS), zeros.astype(np.uint8)
 
 
 def _kv_codes(wide: np.ndarray, lo: np.ndarray,
               scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(codes, zeros) of 8-bit cache rows at the given scales."""
-    s64 = scales.astype(np.float64)[:, None]
-    zeros = -np.ceil(lo[:, None] / s64)
-    codes = np.clip(np.rint(wide / s64) + zeros, 0, KV_LEVELS).astype(np.uint8)
-    return codes, zeros[:, 0].astype(np.uint8)
+    zeros = -np.ceil(lo / scales.astype(np.float64))
+    return _codes(wide, scales, zeros, KV_LEVELS), zeros.astype(np.uint8)
 
 
 def quantize_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

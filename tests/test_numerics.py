@@ -187,29 +187,29 @@ EDGE_HALVES = [0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -14 - 2.0 ** -24,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), blocks=st.integers(1, 3), n=st.integers(1, 5),
+@given(data=st.data(), width=st.integers(1, 3 * LANES), n=st.integers(1, 5),
        heads=st.sampled_from([None, 1, 3]))
-def test_tree_order_rows_match_plain_rows(data, blocks, n, heads):
+def test_tree_order_rows_match_plain_rows(data, width, n, heads):
+    """Rows of every width 1..3*LANES, each subtree of one block, whole
+    blocks and a part block, written in two row ranges over NaN: plain()
+    gives them back widened, with +0.0 in every column past the width,
+    and the prepared dot has the bits of the plain one. With `heads` the
+    operand has a head axis, TreeOrderRows(heads, n, width)."""
     halves = st.one_of(st.sampled_from(EDGE_HALVES), st.floats(width=16, allow_nan=False))
-    length = LANES * blocks
-    rows = data.draw(arrays(np.float16, (n, length), elements=halves), label="rows")
     lead = () if heads is None else (heads,)
-    vec = data.draw(arrays(np.float16, lead + (length,), elements=halves), label="vec")
-    prepared = TreeOrderRows(n, length)
-    split = data.draw(st.integers(0, n), label="split")   # assigned in two row ranges
-    prepared.assign(0, rows[:split])
-    prepared.assign(split, rows[split:])
-    assert prepared.shape == rows.shape
-    wide = rows.astype(np.float32)
+    rows = data.draw(arrays(np.float16, lead + (n, width), elements=halves), label="rows")
+    vec = data.draw(arrays(np.float16, lead + (width,), elements=halves), label="vec")
+    prepared = TreeOrderRows(*lead, n, width)
+    prepared.blocks[...] = np.nan   # a row write fills every lane
+    split = data.draw(st.integers(0, n), label="split")
+    prepared.assign(0, rows[..., :split, :])
+    prepared.assign(split, rows[..., split:, :])
+    padded = 1 << (width - 1).bit_length() if width <= LANES else -(-width // LANES) * LANES
+    assert prepared.shape == lead + (n, padded)
+    wide = np.zeros(prepared.shape, dtype=np.float32)
+    wide[..., :width] = rows
     assert np.array_equal(prepared.plain().view(np.uint32), wide.view(np.uint32))
-    if heads is None:
-        tree, plain = dot_rows(prepared, vec), dot_rows(rows, vec)
-    else:
-        # each head's vector against the prepared operand, and all of them
-        # at once against the plain rows in the per-head form
-        tree = np.stack([dot_rows(prepared, v) for v in vec])
-        plain = dot_rows(np.broadcast_to(rows, (heads,) + rows.shape), vec)
-    assert np.array_equal(half_bits(tree), half_bits(plain))
+    assert np.array_equal(half_bits(dot_rows(prepared, vec)), half_bits(dot_rows(rows, vec)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN on both sides

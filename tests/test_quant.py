@@ -15,8 +15,12 @@ from hypothesis.extra.numpy import arrays
 from beatstream.errors import DomainError, ShapeError
 from beatstream.layout import quantize_groups
 from beatstream.model_io import build_demo_checkpoint, quantize_checkpoint, tensor_shape
-from beatstream.numerics import HALF_SMALLEST_NORMAL, to_half, ulp16
+from beatstream.numerics import HALF_OVERFLOW, HALF_SMALLEST_NORMAL, to_half, ulp16
 from beatstream.quant import (
+    KV_LEVELS,
+    WEIGHT_LEVELS,
+    _kv_codes,
+    _weight_codes,
     dequant_codes,
     kv_quantize,
     quantize_rows,
@@ -50,6 +54,23 @@ def oracle_quant_group(vals):
     zero = int(min(15, max(0, round(-lo / scale))))
     codes = [int(min(15, max(0, round(float(v) / scale) + zero))) for v in vals]
     return codes, scale, zero
+
+
+def oracle_kv_row(vals):
+    """Scalar reference of one cache row: range extended to include zero,
+    binary16 scale clamped up to the smallest normal, zero point
+    -ceil(lo/scale), codes rounded half-to-even in float64; while the
+    codes' reach from the zero point times the scale would decode past
+    binary16, the scale steps down one binary16 ulp."""
+    lo = min(0.0, min(float(v) for v in vals))
+    hi = max(0.0, max(float(v) for v in vals))
+    scale = max(float(to_half((hi - lo) / 255)), float(HALF_SMALLEST_NORMAL))
+    while True:
+        zero = -math.ceil(lo / scale)
+        codes = [min(255, max(0, round(float(v) / scale) + zero)) for v in vals]
+        if max(abs(c - zero) for c in codes) * scale < HALF_OVERFLOW:
+            return codes, scale, zero
+        scale = float(np.nextafter(np.float16(scale), np.float16(0)))
 
 
 class TestWeightQuant:
@@ -245,20 +266,49 @@ class TestKvQuant:
             assert np.array_equal(batch[i], one)
 
 
+def test_binary32_codes_match_the_float64_formula():
+    """The codes' binary32 quotient rule, exhaustive in x: every finite
+    binary16 x against every significand of the scales at exponents -14
+    (the floor) and 0, under both widths' encoders, at zero points spread
+    over 0..levels, gives the codes of clamp(rint(x/s) + zero, 0, levels)
+    in float64, clip included. The float64 quotients are clamped to
+    +-512 first, past which every code of either width clips alike."""
+    every = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    x = every[np.isfinite(every)]
+    x64 = x.astype(np.float64)
+    chunk = 32   # scales at a time, about 2M quotients
+    wide = np.broadcast_to(x.astype(np.float32), (chunk, x.size))
+    for exponent in (-14, 0):
+        scales = to_half(2.0 ** exponent * (1 + np.arange(1024) / 1024))
+        for c in range(0, scales.size, chunk):
+            s = scales[c:c + chunk]
+            s64 = s.astype(np.float64)
+            q = np.clip(np.rint(x64 / s64[:, None]), -512, 512).astype(np.int16)
+            for encode, levels in ((_weight_codes, WEIGHT_LEVELS), (_kv_codes, KV_LEVELS)):
+                z = np.arange(c, c + chunk, dtype=np.int16) * 7 % (levels + 1)
+                codes, zeros = encode(wide, -z * s64, s)
+                assert np.array_equal(zeros, z)
+                assert np.array_equal(codes, np.clip(q + z[:, None], 0, levels))
+
+
 LARGEST = [65504.0, -65504.0, 65472.0, -65472.0, 0.0, -0.0]
+FINITE_ROWS = arrays(np.float16, st.tuples(st.integers(1, 4), st.integers(1, 8)),
+                     elements=st.one_of(st.sampled_from(LARGEST),
+                                        st.floats(-65504, 65504, width=16)))
+# first scales 257 (KV) and 4368 (weights): 255 * 257 and 15 * 4368 round to infinity
+ROW_AT_THE_TOP = np.array([[65504, 0, 1, 2]], dtype=np.float16)
+# a row over almost the whole range: its first scales, 513.5 (KV) and 8728 (weights),
+# step down to 511.75 and 8188
+ROW_OVER_THE_RANGE = np.array([[65472, -65504, 0, 1]], dtype=np.float16)
+# a range below 15 smallest normals: both scales clamp up to 2**-14
+ROW_BELOW_THE_FLOOR = np.array([[6.104e-05, 0, 0, 0]], dtype=np.float16)
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=arrays(np.float16, st.tuples(st.integers(1, 4), st.integers(1, 8)),
-                   elements=st.one_of(st.sampled_from(LARGEST),
-                                      st.floats(-65504, 65504, width=16))))
-# first scales 257 (KV) and 4368 (weights): 255 * 257 and 15 * 4368 round to infinity
-@example(rows=np.array([[65504, 0, 1, 2]], dtype=np.float16))
-# a row over almost the whole range: its first scales, 513.5 (KV) and 8728 (weights),
-# step down to 511.75 and 8188
-@example(rows=np.array([[65472, -65504, 0, 1]], dtype=np.float16))
-# a range below 15 smallest normals: both scales clamp up to 2**-14
-@example(rows=np.array([[6.104e-05, 0, 0, 0]], dtype=np.float16))
+@given(rows=FINITE_ROWS)
+@example(rows=ROW_AT_THE_TOP)
+@example(rows=ROW_OVER_THE_RANGE)
+@example(rows=ROW_BELOW_THE_FLOOR)
 def test_every_finite_row_decodes_finite(rows):
     """Under both quantizers every finite binary16 row, +-65504 included,
     decodes to finite values, with zero points inside their codes' range
@@ -269,3 +319,19 @@ def test_every_finite_row_decodes_finite(rows):
         assert np.isfinite(dequant_codes(codes, scales, zeros)).all()
         assert zeros.max() <= levels and codes.max() <= levels
         assert np.isfinite(scales).all() and (scales >= HALF_SMALLEST_NORMAL).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=FINITE_ROWS)
+@example(rows=ROW_AT_THE_TOP)
+@example(rows=ROW_OVER_THE_RANGE)
+@example(rows=ROW_BELOW_THE_FLOOR)
+def test_kv_quantize_matches_scalar_oracle(rows):
+    """kv_quantize gives each row the codes, scale and zero point of the
+    scalar oracle, the lowered scales of the rows at the top included."""
+    codes, scales, zeros = kv_quantize(rows)
+    for i, row in enumerate(rows):
+        want_codes, want_scale, want_zero = oracle_kv_row(row)
+        assert codes[i].tolist() == want_codes
+        assert float(scales[i]) == want_scale
+        assert int(zeros[i]) == want_zero
