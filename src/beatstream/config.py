@@ -8,7 +8,7 @@ group (padded codes dequantize to exactly 0.0).
 
 The model's two real-valued settings are LLaMA2's and are constants of the
 operators that use them: the RMS norm's epsilon (ops.NORM_EPS, 1e-5) and
-the rotary base (numerics.ROPE_BASE, 10000). A config is stored as its
+the rotary base (ops.ROPE_BASE, 10000). A config is stored as its
 seven integers in the header of an image file (see layout).
 """
 

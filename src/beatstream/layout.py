@@ -27,11 +27,12 @@ The board's bus is fixed, and BusGeometry names it in constants: a beat
 is beat_bytes = 64 (512 bits over four 128-bit ports), i.e.
 words_per_beat = 2 consecutive format words per cycle, which is what
 feeds the 128-lane dot engine its 128 codes per cycle; at freq_hz =
-300 MHz that is bandwidth_bytes_per_s = 19.2 GB/s. Two laws count a
-tensor's beats: code_beats its 4-bit codes alone, each row padded to whole
-groups and then to whole beats, which the stage trace charges; and
-container_beats its whole container, which the DMA schedule and the memory
-map charge. Every container starts on a beat of its own.
+300 MHz that is bandwidth_bytes_per_s = 19.2 GB/s. A tensor's beats are
+counted two ways: code_beats counts its 4-bit codes alone, each row padded
+to whole groups and then to whole beats, which the stage trace charges;
+its whole container is its piece of the image (checkpoint_pieces), which
+the DMA schedule and the memory map charge in whole beats. Every
+container starts on a beat of its own.
 
 Because partial sections come only at the end, the ZP, SCALE and WEIGHT
 words each hold their values in plain group order, padded only in the
@@ -261,12 +262,6 @@ def code_beats(rows: int, cols: int, group_size: int) -> int:
     pads to whole groups, then to whole beats of 128 codes, one per lane."""
     padded = -(-cols // group_size) * group_size
     return rows * -(-padded // (BusGeometry.words_per_beat * WEIGHTS_PER_WORD))
-
-
-def container_beats(rows: int, cols: int, group_size: int) -> int:
-    """Bus beats of a (rows x cols) tensor's whole container, metadata and
-    padding included, counted from the container's own first beat."""
-    return -(-tensor_stream_words(rows, cols, group_size) // BusGeometry.words_per_beat)
 
 
 def _whole_words(values: np.ndarray, per_word: int) -> np.ndarray:

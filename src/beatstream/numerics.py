@@ -1,5 +1,4 @@
-"""Half-precision arithmetic contract, the 128-lane dot engine, and the
-quarter-wave sine ROM.
+"""Half-precision arithmetic contract and the 128-lane dot engine.
 
 Every consumer in this package rounds the same way: values live as IEEE
 binary16, products and partial sums are carried in binary32 (or wider),
@@ -18,9 +17,8 @@ reproducible bit for bit.
 The engine owns lane padding, as the stream layout does: a row fills
 whole 512-bit beats, and the lanes it does not fill hold zeros. Callers
 pass logical widths; dot_rows zero-extends the vector to the rows' width
-and both operands to whole blocks. A row that fits in one block is
-reduced over the smallest power-of-two subtree that holds it, chosen by
-shape alone, with the bits of the whole tree (see dot_rows).
+and both operands to whole blocks. On a plain matrix it reduces every
+block over the whole tree: that is the contract, written out.
 
 dot_rows reduces every row on its own, so it batches freely: the rows of
 a matrix against one vector, or the rows of each head (h, n, L) against
@@ -29,48 +27,41 @@ does.
 
 An operand that is read on every token is prepared once as a
 TreeOrderRows: widened to binary32 and stored (blocks, lanes, rows), or
-(blocks, lanes, heads, rows) with a head axis, where `lanes` follows the
-subtree rule above and each block's lanes sit in bit-reversed order over
-the subtree's own width (LANE_ORDER for 128 lanes; its first 16 entries
-are not the 16-lane order). In that order lanes 2j and 2j+1 of the
-adjacent-pair tree sit at positions i and i + lanes/2 for the same i, and
-the pair sums land in bit-reversed order again, one bit shorter. Every
-tree level is then the sum of two contiguous halves over all rows (and
-heads) at once, and it adds the same pairs as the plain path, so the
-result is the same bit for bit. The first level is fused with the
-products, as the multiplier array feeds the adder tree with no product
-stored: one np.einsum per block sums each lane pair's two products into
-a (lanes/2, [heads,] n) buffer, and log2(lanes) - 1 in-place half
-additions follow. A product of two binary16 values is exact in binary32,
-so a pair sum has one rounding however it is formed; only a zero's sign
-can differ, and the +0.0 block accumulator never passes it on (see
-_tree_order_dot). A NaN result is the one exception: only its being NaN
-is part of the contract, not its sign or payload (see dot_rows). The
-weights are such operands, prepared once per checkpoint, and so is the
-KV cache's key mirror, whose step view of rows 0..t (first_rows) is
-free; one tree kernel serves both. (The cache's value mirror is
-prepared too, but token-major for the value mix in pipeline, not for
-this engine.) The reference decoder in pipeline reads plain binary16
-matrices and cache rows decoded from their codes, so it is the oracle of
-every prepared operand.
-
-The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
-binary16 samples of the first quadrant, folded to the full turn by
-sin_cos. The ROM and the rotary base are constants, and a head width
-fixes its frequencies (inverse_frequency_table), so nothing about the
-rotation is state or setting. The rotation at a (width, position) is a
-pure function of the pair, so the rotary operator (ops.rope_rotate)
-keeps it in a bounded memo and reads the ROM once per pair.
+(blocks, lanes, heads, rows) with a head axis. Its one shortcut is the
+subtree rule: a row that fits in one block is reduced over the smallest
+power-of-two subtree that holds it, chosen by shape alone, since the
+rest of the block's tree only adds +0.0 (see TreeOrderRows). Each
+block's lanes sit in bit-reversed order over the subtree's own width
+(LANE_ORDER for 128 lanes; its first 16 entries are not the 16-lane
+order). In that order lanes 2j and 2j+1 of the adjacent-pair tree sit at
+positions i and i + lanes/2 for the same i, and the pair sums land in
+bit-reversed order again, one bit shorter. Every tree level is then the
+sum of two contiguous halves over all rows (and heads) at once, and it
+adds the same pairs as the plain path, so the result is the same bit for
+bit. The first level is fused with the products, as the multiplier array
+feeds the adder tree with no product stored: one np.einsum per block sums
+each lane pair's two products into a (lanes/2, [heads,] n) buffer, and
+log2(lanes) - 1 in-place half additions follow. A product of two binary16
+values is exact in binary32, so a pair sum has one rounding however it is
+formed; only a zero's sign can differ, and the +0.0 block accumulator
+never passes it on (see _tree_order_dot). A NaN result is the one
+exception: only its being NaN is part of the contract, not its sign or
+payload (see dot_rows). The weights are such operands, prepared once per
+checkpoint, and so is the KV cache's key mirror, whose step view of rows
+0..t (first_rows) is free; one tree kernel serves both. (The cache's
+value mirror is prepared too, but token-major for the value mix in
+pipeline, not for this engine.) The reference decoder in pipeline reads
+plain binary16 matrices and cache rows decoded from their codes, so it
+is the oracle of every prepared operand and of the subtree rule.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ShapeError
 
 # Smallest positive normal binary16 value, 2**-14.
 HALF_SMALLEST_NORMAL = np.float16(2.0 ** -14)
@@ -114,8 +105,9 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
 
 
 def _subtree_lanes(width: int) -> int:
-    """Lanes a row of `width` is reduced over: whole LANES blocks, or for a
-    row of one block the smallest power-of-two subtree that holds it."""
+    """Lanes a prepared row of `width` is reduced over: whole LANES blocks,
+    or for a row of one block the smallest power-of-two subtree that holds
+    it."""
     return LANES if width > LANES else 1 << (width - 1).bit_length()
 
 
@@ -145,12 +137,16 @@ class TreeOrderRows:
     """A binary16 matrix (n, width), or one per head (heads, n, width),
     prepared for the tree dot engine.
 
-    A row is reduced over `lanes` lanes, the subtree rule of dot_rows: the
-    smallest power-of-two subtree that holds `width`, or whole LANES blocks
-    past one block. The width rounds up to whole blocks of those lanes,
-    `shape` is the plain operand's with that width, and the columns past
-    `width` hold +0.0, as lane padding does. Values are widened once to
-    binary32 (exact) and stored as `blocks`, (blocks, lanes, n) or
+    A row is reduced over `lanes` lanes, the subtree rule (_subtree_lanes):
+    the smallest power-of-two subtree that holds `width`, or whole LANES
+    blocks past one block. That is exact: every lane past the subtree
+    multiplies +0.0 by +0.0, so the rest of the block's tree adds +0.0 to
+    the subtree's sum, which leaves any sum but -0.0 as it is (infinities
+    and NaNs included), and the +0.0 block accumulator turns a zero sum of
+    either sign into +0.0. The width rounds up to whole blocks of those
+    lanes, `shape` is the plain operand's with that width, and the columns
+    past `width` hold +0.0, as lane padding does. Values are widened once
+    to binary32 (exact) and stored as `blocks`, (blocks, lanes, n) or
     (blocks, lanes, heads, n), with the lanes of each block in `order`, the
     bit reversal over `lanes` (see the module docstring). dot_rows takes an
     operand in place of its plain matrix and returns the same bits, up to
@@ -260,13 +256,11 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     rows or heads: head i of the per-head form is the bits of
     dot_rows(rows[i], vec[i]). Returns binary16. `rows` may be a
     TreeOrderRows operand of either form, which skips the widening and
-    the strided tree.
+    the strided tree and reduces a row of one block over its subtree.
 
-    A row of W <= LANES is reduced over the leading 2**ceil(log2 W) lanes
-    only. That is exact: every lane past them multiplies +0.0 by +0.0, so
-    the rest of the block's tree adds +0.0 to the subtree's sum, which
-    leaves any sum but -0.0 as it is (infinities and NaNs included), and
-    the +0.0 block accumulator turns a zero sum of either sign into +0.0.
+    On a plain matrix every block is reduced over the whole 128-lane tree,
+    the contract with no shortcut, so it is the oracle of the prepared
+    path's subtree rule.
 
     A NaN result is NaN on every path, but its sign and payload are not
     part of the contract: where NaNs of both signs meet in one addition,
@@ -288,14 +282,13 @@ def dot_rows(rows: np.ndarray | TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     if prepared:
         return _tree_order_dot(rows, vec)
 
-    lanes = _subtree_lanes(width)
-    padded = -(-width // lanes) * lanes
+    padded = -(-width // LANES) * LANES
     p = np.zeros(shape[:-1] + (padded,), dtype=np.float32)
     p[..., :width] = rows                                  # widens exactly
     v = np.zeros(vec.shape[:-1] + (padded,), dtype=np.float32)
     v[..., :length] = vec
     p *= v[..., None, :]                                   # exact
-    sums = _tree_reduce_f32(p.reshape(shape[:-1] + (padded // lanes, lanes)))
+    sums = _tree_reduce_f32(p.reshape(shape[:-1] + (padded // LANES, LANES)))
     acc = np.zeros(shape[:-1], dtype=np.float32)
     for b in range(sums.shape[-1]):                        # sequential across blocks
         acc = acc + sums[..., b]
@@ -316,51 +309,3 @@ def pad_to_lanes(v: np.ndarray) -> np.ndarray:
     out = np.zeros(v.shape[:-1] + (length + rem,), dtype=np.float16)
     out[..., :length] = v
     return out
-
-
-# ---------------------------------------------------------------------------
-# quarter-wave sine ROM
-# ---------------------------------------------------------------------------
-
-QUARTER_ENTRIES = 4096                 # samples of sin over [0, pi/2)
-PHASE_STEPS = 4 * QUARTER_ENTRIES      # full turn on the lookup grid
-ROPE_BASE = 10000.0                    # LLaMA2's rotary base
-
-# The ROM: binary16 sin at k/QUARTER_ENTRIES quarter turns, k = 0..4095;
-# QUARTER_SINE[0] == 0 and the entries never decrease.
-QUARTER_SINE = np.sin(np.arange(QUARTER_ENTRIES) * (math.pi / 2.0 / QUARTER_ENTRIES)
-                      ).astype(np.float16)
-QUARTER_SINE.flags.writeable = False
-
-
-def inverse_frequency_table(head_dim: int) -> np.ndarray:
-    """inv_freq[j] = ROPE_BASE**(-2j/head_dim) for j = 0..head_dim/2-1
-    (binary64)."""
-    if head_dim <= 0 or head_dim % 2 != 0:
-        raise ConfigError(f"head_dim must be a positive even number, got {head_dim}")
-    j = np.arange(head_dim // 2, dtype=np.float64)
-    return np.power(ROPE_BASE, -2.0 * j / float(head_dim))
-
-
-def sin_cos(phase_turns) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, cos) as binary16 for a phase given in turns, read off the ROM.
-
-    The fractional turn snaps to the 14-bit grid (2 quadrant bits + 12
-    index bits) with nearest rounding; the address path carries 12 further
-    fraction bits that a nearest-entry lookup discards (no interpolation).
-    cos is sin a quarter turn on. Quadrant folding supplies the other three
-    quadrants and the exact 1.0 at odd quadrant boundaries that the
-    half-open ROM cannot store.
-    """
-    phase = np.asarray(phase_turns, dtype=np.float64)
-    if not np.all(np.isfinite(phase)):
-        raise DomainError("phase must be finite")
-    idx = np.rint((phase - np.floor(phase)) * PHASE_STEPS).astype(np.int64)
-    idx = np.stack([idx, idx + QUARTER_ENTRIES]) % PHASE_STEPS
-    quadrant = idx >> 12
-    r = idx & (QUARTER_ENTRIES - 1)
-    # At r == 0 a falling quadrant starts on its boundary, where |sin| = 1.
-    mag = np.where((quadrant & 1) == 0, QUARTER_SINE[r],
-                   np.where(r == 0, np.float16(1.0), QUARTER_SINE[-r % QUARTER_ENTRIES]))
-    sin_and_cos = np.where(quadrant >= 2, -mag, mag)
-    return sin_and_cos[0], sin_and_cos[1]

@@ -1,9 +1,18 @@
-"""Scalar-unit operators: rotary position, RMS norm, softmax, SiLU gate.
+"""Scalar-unit operators: rotary position, RMS norm, softmax, SiLU gate,
+and the rotary unit's quarter-wave sine ROM.
 
 Every operator here follows the same discipline as the dot engine: wide
 intermediate arithmetic with explicitly placed binary16 roundings, so a
 fused evaluation and a layer-at-a-time reference evaluation produce
 bit-identical outputs.
+
+The rotary unit reads sin and cos off one fixed ROM, QUARTER_SINE: 4096
+binary16 samples of the first quadrant, folded to the full turn by
+sin_cos. The ROM and the rotary base are constants, and a head width
+fixes its frequencies (inverse_frequency_table), so nothing about the
+rotation is state or setting. The rotation at a (width, position) is a
+pure function of the pair, so rope_rotate keeps it in a bounded memo
+(_rotation) and reads the ROM once per pair.
 """
 
 from __future__ import annotations
@@ -13,11 +22,58 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, as_index
-from .numerics import inverse_frequency_table, sin_cos
+from .errors import ConfigError, DomainError, ShapeError, as_index
 
 _TWO_PI = 2.0 * math.pi
-NORM_EPS = 1e-5     # LLaMA2's RMS norm epsilon
+NORM_EPS = 1e-5                        # LLaMA2's RMS norm epsilon
+ROPE_BASE = 10000.0                    # LLaMA2's rotary base
+
+
+# ---------------------------------------------------------------------------
+# quarter-wave sine ROM
+# ---------------------------------------------------------------------------
+
+QUARTER_ENTRIES = 4096                 # samples of sin over [0, pi/2)
+PHASE_STEPS = 4 * QUARTER_ENTRIES      # full turn on the lookup grid
+
+# The ROM: binary16 sin at k/QUARTER_ENTRIES quarter turns, k = 0..4095;
+# QUARTER_SINE[0] == 0 and the entries never decrease.
+QUARTER_SINE = np.sin(np.arange(QUARTER_ENTRIES) * (math.pi / 2.0 / QUARTER_ENTRIES)
+                      ).astype(np.float16)
+QUARTER_SINE.flags.writeable = False
+
+
+def inverse_frequency_table(head_dim: int) -> np.ndarray:
+    """inv_freq[j] = ROPE_BASE**(-2j/head_dim) for j = 0..head_dim/2-1
+    (binary64)."""
+    if head_dim <= 0 or head_dim % 2 != 0:
+        raise ConfigError(f"head_dim must be a positive even number, got {head_dim}")
+    j = np.arange(head_dim // 2, dtype=np.float64)
+    return np.power(ROPE_BASE, -2.0 * j / float(head_dim))
+
+
+def sin_cos(phase_turns) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos) as binary16 for a phase given in turns, read off the ROM.
+
+    The fractional turn snaps to the 14-bit grid (2 quadrant bits + 12
+    index bits) with nearest rounding; the address path carries 12 further
+    fraction bits that a nearest-entry lookup discards (no interpolation).
+    cos is sin a quarter turn on. Quadrant folding supplies the other three
+    quadrants and the exact 1.0 at odd quadrant boundaries that the
+    half-open ROM cannot store.
+    """
+    phase = np.asarray(phase_turns, dtype=np.float64)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError("phase must be finite")
+    idx = np.rint((phase - np.floor(phase)) * PHASE_STEPS).astype(np.int64)
+    idx = np.stack([idx, idx + QUARTER_ENTRIES]) % PHASE_STEPS
+    quadrant = idx >> 12
+    r = idx & (QUARTER_ENTRIES - 1)
+    # At r == 0 a falling quadrant starts on its boundary, where |sin| = 1.
+    mag = np.where((quadrant & 1) == 0, QUARTER_SINE[r],
+                   np.where(r == 0, np.float16(1.0), QUARTER_SINE[-r % QUARTER_ENTRIES]))
+    sin_and_cos = np.where(quadrant >= 2, -mag, mag)
+    return sin_and_cos[0], sin_and_cos[1]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -40,7 +96,7 @@ def rope_rotate(v: np.ndarray, pos: int) -> np.ndarray:
     inverse_frequency_table of the row width.
 
     Angles are formed in float64, snapped to the sine ROM's phase grid
-    (numerics.sin_cos), and the rotation runs in float32 with one binary16
+    (sin_cos), and the rotation runs in float32 with one binary16
     rounding per output. Position 0 hits the exact 0/1 ROM entries, so it
     is the identity bit for bit. The ROM is read once per (width,
     position), through a bounded memo (_rotation).

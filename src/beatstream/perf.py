@@ -10,9 +10,9 @@ MAX_BURST_BEATS beats. Both read their weight beats from layout, and they
 differ in three ways:
 
   - the trace charges a weight's 4-bit codes (layout.code_beats), the bus
-    its whole container (layout.container_beats), from a beat of its own
-    and with its SCALE and ZP words; only the bus moves the embedding
-    row, the norm gains and the new KV rows;
+    its whole container, its piece of the image (layout.checkpoint_pieces),
+    from a beat of its own and with its SCALE and ZP words; only the bus
+    moves the embedding row, the norm gains and the new KV rows;
   - the trace charges each cached row of a head ceil(head_dim / 64)
     beats, the bus one read of ceil(position * head_dim / 64) beats a
     head, so a 16-wide row costs a cycle against a quarter beat;
@@ -44,7 +44,7 @@ from typing import ClassVar, NamedTuple
 
 from .config import ModelConfig
 from .errors import ConfigError, as_index
-from .layout import SZ_PACKS_PER_BEAT, BusGeometry, code_beats, container_beats
+from .layout import SZ_PACKS_PER_BEAT, BusGeometry, checkpoint_pieces, code_beats
 
 MAX_BURST_BEATS = 256
 SOFTMAX_FORWARD_LEAD = 2  # cycles between last exponent and first mix row
@@ -237,12 +237,13 @@ def _weight_runs(cfg: ModelConfig) -> BurstSchedule:
     order, checked and counted once per config: the embedding row once,
     one layer's 7 projection containers n_layers times, the head once, and
     the norm gains 2 * n_layers + 1 times, each request a segment of its
-    own."""
-    g = cfg.group_size
-    row = ((-(-cfg.d_model * 2 // BusGeometry.beat_bytes), 1),)   # embedding row, one norm gain
-    projections = tuple((container_beats(r, c, g), 1) for r, c in cfg.projection_shapes().values())
-    head = ((container_beats(cfg.vocab_size, cfg.d_model, g), 1),)
-    return BurstSchedule(((row, 1), (projections, cfg.n_layers), (head, 1),
+    own. A container is its image piece (layout.checkpoint_pieces) in
+    whole beats."""
+    bb = BusGeometry.beat_bytes
+    _, layer, head = checkpoint_pieces(cfg)
+    row = ((-(-cfg.d_model * 2 // bb), 1),)   # embedding row, one norm gain
+    layer, head = (tuple((-(-n // bb), 1) for n in piece) for piece in (layer, head))
+    return BurstSchedule(((row, 1), (layer, cfg.n_layers), (head, 1),
                           (row, 2 * cfg.n_layers + 1)))
 
 
@@ -272,10 +273,10 @@ def token_burst_schedule(cfg: ModelConfig, position: int) -> BurstSchedule:
     """DMA request sizes, in bus beats, for one decode step on the board's
     bus (BusGeometry).
 
-    One request per weight container (layout.container_beats), per cached
-    head-history read, per new KV row write, plus the embedding row, the
-    norm gains, and one scale-zero beat per stream whenever the step
-    commits a multiple of SZ_PACKS_PER_BEAT rows.
+    One request per weight container (its image piece in whole beats),
+    per cached head-history read, per new KV row write, plus the embedding
+    row, the norm gains, and one scale-zero beat per stream whenever the
+    step commits a multiple of SZ_PACKS_PER_BEAT rows.
 
     Every layer issues the same requests, so the schedule is five runs of
     (beats, count) segments, each counted once and repeated: the embedding

@@ -45,10 +45,11 @@ the engine consumes it:
            reduces over tokens in one call.
 
 The reference decoder is the oracle of all three: it keeps its own plain
-binary16 weight matrices at their group-padded width, decodes its key
-and value history from the codes, and mixes values head by head with a
-sequential running sum of its own (_mix_sequential), so it checks the
-prepared operands and the fused mix on every step.
+binary16 weight matrices at their group-padded width, which dot_rows
+reduces over whole lane blocks, decodes its key and value history from
+the codes, and mixes values head by head with a sequential running sum
+of its own (_mix_sequential), so it checks the prepared operands, their
+subtree rule and the fused mix on every step.
 
 This module computes; perf costs. The hardware streams one head at a
 time, and that order lives only in perf's stage trace: Decoder.step
@@ -136,8 +137,9 @@ class KVCacheStore:
     indexed (K/V, layer, head, row), so that a layer's K codes, V codes
     and records are the pieces of a snapshot as they lie. The store owns
     the row codec: write_layer quantizes the rows it is given
-    (kv_quantize). Rows land at the current length during a token;
-    commit() publishes them. Readers take the rows below the length only.
+    (kv_quantize) into the row it is given, the t that begin_token
+    returned. commit() publishes them. Readers take the rows below the
+    length only.
 
     Beside the codes the store keeps their decode, widened to binary32
     and laid out in the order the fused attention reads it, so that no
@@ -179,11 +181,11 @@ class KVCacheStore:
                 f"cache full: {self.length} rows at max_context {self.cfg.max_context}")
         return self.length
 
-    def write_layer(self, layer: int, rows: np.ndarray) -> None:
+    def write_layer(self, layer: int, t: int, rows: np.ndarray) -> None:
         """Quantize one layer's new rows into row t: `rows` is binary16
         (2 * n_heads, head_dim), every head's key, then every head's
         value."""
-        t, heads = self.length, self.cfg.n_heads
+        heads = self.cfg.n_heads
         codes, scales, zeros = kv_quantize(rows)
         self.codes[:, layer, :, t] = codes.reshape(2, heads, -1)
         self.records["scale"][:, layer, :, t] = scales.reshape(2, heads)
@@ -366,7 +368,7 @@ class Decoder:
         probs = softmax(scale_logits(dot_rows(keys.first_rows(t + 1), qk[:heads]), hd))
         head_out = mix_rows(probs, values[:t + 1]).reshape(d)
 
-        self.kv.write_layer(layer, np.concatenate([qk[heads:], v]))
+        self.kv.write_layer(layer, t, np.concatenate([qk[heads:], v]))
         x = _residual(x, dot_rows(mats[pre + "attn.o"], head_out))
 
         h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], rms_sumsq(x))
@@ -422,7 +424,7 @@ class ReferenceDecoder:
             probs = softmax(scale_logits(logits_h, hd))
             out[lo:hi] = _mix_sequential(probs, np.concatenate([past_v, v[None]], axis=0))
             rows[head], rows[heads + head] = k, v
-        kv.write_layer(layer, rows)
+        kv.write_layer(layer, t, rows)
         x = _residual(x, dot_rows(mats[pre + "attn.o"], out))
         h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], rms_sumsq(x))
         act = silu_gate(dot_rows(mats[pre + "mlp.gate"], h2), dot_rows(mats[pre + "mlp.up"], h2))

@@ -2,7 +2,8 @@
 The project has no linter, so this is its unused-import check: every name
 an import binds must be read somewhere in its module, in code or in a
 quoted annotation. It also keeps the split between the module that
-computes a step (pipeline) and the one that costs it (perf)."""
+computes a step (pipeline) and the one that costs it (perf), and keeps
+the rotary ROM in ops, out of numerics' arithmetic contract."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,15 @@ def test_pipeline_computes_and_perf_costs():
     assert from_modules["perf"] == {"TokenTrace"}
     assert not any("BusGeometry" in names for names in from_modules.values())
     assert not COMPUTING_MODULES & set(imports_from(perf))
+
+
+# the scalar unit's rotary names, which ops holds beside the operators that read them
+ROTARY_NAMES = {"QUARTER_ENTRIES", "PHASE_STEPS", "ROPE_BASE", "QUARTER_SINE",
+                "inverse_frequency_table", "sin_cos"}
+
+
+def test_numerics_keeps_the_arithmetic_contract_alone():
+    numerics, ops = (ast.parse((PACKAGE / f"{m}.py").read_text()) for m in ("numerics", "ops"))
+    assert not ROTARY_NAMES & defined_names(numerics)
+    assert ROTARY_NAMES | {"NORM_EPS"} <= defined_names(ops)
+    assert "numerics" not in imports_from(ops)

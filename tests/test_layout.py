@@ -31,7 +31,6 @@ from beatstream.layout import (
     BusGeometry,
     beat_kind_pattern,
     code_beats,
-    container_beats,
     pack_nibbles,
     pack_tensor,
     plan_memory_map,
@@ -40,6 +39,7 @@ from beatstream.layout import (
     read_image,
     region_sizes,
     stream_word_count,
+    tensor_stream_words,
     unpack_nibbles,
     unpack_stream,
     widened_chunks,
@@ -132,8 +132,8 @@ def test_beat_laws_count_the_real_artifacts(g, rows, groups, short):
     cols = groups * g - short % g
     w = np.random.default_rng(rows * cols).standard_normal((rows, cols)).astype(np.float16)
     codes, scales, zeros = quantize_groups(w, g)
-    words = len(pack_tensor(codes, scales, zeros))
-    assert container_beats(rows, cols, g) == -(-words // BusGeometry.words_per_beat)
+    words = pack_tensor(codes, scales, zeros)
+    assert tensor_stream_words(rows, cols, g) == len(words)
     operand = TreeOrderRows(rows, codes.size // rows)
     # a row narrower than a block is reduced over a subtree but still fills its beat
     assert code_beats(rows, cols, g) == rows * -(-operand.shape[1] // LANES)
@@ -384,9 +384,10 @@ class TestImage:
         store = KVCacheStore(cfg)
         rng = np.random.default_rng(8)
         for _ in range(2):
-            store.begin_token()
+            t = store.begin_token()
             for layer in range(cfg.n_layers):
-                store.write_layer(layer, to_half(rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))))
+                store.write_layer(layer, t,
+                                  to_half(rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))))
             store.commit()
         store.save(tmp_path / "kv.img")
         _, length, pieces = read_image(tmp_path / "kv.img", SNAPSHOT_MAGIC)

@@ -1,4 +1,4 @@
-"""Numerics: binary16 contract, dot engine vs wide oracles, sine ROM."""
+"""Numerics: binary16 contract, dot engine vs wide oracles; the sine ROM of ops."""
 
 import hashlib
 import math
@@ -13,21 +13,17 @@ from beatstream.layout import BusGeometry
 from beatstream.numerics import (
     LANE_ORDER,
     LANES,
-    QUARTER_ENTRIES,
-    QUARTER_SINE,
-    PHASE_STEPS,
-    ROPE_BASE,
     TreeOrderRows,
     _bit_reversed_lanes,
     dot_rows,
     half_bits,
     half_from_bits,
-    inverse_frequency_table,
     pad_to_lanes,
-    sin_cos,
     to_half,
     ulp16,
 )
+from beatstream.ops import (PHASE_STEPS, QUARTER_ENTRIES, QUARTER_SINE, ROPE_BASE,
+                            inverse_frequency_table, sin_cos)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beatstream.errors import DomainError, ShapeError
-from beatstream.numerics import inverse_frequency_table, sin_cos, to_half, ulp16
+from beatstream.numerics import to_half, ulp16
 from beatstream import ops
-from beatstream.ops import NORM_EPS, rms_sumsq, rmsnorm, rope_rotate, silu_gate, softmax
+from beatstream.ops import (NORM_EPS, inverse_frequency_table, rms_sumsq, rmsnorm, rope_rotate,
+                            silu_gate, sin_cos, softmax)
 
 from conftest import BAD_INDICES
 

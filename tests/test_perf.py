@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from beatstream import perf
 from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import ConfigError
-from beatstream.layout import SZ_PACKS_PER_BEAT, BusGeometry, container_beats, tensor_stream_words
+from beatstream.layout import (SZ_PACKS_PER_BEAT, BusGeometry, checkpoint_pieces,
+                               tensor_stream_words)
 from beatstream.model_io import tensor_names, tensor_shape
 from beatstream.perf import (
     MAX_BURST_BEATS,
@@ -427,21 +428,22 @@ def test_every_7b_position_bytes_and_cycles():
 
 def test_costing_every_7b_position_sizes_each_container_once(monkeypatch):
     # the weight segments depend on the config alone, so the 8 containers
-    # (7 projections and the head) are sized once for the whole context
+    # (7 projections and the head) are sized once for the whole context,
+    # by one read of the image's piece table
     cfg = llama2_7b_config()
     calls = []
 
-    def counted(rows, cols, group_size):
-        calls.append((rows, cols))
-        return container_beats(rows, cols, group_size)
+    def counted(config):
+        calls.append(config)
+        return checkpoint_pieces(config)
 
-    monkeypatch.setattr(perf, "container_beats", counted)
+    monkeypatch.setattr(perf, "checkpoint_pieces", counted)
     perf._weight_runs.cache_clear()
     model = BusModel(burst_setup_cycles=16)
     for position in range(cfg.max_context):
         bytes_per_token(cfg, "packed_exact", position)
         model.stream_cycles(token_burst_schedule(cfg, position))
-    assert calls == [*cfg.projection_shapes().values(), (cfg.vocab_size, cfg.d_model)]
+    assert calls == [cfg]
 
 
 def test_byte_count_builds_no_schedule(monkeypatch):

@@ -24,7 +24,8 @@ from beatstream.errors import (
 )
 from beatstream.layout import SNAPSHOT_MAGIC, SZ_RECORD, read_image
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
-from beatstream.numerics import LANES, TreeOrderRows, sin_cos, to_half
+from beatstream.numerics import LANES, TreeOrderRows, dot_rows, to_half
+from beatstream.ops import sin_cos
 from beatstream.perf import StageSpan, TokenTrace, stall_free_context_bound
 from beatstream.pipeline import (
     Decoder,
@@ -138,9 +139,9 @@ def write_random_rows(store, rng, tokens):
     store, one write_layer call per layer."""
     cfg = store.cfg
     for _ in range(tokens):
-        store.begin_token()
+        t = store.begin_token()
         for layer in range(cfg.n_layers):
-            store.write_layer(layer, to_half(rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))))
+            store.write_layer(layer, t, to_half(rng.normal(size=(2 * cfg.n_heads, cfg.head_dim))))
         store.commit()
 
 
@@ -217,6 +218,45 @@ class TestCacheMirrors:
             assert np.array_equal(ours[name].view(np.uint32), theirs[name].view(np.uint32))
 
 
+def head_logits(dec, x):
+    """A decoder's frame after its last layer: the final norm, the head dot."""
+    head = dec.weights.mats["lm_head"] if isinstance(dec, Decoder) else dec.mats["lm_head"]
+    return dot_rows(head, ops.rmsnorm(x, dec.ckpt.norms[-1], ops.rms_sumsq(x)))
+
+
+class TestLayerMajor:
+    @pytest.mark.parametrize("cls", [Decoder, ReferenceDecoder])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**16), head_dim=st.sampled_from([2, 6, 16, 24]),
+           tokens=st.lists(st.integers(0, 31), min_size=1, max_size=6))
+    @example(seed=0, head_dim=6, tokens=[3, 1, 4])
+    def test_layer_major_pass_is_the_token_major_steps(self, cls, seed, head_dim, tokens):
+        """Every token through layer 0, then every token through layer 1,
+        and so on, then each token's final norm and head: the logits of
+        stepping token by token, and the same store, bit for bit. A layer
+        body at t reads the cache rows below t and writes row t."""
+        cfg = dataclasses.replace(random_config(np.random.default_rng(seed), head_dim),
+                                  max_context=len(tokens))
+        ckpt = build_demo_checkpoint(seed=seed, cfg=cfg)
+        stepped = cls(ckpt)
+        want = [stepped.step(tok) for tok in tokens]
+        if cls is Decoder:
+            want = [logits for logits, _ in want]
+        layered = cls(ckpt)
+        xs = [pipeline._embedding_row(ckpt, tok) for tok in tokens]
+        for layer in range(cfg.n_layers):
+            for t, x in enumerate(xs):
+                xs[t] = layered._layer(x, layer, t)
+        for t, x in enumerate(xs):
+            assert layered.kv.begin_token() == t
+            layered.kv.commit()
+            assert np.array_equal(head_logits(layered, x).view(np.uint16),
+                                  want[t].view(np.uint16)), t
+        ours, theirs = store_arrays(layered.kv), store_arrays(stepped.kv)
+        for name, a in ours.items():
+            assert a.tobytes() == theirs[name].tobytes(), name
+
+
 BAD_RECORDS = {**{f"scale-{name}": ("scale", scale) for name, scale in UNWRITTEN_SCALES.items()},
                "decode-overflow": ("scale", 65504.0), "pad-nonzero": ("pad", 1)}
 
@@ -240,9 +280,9 @@ class TestKVCacheStore:
         cfg = dataclasses.replace(tiny_demo_config(max_context=3), n_heads=2, d_model=8)
         store = KVCacheStore(cfg)
         for rows in written:
-            store.begin_token()
+            t = store.begin_token()
             for layer in range(cfg.n_layers):
-                store.write_layer(layer, rows[layer])
+                store.write_layer(layer, t, rows[layer])
             store.commit()
         for t, layer, i in np.ndindex(written.shape[:3]):
             which, head = divmod(i, cfg.n_heads)
