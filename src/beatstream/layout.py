@@ -224,8 +224,8 @@ def stream_word_count(n_groups: int, group_size: int) -> int:
     the WEIGHT words its codes fill."""
     if n_groups <= 0:
         raise ShapeError("n_groups must be positive")
-    if group_size % 4 != 0:
-        raise ConfigError(f"group_size {group_size} does not map 16 groups to whole words")
+    if group_size <= 0 or group_size % 4:
+        raise ConfigError(f"group_size {group_size} is not a positive multiple of 4")
     blocks, rest = divmod(n_groups, ZPS_PER_WORD)
     words = blocks * (5 + group_size)
     if rest:

@@ -31,9 +31,10 @@ TreeOrderRows: widened to binary32 and stored (blocks, lanes, rows), or
 subtree rule: a row that fits in one block is reduced over the smallest
 power-of-two subtree that holds it, chosen by shape alone, since the
 rest of the block's tree only adds +0.0 (see TreeOrderRows). Each
-block's lanes sit in bit-reversed order over the subtree's own width
-(LANE_ORDER for 128 lanes; its first 16 entries are not the 16-lane
-order). In that order lanes 2j and 2j+1 of the adjacent-pair tree sit at
+block's lanes sit in bit-reversed order over the subtree's own width: a
+subtree of 2**b lanes takes LANE_ORDER[:2**b] >> (7 - b), the reversal
+of 0..127 over 7 bits cut to its first 2**b entries and shifted down to
+b bits. In that order lanes 2j and 2j+1 of the adjacent-pair tree sit at
 positions i and i + lanes/2 for the same i, and the pair sums land in
 bit-reversed order again, one bit shorter. Every tree level is then the
 sum of two contiguous halves over all rows (and heads) at once, and it
@@ -56,8 +57,6 @@ is the oracle of every prepared operand and of the subtree rule.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -104,55 +103,36 @@ def _tree_reduce_f32(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
-def _subtree_lanes(width: int) -> int:
-    """Lanes a prepared row of `width` is reduced over: whole LANES blocks,
-    or for a row of one block the smallest power-of-two subtree that holds
-    it."""
-    return LANES if width > LANES else 1 << (width - 1).bit_length()
-
-
-@functools.cache   # one per power of two up to LANES
-def _bit_reversed_lanes(width: int) -> np.ndarray:
-    """Lane indices 0..width-1 of a `width`-lane subtree (a power of two)
-    in bit-reversed order, read-only because every operand of that width
-    shares them.
-
-    Built level by level: if `order` lists the nodes of tree level one,
-    the lanes feeding node j are 2j and 2j+1, so the first half of the
-    result holds the even lane of each node and the second half the odd
-    one at the same position. The reversal is over the subtree's own
-    bits: LANE_ORDER[:16] is not the 16-lane order.
-    """
-    order = np.zeros(1, dtype=np.intp)
-    while order.size < width:
-        order = np.concatenate([2 * order, 2 * order + 1])
-    order.flags.writeable = False
-    return order
-
-
-LANE_ORDER = _bit_reversed_lanes(LANES)
+# Tree position i of a block holds lane LANE_ORDER[i], the reversal of i
+# over a lane index's 7 bits; read-only, as every operand reads it.
+LANE_ORDER = np.array([int(f"{i:07b}"[::-1], 2) for i in range(LANES)], dtype=np.intp)
+LANE_ORDER.flags.writeable = False
 
 
 class TreeOrderRows:
     """A binary16 matrix (n, width), or one per head (heads, n, width),
     prepared for the tree dot engine.
 
-    A row is reduced over `lanes` lanes, the subtree rule (_subtree_lanes):
-    the smallest power-of-two subtree that holds `width`, or whole LANES
-    blocks past one block. That is exact: every lane past the subtree
-    multiplies +0.0 by +0.0, so the rest of the block's tree adds +0.0 to
-    the subtree's sum, which leaves any sum but -0.0 as it is (infinities
-    and NaNs included), and the +0.0 block accumulator turns a zero sum of
-    either sign into +0.0. The width rounds up to whole blocks of those
-    lanes, `shape` is the plain operand's with that width, and the columns
-    past `width` hold +0.0, as lane padding does. Values are widened once
-    to binary32 (exact) and stored as `blocks`, (blocks, lanes, n) or
-    (blocks, lanes, heads, n), with the lanes of each block in `order`, the
-    bit reversal over `lanes` (see the module docstring). dot_rows takes an
+    A row is reduced over `lanes` lanes, the subtree rule: the smallest
+    power-of-two subtree that holds `width`, at least two lanes (no
+    decoder operand is one column wide), or whole LANES blocks past one
+    block. That is exact: every lane past the subtree multiplies +0.0 by
+    +0.0, so the rest of the block's tree adds +0.0 to the subtree's sum,
+    which leaves any sum but -0.0 as it is (infinities and NaNs included),
+    and the +0.0 block accumulator turns a zero sum of either sign into
+    +0.0. The width rounds up to whole blocks of those lanes, and the
+    columns past `width` hold +0.0, as lane padding does. An operand is
+    two arrays. Its values, widened once to binary32 (exact), are
+    `blocks`, (blocks, lanes, n) or (blocks, lanes, heads, n); `shape`,
+    the plain operand's with the rounded width, is read off them. The
+    lanes of each block sit in `order`, the bit reversal over `lanes`
+    taken off LANE_ORDER (see the module docstring). dot_rows takes an
     operand in place of its plain matrix and returns the same bits, up to
     the sign and payload of a NaN result, which are not part of the
     contract.
     """
+
+    __slots__ = ("blocks", "order")
 
     def __init__(self, *shape: int) -> None:
         if len(shape) not in (2, 3):
@@ -160,18 +140,20 @@ class TreeOrderRows:
         *lead, width = shape
         if width <= 0:
             raise ShapeError(f"width {width} holds no column")
-        lanes = _subtree_lanes(width)
-        n_blocks = -(-width // lanes)
-        self.order = _bit_reversed_lanes(lanes)
-        self.shape = (*lead, n_blocks * lanes)
-        self.blocks = np.zeros((n_blocks, lanes, *lead), dtype=np.float32)
+        lanes = min(LANES, 1 << max(width - 1, 1).bit_length())
+        self.order = LANE_ORDER[:lanes] >> (LANES.bit_length() - lanes.bit_length())
+        self.blocks = np.zeros((-(-width // lanes), lanes, *lead), dtype=np.float32)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        n_blocks, lanes, *lead = self.blocks.shape
+        return (*lead, n_blocks * lanes)
 
     def first_rows(self, k: int) -> "TreeOrderRows":
         """The operand of rows 0..k-1 (of every head): a view that shares
         `blocks`."""
         view = object.__new__(TreeOrderRows)
         view.order, view.blocks = self.order, self.blocks[..., :k]
-        view.shape = (*self.shape[:-2], k, self.shape[-1])
         return view
 
     def assign(self, lo: int, rows: np.ndarray) -> None:
@@ -210,8 +192,7 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     einsum forms the products and the tree's first level together into a
     buffer of (lanes/2, [heads,] n), the pair sums p_i + p_{i+lanes/2};
     then log2(lanes) - 1 in-place half additions, and the sequential block
-    accumulator from +0.0. A one-lane operand has no tree level: its
-    einsum sums a single product.
+    accumulator from +0.0.
 
     The fused level has the bits of a multiply then an add. A product of
     two binary16 values is exact in binary32, so a pair sum has one
@@ -224,16 +205,14 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     accumulator numpy does not fix.
     """
     n_blocks, lanes, *lead = rows.blocks.shape[:-1]
+    half = lanes // 2
     v = np.zeros((n_blocks * lanes, *lead), dtype=np.float32)
     v[:vec.shape[-1]] = vec.T
-    v = v.reshape(n_blocks, lanes, *lead)[:, rows.order]   # (b, lanes, [h])
-    k = min(lanes, 2)
-    half = lanes // k
-    spec = "klhr,klh->lhr" if lead else "klr,kl->lr"
+    v = v.reshape(n_blocks, lanes, *lead)[:, rows.order].reshape(n_blocks, 2, half, *lead)
     buf = np.empty((half, *rows.blocks.shape[2:]), dtype=np.float32)
     acc = np.zeros(buf.shape[1:], dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
-        np.einsum(spec, rows.blocks[b].reshape(k, *buf.shape), v[b].reshape(k, half, *lead),
+        np.einsum("kl...r,kl...->l...r", rows.blocks[b].reshape(2, *buf.shape), v[b],
                   out=buf, optimize=False)
         h = half
         while h > 1:

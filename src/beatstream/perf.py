@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -134,7 +135,9 @@ class BusModel:
 
     def __post_init__(self) -> None:
         setup = self.burst_setup_cycles
-        if isinstance(setup, bool) or not 0 <= setup < math.inf:
+        # a numpy bool is no numbers.Real; a Python bool is, and is refused too
+        if isinstance(setup, bool) or not isinstance(setup, numbers.Real) \
+                or not 0 <= setup < math.inf:
             raise ConfigError(f"setup must be a finite number >= 0, got {setup!r}")
 
     def stream_cycles(self, schedule: BurstSchedule) -> float:

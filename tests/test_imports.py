@@ -1,9 +1,11 @@
 """Import checks on the package's source, each module parsed with ast.
 The project has no linter, so this is its unused-import check: every name
 an import binds must be read somewhere in its module, in code or in a
-quoted annotation. It also keeps the split between the module that
-computes a step (pipeline) and the one that costs it (perf), and keeps
-the rotary ROM in ops, out of numerics' arithmetic contract."""
+quoted annotation. Its dead-code check is that every private top-level
+name a module defines is read somewhere in the package, so a helper
+cannot outlive its last caller. It also keeps the split between the
+module that computes a step (pipeline) and the one that costs it (perf),
+and keeps the rotary ROM in ops, out of numerics' arithmetic contract."""
 
 import ast
 from pathlib import Path
@@ -47,6 +49,18 @@ def test_every_imported_name_is_read():
         unused += [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items()
                    if name not in read and (path.stem, name) not in BOUND_FOR_BEATBENCH]
     assert not unused, f"imported but never read: {unused}"
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    read |= {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{private}" for name, tree in trees.items()
+              for private in sorted(defined_names(tree))
+              if private.startswith("_") and not private.startswith("__") and private not in read]
+    assert not unread, f"private but never read: {unread}"
 
 
 # the stage trace, which perf holds beside the DMA schedule and the bus model

@@ -97,8 +97,9 @@ class TestKindPattern:
                 assert int(np.sum(kinds == KIND_SCALE)) == math.ceil(n / 16)
 
     def test_rejects_unmappable_group_size(self):
-        with pytest.raises(ConfigError):
-            beat_kind_pattern(10, 6)
+        for group_size in (6, 0, -4):   # not a positive multiple of 4
+            with pytest.raises(ConfigError):
+                beat_kind_pattern(10, group_size)
 
 
 GROUP_SIZES = st.integers(1, 64).map(lambda k: 4 * k)

@@ -14,7 +14,6 @@ from beatstream.numerics import (
     LANE_ORDER,
     LANES,
     TreeOrderRows,
-    _bit_reversed_lanes,
     dot_rows,
     half_bits,
     half_from_bits,
@@ -200,7 +199,9 @@ def test_tree_order_rows_match_plain_rows(data, width, n, heads):
     split = data.draw(st.integers(0, n), label="split")
     prepared.assign(0, rows[..., :split, :])
     prepared.assign(split, rows[..., split:, :])
-    padded = 1 << (width - 1).bit_length() if width <= LANES else -(-width // LANES) * LANES
+    # a one-column operand is two lanes wide, the smallest subtree with a level
+    padded = max(2, 1 << (width - 1).bit_length()) if width <= LANES \
+        else -(-width // LANES) * LANES
     assert prepared.shape == lead + (n, padded)
     wide = np.zeros(prepared.shape, dtype=np.float32)
     wide[..., :width] = rows
@@ -286,11 +287,17 @@ def test_bit_reversed_lanes():
     assert LANE_ORDER[:8].tolist() == [0, 64, 32, 96, 16, 80, 48, 112]
     assert all(LANE_ORDER[i] == int(f"{i:07b}"[::-1], 2) for i in range(LANES))
     assert not LANE_ORDER.flags.writeable
-    for bits in range(7):
-        order = _bit_reversed_lanes(1 << bits)
-        assert [int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits)] == order.tolist()
-    # a subtree reverses its own bits, not the first lanes of the whole tree's
-    assert _bit_reversed_lanes(16).tolist() != LANE_ORDER[:16].tolist()
+    for bits in range(1, 8):
+        order = TreeOrderRows(1, 1 << bits).order.tolist()
+        # a subtree reverses its own bits, not the first lanes of the whole tree's
+        assert order == [int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits)]
+        # at every level, a node's lanes 2j and 2j+1 sit at positions i and
+        # i + half, and the node sums land at positions i in the same order
+        while len(order) > 1:
+            half = len(order) // 2
+            assert all(lane % 2 == 0 for lane in order[:half])
+            assert [lane + 1 for lane in order[:half]] == order[half:]
+            order = [lane // 2 for lane in order[:half]]
 
 
 def test_dot_shape_errors():

@@ -100,7 +100,8 @@ def test_numpy_int_position_taken_as_its_value(position):
     assert token_bytes == bytes_per_token(cfg, "packed_exact", int(position))
 
 
-@pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf, True])
+@pytest.mark.parametrize("setup", [-1.0, math.nan, math.inf, True,
+                                   pytest.param(np.True_, id="np.True_"), "1", None])
 def test_bus_model_rejects_setup_outside_finite_non_negative(setup):
     with pytest.raises(ConfigError):
         BusModel(burst_setup_cycles=setup)
