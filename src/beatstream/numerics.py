@@ -40,16 +40,19 @@ bit-reversed order again, one bit shorter. Every tree level is then the
 sum of two contiguous halves over all rows (and heads) at once, and it
 adds the same pairs as the plain path, so the result is the same bit for
 bit. The first level is fused with the products, as the multiplier array
-feeds the adder tree with no product stored: one np.einsum per block sums
+feeds the adder tree with no product stored: one call per block sums
 each lane pair's two products into a (lanes/2, [heads,] n) buffer, and
-log2(lanes) - 1 in-place half additions follow. A product of two binary16
-values is exact in binary32, so a pair sum has one rounding however it is
-formed; only a zero's sign can differ, and the +0.0 block accumulator
-never passes it on (see _tree_order_dot). A NaN result is the one
-exception: only its being NaN is part of the contract, not its sign or
-payload (see dot_rows). The weights are such operands, prepared once per
-checkpoint, and so is the KV cache's key mirror, whose step view of rows
-0..t (first_rows) is free; one tree kernel serves both. (The cache's
+log2(lanes) - 1 in-place half additions follow. On a 2-D operand that
+call is one np.matmul, a K = 2 product per lane pair; an operand with a
+head axis keeps one np.einsum (see _tree_order_dot). A product of two
+binary16 values is exact in binary32 and never subnormal there, so a
+pair sum has one rounding, RN32(p0 + p1), whatever the summation order,
+FMA, start value or BLAS thread split; only a zero's sign can differ,
+and the +0.0 block accumulator never passes it on. A NaN result is the
+one exception: only its being NaN is part of the contract, not its sign
+or payload (see dot_rows). The weights are such operands, prepared once
+per checkpoint, and so is the KV cache's key mirror, whose step view of
+rows 0..t (first_rows) is free; one tree kernel serves both. (The cache's
 value mirror is prepared too, but token-major for the value mix in
 pipeline, not for this engine.) The reference decoder in pipeline reads
 plain binary16 matrices and cache rows decoded from their codes, so it
@@ -188,21 +191,36 @@ class TreeOrderRows:
 
 
 def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
-    """dot_rows in tree order over a prepared operand. Per block, one
-    einsum forms the products and the tree's first level together into a
-    buffer of (lanes/2, [heads,] n), the pair sums p_i + p_{i+lanes/2};
-    then log2(lanes) - 1 in-place half additions, and the sequential block
-    accumulator from +0.0.
+    """dot_rows in tree order over a prepared operand. Per block, one call
+    forms the products and the tree's first level together into a buffer
+    of (lanes/2, [heads,] n), the pair sums p_i + p_{i+lanes/2}; then
+    log2(lanes) - 1 in-place half additions over level views built once
+    a call, and the sequential block accumulator from +0.0.
 
-    The fused level has the bits of a multiply then an add. A product of
-    two binary16 values is exact in binary32, so a pair sum has one
-    rounding, RN32(p_i + p_{i+lanes/2}), whatever the order, fusing or
-    accumulator width. One sign differs: einsum adds from +0.0, so two
-    -0.0 products sum to +0.0, not -0.0. No zero's sign reaches the
-    result, since the block accumulator starts at +0.0, is never -0.0,
-    and x + (+-0) = x for any x != 0. optimize=False keeps einsum on its
-    own two-operand loop, not a BLAS call, whose summation order and
-    accumulator numpy does not fix.
+    On a 2-D operand (every weight stage and the head) the first level is
+    one np.matmul of the block's lane pairs, seen as (lanes/2, 1, 2),
+    against the block seen as (lanes/2, 2, n), into one (lanes/2, 1, n)
+    view of the buffer. Each output has exactly two terms, and each is a
+    product of two binary16 values: exact in binary32 (22 significand
+    bits < 24) and never subnormal (at least 2**-48). So any summation
+    order, FMA, start value, accumulator width or BLAS thread split gives
+    RN32(p0 + p1), but for a zero's sign: a sum started from +0.0 turns
+    two -0.0 products into +0.0. No zero's sign reaches the result, since
+    the block accumulator starts at +0.0, is never -0.0, and
+    x + (+-0) = x for any x != 0. A NaN's payload is outside the contract
+    (see dot_rows). What the level takes from BLAS, that beta = 0
+    overwrites `out` and that each entry is one rounding of the exact
+    pair sum, is pinned by a test.
+
+    An operand with a head axis (the KV cache's key mirror) keeps one
+    np.einsum(optimize=False) per block, numpy's own two-operand loop,
+    which forms the same pair sums. There, matmul would be heads x
+    lanes/2 short gemv calls, slower than the one einsum loop.
+
+    matmul checks the floating-point status and einsum does not, so on a
+    2-D operand an inf times zero or an inf minus an inf raises numpy's
+    floating-point warnings, as on the plain path; the head form stays
+    silent.
     """
     n_blocks, lanes, *lead = rows.blocks.shape[:-1]
     half = lanes // 2
@@ -210,14 +228,19 @@ def _tree_order_dot(rows: TreeOrderRows, vec: np.ndarray) -> np.ndarray:
     v[:vec.shape[-1]] = vec.T
     v = v.reshape(n_blocks, lanes, *lead)[:, rows.order].reshape(n_blocks, 2, half, *lead)
     buf = np.empty((half, *rows.blocks.shape[2:]), dtype=np.float32)
+    halves = [half >> k for k in range(1, half.bit_length())]      # level 2 up
+    levels = [(buf[:h], buf[h:2 * h]) for h in halves]
+    if not lead:                   # a block's lane pairs (half, 1, 2), into (half, 1, n)
+        pairs, level_one = v.transpose(0, 2, 1)[:, :, None], buf[:, None]
     acc = np.zeros(buf.shape[1:], dtype=np.float32)
     for b in range(n_blocks):                              # sequential across blocks
-        np.einsum("kl...r,kl...->l...r", rows.blocks[b].reshape(2, *buf.shape), v[b],
-                  out=buf, optimize=False)
-        h = half
-        while h > 1:
-            h //= 2
-            np.add(buf[:h], buf[h:2 * h], out=buf[:h])
+        block = rows.blocks[b].reshape(2, *buf.shape)
+        if lead:
+            np.einsum("klhr,klh->lhr", block, v[b], out=buf, optimize=False)
+        else:
+            np.matmul(pairs[b], block.transpose(1, 0, 2), out=level_one)
+        for low, high in levels:
+            np.add(low, high, out=low)
         np.add(acc, buf[0], out=acc)
     return acc.astype(np.float16)
 

@@ -433,9 +433,9 @@ def prepared_and_plain(rows, vec):
 def test_zero_products_sum_to_positive_zero(width, heads, mixed):
     """Products that are all -0.0, or zeros of both signs, at every
     subtree width and past one block: the prepared kernel's first level
-    adds from +0.0 where the plain path adds two products, so pair sums
-    of two -0.0 differ in sign, but the +0.0 block accumulator makes both
-    results +0.0."""
+    may add from +0.0 where the plain path adds two products, so pair
+    sums of two -0.0 may differ in sign, but the +0.0 block accumulator
+    makes both results +0.0."""
     rng = np.random.default_rng(width)
     lead = () if heads is None else (heads,)
     rows = np.full(lead + (5, width), -0.0, dtype=np.float16)
@@ -479,6 +479,75 @@ def test_pair_sum_rounds_once_in_binary32(width, heads, gap):
     prepared, plain = prepared_and_plain(rows, vec)
     assert np.array_equal(half_bits(prepared), half_bits(want))
     assert np.array_equal(half_bits(prepared), half_bits(plain))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf times zero, inf minus inf
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(2, 4), n=st.integers(1, 40),
+       tail=st.integers(0, LANES - 1), vec_infs=st.integers(0, 3),
+       row_inf_frac=st.sampled_from([0.0, 0.2, 0.6]))
+def test_level_one_buffer_carries_nothing_across_rows_or_blocks(seed, blocks, n, tail,
+                                                                 vec_infs, row_inf_frac):
+    """A 2-D operand of 2 to 4 blocks (the last one may be part filled)
+    whose first block turns partial sums into +-inf or NaN: vector lanes
+    of +-inf meet zero and non-zero weights in every row, and +-inf
+    weights in some rows meet zero and non-zero vector lanes. Later
+    blocks are finite. The prepared dot gives the plain path's bits, a
+    NaN result compared as NaN only, so the level-one buffer, reused by
+    every block, never carries one row's or one block's non-finite value
+    into another."""
+    rng = np.random.default_rng(seed)
+    width = blocks * LANES - tail
+    rows = to_half(rng.normal(size=(n, width)) * 2.0 ** rng.integers(-8, 8, (n, 1)))
+    vec = to_half(rng.normal(size=width))
+    first = rows[:, :LANES]                                # a view: edits land in rows
+    first[rng.random(first.shape) < 0.3] = rng.choice([0.0, -0.0])
+    vec[rng.choice(LANES, 8, replace=False)] = 0.0
+    hit = rng.random(n) < row_inf_frac
+    for r in np.flatnonzero(hit):
+        first[r, rng.choice(LANES, rng.integers(1, 4), replace=False)] = rng.choice([np.inf, -np.inf])
+    vec[rng.choice(LANES, vec_infs, replace=False)] = rng.choice([np.inf, -np.inf], vec_infs)
+    operand = TreeOrderRows(n, width)
+    operand.assign(0, rows)
+    got, want = dot_rows(operand, vec), dot_rows(rows, vec)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(half_bits(got)[~np.isnan(got)], half_bits(want)[~np.isnan(want)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf times zero, inf minus inf
+@pytest.mark.parametrize("half,n", [(1, 3), (1, 300), (4, 75), (64, 1536), (64, 11008)])
+def test_level_one_matmul_is_one_rounding_of_the_pair_sum(half, n):
+    """What the tree kernel's first level takes from BLAS, in the kernel's
+    own layout: lane pairs (half, 1, 2), lane i and lane i + half, a
+    strided view; a block (2 * half, n) seen as (half, 2, n) through a
+    transpose; and an `out` of (half, 1, n). np.matmul must overwrite
+    every entry of an `out` prefilled with NaN, +inf and -inf (beta = 0
+    honoured), and on binary16 values rich in edge cases each entry must
+    be RN32(a0 * x0 + a1 * x1), a NaN compared as NaN only. The oracle
+    forms it in binary64: the products are exact there, and a binary64
+    sum of two binary32 values rounded to binary32 is that one rounding
+    (53 >= 2 * 24 + 2). Only a zero's sign may differ, which `==`
+    ignores."""
+    rng = np.random.default_rng(half * n)
+    edges = np.array(EDGE_HALVES, dtype=np.float16)
+
+    def draw(shape):
+        x = to_half(rng.normal(size=shape) * 2.0 ** rng.integers(-24, 15, shape))
+        hit = rng.random(shape) < 0.3
+        x[hit] = rng.choice(edges, hit.sum())
+        return x.astype(np.float32)
+
+    block, v = draw((2 * half, n)), draw((2, half))
+    v[:, 0] = 1.0                   # pair 0's first columns sum to NaN, +inf and zero
+    block[[0, half], :3] = [[np.inf, np.inf, 0.0], [-np.inf, 1.0, -0.0]]
+    out = rng.choice(np.float32([np.nan, np.inf, -np.inf]), (half, 1, n))
+    np.matmul(v.T[:, None], block.reshape(2, half, n).transpose(1, 0, 2), out=out)
+    wide = block.astype(np.float64)
+    want = (v[0, :, None] * wide[:half] + v[1, :, None] * wide[half:]).astype(np.float32)
+    got = out[:, 0]
+    assert np.isnan(want).any() and np.isinf(want).any() and (want == 0).any()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
 
 
 def test_pad_to_lanes_is_exact():
