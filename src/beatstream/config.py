@@ -9,7 +9,9 @@ group (padded codes dequantize to exactly 0.0).
 The model's two real-valued settings are LLaMA2's and are constants of the
 operators that use them: the RMS norm's epsilon (ops.NORM_EPS, 1e-5) and
 the rotary base (ops.ROPE_BASE, 10000). A config is stored as its
-seven integers in the header of an image file (see layout).
+seven integers in the header of an image file (see layout). STREAM_STAGES
+states a layer's stream once, for the image's tensor order
+(projection_shapes), the fused decoder's operands and the stage trace.
 """
 
 from __future__ import annotations
@@ -17,6 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+
+# A layer's vector-unit stream stages in order, each head's, then the
+# layer's, with their operands: the projections whose rows a stage streams,
+# or none for the head's cached K (kv_dot) or V (value_mix) rows.
+STREAM_STAGES = (
+    (("q", ("attn.q",)), ("k", ("attn.k",)), ("kv_dot", ()), ("v", ("attn.v",)),
+     ("value_mix", ())),
+    (("o", ("attn.o",)), ("gate_up", ("mlp.gate", "mlp.up")), ("down", ("mlp.down",))),
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +62,11 @@ class ModelConfig:
     # ---- derived parameter counts -------------------------------------
 
     def projection_shapes(self) -> dict[str, tuple[int, int]]:
-        """(rows, cols) per packed tensor of one layer; cols is the input dim."""
+        """(rows, cols) per tensor of a layer in stream order; cols is the input dim."""
         d, f = self.d_model, self.d_ffn
-        return {
-            "attn.q": (d, d), "attn.k": (d, d), "attn.v": (d, d), "attn.o": (d, d),
-            "mlp.gate": (f, d), "mlp.up": (f, d), "mlp.down": (d, f),
-        }
+        shapes = {"mlp.gate": (f, d), "mlp.up": (f, d), "mlp.down": (d, f)}
+        return {name: shapes.get(name, (d, d))
+                for stages in STREAM_STAGES for _, operand in stages for name in operand}
 
     def layer_params(self) -> int:
         return sum(r * c for r, c in self.projection_shapes().values())

@@ -7,7 +7,7 @@ the position: the stage trace, TokenTrace, times the fused pipeline stage
 by stage; the DMA schedule, token_burst_schedule, lists the step's bus
 requests, which BusModel costs with a fixed setup per maximal burst of
 MAX_BURST_BEATS beats. Both read their weight beats from layout, and they
-differ in three ways:
+differ in four ways:
 
   - the trace charges a weight's 4-bit codes (layout.code_beats), the bus
     its whole container, its piece of the image (layout.checkpoint_pieces),
@@ -18,7 +18,11 @@ differ in three ways:
     head, so a 16-wide row costs a cycle against a quarter beat;
   - the bus writes a scale-zero beat per stream every SZ_PACKS_PER_BEAT
     rows and the trace none, and neither reads them back for attention
-    (131,072 beats at the LLaMA2-7B head position, 0.23%).
+    (131,072 beats at the LLaMA2-7B head position, 0.23%);
+  - the bus fetches each container whole in image order, the trace
+    consumes q, k and v a head's slice at a time and gate and up rows
+    interleaved (config.STREAM_STAGES); read in that order, the image
+    costs 2.2% more at the LLaMA2-7B head position under BusModel(16).
 
 Two counting modes give the bytes per token: non_embedding, the 4-bit
 codes of the parameters streamed each token (default; the embedding is a
@@ -43,7 +47,7 @@ from importlib import resources
 from itertools import chain, repeat, starmap
 from typing import ClassVar, NamedTuple
 
-from .config import ModelConfig
+from .config import STREAM_STAGES, ModelConfig
 from .errors import ConfigError, as_index
 from .layout import SZ_PACKS_PER_BEAT, BusGeometry, checkpoint_pieces, code_beats
 
@@ -324,11 +328,12 @@ class TokenTrace:
     below come from one pass over the spans, made when one is first read,
     and the trace keeps only those integers.
 
-    Weight-fed stages cost one cycle per beat of their tensor's 4-bit codes
+    The vector unit runs a layer's config.STREAM_STAGES in order. Weight-fed
+    stages cost one cycle per beat of their projections' 4-bit codes
     (layout.code_beats); a head's q, k or v slice is its projection's
-    beats over n_heads. Cache-fed stages (the
-    attention dot and the value mix) cost, per token row, the beats of one
-    cached row: head_dim 8-bit codes. Scalar-unit passes take one element
+    beats over n_heads. Cache-fed stages (the attention dot and the value
+    mix) cost, per token row, the beats of one cached row: head_dim 8-bit
+    codes. Scalar-unit passes take one element
     per cycle and are forwarded, so they overlap the stream that
     produces or consumes them; the one ordering that can stall the vector
     unit is softmax: the exponent pass cannot start until the attention
@@ -398,85 +403,73 @@ class TokenTrace:
 
 
 def stall_free_context_bound(cfg: ModelConfig) -> int:
-    """Longest context the value-projection stream can hide softmax under.
-
-    The exponent pass costs t+1 cycles after the attention dot, plus the
-    forwarding lead; it stalls nothing while that fits inside one head's
-    slice of the value projection's code beats.
-    """
-    v_beats = code_beats(*cfg.projection_shapes()["attn.v"], cfg.group_size) // cfg.n_heads
+    """Longest context the value-projection stream can hide softmax under:
+    the exponent pass (t+1 cycles after the attention dot) plus the
+    forwarding lead stalls nothing while it fits in a head's v stage."""
+    v_beats = _operand_beats(cfg, dict(STREAM_STAGES[0])["v"]) // cfg.n_heads
     return v_beats - SOFTMAX_FORWARD_LEAD - 1
 
 
-_LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
-                 "down", "mlp_residual")
-_HEAD_STAGES = ("q", "rope_q", "k", "rope_k", "kv_dot", "softmax_max", "k_quant",
-                "softmax_exp", "softmax_norm", "v", "v_quant", "softmax_wait", "value_mix")
+def _operand_beats(cfg: ModelConfig, operand: tuple[str, ...]) -> int:
+    return sum(code_beats(*cfg.projection_shapes()[name], cfg.group_size) for name in operand)
+
+
+# Each vector stage's scalar-unit passes in trace order: (name, anchor, length), starting
+# at the stage's "start" or "end", or "then", where the pass before it ends.
+_SCALAR_PASSES = {
+    "q": (("rope_q", "end", "head_dim"),), "k": (("rope_k", "end", "head_dim"),),
+    "kv_dot": (("softmax_max", "start", "cached"), ("k_quant", "start", "quant"),
+               ("softmax_exp", "end", "rows"), ("softmax_norm", "then", "rows")),
+    "v": (("v_quant", "start", "quant"),), "value_mix": (),
+    "o": (("attn_residual", "start", "d_model"), ("mlp_norm", "end", "d_model")),
+    "gate_up": (("silu", "start", "d_ffn"),), "down": (("mlp_residual", "start", "d_model"),),
+}
 
 
 @lru_cache(maxsize=16)
-def _span_names(n_layers: int, n_heads: int) -> tuple:
-    """Per layer: its stage names and each head's, built once per shape:
-    building them is a third of a figure pass (LLaMA2-7B, 2-core Xeon VM,
-    best of 3: 7.0 ms a trace with them cached, 10.7 ms without)."""
-    return tuple((tuple(f"L{layer}.{s}" for s in _LAYER_STAGES),
-                  tuple(tuple(f"L{layer}.h{head}.{s}" for s in _HEAD_STAGES)
-                        for head in range(n_heads)))
-                 for layer in range(n_layers))
+def _stage_plan(cfg: ModelConfig) -> tuple:
+    """Per layer: its attention norm's name and its vector stages in stream
+    order, (name, weight beats or 0 for cached rows, its stall's name if it
+    waits on softmax, its passes, the exponent pass flagged), named once per
+    config, as naming is a third of a figure pass."""
+    def stage(prefix, name, operand, share):
+        return (prefix + name, _operand_beats(cfg, operand) // share,
+                prefix + "softmax_wait" if name == "value_mix" else None,
+                tuple((prefix + p, anchor, length, p == "softmax_exp")
+                      for p, anchor, length in _SCALAR_PASSES[name]))
+
+    heads, layer = STREAM_STAGES
+    return tuple((f"L{i}.attn_norm", tuple(stage(f"L{i}.h{h}.", *entry, cfg.n_heads)
+                                           for h in range(cfg.n_heads) for entry in heads)
+                  + tuple(stage(f"L{i}.", *entry, 1) for entry in layer))
+                 for i in range(cfg.n_layers))
 
 
 def _stage_spans(cfg: ModelConfig, position: int) -> Iterator[StageSpan]:
-    """The spans of the step at `position`, in stream order, by the cost
-    rules of TokenTrace."""
-    hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
-    beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
-    qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
-    ob, db, lb = beats["attn.o"], beats["mlp.down"], code_beats(cfg.vocab_size, d, g)
-    gb = beats["mlp.gate"] + beats["mlp.up"]
-    rows = position + 1
-    rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
-
+    """The spans of the step at `position`: a walk of _stage_plan by the
+    cost rules of TokenTrace, stalling only the value mix on softmax."""
+    d, hd, rows = cfg.d_model, cfg.head_dim, position + 1
+    cached = rows * -(-hd // BusGeometry.beat_bytes)  # a cached-rows stage's cycles
+    lengths = dict(head_dim=hd, quant=2 * hd, d_model=d, d_ffn=cfg.d_ffn, rows=rows, cached=cached)
     yield StageSpan("embed", "spu", 0, d)
-    c = 0  # vector-unit cycle cursor
-    for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
-        attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
+    c = ready = 0  # the vector unit's cursor; when softmax frees the value mix
+    for attn_norm, stages in _stage_plan(cfg):
         yield StageSpan(attn_norm, "spu", c, c + d)
-        for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
-             v, v_quant, softmax_wait, value_mix) in head_names:
-            yield StageSpan(q, "vpu", c, c + qb, qb)
-            yield StageSpan(rope_q, "spu", c + qb, c + qb + hd)
-            c += qb
-            yield StageSpan(k, "vpu", c, c + kb, kb)
-            yield StageSpan(rope_k, "spu", c + kb, c + kb + hd)
-            c += kb
-            dot_end = c + rows_cycles
-            yield StageSpan(kv_dot, "vpu", c, dot_end)
-            yield StageSpan(softmax_max, "spu", c, dot_end)
-            yield StageSpan(k_quant, "spu", c, c + 2 * hd)
-            c = dot_end
-            exp_end = dot_end + rows
-            yield StageSpan(softmax_exp, "spu", dot_end, exp_end)
-            yield StageSpan(softmax_norm, "spu", exp_end, exp_end + rows)
-            yield StageSpan(v, "vpu", c, c + vb, vb)
-            yield StageSpan(v_quant, "spu", c, c + 2 * hd)
-            c += vb
-            mix_start = exp_end + SOFTMAX_FORWARD_LEAD
-            if mix_start > c:
-                yield StageSpan(softmax_wait, "stall", c, mix_start)
-                c = mix_start
-            yield StageSpan(value_mix, "vpu", c, c + rows_cycles)
-            c += rows_cycles
-        yield StageSpan(o, "vpu", c, c + ob, ob)
-        yield StageSpan(attn_residual, "spu", c, c + d)
-        c += ob
-        yield StageSpan(mlp_norm, "spu", c, c + d)
-        # gate and up rows interleave on the stream: one merged stage
-        yield StageSpan(gate_up, "vpu", c, c + gb, gb)
-        yield StageSpan(silu, "spu", c, c + cfg.d_ffn)
-        c += gb
-        yield StageSpan(down, "vpu", c, c + db, db)
-        yield StageSpan(mlp_residual, "spu", c, c + d)
-        c += db
+        for name, beats, wait, passes in stages:
+            if wait and ready > c:
+                yield StageSpan(wait, "stall", c, ready)
+                c = ready
+            end = c + (beats or cached)
+            yield StageSpan(name, "vpu", c, end, beats)
+            at = c
+            for pass_name, anchor, length, exponent in passes:
+                start = c if anchor == "start" else end if anchor == "end" else at
+                at = start + lengths[length]
+                yield StageSpan(pass_name, "spu", start, at)
+                if exponent:
+                    ready = at + SOFTMAX_FORWARD_LEAD
+            c = end
+    lb = code_beats(cfg.vocab_size, d, cfg.group_size)
     yield StageSpan("final_norm", "spu", c, c + d)
     yield StageSpan("lm_head", "vpu", c, c + lb, lb)
     yield StageSpan("argmax", "spu", c, c + cfg.vocab_size)

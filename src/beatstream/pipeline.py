@@ -33,11 +33,11 @@ checkpoint's packed word streams, unpacking each stream once. The fused
 decoder reads prepared operands only, each laid out once in the order
 the engine consumes it:
 
-  weights  TreeOrderRows, one per weight stage: the stage's projections
-           dequantized, widened to binary32, stacked by rows (q, k, v;
-           gate, up) and put in the engine's bit-reversed lane order once
-           per checkpoint, shared by every Decoder on that checkpoint. A
-           stage's result splits by rows into its projections' bits.
+  weights  TreeOrderRows, one per stage of config.STREAM_STAGES (q, k, v
+           as one): its projections dequantized, widened to binary32,
+           stacked by rows and put in the engine's bit-reversed lane order
+           once per checkpoint, shared by every Decoder on it. A stage's
+           result splits by rows into its projections' bits.
   keys     the cache store's key mirror, a TreeOrderRows with a head
            axis, written a row at a time; the attention dot reads rows
            0..t as a view.
@@ -52,9 +52,9 @@ of its own (_mix_sequential), so it checks the prepared operands, their
 subtree rule and the fused mix on every step.
 
 This module computes; perf costs. The hardware streams one head at a
-time, and that order lives only in perf's stage trace: Decoder.step
-returns a perf.TokenTrace of its config and position and builds none of
-it. The only cost readers left here are _WeightCache.stage_beats and
+time, an order only perf's stage trace walks: Decoder.step returns a
+perf.TokenTrace of its config and position and builds none of it. The
+only cost readers left here are _WeightCache.stage_beats and
 Decoder.flushed_sz_beats, which beatbench reads off a decoder.
 """
 
@@ -66,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import STREAM_STAGES, ModelConfig
 from .errors import CapacityError, DivergenceError, FormatError, ShapeError, as_index
 from .layout import (SNAPSHOT_MAGIC, SZ_PACKS_PER_BEAT, SZ_RECORD, code_beats, read_image,
                      widened_chunks, write_image)
@@ -244,27 +244,21 @@ class KVCacheStore:
 # decoders
 # ---------------------------------------------------------------------------
 
-# The weight stages of a layer's stream, each with the projections whose
-# rows it streams, stacked in this order: q, k and v feed one stage, and
-# gate and up rows interleave on the stream as one merged stage.
-_STREAM_STAGES = {"attn.qkv": ("attn.q", "attn.k", "attn.v"), "attn.o": ("attn.o",),
-                  "mlp.gate_up": ("mlp.gate", "mlp.up"), "mlp.down": ("mlp.down",)}
-
-
 class _WeightCache:
-    """One dequantized operand per weight stage of the stream, prepared
-    for the tree dot (TreeOrderRows): per layer `attn.qkv`, `attn.o`,
-    `mlp.gate_up` and `mlp.down`, then `lm_head`. A stage stacks its
-    projections' rows, each padded to whole groups and then to its lane
-    subtree; a row's width in whole lane blocks is its beat cost. dot_rows
-    reduces every row on its own, so each projection's row range of a
-    stage's result holds the bits of that projection's own dot.
+    """One dequantized operand per weight stage of config.STREAM_STAGES,
+    prepared for the tree dot (TreeOrderRows): per layer `qkv`, the head
+    stages' as one (the fused step runs a layer's heads together), `o`,
+    `gate_up` and `down`; then `lm_head`. An operand stacks its projections'
+    rows, each padded to whole groups and then to its lane subtree; a
+    row's width in whole lane blocks is its beat cost. dot_rows reduces
+    every row on its own, so each projection's row range of an operand's
+    result holds the bits of that projection's own dot.
 
     A tensor is unpacked from its words and widened a row range at a time
-    straight into its rows of the stage, so no whole-tensor wide temporary
-    and no per-tensor copy exists. Built once per checkpoint: `of` hands
-    every Decoder on a checkpoint the same cache, which lives as long as
-    the checkpoint does.
+    straight into its rows of the operand, so no whole-tensor wide
+    temporary and no per-tensor copy exists. Built once per checkpoint:
+    `of` hands every Decoder on a checkpoint the same cache, which lives as
+    long as the checkpoint does.
     """
 
     _shared: "weakref.WeakKeyDictionary[Checkpoint, _WeightCache]" = \
@@ -272,8 +266,10 @@ class _WeightCache:
 
     def __init__(self, ckpt: Checkpoint) -> None:
         self.cfg = cfg = ckpt.config
+        heads, layer = STREAM_STAGES
+        operands = (("qkv", tuple(p for _, parts in heads for p in parts)),) + layer
         stages = {f"layers.{i}.{stage}": [f"layers.{i}.{p}" for p in parts]
-                  for i in range(cfg.n_layers) for stage, parts in _STREAM_STAGES.items()}
+                  for i in range(cfg.n_layers) for stage, parts in operands}
         stages["lm_head"] = ["lm_head"]
         parts: dict[str, tuple[str, int]] = {}   # tensor -> its stage, its first row there
         self.mats: dict[str, TreeOrderRows] = {}
@@ -337,7 +333,7 @@ class Decoder:
         read, never kept).
 
         Each weight stage is one dot over its stage operand, whose result
-        splits by rows: q, k, v of attn.qkv and gate, up of mlp.gate_up.
+        splits by rows: q, k, v of qkv and gate, up of gate_up.
         The token's KV rows are published only after every layer has run,
         so a step that raises leaves the decoder as it was.
         """
@@ -355,7 +351,7 @@ class Decoder:
         cfg, mats, pre = self.cfg, self.weights.mats, f"layers.{layer}."
         heads, hd, d = cfg.n_heads, cfg.head_dim, cfg.d_model
         h = rmsnorm(x, self.ckpt.norms[2 * layer], rms_sumsq(x))
-        qkv = dot_rows(mats[pre + "attn.qkv"], h)
+        qkv = dot_rows(mats[pre + "qkv"], h)
         qk = rope_rotate(qkv[:2 * d].reshape(2 * heads, hd), t)
         v = qkv[2 * d:].reshape(heads, hd)
 
@@ -369,12 +365,12 @@ class Decoder:
         head_out = mix_rows(probs, values[:t + 1]).reshape(d)
 
         self.kv.write_layer(layer, t, np.concatenate([qk[heads:], v]))
-        x = _residual(x, dot_rows(mats[pre + "attn.o"], head_out))
+        x = _residual(x, dot_rows(mats[pre + "o"], head_out))
 
         h2 = rmsnorm(x, self.ckpt.norms[2 * layer + 1], rms_sumsq(x))
-        gate_up = dot_rows(mats[pre + "mlp.gate_up"], h2)
+        gate_up = dot_rows(mats[pre + "gate_up"], h2)
         act = silu_gate(gate_up[:cfg.d_ffn], gate_up[cfg.d_ffn:])
-        return _residual(x, dot_rows(mats[pre + "mlp.down"], act))
+        return _residual(x, dot_rows(mats[pre + "down"], act))
 
 
 class ReferenceDecoder:

@@ -8,6 +8,7 @@ from pathlib import Path
 from beatstream.config import tiny_demo_config
 from beatstream.layout import code_beats
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
+from beatstream.perf import TokenTrace, stall_free_context_bound
 from beatstream.pipeline import Decoder
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,3 +78,15 @@ def test_stage_beats_answers_every_tensor():
     for name in tensor_names(cfg):
         rows, cols = tensor_shape(cfg, name)
         assert dec.weights.stage_beats(name, rows) == code_beats(rows, cols, cfg.group_size)
+
+
+def test_every_bench_stage_reads_cycles():
+    """The benchmark books a span's cycles under its name's last part, so a
+    stage it reports that no span's name ends in reads 0. At position 20 the
+    demo is past its stall bound, so softmax_wait shows."""
+    cfg = tiny_demo_config()
+    assert stall_free_context_bound(cfg) < 20
+    cycles = Counter()
+    for span in TokenTrace(cfg, 20).spans:
+        cycles[span.name.rsplit(".", 1)[-1]] += span.cycles
+    assert {stage: cycles[stage] > 0 for stage in wl.STAGES} == dict.fromkeys(wl.STAGES, True)

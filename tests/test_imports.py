@@ -65,7 +65,7 @@ def test_every_private_name_is_read():
 
 # the stage trace, which perf holds beside the DMA schedule and the bus model
 TRACE_NAMES = {"SOFTMAX_FORWARD_LEAD", "StageSpan", "TokenTrace", "stall_free_context_bound",
-               "_LAYER_STAGES", "_HEAD_STAGES", "_span_names", "_stage_spans"}
+               "_operand_beats", "_SCALAR_PASSES", "_stage_plan", "_stage_spans"}
 COMPUTING_MODULES = {"numerics", "ops", "quant", "model_io", "pipeline"}
 
 
@@ -96,6 +96,9 @@ def test_pipeline_computes_and_perf_costs():
     assert not TRACE_NAMES & defined_names(pipeline)
     from_modules = imports_from(pipeline)
     assert from_modules["perf"] == {"TokenTrace"}
+    # the weight cache reads the stream's stages off config, as the trace does
+    assert not {n for n in defined_names(pipeline) if "STAGE" in n.upper()}
+    assert "STREAM_STAGES" in from_modules["config"] & imports_from(perf)["config"]
     assert not any("BusGeometry" in names for names in from_modules.values())
     assert not COMPUTING_MODULES & set(imports_from(perf))
 

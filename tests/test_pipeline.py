@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beatstream import layout, ops, perf, pipeline
-from beatstream.config import ModelConfig, llama2_7b_config, tiny_demo_config
+from beatstream.config import STREAM_STAGES, ModelConfig, llama2_7b_config, tiny_demo_config
 from beatstream.errors import (
     CapacityError,
     ConfigError,
@@ -22,11 +22,14 @@ from beatstream.errors import (
     FormatError,
     ShapeError,
 )
-from beatstream.layout import SNAPSHOT_MAGIC, SZ_RECORD, read_image
+from beatstream.layout import (SNAPSHOT_MAGIC, SZ_RECORD, WORD_BYTES, BusGeometry,
+                               checkpoint_pieces, code_beats, read_image,
+                               tensor_stream_words)
 from beatstream.model_io import build_demo_checkpoint, tensor_names, tensor_shape
 from beatstream.numerics import LANES, TreeOrderRows, dot_rows, to_half
 from beatstream.ops import sin_cos
-from beatstream.perf import StageSpan, TokenTrace, stall_free_context_bound
+from beatstream.perf import (SOFTMAX_FORWARD_LEAD, StageSpan, TokenTrace,
+                             stall_free_context_bound)
 from beatstream.pipeline import (
     Decoder,
     KVCacheStore,
@@ -510,10 +513,12 @@ class TestFusedMatchesReference:
         ckpt = build_demo_checkpoint(seed=4)
         dec, ref = Decoder(ckpt), ReferenceDecoder(ckpt)
         cache, cfg = dec.weights, ckpt.config
-        # every tensor is in one stage, which stacks its projections in order
+        # every tensor is in one stage, which stacks its projections in
+        # the table's order: the head stages' as one, each layer stage's
+        heads, layer = STREAM_STAGES
+        operands = {"qkv": [p for _, parts in heads for p in parts], **dict(layer)}
         stages = {f"layers.{i}.{stage}": [f"layers.{i}.{p}" for p in parts]
-                  for i in range(cfg.n_layers)
-                  for stage, parts in pipeline._STREAM_STAGES.items()}
+                  for i in range(cfg.n_layers) for stage, parts in operands.items()}
         stages["lm_head"] = ["lm_head"]
         assert sorted(n for names in stages.values() for n in names) == sorted(ref.mats)
         assert set(stages) == set(cache.mats)
@@ -629,6 +634,110 @@ def schedule_configs(draw):
 def built(trace):
     """What reading a trace builds: its spans and the two ends."""
     return trace.spans, trace.stream_end, trace.makespan
+
+
+# The stage trace as it was written out by hand before it walked
+# STREAM_STAGES, kept as the walk's oracle.
+_LAYER_STAGES = ("attn_norm", "o", "attn_residual", "mlp_norm", "gate_up", "silu",
+                 "down", "mlp_residual")
+_HEAD_STAGES = ("q", "rope_q", "k", "rope_k", "kv_dot", "softmax_max", "k_quant",
+                "softmax_exp", "softmax_norm", "v", "v_quant", "softmax_wait", "value_mix")
+
+
+def _span_names(n_layers, n_heads):
+    return tuple((tuple(f"L{layer}.{s}" for s in _LAYER_STAGES),
+                  tuple(tuple(f"L{layer}.h{head}.{s}" for s in _HEAD_STAGES)
+                        for head in range(n_heads)))
+                 for layer in range(n_layers))
+
+
+def oracle_stage_spans(cfg, position):
+    hd, d, g = cfg.head_dim, cfg.d_model, cfg.group_size
+    beats = {name: code_beats(r, c, g) for name, (r, c) in cfg.projection_shapes().items()}
+    qb, kb, vb = (beats[f"attn.{x}"] // cfg.n_heads for x in "qkv")   # one head's slice
+    ob, db, lb = beats["attn.o"], beats["mlp.down"], code_beats(cfg.vocab_size, d, g)
+    gb = beats["mlp.gate"] + beats["mlp.up"]
+    rows = position + 1
+    rows_cycles = rows * -(-hd // BusGeometry.beat_bytes)
+
+    yield StageSpan("embed", "spu", 0, d)
+    c = 0  # vector-unit cycle cursor
+    for layer_names, head_names in _span_names(cfg.n_layers, cfg.n_heads):
+        attn_norm, o, attn_residual, mlp_norm, gate_up, silu, down, mlp_residual = layer_names
+        yield StageSpan(attn_norm, "spu", c, c + d)
+        for (q, rope_q, k, rope_k, kv_dot, softmax_max, k_quant, softmax_exp, softmax_norm,
+             v, v_quant, softmax_wait, value_mix) in head_names:
+            yield StageSpan(q, "vpu", c, c + qb, qb)
+            yield StageSpan(rope_q, "spu", c + qb, c + qb + hd)
+            c += qb
+            yield StageSpan(k, "vpu", c, c + kb, kb)
+            yield StageSpan(rope_k, "spu", c + kb, c + kb + hd)
+            c += kb
+            dot_end = c + rows_cycles
+            yield StageSpan(kv_dot, "vpu", c, dot_end)
+            yield StageSpan(softmax_max, "spu", c, dot_end)
+            yield StageSpan(k_quant, "spu", c, c + 2 * hd)
+            c = dot_end
+            exp_end = dot_end + rows
+            yield StageSpan(softmax_exp, "spu", dot_end, exp_end)
+            yield StageSpan(softmax_norm, "spu", exp_end, exp_end + rows)
+            yield StageSpan(v, "vpu", c, c + vb, vb)
+            yield StageSpan(v_quant, "spu", c, c + 2 * hd)
+            c += vb
+            mix_start = exp_end + SOFTMAX_FORWARD_LEAD
+            if mix_start > c:
+                yield StageSpan(softmax_wait, "stall", c, mix_start)
+                c = mix_start
+            yield StageSpan(value_mix, "vpu", c, c + rows_cycles)
+            c += rows_cycles
+        yield StageSpan(o, "vpu", c, c + ob, ob)
+        yield StageSpan(attn_residual, "spu", c, c + d)
+        c += ob
+        yield StageSpan(mlp_norm, "spu", c, c + d)
+        # gate and up rows interleave on the stream: one merged stage
+        yield StageSpan(gate_up, "vpu", c, c + gb, gb)
+        yield StageSpan(silu, "spu", c, c + cfg.d_ffn)
+        c += gb
+        yield StageSpan(down, "vpu", c, c + db, db)
+        yield StageSpan(mlp_residual, "spu", c, c + d)
+        c += db
+    yield StageSpan("final_norm", "spu", c, c + d)
+    yield StageSpan("lm_head", "vpu", c, c + lb, lb)
+    yield StageSpan("argmax", "spu", c, c + cfg.vocab_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=schedule_configs(), data=st.data())
+def test_table_walk_is_the_hand_written_trace(cfg, data):
+    """The walk of STREAM_STAGES yields the hand-written trace's spans, in
+    order, field for field."""
+    position = data.draw(st.integers(0, cfg.max_context - 1), label="position")
+    assert TokenTrace(cfg, position).spans == list(oracle_stage_spans(cfg, position))
+
+
+@pytest.mark.parametrize("cfg, positions", [(tiny_demo_config(), range(21)),
+                                            (llama2_7b_config(), (0, 1023))],
+                         ids=["demo", "7b"])
+def test_table_walk_is_the_hand_written_trace_at(cfg, positions):
+    for position in positions:
+        assert TokenTrace(cfg, position).spans == list(oracle_stage_spans(cfg, position))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=schedule_configs())
+def test_image_order_is_the_stream_order(cfg):
+    """A layer's projections, flattened from STREAM_STAGES in stream order,
+    are projection_shapes' keys, each layer's tensor_names and the order of
+    checkpoint_pieces' layer tuple."""
+    stream = [p for stages in STREAM_STAGES for _, operand in stages for p in operand]
+    assert stream == list(cfg.projection_shapes())
+    names = tensor_names(cfg)
+    assert names[-1] == "lm_head"
+    for i in range(cfg.n_layers):
+        assert names[i * len(stream):(i + 1) * len(stream)] == [f"layers.{i}.{p}" for p in stream]
+    shapes = cfg.projection_shapes()
+    assert checkpoint_pieces(cfg)[1] == tuple(
+        tensor_stream_words(*shapes[p], cfg.group_size) * WORD_BYTES for p in stream)
 
 
 class TestTrace:
